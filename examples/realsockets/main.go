@@ -2,7 +2,7 @@
 // goroutine workers — the "expose it through an SDK" form factor of §4.2.
 //
 // A listener on loopback accepts connections and dispatches each to a
-// worker chosen by the live Hermes bitmap (core.NativeSelect over the
+// worker chosen by the live Hermes bitmap (Controller.Select over the
 // shared Worker Status Table), standing in for the kernel's reuseport
 // program, which portable Go cannot attach. Workers parse HTTP/1.1 with the
 // repo's own codec, publish their status through the lock-free WST exactly
@@ -99,11 +99,10 @@ func (w *worker) serveConn(conn net.Conn, buf []byte) {
 }
 
 func main() {
-	inst, err := core.New(workers, core.DefaultConfig())
+	ctl, err := core.New(workers, core.DefaultConfig())
 	if err != nil {
 		panic(err)
 	}
-	ctl := inst.(*core.Controller) // ≤64 workers → single-level deployment
 
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -136,9 +135,8 @@ func main() {
 			if err != nil {
 				return
 			}
-			bitmap, _ := ctl.SelMap().Lookup(0)
 			h := hashSeq.Add(2654435761)
-			wi, ok := core.NativeSelect(bitmap, h, ctl.Config().MinWorkers)
+			wi, ok := ctl.Select(h, h)
 			if !ok {
 				wi = int(h % workers)
 			}

@@ -12,7 +12,7 @@
 // Layout:
 //
 //   - internal/core — the contribution: Algorithm 1 scheduler, Algorithm 2
-//     dispatch emitted as verified (simulated) eBPF bytecode, controllers;
+//     dispatch emitted as verified (simulated) eBPF bytecode, the controller;
 //   - internal/{kernel,ebpf,shm,sim} — the substrates: simulated sockets /
 //     epoll / reuseport, the eBPF VM and verifier, the lock-free Worker
 //     Status Table, the discrete-event engine;

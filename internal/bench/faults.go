@@ -210,13 +210,8 @@ func runFaultsCell(opts Options, scen faultsScenario, mode l7lb.Mode) faultsRow 
 		baseStart  = int64(w) / 2
 	)
 	eng := newSimEngine(opts.Seed)
-	cfg := l7lb.DefaultConfig(mode)
-	cfg.BatchWidth = opts.Batch
-	cfg.Workers = opts.Workers
-	cfg.Ports = tenantPorts(1)
-	cfg.RegisteredPorts = opts.RegisteredPorts
-	cfg.Telemetry = opts.Metrics.Sink(scen.name + "/" + mode.String())
-	cfg.Tracer = opts.Spans.Tracer(scen.name + "/" + mode.String())
+	cell := scen.name + "/" + mode.String()
+	cfg := opts.lbConfig(mode, tenantPorts(1), opts.Metrics.Sink(cell), opts.Spans.Tracer(cell))
 	lb, err := l7lb.New(eng, cfg)
 	if err != nil {
 		panic(err)

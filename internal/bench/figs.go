@@ -89,10 +89,7 @@ func Fig2(opts Options) string { return RunExperiment(fig2Experiment{}, opts) }
 // a port over time, with per-worker CPU stddev spiking at the burst.
 func Fig3(opts Options) string {
 	eng := sim.NewEngine(opts.Seed)
-	cfg := l7lb.DefaultConfig(l7lb.ModeExclusive)
-	cfg.BatchWidth = opts.Batch
-	cfg.Workers = opts.Workers
-	cfg.Ports = []uint16{8080}
+	cfg := Options{Workers: opts.Workers, Batch: opts.Batch}.lbConfig(l7lb.ModeExclusive, []uint16{8080}, nil, nil)
 	lb, err := l7lb.New(eng, cfg)
 	if err != nil {
 		panic(err)

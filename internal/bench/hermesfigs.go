@@ -28,13 +28,7 @@ func init() {
 // Hermes spreads the same connections and absorbs the burst.
 func measureDelayedRate(opts Options, mode l7lb.Mode) float64 {
 	eng := newSimEngine(opts.Seed)
-	cfg := l7lb.DefaultConfig(mode)
-	cfg.BatchWidth = opts.Batch
-	cfg.Workers = opts.Workers
-	cfg.Ports = tenantPorts(1)
-	cfg.RegisteredPorts = opts.RegisteredPorts
-	cfg.Telemetry = opts.Metrics.Sink(mode.String())
-	cfg.Tracer = opts.Spans.Tracer(mode.String())
+	cfg := opts.lbConfig(mode, tenantPorts(1), opts.Metrics.Sink(mode.String()), opts.Spans.Tracer(mode.String()))
 	lb, err := l7lb.New(eng, cfg)
 	if err != nil {
 		panic(err)
@@ -195,13 +189,7 @@ func (fig13Experiment) Cells(opts Options) []Cell {
 		mode := mode
 		cells[mi] = Cell{Name: mode.String(), Run: func() any {
 			eng := newSimEngine(opts.Seed)
-			cfg := l7lb.DefaultConfig(mode)
-			cfg.BatchWidth = opts.Batch
-			cfg.Workers = opts.Workers
-			cfg.Ports = ports
-			cfg.RegisteredPorts = opts.RegisteredPorts
-			cfg.Telemetry = opts.Metrics.Sink(mode.String())
-			cfg.Tracer = opts.Spans.Tracer(mode.String())
+			cfg := opts.lbConfig(mode, ports, opts.Metrics.Sink(mode.String()), opts.Spans.Tracer(mode.String()))
 			lb, err := l7lb.New(eng, cfg)
 			if err != nil {
 				panic(err)

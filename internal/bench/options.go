@@ -4,6 +4,8 @@ import (
 	"time"
 
 	"hermes/internal/l7lb"
+	"hermes/internal/telemetry"
+	"hermes/internal/tracing"
 )
 
 // Options are the shared experiment knobs. The defaults trade the paper's
@@ -58,6 +60,22 @@ func DefaultOptions() Options {
 		RateScale:       0.5,
 		RegisteredPorts: 400,
 	}
+}
+
+// lbConfig is the one place harness Options become an l7lb.Config: the
+// mode's defaults plus the run-wide knobs (fleet size, registered ports,
+// batch width) and the cell's observers (nil = not recorded). Experiments
+// that pin a knob — a 3-worker walkthrough, a figure without the
+// registered-port overhead — pass an Options carrying only what they want.
+func (o Options) lbConfig(mode l7lb.Mode, ports []uint16, tel telemetry.Sink, tr *tracing.Tracer) l7lb.Config {
+	cfg := l7lb.DefaultConfig(mode)
+	cfg.Workers = o.Workers
+	cfg.Ports = ports
+	cfg.RegisteredPorts = o.RegisteredPorts
+	cfg.BatchWidth = o.Batch
+	cfg.Telemetry = tel
+	cfg.Tracer = tr
+	return cfg
 }
 
 // Table3Modes are the three production alternatives the paper compares.

@@ -98,13 +98,8 @@ func Run(rc RunConfig) (*RunResult, error) {
 	if ports == nil && len(rc.Specs) > 0 {
 		ports = rc.Specs[0].Ports
 	}
-	cfg := l7lb.DefaultConfig(rc.Mode)
-	cfg.Workers = rc.Workers
-	cfg.Ports = ports
+	cfg := Options{Workers: rc.Workers, Batch: rc.Batch}.lbConfig(rc.Mode, ports, rc.Telemetry, rc.Tracer)
 	cfg.DetailedStats = rc.Detailed
-	cfg.Telemetry = rc.Telemetry
-	cfg.Tracer = rc.Tracer
-	cfg.BatchWidth = rc.Batch
 	if rc.Mutate != nil {
 		rc.Mutate(&cfg)
 	}

@@ -108,12 +108,7 @@ func runScaleCell(fleet, conns int, mode l7lb.Mode, seed int64, o Options,
 	tel telemetry.Sink, tr *tracing.Tracer) any {
 	start := time.Now()
 	eng := newSimEngine(seed)
-	cfg := l7lb.DefaultConfig(mode)
-	cfg.Workers = fleet
-	cfg.Ports = []uint16{8080}
-	cfg.Telemetry = tel
-	cfg.Tracer = tr
-	cfg.BatchWidth = o.Batch
+	cfg := Options{Workers: fleet, Batch: o.Batch}.lbConfig(mode, []uint16{8080}, tel, tr)
 	// Pre-size every worker's connection table from the cell's planned
 	// connection count: an even share per worker is orders of magnitude
 	// above peak concurrently-open conns (each lives ~µs of virtual time),

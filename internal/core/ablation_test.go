@@ -80,8 +80,8 @@ func TestControllerSingleWinnerPublishesOneBit(t *testing.T) {
 	}
 }
 
-func TestGroupedControllerFilterOrderAndHookCounters(t *testing.T) {
-	gc, err := NewGroupedController(96, DefaultConfig(), GroupByTupleHash)
+func TestMultiGroupFilterOrderAndHookCounters(t *testing.T) {
+	gc, err := New(96, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestGroupedControllerFilterOrderAndHookCounters(t *testing.T) {
 	snap := gc.wst.Group(1).Snapshot(nil)
 	m := snap[6]
 	if m.LoopEnterNS != 100 || m.Busy != 3 || m.Conn != 1 {
-		t.Fatalf("grouped hook metrics: %+v", m)
+		t.Fatalf("group 1 hook metrics: %+v", m)
 	}
 	// Group 0 untouched.
 	for i, m := range gc.wst.Group(0).Snapshot(nil) {
@@ -114,10 +114,10 @@ func TestGroupedControllerFilterOrderAndHookCounters(t *testing.T) {
 	if res.Total != 32 { // group 1 of 96 workers spans 64..95 → 32 workers
 		t.Fatalf("schedule total = %d, want 32", res.Total)
 	}
-	if v, _ := gc.SelMap(1).Lookup(0); v != uint64(res.Bitmap) {
+	if v, _ := gc.SelMaps()[1].Lookup(0); v != uint64(res.Bitmap) {
 		t.Fatal("group 1 selmap not synced")
 	}
-	if v, _ := gc.SelMap(0).Lookup(0); v != 0 {
+	if v, _ := gc.SelMap().Lookup(0); v != 0 {
 		t.Fatal("group 0 selmap polluted")
 	}
 }

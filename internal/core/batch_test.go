@@ -1,8 +1,12 @@
 package core
 
 import (
+	"sync"
 	"testing"
 	"time"
+
+	"hermes/internal/kernel"
+	"hermes/internal/sim"
 )
 
 func batchedConfig(q time.Duration) Config {
@@ -156,11 +160,11 @@ func TestSyncBatchingDisabledByDefault(t *testing.T) {
 // and group A's cache never serves group B's workers.
 func TestSyncBatchingGroupedPerGroup(t *testing.T) {
 	const workers, groups = 8, 2
-	gc, err := NewGroupedControllerWithGroups(workers, groups, batchedConfig(time.Millisecond), GroupByTupleHash)
+	gc, err := New(workers, batchedConfig(time.Millisecond), WithGroups(groups))
 	if err != nil {
 		t.Fatal(err)
 	}
-	hooks := make([]*GroupedWorkerHook, workers)
+	hooks := make([]*WorkerHook, workers)
 	for i := range hooks {
 		hooks[i] = gc.NewWorkerHook(i)
 		hooks[i].LoopEnter(0)
@@ -168,10 +172,10 @@ func TestSyncBatchingGroupedPerGroup(t *testing.T) {
 	// Hang one worker in group 1 so the two groups compute different bitmaps.
 	for i, h := range hooks {
 		if i != 7 {
-			h.LoopEnter(int64(2 * gc.cfg.HangThreshold))
+			h.LoopEnter(int64(2 * gc.Config().HangThreshold))
 		}
 	}
-	now := int64(2 * gc.cfg.HangThreshold)
+	now := int64(2 * gc.Config().HangThreshold)
 	for i, h := range hooks {
 		res := h.ScheduleAndSync(now + int64(i)) // all within one quantum
 		span := workers / groups
@@ -184,10 +188,173 @@ func TestSyncBatchingGroupedPerGroup(t *testing.T) {
 		}
 	}
 	// One sync per group, the rest batched.
-	bm0, _ := gc.SelMap(0).Lookup(0)
-	bm1, _ := gc.SelMap(1).Lookup(0)
+	bm0, _ := gc.SelMaps()[0].Lookup(0)
+	bm1, _ := gc.SelMaps()[1].Lookup(0)
 	if bm0 != 0b1111 || bm1 != 0b0111 {
 		t.Fatalf("group bitmaps: %b %b", bm0, bm1)
+	}
+	if st := gc.Stats(); st.ScheduleCalls != groups || st.Syncs != groups || st.Batched != workers-groups {
+		t.Fatalf("per-group batching: calls=%d syncs=%d batched=%d", st.ScheduleCalls, st.Syncs, st.Batched)
+	}
+}
+
+// multiGroupFixture is a 128-worker (two-group) batched controller with every
+// worker fresh at `now` and worker 70 (group 1, slot 6) carrying enough
+// connections to fail the conn filter.
+func multiGroupFixture(t *testing.T) (c *Controller, hooks []*WorkerHook, now int64) {
+	t.Helper()
+	c, err := New(128, batchedConfig(time.Millisecond))
+	if err != nil {
+		t.Fatal(err)
+	}
+	now = int64(time.Second)
+	hooks = make([]*WorkerHook, 128)
+	for i := range hooks {
+		hooks[i] = c.NewWorkerHook(i)
+		hooks[i].LoopEnter(now)
+	}
+	for i := 0; i < 100; i++ {
+		hooks[70].ConnOpened()
+	}
+	return c, hooks, now
+}
+
+// Above 64 workers every policy mutation must change the very next
+// schedule_and_sync of the affected group, even inside a sync quantum: the
+// per-group caches are keyed by the fleet's one policy generation.
+func TestMultiGroupPolicyFlipsMidQuantum(t *testing.T) {
+	c, hooks, now := multiGroupFixture(t)
+	const slot70 = 70 - 64
+	g0, g1 := hooks[3], hooks[65]
+	tick := func(h *WorkerHook) ScheduleResult {
+		now++ // 1 ns per call: all within the 1 ms quantum
+		return h.ScheduleAndSync(now)
+	}
+	if res := tick(g0); res.Passed != 64 {
+		t.Fatalf("group 0 baseline: %+v", res)
+	}
+	if res := tick(g1); res.Passed != 63 || res.Bitmap.Has(slot70) {
+		t.Fatalf("group 1 baseline must drop loaded worker 70: %+v", res)
+	}
+	if res := tick(hooks[100]); res.Passed != 63 || c.Stats().Batched != 1 {
+		t.Fatalf("second group-1 call in the quantum was not served from cache: %+v", res)
+	}
+
+	c.SetFilterOrder(OrderTimeOnly)
+	if res := tick(g1); res.Passed != 64 {
+		t.Fatalf("SetFilterOrder served stale mid-quantum: %+v", res)
+	}
+	c.SetFilterOrder(OrderTimeConnEvent)
+	if res := tick(g1); res.Passed != 63 {
+		t.Fatalf("SetFilterOrder back served stale mid-quantum: %+v", res)
+	}
+
+	c.SetForceFallback(true)
+	if res := tick(g1); res.Passed != 0 || res.Total != 64 {
+		t.Fatalf("SetForceFallback ignored mid-quantum: %+v", res)
+	}
+	c.SetForceFallback(false)
+
+	cfg := c.Config()
+	cfg.ThetaFrac = 1000 // offset wide enough to re-admit worker 70
+	if err := c.SetConfig(cfg); err != nil {
+		t.Fatal(err)
+	}
+	if res := tick(g1); res.Passed != 64 {
+		t.Fatalf("SetConfig served stale mid-quantum: %+v", res)
+	}
+
+	// Veto by global id: the bit clears in worker 70's own group map only.
+	if err := c.SetWorkerAvailable(70, false); err != nil {
+		t.Fatal(err)
+	}
+	if res := tick(g1); res.Passed != 63 || res.Bitmap.Has(slot70) {
+		t.Fatalf("SetWorkerAvailable(70,false) ignored mid-quantum: %+v", res)
+	}
+	tick(g0)
+	bm0, _ := c.SelMaps()[0].Lookup(0)
+	bm1, _ := c.SelMaps()[1].Lookup(0)
+	if bm0 != ^uint64(0) || bm1 != ^uint64(0)&^(1<<slot70) {
+		t.Fatalf("veto leaked across groups: group0=%#x group1=%#x", bm0, bm1)
+	}
+	if err := c.SetWorkerAvailable(128, false); err == nil {
+		t.Fatal("out-of-range worker id accepted")
+	}
+
+	// Vetoing all of group 1 empties its map: connections hashed there take
+	// the kernel's reuseport-hash fallback, group 0 keeps directed dispatch,
+	// and nothing is dropped.
+	for id := 64; id < 128; id++ {
+		if err := c.SetWorkerAvailable(id, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if res := tick(g1); res.Passed != 0 || res.Bitmap != 0 {
+		t.Fatalf("fully vetoed group still selects: %+v", res)
+	}
+	ns := kernel.NewNetStack(sim.NewEngine(1), kernel.WakeExclusiveLIFO)
+	rg, err := ns.ListenReuseport(80, 128, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.AttachEBPF(rg); err != nil {
+		t.Fatal(err)
+	}
+	const syns = 2000
+	for i := uint32(0); i < syns; i++ {
+		ns.DeliverSYN(kernel.FourTuple{SrcIP: i * 7, SrcPort: uint16(i), DstIP: i % 50, DstPort: 80}, nil)
+	}
+	queued := 0
+	for _, s := range rg.Sockets() {
+		queued += s.QueueLen()
+	}
+	if rg.ProgDispatched == 0 || rg.Fallbacks == 0 || rg.ProgDispatched+rg.Fallbacks != syns || queued != syns {
+		t.Fatalf("vetoed group black-holed traffic: prog=%d fallbacks=%d errors=%d queued=%d",
+			rg.ProgDispatched, rg.Fallbacks, rg.ProgErrors, queued)
+	}
+}
+
+// Workers in real-goroutine deployments run their hooks concurrently with
+// the control plane; under -race this pins that every policy field is
+// synchronised at any fleet size.
+func TestMultiGroupConcurrentPolicyFlips(t *testing.T) {
+	c, hooks, now := multiGroupFixture(t)
+	var wg sync.WaitGroup
+	for _, id := range []int{0, 31, 63, 64, 70, 127} {
+		wg.Add(1)
+		go func(h *WorkerHook) {
+			defer wg.Done()
+			for i := int64(0); i < 500; i++ {
+				h.LoopEnter(now + i)
+				h.ScheduleAndSync(now + i)
+			}
+		}(hooks[id])
+	}
+	cfg := c.Config()
+	for i := 0; i < 200; i++ {
+		c.SetFilterOrder(FilterOrder(i % 3))
+		c.SetForceFallback(i%7 == 0)
+		cfg.ThetaFrac = float64(i%5) / 2
+		if err := c.SetConfig(cfg); err != nil {
+			t.Error(err)
+		}
+		if err := c.SetWorkerAvailable(70, i%2 == 0); err != nil {
+			t.Error(err)
+		}
+	}
+	wg.Wait()
+
+	// Settled policy: the last flips win on the next call of each group.
+	c.SetForceFallback(false)
+	c.SetFilterOrder(OrderTimeOnly)
+	if err := c.SetWorkerAvailable(70, false); err != nil {
+		t.Fatal(err)
+	}
+	if res := hooks[64].ScheduleAndSync(now + 500); res.Passed != 63 || res.Bitmap.Has(70-64) {
+		t.Fatalf("group 1 after concurrent flips: %+v", res)
+	}
+	if res := hooks[0].ScheduleAndSync(now + 500); res.Passed != 64 {
+		t.Fatalf("group 0 after concurrent flips: %+v", res)
 	}
 }
 

@@ -60,23 +60,38 @@ func (sc *syncCache) store(nowNS int64, gen uint64, res ScheduleResult) {
 	sc.lastNS.Store(nowNS)
 }
 
-// Controller owns one worker group's Hermes state: the shared Worker Status
-// Table, the kernel-facing selection map, and the dispatch attachment. One
-// Controller serves up to 64 workers; larger fleets use GroupedController.
+// group is one ≤64-worker control loop (§7): its own Worker Status Table and
+// kernel-facing selection map, updated only by its own workers, plus the
+// per-group halves of sync batching and the availability veto. Groups are
+// independent — group A's cache never serves group B's workers.
+type group struct {
+	wst   *shm.WST
+	sel   *ebpf.ArrayMap
+	cache syncCache
+	avail atomic.Uint64 // bit i clear = slot i vetoed from every published bitmap
+}
+
+// Controller owns a fleet's Hermes state: G ≥ 1 worker groups of at most 64
+// workers each, and one policy for all of them. G = 1 is the paper's
+// standard deployment; G > 1 is its answer to the 64-bit atomic<int> limit
+// (§7) — the kernel dispatcher first hashes a connection to a group, then
+// bitmap-selects within it. With GroupByLocalityHash as the level-1 key the
+// same mechanism is the cache-locality mode of Fig. A6: same-destination
+// traffic stays in one group (locality) while load still spreads within the
+// group (balance); one worker per group degenerates to plain reuseport.
 type Controller struct {
+	// Policy, held once for the fleet. polGen counts policy mutations; a
+	// group's cached result (Config.SyncQuantum) is only served while the
+	// generation it was computed under is still current.
 	cfg          atomic.Pointer[Config]
 	order        atomic.Int32
-	fallback     atomic.Bool   // force reuseport fallback (publish empty bitmap)
-	singleWinner atomic.Bool   // ablation: publish only the single best worker
-	availMask    atomic.Uint64 // bit i clear = worker i vetoed from every published bitmap
-	wst          *shm.WST
-	sel          *ebpf.ArrayMap
+	fallback     atomic.Bool // force reuseport fallback (publish empty bitmaps)
+	singleWinner atomic.Bool // ablation: publish only the single best worker
+	polGen       atomic.Uint64
 
-	// Sync batching (Config.SyncQuantum). polGen counts policy mutations;
-	// a cached result is only served while the generation it was computed
-	// under is still current.
-	cache  syncCache
-	polGen atomic.Uint64
+	key    GroupKey
+	wst    *shm.Grouped
+	groups []group
 
 	// Scheduling statistics (atomic: in real-goroutine deployments every
 	// worker runs the scheduler concurrently).
@@ -91,57 +106,80 @@ type Controller struct {
 	tr  *tracing.ScheduleTrace
 }
 
-// NewController creates Hermes state for n workers (1..64).
-//
-// Deprecated: use New, which picks the deployment level from n.
-func NewController(n int, cfg Config) (*Controller, error) {
+// New creates Hermes state for n workers in ceil(n/64) groups, or exactly
+// WithGroups(g) equal-span groups (locality tuning: the grouping granularity
+// controls the locality/balance trade-off, Fig. A6). Global worker ids are
+// dense: worker g*span+i is slot i of group g.
+func New(n int, cfg Config, opts ...Option) (*Controller, error) {
+	var o options
+	for _, fn := range opts {
+		fn(&o)
+	}
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if n < 1 || n > shm.GroupSize {
-		return nil, fmt.Errorf("core: worker count %d outside 1..%d (use NewGroupedController)", n, shm.GroupSize)
+	span := shm.GroupSize
+	switch {
+	case o.groups > 0:
+		if n < o.groups || n%o.groups != 0 {
+			return nil, fmt.Errorf("core: cannot split %d workers into %d equal groups", n, o.groups)
+		}
+		if span = n / o.groups; span > shm.GroupSize {
+			return nil, fmt.Errorf("core: group span %d exceeds %d", span, shm.GroupSize)
+		}
+	case n < 1:
+		return nil, fmt.Errorf("core: worker count %d < 1", n)
 	}
-	c := &Controller{
-		wst: shm.NewWST(n),
-		sel: ebpf.NewArrayMap(1),
-	}
+	c := &Controller{key: o.key, wst: shm.NewGroupedSpan(n, span), tel: o.ins}
 	c.cfg.Store(&cfg)
-	c.availMask.Store(^uint64(0))
-	c.cache.init()
+	c.groups = make([]group, c.wst.Groups())
+	for gi := range c.groups {
+		g := &c.groups[gi]
+		g.wst = c.wst.Group(gi)
+		g.sel = ebpf.NewArrayMap(1)
+		g.cache.init()
+		g.avail.Store(^uint64(0))
+	}
 	return c, nil
 }
 
-// SetWorkerAvailable vetoes (ok=false) or re-admits (ok=true) one worker in
-// every bitmap the scheduler publishes. The veto is ANDed onto Algorithm 1's
-// result after the cascade, so an external availability signal — backend
-// health, circuit state, a drain in progress — flows through the same
-// selection map the kernel dispatch program reads: worker-load steering and
-// availability become one decision. Vetoing everyone yields the empty set,
-// i.e. the kernel's reuseport-hash fallback (Algorithm 2), never a black
-// hole. Takes effect on the next schedule_and_sync even mid-quantum.
+// NewController is New without options.
+func NewController(n int, cfg Config) (*Controller, error) { return New(n, cfg) }
+
+// SetWorkerAvailable vetoes (ok=false) or re-admits (ok=true) one worker,
+// by global id, in every bitmap its group publishes. The veto is ANDed onto
+// Algorithm 1's result after the cascade, so an external availability signal
+// — backend health, circuit state, a drain in progress — flows through the
+// same selection map the kernel dispatch program reads: worker-load steering
+// and availability become one decision. Vetoing a whole group yields that
+// group's empty set, i.e. the kernel's reuseport-hash fallback (Algorithm 2),
+// never a black hole. Takes effect on the next schedule_and_sync even
+// mid-quantum.
 func (c *Controller) SetWorkerAvailable(id int, ok bool) error {
 	if id < 0 || id >= c.Workers() {
 		return fmt.Errorf("core: worker %d outside 0..%d", id, c.Workers()-1)
 	}
+	gi, slot := c.wst.Locate(id)
+	avail := &c.groups[gi].avail
 	for {
-		old := c.availMask.Load()
-		next := old | 1<<uint(id)
+		old := avail.Load()
+		next := old | 1<<uint(slot)
 		if !ok {
-			next = old &^ (1 << uint(id))
+			next = old &^ (1 << uint(slot))
 		}
 		if old == next {
 			return nil
 		}
-		if c.availMask.CompareAndSwap(old, next) {
+		if avail.CompareAndSwap(old, next) {
 			c.polGen.Add(1)
 			return nil
 		}
 	}
 }
 
-// AvailableMask returns the current availability veto mask (bit i set =
-// worker i eligible).
-func (c *Controller) AvailableMask() uint64 { return c.availMask.Load() }
+// AvailableMask returns group 0's availability veto mask (bit i set = worker
+// i eligible) — the whole fleet's when it fits one group.
+func (c *Controller) AvailableMask() uint64 { return c.groups[0].avail.Load() }
 
 // SetFilterOrder overrides the filter cascade (ablations, live policy).
 func (c *Controller) SetFilterOrder(o FilterOrder) {
@@ -184,55 +222,76 @@ func (c *Controller) ForceFallback() bool { return c.fallback.Load() }
 
 // SetSingleWinner enables the single-winner ablation: instead of the
 // two-stage coarse/fine filtering, the scheduler publishes only the one
-// best worker. Because userspace updates far less often than connections
-// arrive, the kernel then funnels every new connection to that worker until
-// the next sync — the overload failure §5.3.2's two-stage design prevents.
+// best worker per group. Because userspace updates far less often than
+// connections arrive, the kernel then funnels every new connection to that
+// worker until the next sync — the overload failure §5.3.2's two-stage
+// design prevents.
 func (c *Controller) SetSingleWinner(on bool) {
 	c.singleWinner.Store(on)
 	c.polGen.Add(1)
 }
 
 // WST exposes the worker status table (diagnostics and tests).
-func (c *Controller) WST() *shm.WST { return c.wst }
+func (c *Controller) WST() *shm.Grouped { return c.wst }
 
-// SelMap exposes the kernel-facing selection map (M_sel).
-func (c *Controller) SelMap() *ebpf.ArrayMap { return c.sel }
+// SelMap exposes group 0's kernel-facing selection map (M_sel) — the only
+// one when the fleet fits one group.
+func (c *Controller) SelMap() *ebpf.ArrayMap { return c.groups[0].sel }
 
-// Workers returns the worker count.
+// SelMaps returns every group's selection map, in group order.
+func (c *Controller) SelMaps() []*ebpf.ArrayMap {
+	out := make([]*ebpf.ArrayMap, len(c.groups))
+	for gi := range c.groups {
+		out[gi] = c.groups[gi].sel
+	}
+	return out
+}
+
+// Workers returns the total worker count.
 func (c *Controller) Workers() int { return c.wst.Workers() }
 
+// Groups returns the group count.
+func (c *Controller) Groups() int { return len(c.groups) }
+
 // AttachEBPF builds the Algorithm 2 bytecode over this controller's
-// selection map and the group's sockets, verifies it, and installs it at the
-// group's SO_ATTACH_REUSEPORT_EBPF hook. Socket i must belong to worker i.
-func (c *Controller) AttachEBPF(g *kernel.ReuseportGroup) error {
-	if len(g.Sockets()) != c.Workers() {
-		return fmt.Errorf("core: group has %d sockets, controller has %d workers",
-			len(g.Sockets()), c.Workers())
-	}
-	sa, err := g.BuildSockArray()
+// selection maps and the reuseport group's sockets, verifies it, and
+// installs it at the SO_ATTACH_REUSEPORT_EBPF hook. Socket i must belong to
+// global worker i.
+func (c *Controller) AttachEBPF(rg *kernel.ReuseportGroup) error {
+	socks, err := c.socketsOf(rg)
 	if err != nil {
 		return err
 	}
-	prog, err := BuildDispatchProgram(c.sel, sa, c.Config().MinWorkers)
+	maps := make([]GroupMaps, len(c.groups))
+	for gi := range c.groups {
+		span := c.groups[gi].wst.Workers()
+		sa := ebpf.NewSockArray(span)
+		for slot := 0; slot < span; slot++ {
+			if err := sa.Put(uint32(slot), socks[c.wst.GlobalID(gi, slot)]); err != nil {
+				return err
+			}
+		}
+		maps[gi] = GroupMaps{Sel: c.groups[gi].sel, Socks: sa}
+	}
+	prog, err := BuildDispatchProgram(maps, c.Config().MinWorkers, c.key)
 	if err != nil {
 		return err
 	}
-	g.AttachProgram(prog)
+	rg.AttachProgram(prog)
 	return nil
 }
 
 // AttachNative installs the native-Go dispatch twin (the JIT-compiled
-// program's stand-in) on the group.
-func (c *Controller) AttachNative(g *kernel.ReuseportGroup) error {
-	if len(g.Sockets()) != c.Workers() {
-		return fmt.Errorf("core: group has %d sockets, controller has %d workers",
-			len(g.Sockets()), c.Workers())
+// program's stand-in) on the reuseport group. Like the bytecode it compiles
+// in the MinWorkers current at attach time.
+func (c *Controller) AttachNative(rg *kernel.ReuseportGroup) error {
+	socks, err := c.socketsOf(rg)
+	if err != nil {
+		return err
 	}
-	socks := g.Sockets()
 	min := c.Config().MinWorkers
-	g.AttachNative(func(hash, _ uint32) (*kernel.Socket, bool) {
-		bitmap, _ := c.sel.Lookup(0)
-		w, ok := NativeSelect(bitmap, hash, min)
+	rg.AttachNative(func(hash, localityHash uint32) (*kernel.Socket, bool) {
+		w, ok := c.selectWorker(hash, localityHash, min)
 		if !ok {
 			return nil, false
 		}
@@ -241,43 +300,52 @@ func (c *Controller) AttachNative(g *kernel.ReuseportGroup) error {
 	return nil
 }
 
-// Instrument wires telemetry for Algorithm 1 decisions (implements Instance).
+// socketsOf returns the reuseport group's sockets, one per worker.
+func (c *Controller) socketsOf(rg *kernel.ReuseportGroup) ([]*kernel.Socket, error) {
+	socks := rg.Sockets()
+	if len(socks) != c.Workers() {
+		return nil, fmt.Errorf("core: group has %d sockets, controller has %d workers",
+			len(socks), c.Workers())
+	}
+	return socks, nil
+}
+
+// Instrument wires telemetry for Algorithm 1 decisions.
 func (c *Controller) Instrument(ins Instruments) { c.tel = ins }
 
-// InstrumentTrace wires the flight recorder into schedule_and_sync passes
-// (implements Instance).
+// InstrumentTrace wires the flight recorder into schedule_and_sync passes.
 func (c *Controller) InstrumentTrace(tr *tracing.ScheduleTrace) { c.tr = tr }
 
-// Hook returns worker id's hook as the deployment-independent interface
-// (implements Instance).
-func (c *Controller) Hook(id int) Hook { return c.NewWorkerHook(id) }
-
-// NewWorkerHook returns worker id's instrumentation handle — the few lines
-// Hermes adds to the epoll event loop (Fig. 9).
+// NewWorkerHook returns global worker id's instrumentation handle — the few
+// lines Hermes adds to the epoll event loop (Fig. 9). The embedded scheduler
+// operates on the worker's own group only.
 func (c *Controller) NewWorkerHook(id int) *WorkerHook {
+	gi, slot := c.wst.Locate(id)
+	g := &c.groups[gi]
 	return &WorkerHook{
 		c:   c,
+		g:   g,
 		id:  id,
-		w:   c.wst.Writer(id),
-		buf: make([]shm.Metrics, 0, c.Workers()),
+		w:   g.wst.Writer(slot),
+		buf: make([]shm.Metrics, 0, g.wst.Workers()),
 	}
 }
 
-// scheduleAndSync is the shared implementation behind every worker's
-// schedule_and_sync() call.
-func (c *Controller) scheduleAndSync(nowNS int64, buf []shm.Metrics) (ScheduleResult, []shm.Metrics) {
+// scheduleAndSync is the shared implementation behind schedule_and_sync()
+// for every worker of group g.
+func (c *Controller) scheduleAndSync(g *group, nowNS int64, buf []shm.Metrics) (ScheduleResult, []shm.Metrics) {
 	cfg := c.cfg.Load()
 	gen := c.polGen.Load()
 	batching := cfg.SyncQuantum > 0 && !c.fallback.Load() && !c.singleWinner.Load()
 	if batching {
-		if res, ok := c.cache.load(nowNS, gen, int64(cfg.SyncQuantum)); ok {
+		if res, ok := g.cache.load(nowNS, gen, int64(cfg.SyncQuantum)); ok {
 			c.syncBatched.Add(1)
 			c.tel.SyncBatched.Inc()
 			return res, buf
 		}
 	}
 
-	buf = c.wst.Snapshot(buf[:0])
+	buf = g.wst.Snapshot(buf[:0])
 	var res ScheduleResult
 	switch {
 	case c.fallback.Load():
@@ -292,7 +360,7 @@ func (c *Controller) scheduleAndSync(nowNS int64, buf []shm.Metrics) (ScheduleRe
 	// published set. Applied after the cascade so the veto and the load
 	// filters land in the same bitmap; all-ones (the default) skips the
 	// branch entirely, keeping the unvetoed path bit-for-bit unchanged.
-	if mask := c.availMask.Load(); mask != ^uint64(0) {
+	if mask := g.avail.Load(); mask != ^uint64(0) {
 		if bm := uint64(res.Bitmap) & mask; bm != uint64(res.Bitmap) {
 			res.Bitmap = bitops.Bitmap64(bm)
 			res.Passed = bitops.PopCount64(bm)
@@ -313,8 +381,8 @@ func (c *Controller) scheduleAndSync(nowNS int64, buf []shm.Metrics) (ScheduleRe
 	// Publish: shared-memory word for userspace observers, eBPF map for the
 	// kernel dispatcher. Both are single atomic stores; concurrent workers
 	// race benignly (last write wins with a complete bitmap, §5.3.2).
-	c.wst.StoreSelection(uint64(res.Bitmap))
-	if err := c.sel.Update(0, uint64(res.Bitmap)); err == nil {
+	g.wst.StoreSelection(uint64(res.Bitmap))
+	if err := g.sel.Update(0, uint64(res.Bitmap)); err == nil {
 		c.syncs.Add(1)
 		c.tel.Syncs.Inc()
 		// Only a successfully synced default-path result may serve a
@@ -323,13 +391,13 @@ func (c *Controller) scheduleAndSync(nowNS int64, buf []shm.Metrics) (ScheduleRe
 		// tests flip them between calls at one instant), and a failed map
 		// update must not suppress the next worker's retry.
 		if batching {
-			c.cache.store(nowNS, gen, res)
+			g.cache.store(nowNS, gen, res)
 		}
 	}
 	return res, buf
 }
 
-// Stats is a snapshot of scheduling counters.
+// Stats is a snapshot of scheduling counters, summed over every group.
 type Stats struct {
 	ScheduleCalls uint64  // schedule_and_sync invocations that recomputed
 	Syncs         uint64  // successful kernel map updates (syscalls)
@@ -361,7 +429,8 @@ func (c *Controller) Stats() Stats {
 // (matching per-process ownership of WST partitions).
 type WorkerHook struct {
 	c   *Controller
-	id  int
+	g   *group
+	id  int // global worker id (the trace track)
 	w   shm.Writer
 	buf []shm.Metrics
 }
@@ -387,11 +456,12 @@ func (h *WorkerHook) ConnOpened() { h.w.AddConn(1) }
 // ConnClosed decrements the accumulated-connection count (Fig. 9 line 37).
 func (h *WorkerHook) ConnClosed() { h.w.AddConn(-1) }
 
-// ScheduleAndSync runs Algorithm 1 over the whole table and synchronizes the
-// result to the kernel — the schedule_and_sync() call at the end of the
-// event loop (Fig. 9 line 20).
+// ScheduleAndSync runs Algorithm 1 over this worker's group and synchronizes
+// the group bitmap to the kernel — the schedule_and_sync() call at the end of
+// the event loop (Fig. 9 line 20). With Config.SyncQuantum set, one recompute
+// per group per quantum serves every group member's call.
 func (h *WorkerHook) ScheduleAndSync(nowNS int64) ScheduleResult {
-	res, buf := h.c.scheduleAndSync(nowNS, h.buf)
+	res, buf := h.c.scheduleAndSync(h.g, nowNS, h.buf)
 	h.buf = buf
 	h.c.tr.Pass(h.id, nowNS, res.Passed, res.Total)
 	return res

@@ -270,7 +270,7 @@ func TestDispatchProgramMatchesNative(t *testing.T) {
 		}
 	}
 	for _, minWorkers := range []int{1, 2, 5} {
-		prog, err := BuildDispatchProgram(sel, sa, minWorkers)
+		prog, err := BuildDispatchProgram([]GroupMaps{{Sel: sel, Socks: sa}}, minWorkers, GroupByTupleHash)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -307,35 +307,33 @@ func TestDispatchProgramMatchesNative(t *testing.T) {
 	}
 }
 
-func TestGroupedDispatchProgramMatchesNative(t *testing.T) {
-	const groups = 3
-	const span = 4
-	type fakeSock struct{ g, s int }
-	gm := make([]GroupMaps, groups)
-	bitmaps := make([]uint64, groups)
-	for gi := 0; gi < groups; gi++ {
-		sel := ebpf.NewArrayMap(1)
-		sa := ebpf.NewSockArray(span)
-		for s := 0; s < span; s++ {
-			if err := sa.Put(uint32(s), &fakeSock{gi, s}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		gm[gi] = GroupMaps{Sel: sel, Socks: sa}
-	}
+// The same differential over several groups and both level-1 keys: the
+// program AttachEBPF installs and Controller.Select must steer every
+// (bitmaps, hash, locality hash) to the same global worker.
+func TestMultiGroupDispatchProgramMatchesSelect(t *testing.T) {
+	const groups, span = 3, 4
 	for _, key := range []GroupKey{GroupByTupleHash, GroupByLocalityHash} {
-		prog, err := BuildGroupedDispatchProgram(gm, 2, key)
+		ns := kernel.NewNetStack(sim.NewEngine(1), kernel.WakeExclusiveLIFO)
+		rg, err := ns.ListenReuseport(80, groups*span, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
+		c, err := New(groups*span, DefaultConfig(), WithGroups(groups), WithGroupKey(key))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.AttachEBPF(rg); err != nil {
+			t.Fatal(err)
+		}
+		prog := rg.Program()
 		rng := rand.New(rand.NewSource(9))
 		for trial := 0; trial < 3000; trial++ {
-			for gi := range bitmaps {
-				bitmaps[gi] = rng.Uint64() & 0xf // span=4
+			for _, sel := range c.SelMaps() {
+				bm := rng.Uint64() & 0xf // span=4
 				if trial%5 == 0 {
-					bitmaps[gi] = uint64(trial % 3)
+					bm = uint64(trial % 3)
 				}
-				if err := gm[gi].Sel.Update(0, bitmaps[gi]); err != nil {
+				if err := sel.Update(0, bm); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -345,15 +343,12 @@ func TestGroupedDispatchProgramMatchesNative(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ng, nw, nok := NativeSelectGrouped(bitmaps, hash, lhash, 2, key)
+			nw, nok := c.Select(hash, lhash)
 			if nok != (r0 == 0) {
-				t.Fatalf("trial %d: vm r0=%d native ok=%v", trial, r0, nok)
+				t.Fatalf("key %d trial %d: vm r0=%d native ok=%v", key, trial, r0, nok)
 			}
-			if nok {
-				got := ctx.Selected.(*fakeSock)
-				if got.g != ng || got.s != nw {
-					t.Fatalf("trial %d: vm (%d,%d) native (%d,%d)", trial, got.g, got.s, ng, nw)
-				}
+			if nok && ctx.Selected != rg.Sockets()[nw] {
+				t.Fatalf("key %d trial %d: vm and native picked different sockets (native worker %d)", key, trial, nw)
 			}
 		}
 	}
@@ -365,20 +360,22 @@ func TestDispatchProgramSize(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		sa.Put(uint32(i), i)
 	}
-	p, err := BuildDispatchProgram(sel, sa, 2)
+	p, err := BuildDispatchProgram([]GroupMaps{{Sel: sel, Socks: sa}}, 2, GroupByTupleHash)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("single-group dispatch: %d insns", p.Len())
-	if p.Len() > 256 {
-		t.Fatalf("dispatch program unexpectedly large: %d insns", p.Len())
+	// One group is exactly the paper's single-level instruction stream — no
+	// level-1 prologue, no rank-hash mix — pinned because every steered SYN
+	// pays for it.
+	if p.Len() != 146 {
+		t.Fatalf("single-group dispatch program is %d insns, want 146", p.Len())
 	}
 	// 16 groups must still fit the verifier budget comfortably.
 	gm := make([]GroupMaps, 16)
 	for i := range gm {
 		gm[i] = GroupMaps{Sel: ebpf.NewArrayMap(1), Socks: sa}
 	}
-	gp, err := BuildGroupedDispatchProgram(gm, 2, GroupByTupleHash)
+	gp, err := BuildDispatchProgram(gm, 2, GroupByTupleHash)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -391,14 +388,15 @@ func TestDispatchProgramSize(t *testing.T) {
 func TestBuilderErrors(t *testing.T) {
 	sel := ebpf.NewArrayMap(1)
 	sa := ebpf.NewSockArray(1)
-	if _, err := BuildDispatchProgram(sel, sa, 0); err == nil {
+	if _, err := BuildDispatchProgram([]GroupMaps{{Sel: sel, Socks: sa}}, 0, GroupByTupleHash); err == nil {
 		t.Fatal("minWorkers=0 accepted")
 	}
-	if _, err := BuildGroupedDispatchProgram(nil, 2, GroupByTupleHash); err == nil {
+	if _, err := BuildDispatchProgram(nil, 2, GroupByTupleHash); err == nil {
 		t.Fatal("empty groups accepted")
 	}
-	if _, err := BuildGroupedDispatchProgram([]GroupMaps{{Sel: sel, Socks: sa}}, 0, GroupByTupleHash); err == nil {
-		t.Fatal("grouped minWorkers=0 accepted")
+	two := []GroupMaps{{Sel: sel, Socks: sa}, {Sel: sel, Socks: sa}}
+	if _, err := BuildDispatchProgram(two, 0, GroupByTupleHash); err == nil {
+		t.Fatal("multi-group minWorkers=0 accepted")
 	}
 }
 
@@ -507,9 +505,6 @@ func TestControllerSizeMismatch(t *testing.T) {
 	if _, err := NewController(0, DefaultConfig()); err == nil {
 		t.Fatal("0 workers accepted")
 	}
-	if _, err := NewController(65, DefaultConfig()); err == nil {
-		t.Fatal("65 workers accepted")
-	}
 }
 
 func TestWorkerHookCounters(t *testing.T) {
@@ -534,14 +529,14 @@ func TestWorkerHookCounters(t *testing.T) {
 
 // 128 workers over two groups: dispatch must reach both groups with tuple
 // hashing, and pin destinations with locality hashing.
-func TestGroupedControllerTwoLevel(t *testing.T) {
+func TestControllerTwoLevel(t *testing.T) {
 	eng := sim.NewEngine(1)
 	ns := kernel.NewNetStack(eng, kernel.WakeExclusiveLIFO)
 	g, err := ns.ListenReuseport(80, 128, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gc, err := NewGroupedController(128, DefaultConfig(), GroupByTupleHash)
+	gc, err := New(128, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -577,11 +572,11 @@ func TestGroupedControllerTwoLevel(t *testing.T) {
 	}
 }
 
-func TestGroupedControllerLocalityPinsDestination(t *testing.T) {
+func TestControllerLocalityPinsDestination(t *testing.T) {
 	eng := sim.NewEngine(1)
 	ns := kernel.NewNetStack(eng, kernel.WakeExclusiveLIFO)
 	g, _ := ns.ListenReuseport(80, 8, 0)
-	gc, err := NewGroupedControllerWithGroups(8, 4, DefaultConfig(), GroupByLocalityHash)
+	gc, err := New(8, DefaultConfig(), WithGroups(4), WithGroupKey(GroupByLocalityHash))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -616,20 +611,20 @@ func TestGroupedControllerLocalityPinsDestination(t *testing.T) {
 	}
 }
 
-func TestGroupedControllerValidation(t *testing.T) {
-	if _, err := NewGroupedController(0, DefaultConfig(), GroupByTupleHash); err == nil {
+func TestControllerGroupValidation(t *testing.T) {
+	if _, err := New(0, DefaultConfig()); err == nil {
 		t.Fatal("0 workers accepted")
 	}
-	if _, err := NewGroupedControllerWithGroups(10, 3, DefaultConfig(), GroupByTupleHash); err == nil {
+	if _, err := New(10, DefaultConfig(), WithGroups(3)); err == nil {
 		t.Fatal("non-divisible grouping accepted")
 	}
-	if _, err := NewGroupedControllerWithGroups(130, 2, DefaultConfig(), GroupByTupleHash); err == nil {
+	if _, err := New(130, DefaultConfig(), WithGroups(2)); err == nil {
 		t.Fatal("span > 64 accepted")
 	}
 	eng := sim.NewEngine(1)
 	ns := kernel.NewNetStack(eng, kernel.WakeExclusiveLIFO)
 	g, _ := ns.ListenReuseport(80, 4, 0)
-	gc, _ := NewGroupedController(128, DefaultConfig(), GroupByTupleHash)
+	gc, _ := New(128, DefaultConfig())
 	if err := gc.AttachEBPF(g); err == nil {
 		t.Fatal("socket mismatch accepted")
 	}
@@ -659,7 +654,7 @@ func BenchmarkDispatchVMvsNative(b *testing.B) {
 		sa.Put(uint32(i), i)
 	}
 	sel.Update(0, 0xaaaa5555aaaa5555)
-	prog, err := BuildDispatchProgram(sel, sa, 2)
+	prog, err := BuildDispatchProgram([]GroupMaps{{Sel: sel, Socks: sa}}, 2, GroupByTupleHash)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -696,7 +691,7 @@ func TestDispatchProgramShape(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	p, err := BuildDispatchProgram(sel, sa, 2)
+	p, err := BuildDispatchProgram([]GroupMaps{{Sel: sel, Socks: sa}}, 2, GroupByTupleHash)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -712,12 +707,17 @@ func TestDispatchProgramShape(t *testing.T) {
 			t.Errorf("dispatch program missing %q:\n%s", frag, dis)
 		}
 	}
-	// The grouped program adds the locality helper when keyed by locality.
-	gp, err := BuildGroupedDispatchProgram([]GroupMaps{{Sel: sel, Socks: sa}}, 2, GroupByLocalityHash)
+	// One group has no level 1, so the key is moot; several groups keyed by
+	// locality add the locality helper.
+	if strings.Contains(dis, "call bpf_get_locality_hash") {
+		t.Error("single-group program calls the locality helper")
+	}
+	two := []GroupMaps{{Sel: sel, Socks: sa}, {Sel: ebpf.NewArrayMap(1), Socks: sa}}
+	gp, err := BuildDispatchProgram(two, 2, GroupByLocalityHash)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(gp.Disassemble(), "call bpf_get_locality_hash") {
-		t.Error("grouped-by-locality program missing locality helper")
+		t.Error("multi-group-by-locality program missing locality helper")
 	}
 }

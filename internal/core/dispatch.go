@@ -55,7 +55,7 @@ func emitFindNth(a *ebpf.Assembler, v, rank, pos, t, tmp ebpf.Reg, labelPrefix s
 	a.Label(lbl)
 }
 
-// hashMixConst decorrelates the two levels of grouped dispatch (odd, so the
+// hashMixConst decorrelates the two levels of multi-group dispatch (odd, so the
 // map hash → hash*K mod 2^32 is a bijection: no collisions introduced).
 // reciprocal_scale consumes the TOP bits of its input, so reusing the raw
 // 4-tuple hash for both the group pick and the in-group rank makes the rank
@@ -69,8 +69,8 @@ func emitFindNth(a *ebpf.Assembler, v, rank, pos, t, tmp ebpf.Reg, labelPrefix s
 // level-1 decision.
 const hashMixConst = 0x9E3779B1
 
-// mix32 is the native twin of the MulImm the grouped program applies to the
-// rank hash.
+// mix32 is the native twin of the MulImm the multi-group program applies to
+// the rank hash.
 func mix32(h uint32) uint32 { return uint32(uint64(h) * hashMixConst) }
 
 // emitGroupDispatch appends the single-group body of Algorithm 2 against the
@@ -115,33 +115,16 @@ func emitGroupDispatch(a *ebpf.Assembler, selSlot, sockSlot uint64, minWorkers i
 	a.Exit()
 }
 
-// BuildDispatchProgram assembles and verifies the single-group Algorithm 2
-// program over the given selection map (one uint64 bitmap at key 0) and
-// sockarray (worker i → socket i). Returning 0 selects the socket in the
-// run context; returning 1 asks the kernel to fall back to reuseport
-// hashing.
-func BuildDispatchProgram(sel *ebpf.ArrayMap, socks *ebpf.SockArray, minWorkers int) (*ebpf.Program, error) {
-	if minWorkers < 1 {
-		return nil, fmt.Errorf("core: minWorkers must be ≥ 1, got %d", minWorkers)
-	}
-	a := ebpf.NewAssembler()
-	selSlot := a.AddMap(sel)
-	sockSlot := a.AddMap(socks)
-	emitGroupDispatch(a, selSlot, sockSlot, minWorkers, "fallback", "g0", false)
-	a.Label("fallback")
-	a.MovImm(ebpf.R0, 1)
-	a.Exit()
-	return a.Assemble()
-}
-
-// GroupMaps holds one worker group's kernel-visible state for the two-level
-// dispatch of §7 (>64 workers) and the locality mode of Fig. A6.
+// GroupMaps holds one worker group's kernel-visible state: its selection map
+// (one uint64 bitmap at key 0) and sockarray (slot i → socket of the group's
+// worker i).
 type GroupMaps struct {
 	Sel   *ebpf.ArrayMap
 	Socks *ebpf.SockArray
 }
 
-// GroupKey selects which hash drives level-1 group selection.
+// GroupKey selects which hash drives level-1 group selection when there is
+// more than one group.
 type GroupKey uint8
 
 // Level-1 keys.
@@ -154,13 +137,18 @@ const (
 	GroupByLocalityHash
 )
 
-// BuildGroupedDispatchProgram assembles the two-level program: level 1
-// hashes to a group (by tuple or locality hash), level 2 runs the standard
-// bitmap dispatch within that group. Group selection compiles to a forward
-// branch chain, so program size grows linearly with the group count; the
+// BuildDispatchProgram assembles and verifies the Algorithm 2 program over
+// the given groups. Returning 0 selects the socket in the run context;
+// returning 1 asks the kernel to fall back to reuseport hashing.
+//
+// The program specialises on the group count. One group is the paper's
+// Algorithm 2 as written: bitmap dispatch ranked by the raw 4-tuple hash.
+// Several groups prepend level 1 — hash (by key) to a group through a forward
+// branch chain — and rank within the group by the decorrelated hash (see
+// hashMixConst). Program size grows linearly with the group count; the
 // verifier's instruction budget admits 30+ groups (≈2000 workers), far
 // beyond the paper's deployment sizes.
-func BuildGroupedDispatchProgram(groups []GroupMaps, minWorkers int, key GroupKey) (*ebpf.Program, error) {
+func BuildDispatchProgram(groups []GroupMaps, minWorkers int, key GroupKey) (*ebpf.Program, error) {
 	if len(groups) == 0 {
 		return nil, fmt.Errorf("core: no groups")
 	}
@@ -173,27 +161,32 @@ func BuildGroupedDispatchProgram(groups []GroupMaps, minWorkers int, key GroupKe
 	for i, g := range groups {
 		ss[i] = slots{sel: a.AddMap(g.Sel), sock: a.AddMap(g.Socks)}
 	}
+	twoLevel := len(groups) > 1
 
-	// R9 = group = reciprocal_scale(level1hash, nGroups)
-	switch key {
-	case GroupByLocalityHash:
-		a.Call(ebpf.HelperGetLocalityHash)
-	default:
-		a.Call(ebpf.HelperGetHash)
-	}
-	a.MovReg(ebpf.R1, ebpf.R0)
-	a.MovImm(ebpf.R2, uint64(len(groups)))
-	a.Call(ebpf.HelperReciprocalScale)
-	a.MovReg(ebpf.R9, ebpf.R0)
+	if twoLevel {
+		// R9 = group = reciprocal_scale(level1hash, nGroups)
+		switch key {
+		case GroupByLocalityHash:
+			a.Call(ebpf.HelperGetLocalityHash)
+		default:
+			a.Call(ebpf.HelperGetHash)
+		}
+		a.MovReg(ebpf.R1, ebpf.R0)
+		a.MovImm(ebpf.R2, uint64(len(groups)))
+		a.Call(ebpf.HelperReciprocalScale)
+		a.MovReg(ebpf.R9, ebpf.R0)
 
-	// Branch chain to the matching group body.
-	for i := range groups {
-		a.JeqImm(ebpf.R9, uint64(i), fmt.Sprintf("grp%d", i))
+		// Branch chain to the matching group body.
+		for i := range groups {
+			a.JeqImm(ebpf.R9, uint64(i), fmt.Sprintf("grp%d", i))
+		}
+		a.Ja("fallback")
 	}
-	a.Ja("fallback")
 	for i, s := range ss {
-		a.Label(fmt.Sprintf("grp%d", i))
-		emitGroupDispatch(a, s.sel, s.sock, minWorkers, "fallback", fmt.Sprintf("g%d", i), true)
+		if twoLevel {
+			a.Label(fmt.Sprintf("grp%d", i))
+		}
+		emitGroupDispatch(a, s.sel, s.sock, minWorkers, "fallback", fmt.Sprintf("g%d", i), twoLevel)
 	}
 	a.Label("fallback")
 	a.MovImm(ebpf.R0, 1)
@@ -201,9 +194,9 @@ func BuildGroupedDispatchProgram(groups []GroupMaps, minWorkers int, key GroupKe
 	return a.Assemble()
 }
 
-// NativeSelect is the Go-native twin of the single-group dispatch program:
-// given the current bitmap and connection hash it returns the selected
-// worker index, or ok=false to request reuseport-hash fallback. Behaviour is
+// NativeSelect is the Go-native twin of one group body of the dispatch
+// program: given the group's current bitmap and the rank hash it returns the
+// selected slot, or ok=false to request reuseport-hash fallback. Behaviour is
 // bit-identical to the bytecode (property-tested), standing in for the
 // JIT-compiled program on hot paths.
 func NativeSelect(bitmap uint64, hash uint32, minWorkers int) (worker int, ok bool) {
@@ -219,16 +212,31 @@ func NativeSelect(bitmap uint64, hash uint32, minWorkers int) (worker int, ok bo
 	return idx, true
 }
 
-// NativeSelectGrouped is the native twin of the two-level program.
-func NativeSelectGrouped(bitmaps []uint64, hash, localityHash uint32, minWorkers int, key GroupKey) (group, worker int, ok bool) {
-	if len(bitmaps) == 0 {
-		return 0, 0, false
+// Select is the native twin of the whole dispatch program over the live
+// selection maps and the live MinWorkers: it returns the global id of the
+// worker a connection with the given 4-tuple and locality hashes is steered
+// to, or ok=false to request reuseport-hash fallback.
+func (c *Controller) Select(hash, localityHash uint32) (worker int, ok bool) {
+	return c.selectWorker(hash, localityHash, c.cfg.Load().MinWorkers)
+}
+
+// selectWorker mirrors BuildDispatchProgram's specialisation on the group
+// count: one group ranks by the raw hash, several pick the group by key and
+// rank by the decorrelated hash.
+func (c *Controller) selectWorker(hash, localityHash uint32, minWorkers int) (worker int, ok bool) {
+	gi := 0
+	if len(c.groups) > 1 {
+		l1 := hash
+		if c.key == GroupByLocalityHash {
+			l1 = localityHash
+		}
+		gi = int(bitops.ReciprocalScale(l1, uint32(len(c.groups))))
+		hash = mix32(hash)
 	}
-	l1 := hash
-	if key == GroupByLocalityHash {
-		l1 = localityHash
+	bitmap, _ := c.groups[gi].sel.Lookup(0)
+	slot, ok := NativeSelect(bitmap, hash, minWorkers)
+	if !ok {
+		return 0, false
 	}
-	g := int(bitops.ReciprocalScale(l1, uint32(len(bitmaps))))
-	w, ok := NativeSelect(bitmaps[g], mix32(hash), minWorkers)
-	return g, w, ok
+	return c.wst.GlobalID(gi, slot), true
 }

@@ -1,41 +1,6 @@
 package core
 
-import (
-	"hermes/internal/kernel"
-	"hermes/internal/shm"
-	"hermes/internal/telemetry"
-	"hermes/internal/tracing"
-)
-
-// Hook is the per-worker instrumentation surface — the few lines Hermes adds
-// to an event loop (Fig. 9) — independent of whether the deployment is
-// single-level or two-level. Implemented by *WorkerHook and
-// *GroupedWorkerHook. A hook is owned by one worker and is not safe for
-// concurrent use.
-type Hook interface {
-	LoopEnter(nowNS int64)
-	EventsFetched(n int)
-	EventHandled()
-	ConnOpened()
-	ConnClosed()
-	ScheduleAndSync(nowNS int64) ScheduleResult
-}
-
-// Instance is the deployment-independent controller surface returned by New:
-// everything a load balancer needs to run Hermes without caring whether the
-// fleet fits one 64-worker group or spans several. Implemented by
-// *Controller and *GroupedController; callers needing deployment-specific
-// control (fallback toggles, per-group maps) type-assert to the concrete
-// type.
-type Instance interface {
-	Workers() int
-	Hook(id int) Hook
-	AttachEBPF(g *kernel.ReuseportGroup) error
-	AttachNative(g *kernel.ReuseportGroup) error
-	SetFilterOrder(o FilterOrder)
-	Instrument(ins Instruments)
-	InstrumentTrace(tr *tracing.ScheduleTrace)
-}
+import "hermes/internal/telemetry"
 
 // Instruments are the telemetry handles for Algorithm 1 decisions. Nil
 // handles record nothing; see package telemetry.
@@ -60,22 +25,21 @@ type options struct {
 	groups int
 	key    GroupKey
 	ins    Instruments
-	hasIns bool
 }
 
 // Option configures New.
 type Option func(*options)
 
-// WithGroups splits the fleet into exactly nGroups independent groups
-// (two-level deployment, §7), overriding the automatic ceil(n/64) split.
-// n must divide evenly into spans of at most 64.
+// WithGroups splits the fleet into exactly nGroups independent groups (§7,
+// Fig. A6), overriding the automatic ceil(n/64) split. n must divide evenly
+// into spans of at most 64.
 func WithGroups(nGroups int) Option {
 	return func(o *options) { o.groups = nGroups }
 }
 
-// WithGroupKey sets the level-1 dispatch key for two-level deployments
-// (GroupByHash balances; GroupByLocalityHash keeps same-destination traffic
-// in one group, Fig. A6). Ignored by single-level deployments.
+// WithGroupKey sets the level-1 dispatch key (GroupByTupleHash balances;
+// GroupByLocalityHash keeps same-destination traffic in one group, Fig. A6).
+// It has no effect on a single group.
 func WithGroupKey(key GroupKey) Option {
 	return func(o *options) { o.key = key }
 }
@@ -83,37 +47,5 @@ func WithGroupKey(key GroupKey) Option {
 // WithInstruments wires telemetry at construction time (equivalent to
 // calling Instrument on the result).
 func WithInstruments(ins Instruments) Option {
-	return func(o *options) { o.ins = ins; o.hasIns = true }
-}
-
-// New creates Hermes state for n workers. Fleets of at most 64 workers get
-// the single-level deployment (*Controller); larger fleets — or any fleet
-// with WithGroups — get the two-level deployment (*GroupedController) with
-// ceil(n/64) equal-span groups unless WithGroups says otherwise.
-//
-// New replaces the NewController / NewGroupedController /
-// NewGroupedControllerWithGroups trio; those remain as deprecated wrappers.
-func New(n int, cfg Config, opts ...Option) (Instance, error) {
-	var o options
-	for _, fn := range opts {
-		fn(&o)
-	}
-
-	var inst Instance
-	var err error
-	switch {
-	case o.groups > 0:
-		inst, err = NewGroupedControllerWithGroups(n, o.groups, cfg, o.key)
-	case n > shm.GroupSize:
-		inst, err = NewGroupedController(n, cfg, o.key)
-	default:
-		inst, err = NewController(n, cfg)
-	}
-	if err != nil {
-		return nil, err
-	}
-	if o.hasIns {
-		inst.Instrument(o.ins)
-	}
-	return inst, nil
+	return func(o *options) { o.ins = ins }
 }

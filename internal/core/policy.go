@@ -84,7 +84,8 @@ func ApplyPolicy(c *Controller, p Policy) error {
 //
 //	GET  /policy  → current policy JSON
 //	PUT  /policy  ← policy JSON (validated; atomic swap)
-//	GET  /status  → scheduling statistics + live worker metrics
+//	GET  /status  → scheduling statistics, every group's selection word
+//	                (group order) and live worker metrics (global id order)
 //
 // Mount it on any mux; it performs no authentication (production would sit
 // behind the control-plane's).
@@ -126,9 +127,13 @@ func PolicyHandler(c *Controller) http.Handler {
 		for i, m := range snap {
 			ws[i] = workerStatus{Worker: i, LoopEnterNS: m.LoopEnterNS, Busy: m.Busy, Conn: m.Conn}
 		}
+		sel := make([]string, c.Groups())
+		for gi := range sel {
+			sel[gi] = fmt.Sprintf("%064b", c.WST().Group(gi).LoadSelection())
+		}
 		writeJSON(w, http.StatusOK, map[string]any{
 			"stats":     c.Stats(),
-			"selection": fmt.Sprintf("%064b", c.WST().LoadSelection()),
+			"selection": sel,
 			"workers":   ws,
 		})
 	})

@@ -138,7 +138,7 @@ func TestPolicyHandlerHTTP(t *testing.T) {
 			Worker int   `json:"worker"`
 			Conn   int64 `json:"conn"`
 		} `json:"workers"`
-		Selection string `json:"selection"`
+		Selection []string `json:"selection"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&status); err != nil {
 		t.Fatal(err)
@@ -147,8 +147,46 @@ func TestPolicyHandlerHTTP(t *testing.T) {
 	if len(status.Workers) != 4 || status.Workers[2].Conn != 1 {
 		t.Fatalf("status: %+v", status)
 	}
-	if len(status.Selection) != 64 {
+	if len(status.Selection) != 1 || len(status.Selection[0]) != 64 {
 		t.Fatalf("selection bitmap render: %q", status.Selection)
+	}
+}
+
+// /status on a multi-group fleet: one selection word per group, worker rows
+// in global id order.
+func TestStatusReportsEveryGroup(t *testing.T) {
+	c, err := New(130, DefaultConfig()) // groups of 64, 64 and 2
+	if err != nil {
+		t.Fatal(err)
+	}
+	h128, h129 := c.NewWorkerHook(128), c.NewWorkerHook(129)
+	h128.LoopEnter(1)
+	h129.LoopEnter(1)
+	h128.ConnOpened()
+	h129.ConnOpened()
+	h129.ScheduleAndSync(1)
+	srv := httptest.NewServer(PolicyHandler(c))
+	defer srv.Close()
+	resp, err := http.Get(srv.URL + "/status")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var status struct {
+		Workers []struct {
+			Worker int   `json:"worker"`
+			Conn   int64 `json:"conn"`
+		} `json:"workers"`
+		Selection []string `json:"selection"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&status); err != nil {
+		t.Fatal(err)
+	}
+	if len(status.Workers) != 130 || status.Workers[129].Worker != 129 || status.Workers[129].Conn != 1 {
+		t.Fatalf("worker rows: %d, last %+v", len(status.Workers), status.Workers[len(status.Workers)-1])
+	}
+	if len(status.Selection) != 3 || !strings.HasSuffix(status.Selection[2], "0011") || strings.Contains(status.Selection[0], "1") {
+		t.Fatalf("selection words: %q", status.Selection)
 	}
 }
 

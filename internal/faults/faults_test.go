@@ -175,8 +175,15 @@ func TestInjectorMostLoadedVictim(t *testing.T) {
 	}
 }
 
+// The 96-worker case hangs a worker of the second group: the watchdog scans
+// every group's table.
 func TestWatchdogDetectsAndRestartsHungWorker(t *testing.T) {
-	eng, lb := testLB(t, l7lb.ModeHermes, 4)
+	t.Run("4w", func(t *testing.T) { testWatchdogRecovers(t, 4, 2) })
+	t.Run("96w", func(t *testing.T) { testWatchdogRecovers(t, 96, 70) })
+}
+
+func testWatchdogRecovers(t *testing.T, workers, victimID int) {
+	eng, lb := testLB(t, l7lb.ModeHermes, workers)
 	openConns(eng, lb, 8)
 	eng.RunUntil(int64(10 * time.Millisecond))
 
@@ -188,7 +195,7 @@ func TestWatchdogDetectsAndRestartsHungWorker(t *testing.T) {
 	dog.RestartDelay = 5 * time.Millisecond
 	dog.Start(500 * time.Millisecond)
 
-	victim := lb.Workers[2]
+	victim := lb.Workers[victimID]
 	victim.Hang(100 * time.Millisecond)
 	eng.RunUntil(eng.Now() + int64(60*time.Millisecond))
 

@@ -36,7 +36,7 @@ type Watchdog struct {
 	DetectionNS []int64
 
 	lb      *l7lb.LB
-	wst     *shm.WST
+	wst     *shm.Grouped
 	flagged []bool
 	buf     []shm.Metrics
 
@@ -45,9 +45,8 @@ type Watchdog struct {
 	tr            *tracing.FaultTrace
 }
 
-// NewWatchdog builds a watchdog for lb. Returns nil if the LB has no WST to
-// watch (non-Hermes modes, or the grouped >64-worker deployment, which
-// would need per-group scans).
+// NewWatchdog builds a watchdog for lb, scanning every group's table.
+// Returns nil if the LB has no WST to watch (non-Hermes modes).
 func NewWatchdog(lb *l7lb.LB, interval time.Duration) *Watchdog {
 	if lb.Ctl == nil {
 		return nil

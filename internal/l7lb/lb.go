@@ -25,12 +25,10 @@ type LB struct {
 	Workers []*Worker
 	// Dispatcher is the extra dispatcher pseudo-core (ModeDispatcher only).
 	Dispatcher *dispatcher
-	// Ctl is the Hermes controller (Hermes modes, ≤64 workers).
+	// Ctl is the Hermes controller (Hermes modes; one group per 64 workers,
+	// §7).
 	Ctl *core.Controller
-	// GCtl is the two-level grouped controller (Hermes modes, >64 workers, §7).
-	GCtl *core.GroupedController
 
-	ctl         core.Instance // whichever of Ctl/GCtl is active
 	groups      []*kernel.ReuseportGroup
 	shared      []*kernel.Socket
 	mutex       *acceptMutex
@@ -111,26 +109,17 @@ func New(eng *sim.Engine, cfg Config) (*LB, error) {
 	}
 
 	if cfg.Mode.UsesHermes() {
-		// core.New picks the deployment level: ≤64 workers single-level,
-		// more get the two-level grouped deployment (§7): hash to a
-		// ≤64-worker group, bitmap-select within it.
-		inst, err := core.New(cfg.Workers, cfg.Hermes, core.WithGroupKey(core.GroupByTupleHash))
+		ctl, err := core.New(cfg.Workers, cfg.Hermes)
 		if err != nil {
 			return nil, err
 		}
-		lb.ctl = inst
-		switch c := inst.(type) {
-		case *core.Controller:
-			lb.Ctl = c
-		case *core.GroupedController:
-			lb.GCtl = c
-		}
-		inst.SetFilterOrder(cfg.FilterOrder)
+		lb.Ctl = ctl
+		ctl.SetFilterOrder(cfg.FilterOrder)
 		for _, g := range lb.groups {
 			if cfg.Mode == ModeHermes {
-				err = inst.AttachEBPF(g)
+				err = ctl.AttachEBPF(g)
 			} else {
-				err = inst.AttachNative(g)
+				err = ctl.AttachNative(g)
 			}
 			if err != nil {
 				return nil, err
@@ -145,8 +134,8 @@ func New(eng *sim.Engine, cfg Config) (*LB, error) {
 
 	for i := 0; i < cfg.Workers; i++ {
 		var hook Hook = NopHook{}
-		if lb.ctl != nil {
-			hook = coreHook{lb.ctl.Hook(i)}
+		if lb.Ctl != nil {
+			hook = coreHook{lb.Ctl.NewWorkerHook(i)}
 		}
 		w := newWorker(lb, i, hook)
 		if cfg.Backends != nil {
@@ -215,10 +204,10 @@ func (lb *LB) SharedSockets() []*kernel.Socket { return lb.shared }
 // SetWorkerAvailable vetoes (ok=false) or restores (ok=true) one worker in
 // the published selection bitmap: the eviction path backend-health wiring and
 // graceful drains share (docs/PROXY.md). The veto is ANDed onto every
-// Algorithm-1 result until lifted; single-level deployments only.
+// Algorithm-1 result of the worker's group until lifted; Hermes modes only.
 func (lb *LB) SetWorkerAvailable(id int, ok bool) error {
 	if lb.Ctl == nil {
-		return fmt.Errorf("l7lb: worker availability veto needs the single-level controller (≤64 workers, ungrouped)")
+		return fmt.Errorf("l7lb: worker availability veto needs a Hermes mode, not %v", lb.Cfg.Mode)
 	}
 	return lb.Ctl.SetWorkerAvailable(id, ok)
 }
@@ -286,9 +275,8 @@ func (lb *LB) notifyReset(conn kernel.ConnRef) {
 	}
 }
 
-// coreHook adapts the deployment-independent core hook to the Hook seam
-// (single-level and grouped controllers alike).
-type coreHook struct{ h core.Hook }
+// coreHook adapts the core worker hook to the Hook seam.
+type coreHook struct{ h *core.WorkerHook }
 
 func (h coreHook) LoopEnter(now int64) { h.h.LoopEnter(now) }
 func (h coreHook) EventsFetched(n int) { h.h.EventsFetched(n) }

@@ -44,8 +44,8 @@ func TestIOUringFIFOConcentratesOnFirstWorker(t *testing.T) {
 	}
 }
 
-// A 96-worker Hermes LB transparently uses the two-level grouped controller
-// and still avoids a hung worker.
+// A 96-worker Hermes LB transparently splits its controller into two groups
+// and dispatches through the two-level program.
 func TestGroupedHermesLBOver64Workers(t *testing.T) {
 	eng := sim.NewEngine(3)
 	cfg := DefaultConfig(ModeHermes)
@@ -54,11 +54,8 @@ func TestGroupedHermesLBOver64Workers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lb.Ctl != nil || lb.GCtl == nil {
-		t.Fatal("expected grouped controller for 96 workers")
-	}
-	if lb.GCtl.Groups() != 2 {
-		t.Fatalf("groups = %d", lb.GCtl.Groups())
+	if lb.Ctl.Groups() != 2 {
+		t.Fatalf("groups = %d", lb.Ctl.Groups())
 	}
 	lb.Start()
 

@@ -124,8 +124,8 @@ func wireTelemetry(lb *LB) {
 		})
 	}
 
-	if lb.ctl != nil {
-		lb.ctl.Instrument(core.Instruments{
+	if lb.Ctl != nil {
+		lb.Ctl.Instrument(core.Instruments{
 			Recomputes: sink.Counter(telemetry.Metric{
 				Name: "core.schedule.recomputes", Layer: "core", Unit: "passes",
 				Help: "schedule_and_sync invocations (Algorithm 1 runs)"}),
@@ -151,13 +151,8 @@ func wireTelemetry(lb *LB) {
 		lkp := sink.Counter(telemetry.Metric{
 			Name: "ebpf.selmap.lookups", Layer: "ebpf", Unit: "ops",
 			Help: "selection-map element reads (kernel + userspace)"})
-		if lb.Ctl != nil {
-			lb.Ctl.SelMap().Instrument(upd, lkp)
-		}
-		if lb.GCtl != nil {
-			for gi := 0; gi < lb.GCtl.Groups(); gi++ {
-				lb.GCtl.SelMap(gi).Instrument(upd, lkp)
-			}
+		for _, m := range lb.Ctl.SelMaps() {
+			m.Instrument(upd, lkp)
 		}
 		// JIT counters exist only in ModeHermes — the one mode that attaches
 		// bytecode and compiles it. Creating them conditionally (not just

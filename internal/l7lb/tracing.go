@@ -11,18 +11,13 @@ func wireTracing(lb *LB) {
 		return
 	}
 	lb.NS.InstrumentTrace(tr.KernelTrace())
-	if lb.ctl != nil {
-		lb.ctl.InstrumentTrace(tr.ScheduleTrace())
+	if lb.Ctl != nil {
+		lb.Ctl.InstrumentTrace(tr.ScheduleTrace())
 		// The selection map has no clock; bind its sync instants to the
 		// engine's virtual time.
 		mt := tr.MapTrace(lb.Eng.Now)
-		if lb.Ctl != nil {
-			lb.Ctl.SelMap().InstrumentTrace(mt)
-		}
-		if lb.GCtl != nil {
-			for gi := 0; gi < lb.GCtl.Groups(); gi++ {
-				lb.GCtl.SelMap(gi).InstrumentTrace(mt)
-			}
+		for _, m := range lb.Ctl.SelMaps() {
+			m.InstrumentTrace(mt)
 		}
 	}
 	// Per-worker handles are wired in newWorker (and newDispatcher, which

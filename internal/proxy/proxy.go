@@ -136,7 +136,7 @@ func New(cfg Config, opts ...Option) (*Proxy, error) {
 		reg = telemetry.NewRegistry()
 	}
 
-	inst, err := core.New(cfg.Workers, core.DefaultConfig(), core.WithInstruments(core.Instruments{
+	ctl, err := core.New(cfg.Workers, core.DefaultConfig(), core.WithInstruments(core.Instruments{
 		Recomputes: reg.Counter(telemetry.Metric{Name: "core.schedule.recomputes", Layer: "core", Unit: "passes"}),
 		Syncs:      reg.Counter(telemetry.Metric{Name: "core.schedule.syncs", Layer: "core", Unit: "syscalls"}),
 		WSTReads:   reg.Counter(telemetry.Metric{Name: "core.schedule.wst_reads", Layer: "core", Unit: "rows"}),
@@ -145,10 +145,6 @@ func New(cfg Config, opts ...Option) (*Proxy, error) {
 	}))
 	if err != nil {
 		return nil, err
-	}
-	ctl, ok := inst.(*core.Controller)
-	if !ok {
-		return nil, fmt.Errorf("proxy: worker count %d needs the grouped deployment; cap at %d", cfg.Workers, MaxWorkers)
 	}
 
 	ln, err := net.Listen("tcp", cfg.Listen)
@@ -312,10 +308,9 @@ func (p *Proxy) acceptLoop() {
 			}
 			return
 		}
-		bitmap, _ := p.ctl.SelMap().Lookup(0)
 		h := p.hashSeq.Add(2654435761)
 		via := tracing.ViaProg
-		wi, ok := core.NativeSelect(bitmap, h, p.ctl.Config().MinWorkers)
+		wi, ok := p.ctl.Select(h, h)
 		if !ok {
 			via = tracing.ViaFallback
 			wi = int(h) % len(p.workers)

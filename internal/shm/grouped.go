@@ -75,3 +75,12 @@ func (g *Grouped) Writer(worker int) Writer {
 	gi, slot := g.Locate(worker)
 	return g.groups[gi].Writer(slot)
 }
+
+// Snapshot reads every group's table in turn, appending into dst; since
+// global IDs are dense the result is in global worker order.
+func (g *Grouped) Snapshot(dst []Metrics) []Metrics {
+	for _, t := range g.groups {
+		dst = t.Snapshot(dst)
+	}
+	return dst
+}
