@@ -69,6 +69,7 @@ type Worker struct {
 	contTimer sim.Timer
 	serv      servState
 
+	loopEnterFn  func()
 	onWakeGateFn func()
 	afterEventFn func()
 	endLoopFn    func()
@@ -150,6 +151,7 @@ func newWorker(lb *LB, id int, hook Hook) *Worker {
 		conns:    make([]*kernel.Socket, 0, hint),
 	}
 	w.onWakeFn = w.onWake
+	w.loopEnterFn = w.loopEnter
 	w.onWakeGateFn = func() { w.onWake(w.batchEvs) }
 	w.afterEventFn = w.afterEvent
 	w.endLoopFn = w.endLoopCont
@@ -435,7 +437,7 @@ func (w *Worker) Start() {
 }
 
 func (w *Worker) loopEnter() {
-	if w.crashed || w.gate(w.loopEnter) {
+	if w.crashed || w.gate(w.loopEnterFn) {
 		return
 	}
 	now := w.lb.Eng.Now()

@@ -1,0 +1,455 @@
+package proxy
+
+import (
+	"errors"
+	"io"
+	"net"
+	"sync/atomic"
+	"time"
+
+	"hermes/internal/httpx"
+)
+
+// bufSize is the capacity of every pooled buffer — one holds a request while
+// it is received and replayed, a second carries the reply past: room for the
+// largest head httpx accepts plus a 64 KiB window of body.
+const bufSize = httpx.MaxHeaderBytes + 64<<10
+
+// bufPool is the proxy's one free list of data-path buffers (the FramePool
+// idiom of internal/packet, made safe for many goroutines): a fixed number
+// of fixed-size slots, so what it retains is bounded whatever traffic did. A
+// buffer grown for a large request was never the pool's and is left to the
+// GC; gets == puts once every connection has closed.
+type bufPool struct {
+	// free holds at most 32 idle buffers (4 MiB): sixteen requests in
+	// flight allocate nothing once warm.
+	free       chan []byte
+	gets, puts atomic.Uint64
+}
+
+func newBufPool() *bufPool { return &bufPool{free: make(chan []byte, 32)} }
+
+func (bp *bufPool) get() []byte {
+	bp.gets.Add(1)
+	select {
+	case b := <-bp.free:
+		return b
+	default:
+		return make([]byte, bufSize)
+	}
+}
+
+func (bp *bufPool) put(b []byte) {
+	if cap(b) != bufSize {
+		return
+	}
+	bp.puts.Add(1)
+	select {
+	case bp.free <- b[:bufSize]:
+	default:
+	}
+}
+
+// conn is one client connection: a goroutine of its worker that parks in the
+// netpoller between requests and owns the connection's buffer, parse cursor
+// and scratch. While parked with nothing pending it holds no pooled buffer.
+type conn struct {
+	w     *worker
+	nc    net.Conn
+	id    uint64 // flight-recorder identity, 0 when tracing is off
+	estNS int64  // steering time: the accept-queue span starts here
+
+	buf     []byte // request bytes at the front, buf[:pending]
+	pending int
+	headLen int // length of the scanned request head, 0 until it is complete
+	first   [512]byte
+
+	req, resp httpx.Head
+	head      []byte // scratch the rewritten heads are built in
+	vec       net.Buffers
+
+	// First backing of req.Fields, resp.Fields, head and vec: a connection
+	// with ordinary heads allocates nothing after this struct.
+	fieldArr [2][16]httpx.Field
+	headArr  [512]byte
+	vecArr   [2][]byte
+}
+
+// refusal is a request the proxy answers itself and then hangs up on.
+type refusal struct {
+	status int
+	msg    string
+}
+
+func (r *refusal) Error() string { return r.msg }
+
+var (
+	errTooLarge   = &refusal{413, "request exceeds buffer limit"}
+	errBodyLimit  = &refusal{413, "request body exceeds limit"}
+	errBadRequest = &refusal{400, ""}
+	errChunkedReq = &refusal{501, "chunked request bodies are not supported"}
+	errDraining   = errors.New("proxy: draining")
+)
+
+// serve runs the connection: read a request, proxy it, repeat while both
+// sides want the connection kept.
+func (c *conn) serve() {
+	w, p := c.w, c.w.p
+	defer p.wg.Done()
+	w.hook.ConnOpened()
+	w.tr.Accept(c.id, c.estNS, time.Now().UnixNano())
+	c.req.Fields, c.resp.Fields, c.head = c.fieldArr[0][:0], c.fieldArr[1][:0], c.headArr[:0]
+	defer func() {
+		if c.buf != nil {
+			p.bufs.put(c.buf)
+		}
+		p.untrack(c.nc)
+		c.nc.Close()
+		w.tr.Close(c.id, time.Now().UnixNano(), false)
+		w.hook.ConnClosed()
+		w.sync()
+	}()
+	for {
+		reqLen, err := c.readRequest()
+		if err != nil {
+			// Idle keep-alive connections end here: EOF, a drain nudge, or
+			// the idle deadline. Partial requests go with the connection.
+			var r *refusal
+			if errors.As(err, &r) {
+				c.refuse(r)
+			}
+			return
+		}
+		arrivalNS := time.Now().UnixNano()
+		w.maybeHang()
+		w.hook.EventsFetched(1)
+		if d := w.delay.Load(); d > 0 {
+			time.Sleep(time.Duration(d))
+		}
+		start := time.Now()
+		keep := c.forward(reqLen)
+		w.hook.EventHandled()
+		w.Handled.Add(1)
+		w.handled.Inc()
+		end := time.Now()
+		p.tel.RequestLatencyNS.Observe(end.Sub(start).Nanoseconds())
+		w.tr.Serve(c.id, arrivalNS, start.UnixNano(), end.UnixNano(), false)
+		w.sync()
+		if !keep {
+			return
+		}
+		// A pipelined successor moves to the front; otherwise the buffer is
+		// simply empty again.
+		c.pending = copy(c.buf, c.buf[reqLen:c.pending])
+		c.headLen = 0
+	}
+}
+
+// readRequest returns once one complete request lies at buf[:reqLen], its
+// head scanned into c.req. Requests are buffered whole, bounded by the
+// configured body cap, so the retry path can replay them.
+func (c *conn) readRequest() (reqLen int, err error) {
+	p := c.w.p
+	for {
+		if c.headLen == 0 && c.pending > 0 {
+			switch c.headLen, err = c.req.ScanRequest(c.buf[:c.pending]); {
+			case err == httpx.ErrIncomplete:
+			case err != nil:
+				return 0, errBadRequest
+			case c.req.HasTE:
+				return 0, errChunkedReq
+			case p.cfg.Buffer.MaxRequestBody > 0 && c.req.ContentLength > p.cfg.Buffer.MaxRequestBody:
+				return 0, errBodyLimit
+			}
+		}
+		if c.headLen > 0 {
+			if reqLen = c.headLen + max(c.req.ContentLength, 0); c.pending >= reqLen {
+				return reqLen, nil
+			}
+		}
+		if err := c.fill(reqLen); err != nil {
+			return 0, err
+		}
+	}
+}
+
+// fill reads more of the request; need is its full length once known. A
+// connection with nothing pending is idle: it gives its buffer back and waits
+// on a few inline bytes, so a parked connection costs its goroutine and this
+// struct, not a pooled buffer.
+func (c *conn) fill(need int) error {
+	p := c.w.p
+	_ = c.nc.SetReadDeadline(time.Now().Add(p.cfg.ClientIdleTimeout))
+	if c.pending == 0 {
+		// After the deadline is set: Shutdown raises the flag before it
+		// nudges deadlines, so one of the two is seen.
+		if p.draining.Load() {
+			return errDraining
+		}
+		if c.buf != nil {
+			p.bufs.put(c.buf)
+			c.buf = nil
+		}
+		n, err := c.nc.Read(c.first[:])
+		if err != nil {
+			return err
+		}
+		c.buf = p.bufs.get()
+		c.pending = copy(c.buf, c.first[:n])
+		return nil
+	}
+	if size := max(need, c.pending+1); size > len(c.buf) {
+		// Larger than the buffer: grow to the request's size (or double while
+		// the head is still open) up to the configured bound, then refuse —
+		// bounded buffering, not an OOM vector.
+		if size > p.bufLimit() {
+			return errTooLarge
+		}
+		if need == 0 {
+			size = min(2*len(c.buf), p.bufLimit())
+		}
+		grown := make([]byte, size)
+		copy(grown, c.buf[:c.pending])
+		p.bufs.put(c.buf)
+		c.buf = grown
+		if c.headLen > 0 { // the head's views moved with the bytes
+			_, _ = c.req.ScanRequest(c.buf[:c.headLen])
+		}
+	}
+	n, err := c.nc.Read(c.buf[c.pending:])
+	c.pending += n
+	return err
+}
+
+// refuse answers a request the proxy will not forward and closes: the reply,
+// then a bounded wait for the bytes the client is still sending, because
+// closing on unread data would reset the connection under the reply.
+func (c *conn) refuse(r *refusal) {
+	c.answer(r.status, r.msg, false)
+	if tc, ok := c.nc.(*net.TCPConn); ok {
+		_ = tc.CloseWrite()
+		_ = c.nc.SetReadDeadline(time.Now().Add(time.Second))
+		_, _ = io.CopyN(io.Discard, c.nc, int64(c.w.p.bufLimit()))
+	}
+}
+
+// answer writes a reply of the proxy's own.
+func (c *conn) answer(status int, msg string, keep bool) bool {
+	resp := httpx.Response{Status: status, Body: []byte(msg)}
+	if !keep {
+		resp.Headers = []httpx.Header{{Name: "Connection", Value: "close"}}
+	}
+	c.head = resp.Append(c.head[:0])
+	_, err := c.nc.Write(c.head)
+	return keep && err == nil
+}
+
+func isIdempotent(method []byte) bool {
+	switch string(method) {
+	case "GET", "HEAD", "OPTIONS", "TRACE", "PUT", "DELETE":
+		// The RFC 9110 idempotent set: safe to replay against a second
+		// backend when the first attempt failed.
+		return true
+	}
+	return false
+}
+
+// forward proxies the request at buf[:reqLen]: pick a backend under the
+// policy (health and circuit state included), retry idempotent requests
+// against other backends until a reply head has arrived, then relay that
+// reply as it streams in; 502/503 when everything is down. Retry attempts
+// publish extra busy units to the WST — a worker grinding on failed backends
+// sheds new connections through the same Algorithm-1 path that balances
+// load, making backend availability part of the steering decision. It
+// reports whether the client connection stays open.
+func (c *conn) forward(reqLen int) (keep bool) {
+	w, p := c.w, c.w.p
+	keep = c.req.Persistent() && !p.draining.Load()
+	attempts := 1
+	if isIdempotent(c.req.Method) {
+		attempts += p.cfg.Buffer.Retries
+	}
+
+	// The upstream request: the head rewritten once for every attempt, the
+	// body as it already sits in the connection buffer.
+	c.head = append(append(c.head[:0], c.req.Line...), "\r\n"...)
+	c.head = append(c.req.AppendEndToEnd(c.head), w.fwdTail...)
+	body := c.buf[c.headLen:reqLen]
+
+	rbuf := p.bufs.get()
+	defer p.bufs.put(rbuf)
+	var (
+		tried   uint64
+		lastErr error
+	)
+	for attempt := 0; attempt < attempts; attempt++ {
+		b := p.pool.Pick(tried)
+		if b == nil {
+			if attempt == 0 {
+				p.Unavailable.Add(1)
+				p.tel.Unavailable.Inc()
+				return c.answer(503, "no backend available", keep)
+			}
+			break // pool exhausted mid-retry
+		}
+		tried |= 1 << uint(b.idx)
+		if attempt > 0 {
+			p.tel.RetryAttempts.Inc()
+			w.hook.EventsFetched(1) // retry pressure → WST busy → Algorithm 1
+		}
+		b.active.Add(1)
+		p.tel.BackendActive.At(b.idx).Add(1)
+		up, n, respLen, err := c.roundTrip(b, body, rbuf)
+		// With a reply head in hand bytes start reaching the client, so from
+		// here on nothing can be replayed.
+		committed := err == nil
+		if committed {
+			keep, err = c.relay(up, rbuf, n, respLen, keep)
+			up.Close()
+		}
+		b.active.Add(-1)
+		p.tel.BackendActive.At(b.idx).Add(-1)
+		if attempt > 0 {
+			w.hook.EventHandled()
+		}
+		p.pool.Observe(b, err == nil)
+		switch {
+		case !committed:
+			lastErr = err
+			continue
+		case err != nil: // cut short mid-reply: the client has part of it
+			p.Errors.Add(1)
+			p.tel.UpstreamErrors.Inc()
+			return false
+		case attempt > 0:
+			p.tel.RetryRecovered.Inc()
+		}
+		p.Served.Add(1)
+		return keep
+	}
+	if attempts > 1 {
+		p.tel.RetryExhausted.Inc()
+	}
+	p.Errors.Add(1)
+	p.tel.UpstreamErrors.Inc()
+	return c.answer(502, lastErr.Error(), keep)
+}
+
+var errUpstreamProto = errors.New("proxy: upstream reply not relayable")
+
+// roundTrip opens the upstream exchange against b — dial, send the request,
+// read until a final reply head is scanned into c.resp — and returns the
+// open connection with rbuf[:n] holding the head (respLen bytes) and
+// whatever of the body came with it. Nothing has reached the client yet, so
+// any error here leaves the request replayable.
+func (c *conn) roundTrip(b *Backend, body, rbuf []byte) (up net.Conn, n, respLen int, err error) {
+	p := c.w.p
+	if up, err = net.DialTimeout("tcp", b.addr, p.cfg.DialTimeout); err != nil {
+		return nil, 0, 0, err
+	}
+	if len(body) == 0 {
+		_, err = up.Write(c.head)
+	} else {
+		c.vec = append(c.vecArr[:0], c.head, body)
+		_, err = c.vec.WriteTo(up)
+	}
+	_ = up.SetReadDeadline(time.Now().Add(p.cfg.ResponseTimeout))
+	for err == nil {
+		switch respLen, err = c.resp.ScanResponse(rbuf[:n]); {
+		case err == httpx.ErrIncomplete:
+			// rbuf outsizes the largest head the scanner accepts, so while
+			// the head is incomplete there is room to read into.
+			var m int
+			if m, err = up.Read(rbuf[n:]); m > 0 {
+				n, err = n+m, nil
+			} else if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+		case err != nil:
+		case c.resp.Status == 101, c.resp.Chunked && string(c.req.Proto) == "HTTP/1.0":
+			err = errUpstreamProto
+		case c.resp.Status/100 == 1:
+			// An interim reply (100 Continue, 103 Early Hints): drop it and
+			// look for the final one behind it.
+			n = copy(rbuf, rbuf[respLen:n])
+		default:
+			return up, n, respLen, nil
+		}
+	}
+	up.Close()
+	return nil, 0, 0, err
+}
+
+// relay sends the reply to the client as it arrives: the head rewritten once
+// (hop-by-hop fields dropped, persistence answered from the client's own
+// request), then the body through rbuf, framed by Content-Length, chunked or
+// close as the upstream framed it. It reports whether the client connection
+// is still good for another request, and the upstream's error if the reply
+// was cut short.
+func (c *conn) relay(up net.Conn, rbuf []byte, n, respLen int, keep bool) (bool, error) {
+	framing := c.resp.ReplyFraming(string(c.req.Method) == "HEAD")
+	if framing == httpx.FrameClose {
+		keep = false // only our close can end this body for the client
+	}
+	c.head = append(append(c.head[:0], c.resp.Line...), "\r\n"...)
+	c.head = c.resp.AppendEndToEnd(c.head)
+	if framing == httpx.FrameChunked {
+		c.head = append(c.head, "Transfer-Encoding: chunked\r\n"...)
+	}
+	switch {
+	case !keep:
+		c.head = append(c.head, "Connection: close\r\n"...)
+	case string(c.req.Proto) == "HTTP/1.0":
+		c.head = append(c.head, "Connection: keep-alive\r\n"...)
+	}
+	c.head = append(c.head, "\r\n"...)
+
+	var (
+		chunks httpx.Chunked
+		remain = c.resp.ContentLength // FrameLength: body bytes still to come
+		part   = rbuf[respLen:n]      // body bytes in hand
+		done   = framing == httpx.FrameNone
+		upErr  error
+	)
+	if done {
+		part = nil
+	}
+	for first := true; ; first = false {
+		switch framing {
+		case httpx.FrameLength:
+			part = part[:min(len(part), remain)]
+			remain -= len(part)
+			done = remain == 0
+		case httpx.FrameChunked:
+			var m int
+			m, done, upErr = chunks.Feed(part)
+			part = part[:m]
+		}
+		var err error
+		switch {
+		case first && len(part) > 0:
+			c.vec = append(c.vecArr[:0], c.head, part)
+			_, err = c.vec.WriteTo(c.nc)
+		case first:
+			_, err = c.nc.Write(c.head)
+		case len(part) > 0:
+			_, err = c.nc.Write(part)
+		}
+		if err != nil {
+			return false, nil // the client went away; not the backend's fault
+		}
+		if done || upErr != nil {
+			return keep && upErr == nil, upErr
+		}
+		m, err := up.Read(rbuf)
+		if part = rbuf[:m]; m == 0 && err != nil {
+			if err == io.EOF && framing == httpx.FrameClose {
+				return false, nil
+			}
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return false, err
+		}
+	}
+}

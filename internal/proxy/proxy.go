@@ -2,8 +2,8 @@ package proxy
 
 import (
 	"fmt"
-	"io"
 	"net"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -43,13 +43,14 @@ func WithFaults(sched faults.Schedule) Option {
 }
 
 // Proxy is the running reverse proxy: one acceptor steering from the Hermes
-// selection bitmap, N workers, a health-checked backend pool, and an admin
-// API (AdminHandler).
+// selection bitmap, N workers each holding many connections, a
+// health-checked backend pool, and an admin API (AdminHandler).
 type Proxy struct {
 	cfg     Config
 	ln      net.Listener
 	ctl     *core.Controller
 	pool    *Pool
+	bufs    *bufPool
 	workers []*worker
 	checker *checker // nil when active checks are disabled
 
@@ -86,37 +87,33 @@ type Proxy struct {
 	mu       sync.Mutex
 	conns    map[net.Conn]struct{}
 	draining atomic.Bool
-	wg       sync.WaitGroup // worker goroutines
+	stop     chan struct{}  // closed when the drain starts: heartbeats end
+	wg       sync.WaitGroup // acceptor, heartbeats and connection goroutines
 	shutOnce sync.Once
 	shutErr  error
 }
 
-// tracedConn carries a queued connection plus the identity the flight
-// recorder spans it under (id 0 when tracing is off).
-type tracedConn struct {
-	c     net.Conn
-	id    uint64
-	estNS int64 // steering time: the accept-queue span starts here
-}
-
-// worker is one proxy worker: a goroutine draining its connection queue,
-// publishing Hermes metrics through its hook.
+// worker is one proxy worker as the scheduler sees it: the WST row its
+// connections publish into (open connections, requests in flight) and the
+// loop-enter stamp its heartbeat keeps fresh. Its event loop is Go's
+// netpoller: every connection steered here is a goroutine parked in it, so an
+// idle or slow connection never holds up another.
 type worker struct {
 	id      int
 	p       *Proxy
 	hook    *core.WorkerHook
-	queue   chan tracedConn
+	syncMu  sync.Mutex // hook.ScheduleAndSync keeps per-hook scratch
 	tr      *tracing.WorkerTrace
-	buf     []byte
-	prevQ   int // last queue depth folded into the busy metric
+	fwdTail []byte // what this worker appends to every upstream request head
 	handled *telemetry.Counter
 	// Handled counts requests this worker proxied.
 	Handled atomic.Uint64
 	// delay injects extra latency per request (demo poisoning, slow fault).
 	delay atomic.Int64
-	// hangUntilNS, while in the future, stalls the worker at its next loop
-	// iteration without touching the WST — the loop-enter timestamp goes
-	// stale exactly as a real hang's would (injected fault).
+	// hangUntilNS, while in the future, stalls the worker: its heartbeat
+	// stops stamping the WST and its connections stop before their next
+	// request — the loop-enter timestamp goes stale exactly as a real
+	// hang's would (injected fault).
 	hangUntilNS atomic.Int64
 }
 
@@ -160,8 +157,10 @@ func New(cfg Config, opts ...Option) (*Proxy, error) {
 		tracer:  o.tracer,
 		ktr:     o.tracer.KernelTrace(),
 		ptr:     o.tracer.ProxyTrace(),
+		bufs:    newBufPool(),
 		startNS: time.Now().UnixNano(),
 		conns:   make(map[net.Conn]struct{}),
+		stop:    make(chan struct{}),
 	}
 	p.tel = newInstruments(reg, cfg.Workers, len(cfg.Backends))
 
@@ -191,15 +190,14 @@ func New(cfg Config, opts ...Option) (*Proxy, error) {
 	for i := 0; i < cfg.Workers; i++ {
 		w := &worker{
 			id: i, p: p, hook: ctl.NewWorkerHook(i),
-			queue:   make(chan tracedConn, 512),
 			tr:      o.tracer.WorkerTrace(i),
-			buf:     make([]byte, 64<<10),
+			fwdTail: []byte("X-Forwarded-By: hermes-lb/w" + strconv.Itoa(i) + "\r\nConnection: close\r\n\r\n"),
 			handled: p.tel.RequestsServed.At(i),
 		}
 		w.hook.LoopEnter(time.Now().UnixNano())
 		p.workers = append(p.workers, w)
 		p.wg.Add(1)
-		go w.run()
+		go w.heartbeat()
 	}
 	p.drainHook.ScheduleAndSync(time.Now().UnixNano())
 
@@ -208,6 +206,7 @@ func New(cfg Config, opts ...Option) (*Proxy, error) {
 		go p.checker.run()
 	}
 	p.applyFaults(o.sched)
+	p.wg.Add(1)
 	go p.acceptLoop()
 	return p, nil
 }
@@ -298,14 +297,13 @@ func (p *Proxy) untrack(c net.Conn) {
 }
 
 // acceptLoop is the kernel-dispatch stand-in: scaled-hash selection over the
-// live bitmap, hash fallback below MinWorkers (Algorithm 2).
+// live bitmap, hash fallback below MinWorkers (Algorithm 2). The steered
+// connection becomes a goroutine of its worker.
 func (p *Proxy) acceptLoop() {
+	defer p.wg.Done()
 	for {
-		conn, err := p.ln.Accept()
+		nc, err := p.ln.Accept()
 		if err != nil {
-			for _, w := range p.workers {
-				close(w.queue)
-			}
 			return
 		}
 		h := p.hashSeq.Add(2654435761)
@@ -313,21 +311,54 @@ func (p *Proxy) acceptLoop() {
 		wi, ok := p.ctl.Select(h, h)
 		if !ok {
 			via = tracing.ViaFallback
-			wi = int(h) % len(p.workers)
-			if wi < 0 {
-				wi = -wi
-			}
+			wi = int(h % uint32(len(p.workers)))
 		}
-		p.track(conn)
-		tc := tracedConn{c: conn, id: p.connSeq.Add(1), estNS: time.Now().UnixNano()}
-		p.ktr.ConnEstablished(tc.id, tc.estNS, int32(wi), via)
-		p.workers[wi].queue <- tc
+		p.track(nc)
+		c := &conn{w: p.workers[wi], nc: nc, id: p.connSeq.Add(1), estNS: time.Now().UnixNano()}
+		p.ktr.ConnEstablished(c.id, c.estNS, int32(wi), via)
+		p.wg.Add(1)
+		go c.serve()
 	}
 }
 
+// heartbeat is the worker's epoll_wait timeout: every EpollTimeout it
+// re-enters the loop — stamps the WST and runs schedule_and_sync — so an idle
+// worker stays selectable and an idle fleet keeps a fresh bitmap. An injected
+// hang suppresses it, and FilterTime then sees the stamp age.
+func (w *worker) heartbeat() {
+	defer w.p.wg.Done()
+	every := w.p.ctl.Config().EpollTimeout
+	t := time.NewTicker(every)
+	defer t.Stop()
+	for {
+		select {
+		case <-w.p.stop:
+			return
+		case <-t.C:
+		}
+		if d := w.p.ctl.Config().EpollTimeout; d != every { // live policy change
+			every = d
+			t.Reset(d)
+		}
+		now := time.Now().UnixNano()
+		if w.hangUntilNS.Load() > now {
+			continue
+		}
+		w.hook.LoopEnter(now)
+		w.sync()
+	}
+}
+
+// sync runs schedule_and_sync for this worker: at the end of every request
+// and connection, and on every heartbeat.
+func (w *worker) sync() {
+	w.syncMu.Lock()
+	w.hook.ScheduleAndSync(time.Now().UnixNano())
+	w.syncMu.Unlock()
+}
+
 // maybeHang blocks until the injected hang deadline passes (no-op when none
-// is set). Called before LoopEnter so the stall is visible to the scheduler
-// as staleness, the paper's FilterTime signal.
+// is set).
 func (w *worker) maybeHang() {
 	for {
 		d := w.hangUntilNS.Load() - time.Now().UnixNano()
@@ -338,213 +369,10 @@ func (w *worker) maybeHang() {
 	}
 }
 
-func (w *worker) run() {
-	defer w.p.wg.Done()
-	for tc := range w.queue {
-		w.maybeHang()
-		now := time.Now().UnixNano()
-		w.hook.LoopEnter(now)
-		// Fold the channel backlog into the pending-event metric: queued
-		// connections are this worker's kernel-side accept queue.
-		q := len(w.queue) + 1
-		w.hook.EventsFetched(q - w.prevQ)
-		w.prevQ = q - 1
-		w.hook.ConnOpened()
-		w.tr.Accept(tc.id, tc.estNS, now)
-		w.serve(tc)
-		w.tr.Close(tc.id, time.Now().UnixNano(), false)
-		w.hook.ConnClosed()
-		w.hook.EventHandled()
-		w.hook.ScheduleAndSync(time.Now().UnixNano())
-	}
-}
-
 // bufLimit bounds the per-connection request buffer: the header section cap
 // plus the configured body cap.
 func (p *Proxy) bufLimit() int {
 	return httpx.MaxHeaderBytes + p.cfg.Buffer.MaxRequestBody
-}
-
-func (w *worker) serve(tc tracedConn) {
-	p := w.p
-	conn := tc.c
-	defer func() {
-		p.untrack(conn)
-		conn.Close()
-	}()
-	buf := w.buf
-	pending := 0
-	for {
-		_ = conn.SetReadDeadline(time.Now().Add(p.cfg.ClientIdleTimeout))
-		if pending == len(buf) {
-			// Request larger than the buffer: grow up to the configured
-			// bound, then refuse — bounded buffering, not an OOM vector.
-			if len(buf) >= p.bufLimit() {
-				w.reply(conn, &httpx.Response{Status: 413, Body: []byte("request exceeds buffer limit")})
-				return
-			}
-			next := len(buf) * 2
-			if next > p.bufLimit() {
-				next = p.bufLimit()
-			}
-			grown := make([]byte, next)
-			copy(grown, buf[:pending])
-			buf, w.buf = grown, grown
-		}
-		n, err := conn.Read(buf[pending:])
-		if err != nil {
-			// Idle keep-alive connections end here: EOF, a drain nudge, or
-			// the idle deadline. Partial requests are abandoned with the
-			// connection.
-			return
-		}
-		arrivalNS := time.Now().UnixNano()
-		pending += n
-		for {
-			req, consumed, perr := httpx.ParseRequest(buf[:pending])
-			if perr == httpx.ErrIncomplete {
-				break
-			}
-			if perr != nil {
-				w.reply(conn, &httpx.Response{Status: 400})
-				return
-			}
-			if p.cfg.Buffer.MaxRequestBody > 0 && len(req.Body) > p.cfg.Buffer.MaxRequestBody {
-				w.reply(conn, &httpx.Response{Status: 413, Body: []byte("request body exceeds limit")})
-				return
-			}
-			copy(buf, buf[consumed:pending])
-			pending -= consumed
-
-			w.hook.EventsFetched(1)
-			if d := w.delay.Load(); d > 0 {
-				time.Sleep(time.Duration(d))
-			}
-			start := time.Now()
-			resp := w.forward(req)
-			w.hook.EventHandled()
-			w.Handled.Add(1)
-			w.handled.Inc()
-			p.tel.RequestLatencyNS.Observe(time.Since(start).Nanoseconds())
-			w.tr.Serve(tc.id, arrivalNS, start.UnixNano(), time.Now().UnixNano(), false)
-			if _, err := conn.Write(resp.Append(nil)); err != nil {
-				return
-			}
-			if !req.WantsKeepAlive() || p.draining.Load() {
-				return
-			}
-		}
-		if p.draining.Load() && pending == 0 {
-			// Drain: the in-flight request (if any) was just answered; stop
-			// holding the keep-alive connection open.
-			return
-		}
-		w.hook.LoopEnter(time.Now().UnixNano())
-		w.hook.ScheduleAndSync(time.Now().UnixNano())
-	}
-}
-
-func isIdempotent(method string) bool {
-	switch method {
-	case "GET", "HEAD", "OPTIONS", "TRACE", "PUT", "DELETE":
-		// The RFC 9110 idempotent set: safe to replay against a second
-		// backend when the first attempt failed.
-		return true
-	}
-	return false
-}
-
-// forward proxies one request: pick a backend under the policy (health and
-// circuit state included), retry idempotent requests against other backends
-// on failure, and surface 502/503 when everything is down. Retry attempts
-// publish extra busy units to the WST — a worker grinding on failed backends
-// sheds new connections through the same Algorithm-1 path that balances
-// load, making backend availability part of the steering decision.
-func (w *worker) forward(req *httpx.Request) *httpx.Response {
-	p := w.p
-	attempts := 1
-	if isIdempotent(req.Method) {
-		attempts += p.cfg.Buffer.Retries
-	}
-	var (
-		tried   uint64
-		lastErr error
-	)
-	for attempt := 0; attempt < attempts; attempt++ {
-		b := p.pool.Pick(tried)
-		if b == nil {
-			if attempt == 0 {
-				p.Unavailable.Add(1)
-				p.tel.Unavailable.Inc()
-				return &httpx.Response{Status: 503, Body: []byte("no backend available")}
-			}
-			break // pool exhausted mid-retry
-		}
-		tried |= 1 << uint(b.idx)
-		if attempt > 0 {
-			p.tel.RetryAttempts.Inc()
-			w.hook.EventsFetched(1) // retry pressure → WST busy → Algorithm 1
-		}
-		resp, err := w.roundTrip(b, req)
-		if attempt > 0 {
-			w.hook.EventHandled()
-		}
-		p.pool.Observe(b, err == nil)
-		if err == nil {
-			if attempt > 0 {
-				p.tel.RetryRecovered.Inc()
-			}
-			p.Served.Add(1)
-			return resp
-		}
-		lastErr = err
-	}
-	if attempts > 1 {
-		p.tel.RetryExhausted.Inc()
-	}
-	p.Errors.Add(1)
-	p.tel.UpstreamErrors.Inc()
-	return &httpx.Response{Status: 502, Body: []byte(lastErr.Error())}
-}
-
-// roundTrip performs one upstream exchange against b.
-func (w *worker) roundTrip(b *Backend, req *httpx.Request) (*httpx.Response, error) {
-	p := w.p
-	b.active.Add(1)
-	p.tel.BackendActive.At(b.idx).Add(1)
-	defer func() {
-		b.active.Add(-1)
-		p.tel.BackendActive.At(b.idx).Add(-1)
-	}()
-
-	up, err := net.DialTimeout("tcp", b.addr, p.cfg.DialTimeout)
-	if err != nil {
-		return nil, err
-	}
-	defer up.Close()
-
-	fwd := *req
-	fwd.Headers = append(append([]httpx.Header(nil), req.Headers...),
-		httpx.Header{Name: "X-Forwarded-By", Value: fmt.Sprintf("hermes-lb/w%d", w.id)},
-		httpx.Header{Name: "Connection", Value: "close"},
-	)
-	if _, err := up.Write(fwd.Append(nil)); err != nil {
-		return nil, err
-	}
-	_ = up.SetReadDeadline(time.Now().Add(p.cfg.ResponseTimeout))
-	data, err := io.ReadAll(up)
-	if err != nil && len(data) == 0 {
-		return nil, err
-	}
-	resp, _, perr := httpx.ParseResponse(data)
-	if perr != nil {
-		return nil, perr
-	}
-	return resp, nil
-}
-
-func (w *worker) reply(conn net.Conn, resp *httpx.Response) {
-	_, _ = conn.Write(resp.Append(nil))
 }
 
 // Shutdown drains gracefully: veto every worker in the selection map, stop
@@ -569,6 +397,7 @@ func (p *Proxy) shutdown(timeout time.Duration) error {
 	for i := range p.workers {
 		_ = p.ctl.SetWorkerAvailable(i, false)
 	}
+	close(p.stop)
 	p.drainHook.ScheduleAndSync(time.Now().UnixNano())
 	p.ln.Close()
 	if p.checker != nil {
@@ -606,9 +435,9 @@ func (p *Proxy) shutdown(timeout time.Duration) error {
 	case <-timer:
 	}
 
-	// Deadline exceeded: force-close surviving connections. Workers then
-	// finish their bounded upstream exchanges and exit; the second wait is
-	// bounded by the dial/response timeouts.
+	// Deadline exceeded: force-close surviving connections. Their goroutines
+	// then finish their bounded upstream exchanges and exit; the second wait
+	// is bounded by the dial/response timeouts.
 	p.mu.Lock()
 	forced := len(p.conns)
 	for c := range p.conns {
@@ -661,15 +490,15 @@ func (p *Proxy) applyFaults(sched faults.Schedule) {
 }
 
 // victim resolves a fault's target: a pinned worker id, else the busiest
-// worker (deepest queue, then most requests handled) at fire time.
+// worker (most requests in flight, then most requests handled) at fire time.
 func (p *Proxy) victim(id int) *worker {
 	if id >= 0 && id < len(p.workers) {
 		return p.workers[id]
 	}
 	best := p.workers[0]
 	for _, w := range p.workers[1:] {
-		if len(w.queue) > len(best.queue) ||
-			(len(w.queue) == len(best.queue) && w.Handled.Load() > best.Handled.Load()) {
+		wb, bb := w.hook.Metrics().Busy, best.hook.Metrics().Busy
+		if wb > bb || (wb == bb && w.Handled.Load() > best.Handled.Load()) {
 			best = w
 		}
 	}

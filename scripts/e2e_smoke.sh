@@ -9,6 +9,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 LISTEN=127.0.0.1:18080
+LISTEN1=127.0.0.1:18081 # the one-worker instance of phase 5
 ADMIN=127.0.0.1:19900
 B1=127.0.0.1:19001
 B2=127.0.0.1:19002
@@ -35,8 +36,8 @@ ctl() { "$WORK/hermesctl" -admin "$ADMIN" "$@"; }
 # One HTTP request through the proxy via bash's /dev/tcp (no curl needed).
 # Prints the status line; fails the pipeline if the connection is refused.
 req() {
-  local path=${1:-/} out
-  out=$(exec 3<>"/dev/tcp/${LISTEN%:*}/${LISTEN#*:}" &&
+  local path=${1:-/} listen=${2:-$LISTEN} out
+  out=$(exec 3<>"/dev/tcp/${listen%:*}/${listen#*:}" &&
     printf 'GET %s HTTP/1.1\r\nHost: smoke\r\nConnection: close\r\n\r\n' "$path" >&3 &&
     head -n1 <&3 && exec 3<&- 3>&-)
   echo "$out"
@@ -161,6 +162,36 @@ grep -q 'WORKER' "$WORK/top.out" && grep -q "$B1" "$WORK/top.out" ||
 ctl -interval 200ms -count 2 watch >"$WORK/watch.out" || fail "hermesctl watch failed"
 [ "$(wc -l <"$WORK/watch.out")" -eq 3 ] || { cat "$WORK/watch.out"; fail "watch should print a header + 2 rows"; }
 echo "e2e: phase 4 ok (scrape conformant, slo ok, dashboards render)"
+
+# Phase 5: slow clients. A second proxy with ONE worker, so every connection
+# shares it: an idle keep-alive connection and a request head dripped a byte
+# at a time are both parked on that worker, and a third connection's request
+# must still be answered at once, not after client_idle_timeout (5 s).
+"$WORK/hermes-lb" -listen "$LISTEN1" -workers 1 -backends "$B1" >"$WORK/proxy1.log" 2>&1 &
+PIDS+=($!)
+for i in $(seq 1 50); do
+  req /up "$LISTEN1" 2>/dev/null | grep -q ' 200 ' && break
+  [ "$i" = 50 ] && { cat "$WORK/proxy1.log" >&2; fail "one-worker proxy never came up"; }
+  sleep 0.1
+done
+exec 4<>"/dev/tcp/${LISTEN1%:*}/${LISTEN1#*:}"
+printf 'GET /idle HTTP/1.1\r\nHost: smoke\r\n\r\n' >&4
+head -n1 <&4 | grep -q ' 200 ' || fail "idle keep-alive connection got no reply"
+exec 5<>"/dev/tcp/${LISTEN1%:*}/${LISTEN1#*:}"
+(
+  head='GET /drip HTTP/1.1 Host: smoke X-Pad: aaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaa'
+  for ((i = 0; i < ${#head}; i++)); do printf '%s' "${head:i:1}" >&5 2>/dev/null || exit 0; sleep 0.1; done
+) &
+DRIP_PID=$!
+sleep 0.3
+t0=$(date +%s%N)
+line=$(req /third "$LISTEN1" || echo "CONNECT-FAIL")
+ms=$(( ($(date +%s%N) - t0) / 1000000 ))
+kill "$DRIP_PID" 2>/dev/null || true
+exec 4<&- 4>&- 5<&- 5>&-
+case $line in *" 200 "*) ;; *) fail "third connection behind slow clients -> $line" ;; esac
+[ "$ms" -lt 1000 ] || fail "third connection waited ${ms}ms behind an idle and a dripping connection"
+echo "e2e: phase 5 ok (request served in ${ms}ms beside an idle and a dripping connection)"
 
 # Final: stats must reconcile, and shutdown must drain cleanly (exit 0).
 ctl stats | grep -q 'served:' || fail "stats rendering broken"
