@@ -30,7 +30,6 @@ func (baselinesExperiment) Cells(opts Options) []Cell {
 		mode := mode
 		cells[i] = Cell{Name: mode.String(), Run: func() any {
 			run, err := Run(RunConfig{
-				Batch:     opts.Batch,
 				Mode:      mode,
 				Workers:   opts.Workers,
 				Ports:     ports,

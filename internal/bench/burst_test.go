@@ -1,60 +1,28 @@
 package bench
 
 import (
-	"regexp"
 	"testing"
 	"time"
 
 	"hermes/internal/l7lb"
 )
 
-// Batch-width determinism: the kernel's burst machinery must be mechanically
-// invisible — any -batch setting renders byte-identical experiment output
-// (modulo the host wall-clock tokens the scale section prints). This is the
-// harness-level counterpart of the kernel's burst-vs-single fuzz oracle.
-func TestBatchWidthByteIdenticalOutput(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-run sweep comparison is expensive")
-	}
-	wall := regexp.MustCompile(`wall [0-9.]+s( ratio [0-9.]+x)?`)
-	exps := Experiments()
-	for _, name := range []string{"scale", "table3", "baselines"} {
-		e := exps[name]
-		runAt := func(batch int) string {
-			o := parallelTestOptions(4)
-			o.Batch = batch
-			return wall.ReplaceAllString(RunExperiment(e, o), "wall Xs")
-		}
-		base := runAt(1)
-		for _, batch := range []int{8, 32} {
-			if got := runAt(batch); got != base {
-				t.Errorf("%s: output differs between -batch 1 and -batch %d\n--- batch 1 ---\n%s\n--- batch %d ---\n%s",
-					name, batch, base, batch, got)
-			}
-		}
-	}
-}
-
 // The conn-table pre-sizing regression: a scale cell must never regrow a
-// worker's connection table in steady state, at the paper-literal width and
-// under burst dispatch, in every production mode (exclusive-LIFO concentrates
-// accepts the hardest).
+// worker's connection table in steady state, in every production mode
+// (exclusive-LIFO concentrates accepts the hardest).
 func TestScaleCellConnTableNeverRegrows(t *testing.T) {
 	o := fastOptions()
 	o.Window = 50 * time.Millisecond
 	o.Drain = 100 * time.Millisecond
 	conns := scaleConns(1_000_000, o.Window)
 	for _, mode := range Table3Modes {
-		for _, batch := range []int{1, 32} {
-			o.Batch = batch
-			res := runScaleCell(64, conns, mode, 1, o, nil, nil).(scaleCell)
-			if res.tableGrows != 0 {
-				t.Errorf("%s batch=%d: conn tables regrew %d times during a %d-conn cell, want 0",
-					mode, batch, res.tableGrows, conns)
-			}
-			if res.completed == 0 {
-				t.Errorf("%s batch=%d: cell completed nothing", mode, batch)
-			}
+		res := runScaleCell(64, conns, mode, 1, o, nil, nil).(scaleCell)
+		if res.tableGrows != 0 {
+			t.Errorf("%s: conn tables regrew %d times during a %d-conn cell, want 0",
+				mode, res.tableGrows, conns)
+		}
+		if res.completed == 0 {
+			t.Errorf("%s: cell completed nothing", mode)
 		}
 	}
 }

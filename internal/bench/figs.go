@@ -47,7 +47,6 @@ func (fig2Experiment) Cells(opts Options) []Cell {
 		mode := mode
 		cells[i] = Cell{Name: mode.String(), Run: func() any {
 			run, err := Run(RunConfig{
-				Batch:     opts.Batch,
 				Mode:      mode,
 				Workers:   8,
 				Seed:      opts.Seed,
@@ -89,7 +88,7 @@ func Fig2(opts Options) string { return RunExperiment(fig2Experiment{}, opts) }
 // a port over time, with per-worker CPU stddev spiking at the burst.
 func Fig3(opts Options) string {
 	eng := sim.NewEngine(opts.Seed)
-	cfg := Options{Workers: opts.Workers, Batch: opts.Batch}.lbConfig(l7lb.ModeExclusive, []uint16{8080}, nil, nil)
+	cfg := Options{Workers: opts.Workers}.lbConfig(l7lb.ModeExclusive, []uint16{8080}, nil, nil)
 	lb, err := l7lb.New(eng, cfg)
 	if err != nil {
 		panic(err)
@@ -133,7 +132,6 @@ func Fig4and5(opts Options) string {
 	region := workload.Regions()[1] // Region2: case-4 heavy → uneven work
 	specs := region.Specs(ports, 30_000*opts.RateScale)
 	run, err := Run(RunConfig{
-		Batch:    opts.Batch,
 		Mode:     l7lb.ModeExclusive,
 		Workers:  opts.Workers,
 		Ports:    ports,
@@ -185,7 +183,6 @@ func Fig7(opts Options) string {
 	// The paper's Fig. 7 device runs the pre-Hermes default, epoll
 	// exclusive, whose concentration makes the CPU-side imbalance stark.
 	run, err := Run(RunConfig{
-		Batch:   opts.Batch,
 		Mode:    l7lb.ModeExclusive,
 		Workers: opts.Workers,
 		Ports:   ports,

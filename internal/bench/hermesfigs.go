@@ -275,7 +275,6 @@ func (fig14Experiment) Cells(opts Options) []Cell {
 		cells[i] = Cell{Name: name, Run: func() any {
 			specs := workload.Regions()[1].Specs(ports, 55_000*opts.RateScale*level)
 			run, err := Run(RunConfig{
-				Batch:     opts.Batch,
 				Mode:      l7lb.ModeHermes,
 				Workers:   opts.Workers,
 				Ports:     ports,
@@ -336,7 +335,6 @@ func (fig15Experiment) Cells(opts Options) []Cell {
 		name := fmt.Sprintf("theta%.2f", theta)
 		cells[i] = Cell{Name: name, Run: func() any {
 			run, err := Run(RunConfig{
-				Batch:     opts.Batch,
 				Mode:      l7lb.ModeHermes,
 				Workers:   opts.Workers,
 				Ports:     ports,

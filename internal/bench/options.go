@@ -33,12 +33,6 @@ type Options struct {
 	// simulations within one experiment). 0 means GOMAXPROCS; 1 forces
 	// sequential execution. Output is byte-identical at any setting.
 	Parallel int
-	// Batch is the kernel arrival/delivery coalescing width
-	// (l7lb.Config.BatchWidth → kernel.NetStack.SetBurstWidth) applied by
-	// experiments that drive the kernel directly. ≤1 is the paper-literal
-	// one-trampoline-per-wake path; output is byte-identical at any width,
-	// wider just spends fewer engine events per delivered burst.
-	Batch int
 	// Metrics, when set, collects one telemetry registry per experiment
 	// cell (hermes-bench -metrics). Nil disables recording; rendered
 	// experiment output is byte-identical either way.
@@ -63,8 +57,8 @@ func DefaultOptions() Options {
 }
 
 // lbConfig is the one place harness Options become an l7lb.Config: the
-// mode's defaults plus the run-wide knobs (fleet size, registered ports,
-// batch width) and the cell's observers (nil = not recorded). Experiments
+// mode's defaults plus the run-wide knobs (fleet size, registered ports)
+// and the cell's observers (nil = not recorded). Experiments
 // that pin a knob — a 3-worker walkthrough, a figure without the
 // registered-port overhead — pass an Options carrying only what they want.
 func (o Options) lbConfig(mode l7lb.Mode, ports []uint16, tel telemetry.Sink, tr *tracing.Tracer) l7lb.Config {
@@ -72,7 +66,6 @@ func (o Options) lbConfig(mode l7lb.Mode, ports []uint16, tel telemetry.Sink, tr
 	cfg.Workers = o.Workers
 	cfg.Ports = ports
 	cfg.RegisteredPorts = o.RegisteredPorts
-	cfg.BatchWidth = o.Batch
 	cfg.Telemetry = tel
 	cfg.Tracer = tr
 	return cfg

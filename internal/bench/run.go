@@ -49,10 +49,6 @@ type RunConfig struct {
 	// per-connection flight recorder records into it. Nil disables
 	// recording. The caller flushes/exports after the run.
 	Tracer *tracing.Tracer
-	// Batch is the kernel arrival/delivery coalescing width handed to the
-	// LB (l7lb.Config.BatchWidth). ≤1 is the paper-literal path; output is
-	// byte-identical at any width.
-	Batch int
 	// Mutate optionally adjusts the LB config before construction.
 	Mutate func(*l7lb.Config)
 	// PostBuild optionally adjusts the built LB before traffic starts
@@ -98,7 +94,7 @@ func Run(rc RunConfig) (*RunResult, error) {
 	if ports == nil && len(rc.Specs) > 0 {
 		ports = rc.Specs[0].Ports
 	}
-	cfg := Options{Workers: rc.Workers, Batch: rc.Batch}.lbConfig(rc.Mode, ports, rc.Telemetry, rc.Tracer)
+	cfg := Options{Workers: rc.Workers}.lbConfig(rc.Mode, ports, rc.Telemetry, rc.Tracer)
 	cfg.DetailedStats = rc.Detailed
 	if rc.Mutate != nil {
 		rc.Mutate(&cfg)

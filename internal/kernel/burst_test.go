@@ -3,11 +3,9 @@ package kernel_test
 // Burst-path equivalence and throughput. The burst API's contract is that
 // batching is mechanical only: DeliverSYNBurst/DeliverDataBurst are
 // observably identical to inline single-delivery loops within one engine
-// event, and any SetBurstWidth yields the same simulation trace — flush
-// frames replace per-wake trampoline events without reordering anything.
-// These tests pin that contract with a recording trace compared across
-// widths and against the single-delivery oracle, including a seeded fuzz
-// over random interleavings; BenchmarkBurstDispatch measures the payoff.
+// event. A recording trace compared against the single-delivery oracle pins
+// that contract over a seeded fuzz of random interleavings;
+// BenchmarkBurstDispatch measures what carrying a vector per event saves.
 
 import (
 	"fmt"
@@ -68,17 +66,13 @@ func genBurstSchedule(rng *rand.Rand, groups, maxOps int) []burstGroup {
 }
 
 // runBurstScenario replays a schedule on a fresh stack and returns the full
-// observable trace. When burst is true, each group's deliveries go through
-// BeginBurst/EndBurst (SYN runs via DeliverSYNBurst) at the given width;
-// otherwise they run as paper-literal single deliveries in the same engine
-// event — the oracle.
-func runBurstScenario(t *testing.T, sched []burstGroup, mode kernel.WakeMode, workers int, burst bool, width int) string {
+// observable trace. When burst is true, each group's SYN runs go through
+// DeliverSYNBurst; otherwise they run as single deliveries in the same
+// engine event — the oracle.
+func runBurstScenario(t *testing.T, sched []burstGroup, mode kernel.WakeMode, workers int, burst bool) string {
 	t.Helper()
 	eng := sim.NewEngine(1)
 	ns := kernel.NewNetStack(eng, mode)
-	if burst {
-		ns.SetBurstWidth(width)
-	}
 	shared, err := ns.ListenShared(8080, 8)
 	if err != nil {
 		t.Fatal(err)
@@ -128,9 +122,6 @@ func runBurstScenario(t *testing.T, sched []burstGroup, mode kernel.WakeMode, wo
 	for _, g := range sched {
 		g := g
 		eng.At(g.tick, func() {
-			if burst {
-				ns.BeginBurst()
-			}
 			// SYNs delivered as one vector per group (preserving op order
 			// for the oracle means splitting around non-SYN ops).
 			i := 0
@@ -166,9 +157,6 @@ func runBurstScenario(t *testing.T, sched []burstGroup, mode kernel.WakeMode, wo
 					i++
 				}
 			}
-			if burst {
-				ns.EndBurst()
-			}
 		})
 	}
 	eng.Run()
@@ -177,10 +165,10 @@ func runBurstScenario(t *testing.T, sched []burstGroup, mode kernel.WakeMode, wo
 }
 
 // TestFuzzBurstVsSingleOracle replays random interleavings of burst and
-// single deliveries against the single-event oracle: for every seed, wake
-// mode, and burst width, the burst run's trace — wakeup times, event
-// batches, accept/read/close order, and drop counters — must be byte-equal
-// to paper-literal single deliveries. CI runs this under -race.
+// single deliveries against the single-event oracle: for every seed and wake
+// mode, the vector run's trace — wakeup times, event batches,
+// accept/read/close order, and drop counters — must be byte-equal to single
+// deliveries. CI runs this under -race.
 func TestFuzzBurstVsSingleOracle(t *testing.T) {
 	modes := []kernel.WakeMode{kernel.WakeHerd, kernel.WakeExclusiveLIFO, kernel.WakeExclusiveRR, kernel.WakeExclusiveFIFO}
 	for seed := int64(1); seed <= 6; seed++ {
@@ -190,54 +178,24 @@ func TestFuzzBurstVsSingleOracle(t *testing.T) {
 			sched := genBurstSchedule(rng, 60, 12)
 			mode := modes[rng.Intn(len(modes))]
 			workers := 1 + rng.Intn(5)
-			oracle := runBurstScenario(t, sched, mode, workers, false, 1)
-			for _, width := range []int{1, 2, 8, 32} {
-				got := runBurstScenario(t, sched, mode, workers, true, width)
-				if got != oracle {
-					t.Fatalf("mode=%v workers=%d width=%d: burst trace diverges from single-delivery oracle\noracle:\n%s\nburst:\n%s",
-						mode, workers, width, oracle, got)
-				}
+			oracle := runBurstScenario(t, sched, mode, workers, false)
+			if got := runBurstScenario(t, sched, mode, workers, true); got != oracle {
+				t.Fatalf("mode=%v workers=%d: burst trace diverges from single-delivery oracle\noracle:\n%s\nburst:\n%s",
+					mode, workers, oracle, got)
 			}
 		})
 	}
 }
 
-// TestBurstLeftOpenPanics pins the driver contract: a burst must close
-// within the engine event that opened it, and the flush event detects a
-// leaked BeginBurst loudly instead of silently misordering deliveries.
-func TestBurstLeftOpenPanics(t *testing.T) {
-	eng := sim.NewEngine(1)
-	ns := kernel.NewNetStack(eng, kernel.WakeHerd)
-	ns.SetBurstWidth(8)
-	if _, err := ns.ListenShared(8080, 8); err != nil {
-		t.Fatal(err)
-	}
-	ep := ns.NewEpoll()
-	ep.Add(ns.SharedSocket(8080))
-	ep.Wait(4, -1, func([]kernel.Event) {})
-	eng.At(1, func() {
-		ns.BeginBurst()
-		ns.DeliverSYN(kernel.FourTuple{SrcIP: 1, SrcPort: 9, DstIP: 2, DstPort: 8080}, nil)
-		// Missing EndBurst: the scheduled flush must panic.
-	})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("flush of a burst left open across events did not panic")
-		}
-	}()
-	eng.Run()
-}
-
 // benchBurstDispatch drives NIC-style same-tick arrival bursts through the
-// full kernel path — SYN vector → steer → accept-queue → coalesced wakeup →
-// batched collect → accept drain → data burst → batched readable serve →
-// close — with one op being one connection. batch=1 is the paper-literal
-// path (one delivery, one trampoline, one wakeup per connection); larger
-// widths amortize the notification machinery across the vector.
+// full kernel path — SYN vector → steer → accept-queue → wakeup → batched
+// collect → accept drain → data burst → batched readable serve → close —
+// with one op being one connection. batch=1 is one delivery, one arrival
+// event and one wakeup per connection; a longer vector shares the arrival
+// event, the wakeup and the collect.
 func benchBurstDispatch(b *testing.B, batch int) {
 	eng := sim.NewEngine(1)
 	ns := kernel.NewNetStack(eng, kernel.WakeExclusiveLIFO)
-	ns.SetBurstWidth(batch)
 	g, err := ns.ListenReuseport(8080, 1, 4096)
 	if err != nil {
 		b.Fatal(err)
@@ -316,12 +274,11 @@ func benchBurstDispatch(b *testing.B, batch int) {
 	}
 }
 
-// BenchmarkBurstDispatch is the burst-path throughput gate: one op is one
+// BenchmarkBurstDispatch measures the vector arrival path: one op is one
 // connection through the full arrival→dispatch lifecycle; CI requires 0
-// allocs/op at every width and ≥2× throughput at batch=32 vs batch=1
-// (docs/PERF.md).
+// allocs/op at both vector lengths and reports their ratio (docs/PERF.md).
 func BenchmarkBurstDispatch(b *testing.B) {
-	for _, batch := range []int{1, 8, 32} {
+	for _, batch := range []int{1, 32} {
 		b.Run(fmt.Sprintf("batch=%d", batch), func(b *testing.B) {
 			benchBurstDispatch(b, batch)
 		})

@@ -73,21 +73,6 @@ type NetStack struct {
 	connFree  []*Conn
 	watchFree []*watch
 
-	// Burst machinery (BeginBurst/EndBurst). While a burst is open and
-	// burstWidth > 1, epoll wakeups coalesce: instead of one trampoline
-	// engine event per wake, woken instances append to the open flush
-	// frame and one flush event per frame pops each delivery in schedule
-	// order. burstEps/burstFrames are head-indexed and reused, so
-	// steady-state coalescing is allocation-free.
-	burstWidth      int      // deliveries per flush frame; 1 = paper-literal trampolines
-	burstDepth      int      // BeginBurst nesting depth
-	burstEps        []*Epoll // FIFO of coalesced deliveries (one pendQ entry each)
-	burstEpsHead    int
-	burstOpen       int   // entries in the currently open (unsealed) frame
-	burstFrames     []int // sealed frame sizes, one flush event scheduled per frame
-	burstFramesHead int
-	burstFlushFn    func()
-
 	// SynDrops counts connections refused for lack of a listener or
 	// accept-queue overflow.
 	SynDrops uint64
@@ -104,98 +89,19 @@ const DefaultAcceptBacklog = 1024
 
 // NewNetStack creates a stack on the given engine.
 func NewNetStack(eng *sim.Engine, mode WakeMode) *NetStack {
-	ns := &NetStack{
-		Mode:       mode,
-		eng:        eng,
-		shared:     make(map[uint16]*Socket),
-		groups:     make(map[uint16]*ReuseportGroup),
-		burstWidth: 1,
-	}
-	// Bind the flush trampoline once (method values allocate per evaluation).
-	ns.burstFlushFn = ns.flushBurst
-	return ns
-}
-
-// SetBurstWidth sets the maximum number of epoll wake deliveries coalesced
-// into one flush engine event while a burst is open. Width 1 (the default)
-// is the paper-literal path: every wakeup schedules its own trampoline
-// event. Any width yields byte-identical simulation output: a flush frame
-// occupies the engine-queue position of its first member, and its members
-// were scheduled back-to-back within one engine event — so they were
-// adjacent in the same-tick FIFO already, and firing them consecutively
-// from the flush preserves the global order exactly.
-func (ns *NetStack) SetBurstWidth(w int) {
-	if w < 1 {
-		w = 1
-	}
-	ns.burstWidth = w
-}
-
-// BurstWidth returns the configured flush-frame width.
-func (ns *NetStack) BurstWidth() int { return ns.burstWidth }
-
-// BeginBurst opens a burst window: until the matching EndBurst, epoll wake
-// deliveries triggered by DeliverSYN/DeliverData/DeliverFIN coalesce into
-// flush frames of at most BurstWidth. Bursts nest (only the outermost
-// EndBurst seals the open frame) and MUST be closed within the same engine
-// event that opened them — a burst held across events panics at flush time.
-func (ns *NetStack) BeginBurst() { ns.burstDepth++ }
-
-// EndBurst closes a burst window opened by BeginBurst, sealing the open
-// flush frame (if any) so its scheduled flush event knows where to stop.
-func (ns *NetStack) EndBurst() {
-	if ns.burstDepth == 0 {
-		panic("kernel: EndBurst without BeginBurst")
-	}
-	ns.burstDepth--
-	if ns.burstDepth == 0 && ns.burstOpen > 0 {
-		ns.sealBurstFrame()
+	return &NetStack{
+		Mode:   mode,
+		eng:    eng,
+		shared: make(map[uint16]*Socket),
+		groups: make(map[uint16]*ReuseportGroup),
 	}
 }
 
-// burstEnqueue records one coalesced delivery for ep (which has already
-// queued the matching pendQ entry). Called by Epoll.schedule instead of
-// arming a per-delivery trampoline while a burst is open.
-func (ns *NetStack) burstEnqueue(ep *Epoll) {
-	if ns.burstOpen == 0 {
-		// First delivery of a new frame: schedule that frame's flush.
-		ns.eng.At(ns.eng.Now(), ns.burstFlushFn)
-	}
-	ns.burstEps = append(ns.burstEps, ep)
-	ns.burstOpen++
-	if ns.burstOpen >= ns.burstWidth {
-		ns.sealBurstFrame()
-	}
-}
-
-func (ns *NetStack) sealBurstFrame() {
-	ns.burstFrames = append(ns.burstFrames, ns.burstOpen)
-	ns.burstOpen = 0
-}
-
-// flushBurst fires one sealed flush frame: each coalesced delivery pops in
-// schedule order, exactly as its dedicated trampoline event would have.
-func (ns *NetStack) flushBurst() {
-	if ns.burstFramesHead >= len(ns.burstFrames) {
-		panic("kernel: burst left open across engine events (missing EndBurst)")
-	}
-	n := ns.burstFrames[ns.burstFramesHead]
-	ns.burstFramesHead++
-	if ns.burstFramesHead == len(ns.burstFrames) {
-		ns.burstFrames = ns.burstFrames[:0]
-		ns.burstFramesHead = 0
-	}
-	for i := 0; i < n; i++ {
-		ep := ns.burstEps[ns.burstEpsHead]
-		ns.burstEps[ns.burstEpsHead] = nil
-		ns.burstEpsHead++
-		ep.deliver()
-	}
-	if ns.burstEpsHead == len(ns.burstEps) {
-		ns.burstEps = ns.burstEps[:0]
-		ns.burstEpsHead = 0
-	}
-}
+// SetBurstWidth does nothing. It set the width of wake-frame coalescing, which
+// is gone (a same-instant wake trampoline is an O(1) ring push in sim.Engine);
+// the method remains only because the frozen benchmark/surface.go calls it,
+// and goes when a benchmark change drops that call.
+func (ns *NetStack) SetBurstWidth(int) {}
 
 // Engine returns the virtual clock this stack runs on.
 func (ns *NetStack) Engine() *sim.Engine { return ns.eng }
@@ -379,12 +285,10 @@ func (ns *NetStack) deliverSYNResolved(tuple FourTuple, meta any, g *ReuseportGr
 // DeliverSYNBurst completes handshakes for a batch of same-tick arrivals —
 // the NIC-burst idiom: one engine event carries the whole vector instead of
 // one event per SYN. It is observably identical to calling DeliverSYN for
-// each tuple, in order, within one engine event; with BurstWidth > 1 the
-// resulting wakeups additionally coalesce into flush frames. metas may be
-// nil (all-nil metadata). Results append to conns (nil entry per drop) so
-// callers can reuse a scratch slice allocation-free.
+// each tuple, in order, within one engine event. metas may be nil (all-nil
+// metadata). Results append to conns (nil entry per drop) so callers can
+// reuse a scratch slice allocation-free.
 func (ns *NetStack) DeliverSYNBurst(tuples []FourTuple, metas []any, conns []*Conn) []*Conn {
-	ns.BeginBurst()
 	// Port resolution is hoisted per run of equal destination ports — a
 	// NIC burst is usually single-port, so the map walk amortizes across
 	// the vector. Safe within one call: no listener can be bound or closed
@@ -411,7 +315,6 @@ func (ns *NetStack) DeliverSYNBurst(tuples []FourTuple, metas []any, conns []*Co
 		c, _ := ns.deliverSYNResolved(tuples[i], m, g, s)
 		conns = append(conns, c)
 	}
-	ns.EndBurst()
 	return conns
 }
 
@@ -420,7 +323,6 @@ func (ns *NetStack) DeliverSYNBurst(tuples []FourTuple, metas []any, conns []*Co
 // each non-nil conn in order. payloads may be nil (all-nil payloads); nil
 // conns (drops from DeliverSYNBurst) are skipped.
 func (ns *NetStack) DeliverDataBurst(conns []*Conn, payloads []any) {
-	ns.BeginBurst()
 	for i, c := range conns {
 		if c == nil {
 			continue
@@ -431,7 +333,6 @@ func (ns *NetStack) DeliverDataBurst(conns []*Conn, payloads []any) {
 		}
 		ns.DeliverData(c, p)
 	}
-	ns.EndBurst()
 }
 
 // DeliverData makes payload readable on an established connection. Data

@@ -179,15 +179,10 @@ type Config struct {
 	MaxConnsPerWorker int
 	// ConnsPerWorkerHint pre-sizes each worker's connection table to the
 	// cell's planned per-worker connection count, so steady-state accepts
-	// never regrow the table (Worker.ConnTableGrows stays 0). 0 keeps the
-	// small default; MaxConnsPerWorker still caps the pre-size.
+	// never regrow the table (Worker.ConnTableGrows stays 0), and LB.Latency
+	// to one sample per planned connection. 0 keeps the small defaults;
+	// MaxConnsPerWorker still caps the table's pre-size.
 	ConnsPerWorkerHint int
-	// BatchWidth is the kernel's arrival/delivery coalescing width
-	// (NetStack.SetBurstWidth): how many same-tick deliveries share one
-	// flush event. ≤1 is the paper-literal one-trampoline-per-wake path;
-	// any width produces a byte-identical simulation trace (the burst fuzz
-	// oracle pins this), wider just costs fewer engine events.
-	BatchWidth int
 	// Costs is the fixed-function cost model.
 	Costs CostModel
 	// Shed is the optional degradation policy (Hermes modes only).

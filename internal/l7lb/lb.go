@@ -85,7 +85,6 @@ func New(eng *sim.Engine, cfg Config) (*LB, error) {
 		NS:  kernel.NewNetStack(eng, wake),
 		Cfg: cfg,
 	}
-	lb.NS.SetBurstWidth(cfg.BatchWidth)
 
 	switch cfg.Mode {
 	case ModeExclusive, ModeExclusiveRR, ModeHerd, ModeAcceptMutex, ModeDispatcher, ModeIOUring:
@@ -144,6 +143,9 @@ func New(eng *sim.Engine, cfg Config) (*LB, error) {
 		lb.Workers = append(lb.Workers, w)
 		lb.registerWorkerSockets(w)
 	}
+	// Every planned connection completes at least one request; with no hint
+	// this reserves nothing.
+	lb.Latency.Reserve(cfg.ConnsPerWorkerHint * cfg.Workers)
 	if cfg.Mode == ModeDispatcher {
 		lb.Dispatcher = newDispatcher(lb)
 	}

@@ -1,0 +1,75 @@
+package l7lb
+
+import (
+	"fmt"
+	"hash/fnv"
+	"testing"
+	"time"
+
+	"hermes/internal/kernel"
+	"hermes/internal/sim"
+)
+
+// TestHermesCellPinned pins what a hermes cell of the sim-churn shape does,
+// to the event: which worker accepted how many connections, and how many
+// engine events it took. The figures were recorded at the commit before the
+// event queue became ring + two heaps and wake-frame coalescing was deleted;
+// a change to the queue, the wake path or the worker loop that moves either
+// has changed the simulation, not just its speed.
+func TestHermesCellPinned(t *testing.T) {
+	const conns = 20_000
+	for _, pin := range []struct {
+		workers  int
+		executed uint64
+		accepted uint64 // FNV-1a over the per-worker accept counts, "n," each
+	}{
+		{64, 189706, 0x41575e409cd33763},
+		{256, 344212, 0x194d505fe5bce454},
+	} {
+		eng := sim.NewEngine(1)
+		cfg := DefaultConfig(ModeHermes)
+		cfg.Workers = pin.workers
+		cfg.Ports = []uint16{8080}
+		cfg.ConnsPerWorkerHint = conns/pin.workers + 1
+		lb, err := New(eng, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lb.Start()
+		i := 0
+		var arrive func()
+		arrive = func() {
+			tuple := kernel.FourTuple{
+				SrcIP:   uint32(i)*0x9E3779B1 + 1,
+				SrcPort: uint16(1024 + i%60000),
+				DstIP:   0x0a00_0001,
+				DstPort: 8080,
+			}
+			if conn, ok := lb.NS.DeliverSYN(tuple, nil); ok {
+				lb.NS.DeliverData(conn, Work{ArrivalNS: eng.Now(), Cost: time.Microsecond, Close: true, Tenant: 8080})
+			}
+			i++
+			if i < conns {
+				eng.At(int64(i)*1000, arrive)
+			}
+		}
+		eng.At(0, arrive)
+		eng.RunUntil(conns*1000 + int64(2*time.Second))
+
+		if lb.Completed != conns {
+			t.Errorf("%d workers: completed %d of %d connections", pin.workers, lb.Completed, conns)
+		}
+		if eng.Executed != pin.executed {
+			t.Errorf("%d workers: Executed = %d, pinned %d", pin.workers, eng.Executed, pin.executed)
+		}
+		h := fnv.New64a()
+		accepted := make([]uint64, len(lb.Workers))
+		for wi, w := range lb.Workers {
+			accepted[wi] = w.Accepted
+			fmt.Fprintf(h, "%d,", w.Accepted)
+		}
+		if h.Sum64() != pin.accepted {
+			t.Errorf("%d workers: accept vector hashes to %#x, pinned %#x: %v", pin.workers, h.Sum64(), pin.accepted, accepted)
+		}
+	}
+}

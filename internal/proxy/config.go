@@ -164,7 +164,7 @@ func DefaultConfig() Config {
 			WindowTick:  time.Second,
 			WindowDepth: 360,
 		},
-		SLO: SLOSettings{Enabled: true},
+		SLO:               SLOSettings{Enabled: true},
 		DialTimeout:       2 * time.Second,
 		ResponseTimeout:   5 * time.Second,
 		ClientIdleTimeout: 5 * time.Second,

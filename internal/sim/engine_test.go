@@ -323,3 +323,39 @@ func BenchmarkEngineCancel(b *testing.B) {
 		tm.Cancel()
 	}
 }
+
+// BenchmarkEngineParkedTimers is the shape a hermes cell gives the queue: 256
+// workers each parked on a 5 ms epoll timeout, and per iteration one of those
+// timeouts armed and cancelled, one near event fired, and two events
+// scheduled for the instant it fires at.
+func BenchmarkEngineParkedTimers(b *testing.B) {
+	e := NewEngine(1)
+	fn := func() {}
+	const timeout = 5 * time.Millisecond
+	var parked [256]Timer
+	for i := range parked {
+		parked[i] = e.After(timeout, fn)
+		e.RunFor(timeout / 256)
+	}
+	near := func() {
+		e.After(0, fn)
+		e.After(0, fn)
+	}
+	iter := func(i int) {
+		w := i % len(parked)
+		parked[w].Cancel()
+		parked[w] = e.After(timeout, fn)
+		e.After(time.Microsecond, near)
+		e.Step()
+		e.Step()
+		e.Step()
+	}
+	for i := range parked { // grow the ring and the free list before timing
+		iter(i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		iter(i)
+	}
+}

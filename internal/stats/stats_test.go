@@ -81,6 +81,25 @@ func TestAddDuration(t *testing.T) {
 	}
 }
 
+// After Reserve(n) the next n Adds allocate nothing, and what was recorded
+// before stays.
+func TestSampleReserve(t *testing.T) {
+	var s Sample
+	s.Add(7)
+	const n = 1000
+	s.Reserve(2 * n) // AllocsPerRun calls the function twice: a warm-up and the measured run
+	if allocs := testing.AllocsPerRun(1, func() {
+		for i := 0; i < n; i++ {
+			s.Add(float64(i))
+		}
+	}); allocs != 0 {
+		t.Fatalf("%d reserved Adds allocated %.0f times", n, allocs)
+	}
+	if s.N() != 2*n+1 || s.Percentile(100) != n-1 {
+		t.Fatalf("N = %d, max = %v; want %d, %d", s.N(), s.Percentile(100), 2*n+1, n-1)
+	}
+}
+
 func TestWelfordMatchesSample(t *testing.T) {
 	f := func(raw []uint16) bool {
 		if len(raw) < 2 {

@@ -33,6 +33,16 @@ go build -o "$WORK/checkprom" ./cmd/checkprom
 
 ctl() { "$WORK/hermesctl" -admin "$ADMIN" "$@"; }
 
+# ctl_has REGEX ARGS...: does `hermesctl ARGS` print a line matching REGEX?
+# The output is captured first: `ctl ... | grep -q` lets grep exit at the
+# first match, and under pipefail the SIGPIPE hermesctl then takes on its
+# next write fails a healthy run.
+ctl_has() {
+  local re=$1 out
+  shift
+  out=$(ctl "$@") && grep -Eq -- "$re" <<<"$out"
+}
+
 # One HTTP request through the proxy via bash's /dev/tcp (no curl needed).
 # Prints the status line; fails the pipeline if the connection is refused.
 req() {
@@ -107,8 +117,8 @@ echo "e2e: proxy up; admin answers"
 # injected worker crash+restart must not lose requests.
 bad=$(load 40 | tail -n1)
 [ "$bad" = 0 ] || fail "$bad/40 requests failed with both backends up"
-ctl status | grep -q 'status: *ok' || { ctl status; fail "status not ok with both backends up"; }
-ctl backends | grep -c yes | grep -qx 2 || { ctl backends; fail "expected 2 healthy backends"; }
+ctl_has 'status: *ok' status || { ctl status; fail "status not ok with both backends up"; }
+[ "$(ctl backends | grep -c yes)" = 2 ] || { ctl backends; fail "expected 2 healthy backends"; }
 echo "e2e: phase 1 ok (40/40 served through worker crash window)"
 
 # Phase 2: kill backend 2. Retries must cover the corpse (zero lost), the
@@ -119,19 +129,19 @@ bad=$(load 40 | tail -n1)
 [ "$bad" = 0 ] || fail "$bad/40 requests failed during backend kill (retries should cover)"
 
 for i in $(seq 1 50); do
-  ctl backends | grep "$B2" | grep -q NO && break
+  ctl_has "$B2.*NO" backends && break
   [ "$i" = 50 ] && { ctl backends; fail "dead backend never marked unhealthy"; }
   sleep 0.1
 done
-ctl status | grep -q 'status: *degraded' || { ctl status; fail "status not degraded with a dead backend"; }
-ctl circuits | grep -q "$B2" || { ctl circuits; fail "circuits view missing $B2" ; }
+ctl_has 'status: *degraded' status || { ctl status; fail "status not degraded with a dead backend"; }
+ctl_has "$B2" circuits || { ctl circuits; fail "circuits view missing $B2" ; }
 echo "e2e: phase 2 ok (backend death covered by retries, evicted by prober)"
 
 # Phase 3: resurrect backend 2 on the same address; the prober must readmit
 # it and status must return to ok.
 start_backend "$B2" b2-again >/dev/null
 for i in $(seq 1 100); do
-  ctl status | grep -q 'status: *ok' && break
+  ctl_has 'status: *ok' status && break
   [ "$i" = 100 ] && { ctl backends; fail "backend never recovered"; }
   sleep 0.1
 done
@@ -153,8 +163,8 @@ grep -q 'hermes_slo_state' "$WORK/scrape.prom" || fail "exposition missing the S
 # ok normally; warn is legitimate for a tick or two — the injected worker
 # crash and the phase-2 backend kill can leave a few slow requests in the
 # warn windows. page (or a missing verdict) is a real failure.
-ctl slo | grep -Eq 'state: *(ok|warn)' || { ctl slo; fail "slo monitor paging (or absent) under clean load"; }
-ctl status | grep -Eq 'slo: *(ok|warn)' || { ctl status; fail "status missing the SLO verdict"; }
+ctl_has 'state: *(ok|warn)' slo || { ctl slo; fail "slo monitor paging (or absent) under clean load"; }
+ctl_has 'slo: *(ok|warn)' status || { ctl status; fail "status missing the SLO verdict"; }
 "$WORK/hermes-top" -admin "$ADMIN" -interval 200ms -once >"$WORK/top.out" ||
   fail "hermes-top -once failed"
 grep -q 'WORKER' "$WORK/top.out" && grep -q "$B1" "$WORK/top.out" ||
@@ -194,10 +204,10 @@ case $line in *" 200 "*) ;; *) fail "third connection behind slow clients -> $li
 echo "e2e: phase 5 ok (request served in ${ms}ms beside an idle and a dripping connection)"
 
 # Final: stats must reconcile, and shutdown must drain cleanly (exit 0).
-ctl stats | grep -q 'served:' || fail "stats rendering broken"
+ctl_has 'served:' stats || fail "stats rendering broken"
 served=$(ctl -json stats | sed -n 's/.*"served": *\([0-9]*\).*/\1/p')
 [ "${served:-0}" -ge 100 ] || fail "served=$served, want >= 100"
-ctl stats | grep -q 'selection bitmap:' || fail "scheduler state missing from stats"
+ctl_has 'selection bitmap:' stats || fail "scheduler state missing from stats"
 
 kill -TERM "$PROXY_PID"
 if ! wait "$PROXY_PID"; then
