@@ -1,0 +1,324 @@
+package main
+
+import (
+	"encoding/json"
+	"fmt"
+	"io"
+	"os"
+	"sort"
+	"strings"
+
+	"hermes/internal/core"
+	"hermes/internal/ebpf"
+	"hermes/internal/openmetrics"
+	"hermes/internal/telemetry"
+	"hermes/internal/tracing"
+)
+
+// This file is `hermesctl check`: the offline validators CI and
+// scripts/e2e_smoke.sh run over the artefacts the system emits.
+//
+//	hermesctl check metrics dump.json        # hermes-bench -metrics
+//	hermesctl check prom promdir/*.prom      # hermes-bench -prom, GET /metrics
+//	hermesctl metrics | hermesctl check prom # no file (or "-") reads stdin
+//	hermesctl check spans dump.json          # hermes-bench -spans, either encoding
+//
+// Each input prints one summary line on success. Exit 0 when every input
+// passed, 1 on the first violation in any of them, 2 on a usage error.
+
+// checkers maps the artefact kind to its validator, which returns the summary
+// line of an input that passed.
+var checkers = map[string]func(name string, r io.Reader) (string, error){
+	"metrics": checkMetrics,
+	"prom":    checkProm,
+	"spans":   checkSpans,
+}
+
+func check(args []string, out, errW io.Writer) int {
+	var fn func(string, io.Reader) (string, error)
+	if len(args) > 0 {
+		fn = checkers[args[0]]
+	}
+	if fn == nil {
+		fmt.Fprintln(errW, "usage: hermesctl check metrics|prom|spans [file…]   (no file or - reads stdin)")
+		return 2
+	}
+	files := args[1:]
+	if len(files) == 0 {
+		files = []string{"-"}
+	}
+	code := 0
+	for _, path := range files {
+		line, err := checkFile(fn, path)
+		if err != nil {
+			fmt.Fprintf(errW, "hermesctl: check %s: %v\n", args[0], err)
+			code = 1
+			continue
+		}
+		fmt.Fprintln(out, line)
+	}
+	return code
+}
+
+func checkFile(fn func(string, io.Reader) (string, error), path string) (string, error) {
+	if path == "-" {
+		return fn("<stdin>", os.Stdin)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		return "", err
+	}
+	defer f.Close()
+	return fn(path, f)
+}
+
+// metricsDump is a hermes-bench -metrics file: experiment → cell → snapshots.
+type metricsDump map[string]map[string][]telemetry.MetricSnapshot
+
+func readMetricsDump(r io.Reader) (metricsDump, error) {
+	var dump metricsDump
+	if err := json.NewDecoder(r).Decode(&dump); err != nil {
+		return nil, fmt.Errorf("not a metrics dump: %w", err)
+	}
+	return dump, nil
+}
+
+// checkMetrics validates a hermes-bench -metrics dump: JSON shaped
+// experiment → cell → metric snapshots, every cell carrying at least one
+// named metric, and the mode-conditional catalog of checkModeCatalog.
+func checkMetrics(name string, r io.Reader) (string, error) {
+	dump, err := readMetricsDump(r)
+	if err != nil {
+		return "", err
+	}
+	if len(dump) == 0 {
+		return "", fmt.Errorf("dump has no experiments")
+	}
+	cells, metrics := 0, 0
+	for exp, byCell := range dump {
+		for cell, snaps := range byCell {
+			cells++
+			if len(snaps) == 0 {
+				return "", fmt.Errorf("%s/%s: cell has no metrics", exp, cell)
+			}
+			for _, ms := range snaps {
+				if ms.Name == "" {
+					return "", fmt.Errorf("%s/%s: metric with empty name", exp, cell)
+				}
+				metrics++
+			}
+			if err := checkModeCatalog(cell, snaps); err != nil {
+				return "", fmt.Errorf("%s/%s: %w", exp, cell, err)
+			}
+		}
+	}
+	if cells == 0 {
+		return "", fmt.Errorf("dump has no cells")
+	}
+	return fmt.Sprintf("ok: %d experiments, %d cells, %d metric snapshots", len(dump), cells, metrics), nil
+}
+
+// checkModeCatalog enforces the mode-conditional metrics: JIT counters
+// (ebpf.jit.*) exist exactly in cells that attach bytecode — where the
+// compiled program must actually have run — the sync-batching counter
+// (core.schedule.sync_batched) exactly in cells that run the Hermes control
+// loop, and neither anywhere else; a leak in either direction means an
+// observer was attached where it should not be. Cell names embed the dispatch
+// mode as their last dash-separated token (l7lb.Mode.String()), so "…-hermes"
+// runs bytecode through the JIT, "…-hermes-native" runs the native twin
+// (control loop but no bytecode), and anything else runs no Hermes machinery.
+func checkModeCatalog(cell string, snaps []telemetry.MetricSnapshot) error {
+	vm := strings.HasSuffix(cell, "hermes")
+	hermes := vm || strings.HasSuffix(cell, "hermes-native")
+	snap := telemetry.Snapshot{Metrics: snaps}
+	for _, name := range []string{ebpf.MetricJITRuns, ebpf.MetricJITPrograms, ebpf.MetricJITInsns, ebpf.MetricJITClosures} {
+		switch ms := snap.Get(name); {
+		case vm && ms == nil:
+			return fmt.Errorf("hermes cell missing %s", name)
+		case vm && ms.Total() <= 0:
+			return fmt.Errorf("%s is zero — dispatch ran interpreted?", name)
+		case !vm && ms != nil:
+			return fmt.Errorf("non-bytecode cell carries %s", name)
+		}
+	}
+	switch batched := snap.Get(core.MetricSyncBatched) != nil; {
+	case hermes && !batched:
+		return fmt.Errorf("hermes cell missing %s", core.MetricSyncBatched)
+	case !hermes && batched:
+		return fmt.Errorf("non-hermes cell carries %s", core.MetricSyncBatched)
+	}
+	return nil
+}
+
+// checkProm validates an OpenMetrics text exposition under the strict
+// internal/openmetrics checker: HELP/TYPE pairing, name/label syntax and
+// escaping, suffix discipline, histogram bucket monotonicity with le="+Inf"
+// equal to _count, and a terminating # EOF.
+func checkProm(name string, r io.Reader) (string, error) {
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return "", fmt.Errorf("%s: %w", name, err)
+	}
+	fams, err := openmetrics.Validate(data)
+	if err != nil {
+		return "", fmt.Errorf("%s: %w", name, err)
+	}
+	samples := 0
+	for i := range fams {
+		samples += len(fams[i].Samples)
+	}
+	return fmt.Sprintf("%s: ok (%d families, %d samples)", name, len(fams), samples), nil
+}
+
+// checkSpans validates a hermes-bench -spans dump in either encoding: the
+// per-span schema — known kinds, legal tracks, non-negative durations — plus
+// the per-connection lifecycle invariants the tracer promises
+// (docs/TRACING.md): timestamps monotone along each connection's chain,
+// accept-queue residency nested between SYN and close, every notify-wait
+// abutting the serve it woke, and close last.
+func checkSpans(name string, r io.Reader) (string, error) {
+	spans, meta, err := tracing.ReadSpans(r)
+	if err != nil {
+		return "", fmt.Errorf("not a span dump: %w", err)
+	}
+	if len(spans) == 0 {
+		return "", fmt.Errorf("dump has no spans")
+	}
+	byConn := make(map[uint64][]tracing.Span)
+	for i, s := range spans {
+		if err := checkSpan(s); err != nil {
+			return "", fmt.Errorf("span %d (%s): %w", i, s.Kind, err)
+		}
+		if s.Conn != 0 {
+			byConn[s.Conn] = append(byConn[s.Conn], s)
+		}
+	}
+	conns := make([]uint64, 0, len(byConn))
+	for id := range byConn {
+		conns = append(conns, id)
+	}
+	sort.Slice(conns, func(i, j int) bool { return conns[i] < conns[j] })
+	for _, id := range conns {
+		if err := checkConn(byConn[id]); err != nil {
+			return "", fmt.Errorf("conn %d: %w", id, err)
+		}
+	}
+	if meta.ConnsKept > 0 && len(byConn) == 0 {
+		return "", fmt.Errorf("meta says %d connections kept but no conn-scoped spans", meta.ConnsKept)
+	}
+	return fmt.Sprintf("ok: %d spans, %d connections (meta: %d/%d conns kept, %d committed, %d dropped)",
+		len(spans), len(byConn), meta.ConnsKept, meta.ConnsSeen, meta.SpansCommitted, meta.SpansDropped), nil
+}
+
+// checkSpan enforces the per-span schema: a known kind on its legal track
+// with sane timestamps.
+func checkSpan(s tracing.Span) error {
+	if s.StartNS < 0 {
+		return fmt.Errorf("negative start %d", s.StartNS)
+	}
+	if s.EndNS < s.StartNS {
+		return fmt.Errorf("end %d before start %d", s.EndNS, s.StartNS)
+	}
+	kernel := s.Worker == tracing.KernelTrack
+	switch s.Kind {
+	case tracing.KindSYN, tracing.KindDrop, tracing.KindSelmapSync,
+		tracing.KindProbe, tracing.KindBackendState:
+		if !kernel {
+			return fmt.Errorf("must sit on the kernel track, got worker %d", s.Worker)
+		}
+	case tracing.KindFault:
+		// Fault/recovery instants sit on the affected worker's track, or on
+		// the kernel track for LB-wide faults (selmap sync stalls).
+		if !kernel && s.Worker < 0 {
+			return fmt.Errorf("must sit on a worker or kernel track, got %d", s.Worker)
+		}
+	default:
+		if kernel || s.Worker < 0 {
+			return fmt.Errorf("must sit on a worker track, got %d", s.Worker)
+		}
+	}
+	if s.Kind == tracing.KindSYN || s.Kind == tracing.KindDrop {
+		if _, ok := tracing.ViaFromName(tracing.Via(s.Arg).String()); !ok {
+			return fmt.Errorf("unknown via %d", s.Arg)
+		}
+	}
+	if s.Conn == 0 {
+		switch s.Kind {
+		case tracing.KindDrop, tracing.KindWakeup, tracing.KindSchedule, tracing.KindSelmapSync, tracing.KindFault,
+			tracing.KindProbe, tracing.KindBackendState:
+		default:
+			return fmt.Errorf("conn-scoped kind with no connection id")
+		}
+	}
+	return nil
+}
+
+// checkConn enforces lifecycle nesting along one connection's span chain.
+func checkConn(spans []tracing.Span) error {
+	tracing.SortSpans(spans)
+	var syn, queue, accept, close_ *tracing.Span
+	var serves, notifies []tracing.Span
+	for i := range spans {
+		s := &spans[i]
+		switch s.Kind {
+		case tracing.KindSYN:
+			if syn != nil {
+				return fmt.Errorf("duplicate syn")
+			}
+			syn = s
+		case tracing.KindAcceptQueue:
+			if queue != nil {
+				return fmt.Errorf("duplicate accept_queue")
+			}
+			queue = s
+		case tracing.KindAccept:
+			if accept != nil {
+				return fmt.Errorf("duplicate accept")
+			}
+			accept = s
+		case tracing.KindClose:
+			if close_ != nil {
+				return fmt.Errorf("duplicate close")
+			}
+			close_ = s
+		case tracing.KindServe:
+			serves = append(serves, *s)
+		case tracing.KindNotifyWait:
+			notifies = append(notifies, *s)
+		default:
+			return fmt.Errorf("unexpected %s on a connection chain", s.Kind)
+		}
+	}
+	if syn != nil && queue != nil && queue.StartNS < syn.StartNS {
+		return fmt.Errorf("accept_queue starts %d, before syn %d", queue.StartNS, syn.StartNS)
+	}
+	if queue != nil && accept != nil && accept.StartNS != queue.EndNS {
+		return fmt.Errorf("accept instant %d does not end the accept_queue span %d", accept.StartNS, queue.EndNS)
+	}
+	acceptedAt := int64(-1)
+	if queue != nil {
+		acceptedAt = queue.EndNS
+	}
+	// Each notify_wait must abut the serve it woke: same timestamp where
+	// the wait ends and service begins.
+	serveStarts := make(map[int64]bool, len(serves))
+	for _, s := range serves {
+		if s.StartNS < acceptedAt {
+			return fmt.Errorf("serve at %d precedes accept at %d", s.StartNS, acceptedAt)
+		}
+		serveStarts[s.StartNS] = true
+	}
+	for _, n := range notifies {
+		if !serveStarts[n.EndNS] {
+			return fmt.Errorf("notify_wait ending %d has no serve starting there", n.EndNS)
+		}
+	}
+	if close_ != nil {
+		for _, s := range spans {
+			if s.Kind != tracing.KindClose && s.EndNS > close_.StartNS {
+				return fmt.Errorf("%s ends %d, after close %d", s.Kind, s.EndNS, close_.StartNS)
+			}
+		}
+	}
+	return nil
+}

@@ -1,0 +1,124 @@
+package main
+
+import (
+	"bytes"
+	"encoding/json"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"hermes/internal/telemetry"
+	"hermes/internal/tracing"
+)
+
+// writeArtefacts emits one small artefact of each kind the way the system
+// does — a -metrics dump, an OpenMetrics exposition, a span dump — plus a
+// broken twin of each, and returns their paths by name.
+func writeArtefacts(t *testing.T) map[string]string {
+	t.Helper()
+	dir := t.TempDir()
+	paths := map[string]string{}
+	put := func(name string, data []byte) {
+		p := filepath.Join(dir, name)
+		if err := os.WriteFile(p, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		paths[name] = p
+	}
+
+	reg := telemetry.NewRegistry()
+	reg.Counter(telemetry.Metric{Name: "l7lb.x", Layer: "l7lb", Unit: "reqs", Help: "x"}).Add(3)
+	reg.Histogram(telemetry.Metric{Name: "l7lb.accept_wait_ns"}, telemetry.DurationBuckets()).Observe(100)
+	reg.Histogram(telemetry.Metric{Name: "l7lb.request_latency_ns"}, telemetry.DurationBuckets()).Observe(350)
+	var prom bytes.Buffer
+	if err := telemetry.WriteOpenMetrics(&prom, reg.Snapshot()); err != nil {
+		t.Fatal(err)
+	}
+	put("ok.prom", prom.Bytes())
+	put("bad.prom", bytes.TrimSuffix(prom.Bytes(), []byte("# EOF\n")))
+
+	cellJSON := func(cell string) []byte {
+		data, err := json.Marshal(map[string]map[string][]telemetry.MetricSnapshot{"exp": {cell: reg.Snapshot().Metrics}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	put("ok.metrics.json", cellJSON("cellA"))
+	// A hermes cell must carry the JIT and sync-batching rows.
+	put("bad.metrics.json", cellJSON("16w-hermes"))
+
+	tr := tracing.New(tracing.DefaultConfig())
+	k, w := tr.KernelTrace(), tr.WorkerTrace(0)
+	k.ConnEstablished(7, 1000, 0, tracing.ViaHash)
+	w.Accept(7, 1000, 1100)
+	w.Serve(7, 1150, 1200, 1500, false)
+	w.Close(7, 1600, false)
+	tr.Flush()
+	var dump bytes.Buffer
+	if err := tracing.WriteJSONL(&dump, tr.Spans(), tracing.MetaFor("cellA", tr.Stats())); err != nil {
+		t.Fatal(err)
+	}
+	put("ok.spans.jsonl", dump.Bytes())
+	put("bad.spans.jsonl", []byte("not a dump\n"))
+	return paths
+}
+
+func TestCheckSubcommand(t *testing.T) {
+	p := writeArtefacts(t)
+	for _, tc := range []struct {
+		args    []string
+		code    int
+		out, er string // substrings
+	}{
+		{[]string{"check", "metrics", p["ok.metrics.json"]}, 0, "ok: 1 experiments, 1 cells, 3 metric snapshots\n", ""},
+		{[]string{"check", "metrics", p["bad.metrics.json"]}, 1, "", "exp/16w-hermes: hermes cell missing ebpf.jit.runs"},
+		{[]string{"check", "prom", p["ok.prom"]}, 0, "ok.prom: ok (3 families, ", ""},
+		{[]string{"check", "prom", p["bad.prom"], p["ok.prom"]}, 1, "ok.prom: ok (", "bad.prom: "},
+		{[]string{"check", "spans", p["ok.spans.jsonl"]}, 0, "ok: 6 spans, 1 connections (meta: 1/1 conns kept, 6 committed, 0 dropped)\n", ""},
+		{[]string{"check", "spans", p["bad.spans.jsonl"]}, 1, "", "not a span dump"},
+		{[]string{"check", "spans", filepath.Join(t.TempDir(), "absent")}, 1, "", "no such file"},
+		{[]string{"check"}, 2, "", "usage: hermesctl check"},
+		{[]string{"check", "bogus", p["ok.prom"]}, 2, "", "usage: hermesctl check"},
+	} {
+		out, errOut, code := runCtl(t, tc.args...)
+		if code != tc.code || !strings.Contains(out, tc.out) || !strings.Contains(errOut, tc.er) {
+			t.Errorf("hermesctl %v: exit %d, stdout %q, stderr %q; want exit %d, stdout ∋ %q, stderr ∋ %q",
+				tc.args, code, out, errOut, tc.code, tc.out, tc.er)
+		}
+	}
+}
+
+func TestSpansSubcommand(t *testing.T) {
+	p := writeArtefacts(t)
+	out, errOut, code := runCtl(t, "spans", "-top", "1", "-metrics", p["ok.metrics.json"], p["ok.spans.jsonl"])
+	if code != 0 {
+		t.Fatalf("exit %d, stderr %q\n%s", code, errOut, out)
+	}
+	for _, want := range []string{
+		`cell "cellA": 6 spans, 1/1 connections kept`,
+		"steering: hash 1",
+		"- conn 7: worst 350ns",
+		"accept-queue vs accept_wait  spans 100ns over 1 vs histogram 100ns over 1  [OK]",
+		"serve latency vs latency     spans 350ns over 1 vs histogram 350ns over 1  [OK]",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("output lacks %q:\n%s", want, out)
+		}
+	}
+
+	// One connection's chain, and the usage and mismatch exits.
+	if out, _, code := runCtl(t, "spans", "-conn", "7", p["ok.spans.jsonl"]); code != 0 || strings.Count(out, "\n") != 6 {
+		t.Errorf("-conn 7: exit %d, output:\n%s", code, out)
+	}
+	if _, errOut, code := runCtl(t, "spans", "-conn", "8", p["ok.spans.jsonl"]); code != 1 || !strings.Contains(errOut, "connection 8 not in dump") {
+		t.Errorf("-conn 8: exit %d, stderr %q", code, errOut)
+	}
+	if _, _, code := runCtl(t, "spans"); code != 2 {
+		t.Errorf("no dump: exit %d, want 2", code)
+	}
+	if _, errOut, code := runCtl(t, "spans", "-metrics", p["ok.metrics.json"], "-cell", "nope", p["ok.spans.jsonl"]); code != 1 || !strings.Contains(errOut, `cell "nope" not in metrics dump`) {
+		t.Errorf("wrong -cell: exit %d, stderr %q", code, errOut)
+	}
+}

@@ -1,15 +1,19 @@
-// Command hermesctl inspects a running hermes-lb through its admin REST API.
+// Command hermesctl inspects a running hermes-lb through its admin REST API,
+// and the artefacts the system writes to disk.
 //
 //	hermesctl -admin 127.0.0.1:9900 status     # pool availability + SLO state (exit 1 when unavailable)
 //	hermesctl -admin 127.0.0.1:9900 backends   # per-backend health, counters, circuit state
 //	hermesctl -admin 127.0.0.1:9900 stats      # request/retry/latency + scheduler state
 //	hermesctl -admin 127.0.0.1:9900 circuits   # per-backend breaker snapshots
 //	hermesctl -admin 127.0.0.1:9900 slo        # burn-rate monitor status
-//	hermesctl -admin 127.0.0.1:9900 metrics    # raw OpenMetrics exposition (pipe to checkprom)
+//	hermesctl -admin 127.0.0.1:9900 metrics    # raw OpenMetrics exposition (pipe to `hermesctl check prom`)
 //	hermesctl -admin 127.0.0.1:9900 watch      # periodic re-render with per-interval rates
 //
 // -json prints the raw admin-API response instead of the text rendering; for
 // watch it streams one JSON object per interval.
+//
+//	hermesctl check metrics|prom|spans [file…]           # validate a -metrics / -prom / -spans dump (check.go)
+//	hermesctl spans [-top n] [-conn id] [-metrics m] dump # where each connection's time went (spans.go)
 package main
 
 import (
@@ -37,10 +41,18 @@ func run(args []string, out, errW io.Writer) int {
 	count := fs.Int("count", 0, "watch iterations before exiting (0 = until interrupted)")
 	fs.Usage = func() {
 		fmt.Fprintln(errW, "usage: hermesctl [-admin host:port] [-json] [-interval d] [-count n] status|backends|stats|circuits|slo|metrics|watch")
+		fmt.Fprintln(errW, "       hermesctl check metrics|prom|spans [file…]")
+		fmt.Fprintln(errW, "       hermesctl spans [-top n] [-conn id] [-metrics dump.json] <spans dump>")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
 		return 2
+	}
+	switch fs.Arg(0) {
+	case "check":
+		return check(fs.Args()[1:], out, errW)
+	case "spans":
+		return spans(fs.Args()[1:], out, errW)
 	}
 	if fs.NArg() != 1 {
 		fs.Usage()
@@ -66,7 +78,7 @@ func run(args []string, out, errW io.Writer) int {
 	}
 	if cmd == "metrics" {
 		// The exposition is already text; print it verbatim for scrapers and
-		// the checkprom conformance gate.
+		// the `check prom` conformance gate.
 		body, _, err := fetch(*admin, path)
 		if err != nil {
 			fmt.Fprintln(errW, "hermesctl:", err)

@@ -1,6 +1,20 @@
-// Hermes-spans analyses a hermes-bench -spans dump (docs/TRACING.md). It
-// reads either encoding (Chrome trace-event JSON or compact JSONL) and
-// prints where each connection's time went:
+package main
+
+import (
+	"flag"
+	"fmt"
+	"io"
+	"os"
+	"sort"
+	"strings"
+
+	"hermes/internal/telemetry"
+	"hermes/internal/tracing"
+)
+
+// This file is `hermesctl spans`: it analyses a hermes-bench -spans dump
+// (docs/TRACING.md), in either encoding (Chrome trace-event JSON or compact
+// JSONL), and prints where each connection's time went:
 //
 //   - the aggregate wait breakdown — steer (SYN → accept-queue entry),
 //     queue (accept-queue residency), notify (request arrival → service
@@ -17,79 +31,77 @@
 // fails it by construction.
 //
 //	hermes-bench -exp fig11 -spans dump.json -metrics m.json
-//	hermes-spans -top 5 -metrics m.json dump.json
-package main
+//	hermesctl spans -top 5 -metrics m.json dump.json
+//
+// Exit 0, 1 on an unreadable dump or a failed reconciliation, 2 on a usage
+// error.
 
-import (
-	"encoding/json"
-	"flag"
-	"fmt"
-	"os"
-	"sort"
-	"strings"
-
-	"hermes/internal/telemetry"
-	"hermes/internal/tracing"
-)
-
-func main() {
+func spans(args []string, out, errW io.Writer) int {
+	fs := flag.NewFlagSet("hermesctl spans", flag.ContinueOnError)
+	fs.SetOutput(errW)
 	var (
-		topK     = flag.Int("top", 10, "slowest connections to detail (0 = none)")
-		metrics  = flag.String("metrics", "", "reconcile against this hermes-bench -metrics dump")
-		exp      = flag.String("exp", "", "experiment key inside -metrics (default: sole experiment)")
-		cell     = flag.String("cell", "", "cell key inside -metrics (default: the dump's cell)")
-		connID   = flag.Uint64("conn", 0, "print one connection's span chain and exit")
-		failFlag = 0
+		topK    = fs.Int("top", 10, "slowest connections to detail (0 = none)")
+		metrics = fs.String("metrics", "", "reconcile against this hermes-bench -metrics dump")
+		exp     = fs.String("exp", "", "experiment key inside -metrics (default: sole experiment)")
+		cell    = fs.String("cell", "", "cell key inside -metrics (default: the dump's cell)")
+		connID  = fs.Uint64("conn", 0, "print one connection's span chain and exit")
 	)
-	flag.Parse()
-	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: hermes-spans [flags] <dump.json|dump.jsonl>")
-		os.Exit(2)
+	fs.Usage = func() {
+		fmt.Fprintln(errW, "usage: hermesctl spans [flags] <dump.json|dump.jsonl>")
+		fs.PrintDefaults()
 	}
-	f, err := os.Open(flag.Arg(0))
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	if fs.NArg() != 1 {
+		fs.Usage()
+		return 2
+	}
+	if err := analyzeDump(out, fs.Arg(0), *topK, *connID, *metrics, *exp, *cell); err != nil {
+		fmt.Fprintln(errW, "hermesctl: spans:", err)
+		return 1
+	}
+	return 0
+}
+
+func analyzeDump(out io.Writer, path string, topK int, connID uint64, metrics, exp, cell string) error {
+	f, err := os.Open(path)
 	if err != nil {
-		fatal(err.Error())
+		return err
 	}
 	spans, meta, err := tracing.ReadSpans(f)
 	f.Close()
 	if err != nil {
-		fatal("not a span dump: " + err.Error())
+		return fmt.Errorf("not a span dump: %w", err)
 	}
-
 	a := analyze(spans)
 
-	if *connID != 0 {
-		c := a.conns[*connID]
+	if connID != 0 {
+		c := a.conns[connID]
 		if c == nil {
-			fatal(fmt.Sprintf("connection %d not in dump", *connID))
+			return fmt.Errorf("connection %d not in dump", connID)
 		}
-		printChain(c)
-		return
+		printChain(out, c)
+		return nil
 	}
 
-	fmt.Printf("cell %q: %d spans, %d/%d connections kept", meta.Cell, len(spans), meta.ConnsKept, meta.ConnsSeen)
+	fmt.Fprintf(out, "cell %q: %d spans, %d/%d connections kept", meta.Cell, len(spans), meta.ConnsKept, meta.ConnsSeen)
 	if meta.SpansDropped > 0 {
-		fmt.Printf(" (%d spans overwritten in the ring)", meta.SpansDropped)
+		fmt.Fprintf(out, " (%d spans overwritten in the ring)", meta.SpansDropped)
 	}
-	fmt.Println()
-	a.printBreakdown()
-	a.printSpurious()
-	if *topK > 0 {
-		a.printSlowest(*topK)
+	fmt.Fprintln(out)
+	a.printBreakdown(out)
+	a.printSpurious(out)
+	if topK > 0 {
+		a.printSlowest(out, topK)
 	}
-	if *metrics != "" {
-		if !a.reconcile(*metrics, *exp, pick(*cell, meta.Cell)) {
-			failFlag = 1
-		}
+	if metrics == "" {
+		return nil
 	}
-	os.Exit(failFlag)
-}
-
-func pick(a, b string) string {
-	if a != "" {
-		return a
+	if cell == "" {
+		cell = meta.Cell
 	}
-	return b
+	return a.reconcile(out, metrics, exp, cell)
 }
 
 // conn is one connection's reassembled span chain.
@@ -193,7 +205,7 @@ func analyze(spans []tracing.Span) *analysis {
 	return a
 }
 
-func (a *analysis) printBreakdown() {
+func (a *analysis) printBreakdown(out io.Writer) {
 	var steer, queue, notify, serve int64
 	var reqs int
 	vias := make(map[tracing.Via]int)
@@ -206,22 +218,22 @@ func (a *analysis) printBreakdown() {
 		vias[c.via]++
 	}
 	n := len(a.order)
-	fmt.Println("\nwait breakdown (totals over traced connections):")
+	fmt.Fprintln(out, "\nwait breakdown (totals over traced connections):")
 	w := func(name string, tot int64, per int) {
 		if per == 0 {
 			per = 1
 		}
-		fmt.Printf("  %-8s %14s  (mean %s)\n", name, ns(tot), ns(tot/int64(per)))
+		fmt.Fprintf(out, "  %-8s %14s  (mean %s)\n", name, ns(tot), ns(tot/int64(per)))
 	}
 	w("steer", steer, n)
 	w("queue", queue, n)
 	w("notify", notify, reqs)
 	w("serve", serve, reqs)
-	fmt.Printf("  %d connections, %d requests", n, reqs)
+	fmt.Fprintf(out, "  %d connections, %d requests", n, reqs)
 	if a.drops > 0 {
-		fmt.Printf("; %d SYNs dropped (%d on queue overflow)", a.drops, a.overflow)
+		fmt.Fprintf(out, "; %d SYNs dropped (%d on queue overflow)", a.drops, a.overflow)
 	}
-	fmt.Println()
+	fmt.Fprintln(out)
 	keys := make([]tracing.Via, 0, len(vias))
 	for v := range vias {
 		keys = append(keys, v)
@@ -231,10 +243,10 @@ func (a *analysis) printBreakdown() {
 	for _, v := range keys {
 		parts = append(parts, fmt.Sprintf("%s %d", v, vias[v]))
 	}
-	fmt.Printf("  steering: %s\n", strings.Join(parts, ", "))
+	fmt.Fprintf(out, "  steering: %s\n", strings.Join(parts, ", "))
 }
 
-func (a *analysis) printSpurious() {
+func (a *analysis) printSpurious(out io.Writer) {
 	tracks := make([]int32, 0, len(a.wakeups))
 	for t := range a.wakeups {
 		tracks = append(tracks, t)
@@ -243,30 +255,30 @@ func (a *analysis) printSpurious() {
 		return
 	}
 	sort.Slice(tracks, func(i, j int) bool { return tracks[i] < tracks[j] })
-	fmt.Println("\nspurious wakeups per worker:")
+	fmt.Fprintln(out, "\nspurious wakeups per worker:")
 	for _, t := range tracks {
 		tot, sp := a.wakeups[t], a.spurious[t]
-		fmt.Printf("  worker %-3d %6d wakeups, %6d spurious (%.1f%%), %s blocked for nothing\n",
+		fmt.Fprintf(out, "  worker %-3d %6d wakeups, %6d spurious (%.1f%%), %s blocked for nothing\n",
 			t, tot, sp, 100*float64(sp)/float64(tot), ns(a.waitNS[t]))
 	}
 }
 
-func (a *analysis) printSlowest(k int) {
+func (a *analysis) printSlowest(out io.Writer, k int) {
 	slow := make([]*conn, len(a.order))
 	copy(slow, a.order)
 	sort.SliceStable(slow, func(i, j int) bool { return slow[i].maxLatNS > slow[j].maxLatNS })
 	if k > len(slow) {
 		k = len(slow)
 	}
-	fmt.Printf("\ntop %d slowest connections (by worst request latency):\n", k)
+	fmt.Fprintf(out, "\ntop %d slowest connections (by worst request latency):\n", k)
 	for _, c := range slow[:k] {
-		fmt.Printf("- conn %d: worst %s  (steer %s, queue %s, notify %s, serve %s over %d requests, via %s)\n",
+		fmt.Fprintf(out, "- conn %d: worst %s  (steer %s, queue %s, notify %s, serve %s over %d requests, via %s)\n",
 			c.id, ns(c.maxLatNS), ns(c.steerNS), ns(c.queueNS), ns(c.notifyNS), ns(c.serveNS), c.requests, c.via)
-		printChain(c)
+		printChain(out, c)
 	}
 }
 
-func printChain(c *conn) {
+func printChain(out io.Writer, c *conn) {
 	for _, s := range c.spans {
 		line := fmt.Sprintf("    %12d  %-12s worker %d", s.StartNS, s.Kind, s.Worker)
 		if !s.Instant() {
@@ -285,27 +297,27 @@ func printChain(c *conn) {
 				line += "  reset"
 			}
 		}
-		fmt.Println(line)
+		fmt.Fprintln(out, line)
 	}
 }
 
 // reconcile checks the dump's wait totals against the telemetry histograms
 // recorded by the same run: Σ accept-queue residencies must equal the
 // accept-wait histogram's sum, and Σ non-probe serve latencies the
-// request-latency histogram's sum (counts likewise). Returns false on any
-// mismatch.
-func (a *analysis) reconcile(path, exp, cell string) bool {
-	data, err := os.ReadFile(path)
+// request-latency histogram's sum (counts likewise).
+func (a *analysis) reconcile(out io.Writer, path, exp, cell string) error {
+	f, err := os.Open(path)
 	if err != nil {
-		fatal(err.Error())
+		return err
 	}
-	var dump map[string]map[string][]telemetry.MetricSnapshot
-	if err := json.Unmarshal(data, &dump); err != nil {
-		fatal("not a metrics dump: " + err.Error())
+	dump, err := readMetricsDump(f)
+	f.Close()
+	if err != nil {
+		return err
 	}
 	if exp == "" {
 		if len(dump) != 1 {
-			fatal(fmt.Sprintf("metrics dump has %d experiments; pick one with -exp", len(dump)))
+			return fmt.Errorf("metrics dump has %d experiments; pick one with -exp", len(dump))
 		}
 		for k := range dump {
 			exp = k
@@ -313,20 +325,16 @@ func (a *analysis) reconcile(path, exp, cell string) bool {
 	}
 	cells, ok := dump[exp]
 	if !ok {
-		fatal(fmt.Sprintf("experiment %q not in metrics dump", exp))
+		return fmt.Errorf("experiment %q not in metrics dump", exp)
 	}
 	snaps, ok := cells[cell]
 	if !ok {
-		fatal(fmt.Sprintf("cell %q not in metrics dump for %q", cell, exp))
+		return fmt.Errorf("cell %q not in metrics dump for %q", cell, exp)
 	}
-	find := func(name string) *telemetry.MetricSnapshot {
-		for i := range snaps {
-			if snaps[i].Name == name {
-				return &snaps[i]
-			}
-		}
-		fatal(fmt.Sprintf("metric %q not in %s/%s", name, exp, cell))
-		return nil
+	snap := telemetry.Snapshot{Metrics: snaps}
+	wait, latency := snap.Get("l7lb.accept_wait_ns"), snap.Get("l7lb.request_latency_ns")
+	if wait == nil || latency == nil {
+		return fmt.Errorf("%s/%s lacks the l7lb.accept_wait_ns and l7lb.request_latency_ns histograms", exp, cell)
 	}
 
 	var queueSum, latSum int64
@@ -340,23 +348,23 @@ func (a *analysis) reconcile(path, exp, cell string) bool {
 		latN += uint64(c.requests - c.probes)
 	}
 
-	fmt.Printf("\nreconciliation against %s/%s:\n", exp, cell)
-	ok = true
+	fmt.Fprintf(out, "\nreconciliation against %s/%s:\n", exp, cell)
+	mismatch := false
 	check := func(label string, ms *telemetry.MetricSnapshot, sum int64, count uint64) {
-		good := ms.Sum == sum && ms.Count == count
 		status := "OK"
-		if !good {
-			status, ok = "MISMATCH", false
+		if ms.Sum != sum || ms.Count != count {
+			status, mismatch = "MISMATCH", true
 		}
-		fmt.Printf("  %-28s spans %s over %d vs histogram %s over %d  [%s]\n",
+		fmt.Fprintf(out, "  %-28s spans %s over %d vs histogram %s over %d  [%s]\n",
 			label, ns(sum), count, ns(ms.Sum), ms.Count, status)
 	}
-	check("accept-queue vs accept_wait", find("l7lb.accept_wait_ns"), queueSum, queueN)
-	check("serve latency vs latency", find("l7lb.request_latency_ns"), latSum, latN)
-	if !ok {
-		fmt.Println("  (a sampled or ring-overwritten dump cannot reconcile; record with -span-sample 1)")
+	check("accept-queue vs accept_wait", wait, queueSum, queueN)
+	check("serve latency vs latency", latency, latSum, latN)
+	if mismatch {
+		fmt.Fprintln(out, "  (a sampled or ring-overwritten dump cannot reconcile; record with -span-sample 1)")
+		return fmt.Errorf("dump does not reconcile with %s", path)
 	}
-	return ok
+	return nil
 }
 
 func ns(v int64) string {
@@ -370,9 +378,4 @@ func ns(v int64) string {
 	default:
 		return fmt.Sprintf("%dns", v)
 	}
-}
-
-func fatal(msg string) {
-	fmt.Fprintln(os.Stderr, "hermes-spans: "+msg)
-	os.Exit(1)
 }

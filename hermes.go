@@ -16,11 +16,11 @@
 //   - internal/{kernel,ebpf,shm,sim} — the substrates: simulated sockets /
 //     epoll / reuseport, the eBPF VM and verifier, the lock-free Worker
 //     Status Table, the discrete-event engine;
-//   - internal/{l7lb,httpx,workload,trace,probe,stats,bench} — the L7 LB
+//   - internal/{l7lb,httpx,workload,probe,stats,bench} — the L7 LB
 //     application, traffic models, and the evaluation harness;
 //   - cmd/hermes-bench — regenerate every table and figure;
 //   - cmd/hermes-lb — a real-TCP reverse proxy scheduled by the same loop;
-//   - cmd/hermes-trace — trace record/replay;
+//   - cmd/hermesctl — admin-API client, dump validators, span analyser;
 //   - examples/ — runnable walkthroughs of the public surface.
 package hermes
 

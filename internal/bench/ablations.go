@@ -75,7 +75,7 @@ func (ablationsExperiment) Cells(opts Options) []Cell {
 	for i, v := range variants {
 		v := v
 		cells[i] = Cell{Name: v.name, Run: func() any {
-			run, err := Run(RunConfig{
+			rc := RunConfig{
 				Mode:      l7lb.ModeHermes,
 				Workers:   opts.Workers,
 				Ports:     ports,
@@ -83,11 +83,11 @@ func (ablationsExperiment) Cells(opts Options) []Cell {
 				Window:    opts.Window,
 				Drain:     opts.Drain / 2,
 				Specs:     specs,
-				Telemetry: opts.Metrics.Sink(v.name),
-				Tracer:    opts.Spans.Tracer(v.name),
 				Mutate:    v.mutate,
 				PostBuild: v.postBuild,
-			})
+			}
+			rc.Telemetry, rc.Tracer = opts.observers(v.name)
+			run, err := Run(rc)
 			if err != nil {
 				panic(fmt.Sprintf("bench: ablation %q: %v", v.name, err))
 			}

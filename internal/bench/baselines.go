@@ -29,18 +29,18 @@ func (baselinesExperiment) Cells(opts Options) []Cell {
 	for i, mode := range AllModes {
 		mode := mode
 		cells[i] = Cell{Name: mode.String(), Run: func() any {
-			run, err := Run(RunConfig{
-				Mode:      mode,
-				Workers:   opts.Workers,
-				Ports:     ports,
-				Seed:      opts.Seed,
-				Window:    opts.Window,
-				Drain:     opts.Drain,
-				Specs:     []workload.Spec{spec},
-				Telemetry: opts.Metrics.Sink(mode.String()),
-				Tracer:    opts.Spans.Tracer(mode.String()),
-				Mutate:    func(c *l7lb.Config) { c.RegisteredPorts = opts.RegisteredPorts },
-			})
+			rc := RunConfig{
+				Mode:    mode,
+				Workers: opts.Workers,
+				Ports:   ports,
+				Seed:    opts.Seed,
+				Window:  opts.Window,
+				Drain:   opts.Drain,
+				Specs:   []workload.Spec{spec},
+				Mutate:  func(c *l7lb.Config) { c.RegisteredPorts = opts.RegisteredPorts },
+			}
+			rc.Telemetry, rc.Tracer = opts.observers(mode.String())
+			run, err := Run(rc)
 			if err != nil {
 				panic(fmt.Sprintf("bench: baselines %v: %v", mode, err))
 			}

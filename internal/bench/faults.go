@@ -211,7 +211,8 @@ func runFaultsCell(opts Options, scen faultsScenario, mode l7lb.Mode) faultsRow 
 	)
 	eng := newSimEngine(opts.Seed)
 	cell := scen.name + "/" + mode.String()
-	cfg := opts.lbConfig(mode, tenantPorts(1), opts.Metrics.Sink(cell), opts.Spans.Tracer(cell))
+	cfg := opts.lbConfig(mode, tenantPorts(1))
+	cfg.Telemetry, cfg.Tracer = opts.observers(cell)
 	lb, err := l7lb.New(eng, cfg)
 	if err != nil {
 		panic(err)
@@ -270,8 +271,7 @@ func runFaultsCell(opts Options, scen faultsScenario, mode l7lb.Mode) faultsRow 
 
 	inj := faults.NewInjector(lb, scen.schedule(opts), opts.Seed)
 	inj.StaleFallback = w / 16
-	inj.Instrument(cfg.Telemetry)
-	inj.InstrumentTrace(cfg.Tracer.FaultTrace())
+	inj.Observe(cfg.Telemetry, cfg.Tracer)
 	inj.Start()
 
 	var dog *faults.Watchdog
@@ -281,8 +281,7 @@ func runFaultsCell(opts Options, scen faultsScenario, mode l7lb.Mode) faultsRow 
 		if dog = faults.NewWatchdog(lb, w/100); dog != nil {
 			dog.AutoRestart = true
 			dog.RestartDelay = w / 50
-			dog.Instrument(cfg.Telemetry)
-			dog.InstrumentTrace(cfg.Tracer.FaultTrace())
+			dog.Observe(cfg.Telemetry, cfg.Tracer)
 			dog.Start(time.Duration(trafficEnd))
 		}
 	}

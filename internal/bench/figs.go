@@ -46,16 +46,16 @@ func (fig2Experiment) Cells(opts Options) []Cell {
 	for i, mode := range fig2Modes {
 		mode := mode
 		cells[i] = Cell{Name: mode.String(), Run: func() any {
-			run, err := Run(RunConfig{
-				Mode:      mode,
-				Workers:   8,
-				Seed:      opts.Seed,
-				Window:    500 * time.Millisecond,
-				Drain:     100 * time.Millisecond,
-				Specs:     []workload.Spec{spec},
-				Telemetry: opts.Metrics.Sink(mode.String()),
-				Tracer:    opts.Spans.Tracer(mode.String()),
-			})
+			rc := RunConfig{
+				Mode:    mode,
+				Workers: 8,
+				Seed:    opts.Seed,
+				Window:  500 * time.Millisecond,
+				Drain:   100 * time.Millisecond,
+				Specs:   []workload.Spec{spec},
+			}
+			rc.Telemetry, rc.Tracer = opts.observers(mode.String())
+			run, err := Run(rc)
 			if err != nil {
 				panic(err)
 			}
@@ -88,7 +88,7 @@ func Fig2(opts Options) string { return RunExperiment(fig2Experiment{}, opts) }
 // a port over time, with per-worker CPU stddev spiking at the burst.
 func Fig3(opts Options) string {
 	eng := sim.NewEngine(opts.Seed)
-	cfg := Options{Workers: opts.Workers}.lbConfig(l7lb.ModeExclusive, []uint16{8080}, nil, nil)
+	cfg := Options{Workers: opts.Workers}.lbConfig(l7lb.ModeExclusive, []uint16{8080})
 	lb, err := l7lb.New(eng, cfg)
 	if err != nil {
 		panic(err)

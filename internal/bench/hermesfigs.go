@@ -28,7 +28,8 @@ func init() {
 // Hermes spreads the same connections and absorbs the burst.
 func measureDelayedRate(opts Options, mode l7lb.Mode) float64 {
 	eng := newSimEngine(opts.Seed)
-	cfg := opts.lbConfig(mode, tenantPorts(1), opts.Metrics.Sink(mode.String()), opts.Spans.Tracer(mode.String()))
+	cfg := opts.lbConfig(mode, tenantPorts(1))
+	cfg.Telemetry, cfg.Tracer = opts.observers(mode.String())
 	lb, err := l7lb.New(eng, cfg)
 	if err != nil {
 		panic(err)
@@ -189,7 +190,8 @@ func (fig13Experiment) Cells(opts Options) []Cell {
 		mode := mode
 		cells[mi] = Cell{Name: mode.String(), Run: func() any {
 			eng := newSimEngine(opts.Seed)
-			cfg := opts.lbConfig(mode, ports, opts.Metrics.Sink(mode.String()), opts.Spans.Tracer(mode.String()))
+			cfg := opts.lbConfig(mode, ports)
+			cfg.Telemetry, cfg.Tracer = opts.observers(mode.String())
 			lb, err := l7lb.New(eng, cfg)
 			if err != nil {
 				panic(err)
@@ -274,17 +276,17 @@ func (fig14Experiment) Cells(opts Options) []Cell {
 		name := fmt.Sprintf("load%.2fx", level)
 		cells[i] = Cell{Name: name, Run: func() any {
 			specs := workload.Regions()[1].Specs(ports, 55_000*opts.RateScale*level)
-			run, err := Run(RunConfig{
-				Mode:      l7lb.ModeHermes,
-				Workers:   opts.Workers,
-				Ports:     ports,
-				Seed:      opts.Seed,
-				Window:    opts.Window,
-				Drain:     opts.Drain / 2,
-				Specs:     specs,
-				Telemetry: opts.Metrics.Sink(name),
-				Tracer:    opts.Spans.Tracer(name),
-			})
+			rc := RunConfig{
+				Mode:    l7lb.ModeHermes,
+				Workers: opts.Workers,
+				Ports:   ports,
+				Seed:    opts.Seed,
+				Window:  opts.Window,
+				Drain:   opts.Drain / 2,
+				Specs:   specs,
+			}
+			rc.Telemetry, rc.Tracer = opts.observers(name)
+			run, err := Run(rc)
 			if err != nil {
 				panic(err)
 			}
@@ -334,20 +336,20 @@ func (fig15Experiment) Cells(opts Options) []Cell {
 		theta := theta
 		name := fmt.Sprintf("theta%.2f", theta)
 		cells[i] = Cell{Name: name, Run: func() any {
-			run, err := Run(RunConfig{
-				Mode:      l7lb.ModeHermes,
-				Workers:   opts.Workers,
-				Ports:     ports,
-				Seed:      opts.Seed,
-				Window:    opts.Window,
-				Drain:     opts.Drain / 2,
-				Specs:     specs,
-				Telemetry: opts.Metrics.Sink(name),
-				Tracer:    opts.Spans.Tracer(name),
+			rc := RunConfig{
+				Mode:    l7lb.ModeHermes,
+				Workers: opts.Workers,
+				Ports:   ports,
+				Seed:    opts.Seed,
+				Window:  opts.Window,
+				Drain:   opts.Drain / 2,
+				Specs:   specs,
 				Mutate: func(c *l7lb.Config) {
 					c.Hermes.ThetaFrac = theta
 				},
-			})
+			}
+			rc.Telemetry, rc.Tracer = opts.observers(name)
+			run, err := Run(rc)
 			if err != nil {
 				panic(err)
 			}

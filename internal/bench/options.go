@@ -57,18 +57,22 @@ func DefaultOptions() Options {
 }
 
 // lbConfig is the one place harness Options become an l7lb.Config: the
-// mode's defaults plus the run-wide knobs (fleet size, registered ports)
-// and the cell's observers (nil = not recorded). Experiments
-// that pin a knob — a 3-worker walkthrough, a figure without the
+// mode's defaults plus the run-wide knobs (fleet size, registered ports).
+// Experiments that pin a knob — a 3-worker walkthrough, a figure without the
 // registered-port overhead — pass an Options carrying only what they want.
-func (o Options) lbConfig(mode l7lb.Mode, ports []uint16, tel telemetry.Sink, tr *tracing.Tracer) l7lb.Config {
+func (o Options) lbConfig(mode l7lb.Mode, ports []uint16) l7lb.Config {
 	cfg := l7lb.DefaultConfig(mode)
 	cfg.Workers = o.Workers
 	cfg.Ports = ports
 	cfg.RegisteredPorts = o.RegisteredPorts
-	cfg.Telemetry = tel
-	cfg.Tracer = tr
 	return cfg
+}
+
+// observers is the one place a cell gets its observer pair: its registry in
+// the -metrics collector and, if it is the designated -spans cell, the flight
+// recorder. Both are nil — not recorded — when the run did not ask.
+func (o Options) observers(cell string) (telemetry.Sink, *tracing.Tracer) {
+	return o.Metrics.Sink(cell), o.Spans.Tracer(cell)
 }
 
 // Table3Modes are the three production alternatives the paper compares.

@@ -94,7 +94,8 @@ func Run(rc RunConfig) (*RunResult, error) {
 	if ports == nil && len(rc.Specs) > 0 {
 		ports = rc.Specs[0].Ports
 	}
-	cfg := Options{Workers: rc.Workers}.lbConfig(rc.Mode, ports, rc.Telemetry, rc.Tracer)
+	cfg := Options{Workers: rc.Workers}.lbConfig(rc.Mode, ports)
+	cfg.Telemetry, cfg.Tracer = rc.Telemetry, rc.Tracer
 	cfg.DetailedStats = rc.Detailed
 	if rc.Mutate != nil {
 		rc.Mutate(&cfg)

@@ -88,8 +88,7 @@ func (scaleExperiment) Cells(o Options) []Cell {
 				conns := scaleConns(tier, o.Window)
 				name := scaleCellName(fleet, conns, mode)
 				seed := o.Seed + int64(fi*100+ti*10+mi)
-				tel := o.Metrics.Sink(name)
-				tr := o.Spans.Tracer(name)
+				tel, tr := o.observers(name)
 				cells = append(cells, Cell{Name: name, Run: func() any {
 					return runScaleCell(fleet, conns, mode, seed, o, tel, tr)
 				}})
@@ -108,7 +107,8 @@ func runScaleCell(fleet, conns int, mode l7lb.Mode, seed int64, o Options,
 	tel telemetry.Sink, tr *tracing.Tracer) any {
 	start := time.Now()
 	eng := newSimEngine(seed)
-	cfg := Options{Workers: fleet}.lbConfig(mode, []uint16{8080}, tel, tr)
+	cfg := Options{Workers: fleet}.lbConfig(mode, []uint16{8080})
+	cfg.Telemetry, cfg.Tracer = tel, tr
 	// Pre-size every worker's connection table from the cell's planned
 	// connection count: an even share per worker is orders of magnitude
 	// above peak concurrently-open conns (each lives ~µs of virtual time),

@@ -61,19 +61,19 @@ func (table3Experiment) Cells(opts Options) []Cell {
 				name := fmt.Sprintf("%s/%s/%s", cs.Name, LevelNames[li], mode)
 				cells = append(cells, Cell{Name: name, Run: func() any {
 					spec := cs.Scale(opts.RateScale * LevelScales[li])
-					run, err := Run(RunConfig{
-						Mode:      mode,
-						Workers:   opts.Workers,
-						Seed:      opts.Seed + int64(ci*100+li*10+mi),
-						Window:    opts.Window,
-						Drain:     opts.Drain,
-						Specs:     []workload.Spec{spec},
-						Telemetry: opts.Metrics.Sink(name),
-						Tracer:    opts.Spans.Tracer(name),
+					rc := RunConfig{
+						Mode:    mode,
+						Workers: opts.Workers,
+						Seed:    opts.Seed + int64(ci*100+li*10+mi),
+						Window:  opts.Window,
+						Drain:   opts.Drain,
+						Specs:   []workload.Spec{spec},
 						Mutate: func(c *l7lb.Config) {
 							c.RegisteredPorts = opts.RegisteredPorts
 						},
-					})
+					}
+					rc.Telemetry, rc.Tracer = opts.observers(name)
+					run, err := Run(rc)
 					if err != nil {
 						panic(fmt.Sprintf("bench: table3 %s: %v", name, err))
 					}

@@ -108,18 +108,18 @@ func (table2Experiment) Cells(opts Options) []Cell {
 			// Device load level varies widely across a region.
 			totalRPS := (4_000 + rng.Float64()*50_000) * opts.RateScale
 			specs := region.Specs(ports, totalRPS)
-			run, err := Run(RunConfig{
-				Mode:      l7lb.ModeExclusive,
-				Workers:   opts.Workers,
-				Ports:     ports,
-				Seed:      opts.Seed + int64(d),
-				Window:    opts.Window,
-				Drain:     opts.Drain / 2,
-				Specs:     specs,
-				Telemetry: opts.Metrics.Sink(name),
-				Tracer:    opts.Spans.Tracer(name),
-				Mutate:    func(c *l7lb.Config) { c.RegisteredPorts = opts.RegisteredPorts },
-			})
+			rc := RunConfig{
+				Mode:    l7lb.ModeExclusive,
+				Workers: opts.Workers,
+				Ports:   ports,
+				Seed:    opts.Seed + int64(d),
+				Window:  opts.Window,
+				Drain:   opts.Drain / 2,
+				Specs:   specs,
+				Mutate:  func(c *l7lb.Config) { c.RegisteredPorts = opts.RegisteredPorts },
+			}
+			rc.Telemetry, rc.Tracer = opts.observers(name)
+			run, err := Run(rc)
 			if err != nil {
 				panic(fmt.Sprintf("bench: table2 device %d: %v", d, err))
 			}

@@ -26,7 +26,7 @@ func Walkthrough(opts Options) string {
 
 	for _, mode := range []l7lb.Mode{l7lb.ModeExclusive, l7lb.ModeReuseport, l7lb.ModeHermes} {
 		eng := newSimEngine(opts.Seed)
-		cfg := Options{Workers: 3}.lbConfig(mode, []uint16{8080}, nil, nil)
+		cfg := Options{Workers: 3}.lbConfig(mode, []uint16{8080})
 		// Make hang detection proportional to the example's timescale: a
 		// worker is "unavailable" once stuck longer than 3t (Fig. A4), and
 		// tighten θ so a busy worker is visibly excluded.

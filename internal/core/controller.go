@@ -9,7 +9,6 @@ import (
 	"hermes/internal/ebpf"
 	"hermes/internal/kernel"
 	"hermes/internal/shm"
-	"hermes/internal/tracing"
 )
 
 // syncCache coalesces schedule_and_sync calls within one Config.SyncQuantum:
@@ -102,8 +101,7 @@ type Controller struct {
 	aliveSum      atomic.Uint64
 	emptySets     atomic.Uint64
 
-	tel Instruments
-	tr  *tracing.ScheduleTrace
+	obs *observer // nil until Observe
 }
 
 // New creates Hermes state for n workers in ceil(n/64) groups, or exactly
@@ -130,7 +128,7 @@ func New(n int, cfg Config, opts ...Option) (*Controller, error) {
 	case n < 1:
 		return nil, fmt.Errorf("core: worker count %d < 1", n)
 	}
-	c := &Controller{key: o.key, wst: shm.NewGroupedSpan(n, span), tel: o.ins}
+	c := &Controller{key: o.key, wst: shm.NewGroupedSpan(n, span)}
 	c.cfg.Store(&cfg)
 	c.groups = make([]group, c.wst.Groups())
 	for gi := range c.groups {
@@ -278,6 +276,13 @@ func (c *Controller) AttachEBPF(rg *kernel.ReuseportGroup) error {
 		return err
 	}
 	rg.AttachProgram(prog)
+	if o := c.obs; o != nil {
+		// What AttachProgram just installed (compilation is cached per
+		// program); nothing if the compiler declined.
+		if cp, err := prog.Compiled(); err == nil {
+			cp.Observe(o.sink)
+		}
+	}
 	return nil
 }
 
@@ -310,12 +315,6 @@ func (c *Controller) socketsOf(rg *kernel.ReuseportGroup) ([]*kernel.Socket, err
 	return socks, nil
 }
 
-// Instrument wires telemetry for Algorithm 1 decisions.
-func (c *Controller) Instrument(ins Instruments) { c.tel = ins }
-
-// InstrumentTrace wires the flight recorder into schedule_and_sync passes.
-func (c *Controller) InstrumentTrace(tr *tracing.ScheduleTrace) { c.tr = tr }
-
 // NewWorkerHook returns global worker id's instrumentation handle — the few
 // lines Hermes adds to the epoll event loop (Fig. 9). The embedded scheduler
 // operates on the worker's own group only.
@@ -340,7 +339,9 @@ func (c *Controller) scheduleAndSync(g *group, nowNS int64, buf []shm.Metrics) (
 	if batching {
 		if res, ok := g.cache.load(nowNS, gen, int64(cfg.SyncQuantum)); ok {
 			c.syncBatched.Add(1)
-			c.tel.SyncBatched.Inc()
+			if o := c.obs; o != nil {
+				o.syncBatched.Inc()
+			}
 			return res, buf
 		}
 	}
@@ -372,11 +373,15 @@ func (c *Controller) scheduleAndSync(g *group, nowNS int64, buf []shm.Metrics) (
 	c.passedSum.Add(uint64(res.Passed))
 	if res.Passed == 0 {
 		c.emptySets.Add(1)
-		c.tel.EmptySets.Inc()
 	}
-	c.tel.Recomputes.Inc()
-	c.tel.WSTReads.Add(uint64(len(buf)))
-	c.tel.Passed.Observe(int64(res.Passed))
+	if o := c.obs; o != nil {
+		o.recomputes.Inc()
+		o.wstReads.Add(uint64(len(buf)))
+		o.passed.Observe(int64(res.Passed))
+		if res.Passed == 0 {
+			o.emptySets.Inc()
+		}
+	}
 
 	// Publish: shared-memory word for userspace observers, eBPF map for the
 	// kernel dispatcher. Both are single atomic stores; concurrent workers
@@ -384,7 +389,9 @@ func (c *Controller) scheduleAndSync(g *group, nowNS int64, buf []shm.Metrics) (
 	g.wst.StoreSelection(uint64(res.Bitmap))
 	if err := g.sel.Update(0, uint64(res.Bitmap)); err == nil {
 		c.syncs.Add(1)
-		c.tel.Syncs.Inc()
+		if o := c.obs; o != nil {
+			o.syncs.Inc()
+		}
 		// Only a successfully synced default-path result may serve a
 		// quantum: the fallback and single-winner policies are deliberately
 		// exempt from coalescing (they are ablation/override modes whose
@@ -463,7 +470,9 @@ func (h *WorkerHook) ConnClosed() { h.w.AddConn(-1) }
 func (h *WorkerHook) ScheduleAndSync(nowNS int64) ScheduleResult {
 	res, buf := h.c.scheduleAndSync(h.g, nowNS, h.buf)
 	h.buf = buf
-	h.c.tr.Pass(h.id, nowNS, res.Passed, res.Total)
+	if o := h.c.obs; o != nil {
+		o.tr.Pass(h.id, nowNS, res.Passed, res.Total)
+	}
 	return res
 }
 

@@ -1,30 +1,8 @@
 package core
 
-import "hermes/internal/telemetry"
-
-// Instruments are the telemetry handles for Algorithm 1 decisions. Nil
-// handles record nothing; see package telemetry.
-type Instruments struct {
-	// Recomputes counts schedule_and_sync invocations (controller recomputes).
-	Recomputes *telemetry.Counter
-	// Syncs counts successful kernel selection-map updates (syscalls).
-	Syncs *telemetry.Counter
-	// SyncBatched counts schedule_and_sync invocations coalesced into a
-	// quantum's cached result (Config.SyncQuantum) — calls that paid neither
-	// a WST scan nor a map-update syscall.
-	SyncBatched *telemetry.Counter
-	// WSTReads counts Worker Status Table rows read by scheduling passes.
-	WSTReads *telemetry.Counter
-	// EmptySets counts passes that selected nobody (kernel hash fallback).
-	EmptySets *telemetry.Counter
-	// Passed observes how many workers survived the whole cascade per pass.
-	Passed *telemetry.Histogram
-}
-
 type options struct {
 	groups int
 	key    GroupKey
-	ins    Instruments
 }
 
 // Option configures New.
@@ -42,10 +20,4 @@ func WithGroups(nGroups int) Option {
 // It has no effect on a single group.
 func WithGroupKey(key GroupKey) Option {
 	return func(o *options) { o.key = key }
-}
-
-// WithInstruments wires telemetry at construction time (equivalent to
-// calling Instrument on the result).
-func WithInstruments(ins Instruments) Option {
-	return func(o *options) { o.ins = ins }
 }

@@ -69,12 +69,8 @@ type Compiled struct {
 	entry    jitFn
 	closures int // closure count after fusion (compile-time stat)
 
-	telRuns *telemetry.Counter
+	runs *telemetry.Counter // ebpf.jit.runs; nil until Observe
 }
-
-// Instrument wires the per-execution telemetry counter (ebpf.jit.runs).
-// A nil handle records nothing.
-func (c *Compiled) Instrument(runs *telemetry.Counter) { c.telRuns = runs }
 
 // Insns returns the source program's instruction count.
 func (c *Compiled) Insns() int { return c.prog.Len() }
@@ -105,7 +101,7 @@ func (c *Compiled) Run(ctx *ReuseportCtx) (uint64, error) {
 	*ctx = e.ctx
 	e.ctx.Selected = nil // don't retain socket refs in the pool
 	jitEnvPool.Put(e)
-	c.telRuns.Inc()
+	c.runs.Inc()
 	return r0, err
 }
 

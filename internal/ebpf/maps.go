@@ -4,9 +4,6 @@ import (
 	"fmt"
 	"math/bits"
 	"sync/atomic"
-
-	"hermes/internal/telemetry"
-	"hermes/internal/tracing"
 )
 
 // MapType identifies the simulated map kinds Hermes uses.
@@ -52,9 +49,7 @@ type ArrayMap struct {
 	// FailedUpdates counts updates rejected by an injected sync failure.
 	FailedUpdates atomic.Uint64
 
-	telUpdates *telemetry.Counter
-	telLookups *telemetry.Counter
-	tr         *tracing.MapTrace
+	obs *mapObs // nil until Observe
 
 	// failUpdate, when set, makes Update fail (sync-failure fault): the
 	// syscall is still charged but the store is dropped.
@@ -66,19 +61,6 @@ type ArrayMap struct {
 	maxAgeNS atomic.Int64
 	lastUp   []atomic.Int64
 }
-
-// Instrument wires telemetry counters for userspace map operations: updates
-// counts BPF_MAP_UPDATE_ELEM calls, lookups counts both user and in-kernel
-// element reads. Nil handles record nothing.
-func (m *ArrayMap) Instrument(updates, lookups *telemetry.Counter) {
-	m.telUpdates = updates
-	m.telLookups = lookups
-}
-
-// InstrumentTrace wires the flight recorder into userspace updates: each
-// Update emits a selmap_sync instant annotated with the written bitmap's
-// popcount. The map has no clock of its own — the handle carries one.
-func (m *ArrayMap) InstrumentTrace(tr *tracing.MapTrace) { m.tr = tr }
 
 // NewArrayMap creates an array map with maxEntries zeroed elements.
 func NewArrayMap(maxEntries int) *ArrayMap {
@@ -128,7 +110,9 @@ func (m *ArrayMap) Lookup(key uint32) (uint64, bool) {
 	if int(key) >= len(m.vals) {
 		return 0, false
 	}
-	m.telLookups.Inc()
+	if o := m.obs; o != nil {
+		o.lookups.Inc()
+	}
 	if maxAge := m.maxAgeNS.Load(); maxAge > 0 {
 		if now, ok := m.stampNow.Load().(func() int64); ok {
 			if now()-m.lastUp[key].Load() > maxAge {
@@ -154,8 +138,10 @@ func (m *ArrayMap) Update(key uint32, val uint64) error {
 	if now, ok := m.stampNow.Load().(func() int64); ok {
 		m.lastUp[key].Store(now())
 	}
-	m.telUpdates.Inc()
-	m.tr.Sync(bits.OnesCount64(val))
+	if o := m.obs; o != nil {
+		o.updates.Inc()
+		o.tr.Sync(bits.OnesCount64(val))
+	}
 	return nil
 }
 
@@ -165,7 +151,9 @@ func (m *ArrayMap) UserLookup(key uint32) (uint64, error) {
 		return 0, fmt.Errorf("ebpf: lookup key %d out of range [0,%d)", key, len(m.vals))
 	}
 	m.SyscallCount.Add(1)
-	m.telLookups.Inc()
+	if o := m.obs; o != nil {
+		o.lookups.Inc()
+	}
 	return atomic.LoadUint64(&m.vals[key]), nil
 }
 

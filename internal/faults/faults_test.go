@@ -8,7 +8,29 @@ import (
 	"hermes/internal/kernel"
 	"hermes/internal/l7lb"
 	"hermes/internal/sim"
+	"hermes/internal/telemetry"
+	"hermes/internal/tracing"
 )
+
+// counterTotal reads a registered counter (or the sum of a counter vec) back
+// out of a registry snapshot.
+func counterTotal(t *testing.T, reg *telemetry.Registry, name string) int64 {
+	t.Helper()
+	ms := reg.Snapshot().Get(name)
+	if ms == nil {
+		t.Fatalf("metric %q not registered", name)
+	}
+	return ms.Total()
+}
+
+func faultSpans(tr *tracing.Tracer) (n int) {
+	for _, s := range tr.Spans() {
+		if s.Kind == tracing.KindFault {
+			n++
+		}
+	}
+	return n
+}
 
 func TestParseSpecRoundTrip(t *testing.T) {
 	spec := "hang@500ms:w3:dur=300ms;crash@1s:restart=200ms:drop;" +
@@ -118,6 +140,8 @@ func TestInjectorAppliesScheduledFaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	inj := NewInjector(lb, sched, 1)
+	reg, tracer := telemetry.NewRegistry(), tracing.New(tracing.Config{})
+	inj.Observe(reg, tracer)
 	inj.Start()
 	eng.RunUntil(eng.Now() + int64(10*time.Millisecond))
 
@@ -152,6 +176,17 @@ func TestInjectorAppliesScheduledFaults(t *testing.T) {
 	}
 	if inj.Restarts != 1 {
 		t.Errorf("injector restarts %d, want 1", inj.Restarts)
+	}
+	// The one attach call saw all of it: a counter slot per fault, the
+	// restart, and an instant for each on the flight recorder.
+	if got := counterTotal(t, reg, "faults.injected"); got != 6 {
+		t.Errorf("faults.injected = %d, want 6", got)
+	}
+	if got := counterTotal(t, reg, "faults.worker.restarts"); got != 1 {
+		t.Errorf("faults.worker.restarts = %d, want 1", got)
+	}
+	if got := faultSpans(tracer); got != 7 {
+		t.Errorf("%d fault instants traced, want 7 (6 faults + 1 restart)", got)
 	}
 }
 
@@ -193,6 +228,8 @@ func testWatchdogRecovers(t *testing.T, workers, victimID int) {
 	}
 	dog.AutoRestart = true
 	dog.RestartDelay = 5 * time.Millisecond
+	reg, tracer := telemetry.NewRegistry(), tracing.New(tracing.Config{})
+	dog.Observe(reg, tracer)
 	dog.Start(500 * time.Millisecond)
 
 	victim := lb.Workers[victimID]
@@ -213,6 +250,15 @@ func testWatchdogRecovers(t *testing.T, workers, victimID int) {
 	if d := dog.DetectionNS[0]; time.Duration(d) < dog.Threshold {
 		t.Fatalf("detected at staleness %v, below threshold %v", time.Duration(d), dog.Threshold)
 	}
+	if got := counterTotal(t, reg, "faults.watchdog.detections"); got != int64(dog.Detections) {
+		t.Errorf("faults.watchdog.detections = %d, watchdog counted %d", got, dog.Detections)
+	}
+	if got := counterTotal(t, reg, "faults.watchdog.restarts"); got != int64(dog.Restarts) {
+		t.Errorf("faults.watchdog.restarts = %d, watchdog counted %d", got, dog.Restarts)
+	}
+	if got, want := faultSpans(tracer), int(dog.Detections+dog.Restarts); got != want {
+		t.Errorf("%d fault instants traced, want %d", got, want)
+	}
 	// A healthy system must not retrigger.
 	before := dog.Detections
 	eng.RunUntil(eng.Now() + int64(100*time.Millisecond))
@@ -227,9 +273,8 @@ func TestWatchdogNilForBaselines(t *testing.T) {
 	if dog != nil {
 		t.Fatal("baseline modes have no WST; watchdog must be nil")
 	}
-	dog.Start(time.Second) // must not panic
-	dog.Instrument(nil)
-	dog.InstrumentTrace(nil)
+	dog.Start(time.Second) // must not panic, and neither must attaching observers
+	dog.Observe(telemetry.NewRegistry(), tracing.New(tracing.Config{}))
 }
 
 func TestStaleSelmapFallsBackToHash(t *testing.T) {

@@ -7,7 +7,6 @@ import (
 	"hermes/internal/ebpf"
 	"hermes/internal/kernel"
 	"hermes/internal/l7lb"
-	"hermes/internal/telemetry"
 	"hermes/internal/tracing"
 )
 
@@ -44,9 +43,7 @@ type Injector struct {
 	dropUntilNS int64
 	dropProb    float64
 
-	telInjected *telemetry.CounterVec
-	telRestarts *telemetry.Counter
-	tr          *tracing.FaultTrace
+	obs *injectorObs // nil until Observe
 }
 
 // NewInjector builds an injector for lb. seed drives probe-loss coin flips
@@ -54,25 +51,6 @@ type Injector struct {
 func NewInjector(lb *l7lb.LB, sched Schedule, seed int64) *Injector {
 	return &Injector{lb: lb, sched: sched, rng: rand.New(rand.NewSource(seed))}
 }
-
-// Instrument wires fault counters into sink (nil = disabled): one injected
-// counter per fault kind plus a restart counter, catalogued in
-// docs/TELEMETRY.md.
-func (inj *Injector) Instrument(sink telemetry.Sink) {
-	if sink == nil {
-		return
-	}
-	inj.telInjected = sink.CounterVec(telemetry.Metric{
-		Name: "faults.injected", Layer: "faults", Unit: "events",
-		Help: "injected fault events by kind (hang, crash, slow, shrinkq, syncstall, probeloss)"}, numSchedulable)
-	inj.telRestarts = sink.Counter(telemetry.Metric{
-		Name: "faults.worker.restarts", Layer: "faults", Unit: "events",
-		Help: "crashed workers brought back by a scheduled restart"})
-}
-
-// InstrumentTrace wires the flight recorder: every fault and restart emits
-// a fault instant on the victim's track (kernel track for LB-wide faults).
-func (inj *Injector) InstrumentTrace(tr *tracing.FaultTrace) { inj.tr = tr }
 
 // AttachProber points a prober's loss hook at this injector's probe-loss
 // window. Attach every prober whose stream the schedule should affect.
@@ -157,8 +135,10 @@ func (inj *Injector) apply(ev Event) {
 				}
 				w.Restart()
 				inj.Restarts++
-				inj.telRestarts.Inc()
-				inj.tr.Event(int32(w.ID), eng.Now(), int64(Restart), 0)
+				if o := inj.obs; o != nil {
+					o.restarts.Inc()
+					o.tr.Event(int32(w.ID), eng.Now(), int64(Restart), 0)
+				}
 			})
 		}
 	case Slow:
@@ -244,6 +224,8 @@ func (inj *Injector) shrinkTargets(ev Event) []*kernel.Socket {
 
 func (inj *Injector) record(k Kind, track int32, nowNS, param int64) {
 	inj.Injected++
-	inj.telInjected.At(int(k)).Inc()
-	inj.tr.Event(track, nowNS, int64(k), param)
+	if o := inj.obs; o != nil {
+		o.injected.At(int(k)).Inc()
+		o.tr.Event(track, nowNS, int64(k), param)
+	}
 }

@@ -5,8 +5,6 @@ import (
 
 	"hermes/internal/l7lb"
 	"hermes/internal/shm"
-	"hermes/internal/telemetry"
-	"hermes/internal/tracing"
 )
 
 // Watchdog detects hung workers from WST loop-enter staleness — the same
@@ -40,9 +38,7 @@ type Watchdog struct {
 	flagged []bool
 	buf     []shm.Metrics
 
-	telDetections *telemetry.Counter
-	telRestarts   *telemetry.Counter
-	tr            *tracing.FaultTrace
+	obs *watchdogObs // nil until Observe
 }
 
 // NewWatchdog builds a watchdog for lb, scanning every group's table.
@@ -58,28 +54,6 @@ func NewWatchdog(lb *l7lb.LB, interval time.Duration) *Watchdog {
 		wst:       lb.Ctl.WST(),
 		flagged:   make([]bool, len(lb.Workers)),
 	}
-}
-
-// Instrument wires detection/restart counters into sink (nil = disabled).
-func (d *Watchdog) Instrument(sink telemetry.Sink) {
-	if d == nil || sink == nil {
-		return
-	}
-	d.telDetections = sink.Counter(telemetry.Metric{
-		Name: "faults.watchdog.detections", Layer: "faults", Unit: "events",
-		Help: "workers flagged hung by WST loop-enter staleness"})
-	d.telRestarts = sink.Counter(telemetry.Metric{
-		Name: "faults.watchdog.restarts", Layer: "faults", Unit: "events",
-		Help: "watchdog-driven crash+restart recoveries"})
-}
-
-// InstrumentTrace wires the flight recorder (detect/restart instants on the
-// victim's track).
-func (d *Watchdog) InstrumentTrace(tr *tracing.FaultTrace) {
-	if d == nil {
-		return
-	}
-	d.tr = tr
 }
 
 // Start scans every Interval over [now, now+dur). Safe on nil (no WST).
@@ -123,8 +97,10 @@ func (d *Watchdog) scan(nowNS int64) {
 		d.flagged[id] = true
 		d.Detections++
 		d.DetectionNS = append(d.DetectionNS, stale)
-		d.telDetections.Inc()
-		d.tr.Event(int32(id), nowNS, int64(Detect), stale)
+		if o := d.obs; o != nil {
+			o.detections.Inc()
+			o.tr.Event(int32(id), nowNS, int64(Detect), stale)
+		}
 		if d.AutoRestart {
 			// Recovery mirrors a supervisor SIGKILL + respawn: the hung
 			// process cannot be revived in place, so its connections reset
@@ -136,8 +112,10 @@ func (d *Watchdog) scan(nowNS int64) {
 				}
 				w.Restart()
 				d.Restarts++
-				d.telRestarts.Inc()
-				d.tr.Event(int32(id), d.lb.Eng.Now(), int64(Restart), 0)
+				if o := d.obs; o != nil {
+					o.restarts.Inc()
+					o.tr.Event(int32(id), d.lb.Eng.Now(), int64(Restart), 0)
+				}
 			})
 		}
 	}

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"hermes/internal/sim"
-	"hermes/internal/tracing"
 )
 
 // EventKind classifies an epoll event for the application.
@@ -132,8 +131,7 @@ type Epoll struct {
 	EventsDelivered  uint64 // total events returned
 	LastBlockStartNS int64  // when the current/last block began
 
-	tel EpollInstruments
-	tr  *tracing.WorkerTrace
+	obs *epollObs // nil until BindWorker on an observed stack
 }
 
 // Add registers a socket with this epoll instance (EPOLL_CTL_ADD) in
@@ -305,20 +303,17 @@ func (ep *Epoll) Wait(maxEvents int, timeout time.Duration, fn func([]Event)) {
 	if evs := ep.collect(maxEvents); len(evs) > 0 {
 		ep.Waits++
 		ep.EventsDelivered += uint64(len(evs))
-		ep.tel.Wakeups.Inc()
-		ep.tel.Events.Add(uint64(len(evs)))
-		ep.tel.Residency.Observe(0)
-		now := ep.ns.eng.Now()
-		ep.tr.Wakeup(now, now, len(evs), false)
+		if o := ep.obs; o != nil {
+			o.waitDone(ep.LastBlockStartNS, ep.LastBlockStartNS, len(evs), false)
+		}
 		ep.schedule(delivery{fn: fn, evs: evs})
 		return
 	}
 	if timeout == 0 {
 		ep.Waits++
-		ep.tel.Wakeups.Inc()
-		ep.tel.Residency.Observe(0)
-		now := ep.ns.eng.Now()
-		ep.tr.Wakeup(now, now, 0, true)
+		if o := ep.obs; o != nil {
+			o.waitDone(ep.LastBlockStartNS, ep.LastBlockStartNS, 0, true)
+		}
 		ep.schedule(delivery{fn: fn})
 		return
 	}
@@ -361,13 +356,11 @@ func (ep *Epoll) deliver() {
 	evs := ep.collect(d.max)
 	ep.Waits++
 	ep.EventsDelivered += uint64(len(evs))
-	ep.tel.Wakeups.Inc()
-	ep.tel.Events.Add(uint64(len(evs)))
-	ep.tel.Residency.Observe(ep.ns.eng.Now() - ep.LastBlockStartNS)
-	ep.tr.Wakeup(ep.LastBlockStartNS, ep.ns.eng.Now(), len(evs), false)
 	if len(evs) == 0 {
 		ep.SpuriousWakeups++
-		ep.tel.Spurious.Inc()
+	}
+	if o := ep.obs; o != nil {
+		o.waitDone(ep.LastBlockStartNS, ep.ns.eng.Now(), len(evs), false)
 	}
 	d.fn(evs)
 }
@@ -382,10 +375,10 @@ func (ep *Epoll) onTimeout() {
 	ep.wFn = nil
 	ep.Waits++
 	ep.Timeouts++
-	ep.tel.Wakeups.Inc()
-	ep.tel.Timeouts.Inc()
-	ep.tel.Residency.Observe(ep.ns.eng.Now() - ep.LastBlockStartNS)
-	ep.tr.Wakeup(ep.LastBlockStartNS, ep.ns.eng.Now(), 0, true)
+	if o := ep.obs; o != nil {
+		o.waitDone(ep.LastBlockStartNS, ep.ns.eng.Now(), 0, true)
+		o.timeouts.Inc()
+	}
 	fn(nil)
 }
 

@@ -79,8 +79,7 @@ type NetStack struct {
 	// ConnsEstablished counts successfully queued connections.
 	ConnsEstablished uint64
 
-	tel WakeInstruments
-	tr  *tracing.KernelTrace
+	obs *observer // nil until Observe
 }
 
 // DefaultAcceptBacklog is the accept-queue capacity used when callers pass
@@ -165,6 +164,7 @@ func (ns *NetStack) ListenReuseport(port uint16, n, backlog int) (*ReuseportGrou
 		return nil, fmt.Errorf("kernel: reuseport group needs ≥1 sockets, got %d", n)
 	}
 	g := &ReuseportGroup{Port: port, ns: ns}
+	ns.obs.observeReuseport()
 	for i := 0; i < n; i++ {
 		s := ns.newSocket(port, true, backlog)
 		s.group = g
@@ -230,7 +230,9 @@ func (ns *NetStack) deliverSYNResolved(tuple FourTuple, meta any, g *ReuseportGr
 		target = s
 	} else {
 		ns.SynDrops++
-		ns.tr.ConnDropped(ns.eng.Now(), tracing.ViaShared, false)
+		if o := ns.obs; o != nil {
+			o.tr.ConnDropped(ns.eng.Now(), tracing.ViaShared, false)
+		}
 		return nil, false
 	}
 
@@ -271,14 +273,18 @@ func (ns *NetStack) deliverSYNResolved(tuple FourTuple, meta any, g *ReuseportGr
 
 	if !target.enqueueConn(c) {
 		ns.SynDrops++
-		ns.tr.ConnDropped(ns.eng.Now(), via, true)
+		if o := ns.obs; o != nil {
+			o.tr.ConnDropped(ns.eng.Now(), via, true)
+		}
 		// Never exposed; recycle immediately (the conn ID stays consumed,
 		// as it was before pooling).
 		ns.connFree = append(ns.connFree, c)
 		return nil, false
 	}
 	ns.ConnsEstablished++
-	ns.tr.ConnEstablished(uint64(c.ID), c.EstablishedNS, worker, via)
+	if o := ns.obs; o != nil {
+		o.tr.ConnEstablished(uint64(c.ID), c.EstablishedNS, worker, via)
+	}
 	return c, true
 }
 
@@ -388,14 +394,15 @@ func (ns *NetStack) socketReady(s *Socket) {
 	for w := s.watchHead; w != nil; w = w.next {
 		w.ep.markReady(w)
 	}
+	if o := ns.obs; o != nil && int(ns.Mode) < len(o.wakes) {
+		o.wakes[ns.Mode].Inc()
+	}
 	switch ns.Mode {
 	case WakeHerd:
-		ns.tel.Herd.Inc()
 		for w := s.watchHead; w != nil; w = w.next {
 			w.ep.wake()
 		}
 	case WakeExclusiveLIFO:
-		ns.tel.LIFO.Inc()
 		for w := s.watchHead; w != nil; w = w.next {
 			if w.ep.Blocked() {
 				w.ep.wake()
@@ -403,7 +410,6 @@ func (ns *NetStack) socketReady(s *Socket) {
 			}
 		}
 	case WakeExclusiveRR:
-		ns.tel.RR.Inc()
 		for w := s.watchHead; w != nil; w = w.next {
 			if w.ep.Blocked() {
 				w.ep.wake()
@@ -412,7 +418,6 @@ func (ns *NetStack) socketReady(s *Socket) {
 			}
 		}
 	case WakeExclusiveFIFO:
-		ns.tel.FIFO.Inc()
 		for w := s.watchTail; w != nil; w = w.prev {
 			if w.ep.Blocked() {
 				w.ep.wake()

@@ -14,23 +14,21 @@ import (
 // the wakeup span, so zero-block waits were invisible to telemetry and the
 // flight recorder. Both must observe a 0ns residency; the events-ready path
 // must also emit a zero-width wakeup span.
-func TestImmediateWaitReturnsInstrumented(t *testing.T) {
+func TestImmediateWaitReturnsObserved(t *testing.T) {
 	eng := sim.NewEngine(1)
 	ns := NewNetStack(eng, WakeExclusiveLIFO)
+	reg := telemetry.NewRegistry()
+	tracer := tracing.New(tracing.Config{})
+	ns.Observe(reg, tracer, 1)
 	ls, err := ns.ListenShared(80, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ep := ns.NewEpoll()
 	ep.Add(ls)
-
-	reg := telemetry.NewRegistry()
-	hist := reg.Histogram(telemetry.Metric{
-		Name: "kernel.epoll.wait_ns", Layer: "kernel", Unit: "ns",
-	}, telemetry.DurationBuckets())
-	tracer := tracing.New(tracing.Config{})
-	ep.Instrument(EpollInstruments{Residency: hist})
-	ep.InstrumentTrace(tracer.WorkerTrace(0))
+	ep.BindWorker(0)
+	// Asking for a registered name again returns the layer's own handle.
+	hist := reg.Histogram(telemetry.Metric{Name: "kernel.epoll.wait_ns"}, nil)
 
 	// Path 1: the listener is ready before Wait is even called.
 	if _, ok := ns.DeliverSYN(tupleFor(1, 80), nil); !ok {

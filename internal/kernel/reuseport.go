@@ -31,8 +31,6 @@ type ReuseportGroup struct {
 	HashDispatched uint64 // plain hash (no override attached)
 	Fallbacks      uint64 // override declined or picked an invalid socket
 	ProgErrors     uint64 // program execution errors (also fall back)
-
-	tel GroupInstruments
 }
 
 // Sockets returns the member sockets in bind order (socket i belongs to
@@ -66,10 +64,6 @@ func (g *ReuseportGroup) AttachProgramInterpreted(p *ebpf.Program) {
 // Program returns the attached eBPF program, nil if none.
 func (g *ReuseportGroup) Program() *ebpf.Program { return g.prog }
 
-// Compiled returns the JIT-compiled form of the attached program, nil when
-// detached, native, or interpreter-forced.
-func (g *ReuseportGroup) Compiled() *ebpf.Compiled { return g.compiled }
-
 // AttachNative installs a Go-native selector with the same contract as an
 // eBPF program (production runs the program JIT-compiled; the native path is
 // its stand-in for hot benchmarks and ablations). fn returns ok=false to
@@ -96,7 +90,10 @@ func (g *ReuseportGroup) hashPick(hash uint32) *Socket {
 // returning the steering path taken (the trace annotation of KindSYN).
 func (g *ReuseportGroup) selectSocket(hash, localityHash uint32) (*Socket, tracing.Via) {
 	s, via := g.pick(hash, localityHash)
-	g.tel.Steered.At(s.groupIdx).Inc()
+	if o := g.ns.obs; o != nil {
+		o.steered.At(s.groupIdx).Inc()
+		o.byVia[via].Inc()
+	}
 	return s, via
 }
 
@@ -116,31 +113,25 @@ func (g *ReuseportGroup) pick(hash, localityHash uint32) (*Socket, tracing.Via) 
 		}
 		if err != nil {
 			g.ProgErrors++
-			g.tel.ProgErrors.Inc()
 			return g.hashPick(hash), tracing.ViaProgError
 		}
 		if r0 == 0 && ctx.Selected != nil {
 			if s, ok := ctx.Selected.(*Socket); ok && s.group == g && !s.closed {
 				g.ProgDispatched++
-				g.tel.ProgHits.Inc()
 				return s, tracing.ViaProg
 			}
 		}
 		g.Fallbacks++
-		g.tel.Fallbacks.Inc()
 		return g.hashPick(hash), tracing.ViaFallback
 	case g.selectFn != nil:
 		if s, ok := g.selectFn(hash, localityHash); ok && s != nil && s.group == g && !s.closed {
 			g.ProgDispatched++
-			g.tel.ProgHits.Inc()
 			return s, tracing.ViaProg
 		}
 		g.Fallbacks++
-		g.tel.Fallbacks.Inc()
 		return g.hashPick(hash), tracing.ViaFallback
 	default:
 		g.HashDispatched++
-		g.tel.HashPicks.Inc()
 		return g.hashPick(hash), tracing.ViaHash
 	}
 }

@@ -87,7 +87,6 @@ type Socket struct {
 	ns       *NetStack
 	group    *ReuseportGroup // reuseport membership, nil for shared/conn sockets
 	groupIdx int             // member index within group (worker id), 0 otherwise
-	tel      QueueInstruments
 
 	// Listening sockets: completed connections waiting for accept().
 	// acceptQ[qhead:] are the queued connections; popped slots are nilled
@@ -238,7 +237,9 @@ func (s *Socket) enqueueConn(c *Conn) bool {
 	}
 	if s.QueueLen() >= s.acceptCap {
 		s.Drops++
-		s.tel.Dropped.Inc()
+		if o := s.ns.obs; o != nil {
+			o.qDropped.At(s.groupIdx).Inc()
+		}
 		return false
 	}
 	if len(s.acceptQ) == cap(s.acceptQ) && s.qhead > 0 {
@@ -250,8 +251,10 @@ func (s *Socket) enqueueConn(c *Conn) bool {
 		s.qhead = 0
 	}
 	s.acceptQ = append(s.acceptQ, c)
-	s.tel.Enqueued.Inc()
-	s.tel.DepthPeak.SetMax(int64(s.QueueLen()))
+	if o := s.ns.obs; o != nil {
+		o.qEnqueued.At(s.groupIdx).Inc()
+		o.qDepthPeak.At(s.groupIdx).SetMax(int64(s.QueueLen()))
+	}
 	s.ns.socketReady(s)
 	return true
 }

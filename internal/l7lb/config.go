@@ -198,16 +198,15 @@ type Config struct {
 	// Costs.UpstreamHandshake extra (§7 "More connections established with
 	// backend servers").
 	Upstream *UpstreamPool
-	// Telemetry, when set, wires the cross-layer metric catalog
-	// (docs/TELEMETRY.md) into the kernel, eBPF, core, and worker layers at
-	// build time. Nil disables all recording: the layers then hold nil
-	// instrument handles whose methods no-op.
+	// Telemetry, when set, is the sink the kernel, eBPF, core and worker
+	// layers each register their rows of the metric catalog on
+	// (docs/TELEMETRY.md). Nil disables all recording.
 	Telemetry telemetry.Sink
-	// Tracer, when set, wires the per-connection flight recorder
-	// (docs/TRACING.md) into the same layers at build time: SYN steering,
+	// Tracer, when set, is the per-connection flight recorder
+	// (docs/TRACING.md) the same layers record into: SYN steering,
 	// accept-queue residency, epoll wakeups, per-request service, closes.
-	// Nil disables recording — the layers then hold nil trace handles whose
-	// methods no-op, and output is byte-identical to an untraced run.
+	// With both nil no layer is observed — a hook site costs one nil check —
+	// and output is byte-identical to an observed run.
 	Tracer *tracing.Tracer
 }
 

@@ -24,10 +24,6 @@ type dispatcher struct {
 func newDispatcher(lb *LB) *dispatcher {
 	d := &dispatcher{lb: lb, w: newWorker(lb, -1, NopHook{})}
 	d.onWakeFn = d.onWake
-	// The dispatcher core traces on the track one past the executors (the
-	// kernel track is reserved for the netstack).
-	d.w.tr = lb.Cfg.Tracer.WorkerTrace(lb.Cfg.Workers)
-	d.w.ep.InstrumentTrace(d.w.tr)
 	for _, s := range lb.shared {
 		d.w.ep.Add(s)
 	}
@@ -75,7 +71,9 @@ func (d *dispatcher) handle(ev kernel.Event) time.Duration {
 			return costs.SpuriousWake
 		}
 		d.w.Accepted++
-		d.w.tr.Accept(uint64(conn.ID), conn.EstablishedNS, conn.AcceptedNS)
+		if o := d.w.obs; o != nil {
+			o.tr.Accept(uint64(conn.ID), conn.EstablishedNS, conn.AcceptedNS)
+		}
 		d.w.addConn(conn.Sock())
 		return costs.Accept + costs.Dispatch
 	case kernel.EvReadable:
@@ -94,7 +92,9 @@ func (d *dispatcher) handle(ev kernel.Event) time.Duration {
 			// The job ran contiguously for work.Cost ending now, so the
 			// serve span's start is recoverable without threading it through.
 			end := d.lb.Eng.Now()
-			ex.tr.Serve(uint64(connRef.ID()), work.ArrivalNS, end-int64(work.Cost), end, work.Probe)
+			if o := ex.obs; o != nil {
+				o.tr.Serve(uint64(connRef.ID()), work.ArrivalNS, end-int64(work.Cost), end, work.Probe)
+			}
 			d.lb.recordCompletion(ex, connRef, work)
 			if work.Close && connRef.Get() != nil {
 				d.w.closeConn(sock)

@@ -33,7 +33,7 @@ type LB struct {
 	shared      []*kernel.Socket
 	mutex       *acceptMutex
 	acceptExtra time.Duration // per-accept dispatch overhead (mode-dependent)
-	tel         lbInstruments
+	obs         []workerObs   // per worker slot; nil unless Config.Telemetry or Config.Tracer is set
 	probeSinks  []func(work Work, latencyNS int64)
 
 	// Latency samples end-to-end request time (ms).
@@ -85,6 +85,15 @@ func New(eng *sim.Engine, cfg Config) (*LB, error) {
 		NS:  kernel.NewNetStack(eng, wake),
 		Cfg: cfg,
 	}
+	if cfg.Mode.UsesHermes() {
+		ctl, err := core.New(cfg.Workers, cfg.Hermes)
+		if err != nil {
+			return nil, err
+		}
+		lb.Ctl = ctl
+		ctl.SetFilterOrder(cfg.FilterOrder)
+	}
+	lb.observe()
 
 	switch cfg.Mode {
 	case ModeExclusive, ModeExclusiveRR, ModeHerd, ModeAcceptMutex, ModeDispatcher, ModeIOUring:
@@ -107,18 +116,13 @@ func New(eng *sim.Engine, cfg Config) (*LB, error) {
 		return nil, fmt.Errorf("l7lb: unknown mode %v", cfg.Mode)
 	}
 
-	if cfg.Mode.UsesHermes() {
-		ctl, err := core.New(cfg.Workers, cfg.Hermes)
-		if err != nil {
-			return nil, err
-		}
-		lb.Ctl = ctl
-		ctl.SetFilterOrder(cfg.FilterOrder)
+	if lb.Ctl != nil {
 		for _, g := range lb.groups {
+			var err error
 			if cfg.Mode == ModeHermes {
-				err = ctl.AttachEBPF(g)
+				err = lb.Ctl.AttachEBPF(g)
 			} else {
-				err = ctl.AttachNative(g)
+				err = lb.Ctl.AttachNative(g)
 			}
 			if err != nil {
 				return nil, err
@@ -128,8 +132,6 @@ func New(eng *sim.Engine, cfg Config) (*LB, error) {
 	if cfg.Mode == ModeAcceptMutex {
 		lb.mutex = &acceptMutex{}
 	}
-	wireTelemetry(lb)
-	wireTracing(lb)
 
 	for i := 0; i < cfg.Workers; i++ {
 		var hook Hook = NopHook{}
@@ -249,7 +251,9 @@ func (lb *LB) recordCompletion(w *Worker, conn kernel.ConnRef, work Work) {
 	} else {
 		lb.Completed++
 		lb.Latency.AddDuration(lat)
-		lb.tel.latency.Observe(lat)
+		if o := w.obs; o != nil {
+			o.latency.Observe(lat)
+		}
 	}
 	lb.BytesIn += uint64(work.Size)
 	lb.BytesOut += uint64(work.RespSize)

@@ -6,8 +6,6 @@ import (
 	"hermes/internal/kernel"
 	"hermes/internal/sim"
 	"hermes/internal/stats"
-	"hermes/internal/telemetry"
-	"hermes/internal/tracing"
 )
 
 // Worker is one LB worker process pinned to one CPU core, running the
@@ -103,13 +101,9 @@ type Worker struct {
 	BatchProcNS   *stats.Sample // Fig. 5a
 	BlockNS       *stats.Sample // Fig. 5b
 
-	// Telemetry slot handles (nil = disabled, see Config.Telemetry).
-	telServed   *telemetry.Counter
-	telAccepted *telemetry.Counter
-	telOpen     *telemetry.Timeline
-	// tr is this worker's flight-recorder track (nil = disabled, see
-	// Config.Tracer).
-	tr *tracing.WorkerTrace
+	// obs is this worker's share of the LB's observer: its metric slots and
+	// trace track (nil = unobserved, see Config.Telemetry / Config.Tracer).
+	obs *workerObs
 }
 
 type execJob struct {
@@ -160,36 +154,21 @@ func newWorker(lb *LB, id int, hook Hook) *Worker {
 		w.BatchProcNS = &stats.Sample{}
 		w.BlockNS = &stats.Sample{}
 	}
-	// Slot this worker's telemetry handles (nil no-ops when disabled).
-	w.telServed = lb.tel.served.At(id)
-	w.telAccepted = lb.tel.accepted.At(id)
-	w.telOpen = lb.tel.openConns.At(id)
-	if id >= 0 {
-		// The dispatcher core (id -1) gets its own track in newDispatcher.
-		w.tr = lb.Cfg.Tracer.WorkerTrace(id)
+	if lb.obs != nil {
+		w.obs = &lb.obs[w.slot()]
 	}
-	w.instrumentEpoll()
+	w.ep.BindWorker(w.slot())
 	return w
 }
 
-// instrumentEpoll wires the current epoll instance to this worker's
-// telemetry slots and trace track. Re-run after Restart builds a fresh
-// instance, so a restarted worker keeps reporting into the same slots.
-func (w *Worker) instrumentEpoll() {
-	w.ep.Instrument(kernel.EpollInstruments{
-		Wakeups:   w.lb.tel.epWakeups.At(w.ID),
-		Spurious:  w.lb.tel.epSpurious.At(w.ID),
-		Timeouts:  w.lb.tel.epTimeouts.At(w.ID),
-		Events:    w.lb.tel.epEvents.At(w.ID),
-		Residency: w.lb.tel.epWaitNS,
-	})
-	if w.ID >= 0 {
-		w.ep.InstrumentTrace(w.tr)
+// slot is where this worker's observations land: its own id, or — for the
+// dispatcher core, id -1 — one past the executors.
+func (w *Worker) slot() int {
+	if w.ID < 0 {
+		return w.lb.Cfg.Workers
 	}
+	return w.ID
 }
-
-// Epoll exposes the worker's epoll instance (wiring and tests).
-func (w *Worker) Epoll() *kernel.Epoll { return w.ep }
 
 // OpenConns returns the number of live connections owned by this worker.
 func (w *Worker) OpenConns() int { return len(w.conns) }
@@ -285,7 +264,7 @@ func (w *Worker) Restart() {
 	w.jobRunning = false
 	w.queuedCostNS = 0
 	w.ep = w.lb.NS.NewEpoll()
-	w.instrumentEpoll()
+	w.ep.BindWorker(w.slot())
 	w.lb.registerWorkerSockets(w)
 	w.Start()
 }
@@ -442,7 +421,9 @@ func (w *Worker) loopEnter() {
 	}
 	now := w.lb.Eng.Now()
 	w.hook.LoopEnter(now)
-	w.telOpen.Record(now, int64(len(w.conns)))
+	if o := w.obs; o != nil {
+		o.openConns.Record(now, int64(len(w.conns)))
+	}
 	if w.lb.Cfg.ScheduleAtLoopStart {
 		if w.hook.ScheduleAndSync(now) {
 			w.busy(w.lb.Cfg.Costs.Schedule)
@@ -547,8 +528,10 @@ func (w *Worker) finishServe() {
 		w.lb.Cfg.Upstream.Release(w.ID, s.backendID)
 	}
 	w.Completed++
-	w.telServed.Inc()
-	w.tr.Serve(uint64(s.connRef.ID()), s.work.ArrivalNS, s.serveStart, w.lb.Eng.Now(), s.work.Probe)
+	if o := w.obs; o != nil {
+		o.served.Inc()
+		o.tr.Serve(uint64(s.connRef.ID()), s.work.ArrivalNS, s.serveStart, w.lb.Eng.Now(), s.work.Probe)
+	}
 	w.lb.recordCompletion(w, s.connRef, s.work)
 	if s.work.Close && s.connRef.Get() != nil {
 		w.closeConn(s.sock)
@@ -568,9 +551,11 @@ func (w *Worker) handle(ev kernel.Event) time.Duration {
 			return costs.SpuriousWake
 		}
 		w.Accepted++
-		w.telAccepted.Inc()
-		w.lb.tel.acceptWait.Observe(conn.AcceptedNS - conn.EstablishedNS)
-		w.tr.Accept(uint64(conn.ID), conn.EstablishedNS, conn.AcceptedNS)
+		if o := w.obs; o != nil {
+			o.accepted.Inc()
+			o.acceptWait.Observe(conn.AcceptedNS - conn.EstablishedNS)
+			o.tr.Accept(uint64(conn.ID), conn.EstablishedNS, conn.AcceptedNS)
+		}
 		if max := w.lb.Cfg.MaxConnsPerWorker; max > 0 && len(w.conns) >= max {
 			// Connection pool exhausted: reset (§5.1.1).
 			w.ResetConns++
@@ -578,7 +563,9 @@ func (w *Worker) handle(ev kernel.Event) time.Duration {
 			sock := conn.Sock()
 			ref := conn.Ref()
 			w.lb.NS.CloseSocket(sock)
-			w.tr.Close(uint64(ref.ID()), w.lb.Eng.Now(), true)
+			if o := w.obs; o != nil {
+				o.tr.Close(uint64(ref.ID()), w.lb.Eng.Now(), true)
+			}
 			w.lb.notifyReset(ref)
 			return costs.Close
 		}
@@ -704,8 +691,10 @@ func (w *Worker) closeConn(s *kernel.Socket) {
 	w.removeConn(s)
 	w.hook.ConnClosed()
 	w.lb.NS.CloseSocket(s)
-	if c := s.Conn(); c != nil {
-		w.tr.Close(uint64(c.ID), w.lb.Eng.Now(), false)
+	if o := w.obs; o != nil {
+		if c := s.Conn(); c != nil {
+			o.tr.Close(uint64(c.ID), w.lb.Eng.Now(), false)
+		}
 	}
 }
 
@@ -725,8 +714,8 @@ func (w *Worker) resetConn(s *kernel.Socket) {
 	w.removeConn(s)
 	w.hook.ConnClosed()
 	w.lb.NS.CloseSocket(s)
-	if ref.Get() != nil {
-		w.tr.Close(uint64(ref.ID()), w.lb.Eng.Now(), true)
+	if o := w.obs; o != nil && ref.Get() != nil {
+		o.tr.Close(uint64(ref.ID()), w.lb.Eng.Now(), true)
 	}
 	w.lb.notifyReset(ref)
 }

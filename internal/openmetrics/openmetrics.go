@@ -4,7 +4,7 @@
 // client needs to be: HELP/TYPE pairing, name and label syntax, escape and
 // UTF-8 validity, suffix discipline per family type, histogram bucket
 // monotonicity, le="+Inf" agreement with _count, and _sum/_count
-// consistency are all hard errors. Tests and cmd/checkprom run it against
+// consistency are all hard errors. Tests and `hermesctl check prom` run it against
 // GET /metrics output and hermes-bench exposition dumps.
 package openmetrics
 

@@ -64,56 +64,59 @@ m{path="C:\\tmp\\x",msg="said \"hi\"\nbye",name="héllo→世界"} 1
 	}
 }
 
+// rejectCases are expositions Validate must refuse, with a word its error
+// must carry ("" = any error). FuzzOpenMetricsParse seeds from them too.
+var rejectCases = []struct {
+	name, src, wantErr string
+}{
+	{"missing EOF",
+		"# HELP a b\n# TYPE a gauge\na 1\n", "# EOF"},
+	{"missing TYPE",
+		"# HELP a b\na 1\n# EOF\n", "TYPE"},
+	{"missing HELP",
+		"# TYPE a gauge\na 1\n# EOF\n", "HELP"},
+	{"counter without _total",
+		"# HELP a b\n# TYPE a counter\na 1\n# EOF\n", "legal counter"},
+	{"gauge with _total",
+		"# HELP a b\n# TYPE a gauge\na_total 1\n# EOF\n", "legal gauge"},
+	{"histogram stray suffix",
+		"# HELP a b\n# TYPE a histogram\na_quantile 1\n# EOF\n", "outside its family"},
+	{"bucket le not increasing",
+		"# HELP a b\n# TYPE a histogram\na_bucket{le=\"2\"} 1\na_bucket{le=\"1\"} 2\na_bucket{le=\"+Inf\"} 3\na_sum 1\na_count 3\n# EOF\n", "increasing"},
+	{"bucket counts decreasing",
+		"# HELP a b\n# TYPE a histogram\na_bucket{le=\"1\"} 5\na_bucket{le=\"+Inf\"} 3\na_sum 1\na_count 3\n# EOF\n", "monoton"},
+	{"missing +Inf bucket",
+		"# HELP a b\n# TYPE a histogram\na_bucket{le=\"1\"} 1\na_sum 1\na_count 1\n# EOF\n", "+Inf"},
+	{"+Inf != count",
+		"# HELP a b\n# TYPE a histogram\na_bucket{le=\"+Inf\"} 4\na_sum 1\na_count 5\n# EOF\n", "_count"},
+	{"zero count nonzero sum",
+		"# HELP a b\n# TYPE a histogram\na_bucket{le=\"+Inf\"} 0\na_sum 9\na_count 0\n# EOF\n", "_sum"},
+	{"negative counter",
+		"# HELP a b\n# TYPE a counter\na_total -1\n# EOF\n", "negative"},
+	{"NaN value",
+		"# HELP a b\n# TYPE a gauge\na NaN\n# EOF\n", "NaN"},
+	{"duplicate series",
+		"# HELP a b\n# TYPE a gauge\na{x=\"1\"} 1\na{x=\"1\"} 2\n# EOF\n", "duplicate"},
+	{"bad metric name",
+		"# HELP 0a b\n# TYPE 0a gauge\n0a 1\n# EOF\n", "name"},
+	{"reserved label",
+		"# HELP a b\n# TYPE a gauge\na{__name__=\"x\"} 1\n# EOF\n", "label"},
+	{"unterminated label value",
+		"# HELP a b\n# TYPE a gauge\na{x=\"1} 1\n# EOF\n", ""},
+	{"bad escape in label",
+		"# HELP a b\n# TYPE a gauge\na{x=\"\\t\"} 1\n# EOF\n", "escape"},
+	{"invalid utf8",
+		"# HELP a b\n# TYPE a gauge\na{x=\"\xff\"} 1\n# EOF\n", "UTF-8"},
+	{"empty line",
+		"# HELP a b\n# TYPE a gauge\n\na 1\n# EOF\n", "empty"},
+	{"interleaved families",
+		"# HELP a b\n# TYPE a gauge\na 1\n# HELP c d\n# TYPE c gauge\nc 1\na 2\n# EOF\n", ""},
+	{"text after EOF",
+		"# HELP a b\n# TYPE a gauge\na 1\n# EOF\nextra\n", "EOF"},
+}
+
 func TestValidateRejects(t *testing.T) {
-	cases := []struct {
-		name, src, wantErr string
-	}{
-		{"missing EOF",
-			"# HELP a b\n# TYPE a gauge\na 1\n", "# EOF"},
-		{"missing TYPE",
-			"# HELP a b\na 1\n# EOF\n", "TYPE"},
-		{"missing HELP",
-			"# TYPE a gauge\na 1\n# EOF\n", "HELP"},
-		{"counter without _total",
-			"# HELP a b\n# TYPE a counter\na 1\n# EOF\n", "legal counter"},
-		{"gauge with _total",
-			"# HELP a b\n# TYPE a gauge\na_total 1\n# EOF\n", "legal gauge"},
-		{"histogram stray suffix",
-			"# HELP a b\n# TYPE a histogram\na_quantile 1\n# EOF\n", "outside its family"},
-		{"bucket le not increasing",
-			"# HELP a b\n# TYPE a histogram\na_bucket{le=\"2\"} 1\na_bucket{le=\"1\"} 2\na_bucket{le=\"+Inf\"} 3\na_sum 1\na_count 3\n# EOF\n", "increasing"},
-		{"bucket counts decreasing",
-			"# HELP a b\n# TYPE a histogram\na_bucket{le=\"1\"} 5\na_bucket{le=\"+Inf\"} 3\na_sum 1\na_count 3\n# EOF\n", "monoton"},
-		{"missing +Inf bucket",
-			"# HELP a b\n# TYPE a histogram\na_bucket{le=\"1\"} 1\na_sum 1\na_count 1\n# EOF\n", "+Inf"},
-		{"+Inf != count",
-			"# HELP a b\n# TYPE a histogram\na_bucket{le=\"+Inf\"} 4\na_sum 1\na_count 5\n# EOF\n", "_count"},
-		{"zero count nonzero sum",
-			"# HELP a b\n# TYPE a histogram\na_bucket{le=\"+Inf\"} 0\na_sum 9\na_count 0\n# EOF\n", "_sum"},
-		{"negative counter",
-			"# HELP a b\n# TYPE a counter\na_total -1\n# EOF\n", "negative"},
-		{"NaN value",
-			"# HELP a b\n# TYPE a gauge\na NaN\n# EOF\n", "NaN"},
-		{"duplicate series",
-			"# HELP a b\n# TYPE a gauge\na{x=\"1\"} 1\na{x=\"1\"} 2\n# EOF\n", "duplicate"},
-		{"bad metric name",
-			"# HELP 0a b\n# TYPE 0a gauge\n0a 1\n# EOF\n", "name"},
-		{"reserved label",
-			"# HELP a b\n# TYPE a gauge\na{__name__=\"x\"} 1\n# EOF\n", "label"},
-		{"unterminated label value",
-			"# HELP a b\n# TYPE a gauge\na{x=\"1} 1\n# EOF\n", ""},
-		{"bad escape in label",
-			"# HELP a b\n# TYPE a gauge\na{x=\"\\t\"} 1\n# EOF\n", "escape"},
-		{"invalid utf8",
-			"# HELP a b\n# TYPE a gauge\na{x=\"\xff\"} 1\n# EOF\n", "UTF-8"},
-		{"empty line",
-			"# HELP a b\n# TYPE a gauge\n\na 1\n# EOF\n", "empty"},
-		{"interleaved families",
-			"# HELP a b\n# TYPE a gauge\na 1\n# HELP c d\n# TYPE c gauge\nc 1\na 2\n# EOF\n", ""},
-		{"text after EOF",
-			"# HELP a b\n# TYPE a gauge\na 1\n# EOF\nextra\n", "EOF"},
-	}
-	for _, tc := range cases {
+	for _, tc := range rejectCases {
 		_, err := Validate([]byte(tc.src))
 		if err == nil {
 			t.Errorf("%s: want error, got nil", tc.name)

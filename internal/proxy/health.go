@@ -1,7 +1,7 @@
 package proxy
 
 import (
-	"io"
+	"errors"
 	"net"
 	"sync"
 	"time"
@@ -17,20 +17,14 @@ type checker struct {
 	cfg  HealthCheckConfig
 	pool *Pool
 	tel  *Instruments
-	tr   traceHook
 
 	stop chan struct{}
 	done chan struct{}
 }
 
-// traceHook decouples the checker from the tracer (nil-safe in tests).
-type traceHook interface {
-	probe(backend int, startNS, endNS int64, ok bool)
-}
-
-func newChecker(cfg HealthCheckConfig, pool *Pool, tel *Instruments, tr traceHook) *checker {
+func newChecker(cfg HealthCheckConfig, pool *Pool, tel *Instruments) *checker {
 	return &checker{
-		cfg: cfg, pool: pool, tel: tel, tr: tr,
+		cfg: cfg, pool: pool, tel: tel,
 		stop: make(chan struct{}),
 		done: make(chan struct{}),
 	}
@@ -70,9 +64,7 @@ func (c *checker) sweep() {
 			}
 			b.lastProbeNS.Store(end.UnixNano())
 			b.lastProbeOK.Store(ok)
-			if c.tr != nil {
-				c.tr.probe(b.idx, start.UnixNano(), end.UnixNano(), ok)
-			}
+			c.tel.ptr.Probe(b.idx, start.UnixNano(), end.UnixNano(), ok)
 
 			// Streaks are only touched here (single checker goroutine per
 			// backend per sweep; sweeps don't overlap per backend because
@@ -95,8 +87,11 @@ func (c *checker) sweep() {
 	wg.Wait()
 }
 
-// probeOnce performs one health probe: dial, GET path, expect a parseable
-// response with a non-5xx status inside the timeout.
+// probeOnce performs one health probe: dial, GET path, expect a well-formed
+// response head with a non-5xx status inside the timeout. It reads no further
+// than the head — at most httpx.MaxHeaderBytes — so a backend that keeps the
+// connection open after replying costs one round trip, not a whole timeout,
+// and one that streams a body without end costs no memory.
 func (c *checker) probeOnce(addr string) bool {
 	deadline := time.Now().Add(c.cfg.Timeout)
 	conn, err := net.DialTimeout("tcp", addr, c.cfg.Timeout)
@@ -117,15 +112,22 @@ func (c *checker) probeOnce(addr string) bool {
 	if _, err := conn.Write(req.Append(nil)); err != nil {
 		return false
 	}
-	data, err := io.ReadAll(conn)
-	if err != nil && len(data) == 0 {
-		return false
+	var head httpx.Head
+	buf := make([]byte, 0, 1024)
+	for {
+		if len(buf) == cap(buf) {
+			buf = append(buf, 0)[:len(buf)]
+		}
+		n, rerr := conn.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		switch _, err := head.ScanResponse(buf); {
+		case err == nil:
+			return head.Status < 500
+		case !errors.Is(err, httpx.ErrIncomplete) || rerr != nil:
+			// Malformed, longer than MaxHeaderBytes, or cut short.
+			return false
+		}
 	}
-	resp, _, perr := httpx.ParseResponse(data)
-	if perr != nil {
-		return false
-	}
-	return resp.Status < 500
 }
 
 // Stop halts probing and waits for the in-flight sweep to finish.

@@ -2,11 +2,13 @@ package proxy
 
 import (
 	"hermes/internal/telemetry"
+	"hermes/internal/tracing"
 )
 
-// Instruments is the proxy's telemetry bundle (the proxy.* catalog in
-// docs/TELEMETRY.md). All handles are nil-safe: a zero Instruments records
-// nothing, so the proxy runs identically with telemetry off.
+// Instruments is the proxy's one observer bundle: the proxy.* catalog in
+// docs/TELEMETRY.md and the flight-recorder handles of docs/TRACING.md
+// (workers take their own track from the same tracer). All handles are
+// nil-safe: a zero Instruments records nothing.
 type Instruments struct {
 	// RequestsServed counts proxied requests per worker.
 	RequestsServed *telemetry.CounterVec
@@ -51,18 +53,24 @@ type Instruments struct {
 	// DrainForcedCloses counts connections force-closed because graceful
 	// shutdown exceeded its drain deadline.
 	DrainForcedCloses *telemetry.Counter
+
+	// ktr records each steering decision; ptr health probes and backend
+	// availability transitions, on the kernel track — backends are peers of
+	// the steering decision, not of any one worker.
+	ktr *tracing.KernelTrace
+	ptr *tracing.ProxyTrace
 }
 
-// newInstruments registers the proxy.* catalog on reg (nil reg → zero
-// bundle, every handle a no-op).
-func newInstruments(reg *telemetry.Registry, workers, backends int) Instruments {
-	if reg == nil {
-		return Instruments{}
-	}
+// newInstruments registers the proxy.* catalog on reg and takes the proxy's
+// trace handles from tr (nil tr → nil handles, which no-op).
+func newInstruments(reg *telemetry.Registry, tr *tracing.Tracer, workers, backends int) Instruments {
 	m := func(name, unit string) telemetry.Metric {
 		return telemetry.Metric{Name: name, Layer: "proxy", Unit: unit}
 	}
 	return Instruments{
+		ktr: tr.KernelTrace(),
+		ptr: tr.ProxyTrace(),
+
 		RequestsServed:   reg.CounterVec(m("proxy.worker.requests_served", "reqs"), workers),
 		RequestLatencyNS: reg.Histogram(m("proxy.request_latency_ns", "ns"), telemetry.DurationBuckets()),
 		UpstreamErrors:   reg.Counter(m("proxy.upstream_errors", "errors")),

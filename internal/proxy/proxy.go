@@ -68,10 +68,6 @@ type Proxy struct {
 	slo         *telemetry.SLO
 	stopSampler func()
 
-	tracer *tracing.Tracer
-	ktr    *tracing.KernelTrace
-	ptr    *tracing.ProxyTrace
-
 	connSeq atomic.Uint64
 	hashSeq atomic.Uint32
 
@@ -133,16 +129,13 @@ func New(cfg Config, opts ...Option) (*Proxy, error) {
 		reg = telemetry.NewRegistry()
 	}
 
-	ctl, err := core.New(cfg.Workers, core.DefaultConfig(), core.WithInstruments(core.Instruments{
-		Recomputes: reg.Counter(telemetry.Metric{Name: "core.schedule.recomputes", Layer: "core", Unit: "passes"}),
-		Syncs:      reg.Counter(telemetry.Metric{Name: "core.schedule.syncs", Layer: "core", Unit: "syscalls"}),
-		WSTReads:   reg.Counter(telemetry.Metric{Name: "core.schedule.wst_reads", Layer: "core", Unit: "rows"}),
-		EmptySets:  reg.Counter(telemetry.Metric{Name: "core.schedule.empty_sets", Layer: "core", Unit: "passes"}),
-		Passed:     reg.Histogram(telemetry.Metric{Name: "core.schedule.passed", Layer: "core", Unit: "workers"}, telemetry.CountBuckets(64)),
-	}))
+	ctl, err := core.New(cfg.Workers, core.DefaultConfig())
 	if err != nil {
 		return nil, err
 	}
+	// The control loop's rows go on the proxy's registry; its passes stay out
+	// of the flight recorder, since every request ends in one.
+	ctl.Observe(reg, nil, nil)
 
 	ln, err := net.Listen("tcp", cfg.Listen)
 	if err != nil {
@@ -154,15 +147,12 @@ func New(cfg Config, opts ...Option) (*Proxy, error) {
 		ln:      ln,
 		ctl:     ctl,
 		reg:     reg,
-		tracer:  o.tracer,
-		ktr:     o.tracer.KernelTrace(),
-		ptr:     o.tracer.ProxyTrace(),
 		bufs:    newBufPool(),
 		startNS: time.Now().UnixNano(),
 		conns:   make(map[net.Conn]struct{}),
 		stop:    make(chan struct{}),
 	}
-	p.tel = newInstruments(reg, cfg.Workers, len(cfg.Backends))
+	p.tel = newInstruments(reg, o.tracer, cfg.Workers, len(cfg.Backends))
 
 	// The windowed layer samples off the hot path: instruments record
 	// normally; the sampler snapshots the registry once per tick.
@@ -202,20 +192,13 @@ func New(cfg Config, opts ...Option) (*Proxy, error) {
 	p.drainHook.ScheduleAndSync(time.Now().UnixNano())
 
 	if cfg.HealthCheck.Enabled {
-		p.checker = newChecker(cfg.HealthCheck, p.pool, &p.tel, proxyTraceHook{p.ptr})
+		p.checker = newChecker(cfg.HealthCheck, p.pool, &p.tel)
 		go p.checker.run()
 	}
 	p.applyFaults(o.sched)
 	p.wg.Add(1)
 	go p.acceptLoop()
 	return p, nil
-}
-
-// proxyTraceHook adapts *tracing.ProxyTrace to the checker's traceHook.
-type proxyTraceHook struct{ tr *tracing.ProxyTrace }
-
-func (h proxyTraceHook) probe(backend int, startNS, endNS int64, ok bool) {
-	h.tr.Probe(backend, startNS, endNS, ok)
 }
 
 // wireBackends connects pool transitions and circuit transitions to
@@ -236,7 +219,7 @@ func (p *Proxy) wireBackends() {
 				case CircuitClosed:
 					p.tel.CircuitCloses.Inc()
 				}
-				p.ptr.BackendState(b.idx, time.Now().UnixNano(), stateCircuit+int64(to))
+				p.tel.ptr.BackendState(b.idx, time.Now().UnixNano(), stateCircuit+int64(to))
 			}
 		}
 	}
@@ -247,7 +230,7 @@ func (p *Proxy) wireBackends() {
 		if healthy {
 			state = stateHealthy
 		}
-		p.ptr.BackendState(b.idx, time.Now().UnixNano(), state)
+		p.tel.ptr.BackendState(b.idx, time.Now().UnixNano(), state)
 	}
 }
 
@@ -315,7 +298,7 @@ func (p *Proxy) acceptLoop() {
 		}
 		p.track(nc)
 		c := &conn{w: p.workers[wi], nc: nc, id: p.connSeq.Add(1), estNS: time.Now().UnixNano()}
-		p.ktr.ConnEstablished(c.id, c.estNS, int32(wi), via)
+		p.tel.ktr.ConnEstablished(c.id, c.estNS, int32(wi), via)
 		p.wg.Add(1)
 		go c.serve()
 	}

@@ -12,7 +12,7 @@ import (
 // and TYPE lines, counters suffixed _total, vec slots as a `slot` label,
 // histograms as cumulative _bucket series ending in le="+Inf" plus _sum and
 // _count, and a terminating `# EOF`. internal/openmetrics validates the
-// output strictly (tests and cmd/checkprom); the proxy admin server exposes
+// output strictly (tests and `hermesctl check prom`); the proxy admin server exposes
 // it as GET /metrics.
 
 // PromContentType is the Content-Type for OpenMetrics exposition responses.

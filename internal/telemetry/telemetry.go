@@ -57,7 +57,7 @@ func (k Kind) String() string {
 // Metric is the stable identity of one instrument. Handles are obtained
 // once, keyed by Metric; the hot path touches only the handle.
 type Metric struct {
-	// Name is the dotted metric path, e.g. "kernel.epoll.wakeups".
+	// Name is the dotted metric path, e.g. "layer.object.metric".
 	Name string
 	// Layer is the subsystem that records it: kernel, ebpf, core, l7lb.
 	Layer string

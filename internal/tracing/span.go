@@ -6,8 +6,6 @@
 // It complements internal/telemetry: telemetry answers "how much, on
 // average"; tracing answers "why was this connection slow".
 //
-// Not to be confused with internal/trace, the workload-replay package.
-//
 // See docs/TRACING.md for the span schema and export formats.
 //
 // Design constraints mirror the telemetry layer:

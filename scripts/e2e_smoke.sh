@@ -25,11 +25,8 @@ trap cleanup EXIT
 
 fail() { echo "e2e: FAIL: $*" >&2; exit 1; }
 
-echo "e2e: building hermes-lb, hermesctl, hermes-top, checkprom"
-go build -o "$WORK/hermes-lb" ./cmd/hermes-lb
-go build -o "$WORK/hermesctl" ./cmd/hermesctl
-go build -o "$WORK/hermes-top" ./cmd/hermes-top
-go build -o "$WORK/checkprom" ./cmd/checkprom
+echo "e2e: building hermes-lb, hermesctl, hermes-top"
+go build -o "$WORK/" ./cmd/hermes-lb ./cmd/hermesctl ./cmd/hermes-top
 
 ctl() { "$WORK/hermesctl" -admin "$ADMIN" "$@"; }
 
@@ -156,7 +153,7 @@ load 20 >/dev/null &
 LOAD_PID=$!
 ctl metrics >"$WORK/scrape.prom"
 wait "$LOAD_PID" || true
-"$WORK/checkprom" "$WORK/scrape.prom" >/dev/null || fail "/metrics failed OpenMetrics conformance"
+ctl check prom "$WORK/scrape.prom" >/dev/null || fail "/metrics failed OpenMetrics conformance"
 grep -q 'hermes_proxy_request_latency_ns_bucket' "$WORK/scrape.prom" ||
   fail "exposition missing the latency histogram family"
 grep -q 'hermes_slo_state' "$WORK/scrape.prom" || fail "exposition missing the SLO gauges"
