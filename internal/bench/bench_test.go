@@ -80,6 +80,42 @@ func TestRunSamplingProducesStddevs(t *testing.T) {
 	}
 }
 
+// The requests a spec offers are the mean of a random count: about every
+// second seed sends more, and a reservation of exactly the mean then regrows
+// the whole latency slice near the end of the cell (that made sim-table3's
+// peak_rss_mb depend on the seed). latencyReserve's headroom must cover them.
+func TestLatencyReserveCoversEverySeed(t *testing.T) {
+	specs := []workload.Spec{workload.Case2(tenantPorts(8))}
+	window := 4 * time.Second
+	offered := specs[0].OfferedRPS() * window.Seconds()
+	reserve := latencyReserve(specs, window)
+	above := 0
+	for seed := int64(1); seed <= 8; seed++ {
+		res, err := Run(RunConfig{
+			Mode: l7lb.ModeReuseport, Workers: 16, Seed: seed,
+			Window: window, Drain: 2 * time.Second, Specs: specs,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Completed != res.RequestsSent {
+			t.Fatalf("seed %d: %d of %d requests completed", seed, res.Completed, res.RequestsSent)
+		}
+		if int(res.Completed) > reserve {
+			t.Errorf("seed %d: %d samples recorded, %d reserved: the sample regrew", seed, res.Completed, reserve)
+		}
+		if float64(res.Completed) > offered {
+			above++
+		}
+	}
+	if above == 0 {
+		t.Errorf("no seed of 8 sent more than the %.0f requests offered: the test no longer shows why the headroom is there", offered)
+	}
+	if n := latencyReserve(specs, 1000*time.Second); n != 0 {
+		t.Errorf("an estimate past maxLatencyReserve reserved %d samples, want 0", n)
+	}
+}
+
 func TestRunRejectsBadConfig(t *testing.T) {
 	if _, err := Run(RunConfig{Mode: l7lb.ModeHermes, Workers: 0, Window: time.Millisecond}); err == nil {
 		t.Fatal("invalid run accepted")

@@ -133,7 +133,7 @@ func (tr *faultsTraffic) stream(ref kernel.ConnRef) {
 		return
 	}
 	rng := eng.Rand()
-	tr.lb.NS.DeliverData(conn, l7lb.Work{
+	tr.lb.Deliver(conn, l7lb.Work{
 		ArrivalNS: eng.Now(),
 		Cost:      time.Duration(tr.cost.Sample(rng)),
 		Size:      300, RespSize: 600,
@@ -174,7 +174,7 @@ func (tr *faultsTraffic) churnReqs(ref kernel.ConnRef, remaining int) {
 		return
 	}
 	rng := eng.Rand()
-	tr.lb.NS.DeliverData(conn, l7lb.Work{
+	tr.lb.Deliver(conn, l7lb.Work{
 		ArrivalNS: eng.Now(),
 		Cost:      time.Duration(tr.cost.Sample(rng)),
 		Size:      300, RespSize: 600,

@@ -87,6 +87,30 @@ type RunResult struct {
 	ConnStddev float64
 }
 
+// maxLatencyReserve caps what Run reserves for a cell's latency samples up
+// front: 1 Mi float64s, 8 MiB. The largest cells in the repo offer 288 000
+// (`-exp all`) and 672 000 (the benchmark's sim-table3) requests.
+const maxLatencyReserve = 1 << 20
+
+// latencyReserve is how many latency samples Run makes room for: the requests
+// the specs offer over the window, plus an eighth. The offer is the mean of a
+// random count (Poisson arrivals × ReqPerConn) that every second seed exceeds,
+// and one sample past the reservation regrows the whole slice; an eighth is
+// over five standard deviations for every cell of 100 000 requests or more in
+// the repo (the widest, Case3 over 1 s, has 2.3 %). An estimate past
+// maxLatencyReserve (a heavy-tailed ReqPerConn has an infinite mean) reserves
+// nothing and the sample grows as it always did.
+func latencyReserve(specs []workload.Spec, window time.Duration) int {
+	var offered float64
+	for _, spec := range specs {
+		offered += spec.OfferedRPS() * window.Seconds()
+	}
+	if n := offered + offered/8; n <= maxLatencyReserve {
+		return int(n)
+	}
+	return 0
+}
+
 // Run executes one measurement.
 func Run(rc RunConfig) (*RunResult, error) {
 	eng := sim.NewEngine(rc.Seed)
@@ -118,6 +142,9 @@ func Run(rc RunConfig) (*RunResult, error) {
 		g.Run(rc.Window)
 		res.Gens = append(res.Gens, g)
 	}
+	// One latency sample per completed request: room for all of them now,
+	// instead of append doubling its way there.
+	lb.Latency.Reserve(latencyReserve(rc.Specs, rc.Window))
 
 	var cpuSD, connSD stats.Sample
 	if rc.SampleEvery > 0 {

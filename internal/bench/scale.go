@@ -142,7 +142,7 @@ func runScaleCell(fleet, conns int, mode l7lb.Mode, seed int64, o Options,
 			DstPort: 8080,
 		}
 		if conn, ok := lb.NS.DeliverSYN(tuple, nil); ok {
-			lb.NS.DeliverData(conn, l7lb.Work{
+			lb.Deliver(conn, l7lb.Work{
 				ArrivalNS: eng.Now(), Cost: reqCost, Close: true, Tenant: 8080,
 			})
 		} else {

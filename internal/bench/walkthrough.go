@@ -56,7 +56,7 @@ func Walkthrough(opts Options) string {
 				ref := conn.Ref()
 				eng.After(time.Millisecond, func() {
 					if c := ref.Get(); c != nil {
-						lb.NS.DeliverData(c, l7lb.Work{ArrivalNS: eng.Now(), Cost: evCost, Close: true, Tenant: 8080})
+						lb.Deliver(c, l7lb.Work{ArrivalNS: eng.Now(), Cost: evCost, Close: true, Tenant: 8080})
 					}
 				})
 				// Record which worker accepted once one has.

@@ -308,7 +308,7 @@ func (c *Cluster) Ingress(frame []byte) error {
 		}
 		last := tcp.Flags&packet.FlagPSH != 0 && len(payload) > 0 && payload[len(payload)-1] == closeMarker
 		work := c.workFactory(fs.tenant, payload, c.Eng.Now(), last)
-		c.Devices[fs.device].NS.DeliverData(conn, work)
+		c.Devices[fs.device].Deliver(conn, work)
 		if last {
 			delete(c.flows, k)
 			c.freeFlow(fs)

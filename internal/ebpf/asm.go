@@ -203,8 +203,8 @@ func (a *Assembler) Assemble() (*Program, error) {
 
 // Program is a verified, immutable instruction sequence with its map
 // references, ready to attach to a reuseport group. It can run interpreted
-// (Run) or lowered to native closures (Compiled); the JIT result is cached
-// on the program.
+// (Run) or in compiled form (Compiled); the JIT result is cached on the
+// program.
 type Program struct {
 	insns []Insn
 	maps  []Map

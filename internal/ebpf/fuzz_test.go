@@ -141,8 +141,12 @@ func idiomPrelude(rng *rand.Rand) []Insn {
 // Differential fuzzing with the interpreter as oracle: every program the
 // verifier accepts must produce identical observable behaviour — R0, error
 // identity, selected socket, selected index — under the interpreter and the
-// JIT. Half the trials splice in fusable idiom blocks so the fused closures
-// (not just the 1:1 lowering) are exercised.
+// JIT. Half the trials splice in fusable idiom blocks so the fused steps (not
+// just the 1:1 lowering) are exercised. The compiled form omits the stores the
+// verifier proves dead (entry zeroing, the R1–R5 poison after a call), so
+// every compiled run here shares one Env, its registers still holding whatever
+// the previous program left: a value that leaked from there into R0, a branch
+// or the selection would be a divergence.
 func TestFuzzDifferentialJIT(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	am := NewArrayMap(2)
@@ -154,6 +158,10 @@ func TestFuzzDifferentialJIT(t *testing.T) {
 
 	accepted, fused := 0, 0
 	const trials = 30_000
+	var env Env
+	for r := range env.regs {
+		env.regs[r] = rng.Uint64()
+	}
 	for i := 0; i < trials; i++ {
 		p := randProgram(rng, am, sa)
 		if rng.Intn(2) == 0 {
@@ -167,13 +175,14 @@ func TestFuzzDifferentialJIT(t *testing.T) {
 		if err != nil {
 			t.Fatalf("verified program failed to compile: %v\n%s", err, p.Disassemble())
 		}
-		if c.Closures() < c.Insns() {
+		if c.Steps() < c.Insns() {
 			fused++
 		}
 		ictx := ReuseportCtx{Hash: rng.Uint32(), LocalityHash: rng.Uint32()}
-		jctx := ictx
+		env.Ctx = ictx
+		jctx := &env.Ctx
 		ir0, ierr := p.Run(&ictx)
-		jr0, jerr := c.Run(&jctx)
+		jr0, jerr := c.Run(&env)
 		if ir0 != jr0 || ierr != jerr {
 			t.Fatalf("divergence: interp (r0=%d err=%v) jit (r0=%d err=%v)\n%s",
 				ir0, ierr, jr0, jerr, p.Disassemble())

@@ -10,9 +10,9 @@
 // Hermes's dispatch logic in this repo is assembled to bytecode and
 // verified, exactly as a loaded BPF program would be. Verified programs run
 // either interpreted (vm.go, the reference implementation) or JIT-compiled
-// to native closure chains (jit.go) — the same two tiers the real kernel
-// has, with the interpreter serving as the differential-fuzz oracle for the
-// compiler. A semantically identical hand-written native path in
+// to a flat sequence of fused steps (jit.go) — the same two tiers the real
+// kernel has, with the interpreter serving as the differential-fuzz oracle for
+// the compiler. A semantically identical hand-written native path in
 // internal/core mirrors what a production JIT would emit; benchmarks compare
 // all three.
 package ebpf

@@ -2,72 +2,97 @@ package ebpf
 
 import (
 	"math/bits"
-	"sync"
 
 	"hermes/internal/telemetry"
 )
 
 // This file is the JIT/specialization pass: it compiles a verified Program
-// into a chain of native Go closures, the simulated analogue of the kernel's
-// eBPF JIT (interpretation on the packet path is too slow there for exactly
-// the reason BenchmarkSteerSYN shows here). The interpreter (vm.go) stays as
-// the reference implementation; fuzz_test.go runs every verified program
-// through both and requires identical observable behaviour.
+// into a flat sequence of resolved steps run by one loop, the simulated
+// analogue of the kernel's eBPF JIT (interpretation on the packet path is too
+// slow there for exactly the reason BenchmarkSteerSYN shows here). The
+// interpreter (vm.go) stays as the reference implementation; fuzz_test.go
+// runs every verified program through both and requires identical observable
+// behaviour.
 //
 // Compilation strategy (docs/EBPF.md):
 //
-//   - Decode once. Each instruction becomes a closure with its operands
-//     (register indices, immediates) captured as constants, eliminating the
-//     per-instruction fetch/decode switch of the interpreter.
+//   - Decode once. Each instruction becomes a step with its operands and its
+//     jump target (as a step index) already decoded; the steps of a program
+//     are one contiguous slice, so a run touches a few cache lines and no
+//     pointers between instructions.
 //   - Resolve at compile time. OpLdMap writes a handle the interpreter must
 //     re-validate on every helper call; the compiler instead runs a forward
 //     dataflow pass tracking which concrete map slot each register holds, and
-//     emits helper closures with the *ArrayMap / *SockArray captured
-//     directly. Handle validation and map-type checks disappear from the run
+//     emits helper steps holding the *ArrayMap / *SockArray directly. Helper
+//     dispatch, handle validation and map-type checks disappear from the run
 //     path (the verifier already proved them; the dataflow pass only decides
 //     whether the proof pins a single slot).
 //   - Fuse known idioms. The branch-free SWAR popcount sequence emitted by
-//     core's dispatch builder (15 ALU instructions) collapses into one
-//     closure built on bits.OnesCount64, and the rank-select walk's
-//     shift-and-mask window extraction (3 instructions) into another. Fusion
-//     preserves register fidelity: the fused closure also writes the exact
-//     final value of the scratch register, so later reads see what the
-//     instruction sequence would have produced.
-//   - Thread by continuation. Closures are built in reverse pc order; since
-//     verified jumps are strictly forward, both jump targets and
-//     fallthroughs are already compiled when a closure needs them, so each
-//     closure tail-calls its successor directly — no dispatch loop at all.
+//     core's dispatch builder (15 ALU instructions) collapses into one step
+//     built on bits.OnesCount64, the rank-select walk around it (111
+//     instructions) into another, and a shift-and-mask window extraction
+//     (3 instructions) into a third. Fusion preserves register fidelity: the
+//     fused step also writes the exact final value of every scratch
+//     register, so later reads see what the instruction sequence would have
+//     produced.
+//   - Omit dead stores. The verifier proves that no path reads a register
+//     before writing it, with only R1 written at entry and R1–R5 unwritten
+//     again after every helper call. Whatever those registers hold at those
+//     points can therefore never reach R0, a branch or a helper argument, so
+//     the compiled form neither zeroes the register file at entry nor poisons
+//     R1–R5 after a call; a reused Env carries the previous run's values into
+//     registers no instruction can read. The interpreter keeps both stores
+//     and stays the oracle: R0, error and ctx equality is the whole contract.
 //
 // Fallback rules: Compile refuses nothing a verified program can contain —
-// every opcode has a generic closure, and helper calls whose map argument
-// the dataflow pass cannot pin to one slot fall back to the interpreter's
-// call() on the same env. Attach-time callers (kernel.ReuseportGroup) treat
-// a Compile error as "run interpreted", so a compiler bug can cost speed but
-// never dispatch correctness.
+// every opcode has a step, and helper calls whose map argument the dataflow
+// pass cannot pin to one slot go through the interpreter's call() on the same
+// registers. Attach-time callers (kernel.ReuseportGroup) treat a Compile error
+// as "run interpreted", so a compiler bug can cost speed but never dispatch
+// correctness.
 
-// jitEnv is the mutable state a compiled program runs against. The context
-// is held by value and copied in/out by Compiled.Run: pooled envs must not
-// retain caller pointers, and a pointer field would make the caller's ctx
-// escape to the heap — the steering path is required to be allocation-free.
-type jitEnv struct {
+// Env is the mutable state a compiled program runs against: the hook context
+// and the register file. Whoever attaches the program owns one (the zero
+// value is ready) and reuses it for every run — kernel.ReuseportGroup embeds
+// its own — so a run fetches nothing and copies nothing. The owner fills Ctx
+// before Run exactly as it would fill the ctx handed to Program.Run, and
+// reads the selection out of it afterwards. An Env serves one run at a time.
+type Env struct {
+	Ctx ReuseportCtx
+
 	regs [NumRegs]uint64
-	ctx  ReuseportCtx
-	err  error
 }
 
-// jitFn executes one (possibly fused) instruction and its continuation.
-type jitFn func(*jitEnv)
+// Step kinds beyond the source opcodes: the fused idioms, and helper calls
+// with the helper (and its map, where the dataflow pass pinned one) resolved.
+const (
+	stepPopCount Op = OpExit + 1 + iota // dst = popcount(dst), src = the SWAR scratch
+	stepFindNth                         // the rank-select walk over r[0..4] = v, rank, pos, t, tmp
+	stepWindow                          // dst = (src >> r[0]) & imm
+	stepGetHash
+	stepGetLocalityHash
+	stepReciprocalScale
+	stepLookup // bpf_map_lookup_elem on am
+	stepSelect // bpf_sk_select_reuseport on sa
+	stepCall   // helper imm through the interpreter's call()
+)
 
-var jitEnvPool = sync.Pool{New: func() any { return new(jitEnv) }}
+// step is one element of a compiled program: a source instruction with its
+// operands decoded and its jump resolved to a step index, or one fused window.
+type step struct {
+	op       Op
+	dst, src Reg
+	r        [5]Reg
+	to       int32 // jumps: index of the step the branch lands on
+	imm      uint64
+	am       *ArrayMap
+	sa       *SockArray
+}
 
-// clobberPattern is what helper calls leave in R1-R5, mirroring vm.go.
-const clobberPattern = 0xdead_beef_dead_beef
-
-// Compiled is a Program lowered to a native closure chain.
+// Compiled is a Program lowered to a flat, fused, map-resolved step sequence.
 type Compiled struct {
-	prog     *Program
-	entry    jitFn
-	closures int // closure count after fusion (compile-time stat)
+	prog  *Program
+	steps []step
 
 	runs *telemetry.Counter // ebpf.jit.runs; nil until Observe
 }
@@ -75,39 +100,168 @@ type Compiled struct {
 // Insns returns the source program's instruction count.
 func (c *Compiled) Insns() int { return c.prog.Len() }
 
-// Closures returns the closure count after fusion.
-func (c *Compiled) Closures() int { return c.closures }
+// Steps returns the step count after fusion.
+func (c *Compiled) Steps() int { return len(c.steps) }
 
-// Run executes the compiled program against ctx with the same observable
-// semantics as Program.Run: identical R0/error results and identical ctx
-// mutations (Selected, SelectedIndex), property-checked by the differential
-// fuzzer. Steady-state allocation is zero: the env is pooled and the context
-// crosses by value.
-func (c *Compiled) Run(ctx *ReuseportCtx) (uint64, error) {
-	e := jitEnvPool.Get().(*jitEnv)
-	e.regs = [NumRegs]uint64{}
-	e.regs[R1] = 1 // context register, as in vm.go
-	e.ctx = *ctx
-	e.ctx.SelectedIndex = -1
-	e.err = nil
-
-	c.entry(e)
-
-	r0 := e.regs[R0]
-	if e.err != nil {
-		r0 = 0 // interpreter returns (0, err); match exactly
-	}
-	err := e.err
-	*ctx = e.ctx
-	e.ctx.Selected = nil // don't retain socket refs in the pool
-	jitEnvPool.Put(e)
+// Run executes the compiled program against e.Ctx with the same observable
+// semantics as Program.Run(&e.Ctx): identical R0/error results and identical
+// ctx mutations (Selected, SelectedIndex), property-checked by the
+// differential fuzzer. It allocates nothing.
+func (c *Compiled) Run(e *Env) (uint64, error) {
 	c.runs.Inc()
-	return r0, err
+	regs := &e.regs
+	regs[R1] = 1 // context register, as in vm.go; the only one readable at entry
+	e.Ctx.SelectedIndex = -1
+	steps := c.steps
+	for pc := 0; pc < len(steps); pc++ {
+		s := &steps[pc]
+		taken := false
+		switch s.op {
+		case OpMovImm:
+			regs[s.dst] = s.imm
+		case OpMovReg:
+			regs[s.dst] = regs[s.src]
+		case OpAddImm:
+			regs[s.dst] += s.imm
+		case OpAddReg:
+			regs[s.dst] += regs[s.src]
+		case OpSubImm:
+			regs[s.dst] -= s.imm
+		case OpSubReg:
+			regs[s.dst] -= regs[s.src]
+		case OpMulImm:
+			regs[s.dst] *= s.imm
+		case OpMulReg:
+			regs[s.dst] *= regs[s.src]
+		case OpAndImm:
+			regs[s.dst] &= s.imm
+		case OpAndReg:
+			regs[s.dst] &= regs[s.src]
+		case OpOrImm:
+			regs[s.dst] |= s.imm
+		case OpOrReg:
+			regs[s.dst] |= regs[s.src]
+		case OpXorImm:
+			regs[s.dst] ^= s.imm
+		case OpXorReg:
+			regs[s.dst] ^= regs[s.src]
+		case OpLshImm:
+			regs[s.dst] <<= s.imm & 63
+		case OpLshReg:
+			regs[s.dst] <<= regs[s.src] & 63
+		case OpRshImm:
+			regs[s.dst] >>= s.imm & 63
+		case OpRshReg:
+			regs[s.dst] >>= regs[s.src] & 63
+		case OpNeg:
+			regs[s.dst] = -regs[s.dst]
+		case OpLdMap:
+			regs[s.dst] = s.imm + 1 // same handle encoding as the interpreter
+		case OpJa:
+			taken = true
+		case OpJeqImm:
+			taken = regs[s.dst] == s.imm
+		case OpJeqReg:
+			taken = regs[s.dst] == regs[s.src]
+		case OpJneImm:
+			taken = regs[s.dst] != s.imm
+		case OpJneReg:
+			taken = regs[s.dst] != regs[s.src]
+		case OpJgtImm:
+			taken = regs[s.dst] > s.imm
+		case OpJgtReg:
+			taken = regs[s.dst] > regs[s.src]
+		case OpJgeImm:
+			taken = regs[s.dst] >= s.imm
+		case OpJgeReg:
+			taken = regs[s.dst] >= regs[s.src]
+		case OpJltImm:
+			taken = regs[s.dst] < s.imm
+		case OpJltReg:
+			taken = regs[s.dst] < regs[s.src]
+		case OpJleImm:
+			taken = regs[s.dst] <= s.imm
+		case OpJleReg:
+			taken = regs[s.dst] <= regs[s.src]
+		case OpExit:
+			return regs[R0], nil
+
+		// Helper calls set R0. R1–R5 — unreadable from here on, by the
+		// verifier — are left as they are where vm.go's call() poisons them.
+		case stepGetHash:
+			regs[R0] = uint64(e.Ctx.Hash)
+		case stepGetLocalityHash:
+			regs[R0] = uint64(e.Ctx.LocalityHash)
+		case stepReciprocalScale:
+			regs[R0] = (regs[R1] & 0xffffffff) * (regs[R2] & 0xffffffff) >> 32
+		case stepLookup:
+			v, ok := s.am.Lookup(uint32(regs[R2]))
+			if !ok {
+				return 0, ErrMapMiss
+			}
+			regs[R0] = v
+		case stepSelect:
+			idx := uint32(regs[R2])
+			if ref := s.sa.Get(idx); ref == nil {
+				regs[R0] = 1
+			} else {
+				e.Ctx.Selected = ref
+				e.Ctx.SelectedIndex = int(idx)
+				regs[R0] = 0
+			}
+		case stepCall:
+			// An unknown helper id, or a map argument the dataflow pass could
+			// not pin: the interpreter's helper dispatch, so the two cannot
+			// drift.
+			if err := c.prog.call(HelperID(s.imm), regs, &e.Ctx); err != nil {
+				return 0, err
+			}
+
+		// Fused idioms. Register fidelity: every register the instruction
+		// sequence writes ends with the exact value the sequence leaves
+		// there, scratch included, in case a later instruction reads it.
+		case stepPopCount:
+			v := regs[s.dst]
+			d1 := v - ((v >> 1) & m1)
+			d2 := (d1 & m2) + ((d1 >> 2) & m2)
+			regs[s.src] = d2 >> 4 // the second fold's partial sums, shifted by the third round's extract
+			regs[s.dst] = uint64(bits.OnesCount64(v))
+		case stepFindNth:
+			vv, rk := regs[s.r[0]], regs[s.r[1]]
+			var p, tm uint64
+			for _, w := range findNthWidths {
+				win := (vv >> (p & 63)) & (1<<w - 1)
+				d1 := win - ((win >> 1) & m1)
+				d2 := (d1 & m2) + ((d1 >> 2) & m2)
+				tm = d2 >> 4
+				cnt := uint64(bits.OnesCount64(win))
+				if rk > cnt { // JleReg not taken: descend into the high half
+					p += w
+					rk -= cnt
+				}
+			}
+			fin := (vv >> (p & 63)) & 1
+			if rk > fin {
+				p++
+			}
+			regs[s.r[1]], regs[s.r[2]], regs[s.r[3]], regs[s.r[4]] = rk, p, fin, tm
+		case stepWindow:
+			regs[s.dst] = (regs[s.src] >> (regs[s.r[0]] & 63)) & s.imm
+
+		default:
+			return 0, ErrUnknownOpcode
+		}
+		if taken {
+			pc = int(s.to) - 1
+		}
+	}
+	// Never reached: the verifier rejects fallthrough off the end.
+	return 0, ErrFellOff
 }
 
-// Compiled returns the program lowered to native closures, compiling on
-// first use. Compilation happens at most once per program; concurrent
-// callers share the result.
+// Compiled returns the program in compiled form, compiling on first use.
+// Compilation happens at most once per program; concurrent callers share the
+// result.
 func (p *Program) Compiled() (*Compiled, error) {
 	p.jitOnce.Do(func() { p.jit, p.jitErr = Compile(p) })
 	return p.jit, p.jitErr
@@ -115,7 +269,7 @@ func (p *Program) Compiled() (*Compiled, error) {
 
 // Compile lowers a verified program. Programs that did not come out of
 // Assemble/Verify are rejected by re-verification: the compiler's soundness
-// (forward-only continuation building, no bounds checks on fused windows)
+// (forward jumps resolved to step indices, no bounds checks on fused windows)
 // depends on the verifier's guarantees.
 func Compile(p *Program) (*Compiled, error) {
 	if err := Verify(p); err != nil {
@@ -125,25 +279,74 @@ func Compile(p *Program) (*Compiled, error) {
 	targets := jumpTargets(p.insns)
 	slots := resolveMapSlots(p)
 
-	// fns[pc] runs the instruction at pc and everything after it; fns[n] is
-	// never reached (the verifier rejects fallthrough off the end) but a
-	// defined error closure keeps a compiler bug from becoming a nil call.
-	fns := make([]jitFn, n+1)
-	fns[n] = func(e *jitEnv) { e.err = ErrFellOff }
-
-	for pc := n - 1; pc >= 0; pc-- {
-		if fn := fuse(p.insns, pc, targets, fns); fn != nil {
-			fns[pc] = fn
-			continue
-		}
-		fns[pc] = compileInsn(p, p.insns[pc], pc, slots, fns)
+	// One step per instruction, a fused window collapsing to one. index[pc]
+	// is the step a jump to pc lands on; the interior of a fused window has
+	// none and needs none (fusion requires that no jump from outside lands
+	// inside the window).
+	steps := make([]step, 0, n)
+	index := make([]int32, n+1)
+	for pc := 0; pc < n; {
+		index[pc] = int32(len(steps))
+		st, width := lower(p, pc, targets, slots)
+		steps = append(steps, st)
+		pc += width
 	}
-	// Fused windows leave their interior fns compiled but unreachable (the
-	// fusion preconditions include "no jump lands inside the window"), so
-	// the closure count reported is the count along the instruction stream
-	// with fused windows collapsed.
-	closures := countReachable(p.insns, targets, n)
-	return &Compiled{prog: p, entry: fns[0], closures: closures}, nil
+	for i := range steps {
+		if steps[i].to >= 0 {
+			steps[i].to = index[steps[i].to]
+		}
+	}
+	return &Compiled{prog: p, steps: steps}, nil
+}
+
+// lower builds the step for the instruction or fusable window at pc and
+// returns how many instructions it covers. A jump's `to` holds the target pc
+// (Compile rewrites it to a step index), −1 on everything else.
+func lower(p *Program, pc int, targets map[int][]int, slots map[int]int) (step, int) {
+	switch fuseWidth(p.insns, pc, targets) {
+	case findNthLen:
+		v, rank, pos, t, tmp, _ := matchFindNth(p.insns, pc)
+		return step{op: stepFindNth, r: [5]Reg{v, rank, pos, t, tmp}, to: -1}, findNthLen
+	case popCountLen:
+		dst, tmp, _ := matchPopCount(p.insns, pc)
+		return step{op: stepPopCount, dst: dst, src: tmp, to: -1}, popCountLen
+	case 3:
+		t, v, pos, mask, _ := matchWindowExtract(p.insns, pc)
+		return step{op: stepWindow, dst: t, src: v, r: [5]Reg{pos}, imm: mask, to: -1}, 3
+	}
+	in := p.insns[pc]
+	st := step{op: in.Op, dst: in.Dst, src: in.Src, imm: in.Imm, to: -1}
+	switch {
+	case in.isJump():
+		st.to = int32(pc + 1 + int(in.Off))
+	case in.Op == OpCall:
+		// When the dataflow pass pinned the map argument to a single slot
+		// (stored as slot+1), the step holds the concrete map and skips
+		// handle decoding; otherwise it goes through stepCall.
+		st.op = stepCall
+		slot := slots[pc]
+		switch HelperID(in.Imm) {
+		case HelperGetHash:
+			st.op = stepGetHash
+		case HelperGetLocalityHash:
+			st.op = stepGetLocalityHash
+		case HelperReciprocalScale:
+			st.op = stepReciprocalScale
+		case HelperMapLookupElem:
+			if slot > 0 {
+				if am, ok := p.maps[slot-1].(*ArrayMap); ok {
+					st.op, st.am = stepLookup, am
+				}
+			}
+		case HelperSkSelectReuseport:
+			if slot > 0 {
+				if sa, ok := p.maps[slot-1].(*SockArray); ok {
+					st.op, st.sa = stepSelect, sa
+				}
+			}
+		}
+	}
+	return st, 1
 }
 
 // jumpTargets maps each pc some jump lands on to the pcs of the jumps that
@@ -160,268 +363,6 @@ func jumpTargets(insns []Insn) map[int][]int {
 		}
 	}
 	return t
-}
-
-// countReachable walks the instruction stream the way the fused compiler
-// laid it out — fused windows advance by their width — and counts one
-// closure per step, ignoring branch direction (both sides of a conditional
-// rejoin the same stream). It measures how much fusion shrank the chain.
-func countReachable(insns []Insn, targets map[int][]int, n int) int {
-	count := 0
-	for pc := 0; pc < n; {
-		count++
-		if w := fuseWidth(insns, pc, targets); w > 0 {
-			pc += w
-			continue
-		}
-		pc++
-	}
-	return count
-}
-
-// compileInsn builds the closure for one instruction. Continuations are read
-// from fns at build time (legal because jumps are strictly forward and we
-// build in reverse pc order), so the run path never indexes fns.
-func compileInsn(p *Program, in Insn, pc int, slots map[int]int, fns []jitFn) jitFn {
-	next := fns[pc+1]
-	dst, src, imm := in.Dst, in.Src, in.Imm
-
-	switch in.Op {
-	case OpMovImm:
-		return func(e *jitEnv) { e.regs[dst] = imm; next(e) }
-	case OpMovReg:
-		return func(e *jitEnv) { e.regs[dst] = e.regs[src]; next(e) }
-	case OpAddImm:
-		return func(e *jitEnv) { e.regs[dst] += imm; next(e) }
-	case OpAddReg:
-		return func(e *jitEnv) { e.regs[dst] += e.regs[src]; next(e) }
-	case OpSubImm:
-		return func(e *jitEnv) { e.regs[dst] -= imm; next(e) }
-	case OpSubReg:
-		return func(e *jitEnv) { e.regs[dst] -= e.regs[src]; next(e) }
-	case OpMulImm:
-		return func(e *jitEnv) { e.regs[dst] *= imm; next(e) }
-	case OpMulReg:
-		return func(e *jitEnv) { e.regs[dst] *= e.regs[src]; next(e) }
-	case OpAndImm:
-		return func(e *jitEnv) { e.regs[dst] &= imm; next(e) }
-	case OpAndReg:
-		return func(e *jitEnv) { e.regs[dst] &= e.regs[src]; next(e) }
-	case OpOrImm:
-		return func(e *jitEnv) { e.regs[dst] |= imm; next(e) }
-	case OpOrReg:
-		return func(e *jitEnv) { e.regs[dst] |= e.regs[src]; next(e) }
-	case OpXorImm:
-		return func(e *jitEnv) { e.regs[dst] ^= imm; next(e) }
-	case OpXorReg:
-		return func(e *jitEnv) { e.regs[dst] ^= e.regs[src]; next(e) }
-	case OpLshImm:
-		sh := imm & 63
-		return func(e *jitEnv) { e.regs[dst] <<= sh; next(e) }
-	case OpLshReg:
-		return func(e *jitEnv) { e.regs[dst] <<= e.regs[src] & 63; next(e) }
-	case OpRshImm:
-		sh := imm & 63
-		return func(e *jitEnv) { e.regs[dst] >>= sh; next(e) }
-	case OpRshReg:
-		return func(e *jitEnv) { e.regs[dst] >>= e.regs[src] & 63; next(e) }
-	case OpNeg:
-		return func(e *jitEnv) { e.regs[dst] = -e.regs[dst]; next(e) }
-	case OpLdMap:
-		handle := imm + 1 // same encoding as the interpreter
-		return func(e *jitEnv) { e.regs[dst] = handle; next(e) }
-	case OpCall:
-		return compileCall(p, HelperID(imm), slots[pc], next)
-	case OpJa:
-		return fns[pc+1+int(in.Off)]
-	case OpJeqImm:
-		taken := fns[pc+1+int(in.Off)]
-		return func(e *jitEnv) {
-			if e.regs[dst] == imm {
-				taken(e)
-			} else {
-				next(e)
-			}
-		}
-	case OpJeqReg:
-		taken := fns[pc+1+int(in.Off)]
-		return func(e *jitEnv) {
-			if e.regs[dst] == e.regs[src] {
-				taken(e)
-			} else {
-				next(e)
-			}
-		}
-	case OpJneImm:
-		taken := fns[pc+1+int(in.Off)]
-		return func(e *jitEnv) {
-			if e.regs[dst] != imm {
-				taken(e)
-			} else {
-				next(e)
-			}
-		}
-	case OpJneReg:
-		taken := fns[pc+1+int(in.Off)]
-		return func(e *jitEnv) {
-			if e.regs[dst] != e.regs[src] {
-				taken(e)
-			} else {
-				next(e)
-			}
-		}
-	case OpJgtImm:
-		taken := fns[pc+1+int(in.Off)]
-		return func(e *jitEnv) {
-			if e.regs[dst] > imm {
-				taken(e)
-			} else {
-				next(e)
-			}
-		}
-	case OpJgtReg:
-		taken := fns[pc+1+int(in.Off)]
-		return func(e *jitEnv) {
-			if e.regs[dst] > e.regs[src] {
-				taken(e)
-			} else {
-				next(e)
-			}
-		}
-	case OpJgeImm:
-		taken := fns[pc+1+int(in.Off)]
-		return func(e *jitEnv) {
-			if e.regs[dst] >= imm {
-				taken(e)
-			} else {
-				next(e)
-			}
-		}
-	case OpJgeReg:
-		taken := fns[pc+1+int(in.Off)]
-		return func(e *jitEnv) {
-			if e.regs[dst] >= e.regs[src] {
-				taken(e)
-			} else {
-				next(e)
-			}
-		}
-	case OpJltImm:
-		taken := fns[pc+1+int(in.Off)]
-		return func(e *jitEnv) {
-			if e.regs[dst] < imm {
-				taken(e)
-			} else {
-				next(e)
-			}
-		}
-	case OpJltReg:
-		taken := fns[pc+1+int(in.Off)]
-		return func(e *jitEnv) {
-			if e.regs[dst] < e.regs[src] {
-				taken(e)
-			} else {
-				next(e)
-			}
-		}
-	case OpJleImm:
-		taken := fns[pc+1+int(in.Off)]
-		return func(e *jitEnv) {
-			if e.regs[dst] <= imm {
-				taken(e)
-			} else {
-				next(e)
-			}
-		}
-	case OpJleReg:
-		taken := fns[pc+1+int(in.Off)]
-		return func(e *jitEnv) {
-			if e.regs[dst] <= e.regs[src] {
-				taken(e)
-			} else {
-				next(e)
-			}
-		}
-	case OpExit:
-		return func(e *jitEnv) {} // R0 already in place
-	default:
-		return func(e *jitEnv) { e.err = ErrUnknownOpcode }
-	}
-}
-
-// clobberCall applies the helper call's register contract: R1-R5 poisoned,
-// R0 set. Mirrors vm.go's call() epilogue exactly.
-func clobberCall(e *jitEnv, r0 uint64) {
-	for r := R1; r <= R5; r++ {
-		e.regs[r] = clobberPattern
-	}
-	e.regs[R0] = r0
-}
-
-// compileCall builds the closure for one helper call. When the dataflow pass
-// pinned the map argument to a single slot (slot > 0, stored as slot+1), the
-// closure captures the concrete map and skips handle decoding entirely;
-// otherwise it falls back to the interpreter's call() on the env's state.
-func compileCall(p *Program, h HelperID, slot int, next jitFn) jitFn {
-	switch h {
-	case HelperGetHash:
-		return func(e *jitEnv) {
-			clobberCall(e, uint64(e.ctx.Hash))
-			next(e)
-		}
-	case HelperGetLocalityHash:
-		return func(e *jitEnv) {
-			clobberCall(e, uint64(e.ctx.LocalityHash))
-			next(e)
-		}
-	case HelperReciprocalScale:
-		return func(e *jitEnv) {
-			r0 := (e.regs[R1] & 0xffffffff) * (e.regs[R2] & 0xffffffff) >> 32
-			clobberCall(e, r0)
-			next(e)
-		}
-	case HelperMapLookupElem:
-		if slot > 0 {
-			if am, ok := p.maps[slot-1].(*ArrayMap); ok {
-				return func(e *jitEnv) {
-					v, ok := am.Lookup(uint32(e.regs[R2]))
-					if !ok {
-						e.err = ErrMapMiss
-						return
-					}
-					clobberCall(e, v)
-					next(e)
-				}
-			}
-		}
-	case HelperSkSelectReuseport:
-		if slot > 0 {
-			if sa, ok := p.maps[slot-1].(*SockArray); ok {
-				return func(e *jitEnv) {
-					idx := uint32(e.regs[R2])
-					ref := sa.Get(idx)
-					if ref == nil {
-						clobberCall(e, 1)
-					} else {
-						e.ctx.Selected = ref
-						e.ctx.SelectedIndex = int(idx)
-						clobberCall(e, 0)
-					}
-					next(e)
-				}
-			}
-		}
-	}
-	// Generic fallback: unknown helper id, or a map argument the dataflow
-	// pass could not pin. Reuses the interpreter's helper dispatch so the
-	// two paths cannot drift.
-	return func(e *jitEnv) {
-		if err := p.call(h, &e.regs, &e.ctx); err != nil {
-			e.err = err
-			return
-		}
-		next(e)
-	}
 }
 
 // resolveMapSlots runs a forward dataflow pass mirroring the verifier's,
@@ -659,61 +600,4 @@ func fuseWidth(insns []Insn, pc int, targets map[int][]int) int {
 		return 3
 	}
 	return 0
-}
-
-// fuse builds a fused closure for the window starting at pc, or nil.
-func fuse(insns []Insn, pc int, targets map[int][]int, fns []jitFn) jitFn {
-	switch fuseWidth(insns, pc, targets) {
-	case findNthLen:
-		v, rank, pos, t, tmp, _ := matchFindNth(insns, pc)
-		next := fns[pc+findNthLen]
-		return func(e *jitEnv) {
-			vv := e.regs[v]
-			rk := e.regs[rank]
-			var p, tm uint64
-			for _, w := range findNthWidths {
-				win := (vv >> (p & 63)) & (1<<w - 1)
-				// Register fidelity for tmp, as in the popcount fusion.
-				d1 := win - ((win >> 1) & m1)
-				d2 := (d1 & m2) + ((d1 >> 2) & m2)
-				tm = d2 >> 4
-				c := uint64(bits.OnesCount64(win))
-				if rk > c { // JleReg not taken: descend into the high half
-					p += w
-					rk -= c
-				}
-			}
-			fin := (vv >> (p & 63)) & 1
-			if rk > fin {
-				p++
-			}
-			e.regs[pos] = p
-			e.regs[rank] = rk
-			e.regs[t] = fin
-			e.regs[tmp] = tm
-			next(e)
-		}
-	case popCountLen:
-		dst, tmp, _ := matchPopCount(insns, pc)
-		next := fns[pc+popCountLen]
-		return func(e *jitEnv) {
-			v := e.regs[dst]
-			// Register fidelity: tmp must hold the exact value the SWAR
-			// sequence leaves there (the second fold's partial sums, shifted
-			// by the third round's extract) in case a later insn reads it.
-			d1 := v - ((v >> 1) & m1)
-			d2 := (d1 & m2) + ((d1 >> 2) & m2)
-			e.regs[tmp] = d2 >> 4
-			e.regs[dst] = uint64(bits.OnesCount64(v))
-			next(e)
-		}
-	case 3:
-		t, v, pos, mask, _ := matchWindowExtract(insns, pc)
-		next := fns[pc+3]
-		return func(e *jitEnv) {
-			e.regs[t] = (e.regs[v] >> (e.regs[pos] & 63)) & mask
-			next(e)
-		}
-	}
-	return nil
 }

@@ -13,9 +13,10 @@ func runBoth(t *testing.T, p *Program, ctx ReuseportCtx) (uint64, error) {
 	if err != nil {
 		t.Fatalf("compile: %v\n%s", err, p.Disassemble())
 	}
-	ictx, jctx := ctx, ctx
+	ictx, env := ctx, Env{Ctx: ctx}
+	jctx := &env.Ctx
 	ir0, ierr := p.Run(&ictx)
-	jr0, jerr := c.Run(&jctx)
+	jr0, jerr := c.Run(&env)
 	if ir0 != jr0 || ierr != jerr {
 		t.Fatalf("divergence: interp (r0=%d err=%v) jit (r0=%d err=%v)\n%s",
 			ir0, ierr, jr0, jerr, p.Disassemble())
@@ -49,7 +50,7 @@ func emitPopCountInsns(dst, tmp Reg) []Insn {
 	}
 }
 
-// The popcount idiom must fuse (shrinking the closure chain) while staying
+// The popcount idiom must fuse (shrinking the step sequence) while staying
 // bit-identical to the interpreter — including the scratch register's final
 // value, which later instructions are allowed to read.
 func TestJITPopCountFusionAndRegisterFidelity(t *testing.T) {
@@ -70,8 +71,8 @@ func TestJITPopCountFusionAndRegisterFidelity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if c.Closures() >= c.Insns() {
-			t.Fatalf("popcount did not fuse: %d closures for %d insns", c.Closures(), c.Insns())
+		if c.Steps() >= c.Insns() {
+			t.Fatalf("popcount did not fuse: %d steps for %d insns", c.Steps(), c.Insns())
 		}
 	}
 }
@@ -96,10 +97,48 @@ func TestJITFusionBlockedByJumpTarget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Closures() != c.Insns() {
-		t.Fatalf("fusion applied across a jump target: %d closures for %d insns", c.Closures(), c.Insns())
+	if c.Steps() != c.Insns() {
+		t.Fatalf("fusion applied across a jump target: %d steps for %d insns", c.Steps(), c.Insns())
 	}
 	runBoth(t, p, ReuseportCtx{})
+}
+
+// Jump targets are step indices, and a fused window is one step: a branch over
+// a fused window, a branch onto its first instruction and a branch past two of
+// them must each land where the interpreter lands, taken or not.
+func TestJITJumpsAcrossFusedWindows(t *testing.T) {
+	for _, v := range []uint64{0, 1, 0xf0f0_1234_5678_9abc} {
+		insns := []Insn{
+			{Op: OpMovImm, Dst: R6, Imm: v},
+			{Op: OpMovImm, Dst: R3, Imm: 7},
+			{Op: OpMovImm, Dst: R7, Imm: 0xff},
+			{Op: OpJeqImm, Dst: R6, Imm: 0, Off: 2*popCountLen + 3}, // over both windows
+			{Op: OpJeqImm, Dst: R6, Imm: 1, Off: 1},                 // onto the first window's first instruction
+			{Op: OpMovImm, Dst: R6, Imm: 0x0f0f},
+		}
+		insns = append(insns, emitPopCountInsns(R6, R3)...)
+		insns = append(insns, Insn{Op: OpJgtImm, Dst: R6, Imm: 4, Off: popCountLen}) // over the second window
+		insns = append(insns, emitPopCountInsns(R7, R3)...)
+		insns = append(insns,
+			Insn{Op: OpMovReg, Dst: R0, Src: R6},
+			Insn{Op: OpLshImm, Dst: R0, Imm: 8},
+			Insn{Op: OpOrReg, Dst: R0, Src: R7},
+			Insn{Op: OpLshImm, Dst: R0, Imm: 8},
+			Insn{Op: OpXorReg, Dst: R0, Src: R3},
+			Insn{Op: OpExit})
+		p := &Program{insns: insns}
+		if err := Verify(p); err != nil {
+			t.Fatal(err)
+		}
+		c, err := Compile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := c.Insns() - 2*(popCountLen-1); c.Steps() != want {
+			t.Fatalf("%d steps for %d insns with two fusable windows, want %d", c.Steps(), c.Insns(), want)
+		}
+		runBoth(t, p, ReuseportCtx{})
+	}
 }
 
 // Helper calls with a dataflow-resolved map argument must behave exactly
@@ -206,7 +245,7 @@ func TestProgramCompiledCached(t *testing.T) {
 	if c1 != c2 {
 		t.Fatal("Compiled() did not cache")
 	}
-	r0, err := c1.Run(&ReuseportCtx{})
+	r0, err := c1.Run(&Env{})
 	if err != nil || r0 != 42 {
 		t.Fatalf("r0=%d err=%v", r0, err)
 	}
@@ -250,8 +289,9 @@ func TestCompiledRunZeroAlloc(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := ReuseportCtx{Hash: 99}
+	env := Env{Ctx: ctx}
 	if allocs := testing.AllocsPerRun(200, func() {
-		if _, err := c.Run(&ctx); err != nil {
+		if _, err := c.Run(&env); err != nil {
 			t.Fatal(err)
 		}
 	}); allocs != 0 {
@@ -276,7 +316,7 @@ func TestCompiledRunZeroAlloc(t *testing.T) {
 		t.Fatal(err)
 	}
 	if allocs := testing.AllocsPerRun(200, func() {
-		if _, err := cm.Run(&ctx); err != ErrMapMiss {
+		if _, err := cm.Run(&env); err != ErrMapMiss {
 			t.Fatalf("err=%v", err)
 		}
 	}); allocs != 0 {

@@ -51,10 +51,13 @@ func (m *ArrayMap) Observe(sink telemetry.Sink, tr *tracing.MapTrace) {
 }
 
 // Observe registers the ebpf.jit.* counters on sink, books this program's
-// compile-time statistics (one program, its source instructions, its closures
+// compile-time statistics (one program, its source instructions, its steps
 // after fusion) and counts every Run from here on. The rows exist only where
 // bytecode is attached and compiled, so a dump can tell a JIT cell from a
-// native or interpreted one by their presence. No-op on a nil sink.
+// native or interpreted one by their presence. The "closures" row and the
+// wording of two help strings date from when a step was a closure; they are
+// part of every -metrics dump and stay as they are so dumps remain comparable.
+// No-op on a nil sink.
 func (c *Compiled) Observe(sink telemetry.Sink) {
 	if sink == nil {
 		return
@@ -66,5 +69,5 @@ func (c *Compiled) Observe(sink telemetry.Sink) {
 	sink.Counter(row(MetricJITInsns, "insns",
 		"source bytecode instructions across compiled programs")).Add(uint64(c.Insns()))
 	sink.Counter(row(MetricJITClosures, "closures",
-		"native closures after idiom fusion (vs insns: fusion ratio)")).Add(uint64(c.Closures()))
+		"native closures after idiom fusion (vs insns: fusion ratio)")).Add(uint64(c.Steps()))
 }

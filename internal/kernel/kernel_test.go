@@ -6,6 +6,7 @@ import (
 
 	"hermes/internal/ebpf"
 	"hermes/internal/sim"
+	"hermes/internal/tracing"
 )
 
 func tupleFor(src uint32, dport uint16) FourTuple {
@@ -618,5 +619,71 @@ func TestEpollKick(t *testing.T) {
 	}
 	if ep.Timeouts != 0 {
 		t.Fatal("timeout fired despite kick")
+	}
+}
+
+// A reuseport port whose every member socket has been closed (what
+// LB.QuarantineTenant does) is unbound: the next SYN takes the no-listener
+// path — the selector is not run, nothing is booked as a fallback or as an
+// accept-queue overflow — and the port can be bound again. With a member
+// still open the group stays bound.
+func TestReuseportGroupUnbindsWithLastMember(t *testing.T) {
+	eng := sim.NewEngine(1)
+	ns := NewNetStack(eng, WakeExclusiveLIFO)
+	tracer := tracing.New(tracing.Config{})
+	ns.Observe(nil, tracer, 4)
+	g, err := ns.ListenReuseport(80, 4, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	selectorRuns := 0
+	g.AttachNative(func(hash, _ uint32) (*Socket, bool) {
+		selectorRuns++
+		return nil, false
+	})
+	if _, ok := ns.DeliverSYN(tupleFor(1, 80), nil); !ok {
+		t.Fatal("SYN to the live group refused")
+	}
+	if selectorRuns != 1 || g.Fallbacks != 1 {
+		t.Fatalf("live group: selector ran %d times, Fallbacks = %d, want 1, 1", selectorRuns, g.Fallbacks)
+	}
+
+	for _, s := range g.Sockets()[1:] {
+		ns.CloseSocket(s)
+	}
+	if ns.Group(80) != g {
+		t.Fatal("group unbound while a member socket is still open")
+	}
+	ns.CloseSocket(g.Sockets()[0])
+	if ns.Group(80) != nil {
+		t.Fatal("group still bound after its last member closed")
+	}
+
+	drops := ns.SynDrops
+	if _, ok := ns.DeliverSYN(tupleFor(2, 80), nil); ok {
+		t.Fatal("SYN to the dead port accepted")
+	}
+	if ns.SynDrops != drops+1 {
+		t.Errorf("SynDrops = %d, want %d", ns.SynDrops, drops+1)
+	}
+	if selectorRuns != 1 || g.Fallbacks != 1 {
+		t.Errorf("dead port: selector ran %d times, Fallbacks = %d, want both still 1", selectorRuns, g.Fallbacks)
+	}
+	tracer.Flush()
+	var dropSpans []tracing.Span
+	for _, s := range tracer.Spans() {
+		if s.Kind == tracing.KindDrop {
+			dropSpans = append(dropSpans, s)
+		}
+	}
+	if len(dropSpans) != 1 || dropSpans[0].Arg2 != 0 || tracing.Via(dropSpans[0].Arg) != tracing.ViaShared {
+		t.Errorf("drop spans %+v, want one with overflow=false on the no-listener path", dropSpans)
+	}
+
+	if _, err := ns.ListenShared(80, 8); err != nil {
+		t.Fatalf("port not re-bindable: %v", err)
+	}
+	if _, ok := ns.DeliverSYN(tupleFor(3, 80), nil); !ok {
+		t.Fatal("SYN refused after re-binding")
 	}
 }

@@ -378,8 +378,12 @@ func (ns *NetStack) CloseSocket(s *Socket) {
 		s.watchHead.ep.Del(s)
 	}
 	if s.Listening {
+		// Unbind the port once nothing listens on it: a shared socket at
+		// once, a reuseport group when its last member closes.
 		if s.group == nil {
 			delete(ns.shared, s.Port)
+		} else if s.group.allClosed() {
+			delete(ns.groups, s.Port)
 		}
 	} else if s.conn != nil {
 		ns.connFree = append(ns.connFree, s.conn)

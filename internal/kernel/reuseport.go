@@ -24,6 +24,7 @@ type ReuseportGroup struct {
 
 	prog     *ebpf.Program
 	compiled *ebpf.Compiled
+	env      ebpf.Env // the attached program's context and registers, reused by every SYN
 	selectFn func(hash, localityHash uint32) (*Socket, bool)
 
 	// Dispatch outcome counters.
@@ -81,6 +82,16 @@ func (g *ReuseportGroup) Detach() {
 	g.selectFn = nil
 }
 
+// allClosed reports whether every member socket has been closed.
+func (g *ReuseportGroup) allClosed() bool {
+	for _, s := range g.socks {
+		if !s.closed {
+			return false
+		}
+	}
+	return true
+}
+
 // hashPick is the default reuseport selection.
 func (g *ReuseportGroup) hashPick(hash uint32) *Socket {
 	return g.socks[bitops.ReciprocalScale(hash, uint32(len(g.socks)))]
@@ -101,15 +112,16 @@ func (g *ReuseportGroup) selectSocket(hash, localityHash uint32) (*Socket, traci
 func (g *ReuseportGroup) pick(hash, localityHash uint32) (*Socket, tracing.Via) {
 	switch {
 	case g.prog != nil:
-		ctx := ebpf.ReuseportCtx{Hash: hash, LocalityHash: localityHash}
+		ctx := &g.env.Ctx
+		*ctx = ebpf.ReuseportCtx{Hash: hash, LocalityHash: localityHash}
 		var (
 			r0  uint64
 			err error
 		)
 		if g.compiled != nil {
-			r0, err = g.compiled.Run(&ctx)
+			r0, err = g.compiled.Run(&g.env)
 		} else {
-			r0, err = g.prog.Run(&ctx)
+			r0, err = g.prog.Run(ctx)
 		}
 		if err != nil {
 			g.ProgErrors++

@@ -4,18 +4,20 @@ import (
 	"testing"
 	"time"
 
+	"hermes/internal/kernel"
 	"hermes/internal/sim"
 )
 
-// The worker loop's continuations are pre-bound, so a steady-state hermes
-// cell allocates nothing per loop iteration or per connection. Each run below
-// is one connection lifecycle plus 10 ms of virtual time (two epoll timeouts
-// on each of four workers); the single allocation left is this caller boxing
-// Work into DeliverData's `any`.
+// The worker loop's continuations are pre-bound and LB.Deliver carries the
+// request as a pooled *Work, so a steady-state hermes cell allocates nothing
+// per loop iteration or per connection. Each run below is one connection
+// lifecycle plus 10 ms of virtual time (two epoll timeouts on each of four
+// workers).
 func TestHermesCellSteadyStateAllocs(t *testing.T) {
 	eng := sim.NewEngine(1)
 	cfg := DefaultConfig(ModeHermes)
 	cfg.Workers = 4
+	cfg.ConnsPerWorkerHint = 128 // room in lb.Latency for every lifecycle below
 	lb, err := New(eng, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -33,10 +35,105 @@ func TestHermesCellSteadyStateAllocs(t *testing.T) {
 	}
 	done := lb.Completed
 	const runs = 200
-	if allocs := testing.AllocsPerRun(runs, lifecycle); allocs > 1 {
-		t.Errorf("steady-state hermes cell: %.2f allocs per connection lifecycle, want ≤ 1", allocs)
+	if allocs := testing.AllocsPerRun(runs, lifecycle); allocs != 0 {
+		t.Errorf("steady-state hermes cell: %.2f allocs per connection lifecycle, want 0", allocs)
 	}
 	if got := lb.Completed - done; got != runs+1 {
 		t.Fatalf("completed %d of %d lifecycles", got, runs+1)
+	}
+	if len(lb.workFree) != 1 {
+		t.Errorf("payload pool holds %d objects after one-at-a-time lifecycles, want 1", len(lb.workFree))
+	}
+}
+
+// Workers take a request in either shape: the pooled *Work that LB.Deliver
+// sends, and the by-value Work the frozen benchmark driver still pushes
+// through NS.DeliverData. A pooled payload goes back to the pool exactly once,
+// when its worker pops it; one still queued when its connection is reset is
+// dropped with the socket's queue, and the pool neither gets it back nor hands
+// it out again; one sent after the reset never leaves the pool.
+func TestPayloadShapesAndResetWithQueuedPayloads(t *testing.T) {
+	for _, mode := range []Mode{ModeReuseport, ModeHermes, ModeDispatcher} {
+		t.Run(mode.String(), func(t *testing.T) {
+			eng := sim.NewEngine(1)
+			cfg := DefaultConfig(mode)
+			cfg.Workers = 2
+			lb, err := New(eng, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lb.Start()
+			var seen []Work
+			lb.OnResponse = func(_ kernel.ConnRef, w Work) { seen = append(seen, w) }
+
+			pooled := Work{ArrivalNS: 0, Cost: 5 * time.Microsecond, Size: 1, RespSize: 2, Tenant: 8080}
+			byValue := Work{ArrivalNS: 0, Cost: 7 * time.Microsecond, Size: 3, RespSize: 4, Close: true, Tenant: 8080}
+			conn := openConn(t, lb, 1, 8080)
+			lb.Deliver(conn, pooled)
+			lb.NS.DeliverData(conn, byValue)
+			eng.RunUntil(int64(time.Millisecond))
+			if len(seen) != 2 || seen[0] != pooled || seen[1] != byValue {
+				t.Fatalf("served %+v, want the pooled then the by-value request unchanged", seen)
+			}
+			if len(lb.workFree) != 1 {
+				t.Fatalf("pool holds %d payloads after one pooled request, want 1", len(lb.workFree))
+			}
+
+			// Three pooled requests queue behind a long one; the connection
+			// is reset while the worker is still on the first.
+			victim := openConn(t, lb, 2, 8080)
+			for i := 0; i < 4; i++ {
+				lb.Deliver(victim, Work{ArrivalNS: eng.Now(), Cost: time.Millisecond, Tenant: 8080})
+			}
+			eng.RunUntil(eng.Now() + int64(100*time.Microsecond))
+			if mode == ModeDispatcher {
+				lb.Dispatcher.w.resetConn(victim.Sock())
+			} else {
+				for _, w := range lb.Workers {
+					if w.OwnsConn(victim.Sock()) {
+						w.resetConn(victim.Sock())
+					}
+				}
+			}
+			if !victim.Sock().Closed() {
+				t.Fatal("victim connection not reset")
+			}
+			eng.RunUntil(eng.Now() + int64(10*time.Millisecond))
+			inPool := map[*Work]bool{}
+			for _, p := range lb.workFree {
+				if inPool[p] {
+					t.Fatalf("payload %p is in the pool twice", p)
+				}
+				inPool[p] = true
+			}
+			if len(lb.workFree) == 0 || len(lb.workFree) > 4 {
+				t.Fatalf("pool holds %d payloads after the reset, want the popped ones only (1..4)", len(lb.workFree))
+			}
+			// A request for the connection that is gone takes nothing out.
+			held := len(lb.workFree)
+			lb.Deliver(victim, Work{ArrivalNS: eng.Now(), Cost: time.Microsecond, Tenant: 8080})
+			if len(lb.workFree) != held {
+				t.Fatalf("Deliver to a reset connection took the pool from %d to %d payloads", held, len(lb.workFree))
+			}
+
+			// The pool still works: later requests reuse what came back and
+			// arrive intact.
+			seen = seen[:0]
+			for i := 0; i < 8; i++ {
+				c := openConn(t, lb, uint32(10+i), 8080)
+				lb.Deliver(c, Work{ArrivalNS: eng.Now(), Cost: time.Microsecond, Size: 100 + i, Close: true, Tenant: 8080})
+			}
+			eng.RunUntil(eng.Now() + int64(10*time.Millisecond))
+			if len(seen) != 8 {
+				t.Fatalf("served %d of 8 requests after the reset", len(seen))
+			}
+			sizes := map[int]bool{}
+			for _, w := range seen {
+				sizes[w.Size] = true
+			}
+			if len(sizes) != 8 {
+				t.Fatalf("requests after the reset arrived as %+v: payloads aliased", seen)
+			}
+		})
 	}
 }

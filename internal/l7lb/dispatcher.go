@@ -22,7 +22,7 @@ type dispatcher struct {
 }
 
 func newDispatcher(lb *LB) *dispatcher {
-	d := &dispatcher{lb: lb, w: newWorker(lb, -1, NopHook{})}
+	d := &dispatcher{lb: lb, w: newWorker(lb, -1, nil)}
 	d.onWakeFn = d.onWake
 	for _, s := range lb.shared {
 		d.w.ep.Add(s)
@@ -81,7 +81,7 @@ func (d *dispatcher) handle(ev kernel.Event) time.Duration {
 		if !ok {
 			return costs.SpuriousWake
 		}
-		work := payload.(Work)
+		work := d.lb.takeWork(payload)
 		sock := ev.Sock
 		// The executor's completion fires later; capture a checked ref now
 		// in case the connection is reset and recycled meanwhile.

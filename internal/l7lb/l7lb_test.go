@@ -23,7 +23,7 @@ func openConn(t *testing.T, lb *LB, src uint32, port uint16) *kernel.Conn {
 
 // sendReq delivers one request on an established connection.
 func sendReq(lb *LB, conn *kernel.Conn, cost time.Duration, closeAfter bool) {
-	lb.NS.DeliverData(conn, Work{
+	lb.Deliver(conn, Work{
 		ArrivalNS: lb.Eng.Now(),
 		Cost:      cost,
 		Size:      200,

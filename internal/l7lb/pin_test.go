@@ -10,24 +10,28 @@ import (
 	"hermes/internal/sim"
 )
 
-// TestHermesCellPinned pins what a hermes cell of the sim-churn shape does,
-// to the event: which worker accepted how many connections, and how many
-// engine events it took. The figures were recorded at the commit before the
-// event queue became ring + two heaps and wake-frame coalescing was deleted;
-// a change to the queue, the wake path or the worker loop that moves either
-// has changed the simulation, not just its speed.
+// TestHermesCellPinned pins what a cell of the sim-churn shape does, to the
+// event: which worker accepted how many connections, and how many engine
+// events it took. The hermes figures were recorded at the commit before the
+// event queue became ring + two heaps and wake-frame coalescing was deleted,
+// the reuseport row at the commit before workers took a concrete
+// *core.WorkerHook and pooled payloads; a change to the queue, the wake path or
+// the worker loop that moves any of them has changed the simulation, not just
+// its speed.
 func TestHermesCellPinned(t *testing.T) {
 	const conns = 20_000
 	for _, pin := range []struct {
+		mode     Mode
 		workers  int
 		executed uint64
 		accepted uint64 // FNV-1a over the per-worker accept counts, "n," each
 	}{
-		{64, 189706, 0x41575e409cd33763},
-		{256, 344212, 0x194d505fe5bce454},
+		{ModeHermes, 64, 189706, 0x41575e409cd33763},
+		{ModeHermes, 256, 344212, 0x194d505fe5bce454},
+		{ModeReuseport, 64, 189942, 0x640dbe3beb041d06},
 	} {
 		eng := sim.NewEngine(1)
-		cfg := DefaultConfig(ModeHermes)
+		cfg := DefaultConfig(pin.mode)
 		cfg.Workers = pin.workers
 		cfg.Ports = []uint16{8080}
 		cfg.ConnsPerWorkerHint = conns/pin.workers + 1
@@ -57,10 +61,10 @@ func TestHermesCellPinned(t *testing.T) {
 		eng.RunUntil(conns*1000 + int64(2*time.Second))
 
 		if lb.Completed != conns {
-			t.Errorf("%d workers: completed %d of %d connections", pin.workers, lb.Completed, conns)
+			t.Errorf("%v, %d workers: completed %d of %d connections", pin.mode, pin.workers, lb.Completed, conns)
 		}
 		if eng.Executed != pin.executed {
-			t.Errorf("%d workers: Executed = %d, pinned %d", pin.workers, eng.Executed, pin.executed)
+			t.Errorf("%v, %d workers: Executed = %d, pinned %d", pin.mode, pin.workers, eng.Executed, pin.executed)
 		}
 		h := fnv.New64a()
 		accepted := make([]uint64, len(lb.Workers))
@@ -69,7 +73,7 @@ func TestHermesCellPinned(t *testing.T) {
 			fmt.Fprintf(h, "%d,", w.Accepted)
 		}
 		if h.Sum64() != pin.accepted {
-			t.Errorf("%d workers: accept vector hashes to %#x, pinned %#x: %v", pin.workers, h.Sum64(), pin.accepted, accepted)
+			t.Errorf("%v, %d workers: accept vector hashes to %#x, pinned %#x: %v", pin.mode, pin.workers, h.Sum64(), pin.accepted, accepted)
 		}
 	}
 }

@@ -28,38 +28,3 @@ type Work struct {
 	// Tenant is the tenant port this request belongs to.
 	Tenant uint16
 }
-
-// Hook is the seam where Hermes instruments the event loop (Fig. 9). The
-// baseline modes use NopHook; Hermes modes adapt core's worker hooks.
-type Hook interface {
-	LoopEnter(nowNS int64)
-	EventsFetched(n int)
-	EventHandled()
-	ConnOpened()
-	ConnClosed()
-	// ScheduleAndSync runs at the end of each event loop; it returns true
-	// if a scheduling pass actually executed (so the worker charges itself
-	// the scheduler's CPU cost).
-	ScheduleAndSync(nowNS int64) bool
-}
-
-// NopHook is the baseline (non-Hermes) hook: the unmodified event loop.
-type NopHook struct{}
-
-// LoopEnter implements Hook.
-func (NopHook) LoopEnter(int64) {}
-
-// EventsFetched implements Hook.
-func (NopHook) EventsFetched(int) {}
-
-// EventHandled implements Hook.
-func (NopHook) EventHandled() {}
-
-// ConnOpened implements Hook.
-func (NopHook) ConnOpened() {}
-
-// ConnClosed implements Hook.
-func (NopHook) ConnClosed() {}
-
-// ScheduleAndSync implements Hook.
-func (NopHook) ScheduleAndSync(int64) bool { return false }

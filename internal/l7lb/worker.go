@@ -3,6 +3,7 @@ package l7lb
 import (
 	"time"
 
+	"hermes/internal/core"
 	"hermes/internal/kernel"
 	"hermes/internal/sim"
 	"hermes/internal/stats"
@@ -18,9 +19,11 @@ type Worker struct {
 	// ID is the worker index (== CPU core == reuseport socket index).
 	ID int
 
-	lb      *LB
-	ep      *kernel.Epoll
-	hook    Hook
+	lb *LB
+	ep *kernel.Epoll
+	// hook is the Hermes instrumentation of Fig. 9 (WST publication and
+	// schedule_and_sync); nil in the baseline modes, whose loop is unmodified.
+	hook    *core.WorkerHook
 	backend *BackendClient // round-robin cursor when Config.Backends is set
 
 	crashed  bool
@@ -125,7 +128,7 @@ type servState struct {
 	forwarded  bool
 }
 
-func newWorker(lb *LB, id int, hook Hook) *Worker {
+func newWorker(lb *LB, id int, hook *core.WorkerHook) *Worker {
 	// Pre-size the connection table so the steady-state accept path does
 	// not rehash/regrow: from the cell's planned per-worker connection
 	// count when the driver provides one, bounded by the pool cap.
@@ -420,14 +423,16 @@ func (w *Worker) loopEnter() {
 		return
 	}
 	now := w.lb.Eng.Now()
-	w.hook.LoopEnter(now)
+	h := w.hook
+	if h != nil {
+		h.LoopEnter(now)
+	}
 	if o := w.obs; o != nil {
 		o.openConns.Record(now, int64(len(w.conns)))
 	}
-	if w.lb.Cfg.ScheduleAtLoopStart {
-		if w.hook.ScheduleAndSync(now) {
-			w.busy(w.lb.Cfg.Costs.Schedule)
-		}
+	if h != nil && w.lb.Cfg.ScheduleAtLoopStart {
+		h.ScheduleAndSync(now)
+		w.busy(w.lb.Cfg.Costs.Schedule)
 	}
 	if w.lb.mutex != nil {
 		w.tryAcquireMutex()
@@ -454,7 +459,9 @@ func (w *Worker) onWake(evs []kernel.Event) {
 	if w.EventsPerWait != nil {
 		w.EventsPerWait.Add(float64(len(evs)))
 	}
-	w.hook.EventsFetched(len(evs))
+	if h := w.hook; h != nil {
+		h.EventsFetched(len(evs))
+	}
 	w.batchStart = now
 	if len(evs) == 0 && w.ep.SpuriousWakeups > w.prevSpurious {
 		// Thundering-herd loser: charge the wasted wakeup.
@@ -489,7 +496,9 @@ func (w *Worker) afterEvent() {
 		return
 	}
 	w.endWork()
-	w.hook.EventHandled()
+	if h := w.hook; h != nil {
+		h.EventHandled()
+	}
 	if w.serv.active {
 		w.finishServe()
 	}
@@ -511,7 +520,9 @@ func (w *Worker) afterEvent() {
 		// Edge-triggered drain obligation: keep consuming this socket
 		// before touching the rest of the loop — the trap of Appendix C
 		// when data arrives faster than it is processed.
-		w.hook.EventsFetched(1)
+		if h := w.hook; h != nil {
+			h.EventsFetched(1)
+		}
 		w.processBatch()
 		return
 	}
@@ -570,7 +581,9 @@ func (w *Worker) handle(ev kernel.Event) time.Duration {
 			return costs.Close
 		}
 		w.addConn(conn.Sock())
-		w.hook.ConnOpened()
+		if h := w.hook; h != nil {
+			h.ConnOpened()
+		}
 		// Accept cost includes the dispatch overhead: O(#registered ports)
 		// for shared-socket modes, O(#owned ports) for reuseport/Hermes
 		// (§6.2 Case 1).
@@ -580,7 +593,7 @@ func (w *Worker) handle(ev kernel.Event) time.Duration {
 		if !ok {
 			return costs.SpuriousWake
 		}
-		work := payload.(Work)
+		work := w.lb.takeWork(payload)
 		sock := ev.Sock
 		// The completion fires after the cost elapses; by then the
 		// connection may have been reset (crash, shed) and its socket
@@ -626,7 +639,8 @@ func (w *Worker) endLoop() {
 	}
 
 	var tail time.Duration
-	if !w.lb.Cfg.ScheduleAtLoopStart && w.hook.ScheduleAndSync(now) {
+	if h := w.hook; h != nil && !w.lb.Cfg.ScheduleAtLoopStart {
+		h.ScheduleAndSync(now)
 		tail += w.lb.Cfg.Costs.Schedule
 	}
 	if p := w.lb.Cfg.Shed; p.Enabled {
@@ -689,7 +703,9 @@ func (w *Worker) closeConn(s *kernel.Socket) {
 		return
 	}
 	w.removeConn(s)
-	w.hook.ConnClosed()
+	if h := w.hook; h != nil {
+		h.ConnClosed()
+	}
 	w.lb.NS.CloseSocket(s)
 	if o := w.obs; o != nil {
 		if c := s.Conn(); c != nil {
@@ -712,7 +728,9 @@ func (w *Worker) resetConn(s *kernel.Socket) {
 		ref = c.Ref()
 	}
 	w.removeConn(s)
-	w.hook.ConnClosed()
+	if h := w.hook; h != nil {
+		h.ConnClosed()
+	}
 	w.lb.NS.CloseSocket(s)
 	if o := w.obs; o != nil && ref.Get() != nil {
 		o.tr.Close(uint64(ref.ID()), w.lb.Eng.Now(), true)

@@ -96,7 +96,7 @@ func (p *Prober) fire() {
 		p.Rejected++
 		return
 	}
-	p.lb.NS.DeliverData(conn, l7lb.Work{
+	p.lb.Deliver(conn, l7lb.Work{
 		ArrivalNS: p.lb.Eng.Now(),
 		Cost:      10 * time.Microsecond,
 		Size:      64,
@@ -193,7 +193,7 @@ func (p *WorkerProber) scheduleRound(prev, end int64) {
 				p.Lost++
 				continue
 			}
-			p.lb.NS.DeliverData(s.Conn(), l7lb.Work{
+			p.lb.Deliver(s.Conn(), l7lb.Work{
 				ArrivalNS: p.lb.Eng.Now(),
 				Cost:      10 * time.Microsecond,
 				Size:      64,

@@ -197,7 +197,7 @@ func (t *reqTrain) run() {
 	last := t.idx == t.total
 	g.RequestsSent++
 	g.PortRequests[t.port]++
-	g.lb.NS.DeliverData(conn, l7lb.Work{
+	g.lb.Deliver(conn, l7lb.Work{
 		ArrivalNS: g.lb.Eng.Now(),
 		Cost:      time.Duration(g.spec.CostNS.Sample(g.rng)),
 		Size:      int(g.spec.SizeBytes.Sample(g.rng)),

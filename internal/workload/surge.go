@@ -105,7 +105,7 @@ func (s *Surge) sendBurstReq(ref kernel.ConnRef, remaining int) {
 		return
 	}
 	s.RequestsSent++
-	s.lb.NS.DeliverData(conn, l7lb.Work{
+	s.lb.Deliver(conn, l7lb.Work{
 		ArrivalNS: s.lb.Eng.Now(),
 		Cost:      time.Duration(s.spec.BurstCostNS.Sample(s.rng)),
 		Size:      300,

@@ -264,6 +264,44 @@ func TestGeneratorDrivesLB(t *testing.T) {
 	}
 }
 
+// After warm-up the generator, the LB under it and the engine under both run
+// out of their pools: arrival chains, request trains, the request payloads
+// LB.Deliver carries, connections, watches and timer events are all recycled,
+// so a request costs no allocation. Each measured run is 10 ms of virtual time,
+// ≈ 700 requests on ≈ 200 new connections.
+func TestGeneratorSteadyStateAllocs(t *testing.T) {
+	eng := sim.NewEngine(3)
+	cfg := l7lb.DefaultConfig(l7lb.ModeHermes)
+	cfg.Workers = 4
+	cfg.ConnsPerWorkerHint = 50_000 // lb.Latency holds the whole run without growing
+	lb, err := l7lb.New(eng, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lb.Start()
+	spec := Case3([]uint16{8080})
+	spec.ConnRate = 20_000
+	spec.ReqPerConn = Uniform{Lo: 2, Hi: 6}
+	spec.InterReqNS = Exp{MeanVal: 200 * us}
+	g, err := NewGenerator(lb, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.Run(2 * time.Second)
+	eng.RunUntil(int64(800 * time.Millisecond)) // pools, maps, ring and heaps reach their working size
+
+	sent, done := g.RequestsSent, lb.Completed
+	const runs = 50
+	allocs := testing.AllocsPerRun(runs, func() { eng.RunFor(10 * time.Millisecond) })
+	reqs := g.RequestsSent - sent
+	if reqs < 500*runs || lb.Completed-done < 500*runs {
+		t.Fatalf("measured phase sent %d requests and completed %d: not a steady state", reqs, lb.Completed-done)
+	}
+	if allocs != 0 {
+		t.Errorf("%.0f allocs per 10 ms of steady state (%d requests in %d runs), want 0", allocs, reqs, runs+1)
+	}
+}
+
 func TestGeneratorDeterminism(t *testing.T) {
 	run := func() (uint64, uint64) {
 		eng := sim.NewEngine(7)
