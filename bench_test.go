@@ -1,12 +1,14 @@
-// Top-level benchmark harness: one testing.B benchmark per table and figure
-// of the paper's evaluation, plus the ablation benches DESIGN.md calls out.
-// Each iteration runs a scaled-down instance of the experiment; use
+// Top-level benchmark harness: one testing.B sub-benchmark per registered
+// experiment (every table and figure of the paper's evaluation), Table 3 cell
+// by cell, Table 5's component code paths, plus the ablation benches DESIGN.md
+// calls out. Each iteration runs a scaled-down instance of the experiment; use
 // cmd/hermes-bench for full-size paper-style output.
 //
 //	go test -bench=. -benchmem
 package hermes_test
 
 import (
+	"sort"
 	"testing"
 	"time"
 
@@ -54,21 +56,26 @@ func runCell(b *testing.B, spec workload.Spec, mode l7lb.Mode) {
 	}
 }
 
-func BenchmarkTable1(b *testing.B) {
-	o := benchOptions()
-	for i := 0; i < b.N; i++ {
-		o.Seed = int64(i + 1)
-		if rows := bench.Table1(o); len(rows) != 4 {
-			b.Fatal("table1 broken")
-		}
+// BenchmarkExperiment runs every registered experiment end to end, one
+// sub-benchmark each: registering an experiment is what benchmarks it.
+func BenchmarkExperiment(b *testing.B) {
+	exps := bench.Experiments()
+	names := make([]string, 0, len(exps))
+	for name := range exps {
+		names = append(names, name)
 	}
-}
-
-func BenchmarkTable2(b *testing.B) {
-	o := benchOptions()
-	for i := 0; i < b.N; i++ {
-		o.Seed = int64(i + 1)
-		bench.Table2(o)
+	sort.Strings(names)
+	for _, name := range names {
+		e := exps[name]
+		b.Run(name, func(b *testing.B) {
+			o := benchOptions()
+			for i := 0; i < b.N; i++ {
+				o.Seed = int64(i + 1)
+				if out := bench.RunExperiment(e, o); out == "" {
+					b.Fatal(name + " rendered nothing")
+				}
+			}
+		})
 	}
 }
 
@@ -83,15 +90,6 @@ func BenchmarkTable3(b *testing.B) {
 			b.Run(names[ci]+"/"+mode.String(), func(b *testing.B) {
 				runCell(b, spec, mode)
 			})
-		}
-	}
-}
-
-func BenchmarkTable4(b *testing.B) {
-	o := benchOptions()
-	for i := 0; i < b.N; i++ {
-		if out := bench.Table4(o); len(out) == 0 {
-			b.Fatal("table4 empty")
 		}
 	}
 }
@@ -165,92 +163,6 @@ func BenchmarkTable5(b *testing.B) {
 		}
 		_ = sink
 	})
-}
-
-func BenchmarkFig2(b *testing.B) {
-	o := benchOptions()
-	for i := 0; i < b.N; i++ {
-		o.Seed = int64(i + 1)
-		bench.Fig2(o)
-	}
-}
-
-func BenchmarkFig3(b *testing.B) {
-	o := benchOptions()
-	for i := 0; i < b.N; i++ {
-		o.Seed = int64(i + 1)
-		bench.Fig3(o)
-	}
-}
-
-func BenchmarkFig4and5(b *testing.B) {
-	o := benchOptions()
-	for i := 0; i < b.N; i++ {
-		o.Seed = int64(i + 1)
-		bench.Fig4and5(o)
-	}
-}
-
-func BenchmarkFig7(b *testing.B) {
-	o := benchOptions()
-	for i := 0; i < b.N; i++ {
-		o.Seed = int64(i + 1)
-		bench.Fig7(o)
-	}
-}
-
-func BenchmarkFig11(b *testing.B) {
-	o := benchOptions()
-	for i := 0; i < b.N; i++ {
-		o.Seed = int64(i + 1)
-		bench.Fig11(o)
-	}
-}
-
-func BenchmarkFig12(b *testing.B) {
-	o := benchOptions()
-	for i := 0; i < b.N; i++ {
-		bench.Fig12(o)
-	}
-}
-
-func BenchmarkFig13(b *testing.B) {
-	o := benchOptions()
-	for i := 0; i < b.N; i++ {
-		o.Seed = int64(i + 1)
-		bench.Fig13(o)
-	}
-}
-
-func BenchmarkFig14(b *testing.B) {
-	o := benchOptions()
-	for i := 0; i < b.N; i++ {
-		o.Seed = int64(i + 1)
-		bench.Fig14(o)
-	}
-}
-
-func BenchmarkFig15(b *testing.B) {
-	o := benchOptions()
-	for i := 0; i < b.N; i++ {
-		o.Seed = int64(i + 1)
-		bench.Fig15(o)
-	}
-}
-
-func BenchmarkFigA5(b *testing.B) {
-	o := benchOptions()
-	for i := 0; i < b.N; i++ {
-		o.Seed = int64(i + 1)
-		bench.FigA5(o)
-	}
-}
-
-func BenchmarkWalkthrough(b *testing.B) {
-	o := benchOptions()
-	for i := 0; i < b.N; i++ {
-		bench.Walkthrough(o)
-	}
 }
 
 // --- ablations (DESIGN.md §4) ---

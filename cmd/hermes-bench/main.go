@@ -18,6 +18,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -46,6 +47,13 @@ func promFileName(s string) string {
 	return string(out)
 }
 
+// die ends the run with one line on stderr: exit 2 for a flag the run cannot
+// honour, 1 for an artefact it could not write.
+func die(code int, format string, args ...any) {
+	fmt.Fprintf(os.Stderr, format+"\n", args...)
+	os.Exit(code)
+}
+
 func main() {
 	var (
 		exp      = flag.String("exp", "all", "experiment id (table1..table5, fig2..fig15, figA5, walkthrough, all, list)")
@@ -71,12 +79,10 @@ func main() {
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "create cpu profile: %v\n", err)
-			os.Exit(1)
+			die(1, "create cpu profile: %v", err)
 		}
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "start cpu profile: %v\n", err)
-			os.Exit(1)
+			die(1, "start cpu profile: %v", err)
 		}
 		defer func() {
 			pprof.StopCPUProfile()
@@ -87,13 +93,11 @@ func main() {
 		defer func() {
 			f, err := os.Create(*memprofile)
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "create mem profile: %v\n", err)
-				os.Exit(1)
+				die(1, "create mem profile: %v", err)
 			}
 			runtime.GC() // flush dead objects so the profile shows live + cumulative allocs accurately
 			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintf(os.Stderr, "write mem profile: %v\n", err)
-				os.Exit(1)
+				die(1, "write mem profile: %v", err)
 			}
 			f.Close()
 		}()
@@ -106,15 +110,18 @@ func main() {
 	opts.RateScale = *scale
 	opts.Tenants = *tenants
 	opts.Parallel = *parallel
+	if err := opts.Validate(); err != nil {
+		die(2, "%v", err)
+	}
 
 	experiments := bench.Experiments()
+	all := make([]string, 0, len(experiments))
+	for name := range experiments {
+		all = append(all, name)
+	}
+	sort.Strings(all)
 	if *exp == "list" {
-		names := make([]string, 0, len(experiments))
-		for name := range experiments {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, n := range names {
+		for _, n := range all {
 			if cells := experiments[n].Cells(opts); len(cells) > 1 {
 				fmt.Printf("%s\t(%d parallel cells)\n", n, len(cells))
 			} else {
@@ -123,23 +130,27 @@ func main() {
 		}
 		return
 	}
+	names := all
+	if *exp != "all" {
+		names = strings.Split(*exp, ",")
+		for i := range names {
+			names[i] = strings.TrimSpace(names[i])
+			if _, ok := experiments[names[i]]; !ok {
+				die(2, "unknown experiment %q (try -exp list)", names[i])
+			}
+		}
+	}
 
 	if *spans != "" {
 		// Span recording is scoped to one cell of one experiment: resolve
 		// the designated cell up front (before any fan-out) so the choice
 		// is deterministic at every -parallel setting.
-		if *exp == "all" || strings.Contains(*exp, ",") {
-			fmt.Fprintln(os.Stderr, "-spans records a single experiment: pass one -exp name")
-			os.Exit(2)
-		}
-		e, ok := experiments[*exp]
-		if !ok {
-			fmt.Fprintf(os.Stderr, "unknown experiment %q (try -exp list)\n", *exp)
-			os.Exit(2)
+		if len(names) != 1 {
+			die(2, "-spans records a single experiment: pass one -exp name")
 		}
 		cell := *spanCell
 		if cell == "" {
-			cell = e.Cells(opts)[0].Name
+			cell = experiments[names[0]].Cells(opts)[0].Name
 		}
 		tcfg := tracing.DefaultConfig()
 		tcfg.SampleEvery = *spanSample
@@ -148,95 +159,58 @@ func main() {
 	}
 
 	dumps := make(map[string]*bench.MetricsCollector)
-	run := func(name string) {
-		e, ok := experiments[name]
-		if !ok {
-			fmt.Fprintf(os.Stderr, "unknown experiment %q (try -exp list)\n", name)
-			os.Exit(2)
-		}
+	for _, name := range names {
+		e := experiments[name]
 		if *metrics != "" || *prom != "" {
 			opts.Metrics = bench.NewMetricsCollector()
 			dumps[name] = opts.Metrics
 		}
 		start := time.Now()
 		out := bench.RunExperiment(e, opts)
-		fmt.Printf("### %s — %s (wall %.1fs)\n%s\n", name, e.Desc(), time.Since(start).Seconds(), out)
-	}
-	if *exp == "all" {
-		names := make([]string, 0, len(experiments))
-		for name := range experiments {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, n := range names {
-			run(n)
-		}
-	} else {
-		for _, name := range strings.Split(*exp, ",") {
-			run(strings.TrimSpace(name))
-		}
+		fmt.Printf("### %s — %s (wall %.1fs)\n%s\n", name, e.Desc, time.Since(start).Seconds(), out)
 	}
 
 	if *metrics != "" {
 		buf, err := json.MarshalIndent(dumps, "", "  ")
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "marshal metrics: %v\n", err)
-			os.Exit(1)
+			die(1, "marshal metrics: %v", err)
 		}
 		buf = append(buf, '\n')
 		if err := os.WriteFile(*metrics, buf, 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "write metrics: %v\n", err)
-			os.Exit(1)
+			die(1, "write metrics: %v", err)
 		}
 	}
 
 	if *prom != "" {
 		if err := os.MkdirAll(*prom, 0o755); err != nil {
-			fmt.Fprintf(os.Stderr, "create prom dir: %v\n", err)
-			os.Exit(1)
+			die(1, "create prom dir: %v", err)
 		}
-		names := make([]string, 0, len(dumps))
-		for name := range dumps {
-			names = append(names, name)
-		}
-		sort.Strings(names)
 		for _, name := range names {
 			mc := dumps[name]
 			for _, cell := range mc.CellNames() {
 				path := *prom + "/" + promFileName(name) + "__" + promFileName(cell) + ".prom"
-				f, err := os.Create(path)
+				var buf bytes.Buffer
+				err := telemetry.WriteOpenMetrics(&buf, mc.Snapshot(cell))
 				if err == nil {
-					err = telemetry.WriteOpenMetrics(f, mc.Snapshot(cell))
-					if cerr := f.Close(); err == nil {
-						err = cerr
-					}
+					err = os.WriteFile(path, buf.Bytes(), 0o644)
 				}
 				if err != nil {
-					fmt.Fprintf(os.Stderr, "write prom %s: %v\n", path, err)
-					os.Exit(1)
+					die(1, "write prom %s: %v", path, err)
 				}
 			}
 		}
 	}
 
 	if *spans != "" {
-		if !opts.Spans.Recorded() {
-			fmt.Fprintf(os.Stderr, "span cell %q never ran (check -span-cell against -exp list)\n", opts.Spans.Cell())
-			os.Exit(1)
-		}
-		f, err := os.Create(*spans)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "create spans: %v\n", err)
-			os.Exit(1)
-		}
-		if err := opts.Spans.WriteTo(f, strings.HasSuffix(*spans, ".jsonl")); err == nil {
-			err = f.Close()
-		} else {
-			f.Close()
+		// Written the way -metrics is, whole or not at all; the error for a
+		// designated cell that never ran names the cells that did.
+		var buf bytes.Buffer
+		err := opts.Spans.WriteTo(&buf, strings.HasSuffix(*spans, ".jsonl"))
+		if err == nil {
+			err = os.WriteFile(*spans, buf.Bytes(), 0o644)
 		}
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "write spans: %v\n", err)
-			os.Exit(1)
+			die(1, "write spans: %v", err)
 		}
 	}
 }

@@ -92,7 +92,8 @@ func runDemo(cfg proxy.Config, requests int, statsEvery time.Duration, tracer *t
 	}
 	wg.Wait()
 
-	fmt.Printf("\nrequests: %d ok, %d failed; upstream errors: %d\n", ok.Load(), bad.Load(), p.Errors.Load())
+	upstreamErrs := p.Registry().Snapshot().Get("proxy.upstream_errors").Value
+	fmt.Printf("\nrequests: %d ok, %d failed; upstream errors: %d\n", ok.Load(), bad.Load(), upstreamErrs)
 	fmt.Printf("%-8s %-10s\n", "worker", "handled")
 	for i := 0; i < workers; i++ {
 		note := ""

@@ -10,6 +10,7 @@ import (
 
 	"hermes/internal/core"
 	"hermes/internal/ebpf"
+	"hermes/internal/l7lb"
 	"hermes/internal/openmetrics"
 	"hermes/internal/telemetry"
 	"hermes/internal/tracing"
@@ -123,14 +124,21 @@ func checkMetrics(name string, r io.Reader) (string, error) {
 // compiled program must actually have run — the sync-batching counter
 // (core.schedule.sync_batched) exactly in cells that run the Hermes control
 // loop, and neither anywhere else; a leak in either direction means an
-// observer was attached where it should not be. Cell names embed the dispatch
-// mode as their last dash-separated token (l7lb.Mode.String()), so "…-hermes"
+// observer was attached where it should not be. A cell whose name ends in its
+// dispatch mode (cellMode) is held to what that mode attaches: "…-hermes"
 // runs bytecode through the JIT, "…-hermes-native" runs the native twin
-// (control loop but no bytecode), and anything else runs no Hermes machinery.
+// (control loop but no bytecode), any other mode no Hermes machinery. A cell
+// named after something else ("theta0.50", "dev3") is held to itself: all
+// four JIT counters or none, and bytecode only under the control loop.
 func checkModeCatalog(cell string, snaps []telemetry.MetricSnapshot) error {
-	vm := strings.HasSuffix(cell, "hermes")
-	hermes := vm || strings.HasSuffix(cell, "hermes-native")
 	snap := telemetry.Snapshot{Metrics: snaps}
+	batched := snap.Get(core.MetricSyncBatched) != nil
+	mode, named := cellMode(cell)
+	vm, hermes := mode == l7lb.ModeHermes, mode.UsesHermes()
+	if !named {
+		vm = snap.Get(ebpf.MetricJITRuns) != nil
+		hermes = vm || batched
+	}
 	for _, name := range []string{ebpf.MetricJITRuns, ebpf.MetricJITPrograms, ebpf.MetricJITInsns, ebpf.MetricJITClosures} {
 		switch ms := snap.Get(name); {
 		case vm && ms == nil:
@@ -141,13 +149,25 @@ func checkModeCatalog(cell string, snaps []telemetry.MetricSnapshot) error {
 			return fmt.Errorf("non-bytecode cell carries %s", name)
 		}
 	}
-	switch batched := snap.Get(core.MetricSyncBatched) != nil; {
+	switch {
 	case hermes && !batched:
 		return fmt.Errorf("hermes cell missing %s", core.MetricSyncBatched)
 	case !hermes && batched:
 		return fmt.Errorf("non-hermes cell carries %s", core.MetricSyncBatched)
 	}
 	return nil
+}
+
+// cellMode returns the dispatch mode a cell name ends in, as hermes-bench
+// names a cell that is one mode of a comparison ("case1/heavy/hermes",
+// "64w-10k-hermes-native", "exclusive"); false when it ends in none.
+func cellMode(cell string) (l7lb.Mode, bool) {
+	for m := l7lb.ModeExclusive; m <= l7lb.ModeIOUring; m++ { // the whole enum
+		if rest, ok := strings.CutSuffix(cell, m.String()); ok && (rest == "" || strings.HasSuffix(rest, "-") || strings.HasSuffix(rest, "/")) {
+			return m, true
+		}
+	}
+	return 0, false
 }
 
 // checkProm validates an OpenMetrics text exposition under the strict

@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 
+	"hermes/internal/core"
+	"hermes/internal/ebpf"
 	"hermes/internal/telemetry"
 	"hermes/internal/tracing"
 )
@@ -120,5 +122,47 @@ func TestSpansSubcommand(t *testing.T) {
 	}
 	if _, errOut, code := runCtl(t, "spans", "-metrics", p["ok.metrics.json"], "-cell", "nope", p["ok.spans.jsonl"]); code != 1 || !strings.Contains(errOut, `cell "nope" not in metrics dump`) {
 		t.Errorf("wrong -cell: exit %d, stderr %q", code, errOut)
+	}
+}
+
+// A cell is held to the mode its name ends in, and a cell named after
+// something else to itself: hermes-bench's sweeps over one mode (fig14's
+// "load0.25x", fig15's "theta0.50", the cluster's "dev3") carry Hermes rows
+// under names that say nothing about Hermes, and must pass.
+func TestCheckModeCatalogByNameOrBySelf(t *testing.T) {
+	jit := []string{ebpf.MetricJITRuns, ebpf.MetricJITPrograms, ebpf.MetricJITInsns, ebpf.MetricJITClosures}
+	snaps := func(names ...string) []telemetry.MetricSnapshot {
+		reg := telemetry.NewRegistry()
+		reg.Counter(telemetry.Metric{Name: "l7lb.x"}).Inc()
+		for _, name := range names {
+			reg.Counter(telemetry.Metric{Name: name}).Inc()
+		}
+		return reg.Snapshot().Metrics
+	}
+	hermes := snaps(append(jit, core.MetricSyncBatched)...)
+	for _, tc := range []struct {
+		cell    string
+		snaps   []telemetry.MetricSnapshot
+		wantErr string
+	}{
+		{"case1/heavy/hermes", hermes, ""},
+		{"theta0.50", hermes, ""},
+		{"dev3", hermes, ""},
+		{"dev0", snaps(), ""},
+		{"64w-10k-hermes-native", snaps(core.MetricSyncBatched), ""},
+		{"load0.25x", snaps(core.MetricSyncBatched), ""}, // a native-twin cell under any name
+		{"exclusive-rr", snaps(), ""},
+		{"exclusive", snaps(core.MetricSyncBatched), "non-hermes cell carries"},
+		{"hang/reuseport", hermes, "non-bytecode cell carries"},
+		{"64w-10k-hermes-native", hermes, "non-bytecode cell carries"},
+		{"16w-hermes", snaps(core.MetricSyncBatched), "hermes cell missing " + ebpf.MetricJITRuns},
+		{"theta0.50", snaps(append(jit[:2:2], core.MetricSyncBatched)...), "hermes cell missing " + ebpf.MetricJITInsns},
+		{"theta0.50", snaps(jit...), "hermes cell missing " + core.MetricSyncBatched},
+		{"forced reuseport fallback", hermes, ""}, // ends in no mode: "fallback"
+	} {
+		err := checkModeCatalog(tc.cell, tc.snaps)
+		if (err == nil) != (tc.wantErr == "") || (err != nil && !strings.Contains(err.Error(), tc.wantErr)) {
+			t.Errorf("cell %q: got %v, want %q", tc.cell, err, tc.wantErr)
+		}
 	}
 }

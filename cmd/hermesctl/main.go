@@ -8,6 +8,7 @@
 //	hermesctl -admin 127.0.0.1:9900 slo        # burn-rate monitor status
 //	hermesctl -admin 127.0.0.1:9900 metrics    # raw OpenMetrics exposition (pipe to `hermesctl check prom`)
 //	hermesctl -admin 127.0.0.1:9900 watch      # periodic re-render with per-interval rates
+//	hermesctl -admin 127.0.0.1:9900 top        # live terminal dashboard; -once renders one frame and exits (top.go)
 //
 // -json prints the raw admin-API response instead of the text rendering; for
 // watch it streams one JSON object per interval.
@@ -23,6 +24,7 @@ import (
 	"io"
 	"net/http"
 	"os"
+	"sort"
 	"strings"
 	"time"
 
@@ -37,10 +39,11 @@ func run(args []string, out, errW io.Writer) int {
 	fs.SetOutput(errW)
 	admin := fs.String("admin", "127.0.0.1:9900", "hermes-lb admin API address")
 	asJSON := fs.Bool("json", false, "print the raw admin-API JSON (watch: stream one JSON object per interval)")
-	interval := fs.Duration("interval", 2*time.Second, "watch refresh period")
+	interval := fs.Duration("interval", 2*time.Second, "watch and top refresh period")
 	count := fs.Int("count", 0, "watch iterations before exiting (0 = until interrupted)")
+	once := fs.Bool("once", false, "top: render a single frame (two quick scrapes) and exit")
 	fs.Usage = func() {
-		fmt.Fprintln(errW, "usage: hermesctl [-admin host:port] [-json] [-interval d] [-count n] status|backends|stats|circuits|slo|metrics|watch")
+		fmt.Fprintln(errW, "usage: hermesctl [-admin host:port] [-json] [-interval d] [-count n] [-once] status|backends|stats|circuits|slo|metrics|watch|top")
 		fmt.Fprintln(errW, "       hermesctl check metrics|prom|spans [file…]")
 		fmt.Fprintln(errW, "       hermesctl spans [-top n] [-conn id] [-metrics dump.json] <spans dump>")
 		fs.PrintDefaults()
@@ -60,8 +63,11 @@ func run(args []string, out, errW io.Writer) int {
 	}
 	cmd := fs.Arg(0)
 
-	if cmd == "watch" {
+	switch cmd {
+	case "watch":
 		return watch(*admin, *interval, *count, *asJSON, out, errW)
+	case "top":
+		return runTop(*admin, *interval, *once, out, errW)
 	}
 	path, ok := map[string]string{
 		"status":   "/healthz",
@@ -76,22 +82,17 @@ func run(args []string, out, errW io.Writer) int {
 		fs.Usage()
 		return 2
 	}
-	if cmd == "metrics" {
-		// The exposition is already text; print it verbatim for scrapers and
-		// the `check prom` conformance gate.
-		body, _, err := fetch(*admin, path)
-		if err != nil {
-			fmt.Fprintln(errW, "hermesctl:", err)
-			return 1
-		}
-		_, _ = out.Write(body)
-		return 0
-	}
 
 	body, httpStatus, err := fetch(*admin, path)
 	if err != nil {
 		fmt.Fprintln(errW, "hermesctl:", err)
 		return 1
+	}
+	if cmd == "metrics" {
+		// The exposition is already text; print it verbatim for scrapers and
+		// the `check prom` conformance gate.
+		_, _ = out.Write(body)
+		return 0
 	}
 	if *asJSON {
 		fmt.Fprintln(out, strings.TrimRight(string(body), "\n"))
@@ -159,12 +160,6 @@ func watch(admin string, interval time.Duration, count int, asJSON bool, out, er
 			"TIME", "STATUS", "SLO", "REQ/S", "ERR/S", "503/S", "RETRY/S", "P50MS", "P99MS")
 	}
 	enc := json.NewEncoder(out)
-	rate := func(cur, last uint64, dt float64) float64 {
-		if cur < last || dt <= 0 { // counter reset (proxy restart) or clock skew
-			return 0
-		}
-		return float64(cur-last) / dt
-	}
 	for i := 0; count == 0 || i < count; i++ {
 		time.Sleep(interval)
 		cur, hv, err := fetchStats()
@@ -174,9 +169,9 @@ func watch(admin string, interval time.Duration, count int, asJSON bool, out, er
 		}
 		now := time.Now()
 		dt := now.Sub(prevAt).Seconds()
-		served := rate(cur.Served, prev.Served, dt)
-		errs := rate(cur.Errors, prev.Errors, dt)
-		unavail := rate(cur.Unavailable, prev.Unavailable, dt)
+		served := rate(float64(cur.Served), float64(prev.Served), dt)
+		errs := rate(float64(cur.Errors), float64(prev.Errors), dt)
+		unavail := rate(float64(cur.Unavailable), float64(prev.Unavailable), dt)
 		row := watchRow{
 			UnixNS:        now.UnixNano(),
 			Status:        hv.Status,
@@ -184,7 +179,7 @@ func watch(admin string, interval time.Duration, count int, asJSON bool, out, er
 			ReqPerSec:     served + errs + unavail,
 			ErrPerSec:     errs,
 			UnavailPerSec: unavail,
-			RetryPerSec:   rate(cur.RetryAttempts, prev.RetryAttempts, dt),
+			RetryPerSec:   rate(float64(cur.RetryAttempts), float64(prev.RetryAttempts), dt),
 			P50MS:         cur.LatencyP50MS,
 			P99MS:         cur.LatencyP99MS,
 		}
@@ -318,14 +313,7 @@ func render(cmd string, body []byte, out io.Writer) error {
 		for a := range cs {
 			addrs = append(addrs, a)
 		}
-		// Stable order for scripting and golden tests.
-		for i := 0; i < len(addrs); i++ {
-			for j := i + 1; j < len(addrs); j++ {
-				if addrs[j] < addrs[i] {
-					addrs[i], addrs[j] = addrs[j], addrs[i]
-				}
-			}
-		}
+		sort.Strings(addrs) // stable order for scripting and golden tests
 		fmt.Fprintf(out, "%-22s %-10s %-6s %-6s %-11s %-7s %s\n",
 			"ADDRESS", "STATE", "FAILS", "OPENS", "HALF-OPENS", "CLOSES", "OPEN-FOR")
 		for _, a := range addrs {

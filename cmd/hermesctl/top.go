@@ -1,20 +1,7 @@
-// Command hermes-top is a live terminal dashboard for a running hermes-lb,
-// built on the admin plane alone: it polls GET /metrics (OpenMetrics), /slo,
-// and /backends, derives per-interval rates from successive scrapes, and
-// redraws with plain ANSI — no terminal library, no dependencies.
-//
-//	hermes-top -admin 127.0.0.1:9900
-//	hermes-top -admin 127.0.0.1:9900 -interval 500ms
-//	hermes-top -once       # render a single frame and exit (smoke tests)
-//
-// Each frame shows total request/error rates with windowed p50/p99 latency,
-// the SLO burn gauges, per-worker throughput sparklines, and per-backend
-// health and circuit state.
 package main
 
 import (
 	"encoding/json"
-	"flag"
 	"fmt"
 	"io"
 	"net/http"
@@ -32,31 +19,28 @@ import (
 	"hermes/internal/telemetry"
 )
 
-func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
-
-func run(args []string, out, errW io.Writer) int {
-	fs := flag.NewFlagSet("hermes-top", flag.ContinueOnError)
-	fs.SetOutput(errW)
-	admin := fs.String("admin", "127.0.0.1:9900", "hermes-lb admin API address")
-	interval := fs.Duration("interval", time.Second, "refresh period")
-	once := fs.Bool("once", false, "render a single frame (two quick scrapes) and exit")
-	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-
-	top := &top{admin: *admin, historyLen: 40}
+// runTop is `hermesctl top`: a live terminal dashboard for a running
+// hermes-lb, built on the admin plane alone. It polls GET /metrics
+// (OpenMetrics), /slo and /backends, derives per-interval rates from
+// successive scrapes, and redraws with plain ANSI — no terminal library, no
+// dependencies. Each frame shows total request/error rates with windowed
+// p50/p99 latency, the SLO burn gauges, per-worker throughput sparklines, and
+// per-backend health and circuit state. once renders a single frame (two
+// quick scrapes) and exits, for smoke tests.
+func runTop(admin string, interval time.Duration, once bool, out, errW io.Writer) int {
+	top := &top{admin: admin, historyLen: 40}
 	if err := top.sample(); err != nil {
-		fmt.Fprintln(errW, "hermes-top:", err)
+		fmt.Fprintln(errW, "hermesctl:", err)
 		return 1
 	}
-	if *once {
-		gap := *interval
+	if once {
+		gap := interval
 		if gap > 250*time.Millisecond {
 			gap = 250 * time.Millisecond
 		}
 		time.Sleep(gap)
 		if err := top.sample(); err != nil {
-			fmt.Fprintln(errW, "hermes-top:", err)
+			fmt.Fprintln(errW, "hermesctl:", err)
 			return 1
 		}
 		fmt.Fprint(out, top.frame())
@@ -65,7 +49,7 @@ func run(args []string, out, errW io.Writer) int {
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	tick := time.NewTicker(*interval)
+	tick := time.NewTicker(interval)
 	defer tick.Stop()
 	for {
 		select {
@@ -74,7 +58,7 @@ func run(args []string, out, errW io.Writer) int {
 			return 0
 		case <-tick.C:
 			if err := top.sample(); err != nil {
-				fmt.Fprintln(errW, "hermes-top:", err)
+				fmt.Fprintln(errW, "hermesctl:", err)
 				return 1
 			}
 			// Home + clear-to-end keeps the frame flicker-free without
@@ -104,21 +88,10 @@ type top struct {
 	history   map[int][]float64 // worker → recent rates, newest last
 }
 
-func (t *top) get(path string) ([]byte, int, error) {
-	client := &http.Client{Timeout: 5 * time.Second}
-	resp, err := client.Get("http://" + t.admin + path)
-	if err != nil {
-		return nil, 0, err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	return body, resp.StatusCode, err
-}
-
 // sample polls /metrics, /slo, and /backends once and folds the result into
 // the dashboard state.
 func (t *top) sample() error {
-	body, status, err := t.get("/metrics")
+	body, status, err := fetch(t.admin, "/metrics")
 	if err != nil {
 		return err
 	}
@@ -173,14 +146,14 @@ func (t *top) sample() error {
 	t.prev, t.cur = t.cur, s
 
 	t.slo = nil
-	if body, status, err := t.get("/slo"); err == nil && status == http.StatusOK {
+	if body, status, err := fetch(t.admin, "/slo"); err == nil && status == http.StatusOK {
 		var v telemetry.SLOStatus
 		if json.Unmarshal(body, &v) == nil {
 			t.slo = &v
 		}
 	}
 	t.backends = nil
-	if body, status, err := t.get("/backends"); err == nil && status == http.StatusOK {
+	if body, status, err := fetch(t.admin, "/backends"); err == nil && status == http.StatusOK {
 		_ = json.Unmarshal(body, &t.backends)
 	}
 
@@ -201,8 +174,10 @@ func (t *top) sample() error {
 	return nil
 }
 
+// rate is a cumulative counter's growth per second between two polls dt
+// seconds apart (watch and top).
 func rate(cur, prev, dt float64) float64 {
-	if dt <= 0 || cur < prev {
+	if dt <= 0 || cur < prev { // clock skew, or a counter reset (proxy restart)
 		return 0
 	}
 	return (cur - prev) / dt
@@ -281,7 +256,7 @@ func (t *top) frame() string {
 	if t.slo != nil {
 		sloState = t.slo.State
 	}
-	fmt.Fprintf(&b, "hermes-top — %s   %s   slo: %s\n", t.admin, now.Format("15:04:05"), sloState)
+	fmt.Fprintf(&b, "hermesctl top — %s   %s   slo: %s\n", t.admin, now.Format("15:04:05"), sloState)
 
 	// Totals line: per-interval rates from the last two scrapes.
 	if t.prev != nil {

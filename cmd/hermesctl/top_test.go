@@ -10,9 +10,9 @@ import (
 	"testing"
 )
 
-// stubAdmin serves a minimal admin plane whose counters advance on every
+// stubTopAdmin serves a minimal admin plane whose counters advance on every
 // /metrics scrape, so two polls produce non-zero rates.
-func stubAdmin(t *testing.T) string {
+func stubTopAdmin(t *testing.T) string {
 	t.Helper()
 	var polls atomic.Int64
 	mux := http.NewServeMux()
@@ -60,18 +60,18 @@ hermes_proxy_backend_healthy{slot="1"} 0
 	return strings.TrimPrefix(srv.URL, "http://")
 }
 
-// TestOnceFrame drives -once end to end against the stub: two scrapes, one
-// frame, every dashboard section present.
-func TestOnceFrame(t *testing.T) {
-	addr := stubAdmin(t)
+// TestTopOnceFrame drives `top -once` end to end against the stub: two
+// scrapes, one frame, every dashboard section present.
+func TestTopOnceFrame(t *testing.T) {
+	addr := stubTopAdmin(t)
 	var out, errW bytes.Buffer
-	code := run([]string{"-admin", addr, "-interval", "20ms", "-once"}, &out, &errW)
+	code := run([]string{"-admin", addr, "-interval", "20ms", "-once", "top"}, &out, &errW)
 	if code != 0 {
 		t.Fatalf("exit = %d, stderr = %s", code, errW.String())
 	}
 	frame := out.String()
 	for _, want := range []string{
-		"hermes-top — " + addr,
+		"hermesctl top — " + addr,
 		"slo: warn",
 		"requests ", "errors ", "p50 ", "p99 ",
 		"burn ×budget",
@@ -115,10 +115,10 @@ func TestSparkline(t *testing.T) {
 	}
 }
 
-// TestUnreachableAdmin fails fast with exit 1.
-func TestUnreachableAdmin(t *testing.T) {
+// TestTopUnreachableAdmin fails fast with exit 1.
+func TestTopUnreachableAdmin(t *testing.T) {
 	var out, errW bytes.Buffer
-	if code := run([]string{"-admin", "127.0.0.1:1", "-once"}, &out, &errW); code != 1 {
+	if code := run([]string{"-admin", "127.0.0.1:1", "-once", "top"}, &out, &errW); code != 1 {
 		t.Errorf("exit = %d, want 1", code)
 	}
 }

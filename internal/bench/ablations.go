@@ -6,10 +6,9 @@ import (
 	"hermes/internal/core"
 	"hermes/internal/l7lb"
 	"hermes/internal/stats"
-	"hermes/internal/workload"
 )
 
-// ablationsExperiment runs the design-choice comparisons DESIGN.md calls
+// The ablations experiment runs the design-choice comparisons DESIGN.md calls
 // out, on a hang-prone workload where the choices matter, and prints one
 // table:
 //
@@ -17,13 +16,13 @@ import (
 //   - scheduler placement (loop end vs loop start),
 //   - two-stage filtering vs single-winner sync,
 //   - θ/Avg extremes vs the 0.5 optimum.
-type ablationsExperiment struct{}
-
-func init() { Register(ablationsExperiment{}) }
-
-func (ablationsExperiment) Name() string { return "ablations" }
-func (ablationsExperiment) Desc() string {
-	return "design-choice ablations: filter order, placement, single-winner, theta, fallback"
+func init() {
+	Register(Experiment{
+		Name:   "ablations",
+		Desc:   "design-choice ablations: filter order, placement, single-winner, theta, fallback",
+		Cells:  ablationsCells,
+		Render: ablationsRender,
+	})
 }
 
 type ablationVariant struct {
@@ -67,37 +66,20 @@ func ablationVariants() []ablationVariant {
 	}
 }
 
-func (ablationsExperiment) Cells(opts Options) []Cell {
-	ports := tenantPorts(opts.Tenants)
-	specs := workload.Regions()[1].Specs(ports, 60_000*opts.RateScale)
+func ablationsCells(opts Options) []Cell {
 	variants := ablationVariants()
 	cells := make([]Cell, len(variants))
 	for i, v := range variants {
-		v := v
 		cells[i] = Cell{Name: v.name, Run: func() any {
-			rc := RunConfig{
-				Mode:      l7lb.ModeHermes,
-				Workers:   opts.Workers,
-				Ports:     ports,
-				Seed:      opts.Seed,
-				Window:    opts.Window,
-				Drain:     opts.Drain / 2,
-				Specs:     specs,
-				Mutate:    v.mutate,
-				PostBuild: v.postBuild,
-			}
-			rc.Telemetry, rc.Tracer = opts.observers(v.name)
-			run, err := Run(rc)
-			if err != nil {
-				panic(fmt.Sprintf("bench: ablation %q: %v", v.name, err))
-			}
-			return run
+			rc := opts.regionRun(1, l7lb.ModeHermes, 60_000*opts.RateScale)
+			rc.Mutate, rc.PostBuild = v.mutate, v.postBuild
+			return opts.run(v.name, rc)
 		}}
 	}
 	return cells
 }
 
-func (ablationsExperiment) Render(opts Options, results []any) string {
+func ablationsRender(opts Options, results []any) string {
 	tb := stats.NewTable("Ablations — Hermes design choices under a hang-prone mix",
 		"variant", "avg (ms)", "P99 (ms)", "thr (kRPS)")
 	for i, v := range ablationVariants() {

@@ -8,49 +8,41 @@ import (
 	"hermes/internal/workload"
 )
 
-// baselinesExperiment runs every dispatch mode this repo implements — the
-// paper's three production alternatives plus the historical and rejected
+// The baselines experiment runs every dispatch mode this repo implements —
+// the paper's three production alternatives plus the historical and rejected
 // designs (§2.2: thundering herd, nginx accept mutex, userspace
 // dispatcher; §8: io_uring's FIFO; the unmerged epoll-rr) — on the same
 // case-2-style workload at medium load, one cell per mode.
-type baselinesExperiment struct{}
-
-func init() { Register(baselinesExperiment{}) }
-
-func (baselinesExperiment) Name() string { return "baselines" }
-func (baselinesExperiment) Desc() string {
-	return "every dispatch mode (incl. herd, accept-mutex, dispatcher, io_uring) on one workload"
+func init() {
+	Register(Experiment{
+		Name:   "baselines",
+		Desc:   "every dispatch mode (incl. herd, accept-mutex, dispatcher, io_uring) on one workload",
+		Cells:  baselinesCells,
+		Render: baselinesRender,
+	})
 }
 
-func (baselinesExperiment) Cells(opts Options) []Cell {
+func baselinesCells(opts Options) []Cell {
 	ports := tenantPorts(opts.Tenants)
 	spec := workload.Case2(ports).Scale(opts.RateScale * 1.5)
 	cells := make([]Cell, len(AllModes))
 	for i, mode := range AllModes {
-		mode := mode
 		cells[i] = Cell{Name: mode.String(), Run: func() any {
-			rc := RunConfig{
+			return opts.run(mode.String(), RunConfig{
 				Mode:    mode,
 				Workers: opts.Workers,
-				Ports:   ports,
 				Seed:    opts.Seed,
 				Window:  opts.Window,
 				Drain:   opts.Drain,
 				Specs:   []workload.Spec{spec},
 				Mutate:  func(c *l7lb.Config) { c.RegisteredPorts = opts.RegisteredPorts },
-			}
-			rc.Telemetry, rc.Tracer = opts.observers(mode.String())
-			run, err := Run(rc)
-			if err != nil {
-				panic(fmt.Sprintf("bench: baselines %v: %v", mode, err))
-			}
-			return run
+			})
 		}}
 	}
 	return cells
 }
 
-func (baselinesExperiment) Render(opts Options, results []any) string {
+func baselinesRender(opts Options, results []any) string {
 	tb := stats.NewTable("All dispatch modes — case2-style workload (medium)",
 		"mode", "avg (ms)", "P99 (ms)", "thr (kRPS)", "goodput (kRPS)", "notes")
 	notes := map[l7lb.Mode]string{

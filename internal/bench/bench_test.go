@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"math"
 	"regexp"
 	"runtime"
 	"strings"
@@ -10,6 +11,7 @@ import (
 	"time"
 
 	"hermes/internal/l7lb"
+	"hermes/internal/tracing"
 	"hermes/internal/workload"
 )
 
@@ -60,23 +62,33 @@ func TestRunCountersConsistent(t *testing.T) {
 	}
 }
 
+// The balance sampler (once a sampler inside Run, hence the name) on the
+// workload it exists for: exclusive wakeup with long-lived connections piles
+// them onto few workers, and the per-sample stddevs must show it.
 func TestRunSamplingProducesStddevs(t *testing.T) {
 	o := fastOptions()
-	spec := workload.Case3(tenantPorts(o.Tenants)).Scale(o.RateScale)
-	res, err := Run(RunConfig{
-		Mode:        l7lb.ModeExclusive,
-		Workers:     o.Workers,
-		Seed:        2,
-		Window:      o.Window,
-		Drain:       o.Drain,
-		Specs:       []workload.Spec{spec},
-		SampleEvery: 20 * time.Millisecond,
-	})
+	lb := o.newLB("balance", 2, lbConfig(l7lb.ModeExclusive, o.Workers, tenantPorts(o.Tenants)))
+	lb.Start()
+	g, err := workload.NewGenerator(lb, workload.Case3(tenantPorts(o.Tenants)).Scale(o.RateScale))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.ConnStddev <= 0 {
-		t.Fatalf("exclusive with long conns must show conn imbalance, got %v", res.ConnStddev)
+	g.Run(o.Window)
+	bal := balance{lb: lb}
+	const tick = 20 * time.Millisecond
+	samples := 0
+	for at := tick; at <= o.Window; at += tick {
+		lb.Eng.RunUntil(int64(at))
+		if cpuSD, live := bal.sample(); cpuSD < 0 || cpuSD > 1 || live < 0 {
+			t.Fatalf("sample at %v: busy-fraction stddev %v, %d open", at, cpuSD, live)
+		}
+		samples++
+	}
+	if bal.cpuSD.N() != samples || bal.connSD.N() != samples {
+		t.Fatalf("%d samples taken, %d/%d recorded", samples, bal.cpuSD.N(), bal.connSD.N())
+	}
+	if bal.connSD.Mean() <= 0 {
+		t.Fatalf("exclusive with long conns must show conn imbalance, got %v", bal.connSD.Mean())
 	}
 }
 
@@ -254,10 +266,10 @@ func TestExperimentRegistryComplete(t *testing.T) {
 			t.Errorf("experiment %q missing", name)
 			continue
 		}
-		if e.Name() != name {
-			t.Errorf("experiment %q registered under Name() %q", name, e.Name())
+		if e.Name != name {
+			t.Errorf("experiment %q registered under Name %q", name, e.Name)
 		}
-		if e.Desc() == "" {
+		if e.Desc == "" {
 			t.Errorf("experiment %q has no description", name)
 		}
 	}
@@ -367,6 +379,8 @@ func TestRegistryCellCounts(t *testing.T) {
 		"ablations": 8,
 		"faults":    len(faultsScenarios) * len(Table3Modes),
 		"scale":     len(scaleFleets) * len(scaleTiers) * len(Table3Modes),
+
+		"walkthrough": len(Table3Modes),
 	}
 	for name, e := range Experiments() {
 		cells := e.Cells(o)
@@ -434,6 +448,104 @@ func TestRunDeterministicAcrossInvocations(t *testing.T) {
 	for i := range a.WorkerUtil {
 		if a.WorkerUtil[i] != b.WorkerUtil[i] {
 			t.Fatalf("worker %d util diverged", i)
+		}
+	}
+}
+
+// The options come from the command line: a value no experiment can run on is
+// an error from Validate, never a panic from inside a cell.
+func TestOptionsValidate(t *testing.T) {
+	if err := DefaultOptions().Validate(); err != nil {
+		t.Fatalf("default options refused: %v", err)
+	}
+	for name, mutate := range map[string]func(*Options){
+		"workers 0":     func(o *Options) { o.Workers = 0 },
+		"tenants 0":     func(o *Options) { o.Tenants = 0 },
+		"tenants 401":   func(o *Options) { o.Tenants = o.RegisteredPorts + 1 },
+		"window 0":      func(o *Options) { o.Window = 0 },
+		"window -1s":    func(o *Options) { o.Window = -time.Second },
+		"scale 0":       func(o *Options) { o.RateScale = 0 },
+		"scale NaN":     func(o *Options) { o.RateScale = math.NaN() },
+		"parallel -1":   func(o *Options) { o.Parallel = -1 },
+		"workers -3":    func(o *Options) { o.Workers = -3 },
+		"tenants -1":    func(o *Options) { o.Tenants = -1 },
+		"scale -0.5":    func(o *Options) { o.RateScale = -0.5 },
+		"no port table": func(o *Options) { o.RegisteredPorts = 0 },
+	} {
+		o := DefaultOptions()
+		mutate(&o)
+		if err := o.Validate(); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+}
+
+// noDevice are the experiments that sample distributions or time code paths
+// and simulate no device: nothing in them to observe, and nothing that is
+// indexed by worker.
+var noDevice = map[string]bool{"table1": true, "table4": true, "table5": true, "fig12": true, "figA5": true}
+
+// tinyOptions keeps a test that runs every experiment test-sized.
+func tinyOptions() Options {
+	o := parallelTestOptions(0)
+	o.Window, o.Drain = 10*time.Millisecond, 20*time.Millisecond
+	return o
+}
+
+// Every option Validate accepts must render: the smallest fleets are where an
+// experiment that indexes workers by position (fig45 picked the two busiest
+// and the two idlest) used to die.
+func TestEveryExperimentRendersOnSmallFleets(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs every experiment three times")
+	}
+	for workers := 1; workers <= 3; workers++ {
+		o := tinyOptions()
+		o.Workers = workers
+		if err := o.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		for name, e := range Experiments() {
+			if noDevice[name] && workers > 1 {
+				continue // once is enough: table1 alone sorts 480 000 samples
+			}
+			if out := RunExperiment(e, o); len(out) < 50 {
+				t.Errorf("%s at %d workers: output suspiciously short: %q", name, workers, out)
+			}
+		}
+	}
+}
+
+// The one cell builder's guarantee: every experiment that simulates a device
+// records when asked — each of its metrics cells holds the kernel's catalog,
+// and the flight recorder armed on its first cell gets used.
+func TestEveryDeviceCellIsObserved(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs every experiment")
+	}
+	for name, e := range Experiments() {
+		if noDevice[name] {
+			continue
+		}
+		o := tinyOptions()
+		spanCell := e.Cells(o)[0].Name
+		if name == "cluster" {
+			spanCell = "dev0" // one cell, eight devices: each records under its own name
+		}
+		o.Metrics = NewMetricsCollector()
+		o.Spans = NewSpanRecorder(spanCell, tracing.DefaultConfig())
+		RunExperiment(e, o)
+		cells := o.Metrics.CellNames()
+		if len(cells) == 0 {
+			t.Errorf("%s: no metrics cell recorded", name)
+		}
+		for _, cell := range cells {
+			if o.Metrics.Snapshot(cell).Get("kernel.accept_queue.enqueued") == nil {
+				t.Errorf("%s: cell %q has no kernel.accept_queue.enqueued", name, cell)
+			}
+		}
+		if !o.Spans.Recorded() {
+			t.Errorf("%s: cell %q never asked for its tracer", name, spanCell)
 		}
 	}
 }

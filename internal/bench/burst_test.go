@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"hermes/internal/l7lb"
+	"hermes/internal/sim"
 )
 
 // The conn-table pre-sizing regression: a scale cell must never regrow a
@@ -16,7 +17,7 @@ func TestScaleCellConnTableNeverRegrows(t *testing.T) {
 	o.Drain = 100 * time.Millisecond
 	conns := scaleConns(1_000_000, o.Window)
 	for _, mode := range Table3Modes {
-		res := runScaleCell(64, conns, mode, 1, o, nil, nil).(scaleCell)
+		res := runScaleCell(o, 64, conns, mode, 1)
 		if res.tableGrows != 0 {
 			t.Errorf("%s: conn tables regrew %d times during a %d-conn cell, want 0",
 				mode, res.tableGrows, conns)
@@ -29,7 +30,7 @@ func TestScaleCellConnTableNeverRegrows(t *testing.T) {
 
 // Worker conn-table capacity honours the hint (bounded by the pool cap).
 func TestConnsPerWorkerHint(t *testing.T) {
-	eng := newSimEngine(1)
+	eng := sim.NewEngine(1)
 	cfg := l7lb.DefaultConfig(l7lb.ModeReuseport)
 	cfg.Workers = 2
 	cfg.ConnsPerWorkerHint = 10_000

@@ -45,7 +45,7 @@ func TestTelemetryCatalogMatchesDoc(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	tracer := tracing.New(tracing.Config{MaxSpans: 1 << 10})
 	for _, mode := range AllModes {
-		cfg := Options{Workers: 4}.lbConfig(mode, tenantPorts(1))
+		cfg := lbConfig(mode, 4, tenantPorts(1))
 		cfg.Telemetry, cfg.Tracer = reg, tracer
 		lb, err := l7lb.New(sim.NewEngine(1), cfg)
 		if err != nil {

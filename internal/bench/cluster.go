@@ -6,6 +6,7 @@ import (
 
 	"hermes/internal/cluster"
 	"hermes/internal/l7lb"
+	"hermes/internal/sim"
 	"hermes/internal/stats"
 )
 
@@ -20,7 +21,7 @@ func init() {
 // redeployed alongside Hermes devices in a single cluster, all fed the same
 // ECMP-split VXLAN traffic, compared on identical workloads.
 func ClusterMethodology(opts Options) string {
-	eng := newSimEngine(opts.Seed)
+	eng := sim.NewEngine(opts.Seed)
 	tenants := []cluster.Tenant{
 		{VNI: 100, PublicPort: 443, L7Port: 9001},
 		{VNI: 200, PublicPort: 80, L7Port: 9002},
@@ -36,7 +37,12 @@ func ClusterMethodology(opts Options) string {
 		Tenants:          tenants,
 		DeviceModes:      modes,
 		WorkersPerDevice: opts.Workers / 2,
-		Work:             cluster.DefaultWorkFactory(60*time.Microsecond, 2*time.Microsecond),
+		// The cluster builds its own devices on the one engine they share;
+		// this hook is where each gets the observers newLB would give it.
+		LB: func(di int, cfg *l7lb.Config) {
+			cfg.Telemetry, cfg.Tracer = opts.observers(fmt.Sprintf("dev%d", di))
+		},
+		Work: cluster.DefaultWorkFactory(60*time.Microsecond, 2*time.Microsecond),
 	})
 	if err != nil {
 		panic(err)

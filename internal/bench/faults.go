@@ -12,7 +12,7 @@ import (
 	"hermes/internal/workload"
 )
 
-// faultsExperiment measures blast radius and recovery under injected
+// The faults experiment measures blast radius and recovery under injected
 // faults: the three production modes run the *identical* fault schedule
 // (§7, Appendix C) over the same steady + churn workload, and the table
 // compares how many connections each mode damages, for how long, and how
@@ -29,11 +29,13 @@ import (
 //
 // Each cell is an independent sim seeded from opts.Seed, so output is
 // byte-identical at any -parallel setting.
-type faultsExperiment struct{}
-
-func (faultsExperiment) Name() string { return "faults" }
-func (faultsExperiment) Desc() string {
-	return "blast radius & recovery, identical fault schedule, 3 modes"
+func init() {
+	Register(Experiment{
+		Name:   "faults",
+		Desc:   "blast radius & recovery, identical fault schedule, 3 modes",
+		Cells:  faultsCells,
+		Render: faultsRender,
+	})
 }
 
 // faultsScenario is one fault script shared by every mode.
@@ -184,12 +186,10 @@ func (tr *faultsTraffic) churnReqs(ref kernel.ConnRef, remaining int) {
 	eng.After(tr.interReq/4, func() { tr.churnReqs(ref, remaining-1) })
 }
 
-func (faultsExperiment) Cells(opts Options) []Cell {
+func faultsCells(opts Options) []Cell {
 	cells := make([]Cell, 0, len(faultsScenarios)*len(Table3Modes))
 	for _, scen := range faultsScenarios {
-		scen := scen
 		for _, mode := range Table3Modes {
-			mode := mode
 			cells = append(cells, Cell{
 				Name: scen.name + "/" + mode.String(),
 				Run:  func() any { return runFaultsCell(opts, scen, mode) },
@@ -209,14 +209,10 @@ func runFaultsCell(opts Options, scen faultsScenario, mode l7lb.Mode) faultsRow 
 		sliceNS    = int64(w) / 5   // recovery-series resolution
 		baseStart  = int64(w) / 2
 	)
-	eng := newSimEngine(opts.Seed)
-	cell := scen.name + "/" + mode.String()
-	cfg := opts.lbConfig(mode, tenantPorts(1))
-	cfg.Telemetry, cfg.Tracer = opts.observers(cell)
-	lb, err := l7lb.New(eng, cfg)
-	if err != nil {
-		panic(err)
-	}
+	cfg := lbConfig(mode, opts.Workers, tenantPorts(1))
+	cfg.RegisteredPorts = opts.RegisteredPorts
+	lb := opts.newLB(scen.name+"/"+mode.String(), opts.Seed, cfg)
+	eng := lb.Eng
 
 	var row faultsRow
 	// Latency accounting, attributed to phases by request *arrival* so a
@@ -271,7 +267,7 @@ func runFaultsCell(opts Options, scen faultsScenario, mode l7lb.Mode) faultsRow 
 
 	inj := faults.NewInjector(lb, scen.schedule(opts), opts.Seed)
 	inj.StaleFallback = w / 16
-	inj.Observe(cfg.Telemetry, cfg.Tracer)
+	inj.Observe(lb.Cfg.Telemetry, lb.Cfg.Tracer)
 	inj.Start()
 
 	var dog *faults.Watchdog
@@ -281,7 +277,7 @@ func runFaultsCell(opts Options, scen faultsScenario, mode l7lb.Mode) faultsRow 
 		if dog = faults.NewWatchdog(lb, w/100); dog != nil {
 			dog.AutoRestart = true
 			dog.RestartDelay = w / 50
-			dog.Observe(cfg.Telemetry, cfg.Tracer)
+			dog.Observe(lb.Cfg.Telemetry, lb.Cfg.Tracer)
 			dog.Start(time.Duration(trafficEnd))
 		}
 	}
@@ -324,7 +320,7 @@ func runFaultsCell(opts Options, scen faultsScenario, mode l7lb.Mode) faultsRow 
 	return row
 }
 
-func (faultsExperiment) Render(opts Options, results []any) string {
+func faultsRender(opts Options, results []any) string {
 	var out string
 	rows := map[string]faultsRow{}
 	i := 0
@@ -379,11 +375,4 @@ func (faultsExperiment) Render(opts Options, results []any) string {
 		"(§7: the watchdog converts a long hang into a fast restart; baselines stall the full hang)\n",
 		excl.blastMS, herm.blastMS)
 	return out
-}
-
-func init() { Register(faultsExperiment{}) }
-
-// Faults runs the fault-injection experiment with the given options.
-func Faults(opts Options) string {
-	return RunExperiment(faultsExperiment{}, opts)
 }

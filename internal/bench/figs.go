@@ -7,13 +7,17 @@ import (
 
 	"hermes/internal/kernel"
 	"hermes/internal/l7lb"
-	"hermes/internal/sim"
 	"hermes/internal/stats"
 	"hermes/internal/workload"
 )
 
 func init() {
-	Register(fig2Experiment{})
+	Register(Experiment{
+		Name:   "fig2",
+		Desc:   "connection concentration: exclusive vs rr vs reuseport vs hermes",
+		Cells:  fig2Cells,
+		Render: fig2Render,
+	})
 	Register(Seq("fig3",
 		"lag effect: long-lived connections then synchronized surge", Fig3))
 	Register(Seq("fig45",
@@ -24,19 +28,12 @@ func init() {
 		"CDF of forwarding rules per port", FigA5))
 }
 
-// fig2Experiment reproduces Fig. 2's behaviour: the distribution of
-// long-lived connections across workers under exclusive wakeup vs
-// reuseport vs Hermes — one cell per mode.
-type fig2Experiment struct{}
-
-func (fig2Experiment) Name() string { return "fig2" }
-func (fig2Experiment) Desc() string {
-	return "connection concentration: exclusive vs rr vs reuseport vs hermes"
-}
-
 var fig2Modes = []l7lb.Mode{l7lb.ModeExclusive, l7lb.ModeExclusiveRR, l7lb.ModeIOUring, l7lb.ModeReuseport, l7lb.ModeHermes}
 
-func (fig2Experiment) Cells(opts Options) []Cell {
+// fig2Cells reproduces Fig. 2's behaviour: the distribution of long-lived
+// connections across workers under exclusive wakeup vs reuseport vs Hermes —
+// one cell per mode.
+func fig2Cells(opts Options) []Cell {
 	spec := workload.Case3(tenantPorts(1))
 	spec.ConnRate *= opts.RateScale
 	spec.ReqPerConn = workload.Const(1)
@@ -44,21 +41,15 @@ func (fig2Experiment) Cells(opts Options) []Cell {
 	spec.FirstReqDelayNS = workload.Const(float64(10 * time.Second)) // stay open
 	cells := make([]Cell, len(fig2Modes))
 	for i, mode := range fig2Modes {
-		mode := mode
 		cells[i] = Cell{Name: mode.String(), Run: func() any {
-			rc := RunConfig{
+			run := opts.run(mode.String(), RunConfig{
 				Mode:    mode,
 				Workers: 8,
 				Seed:    opts.Seed,
 				Window:  500 * time.Millisecond,
 				Drain:   100 * time.Millisecond,
 				Specs:   []workload.Spec{spec},
-			}
-			rc.Telemetry, rc.Tracer = opts.observers(mode.String())
-			run, err := Run(rc)
-			if err != nil {
-				panic(err)
-			}
+			})
 			counts := run.LB.WorkerConnCounts()
 			f := make([]float64, len(counts))
 			for j, c := range counts {
@@ -71,7 +62,7 @@ func (fig2Experiment) Cells(opts Options) []Cell {
 	return cells
 }
 
-func (fig2Experiment) Render(opts Options, results []any) string {
+func fig2Render(opts Options, results []any) string {
 	tb := stats.NewTable("Fig 2 — connection distribution across workers (long-lived conns)",
 		"mode", "per-worker conns", "stddev")
 	for _, r := range results {
@@ -81,18 +72,10 @@ func (fig2Experiment) Render(opts Options, results []any) string {
 	return tb.Render()
 }
 
-// Fig2 runs the fig2 experiment sequentially (library/benchmark entry point).
-func Fig2(opts Options) string { return RunExperiment(fig2Experiment{}, opts) }
-
 // Fig3 reproduces the lag effect: traffic rate and live connections through
 // a port over time, with per-worker CPU stddev spiking at the burst.
 func Fig3(opts Options) string {
-	eng := sim.NewEngine(opts.Seed)
-	cfg := Options{Workers: opts.Workers}.lbConfig(l7lb.ModeExclusive, []uint16{8080})
-	lb, err := l7lb.New(eng, cfg)
-	if err != nil {
-		panic(err)
-	}
+	lb := opts.newLB("fig3", opts.Seed, lbConfig(l7lb.ModeExclusive, opts.Workers, []uint16{8080}))
 	lb.Start()
 
 	spec := workload.DefaultSurge(8080)
@@ -104,20 +87,12 @@ func Fig3(opts Options) string {
 		"t (s)", "completed/s (k)", "live conns", "CPU util stddev")
 	const tick = 250 * time.Millisecond
 	var prevDone uint64
-	prevBusy := make([]int64, len(lb.Workers))
-	utils := make([]float64, len(lb.Workers))
+	bal := balance{lb: lb}
 	for t := tick; t <= 6*time.Second; t += tick {
-		eng.RunUntil(int64(t))
+		lb.Eng.RunUntil(int64(t))
 		rate := float64(lb.Completed-prevDone) / tick.Seconds() / 1000
 		prevDone = lb.Completed
-		live := 0
-		for i, w := range lb.Workers {
-			live += w.OpenConns()
-			b := w.BusyNS(eng.Now())
-			utils[i] = float64(b-prevBusy[i]) / float64(tick)
-			prevBusy[i] = b
-		}
-		_, sd := stats.MeanStddev(utils)
+		sd, live := bal.sample()
 		tb.AddRow(fmt.Sprintf("%.2f", t.Seconds()), fmt.Sprintf("%.1f", rate),
 			live, fmt.Sprintf("%.3f", sd))
 	}
@@ -128,24 +103,15 @@ func Fig3(opts Options) string {
 // epoll_wait, event processing time, and epoll_wait blocking time under
 // epoll-exclusive with a mixed workload.
 func Fig4and5(opts Options) string {
-	ports := tenantPorts(opts.Tenants)
-	region := workload.Regions()[1] // Region2: case-4 heavy → uneven work
-	specs := region.Specs(ports, 30_000*opts.RateScale)
-	run, err := Run(RunConfig{
-		Mode:     l7lb.ModeExclusive,
-		Workers:  opts.Workers,
-		Ports:    ports,
-		Seed:     opts.Seed,
-		Window:   opts.Window,
-		Drain:    opts.Drain / 2,
-		Specs:    specs,
-		Detailed: true,
-		Mutate:   func(c *l7lb.Config) { c.RegisteredPorts = opts.RegisteredPorts },
-	})
-	if err != nil {
-		panic(err)
+	// Region2: case-4 heavy → uneven work.
+	rc := opts.regionRun(1, l7lb.ModeExclusive, 30_000*opts.RateScale)
+	rc.Mutate = func(c *l7lb.Config) {
+		c.RegisteredPorts = opts.RegisteredPorts
+		c.DetailedStats = true // the per-worker CDFs are the figure
 	}
-	// Pick 4 workers spanning the busy/idle spectrum, like the paper's PIDs.
+	run := opts.run("fig45", rc)
+	// Pick 4 workers spanning the busy/idle spectrum, like the paper's PIDs
+	// (every worker, busiest first, on a device with fewer).
 	ws := run.LB.Workers
 	byBusy := append([]*l7lb.Worker(nil), ws...)
 	for i := 0; i < len(byBusy); i++ {
@@ -155,7 +121,10 @@ func Fig4and5(opts Options) string {
 			}
 		}
 	}
-	picks := []*l7lb.Worker{byBusy[0], byBusy[1], byBusy[len(byBusy)-2], byBusy[len(byBusy)-1]}
+	picks := byBusy
+	if n := len(byBusy); n > 4 {
+		picks = []*l7lb.Worker{byBusy[0], byBusy[1], byBusy[n-2], byBusy[n-1]}
+	}
 
 	tb := stats.NewTable("Fig 4/5 — per-worker event loop distributions (exclusive)",
 		"worker", "events/wait P50", "P99", "proc ms P50", "P99", "block ms P50", "P99")
@@ -175,34 +144,15 @@ func Fig4and5(opts Options) string {
 // while per-core CPU utilization stays wildly uneven, because per-request
 // CPU cost varies and RSS cannot see it.
 func Fig7(opts Options) string {
-	ports := tenantPorts(opts.Tenants)
-	region := workload.Regions()[1]
-	specs := region.Specs(ports, 25_000*opts.RateScale)
-
 	rss := kernel.NewRSS(opts.Workers)
 	// The paper's Fig. 7 device runs the pre-Hermes default, epoll
 	// exclusive, whose concentration makes the CPU-side imbalance stark.
-	run, err := Run(RunConfig{
-		Mode:    l7lb.ModeExclusive,
-		Workers: opts.Workers,
-		Ports:   ports,
-		Seed:    opts.Seed,
-		Window:  opts.Window,
-		Drain:   opts.Drain / 2,
-		Specs:   specs,
-		Mutate: func(c *l7lb.Config) {
-			c.RegisteredPorts = opts.RegisteredPorts
-		},
-	})
-	if err != nil {
-		panic(err)
-	}
+	rc := opts.regionRun(1, l7lb.ModeExclusive, 25_000*opts.RateScale)
+	rc.Mutate = func(c *l7lb.Config) { c.RegisteredPorts = opts.RegisteredPorts }
+	run := opts.run("fig7", rc)
 	// Steer the same request population through the RSS model: one packet
 	// per ~1460B MSS of request+response bytes.
 	rng := rand.New(rand.NewSource(opts.Seed + 17))
-	for _, g := range run.Gens {
-		_ = g
-	}
 	for i := uint64(0); i < run.Completed; i++ {
 		hash := rng.Uint32()
 		pkts := 1 + int(rng.ExpFloat64()*3)

@@ -12,12 +12,32 @@ import (
 )
 
 func init() {
-	Register(fig11Experiment{})
+	Register(Experiment{
+		Name:   "fig11",
+		Desc:   "delayed probes per day before/after Hermes rollout",
+		Cells:  fig11Cells,
+		Render: fig11Render,
+	})
 	Register(Seq("fig12",
 		"normalized unit infra cost before/after Hermes", Fig12))
-	Register(fig13Experiment{})
-	Register(fig14Experiment{})
-	Register(fig15Experiment{})
+	Register(Experiment{
+		Name:   "fig13",
+		Desc:   "stddev of CPU util and #conns across workers, 3 modes",
+		Cells:  fig13Cells,
+		Render: fig13Render,
+	})
+	Register(Experiment{
+		Name:   "fig14",
+		Desc:   "coarse-filter pass ratio and scheduler frequency vs load",
+		Cells:  fig14Cells,
+		Render: fig14Render,
+	})
+	Register(Experiment{
+		Name:   "fig15",
+		Desc:   "offset θ/Avg sweep: P99 and throughput",
+		Cells:  fig15Cells,
+		Render: fig15Render,
+	})
 }
 
 // measureDelayedRate runs the lag-effect scenario (long-lived connections,
@@ -27,13 +47,9 @@ func init() {
 // hundreds of milliseconds and probes arriving meanwhile queue behind it;
 // Hermes spreads the same connections and absorbs the burst.
 func measureDelayedRate(opts Options, mode l7lb.Mode) float64 {
-	eng := newSimEngine(opts.Seed)
-	cfg := opts.lbConfig(mode, tenantPorts(1))
-	cfg.Telemetry, cfg.Tracer = opts.observers(mode.String())
-	lb, err := l7lb.New(eng, cfg)
-	if err != nil {
-		panic(err)
-	}
+	cfg := lbConfig(mode, opts.Workers, tenantPorts(1))
+	cfg.RegisteredPorts = opts.RegisteredPorts
+	lb := opts.newLB(mode.String(), opts.Seed, cfg)
 	lb.Start()
 
 	spec := workload.DefaultSurge(cfg.Ports[0])
@@ -51,27 +67,19 @@ func measureDelayedRate(opts Options, mode l7lb.Mode) float64 {
 
 	p := probe.NewWorkerProber(lb, cfg.Ports[0], 5*time.Millisecond)
 	p.Run(4 * time.Second)
-	eng.RunUntil(int64(8 * time.Second))
+	lb.Eng.RunUntil(int64(8 * time.Second))
 	return p.DelayedRate()
 }
 
-// fig11Experiment reproduces Fig. 11: daily delayed probes before/after
-// the Hermes rollout in two regions with different connection drain
-// speeds. The per-mode delay rates are measured in simulation (one cell
-// per rollout stage); the canary timeline converts them into the daily
+// fig11Cells reproduces Fig. 11: daily delayed probes before/after the
+// Hermes rollout in two regions with different connection drain speeds. The
+// per-mode delay rates are measured in simulation (one cell per rollout
+// stage); the canary timeline in fig11Render converts them into the daily
 // series.
-type fig11Experiment struct{}
-
-func (fig11Experiment) Name() string { return "fig11" }
-func (fig11Experiment) Desc() string {
-	return "delayed probes per day before/after Hermes rollout"
-}
-
-func (fig11Experiment) Cells(opts Options) []Cell {
+func fig11Cells(opts Options) []Cell {
 	rollout := []l7lb.Mode{l7lb.ModeExclusive, l7lb.ModeHermes}
 	cells := make([]Cell, len(rollout))
 	for i, mode := range rollout {
-		mode := mode
 		cells[i] = Cell{Name: mode.String(), Run: func() any {
 			return measureDelayedRate(opts, mode)
 		}}
@@ -79,7 +87,7 @@ func (fig11Experiment) Cells(opts Options) []Cell {
 	return cells
 }
 
-func (fig11Experiment) Render(opts Options, results []any) string {
+func fig11Render(opts Options, results []any) string {
 	oldRate, newRate := results[0].(float64), results[1].(float64)
 	if newRate >= oldRate {
 		// Guard for pathological seeds; the shape requires old > new.
@@ -116,9 +124,6 @@ func (fig11Experiment) Render(opts Options, results []any) string {
 	}
 	return out
 }
-
-// Fig11 runs the fig11 experiment sequentially (library/benchmark entry point).
-func Fig11(opts Options) string { return RunExperiment(fig11Experiment{}, opts) }
 
 // Fig12 reproduces Fig. 12: normalized unit infrastructure cost per month
 // before/after the rollout. Worker hangs forced a 30% CPU safety threshold;
@@ -164,20 +169,12 @@ func Fig12(opts Options) string {
 	return tb.Render() + fmt.Sprintf("peak unit-cost reduction: %.1f%% (paper: 18.9%%)\n", 100*(1-minUnit))
 }
 
-// fig13Experiment reproduces Fig. 13: the standard deviation of
-// per-worker CPU utilization and connection counts across two
-// (compressed) days of diurnally modulated production-like traffic, one
-// cell per mode.
-type fig13Experiment struct{}
-
-func (fig13Experiment) Name() string { return "fig13" }
-func (fig13Experiment) Desc() string {
-	return "stddev of CPU util and #conns across workers, 3 modes"
-}
-
 type fig13Row struct{ cpu, conn string }
 
-func (fig13Experiment) Cells(opts Options) []Cell {
+// fig13Cells reproduces Fig. 13: the standard deviation of per-worker CPU
+// utilization and connection counts across two (compressed) days of
+// diurnally modulated production-like traffic, one cell per mode.
+func fig13Cells(opts Options) []Cell {
 	ports := tenantPorts(opts.Tenants)
 	// Two "days", each compressed to 2× the window budget, with a sinusoidal
 	// diurnal rate profile sliced into phased generator windows.
@@ -187,15 +184,10 @@ func (fig13Experiment) Cells(opts Options) []Cell {
 	sliceDur := total / slices
 	cells := make([]Cell, len(Table3Modes))
 	for mi, mode := range Table3Modes {
-		mode := mode
 		cells[mi] = Cell{Name: mode.String(), Run: func() any {
-			eng := newSimEngine(opts.Seed)
-			cfg := opts.lbConfig(mode, ports)
-			cfg.Telemetry, cfg.Tracer = opts.observers(mode.String())
-			lb, err := l7lb.New(eng, cfg)
-			if err != nil {
-				panic(err)
-			}
+			cfg := lbConfig(mode, opts.Workers, ports)
+			cfg.RegisteredPorts = opts.RegisteredPorts
+			lb := opts.newLB(mode.String(), opts.Seed, cfg)
 			lb.Start()
 
 			region := workload.Regions()[0]
@@ -214,34 +206,22 @@ func (fig13Experiment) Cells(opts Options) []Cell {
 				}
 			}
 
-			var cpuSD, connSD stats.Sample
-			prevBusy := make([]int64, len(lb.Workers))
-			utils := make([]float64, len(lb.Workers))
-			conns := make([]float64, len(lb.Workers))
+			bal := balance{lb: lb}
 			tick := 50 * time.Millisecond
 			for t := tick; t <= total; t += tick {
-				eng.RunUntil(int64(t))
-				for i, w := range lb.Workers {
-					b := w.BusyNS(eng.Now())
-					utils[i] = float64(b-prevBusy[i]) / float64(tick)
-					prevBusy[i] = b
-					conns[i] = float64(w.OpenConns())
-				}
-				_, sd := stats.MeanStddev(utils)
-				cpuSD.Add(sd)
-				_, sd = stats.MeanStddev(conns)
-				connSD.Add(sd)
+				lb.Eng.RunUntil(int64(t))
+				bal.sample()
 			}
 			return fig13Row{
-				cpu:  fmt.Sprintf("%.1f%%", cpuSD.Mean()*100),
-				conn: fmt.Sprintf("%.1f", connSD.Mean()),
+				cpu:  fmt.Sprintf("%.1f%%", bal.cpuSD.Mean()*100),
+				conn: fmt.Sprintf("%.1f", bal.connSD.Mean()),
 			}
 		}}
 	}
 	return cells
 }
 
-func (fig13Experiment) Render(opts Options, results []any) string {
+func fig13Render(opts Options, results []any) string {
 	tb := stats.NewTable("Fig 13 — balance over 2 compressed days",
 		"mode", "CPU util stddev", "#conns stddev")
 	for mi, mode := range Table3Modes {
@@ -251,52 +231,25 @@ func (fig13Experiment) Render(opts Options, results []any) string {
 	return tb.Render() + "paper: CPU SD 26% / 2.7% / 2.7%; conn SD 3200 / 50 / 20 (exclusive/reuseport/hermes)\n"
 }
 
-// Fig13 runs the fig13 experiment sequentially (library/benchmark entry point).
-func Fig13(opts Options) string { return RunExperiment(fig13Experiment{}, opts) }
-
-// fig14Experiment reproduces Fig. 14: the fraction of workers passing the
-// coarse filter and the scheduler call frequency as load rises — one cell
-// per load level.
-type fig14Experiment struct{}
-
-func (fig14Experiment) Name() string { return "fig14" }
-func (fig14Experiment) Desc() string {
-	return "coarse-filter pass ratio and scheduler frequency vs load"
-}
-
 var fig14Levels = []float64{0.25, 0.5, 0.75, 1.0, 1.25, 1.5}
 
-func (fig14Experiment) Cells(opts Options) []Cell {
-	ports := tenantPorts(opts.Tenants)
+// fig14Cells reproduces Fig. 14: the fraction of workers passing the coarse
+// filter and the scheduler call frequency as load rises — one cell per load
+// level.
+func fig14Cells(opts Options) []Cell {
 	// Region2's case-4/case-2 heavy mix makes worker load genuinely
 	// uneven, so the coarse filter has something to filter.
 	cells := make([]Cell, len(fig14Levels))
 	for i, level := range fig14Levels {
-		level := level
 		name := fmt.Sprintf("load%.2fx", level)
 		cells[i] = Cell{Name: name, Run: func() any {
-			specs := workload.Regions()[1].Specs(ports, 55_000*opts.RateScale*level)
-			rc := RunConfig{
-				Mode:    l7lb.ModeHermes,
-				Workers: opts.Workers,
-				Ports:   ports,
-				Seed:    opts.Seed,
-				Window:  opts.Window,
-				Drain:   opts.Drain / 2,
-				Specs:   specs,
-			}
-			rc.Telemetry, rc.Tracer = opts.observers(name)
-			run, err := Run(rc)
-			if err != nil {
-				panic(err)
-			}
-			return run
+			return opts.run(name, opts.regionRun(1, l7lb.ModeHermes, 55_000*opts.RateScale*level))
 		}}
 	}
 	return cells
 }
 
-func (fig14Experiment) Render(opts Options, results []any) string {
+func fig14Render(opts Options, results []any) string {
 	tb := stats.NewTable("Fig 14 — coarse filter pass ratio and scheduling frequency vs load",
 		"load", "pass ratio", "scheduler calls/s (k)", "kernel syncs/s (k)")
 	for i, level := range fig14Levels {
@@ -310,56 +263,28 @@ func (fig14Experiment) Render(opts Options, results []any) string {
 	return tb.Render()
 }
 
-// Fig14 runs the fig14 experiment sequentially (library/benchmark entry point).
-func Fig14(opts Options) string { return RunExperiment(fig14Experiment{}, opts) }
-
-// fig15Experiment reproduces Fig. 15: sweeping the filter offset θ/Avg
-// and reporting average P99 latency and throughput; the paper finds 0.5
-// optimal. One cell per sweep point.
-type fig15Experiment struct{}
-
-func (fig15Experiment) Name() string { return "fig15" }
-func (fig15Experiment) Desc() string {
-	return "offset θ/Avg sweep: P99 and throughput"
-}
-
 var fig15Thetas = []float64{0, 0.1, 0.25, 0.5, 0.75, 1.0, 1.5, 2.5}
 
-func (fig15Experiment) Cells(opts Options) []Cell {
-	ports := tenantPorts(opts.Tenants)
-	// Hang-prone Region2 mix at ~70% utilization: small θ concentrates new
-	// connections on the few below-average workers; large θ admits loaded
-	// ones. Both ends hurt tail latency (Fig. 15's U-shape).
-	specs := workload.Regions()[1].Specs(ports, 60_000*opts.RateScale)
+// fig15Cells reproduces Fig. 15: sweeping the filter offset θ/Avg and
+// reporting average P99 latency and throughput; the paper finds 0.5 optimal.
+// One cell per sweep point.
+func fig15Cells(opts Options) []Cell {
 	cells := make([]Cell, len(fig15Thetas))
 	for i, theta := range fig15Thetas {
-		theta := theta
 		name := fmt.Sprintf("theta%.2f", theta)
 		cells[i] = Cell{Name: name, Run: func() any {
-			rc := RunConfig{
-				Mode:    l7lb.ModeHermes,
-				Workers: opts.Workers,
-				Ports:   ports,
-				Seed:    opts.Seed,
-				Window:  opts.Window,
-				Drain:   opts.Drain / 2,
-				Specs:   specs,
-				Mutate: func(c *l7lb.Config) {
-					c.Hermes.ThetaFrac = theta
-				},
-			}
-			rc.Telemetry, rc.Tracer = opts.observers(name)
-			run, err := Run(rc)
-			if err != nil {
-				panic(err)
-			}
-			return run
+			// Hang-prone Region2 mix at ~70% utilization: small θ concentrates new
+			// connections on the few below-average workers; large θ admits loaded
+			// ones. Both ends hurt tail latency (Fig. 15's U-shape).
+			rc := opts.regionRun(1, l7lb.ModeHermes, 60_000*opts.RateScale)
+			rc.Mutate = func(c *l7lb.Config) { c.Hermes.ThetaFrac = theta }
+			return opts.run(name, rc)
 		}}
 	}
 	return cells
 }
 
-func (fig15Experiment) Render(opts Options, results []any) string {
+func fig15Render(opts Options, results []any) string {
 	tb := stats.NewTable("Fig 15 — effect of offset θ/Avg",
 		"θ/Avg", "avg (ms)", "P99 (ms)", "throughput (kRPS)")
 	for i, theta := range fig15Thetas {
@@ -369,6 +294,3 @@ func (fig15Experiment) Render(opts Options, results []any) string {
 	}
 	return tb.Render()
 }
-
-// Fig15 runs the fig15 experiment sequentially (library/benchmark entry point).
-func Fig15(opts Options) string { return RunExperiment(fig15Experiment{}, opts) }

@@ -25,7 +25,7 @@ func runImbalanceCell(t *testing.T, fleet, conns int, mode l7lb.Mode) scaleCell 
 	t.Helper()
 	o := fastOptions()
 	o.Window = 250 * time.Millisecond
-	return runScaleCell(fleet, conns, mode, o.Seed, o, nil, nil).(scaleCell)
+	return runScaleCell(o, fleet, conns, mode, o.Seed)
 }
 
 func TestGroupedDispatchImbalanceMatchesSingleController(t *testing.T) {

@@ -32,7 +32,7 @@ func TestTable3HermesCellMetricsPerWorkerNonzero(t *testing.T) {
 	o := fastOptions()
 	o.Metrics = NewMetricsCollector()
 	var cellName string
-	for _, c := range (table3Experiment{}).Cells(o) {
+	for _, c := range table3Cells(o) {
 		if strings.HasSuffix(c.Name, "/heavy/hermes") && strings.HasPrefix(c.Name, "case1") {
 			cellName = c.Name
 			c.Run()

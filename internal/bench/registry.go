@@ -18,20 +18,21 @@ type Cell struct {
 	Run func() any
 }
 
-// Experiment is one runnable table/figure reproduction.
-type Experiment interface {
+// Experiment is one runnable table/figure reproduction, as data: to add one,
+// Register an Experiment value from the file that holds its cells.
+type Experiment struct {
 	// Name is the registry key (the DESIGN.md experiment ID).
-	Name() string
+	Name string
 	// Desc is a one-line description shown in harness output.
-	Desc() string
+	Desc string
 	// Cells enumerates the independent simulation cells for the options.
 	// A single cell marks an inherently sequential experiment (single sim,
 	// shared RNG stream, or — like table5 — wall-clock microbenchmarks
 	// that concurrency would skew).
-	Cells(o Options) []Cell
+	Cells func(o Options) []Cell
 	// Render assembles the rendered text from the per-cell results,
 	// indexed exactly as Cells returned them.
-	Render(o Options, results []any) string
+	Render func(o Options, results []any) string
 }
 
 var registry = map[string]Experiment{}
@@ -39,10 +40,10 @@ var registry = map[string]Experiment{}
 // Register adds an experiment to the registry; experiment files call it
 // from init(). Duplicate names are a programming error.
 func Register(e Experiment) {
-	if _, dup := registry[e.Name()]; dup {
-		panic("bench: duplicate experiment " + e.Name())
+	if _, dup := registry[e.Name]; dup {
+		panic("bench: duplicate experiment " + e.Name)
 	}
-	registry[e.Name()] = e
+	registry[e.Name] = e
 }
 
 // Experiments returns the registry of all reproducible artifacts, keyed by
@@ -70,23 +71,15 @@ func runCells(o Options, cells []Cell) []any {
 	return results
 }
 
-// seqExperiment adapts a monolithic run function as a one-cell Experiment.
-type seqExperiment struct {
-	name, desc string
-	run        func(Options) string
-}
-
 // Seq wraps an inherently sequential experiment — one that owns a single
 // sim or a shared RNG stream end to end — as a one-cell Experiment.
 func Seq(name, desc string, run func(Options) string) Experiment {
-	return seqExperiment{name: name, desc: desc, run: run}
-}
-
-func (s seqExperiment) Name() string { return s.name }
-func (s seqExperiment) Desc() string { return s.desc }
-func (s seqExperiment) Cells(o Options) []Cell {
-	return []Cell{{Name: s.name, Run: func() any { return s.run(o) }}}
-}
-func (s seqExperiment) Render(o Options, results []any) string {
-	return results[0].(string)
+	return Experiment{
+		Name: name,
+		Desc: desc,
+		Cells: func(o Options) []Cell {
+			return []Cell{{Name: name, Run: func() any { return run(o) }}}
+		},
+		Render: func(_ Options, results []any) string { return results[0].(string) },
+	}
 }

@@ -14,8 +14,6 @@ import (
 	"time"
 
 	"hermes/internal/l7lb"
-	"hermes/internal/sim"
-	"hermes/internal/stats"
 	"hermes/internal/telemetry"
 	"hermes/internal/tracing"
 	"hermes/internal/workload"
@@ -27,20 +25,15 @@ type RunConfig struct {
 	Mode l7lb.Mode
 	// Workers is the LB core count.
 	Workers int
-	// Ports are the tenant ports (defaulted from specs if nil).
-	Ports []uint16
 	// Seed drives all randomness.
 	Seed int64
 	// Window is the traffic generation window.
 	Window time.Duration
 	// Drain is extra virtual time after the window for in-flight requests.
 	Drain time.Duration
-	// Specs are the traffic models replayed concurrently.
+	// Specs are the traffic models replayed concurrently. The device listens
+	// on the first one's tenant ports (every spec of a run targets the same).
 	Specs []workload.Spec
-	// Detailed enables per-worker CDF collection.
-	Detailed bool
-	// SampleEvery enables periodic balance sampling (0 = off).
-	SampleEvery time.Duration
 	// Telemetry, when set, is handed to the LB (l7lb.Config.Telemetry):
 	// the cross-layer metric catalog records into it. Nil disables
 	// recording.
@@ -60,8 +53,6 @@ type RunConfig struct {
 type RunResult struct {
 	// LB is the device after the run (counters, samples, workers).
 	LB *l7lb.LB
-	// Gens are the traffic generators (arrival accounting).
-	Gens []*workload.Generator
 
 	// RequestsSent / Completed are totals over the whole run.
 	RequestsSent uint64
@@ -80,11 +71,6 @@ type RunResult struct {
 	GoodputKRPS float64
 	// WorkerUtil is per-worker busy fraction over the window+drain.
 	WorkerUtil []float64
-	// CPUStddev / ConnStddev average the per-sample cross-worker stddevs
-	// of CPU utilization (fraction) and connection counts (Fig. 13);
-	// zero unless SampleEvery was set.
-	CPUStddev  float64
-	ConnStddev float64
 }
 
 // maxLatencyReserve caps what Run reserves for a cell's latency samples up
@@ -113,18 +99,16 @@ func latencyReserve(specs []workload.Spec, window time.Duration) int {
 
 // Run executes one measurement.
 func Run(rc RunConfig) (*RunResult, error) {
-	eng := sim.NewEngine(rc.Seed)
-	ports := rc.Ports
-	if ports == nil && len(rc.Specs) > 0 {
+	var ports []uint16
+	if len(rc.Specs) > 0 {
 		ports = rc.Specs[0].Ports
 	}
-	cfg := Options{Workers: rc.Workers}.lbConfig(rc.Mode, ports)
+	cfg := lbConfig(rc.Mode, rc.Workers, ports)
 	cfg.Telemetry, cfg.Tracer = rc.Telemetry, rc.Tracer
-	cfg.DetailedStats = rc.Detailed
 	if rc.Mutate != nil {
 		rc.Mutate(&cfg)
 	}
-	lb, err := l7lb.New(eng, cfg)
+	lb, err := newDevice(rc.Seed, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -134,49 +118,25 @@ func Run(rc RunConfig) (*RunResult, error) {
 	lb.Start()
 
 	res := &RunResult{LB: lb}
+	var gens []*workload.Generator
 	for _, spec := range rc.Specs {
 		g, err := workload.NewGenerator(lb, spec)
 		if err != nil {
 			return nil, err
 		}
 		g.Run(rc.Window)
-		res.Gens = append(res.Gens, g)
+		gens = append(gens, g)
 	}
 	// One latency sample per completed request: room for all of them now,
 	// instead of append doubling its way there.
 	lb.Latency.Reserve(latencyReserve(rc.Specs, rc.Window))
 
-	var cpuSD, connSD stats.Sample
-	if rc.SampleEvery > 0 {
-		// The per-tick scratch is hoisted out of the closure: a 1 s window
-		// sampled every few ms would otherwise allocate two slices per tick.
-		prevBusy := make([]int64, len(lb.Workers))
-		utils := make([]float64, len(lb.Workers))
-		conns := make([]float64, len(lb.Workers))
-		var sample func()
-		sample = func() {
-			for i, w := range lb.Workers {
-				b := w.BusyNS(eng.Now())
-				utils[i] = float64(b-prevBusy[i]) / float64(rc.SampleEvery)
-				prevBusy[i] = b
-				conns[i] = float64(w.OpenConns())
-			}
-			_, sd := stats.MeanStddev(utils)
-			cpuSD.Add(sd)
-			_, sd = stats.MeanStddev(conns)
-			connSD.Add(sd)
-			if eng.Now() < int64(rc.Window) {
-				eng.After(rc.SampleEvery, sample)
-			}
-		}
-		eng.After(rc.SampleEvery, sample)
-	}
-
+	eng := lb.Eng
 	eng.RunUntil(int64(rc.Window))
 	res.CompletedInWindow = lb.Completed
 	eng.RunUntil(int64(rc.Window + rc.Drain))
 
-	for _, g := range res.Gens {
+	for _, g := range gens {
 		res.RequestsSent += g.RequestsSent
 	}
 	res.Completed = lb.Completed
@@ -193,13 +153,8 @@ func Run(rc RunConfig) (*RunResult, error) {
 	for _, w := range lb.Workers {
 		res.WorkerUtil = append(res.WorkerUtil, float64(w.BusyNS(eng.Now()))/elapsed)
 	}
-	res.CPUStddev = cpuSD.Mean()
-	res.ConnStddev = connSD.Mean()
 	return res, nil
 }
-
-// newSimEngine is a local alias to keep experiment files terse.
-func newSimEngine(seed int64) *sim.Engine { return sim.NewEngine(seed) }
 
 // ports returns n consecutive tenant ports starting at 8080.
 func tenantPorts(n int) []uint16 {

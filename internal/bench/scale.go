@@ -7,8 +7,6 @@ import (
 	"hermes/internal/kernel"
 	"hermes/internal/l7lb"
 	"hermes/internal/stats"
-	"hermes/internal/telemetry"
-	"hermes/internal/tracing"
 )
 
 // The scale experiment proves the allocation-free kernel fast path at the
@@ -45,13 +43,13 @@ type scaleCell struct {
 	tableGrows  uint64 // sum of per-worker conn-table regrowths (want 0)
 }
 
-type scaleExperiment struct{}
-
-func init() { Register(scaleExperiment{}) }
-
-func (scaleExperiment) Name() string { return "scale" }
-func (scaleExperiment) Desc() string {
-	return "O(1M)-connection lifecycle sweep over large fleets (zero-alloc fast path)"
+func init() {
+	Register(Experiment{
+		Name:   "scale",
+		Desc:   "O(1M)-connection lifecycle sweep over large fleets (zero-alloc fast path)",
+		Cells:  scaleCells,
+		Render: scaleRender,
+	})
 }
 
 // scaleConns converts a per-second tier into this run's connection count.
@@ -79,18 +77,15 @@ func formatConns(n int) string {
 	}
 }
 
-func (scaleExperiment) Cells(o Options) []Cell {
+func scaleCells(o Options) []Cell {
 	var cells []Cell
 	for fi, fleet := range scaleFleets {
 		for ti, tier := range scaleTiers {
 			for mi, mode := range Table3Modes {
-				fleet, mode := fleet, mode
 				conns := scaleConns(tier, o.Window)
-				name := scaleCellName(fleet, conns, mode)
 				seed := o.Seed + int64(fi*100+ti*10+mi)
-				tel, tr := o.observers(name)
-				cells = append(cells, Cell{Name: name, Run: func() any {
-					return runScaleCell(fleet, conns, mode, seed, o, tel, tr)
+				cells = append(cells, Cell{Name: scaleCellName(fleet, conns, mode), Run: func() any {
+					return runScaleCell(o, fleet, conns, mode, seed)
 				}})
 			}
 		}
@@ -103,22 +98,17 @@ func (scaleExperiment) Cells(o Options) []Cell {
 // request per connection, close on response. The driver keeps exactly one
 // scheduled arrival event outstanding, so steady-state allocation is the
 // kernel fast path's — which is to say zero.
-func runScaleCell(fleet, conns int, mode l7lb.Mode, seed int64, o Options,
-	tel telemetry.Sink, tr *tracing.Tracer) any {
+func runScaleCell(o Options, fleet, conns int, mode l7lb.Mode, seed int64) scaleCell {
 	start := time.Now()
-	eng := newSimEngine(seed)
-	cfg := Options{Workers: fleet}.lbConfig(mode, []uint16{8080})
-	cfg.Telemetry, cfg.Tracer = tel, tr
+	cfg := lbConfig(mode, fleet, []uint16{8080})
 	// Pre-size every worker's connection table from the cell's planned
 	// connection count: an even share per worker is orders of magnitude
 	// above peak concurrently-open conns (each lives ~µs of virtual time),
 	// so steady state never regrows a table — pinned by
 	// TestScaleCellConnTableNeverRegrows.
 	cfg.ConnsPerWorkerHint = conns/fleet + 1
-	lb, err := l7lb.New(eng, cfg)
-	if err != nil {
-		panic(err)
-	}
+	lb := o.newLB(scaleCellName(fleet, conns, mode), seed, cfg)
+	eng := lb.Eng
 	lb.Start()
 
 	// Fixed-interval arrivals and a fixed per-request cost: no RNG touches
@@ -171,7 +161,7 @@ func runScaleCell(fleet, conns int, mode l7lb.Mode, seed int64, o Options,
 	return res
 }
 
-func (scaleExperiment) Render(o Options, results []any) string {
+func scaleRender(o Options, results []any) string {
 	tb := stats.NewTable("Scale — full connection lifecycles through the pooled fast path",
 		"fleet", "conns", "mode", "established", "completed", "drops", "imbalance", "kconns/s (sim)")
 	for _, r := range results {

@@ -3,6 +3,8 @@ package bench
 import (
 	"fmt"
 	"io"
+	"sort"
+	"strings"
 	"sync"
 
 	"hermes/internal/tracing"
@@ -18,8 +20,9 @@ type SpanRecorder struct {
 	cell string
 	cfg  tracing.Config
 
-	mu sync.Mutex
-	tr *tracing.Tracer
+	mu    sync.Mutex
+	tr    *tracing.Tracer
+	asked []string // the other cells that asked, for WriteTo's error
 }
 
 // NewSpanRecorder designates a cell; its tracer uses cfg.
@@ -27,23 +30,19 @@ func NewSpanRecorder(cell string, cfg tracing.Config) *SpanRecorder {
 	return &SpanRecorder{cell: cell, cfg: cfg}
 }
 
-// Cell returns the designated cell name.
-func (sr *SpanRecorder) Cell() string {
-	if sr == nil {
-		return ""
-	}
-	return sr.cell
-}
-
 // Tracer returns the flight recorder for the named cell: non-nil only for
 // the designated cell (created on first use), nil — recording disabled —
 // for every other cell and on a nil receiver.
 func (sr *SpanRecorder) Tracer(cell string) *tracing.Tracer {
-	if sr == nil || cell != sr.cell {
+	if sr == nil {
 		return nil
 	}
 	sr.mu.Lock()
 	defer sr.mu.Unlock()
+	if cell != sr.cell {
+		sr.asked = append(sr.asked, cell)
+		return nil
+	}
 	if sr.tr == nil {
 		sr.tr = tracing.New(sr.cfg)
 	}
@@ -63,10 +62,16 @@ func (sr *SpanRecorder) Recorded() bool {
 
 // WriteTo flushes still-open connections and writes the span dump: Chrome
 // trace-event JSON (Perfetto-loadable) or compact JSONL. Call after the
-// experiment has fully run.
+// experiment has fully run. If the designated cell never ran, the error lists
+// the cells that did ask for a tracer — what the designation could have been
+// (an experiment that builds several devices in one cell names each device).
 func (sr *SpanRecorder) WriteTo(w io.Writer, jsonl bool) error {
-	if sr == nil || sr.tr == nil {
-		return fmt.Errorf("bench: no spans recorded for cell %q", sr.Cell())
+	if sr == nil {
+		return fmt.Errorf("bench: no span recorder")
+	}
+	if !sr.Recorded() {
+		sort.Strings(sr.asked)
+		return fmt.Errorf("bench: span cell %q never ran; cells that did: %s", sr.cell, strings.Join(sr.asked, ", "))
 	}
 	sr.tr.Flush()
 	spans := sr.tr.Spans()

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"hermes/internal/tracing"
@@ -85,8 +86,13 @@ func TestSpanRecorderDesignatesOneCell(t *testing.T) {
 	if sr.Recorded() {
 		t.Fatal("recorded before the designated cell ran")
 	}
-	if err := sr.WriteTo(&bytes.Buffer{}, true); err == nil {
+	sr.Tracer("another")
+	err := sr.WriteTo(&bytes.Buffer{}, true)
+	if err == nil {
 		t.Fatal("WriteTo must fail when nothing was recorded")
+	}
+	if want := `"the-cell" never ran; cells that did: another, other`; !strings.Contains(err.Error(), want) {
+		t.Fatalf("error %q does not say %q", err, want)
 	}
 	if tr := sr.Tracer("the-cell"); tr == nil {
 		t.Fatal("designated cell got no tracer")
@@ -94,7 +100,7 @@ func TestSpanRecorderDesignatesOneCell(t *testing.T) {
 		t.Fatal("designated cell must reuse one tracer")
 	}
 	var nilSR *SpanRecorder
-	if nilSR.Tracer("the-cell") != nil || nilSR.Recorded() || nilSR.Cell() != "" {
+	if nilSR.Tracer("the-cell") != nil || nilSR.Recorded() || nilSR.WriteTo(&bytes.Buffer{}, true) == nil {
 		t.Fatal("nil recorder must disable recording")
 	}
 }

@@ -32,24 +32,27 @@ var LevelNames = []string{"light", "medium", "heavy"}
 // replayed at 2–3× the original rate).
 var LevelScales = []float64{1, 2, 3}
 
-// table3Experiment reproduces Table 3: the four traffic cases at three
+// The table3 experiment reproduces Table 3: the four traffic cases at three
 // load levels under epoll-exclusive, reuseport, and Hermes, reporting
 // average latency, P99 latency, and throughput. The 4×3×3 grid of
 // independent simulations is the widest sweep in the harness, so its cells
 // fan out over the worker pool; assembly by (case, level, mode) index
 // keeps the rendered table byte-identical to a sequential run.
-type table3Experiment struct{}
-
-func init() { Register(table3Experiment{}) }
-
-func (table3Experiment) Name() string { return "table3" }
-func (table3Experiment) Desc() string {
-	return "4 traffic cases x {exclusive,reuseport,hermes} x {light,medium,heavy}"
+func init() {
+	Register(Experiment{
+		Name:  "table3",
+		Desc:  "4 traffic cases x {exclusive,reuseport,hermes} x {light,medium,heavy}",
+		Cells: table3Cells,
+		// Assemble the flat results back into the [case][level][mode] grid.
+		Render: func(opts Options, results []any) string {
+			return table3Assemble(opts, results).Render()
+		},
+	})
 }
 
-// Cells enumerates the grid in (case, level, mode) order; the cell seed is
-// a function of the grid position, so any subset re-runs identically.
-func (table3Experiment) Cells(opts Options) []Cell {
+// table3Cells enumerates the grid in (case, level, mode) order; the cell seed
+// is a function of the grid position, so any subset re-runs identically.
+func table3Cells(opts Options) []Cell {
 	ports := tenantPorts(opts.Tenants)
 	cases := workload.Cases(ports)
 	nLevels, nModes := len(LevelScales), len(Table3Modes)
@@ -57,11 +60,10 @@ func (table3Experiment) Cells(opts Options) []Cell {
 	for ci, cs := range cases {
 		for li := range LevelScales {
 			for mi, mode := range Table3Modes {
-				ci, li, mi, cs, mode := ci, li, mi, cs, mode
 				name := fmt.Sprintf("%s/%s/%s", cs.Name, LevelNames[li], mode)
 				cells = append(cells, Cell{Name: name, Run: func() any {
 					spec := cs.Scale(opts.RateScale * LevelScales[li])
-					rc := RunConfig{
+					run := opts.run(name, RunConfig{
 						Mode:    mode,
 						Workers: opts.Workers,
 						Seed:    opts.Seed + int64(ci*100+li*10+mi),
@@ -71,12 +73,7 @@ func (table3Experiment) Cells(opts Options) []Cell {
 						Mutate: func(c *l7lb.Config) {
 							c.RegisteredPorts = opts.RegisteredPorts
 						},
-					}
-					rc.Telemetry, rc.Tracer = opts.observers(name)
-					run, err := Run(rc)
-					if err != nil {
-						panic(fmt.Sprintf("bench: table3 %s: %v", name, err))
-					}
+					})
 					return Table3Cell{
 						Mode:   mode,
 						AvgMS:  run.AvgMS,
@@ -89,11 +86,6 @@ func (table3Experiment) Cells(opts Options) []Cell {
 		}
 	}
 	return cells
-}
-
-// Render assembles the flat results back into the [case][level][mode] grid.
-func (table3Experiment) Render(opts Options, results []any) string {
-	return table3Assemble(opts, results).Render()
 }
 
 func table3Assemble(opts Options, results []any) *Table3Result {
@@ -121,8 +113,7 @@ func table3Assemble(opts Options, results []any) *Table3Result {
 // Table3 runs the full grid and returns the assembled result (tests and
 // benchmarks drive the grid through this; the registry path renders it).
 func Table3(opts Options) *Table3Result {
-	e := table3Experiment{}
-	return table3Assemble(opts, runCells(opts, e.Cells(opts)))
+	return table3Assemble(opts, runCells(opts, table3Cells(opts)))
 }
 
 // Marked reports whether a cell fails the paper's criterion against the

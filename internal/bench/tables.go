@@ -13,7 +13,14 @@ func init() {
 	Register(Seq("table1",
 		"request size and processing-time distributions per region",
 		func(o Options) string { return RenderTable1(Table1(o)) }))
-	Register(table2Experiment{})
+	Register(Experiment{
+		Name:  "table2",
+		Desc:  "CPU imbalance within/across devices under epoll-exclusive",
+		Cells: table2Cells,
+		Render: func(_ Options, results []any) string {
+			return RenderTable2(table2Assemble(results))
+		},
+	})
 	Register(Seq("table4",
 		"distribution of the 4 cases across regions", Table4))
 }
@@ -81,48 +88,26 @@ type Table2Result struct {
 	Devices     int
 }
 
-// table2Experiment reproduces Table 2: CPU utilization imbalance within a
+// table2Cells reproduces Table 2: CPU utilization imbalance within a
 // device and across devices of a region running epoll-exclusive. Each
 // simulated device carries a different tenant mix and load level
 // (heterogeneous multi-tenancy is what spreads the averages); the
 // per-device max/min core spread comes from exclusive's concentration.
-type table2Experiment struct{}
-
-func (table2Experiment) Name() string { return "table2" }
-func (table2Experiment) Desc() string {
-	return "CPU imbalance within/across devices under epoll-exclusive"
-}
-
-// Cells enumerates one cell per simulated device: private engine, private
-// per-device RNG for the load level.
-func (table2Experiment) Cells(opts Options) []Cell {
+// One cell per simulated device: private engine, private per-device RNG for
+// the load level.
+func table2Cells(opts Options) []Cell {
 	const devices = 24
-	ports := tenantPorts(opts.Tenants)
 	cells := make([]Cell, devices)
 	for d := 0; d < devices; d++ {
-		d := d
 		name := fmt.Sprintf("device%02d", d)
 		cells[d] = Cell{Name: name, Run: func() any {
 			rng := rand.New(rand.NewSource(opts.Seed + int64(d)*977))
-			region := workload.Regions()[d%4]
 			// Device load level varies widely across a region.
 			totalRPS := (4_000 + rng.Float64()*50_000) * opts.RateScale
-			specs := region.Specs(ports, totalRPS)
-			rc := RunConfig{
-				Mode:    l7lb.ModeExclusive,
-				Workers: opts.Workers,
-				Ports:   ports,
-				Seed:    opts.Seed + int64(d),
-				Window:  opts.Window,
-				Drain:   opts.Drain / 2,
-				Specs:   specs,
-				Mutate:  func(c *l7lb.Config) { c.RegisteredPorts = opts.RegisteredPorts },
-			}
-			rc.Telemetry, rc.Tracer = opts.observers(name)
-			run, err := Run(rc)
-			if err != nil {
-				panic(fmt.Sprintf("bench: table2 device %d: %v", d, err))
-			}
+			rc := opts.regionRun(d%4, l7lb.ModeExclusive, totalRPS)
+			rc.Seed += int64(d)
+			rc.Mutate = func(c *l7lb.Config) { c.RegisteredPorts = opts.RegisteredPorts }
+			run := opts.run(name, rc)
 			dev := Table2Device{Name: name}
 			dev.MinUtil = 1
 			var sum float64
@@ -140,10 +125,6 @@ func (table2Experiment) Cells(opts Options) []Cell {
 		}}
 	}
 	return cells
-}
-
-func (table2Experiment) Render(opts Options, results []any) string {
-	return RenderTable2(table2Assemble(results))
 }
 
 func table2Assemble(results []any) Table2Result {
@@ -178,8 +159,7 @@ func table2Assemble(results []any) Table2Result {
 
 // Table2 runs all device cells and returns the assembled result.
 func Table2(opts Options) Table2Result {
-	e := table2Experiment{}
-	return table2Assemble(runCells(opts, e.Cells(opts)))
+	return table2Assemble(runCells(opts, table2Cells(opts)))
 }
 
 // RenderTable2 formats Table 2.

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"hermes/internal/heavyhitter"
+	"hermes/internal/kernel"
 	"hermes/internal/l7lb"
 	"hermes/internal/packet"
 	"hermes/internal/sim"
@@ -257,6 +258,90 @@ func TestScaleOutAbsorbsOverload(t *testing.T) {
 	// the new device's P99 as the post-scale indicator.
 	if p99After := c.Devices[1].Latency.Percentile(99); p99After >= p99Before {
 		t.Fatalf("scale-out did not relieve overload: before %v, after %v", p99Before, p99After)
+	}
+}
+
+// Per-connection consistency while the device set changes — the property L4
+// balancers are built around (Concury, Charon; PAPERS.md): a flow opened on N
+// devices keeps its device when the fleet grows to N+2, although the widened
+// ECMP hash would now send many of its packets elsewhere. Every request must
+// complete on the device that took its SYN, none may be dropped, and new
+// flows must reach the added devices.
+func TestFlowsStayPinnedAcrossScaleOut(t *testing.T) {
+	eng, c := newTestCluster(t, []l7lb.Mode{l7lb.ModeExclusive, l7lb.ModeReuseport, l7lb.ModeHermes})
+	served := map[int]map[kernel.ConnID]bool{} // device → connections it answered
+	watch := func(di int) {
+		served[di] = map[kernel.ConnID]bool{}
+		c.Devices[di].OnResponse = func(conn kernel.ConnRef, _ l7lb.Work) { served[di][conn.ID()] = true }
+	}
+	for di := range c.Devices {
+		watch(di)
+	}
+
+	// SYNs now, each flow's one request only after both scale-outs.
+	const flows = 600
+	cl := c.NewClient(100)
+	for i := 0; i < flows; i++ {
+		cl.OpenAndRequest(time.Duration(i)*10*time.Microsecond, 50*time.Millisecond, 200, true)
+	}
+	eng.RunUntil(int64(10 * time.Millisecond))
+	if c.LiveFlows() != flows {
+		t.Fatalf("%d of %d flows open before scale-out", c.LiveFlows(), flows)
+	}
+	type pin struct {
+		device int
+		conn   kernel.ConnID
+	}
+	pinned := make(map[flowKey]pin, flows)
+	perDevice := make([]uint64, 5)
+	for k, fs := range c.flows {
+		pinned[k] = pin{fs.device, fs.conn.ID()}
+		perDevice[fs.device]++
+	}
+	for _, at := range []time.Duration{20 * time.Millisecond, 30 * time.Millisecond} {
+		eng.At(int64(at), func() {
+			if _, err := c.AddDevice(l7lb.ModeHermes, 4, nil); err != nil {
+				t.Error(err)
+			}
+			watch(len(c.Devices) - 1)
+		})
+	}
+	eng.RunUntil(int64(40 * time.Millisecond))
+	moved := 0
+	for k, p := range pinned {
+		if c.ecmp(k) != p.device {
+			moved++
+		}
+	}
+	if len(c.Devices) != 5 || moved == 0 {
+		t.Fatalf("%d devices, %d of %d flows re-hashed: the scale-out does not exercise pinning", len(c.Devices), moved, flows)
+	}
+
+	eng.RunUntil(int64(200 * time.Millisecond))
+	if c.DataDropped != 0 || cl.Errors != 0 || c.LiveFlows() != 0 {
+		t.Fatalf("%d data frames dropped, %d ingress errors, %d flows left open", c.DataDropped, cl.Errors, c.LiveFlows())
+	}
+	for k, p := range pinned {
+		if !served[p.device][p.conn] {
+			t.Fatalf("flow %+v: SYN taken by device %d, request not answered there", k, p.device)
+		}
+	}
+	for di, d := range c.Devices {
+		if d.Completed != perDevice[di] {
+			t.Errorf("device %d completed %d requests, holds the SYNs of %d flows", di, d.Completed, perDevice[di])
+		}
+	}
+
+	// New flows see the widened fleet.
+	for i := 0; i < flows; i++ {
+		cl.OpenAndRequest(200*time.Millisecond+time.Duration(i)*10*time.Microsecond, 50*time.Microsecond, 200, true)
+	}
+	eng.RunUntil(int64(400 * time.Millisecond))
+	if c.Devices[3].Completed == 0 || c.Devices[4].Completed == 0 {
+		t.Fatalf("added devices served %d and %d new flows", c.Devices[3].Completed, c.Devices[4].Completed)
+	}
+	if c.DataDropped != 0 || cl.Errors != 0 || c.LiveFlows() != 0 {
+		t.Fatalf("%d data frames dropped, %d ingress errors, %d flows left open", c.DataDropped, cl.Errors, c.LiveFlows())
 	}
 }
 

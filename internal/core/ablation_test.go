@@ -97,13 +97,13 @@ func TestMultiGroupFilterOrderAndHookCounters(t *testing.T) {
 	h.EventsFetched(-3) // ignored
 
 	// The metrics must land in group 1's table, slot 6.
-	snap := gc.wst.Group(1).Snapshot(nil)
+	snap := gc.groups[1].wst.Snapshot(nil)
 	m := snap[6]
 	if m.LoopEnterNS != 100 || m.Busy != 3 || m.Conn != 1 {
 		t.Fatalf("group 1 hook metrics: %+v", m)
 	}
 	// Group 0 untouched.
-	for i, m := range gc.wst.Group(0).Snapshot(nil) {
+	for i, m := range gc.groups[0].wst.Snapshot(nil) {
 		if m.Busy != 0 || m.Conn != 0 {
 			t.Fatalf("group 0 slot %d polluted: %+v", i, m)
 		}

@@ -88,9 +88,10 @@ type Controller struct {
 	singleWinner atomic.Bool // ablation: publish only the single best worker
 	polGen       atomic.Uint64
 
-	key    GroupKey
-	wst    *shm.Grouped
-	groups []group
+	key     GroupKey
+	workers int
+	span    int // worker id = group*span + slot; only the last group may hold fewer
+	groups  []group
 
 	// Scheduling statistics (atomic: in real-goroutine deployments every
 	// worker runs the scheduler concurrently).
@@ -128,12 +129,12 @@ func New(n int, cfg Config, opts ...Option) (*Controller, error) {
 	case n < 1:
 		return nil, fmt.Errorf("core: worker count %d < 1", n)
 	}
-	c := &Controller{key: o.key, wst: shm.NewGroupedSpan(n, span)}
+	c := &Controller{key: o.key, workers: n, span: span}
 	c.cfg.Store(&cfg)
-	c.groups = make([]group, c.wst.Groups())
+	c.groups = make([]group, (n+span-1)/span)
 	for gi := range c.groups {
 		g := &c.groups[gi]
-		g.wst = c.wst.Group(gi)
+		g.wst = shm.NewWST(min(span, n-gi*span))
 		g.sel = ebpf.NewArrayMap(1)
 		g.cache.init()
 		g.avail.Store(^uint64(0))
@@ -157,8 +158,7 @@ func (c *Controller) SetWorkerAvailable(id int, ok bool) error {
 	if id < 0 || id >= c.Workers() {
 		return fmt.Errorf("core: worker %d outside 0..%d", id, c.Workers()-1)
 	}
-	gi, slot := c.wst.Locate(id)
-	avail := &c.groups[gi].avail
+	avail, slot := &c.groups[id/c.span].avail, id%c.span
 	for {
 		old := avail.Load()
 		next := old | 1<<uint(slot)
@@ -229,8 +229,17 @@ func (c *Controller) SetSingleWinner(on bool) {
 	c.polGen.Add(1)
 }
 
-// WST exposes the worker status table (diagnostics and tests).
-func (c *Controller) WST() *shm.Grouped { return c.wst }
+// Snapshot appends every worker's published metrics to dst, in global worker
+// order (diagnostics, the watchdog).
+func (c *Controller) Snapshot(dst []shm.Metrics) []shm.Metrics {
+	for gi := range c.groups {
+		dst = c.groups[gi].wst.Snapshot(dst)
+	}
+	return dst
+}
+
+// Selection returns the bitmap group gi last published to shared memory.
+func (c *Controller) Selection(gi int) uint64 { return c.groups[gi].wst.LoadSelection() }
 
 // SelMap exposes group 0's kernel-facing selection map (M_sel) — the only
 // one when the fleet fits one group.
@@ -246,7 +255,7 @@ func (c *Controller) SelMaps() []*ebpf.ArrayMap {
 }
 
 // Workers returns the total worker count.
-func (c *Controller) Workers() int { return c.wst.Workers() }
+func (c *Controller) Workers() int { return c.workers }
 
 // Groups returns the group count.
 func (c *Controller) Groups() int { return len(c.groups) }
@@ -265,7 +274,7 @@ func (c *Controller) AttachEBPF(rg *kernel.ReuseportGroup) error {
 		span := c.groups[gi].wst.Workers()
 		sa := ebpf.NewSockArray(span)
 		for slot := 0; slot < span; slot++ {
-			if err := sa.Put(uint32(slot), socks[c.wst.GlobalID(gi, slot)]); err != nil {
+			if err := sa.Put(uint32(slot), socks[gi*c.span+slot]); err != nil {
 				return err
 			}
 		}
@@ -319,13 +328,12 @@ func (c *Controller) socketsOf(rg *kernel.ReuseportGroup) ([]*kernel.Socket, err
 // lines Hermes adds to the epoll event loop (Fig. 9). The embedded scheduler
 // operates on the worker's own group only.
 func (c *Controller) NewWorkerHook(id int) *WorkerHook {
-	gi, slot := c.wst.Locate(id)
-	g := &c.groups[gi]
+	g := &c.groups[id/c.span]
 	return &WorkerHook{
 		c:   c,
 		g:   g,
 		id:  id,
-		w:   g.wst.Writer(slot),
+		w:   g.wst.Writer(id % c.span),
 		buf: make([]shm.Metrics, 0, g.wst.Workers()),
 	}
 }

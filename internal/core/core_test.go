@@ -721,3 +721,75 @@ func TestDispatchProgramShape(t *testing.T) {
 		t.Error("multi-group-by-locality program missing locality helper")
 	}
 }
+
+// The group table's layout: ceil(n/64) groups, only the last one partial.
+func TestGroupedLayout(t *testing.T) {
+	cases := []struct {
+		n, groups, lastSize int
+	}{
+		{1, 1, 1},
+		{64, 1, 64},
+		{65, 2, 1},
+		{128, 2, 64},
+		{130, 3, 2},
+		{256, 4, 64},
+	}
+	for _, tc := range cases {
+		c, err := NewController(tc.n, DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.Groups() != tc.groups {
+			t.Errorf("NewController(%d).Groups() = %d, want %d", tc.n, c.Groups(), tc.groups)
+		}
+		if got := c.groups[c.Groups()-1].wst.Workers(); got != tc.lastSize {
+			t.Errorf("NewController(%d) last group size = %d, want %d", tc.n, got, tc.lastSize)
+		}
+		if c.Workers() != tc.n {
+			t.Errorf("Workers() = %d, want %d", c.Workers(), tc.n)
+		}
+	}
+}
+
+// Global id → (group, slot) → global id: a hook writes the row Snapshot
+// reports at its worker's index, and the slot it maps to exists.
+func TestGroupedLocateRoundTrip(t *testing.T) {
+	c, err := NewController(200, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for w := 0; w < 200; w++ {
+		c.NewWorkerHook(w).w.AddConn(int64(w + 1))
+		if slot, size := w%c.span, c.groups[w/c.span].wst.Workers(); slot >= size {
+			t.Fatalf("worker %d slot %d exceeds group %d size %d", w, slot, w/c.span, size)
+		}
+	}
+	snap := c.Snapshot(nil)
+	if len(snap) != 200 {
+		t.Fatalf("Snapshot holds %d rows, want 200", len(snap))
+	}
+	for w, m := range snap {
+		if m.Conn != int64(w+1) {
+			t.Fatalf("row %d holds conn %d: worker %d's hook wrote elsewhere", w, m.Conn, w)
+		}
+	}
+}
+
+func TestGroupedWriterIsolation(t *testing.T) {
+	c, err := NewController(130, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.NewWorkerHook(0).ConnOpened()
+	c.NewWorkerHook(64).w.AddConn(2)
+	c.NewWorkerHook(129).w.AddConn(3)
+	if got := c.groups[0].wst.Snapshot(nil)[0].Conn; got != 1 {
+		t.Errorf("group0 slot0 conn = %d, want 1", got)
+	}
+	if got := c.groups[1].wst.Snapshot(nil)[0].Conn; got != 2 {
+		t.Errorf("group1 slot0 conn = %d, want 2", got)
+	}
+	if got := c.groups[2].wst.Snapshot(nil)[1].Conn; got != 3 {
+		t.Errorf("group2 slot1 conn = %d, want 3", got)
+	}
+}

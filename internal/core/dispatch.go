@@ -238,5 +238,5 @@ func (c *Controller) selectWorker(hash, localityHash uint32, minWorkers int) (wo
 	if !ok {
 		return 0, false
 	}
-	return c.wst.GlobalID(gi, slot), true
+	return gi*c.span + slot, true
 }

@@ -122,14 +122,14 @@ func PolicyHandler(c *Controller) http.Handler {
 			Busy        int64 `json:"busy"`
 			Conn        int64 `json:"conn"`
 		}
-		snap := c.WST().Snapshot(nil)
+		snap := c.Snapshot(nil)
 		ws := make([]workerStatus, len(snap))
 		for i, m := range snap {
 			ws[i] = workerStatus{Worker: i, LoopEnterNS: m.LoopEnterNS, Busy: m.Busy, Conn: m.Conn}
 		}
 		sel := make([]string, c.Groups())
 		for gi := range sel {
-			sel[gi] = fmt.Sprintf("%064b", c.WST().Group(gi).LoadSelection())
+			sel[gi] = fmt.Sprintf("%064b", c.Selection(gi))
 		}
 		writeJSON(w, http.StatusOK, map[string]any{
 			"stats":     c.Stats(),

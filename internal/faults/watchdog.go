@@ -34,7 +34,6 @@ type Watchdog struct {
 	DetectionNS []int64
 
 	lb      *l7lb.LB
-	wst     *shm.Grouped
 	flagged []bool
 	buf     []shm.Metrics
 
@@ -51,7 +50,6 @@ func NewWatchdog(lb *l7lb.LB, interval time.Duration) *Watchdog {
 		Interval:  interval,
 		Threshold: lb.Ctl.Config().HangThreshold,
 		lb:        lb,
-		wst:       lb.Ctl.WST(),
 		flagged:   make([]bool, len(lb.Workers)),
 	}
 }
@@ -77,7 +75,7 @@ func (d *Watchdog) scheduleScan(prev, end int64) {
 }
 
 func (d *Watchdog) scan(nowNS int64) {
-	d.buf = d.wst.Snapshot(d.buf[:0])
+	d.buf = d.lb.Ctl.Snapshot(d.buf[:0])
 	thresh := int64(d.Threshold)
 	for id, m := range d.buf {
 		if id >= len(d.lb.Workers) {

@@ -64,7 +64,7 @@ func sameFamilies(a, b []Family) bool {
 }
 
 // FuzzOpenMetricsParse throws arbitrary bytes at the checker that sits behind
-// `hermesctl check prom` and hermes-top's scrape loop. It must never panic;
+// `hermesctl check prom` and `hermesctl top`'s scrape loop. It must never panic;
 // Validate accepts only what Parse accepts; and what parses, written back out,
 // parses to the same families and draws the same verdict from Validate.
 func FuzzOpenMetricsParse(f *testing.F) {

@@ -162,36 +162,29 @@ func circuitView(s CircuitSnapshot) CircuitView {
 
 // statsView builds the /stats body.
 func (p *Proxy) statsView() StatsView {
-	snap := p.reg.Snapshot()
-	counter := func(name string) uint64 {
-		if ms := snap.Get(name); ms != nil {
-			return uint64(ms.Value)
-		}
-		return 0
-	}
 	v := StatsView{
 		UptimeSec:   time.Since(time.Unix(0, p.startNS)).Seconds(),
 		Policy:      p.cfg.Policy,
 		Workers:     len(p.workers),
 		Served:      p.Served.Load(),
-		Errors:      p.Errors.Load(),
-		Unavailable: p.Unavailable.Load(),
+		Errors:      p.tel.UpstreamErrors.Load(),
+		Unavailable: p.tel.Unavailable.Load(),
 
-		RetryAttempts:  counter("proxy.retry.attempts"),
-		RetryRecovered: counter("proxy.retry.recovered"),
-		RetryExhausted: counter("proxy.retry.exhausted"),
+		RetryAttempts:  p.tel.RetryAttempts.Load(),
+		RetryRecovered: p.tel.RetryRecovered.Load(),
+		RetryExhausted: p.tel.RetryExhausted.Load(),
 
-		CircuitRejections: counter("proxy.circuit.rejections"),
-		HealthProbes:      counter("proxy.health.probes"),
-		HealthTransitions: counter("proxy.health.transitions"),
+		CircuitRejections: p.tel.CircuitRejections.Load(),
+		HealthProbes:      p.tel.HealthProbes.Load(),
+		HealthTransitions: p.tel.HealthTransitions.Load(),
 	}
-	if ms := snap.Get("proxy.request_latency_ns"); ms != nil && ms.Count > 0 {
+	if ms := p.reg.Snapshot().Get("proxy.request_latency_ns"); ms != nil && ms.Count > 0 {
 		p50 := ms.Quantile(0.50) / 1e6
 		p99 := ms.Quantile(0.99) / 1e6
 		v.LatencyP50MS, v.LatencyP99MS = &p50, &p99
 	}
 	for _, w := range p.workers {
-		v.WorkerHandled = append(v.WorkerHandled, w.Handled.Load())
+		v.WorkerHandled = append(v.WorkerHandled, w.handled.Load())
 	}
 	st := p.ctl.Stats()
 	bitmap, _ := p.ctl.SelMap().Lookup(0)

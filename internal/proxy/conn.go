@@ -129,7 +129,6 @@ func (c *conn) serve() {
 		start := time.Now()
 		keep := c.forward(reqLen)
 		w.hook.EventHandled()
-		w.Handled.Add(1)
 		w.handled.Inc()
 		end := time.Now()
 		p.tel.RequestLatencyNS.Observe(end.Sub(start).Nanoseconds())
@@ -286,7 +285,6 @@ func (c *conn) forward(reqLen int) (keep bool) {
 		b := p.pool.Pick(tried)
 		if b == nil {
 			if attempt == 0 {
-				p.Unavailable.Add(1)
 				p.tel.Unavailable.Inc()
 				return c.answer(503, "no backend available", keep)
 			}
@@ -318,7 +316,6 @@ func (c *conn) forward(reqLen int) (keep bool) {
 			lastErr = err
 			continue
 		case err != nil: // cut short mid-reply: the client has part of it
-			p.Errors.Add(1)
 			p.tel.UpstreamErrors.Inc()
 			return false
 		case attempt > 0:
@@ -330,7 +327,6 @@ func (c *conn) forward(reqLen int) (keep bool) {
 	if attempts > 1 {
 		p.tel.RetryExhausted.Inc()
 	}
-	p.Errors.Add(1)
 	p.tel.UpstreamErrors.Inc()
 	return c.answer(502, lastErr.Error(), keep)
 }

@@ -73,11 +73,9 @@ type Proxy struct {
 
 	startNS int64
 
-	// Served counts proxied requests; Errors upstream failures (after
-	// retries); Unavailable 503s with no pickable backend.
-	Served      atomic.Uint64
-	Errors      atomic.Uint64
-	Unavailable atomic.Uint64
+	// Served counts proxied requests. Upstream failures and 503s with no
+	// pickable backend are counted once, on tel's instruments.
+	Served atomic.Uint64
 
 	// Connection tracking for graceful drain.
 	mu       sync.Mutex
@@ -101,9 +99,9 @@ type worker struct {
 	syncMu  sync.Mutex // hook.ScheduleAndSync keeps per-hook scratch
 	tr      *tracing.WorkerTrace
 	fwdTail []byte // what this worker appends to every upstream request head
+	// handled counts requests this worker proxied: its slot of
+	// proxy.worker.requests_served.
 	handled *telemetry.Counter
-	// Handled counts requests this worker proxied.
-	Handled atomic.Uint64
 	// delay injects extra latency per request (demo poisoning, slow fault).
 	delay atomic.Int64
 	// hangUntilNS, while in the future, stalls the worker: its heartbeat
@@ -259,7 +257,7 @@ func (p *Proxy) Config() Config { return p.cfg }
 func (p *Proxy) Workers() int { return len(p.workers) }
 
 // WorkerHandled returns how many requests worker id has proxied.
-func (p *Proxy) WorkerHandled(id int) uint64 { return p.workers[id].Handled.Load() }
+func (p *Proxy) WorkerHandled(id int) uint64 { return p.workers[id].handled.Load() }
 
 // SetWorkerDelay injects per-request latency on one worker (demo poisoning).
 func (p *Proxy) SetWorkerDelay(id int, d time.Duration) {
@@ -481,7 +479,7 @@ func (p *Proxy) victim(id int) *worker {
 	best := p.workers[0]
 	for _, w := range p.workers[1:] {
 		wb, bb := w.hook.Metrics().Busy, best.hook.Metrics().Busy
-		if wb > bb || (wb == bb && w.Handled.Load() > best.Handled.Load()) {
+		if wb > bb || (wb == bb && w.handled.Load() > best.handled.Load()) {
 			best = w
 		}
 	}

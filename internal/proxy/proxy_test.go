@@ -220,8 +220,8 @@ func TestProxyRetryCoversDeadBackend(t *testing.T) {
 	if p.pool.backends[0].Healthy() {
 		t.Error("passive checks never evicted the dead backend")
 	}
-	if p.Errors.Load() != 0 {
-		t.Errorf("errors = %d, want 0 (every request should recover)", p.Errors.Load())
+	if p.tel.UpstreamErrors.Load() != 0 {
+		t.Errorf("errors = %d, want 0 (every request should recover)", p.tel.UpstreamErrors.Load())
 	}
 }
 
@@ -240,7 +240,7 @@ func TestProxyAllBackendsDown(t *testing.T) {
 	if err != nil || resp.Status != 503 {
 		t.Fatalf("second request: status=%v err=%v, want 503 (pool evicted)", resp, err)
 	}
-	if p.Unavailable.Load() == 0 {
+	if p.tel.Unavailable.Load() == 0 {
 		t.Error("unavailable counter never moved")
 	}
 }

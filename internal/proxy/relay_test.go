@@ -176,8 +176,8 @@ func TestRelayReplyFramings(t *testing.T) {
 					break
 				}
 			}
-			if p.Errors.Load() != 0 {
-				t.Errorf("errors = %d, want 0", p.Errors.Load())
+			if p.tel.UpstreamErrors.Load() != 0 {
+				t.Errorf("errors = %d, want 0", p.tel.UpstreamErrors.Load())
 			}
 		})
 	}
@@ -255,8 +255,8 @@ func TestRelayTruncation(t *testing.T) {
 		if n := reg.Snapshot().Get("proxy.retry.recovered").Value; n == 0 {
 			t.Error("no retry recorded although one backend cuts every reply")
 		}
-		if p.Errors.Load() != 0 {
-			t.Errorf("errors = %d, want 0", p.Errors.Load())
+		if p.tel.UpstreamErrors.Load() != 0 {
+			t.Errorf("errors = %d, want 0", p.tel.UpstreamErrors.Load())
 		}
 	})
 

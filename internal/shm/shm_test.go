@@ -252,60 +252,6 @@ func TestLockedWSTMatchesLockFree(t *testing.T) {
 	}
 }
 
-func TestGroupedLayout(t *testing.T) {
-	cases := []struct {
-		n, groups, lastSize int
-	}{
-		{1, 1, 1},
-		{64, 1, 64},
-		{65, 2, 1},
-		{128, 2, 64},
-		{130, 3, 2},
-		{256, 4, 64},
-	}
-	for _, c := range cases {
-		g := NewGrouped(c.n)
-		if g.Groups() != c.groups {
-			t.Errorf("NewGrouped(%d).Groups() = %d, want %d", c.n, g.Groups(), c.groups)
-		}
-		if got := g.Group(g.Groups() - 1).Workers(); got != c.lastSize {
-			t.Errorf("NewGrouped(%d) last group size = %d, want %d", c.n, got, c.lastSize)
-		}
-		if g.Workers() != c.n {
-			t.Errorf("Workers() = %d, want %d", g.Workers(), c.n)
-		}
-	}
-}
-
-func TestGroupedLocateRoundTrip(t *testing.T) {
-	g := NewGrouped(200)
-	for w := 0; w < 200; w++ {
-		gi, slot := g.Locate(w)
-		if back := g.GlobalID(gi, slot); back != w {
-			t.Fatalf("Locate/GlobalID round trip: %d -> (%d,%d) -> %d", w, gi, slot, back)
-		}
-		if slot >= g.Group(gi).Workers() {
-			t.Fatalf("worker %d slot %d exceeds group %d size %d", w, slot, gi, g.Group(gi).Workers())
-		}
-	}
-}
-
-func TestGroupedWriterIsolation(t *testing.T) {
-	g := NewGrouped(130)
-	g.Writer(0).AddConn(1)
-	g.Writer(64).AddConn(2)
-	g.Writer(129).AddConn(3)
-	if got := g.Group(0).Snapshot(nil)[0].Conn; got != 1 {
-		t.Errorf("group0 slot0 conn = %d, want 1", got)
-	}
-	if got := g.Group(1).Snapshot(nil)[0].Conn; got != 2 {
-		t.Errorf("group1 slot0 conn = %d, want 2", got)
-	}
-	if got := g.Group(2).Snapshot(nil)[1].Conn; got != 3 {
-		t.Errorf("group2 slot1 conn = %d, want 3", got)
-	}
-}
-
 func BenchmarkWSTWriterUpdate(b *testing.B) {
 	w := NewWST(32)
 	wr := w.Writer(0)

@@ -35,11 +35,17 @@ type WST struct {
 	selWord int // region index of the selection bitmap word
 }
 
-// NewWST creates a table for n workers (1..64 for a single group; grouped
-// tables for larger fleets are built from several WSTs, see Grouped).
+// GroupSize is the maximum number of workers one selection bitmap can
+// address: the paper synchronizes coarse-filter results through a single
+// 64-bit atomic<int>, capping each group at 64 workers (§7 "Will the 64-bit
+// atomic<int> limit...").
+const GroupSize = 64
+
+// NewWST creates a table for n workers, 1..GroupSize: one group. A larger
+// fleet is several, each with its own WST (core.Controller).
 func NewWST(n int) *WST {
-	if n < 1 || n > 64 {
-		panic(fmt.Sprintf("shm: worker count %d outside 1..64 (use Grouped for more)", n))
+	if n < 1 || n > GroupSize {
+		panic(fmt.Sprintf("shm: worker count %d outside 1..%d (one group; core.Controller builds more)", n, GroupSize))
 	}
 	// n slots plus one trailing line holding the selection word.
 	r := NewRegion(n*slotWords + slotWords)

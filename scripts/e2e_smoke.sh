@@ -25,8 +25,8 @@ trap cleanup EXIT
 
 fail() { echo "e2e: FAIL: $*" >&2; exit 1; }
 
-echo "e2e: building hermes-lb, hermesctl, hermes-top"
-go build -o "$WORK/" ./cmd/hermes-lb ./cmd/hermesctl ./cmd/hermes-top
+echo "e2e: building hermes-lb, hermesctl"
+go build -o "$WORK/" ./cmd/hermes-lb ./cmd/hermesctl
 
 ctl() { "$WORK/hermesctl" -admin "$ADMIN" "$@"; }
 
@@ -162,10 +162,9 @@ grep -q 'hermes_slo_state' "$WORK/scrape.prom" || fail "exposition missing the S
 # warn windows. page (or a missing verdict) is a real failure.
 ctl_has 'state: *(ok|warn)' slo || { ctl slo; fail "slo monitor paging (or absent) under clean load"; }
 ctl_has 'slo: *(ok|warn)' status || { ctl status; fail "status missing the SLO verdict"; }
-"$WORK/hermes-top" -admin "$ADMIN" -interval 200ms -once >"$WORK/top.out" ||
-  fail "hermes-top -once failed"
+ctl -interval 200ms -once top >"$WORK/top.out" || fail "hermesctl top -once failed"
 grep -q 'WORKER' "$WORK/top.out" && grep -q "$B1" "$WORK/top.out" ||
-  { cat "$WORK/top.out"; fail "hermes-top frame incomplete"; }
+  { cat "$WORK/top.out"; fail "hermesctl top frame incomplete"; }
 ctl -interval 200ms -count 2 watch >"$WORK/watch.out" || fail "hermesctl watch failed"
 [ "$(wc -l <"$WORK/watch.out")" -eq 3 ] || { cat "$WORK/watch.out"; fail "watch should print a header + 2 rows"; }
 echo "e2e: phase 4 ok (scrape conformant, slo ok, dashboards render)"
