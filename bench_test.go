@@ -14,9 +14,7 @@ import (
 
 	"hermes/internal/bench"
 	"hermes/internal/core"
-	"hermes/internal/ebpf"
 	"hermes/internal/l7lb"
-	"hermes/internal/shm"
 	"hermes/internal/workload"
 )
 
@@ -95,74 +93,20 @@ func BenchmarkTable3(b *testing.B) {
 }
 
 // BenchmarkTable5 measures the real component code paths — the ns/op here
-// are Table 5's inputs.
+// are Table 5's inputs, from the fixtures -exp table5 times.
 func BenchmarkTable5(b *testing.B) {
-	b.Run("counter", func(b *testing.B) {
-		wst := shm.NewWST(32)
-		wr := wst.Writer(3)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			wr.SetLoopEnter(int64(i))
-			wr.AddBusy(1)
-			wr.AddBusy(-1)
-			wr.AddConn(1)
-			wr.AddConn(-1)
-		}
-	})
-	b.Run("scheduler", func(b *testing.B) {
-		wst := shm.NewWST(32)
-		for i := 0; i < 32; i++ {
-			w := wst.Writer(i)
-			w.SetLoopEnter(int64(time.Second))
-			w.AddBusy(int64(i % 5))
-			w.AddConn(int64(i * 13 % 211))
-		}
-		cfg := core.DefaultConfig()
-		buf := make([]shm.Metrics, 0, 32)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			buf = wst.Snapshot(buf[:0])
-			core.Schedule(int64(time.Second), buf, cfg, core.OrderTimeConnEvent)
-		}
-	})
-	b.Run("map-sync", func(b *testing.B) {
-		sel := ebpf.NewArrayMap(1)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if err := sel.Update(0, uint64(i)); err != nil {
-				b.Fatal(err)
+	fixtures, err := bench.OverheadFixtures()
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, f := range fixtures {
+		b.Run(f.Name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				f.Op(i)
 			}
-		}
-	})
-	b.Run("dispatch-vm", func(b *testing.B) {
-		sel := ebpf.NewArrayMap(1)
-		sa := ebpf.NewSockArray(32)
-		for i := 0; i < 32; i++ {
-			_ = sa.Put(uint32(i), i)
-		}
-		_ = sel.Update(0, 0xaaaa5555)
-		prog, err := core.BuildDispatchProgram([]core.GroupMaps{{Sel: sel, Socks: sa}}, 2, core.GroupByTupleHash)
-		if err != nil {
-			b.Fatal(err)
-		}
-		ctx := &ebpf.ReuseportCtx{}
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			ctx.Hash = uint32(i)
-			if _, err := prog.Run(ctx); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("dispatch-native", func(b *testing.B) {
-		b.ReportAllocs()
-		sink := 0
-		for i := 0; i < b.N; i++ {
-			w, _ := core.NativeSelect(0xaaaa5555, uint32(i), 2)
-			sink += w
-		}
-		_ = sink
-	})
+		})
+	}
 }
 
 // --- ablations (DESIGN.md §4) ---

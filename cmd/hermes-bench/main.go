@@ -66,7 +66,7 @@ func main() {
 		metrics  = flag.String("metrics", "", "write per-cell telemetry dumps (JSON) to this path")
 		prom     = flag.String("prom", "", "write per-cell OpenMetrics expositions (<exp>__<cell>.prom) into this directory")
 
-		spans      = flag.String("spans", "", "record one cell's span dump (docs/TRACING.md) to this path (.jsonl = compact; else Chrome trace JSON)")
+		spans      = flag.String("spans", "", "record one cell's spans (docs/TRACING.md) to this path: .jsonl = the span dump hermesctl reads; else a Chrome trace for Perfetto")
 		spanCell   = flag.String("span-cell", "", "cell to record (default: the experiment's first cell; see -exp list)")
 		spanSample = flag.Int("span-sample", 1, "head-sample 1 in N connections (1 = every connection)")
 		spanTail   = flag.Duration("span-tail", 0, "also keep any connection with a request at least this slow (0 = off)")

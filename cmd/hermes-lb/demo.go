@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -52,7 +53,8 @@ func runDemo(cfg proxy.Config, requests int, statsEvery time.Duration, tracer *t
 	}
 	p, err := proxy.New(cfg, proxy.WithTracer(tracer), proxy.WithFaults(sched))
 	if err != nil {
-		panic(err)
+		fmt.Fprintln(os.Stderr, "hermes-lb:", err)
+		return 1
 	}
 	defer p.Close()
 	workers := p.Workers()

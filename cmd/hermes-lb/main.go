@@ -43,7 +43,7 @@ func run() int {
 		sloSpec      = flag.String("slo", "", "SLO objectives (\"latency<=250ms@99%;errors@99.9%;page=10x/10s+1m;warn=2x/1m+5m\"); \"off\" disables the monitor")
 		drainTimeout = flag.Duration("drain-timeout", 0, "graceful-shutdown drain deadline")
 		statsEvery   = flag.Duration("stats-every", 0, "periodically print windowed telemetry deltas and rates (0 = off)")
-		trace        = flag.String("trace", "", "record a span dump (docs/TRACING.md), written on shutdown (.jsonl = compact; else Chrome trace JSON)")
+		trace        = flag.String("trace", "", "record spans (docs/TRACING.md), written on shutdown: .jsonl = the span dump hermesctl reads; else a Chrome trace for Perfetto")
 		demo         = flag.Bool("demo", false, "run a self-contained demo (own backends + client load)")
 		demoReqs     = flag.Int("demo-requests", 2000, "requests to issue in demo mode")
 		faultSpec    = flag.String("faults", "", "fault schedule (docs/FAULTS.md grammar, times relative to start), e.g. \"hang@5s:w2:dur=3s;slow@10s:x=4:dur=5s\"")

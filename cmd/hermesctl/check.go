@@ -22,7 +22,7 @@ import (
 //	hermesctl check metrics dump.json        # hermes-bench -metrics
 //	hermesctl check prom promdir/*.prom      # hermes-bench -prom, GET /metrics
 //	hermesctl metrics | hermesctl check prom # no file (or "-") reads stdin
-//	hermesctl check spans dump.json          # hermes-bench -spans, either encoding
+//	hermesctl check spans dump.jsonl         # hermes-bench -spans x.jsonl, hermes-lb -trace x.jsonl
 //
 // Each input prints one summary line on success. Exit 0 when every input
 // passed, 1 on the first violation in any of them, 2 on a usage error.
@@ -190,10 +190,10 @@ func checkProm(name string, r io.Reader) (string, error) {
 	return fmt.Sprintf("%s: ok (%d families, %d samples)", name, len(fams), samples), nil
 }
 
-// checkSpans validates a hermes-bench -spans dump in either encoding: the
-// per-span schema — known kinds, legal tracks, non-negative durations — plus
-// the per-connection lifecycle invariants the tracer promises
-// (docs/TRACING.md): timestamps monotone along each connection's chain,
+// checkSpans validates a JSONL span dump: the per-span schema — known kinds,
+// legal tracks, non-negative durations — plus the per-connection lifecycle
+// invariants the tracer promises (docs/TRACING.md): timestamps monotone along
+// each connection's chain,
 // accept-queue residency nested between SYN and close, every notify-wait
 // abutting the serve it woke, and close last.
 func checkSpans(name string, r io.Reader) (string, error) {
@@ -230,8 +230,9 @@ func checkSpans(name string, r io.Reader) (string, error) {
 		len(spans), len(byConn), meta.ConnsKept, meta.ConnsSeen, meta.SpansCommitted, meta.SpansDropped), nil
 }
 
-// checkSpan enforces the per-span schema: a known kind on its legal track
-// with sane timestamps.
+// checkSpan enforces the per-span schema: sane timestamps, and what the
+// kind's descriptor (tracing.KindDesc) says about its track, its arguments and
+// whether it needs a connection id.
 func checkSpan(s tracing.Span) error {
 	if s.StartNS < 0 {
 		return fmt.Errorf("negative start %d", s.StartNS)
@@ -239,36 +240,25 @@ func checkSpan(s tracing.Span) error {
 	if s.EndNS < s.StartNS {
 		return fmt.Errorf("end %d before start %d", s.EndNS, s.StartNS)
 	}
-	kernel := s.Worker == tracing.KernelTrack
-	switch s.Kind {
-	case tracing.KindSYN, tracing.KindDrop, tracing.KindSelmapSync,
-		tracing.KindProbe, tracing.KindBackendState:
-		if !kernel {
-			return fmt.Errorf("must sit on the kernel track, got worker %d", s.Worker)
-		}
-	case tracing.KindFault:
+	d, kernel := s.Kind.Desc(), s.Worker == tracing.KernelTrack
+	switch {
+	case d.Track == tracing.OnKernel && !kernel:
+		return fmt.Errorf("must sit on the kernel track, got worker %d", s.Worker)
+	case d.Track == tracing.OnWorker && s.Worker < 0:
+		return fmt.Errorf("must sit on a worker track, got %d", s.Worker)
+	case !kernel && s.Worker < 0:
 		// Fault/recovery instants sit on the affected worker's track, or on
 		// the kernel track for LB-wide faults (selmap sync stalls).
-		if !kernel && s.Worker < 0 {
-			return fmt.Errorf("must sit on a worker or kernel track, got %d", s.Worker)
-		}
-	default:
-		if kernel || s.Worker < 0 {
-			return fmt.Errorf("must sit on a worker track, got %d", s.Worker)
-		}
+		return fmt.Errorf("must sit on a worker or kernel track, got %d", s.Worker)
 	}
-	if s.Kind == tracing.KindSYN || s.Kind == tracing.KindDrop {
-		if _, ok := tracing.ViaFromName(tracing.Via(s.Arg).String()); !ok {
-			return fmt.Errorf("unknown via %d", s.Arg)
-		}
+	if !d.Arg.Holds(s.Arg) {
+		return fmt.Errorf("unknown %s %d", d.Arg.Name, s.Arg)
 	}
-	if s.Conn == 0 {
-		switch s.Kind {
-		case tracing.KindDrop, tracing.KindWakeup, tracing.KindSchedule, tracing.KindSelmapSync, tracing.KindFault,
-			tracing.KindProbe, tracing.KindBackendState:
-		default:
-			return fmt.Errorf("conn-scoped kind with no connection id")
-		}
+	if !d.Arg2.Holds(s.Arg2) {
+		return fmt.Errorf("unknown %s %d", d.Arg2.Name, s.Arg2)
+	}
+	if s.Conn == 0 && d.ConnScoped {
+		return fmt.Errorf("conn-scoped kind with no connection id")
 	}
 	return nil
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -122,6 +123,57 @@ func TestSpansSubcommand(t *testing.T) {
 	}
 	if _, errOut, code := runCtl(t, "spans", "-metrics", p["ok.metrics.json"], "-cell", "nope", p["ok.spans.jsonl"]); code != 1 || !strings.Contains(errOut, `cell "nope" not in metrics dump`) {
 		t.Errorf("wrong -cell: exit %d, stderr %q", code, errOut)
+	}
+}
+
+// -chrome renders a dump for Perfetto: valid JSON, one event per instant or
+// complete span and a begin/end pair per async one after the thread names,
+// the same bytes every time — and not itself a dump.
+func TestSpansChrome(t *testing.T) {
+	p := writeArtefacts(t)
+	render := func() []byte {
+		path := filepath.Join(t.TempDir(), "out.json")
+		if out, errOut, code := runCtl(t, "spans", "-chrome", path, p["ok.spans.jsonl"]); code != 0 || out != "" {
+			t.Fatalf("exit %d, stdout %q, stderr %q", code, out, errOut)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	first := render()
+	if !bytes.Equal(first, render()) {
+		t.Error("two renderings of one dump differ")
+	}
+	var doc struct {
+		TraceEvents []struct{ Name, Ph string } `json:"traceEvents"`
+		HermesMeta  tracing.Meta                `json:"hermesMeta"`
+	}
+	if err := json.Unmarshal(first, &doc); err != nil {
+		t.Fatalf("rendering is not valid JSON: %v", err)
+	}
+	// The dump: syn, accept_queue, accept, notify_wait, serve, close on
+	// worker 0 — two thread names (kernel, worker 0), four single events and
+	// two async pairs.
+	byPh := map[string]int{}
+	for _, ev := range doc.TraceEvents {
+		byPh[ev.Ph]++
+	}
+	want := map[string]int{"M": 2, "i": 3, "X": 1, "b": 2, "e": 2}
+	if !reflect.DeepEqual(byPh, want) || doc.HermesMeta.Cell != "cellA" {
+		t.Errorf("events by phase = %v (cell %q), want %v (cell \"cellA\")", byPh, doc.HermesMeta.Cell, want)
+	}
+
+	path := filepath.Join(t.TempDir(), "chrome.json")
+	if err := os.WriteFile(path, first, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, args := range [][]string{{"check", "spans", path}, {"spans", path}, {"spans", "-chrome", path + ".again", path}} {
+		out, errOut, code := runCtl(t, args...)
+		if code != 1 || out != "" || strings.Count(errOut, "\n") != 1 || !strings.Contains(errOut, "analyse the .jsonl dump") {
+			t.Errorf("hermesctl %v on a Chrome trace: exit %d, stdout %q, stderr %q; want exit 1 and one line naming the fix", args, code, out, errOut)
+		}
 	}
 }
 

@@ -14,7 +14,7 @@
 // watch it streams one JSON object per interval.
 //
 //	hermesctl check metrics|prom|spans [file…]           # validate a -metrics / -prom / -spans dump (check.go)
-//	hermesctl spans [-top n] [-conn id] [-metrics m] dump # where each connection's time went (spans.go)
+//	hermesctl spans [-top n] [-conn id] [-metrics m] [-chrome out.json] dump.jsonl # where each connection's time went (spans.go)
 package main
 
 import (
@@ -45,7 +45,7 @@ func run(args []string, out, errW io.Writer) int {
 	fs.Usage = func() {
 		fmt.Fprintln(errW, "usage: hermesctl [-admin host:port] [-json] [-interval d] [-count n] [-once] status|backends|stats|circuits|slo|metrics|watch|top")
 		fmt.Fprintln(errW, "       hermesctl check metrics|prom|spans [file…]")
-		fmt.Fprintln(errW, "       hermesctl spans [-top n] [-conn id] [-metrics dump.json] <spans dump>")
+		fmt.Fprintln(errW, "       hermesctl spans [-top n] [-conn id] [-metrics dump.json] [-chrome out.json] <spans.jsonl>")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {

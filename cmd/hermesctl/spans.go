@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
 	"io"
@@ -12,9 +13,9 @@ import (
 	"hermes/internal/tracing"
 )
 
-// This file is `hermesctl spans`: it analyses a hermes-bench -spans dump
-// (docs/TRACING.md), in either encoding (Chrome trace-event JSON or compact
-// JSONL), and prints where each connection's time went:
+// This file is `hermesctl spans`: it analyses a JSONL span dump (hermes-bench
+// -spans x.jsonl, hermes-lb -trace x.jsonl; docs/TRACING.md) and prints where
+// each connection's time went:
 //
 //   - the aggregate wait breakdown — steer (SYN → accept-queue entry),
 //     queue (accept-queue residency), notify (request arrival → service
@@ -30,8 +31,13 @@ import (
 // needs a full trace (-span-sample 1, no ring overwrites); a sampled dump
 // fails it by construction.
 //
-//	hermes-bench -exp fig11 -spans dump.json -metrics m.json
-//	hermesctl spans -top 5 -metrics m.json dump.json
+// With -chrome it renders the dump as a Chrome trace for Perfetto instead —
+// the file hermes-bench -spans x.json would have written for the same run —
+// so one recording serves the viewer and the analysis.
+//
+//	hermes-bench -exp fig11 -spans dump.jsonl -metrics m.json
+//	hermesctl spans -top 5 -metrics m.json dump.jsonl
+//	hermesctl spans -chrome dump.json dump.jsonl
 //
 // Exit 0, 1 on an unreadable dump or a failed reconciliation, 2 on a usage
 // error.
@@ -45,9 +51,10 @@ func spans(args []string, out, errW io.Writer) int {
 		exp     = fs.String("exp", "", "experiment key inside -metrics (default: sole experiment)")
 		cell    = fs.String("cell", "", "cell key inside -metrics (default: the dump's cell)")
 		connID  = fs.Uint64("conn", 0, "print one connection's span chain and exit")
+		chrome  = fs.String("chrome", "", "write the dump as a Chrome trace (Perfetto) to this file and exit")
 	)
 	fs.Usage = func() {
-		fmt.Fprintln(errW, "usage: hermesctl spans [flags] <dump.json|dump.jsonl>")
+		fmt.Fprintln(errW, "usage: hermesctl spans [flags] <dump.jsonl>")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -57,14 +64,14 @@ func spans(args []string, out, errW io.Writer) int {
 		fs.Usage()
 		return 2
 	}
-	if err := analyzeDump(out, fs.Arg(0), *topK, *connID, *metrics, *exp, *cell); err != nil {
+	if err := analyzeDump(out, fs.Arg(0), *chrome, *topK, *connID, *metrics, *exp, *cell); err != nil {
 		fmt.Fprintln(errW, "hermesctl: spans:", err)
 		return 1
 	}
 	return 0
 }
 
-func analyzeDump(out io.Writer, path string, topK int, connID uint64, metrics, exp, cell string) error {
+func analyzeDump(out io.Writer, path, chrome string, topK int, connID uint64, metrics, exp, cell string) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
@@ -73,6 +80,15 @@ func analyzeDump(out io.Writer, path string, topK int, connID uint64, metrics, e
 	f.Close()
 	if err != nil {
 		return fmt.Errorf("not a span dump: %w", err)
+	}
+	if chrome != "" {
+		// The dump's spans in file order: the bytes hermes-bench and
+		// hermes-lb write for a .json path, whole or not at all.
+		var buf bytes.Buffer
+		if err := tracing.WriteChrome(&buf, spans, meta); err != nil {
+			return err
+		}
+		return os.WriteFile(chrome, buf.Bytes(), 0o644)
 	}
 	a := analyze(spans)
 
@@ -164,10 +180,10 @@ func analyze(spans []tracing.Span) *analysis {
 			if s.Arg2 != 0 {
 				a.overflow++
 			}
-		case tracing.KindSchedule, tracing.KindSelmapSync, tracing.KindFault,
-			tracing.KindProbe, tracing.KindBackendState:
-			// Control-plane events; not part of any connection chain.
 		default:
+			if !s.Kind.Desc().ConnScoped {
+				continue // control-plane events; not part of any connection chain
+			}
 			c := get(s.Conn)
 			c.spans = append(c.spans, s)
 			switch s.Kind {

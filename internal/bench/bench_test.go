@@ -236,14 +236,21 @@ func TestTable3GridShape(t *testing.T) {
 }
 
 func TestMeasureOverheadsSane(t *testing.T) {
+	// The "Dispatcher (VM)" column times the path a SYN takes, which is the
+	// compiled program (Program.Compiled): a dispatch program that no longer
+	// compiles must fail here, not turn up as the interpreter's number.
+	if _, err := OverheadFixtures(); err != nil {
+		t.Fatalf("dispatch fixture did not build and compile: %v", err)
+	}
 	o := MeasureOverheads(20_000)
-	if o.CounterNS <= 0 || o.SchedulerNS <= 0 || o.DispatchVMNS <= 0 || o.DispatchNativeNS <= 0 {
+	if o.CounterNS <= 0 || o.SchedulerNS <= 0 || o.DispatchVMNS <= 0 || o.DispatchInterpNS <= 0 || o.DispatchNativeNS <= 0 {
 		t.Fatalf("non-positive overheads: %+v", o)
 	}
 	if o.SyscallNS < NominalSyscallNS {
 		t.Fatalf("syscall below nominal: %v", o.SyscallNS)
 	}
-	// The VM interprets ~150 instructions; native is a handful of ops.
+	// The compiled program runs ~150 source instructions; native is a
+	// handful of ops.
 	if o.DispatchNativeNS > o.DispatchVMNS {
 		t.Fatalf("native dispatch %v slower than VM %v", o.DispatchNativeNS, o.DispatchVMNS)
 	}

@@ -9,9 +9,9 @@ import (
 )
 
 // MetricsCollector gathers one telemetry registry per experiment cell.
-// Cells ask for their sink through Options.Metrics; a nil collector hands
-// out nil sinks, which disables recording end to end (the layers hold nil
-// instrument handles). Cell runs race on Sink from the fan-out pool, so
+// Cells ask for theirs through Options.Metrics; a nil collector hands out
+// nil registries, which disables recording end to end (the layers hold nil
+// instrument handles). Cell runs race on Registry from the fan-out pool, so
 // the collector is mutex-guarded; the per-cell registries themselves are
 // written only by their own cell's simulation.
 type MetricsCollector struct {
@@ -24,9 +24,9 @@ func NewMetricsCollector() *MetricsCollector {
 	return &MetricsCollector{cells: make(map[string]*telemetry.Registry)}
 }
 
-// Sink returns the named cell's registry as a telemetry.Sink, creating it
-// on first use. A nil receiver returns a nil Sink (recording disabled).
-func (mc *MetricsCollector) Sink(cell string) telemetry.Sink {
+// Registry returns the named cell's registry, creating it on first use. A
+// nil receiver returns nil (recording disabled).
+func (mc *MetricsCollector) Registry(cell string) *telemetry.Registry {
 	if mc == nil {
 		return nil
 	}
@@ -64,9 +64,6 @@ func (mc *MetricsCollector) Snapshot(cell string) telemetry.Snapshot {
 	mc.mu.Lock()
 	reg := mc.cells[cell]
 	mc.mu.Unlock()
-	if reg == nil {
-		return telemetry.Snapshot{}
-	}
 	return reg.Snapshot()
 }
 

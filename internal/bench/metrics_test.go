@@ -71,16 +71,39 @@ func TestTable3HermesCellMetricsPerWorkerNonzero(t *testing.T) {
 	}
 }
 
+// A cell's dump is rows a reader uses, not bulk: the -metrics JSON of one
+// 16-worker hermes cell stays under 32 KiB (it was ≈ 250 KB while every worker
+// dumped a 512-sample ring nobody read), so such bulk cannot return unnoticed.
+func TestMetricsDumpStaysSmall(t *testing.T) {
+	o := fastOptions()
+	o.Workers = 16
+	o.Metrics = NewMetricsCollector()
+	for _, c := range table3Cells(o) {
+		if strings.HasPrefix(c.Name, "case1") && strings.HasSuffix(c.Name, "/heavy/hermes") {
+			c.Run()
+		}
+	}
+	if cells := o.Metrics.CellNames(); len(cells) != 1 {
+		t.Fatalf("recorded cells %v, want the one hermes cell", cells)
+	}
+	dump, err := json.Marshal(o.Metrics)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(dump) >= 32<<10 {
+		t.Errorf("one 16-worker hermes cell dumps %d bytes of -metrics JSON, want < 32 KiB", len(dump))
+	}
+}
+
 // The collector's JSON dump must parse and key cells by name.
 func TestMetricsCollectorJSONRoundTrip(t *testing.T) {
 	mc := NewMetricsCollector()
-	sink := mc.Sink("cellA")
-	if sink == nil {
-		t.Fatal("non-nil collector returned nil sink")
+	if mc.Registry("cellA") == nil {
+		t.Fatal("non-nil collector returned a nil registry")
 	}
 	var nilMC *MetricsCollector
-	if s := nilMC.Sink("x"); s != nil {
-		t.Fatal("nil collector must hand out nil sinks")
+	if nilMC.Registry("x") != nil {
+		t.Fatal("nil collector must hand out nil registries")
 	}
 	buf, err := json.Marshal(mc)
 	if err != nil {

@@ -90,8 +90,8 @@ func lbConfig(mode l7lb.Mode, workers int, ports []uint16) l7lb.Config {
 // observers is the one place a cell gets its observer pair: its registry in
 // the -metrics collector and, if it is the designated -spans cell, the flight
 // recorder. Both are nil — not recorded — when the run did not ask.
-func (o Options) observers(cell string) (telemetry.Sink, *tracing.Tracer) {
-	return o.Metrics.Sink(cell), o.Spans.Tracer(cell)
+func (o Options) observers(cell string) (*telemetry.Registry, *tracing.Tracer) {
+	return o.Metrics.Registry(cell), o.Spans.Tracer(cell)
 }
 
 // newDevice holds the package's only l7lb.New: every simulated device runs on

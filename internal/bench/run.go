@@ -37,7 +37,7 @@ type RunConfig struct {
 	// Telemetry, when set, is handed to the LB (l7lb.Config.Telemetry):
 	// the cross-layer metric catalog records into it. Nil disables
 	// recording.
-	Telemetry telemetry.Sink
+	Telemetry *telemetry.Registry
 	// Tracer, when set, is handed to the LB (l7lb.Config.Tracer): the
 	// per-connection flight recorder records into it. Nil disables
 	// recording. The caller flushes/exports after the run.

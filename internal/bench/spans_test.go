@@ -9,7 +9,7 @@ import (
 )
 
 // recordDump runs one experiment with the flight recorder armed on cell and
-// returns the rendered experiment output plus both dump encodings.
+// returns the rendered experiment output plus the dump and its Chrome rendering.
 func recordDump(t *testing.T, name, cell string, parallel int) (out string, jsonl, chrome []byte) {
 	t.Helper()
 	o := parallelTestOptions(parallel)
@@ -61,11 +61,11 @@ func TestSpanRecordingDoesNotPerturbOutput(t *testing.T) {
 	o := parallelTestOptions(1)
 	cell := Experiments()[name].Cells(o)[0].Name
 	plain := RunExperiment(Experiments()[name], o)
-	traced, _, chrome := recordDump(t, name, cell, 1)
+	traced, jsonl, _ := recordDump(t, name, cell, 1)
 	if plain != traced {
 		t.Errorf("tracing changed rendered output\n--- off ---\n%s\n--- on ---\n%s", plain, traced)
 	}
-	spans, meta, err := tracing.ReadSpans(bytes.NewReader(chrome))
+	spans, meta, err := tracing.ReadSpans(bytes.NewReader(jsonl))
 	if err != nil {
 		t.Fatalf("read recorded dump: %v", err)
 	}

@@ -19,8 +19,6 @@ type Client struct {
 	gatewayIP uint32
 	l4IP      uint32
 
-	// FramesSent counts frames pushed into the pipeline.
-	FramesSent uint64
 	// Errors counts Ingress rejections.
 	Errors uint64
 
@@ -56,7 +54,6 @@ func (cl *Client) push(srcIP uint32, srcPort uint16, flags uint8, payload []byte
 			Flags:   flags,
 			Window:  65535,
 		}, payload)
-	cl.FramesSent++
 	if err := cl.c.Ingress(frame); err != nil {
 		cl.Errors++
 	}

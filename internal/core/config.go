@@ -31,9 +31,10 @@ type Config struct {
 
 	// ThetaFrac is θ/Avg: the filter-baseline offset of Algorithm 1's
 	// FilterCount expressed as a fraction of the current average. Fig. 15
-	// finds θ/Avg = 0.5 optimal. Workers with metric ≤ Avg·(1+ThetaFrac)
-	// pass; the inclusive comparison keeps a uniformly loaded fleet fully
-	// selected even at θ = 0.
+	// finds θ/Avg = 0.5 optimal. Workers with metric < Avg·(1+ThetaFrac)
+	// pass, and unloaded ones (metric ≤ 0) always do; the comparison is
+	// strict, as in the paper, so at θ = 0 a uniformly loaded fleet selects
+	// nobody and dispatch falls back to reuseport hashing (filterCount).
 	ThetaFrac float64
 
 	// MinWorkers is the kernel-side minimum number of coarse-filtered

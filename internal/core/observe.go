@@ -16,7 +16,7 @@ import (
 const MetricSyncBatched = "core.schedule.sync_batched"
 
 type observer struct {
-	sink telemetry.Sink // kept for the programs AttachEBPF compiles later
+	sink *telemetry.Registry // kept for the programs AttachEBPF compiles later
 
 	recomputes, syncs, syncBatched, wstReads, emptySets *telemetry.Counter
 	passed                                              *telemetry.Histogram
@@ -30,28 +30,26 @@ type observer struct {
 // stamped by now, since a map has no clock), and so is each program a later
 // AttachEBPF compiles. sink or tr may be nil; now may be nil when tr is. Call
 // it before the workers start: the handles are read without synchronisation.
-func (c *Controller) Observe(sink telemetry.Sink, tr *tracing.Tracer, now func() int64) {
+func (c *Controller) Observe(sink *telemetry.Registry, tr *tracing.Tracer, now func() int64) {
 	if sink == nil && tr == nil {
 		return
 	}
 	o := &observer{sink: sink, tr: tr.ScheduleTrace()}
-	if sink != nil {
-		m := func(name, unit, help string) telemetry.Metric {
-			return telemetry.Metric{Name: name, Layer: "core", Unit: unit, Help: help}
-		}
-		o.recomputes = sink.Counter(m("core.schedule.recomputes", "passes",
-			"schedule_and_sync invocations (Algorithm 1 runs)"))
-		o.syncs = sink.Counter(m("core.schedule.syncs", "syscalls",
-			"successful kernel selection-map updates"))
-		o.wstReads = sink.Counter(m("core.schedule.wst_reads", "rows",
-			"Worker Status Table rows read by scheduling passes"))
-		o.emptySets = sink.Counter(m("core.schedule.empty_sets", "passes",
-			"passes selecting nobody (kernel hash fallback)"))
-		o.syncBatched = sink.Counter(m(MetricSyncBatched, "passes",
-			"schedule_and_sync calls coalesced onto a quantum's cached result"))
-		o.passed = sink.Histogram(m("core.schedule.passed", "workers",
-			"workers surviving the whole cascade per pass"), telemetry.CountBuckets(64))
+	m := func(name, unit, help string) telemetry.Metric {
+		return telemetry.Metric{Name: name, Layer: "core", Unit: unit, Help: help}
 	}
+	o.recomputes = sink.Counter(m("core.schedule.recomputes", "passes",
+		"schedule_and_sync invocations (Algorithm 1 runs)"))
+	o.syncs = sink.Counter(m("core.schedule.syncs", "syscalls",
+		"successful kernel selection-map updates"))
+	o.wstReads = sink.Counter(m("core.schedule.wst_reads", "rows",
+		"Worker Status Table rows read by scheduling passes"))
+	o.emptySets = sink.Counter(m("core.schedule.empty_sets", "passes",
+		"passes selecting nobody (kernel hash fallback)"))
+	o.syncBatched = sink.Counter(m(MetricSyncBatched, "passes",
+		"schedule_and_sync calls coalesced onto a quantum's cached result"))
+	o.passed = sink.Histogram(m("core.schedule.passed", "workers",
+		"workers surviving the whole cascade per pass"), telemetry.CountBuckets(64))
 	c.obs = o
 	mt := tr.MapTrace(now)
 	for gi := range c.groups {

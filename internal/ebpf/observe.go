@@ -36,17 +36,15 @@ type mapObs struct {
 // bitmap's popcount; either may be nil. The map has no clock of its own — the
 // trace handle carries one. Every map observed on one sink shares the two
 // counters.
-func (m *ArrayMap) Observe(sink telemetry.Sink, tr *tracing.MapTrace) {
+func (m *ArrayMap) Observe(sink *telemetry.Registry, tr *tracing.MapTrace) {
 	if sink == nil && tr == nil {
 		return
 	}
 	o := &mapObs{tr: tr}
-	if sink != nil {
-		o.updates = sink.Counter(row("ebpf.selmap.updates", "syscalls",
-			"userspace selection-map update operations"))
-		o.lookups = sink.Counter(row("ebpf.selmap.lookups", "ops",
-			"selection-map element reads (kernel + userspace)"))
-	}
+	o.updates = sink.Counter(row("ebpf.selmap.updates", "syscalls",
+		"userspace selection-map update operations"))
+	o.lookups = sink.Counter(row("ebpf.selmap.lookups", "ops",
+		"selection-map element reads (kernel + userspace)"))
 	m.obs = o
 }
 
@@ -57,11 +55,8 @@ func (m *ArrayMap) Observe(sink telemetry.Sink, tr *tracing.MapTrace) {
 // native or interpreted one by their presence. The "closures" row and the
 // wording of two help strings date from when a step was a closure; they are
 // part of every -metrics dump and stay as they are so dumps remain comparable.
-// No-op on a nil sink.
-func (c *Compiled) Observe(sink telemetry.Sink) {
-	if sink == nil {
-		return
-	}
+// On a nil sink every handle is the no-op one.
+func (c *Compiled) Observe(sink *telemetry.Registry) {
 	c.runs = sink.Counter(row(MetricJITRuns, "runs",
 		"dispatch decisions executed by the compiled (JIT) program"))
 	sink.Counter(row(MetricJITPrograms, "programs",

@@ -7,14 +7,9 @@ import (
 	"hermes/internal/ebpf"
 	"hermes/internal/kernel"
 	"hermes/internal/l7lb"
+	"hermes/internal/probe"
 	"hermes/internal/tracing"
 )
-
-// ProbeDropper is the prober surface the injector drives for probe-loss
-// faults (both probe.Prober and probe.WorkerProber satisfy it).
-type ProbeDropper interface {
-	SetDrop(fn func() bool)
-}
 
 // Injector applies a Schedule to one LB on its virtual clock. All decisions
 // are deterministic: victims are picked from sim state, the only randomness
@@ -54,7 +49,7 @@ func NewInjector(lb *l7lb.LB, sched Schedule, seed int64) *Injector {
 
 // AttachProber points a prober's loss hook at this injector's probe-loss
 // window. Attach every prober whose stream the schedule should affect.
-func (inj *Injector) AttachProber(p ProbeDropper) {
+func (inj *Injector) AttachProber(p *probe.WorkerProber) {
 	p.SetDrop(func() bool {
 		return inj.lb.Eng.Now() < inj.dropUntilNS && inj.rng.Float64() < inj.dropProb
 	})

@@ -20,20 +20,24 @@ type injectorObs struct {
 // Observe counts injected faults (one slot per fault kind) and scheduled
 // restarts on sink, and emits each as a fault instant on tr — on the victim's
 // track, or the kernel track for LB-wide faults. Either may be nil.
-func (inj *Injector) Observe(sink telemetry.Sink, tr *tracing.Tracer) {
+func (inj *Injector) Observe(sink *telemetry.Registry, tr *tracing.Tracer) {
 	if sink == nil && tr == nil {
 		return
 	}
-	o := &injectorObs{tr: tr.FaultTrace()}
-	if sink != nil {
-		o.injected = sink.CounterVec(telemetry.Metric{
-			Name: "faults.injected", Layer: "faults", Unit: "events",
-			Help: "injected fault events by kind (hang, crash, slow, shrinkq, syncstall, probeloss)"}, numSchedulable)
-		o.restarts = sink.Counter(telemetry.Metric{
-			Name: "faults.worker.restarts", Layer: "faults", Unit: "events",
-			Help: "crashed workers brought back by a scheduled restart"})
-	}
+	o := &injectorObs{tr: tr.FaultTrace(), injected: InjectedVec(sink)}
+	o.restarts = sink.Counter(telemetry.Metric{
+		Name: "faults.worker.restarts", Layer: "faults", Unit: "events",
+		Help: "crashed workers brought back by a scheduled restart"})
 	inj.obs = o
+}
+
+// InjectedVec registers faults.injected on sink: injected fault events, one
+// slot per schedulable Kind. The simulator's injector and the real proxy's
+// fault path (proxy.WithFaults) count under this one name.
+func InjectedVec(sink *telemetry.Registry) *telemetry.CounterVec {
+	return sink.CounterVec(telemetry.Metric{
+		Name: "faults.injected", Layer: "faults", Unit: "events",
+		Help: "injected fault events by kind (hang, crash, slow, shrinkq, syncstall, probeloss)"}, numSchedulable)
 }
 
 type watchdogObs struct {
@@ -44,18 +48,16 @@ type watchdogObs struct {
 // Observe counts detections and watchdog-driven restarts on sink and emits
 // each as a fault instant on the victim's track of tr. Either may be nil.
 // Safe on a nil watchdog (non-Hermes modes have none).
-func (d *Watchdog) Observe(sink telemetry.Sink, tr *tracing.Tracer) {
+func (d *Watchdog) Observe(sink *telemetry.Registry, tr *tracing.Tracer) {
 	if d == nil || (sink == nil && tr == nil) {
 		return
 	}
 	o := &watchdogObs{tr: tr.FaultTrace()}
-	if sink != nil {
-		o.detections = sink.Counter(telemetry.Metric{
-			Name: "faults.watchdog.detections", Layer: "faults", Unit: "events",
-			Help: "workers flagged hung by WST loop-enter staleness"})
-		o.restarts = sink.Counter(telemetry.Metric{
-			Name: "faults.watchdog.restarts", Layer: "faults", Unit: "events",
-			Help: "watchdog-driven crash+restart recoveries"})
-	}
+	o.detections = sink.Counter(telemetry.Metric{
+		Name: "faults.watchdog.detections", Layer: "faults", Unit: "events",
+		Help: "workers flagged hung by WST loop-enter staleness"})
+	o.restarts = sink.Counter(telemetry.Metric{
+		Name: "faults.watchdog.restarts", Layer: "faults", Unit: "events",
+		Help: "watchdog-driven crash+restart recoveries"})
 	d.obs = o
 }

@@ -398,8 +398,8 @@ func (ns *NetStack) socketReady(s *Socket) {
 	for w := s.watchHead; w != nil; w = w.next {
 		w.ep.markReady(w)
 	}
-	if o := ns.obs; o != nil && int(ns.Mode) < len(o.wakes) {
-		o.wakes[ns.Mode].Inc()
+	if o := ns.obs; o != nil {
+		o.wakes.Inc()
 	}
 	switch ns.Mode {
 	case WakeHerd:

@@ -17,6 +17,16 @@ func row(name, unit, help string) telemetry.Metric {
 	return telemetry.Metric{Name: name, Layer: "kernel", Unit: unit, Help: help}
 }
 
+// wakeRows names the shared-socket wakeup counter of each discipline — the
+// LIFO-vs-rr split of §2.2. A stack registers only the row of the discipline
+// it runs, so no dump carries a counter that cannot advance.
+var wakeRows = [...]telemetry.Metric{
+	WakeHerd:          row("kernel.wakeups.herd", "wakes", "thundering-herd wake-everyone decisions"),
+	WakeExclusiveLIFO: row("kernel.wakeups.exclusive_lifo", "wakes", "EPOLLEXCLUSIVE LIFO wake decisions"),
+	WakeExclusiveRR:   row("kernel.wakeups.exclusive_rr", "wakes", "epoll-rr wake decisions"),
+	WakeExclusiveFIFO: row("kernel.wakeups.exclusive_fifo", "wakes", "io_uring-style FIFO wake decisions"),
+}
+
 // observer holds the stack-wide instrument handles. With a nil sink the
 // handles are nil (no-op instruments); with a nil tracer so are the tracks.
 type observer struct {
@@ -32,13 +42,12 @@ type observer struct {
 	qEnqueued, qDropped *telemetry.CounterVec
 	qDepthPeak          *telemetry.GaugeVec
 
-	// Shared-socket wakeup decisions by discipline — the LIFO-vs-rr split of
-	// §2.2. Only the stack's own WakeMode advances.
-	wakes [WakeExclusiveFIFO + 1]*telemetry.Counter
+	// Shared-socket wakeup decisions of the stack's own discipline.
+	wakes *telemetry.Counter
 
 	// Reuseport dispatch, registered once a group exists: connections per
 	// member socket, and outcomes by steering path.
-	sink    telemetry.Sink
+	sink    *telemetry.Registry
 	slots   int
 	steered *telemetry.CounterVec
 	byVia   [tracing.ViaProgError + 1]*telemetry.Counter
@@ -49,15 +58,12 @@ type observer struct {
 // either may be nil. slots sizes the per-worker vectors (worker i owns epoll
 // slot i and reuseport socket i). Epoll instances created afterwards join in
 // through BindWorker.
-func (ns *NetStack) Observe(sink telemetry.Sink, tr *tracing.Tracer, slots int) {
+func (ns *NetStack) Observe(sink *telemetry.Registry, tr *tracing.Tracer, slots int) {
 	if sink == nil && tr == nil {
 		return
 	}
 	o := &observer{tracer: tr, tr: tr.KernelTrace(), sink: sink, slots: slots}
 	ns.obs = o
-	if sink == nil {
-		return
-	}
 	o.epWakeups = sink.CounterVec(row("kernel.epoll.wakeups", "wakeups",
 		"completed epoll_wait calls per worker, including timeouts"), slots)
 	o.epSpurious = sink.CounterVec(row("kernel.epoll.spurious_wakeups", "wakeups",
@@ -76,14 +82,9 @@ func (ns *NetStack) Observe(sink telemetry.Sink, tr *tracing.Tracer, slots int) 
 	o.qDepthPeak = sink.GaugeVec(row("kernel.accept_queue.depth_peak", "conns",
 		"high-water accept-queue depth per worker's listen socket"), slots)
 
-	o.wakes[WakeHerd] = sink.Counter(row("kernel.wakeups.herd", "wakes",
-		"thundering-herd wake-everyone decisions"))
-	o.wakes[WakeExclusiveLIFO] = sink.Counter(row("kernel.wakeups.exclusive_lifo", "wakes",
-		"EPOLLEXCLUSIVE LIFO wake decisions"))
-	o.wakes[WakeExclusiveRR] = sink.Counter(row("kernel.wakeups.exclusive_rr", "wakes",
-		"epoll-rr wake decisions"))
-	o.wakes[WakeExclusiveFIFO] = sink.Counter(row("kernel.wakeups.exclusive_fifo", "wakes",
-		"io_uring-style FIFO wake decisions"))
+	if int(ns.Mode) < len(wakeRows) {
+		o.wakes = sink.Counter(wakeRows[ns.Mode])
+	}
 
 	if len(ns.groups) > 0 {
 		o.observeReuseport()

@@ -164,8 +164,6 @@ type Config struct {
 	// whose upstream outpaces its processing traps the worker — the
 	// 30 ms → 440 s hang the paper debugged.
 	EdgeTriggered bool
-	// Backlog is the per-socket accept queue capacity (0 = default).
-	Backlog int
 	// RegisteredPorts is the total number of tenant ports bound on the
 	// device (only Ports carry generated traffic; production devices bind
 	// O(10K), §7). Shared-socket modes register every port with every
@@ -201,7 +199,7 @@ type Config struct {
 	// Telemetry, when set, is the sink the kernel, eBPF, core and worker
 	// layers each register their rows of the metric catalog on
 	// (docs/TELEMETRY.md). Nil disables all recording.
-	Telemetry telemetry.Sink
+	Telemetry *telemetry.Registry
 	// Tracer, when set, is the per-connection flight recorder
 	// (docs/TRACING.md) the same layers record into: SYN steering,
 	// accept-queue residency, epoll wakeups, per-request service, closes.

@@ -39,12 +39,8 @@ type LB struct {
 
 	// Latency samples end-to-end request time (ms).
 	Latency stats.Sample
-	// ProbeLatency samples health-probe time (ms), Fig. 11.
-	ProbeLatency stats.Sample
 	// Completed counts finished requests (excluding probes).
 	Completed uint64
-	// ProbesCompleted counts finished probes.
-	ProbesCompleted uint64
 	// BytesIn / BytesOut total request/response bytes.
 	BytesIn  uint64
 	BytesOut uint64
@@ -99,7 +95,7 @@ func New(eng *sim.Engine, cfg Config) (*LB, error) {
 	switch cfg.Mode {
 	case ModeExclusive, ModeExclusiveRR, ModeHerd, ModeAcceptMutex, ModeDispatcher, ModeIOUring:
 		for _, p := range cfg.Ports {
-			s, err := lb.NS.ListenShared(p, cfg.Backlog)
+			s, err := lb.NS.ListenShared(p, 0)
 			if err != nil {
 				return nil, err
 			}
@@ -107,7 +103,7 @@ func New(eng *sim.Engine, cfg Config) (*LB, error) {
 		}
 	case ModeReuseport, ModeHermes, ModeHermesNative:
 		for _, p := range cfg.Ports {
-			g, err := lb.NS.ListenReuseport(p, cfg.Workers, cfg.Backlog)
+			g, err := lb.NS.ListenReuseport(p, cfg.Workers, 0)
 			if err != nil {
 				return nil, err
 			}
@@ -281,8 +277,6 @@ func (lb *LB) recordCompletion(w *Worker, conn kernel.ConnRef, work Work) {
 	now := lb.Eng.Now()
 	lat := now - work.ArrivalNS
 	if work.Probe {
-		lb.ProbesCompleted++
-		lb.ProbeLatency.AddDuration(lat)
 		if i := int(work.ProbeSrc); i > 0 && i <= len(lb.probeSinks) {
 			lb.probeSinks[i-1](work, lat)
 		}
@@ -306,8 +300,7 @@ func (lb *LB) recordCompletion(w *Worker, conn kernel.ConnRef, work Work) {
 // RegisterProbeSink adds a per-prober completion callback and returns the
 // tag to stamp on that prober's probe Work (Work.ProbeSrc). Completions of
 // tagged probes are forwarded with their latency, so several probers on one
-// LB keep exact independent accounting instead of sharing the LB-global
-// ProbesCompleted / ProbeLatency aggregates.
+// LB keep exact independent accounting; the LB itself keeps none.
 func (lb *LB) RegisterProbeSink(fn func(work Work, latencyNS int64)) int32 {
 	lb.probeSinks = append(lb.probeSinks, fn)
 	return int32(len(lb.probeSinks))

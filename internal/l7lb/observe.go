@@ -11,14 +11,11 @@ import (
 // handed to the layers beneath, each of which registers its own names. With
 // both unset nothing is attached and every hook site costs one nil check.
 
-// timelineDepth is the per-worker ring depth for sampled timelines.
-const timelineDepth = 512
-
 // workerObs is one worker's share of the observers: its slots of the
 // per-worker vectors, the LB-wide histograms, and its trace track.
 type workerObs struct {
 	served, accepted    *telemetry.Counter
-	openConns           *telemetry.Timeline
+	openConns           *telemetry.Gauge
 	acceptWait, latency *telemetry.Histogram
 	tr                  *tracing.WorkerTrace
 }
@@ -40,26 +37,19 @@ func (lb *LB) observe() {
 		// with the engine's virtual time.
 		lb.Ctl.Observe(sink, tr, lb.Eng.Now)
 	}
-	var (
-		served, accepted    *telemetry.CounterVec
-		openConns           *telemetry.TimelineVec
-		acceptWait, latency *telemetry.Histogram
-	)
-	if sink != nil {
-		m := func(name, unit, help string) telemetry.Metric {
-			return telemetry.Metric{Name: name, Layer: "l7lb", Unit: unit, Help: help}
-		}
-		served = sink.CounterVec(m("l7lb.worker.requests_served", "reqs",
-			"requests completed per worker"), n)
-		accepted = sink.CounterVec(m("l7lb.worker.conns_accepted", "conns",
-			"connections accepted per worker"), n)
-		acceptWait = sink.Histogram(m("l7lb.accept_wait_ns", "ns",
-			"accept-queue wait (handshake completion to accept)"), telemetry.DurationBuckets())
-		latency = sink.Histogram(m("l7lb.request_latency_ns", "ns",
-			"end-to-end request latency"), telemetry.DurationBuckets())
-		openConns = sink.TimelineVec(m("l7lb.worker.open_conns", "conns",
-			"live connection count per worker, sampled at loop entry"), n, timelineDepth)
+	m := func(name, unit, help string) telemetry.Metric {
+		return telemetry.Metric{Name: name, Layer: "l7lb", Unit: unit, Help: help}
 	}
+	served := sink.CounterVec(m("l7lb.worker.requests_served", "reqs",
+		"requests completed per worker"), n)
+	accepted := sink.CounterVec(m("l7lb.worker.conns_accepted", "conns",
+		"connections accepted per worker"), n)
+	acceptWait := sink.Histogram(m("l7lb.accept_wait_ns", "ns",
+		"accept-queue wait (handshake completion to accept)"), telemetry.DurationBuckets())
+	latency := sink.Histogram(m("l7lb.request_latency_ns", "ns",
+		"end-to-end request latency"), telemetry.DurationBuckets())
+	openConns := sink.GaugeVec(m("l7lb.worker.open_conns", "conns",
+		"live connection count per worker, as of its last loop entry"), n)
 	lb.obs = make([]workerObs, n+1)
 	for i := range lb.obs {
 		lb.obs[i] = workerObs{

@@ -428,7 +428,7 @@ func (w *Worker) loopEnter() {
 		h.LoopEnter(now)
 	}
 	if o := w.obs; o != nil {
-		o.openConns.Record(now, int64(len(w.conns)))
+		o.openConns.Set(int64(len(w.conns)))
 	}
 	if h != nil && w.lb.Cfg.ScheduleAtLoopStart {
 		h.ScheduleAndSync(now)

@@ -21,47 +21,40 @@ func openTestConns(eng *sim.Engine, lb *l7lb.LB, n int) {
 	}
 }
 
-// Regression: DelayedCount used to compute p.Sent - lb.ProbesCompleted
-// against the LB-global counter, so two probers sharing one LB
-// cross-contaminated — the smaller prober's subtraction underflowed uint64
-// and reported astronomically many "lost" probes. Accounting is now tagged
-// per prober and must stay exact for each.
+// Regression: DelayedCount used to subtract an LB-global completion counter
+// from p.Sent, so two probers sharing one LB cross-contaminated — the smaller
+// prober's subtraction underflowed uint64 and reported astronomically many
+// "lost" probes. Accounting is tagged per prober (the LB keeps none) and must
+// stay exact for each.
 func TestDualProberAccountingExact(t *testing.T) {
 	eng, lb := healthyLB(t, l7lb.ModeHermes)
 	openTestConns(eng, lb, 16)
 
-	wp := NewWorkerProber(lb, 8080, 5*time.Millisecond)
-	sp := NewProber(lb, 8080, 50*time.Millisecond)
+	fast := NewWorkerProber(lb, 8080, 5*time.Millisecond)
+	slow := NewWorkerProber(lb, 8080, 50*time.Millisecond)
 	eng.At(int64(10*time.Millisecond), func() {
-		wp.Run(time.Second)
-		sp.Run(time.Second)
+		fast.Run(time.Second)
+		slow.Run(time.Second)
 	})
 	eng.RunUntil(int64(2 * time.Second))
 
-	if wp.Sent == 0 || sp.Sent == 0 {
-		t.Fatalf("both probers must send: worker=%d single=%d", wp.Sent, sp.Sent)
+	if fast.Sent == 0 || slow.Sent == 0 {
+		t.Fatalf("both probers must send: fast=%d slow=%d", fast.Sent, slow.Sent)
 	}
-	if wp.Sent <= sp.Sent {
-		t.Fatalf("test needs the worker prober to dominate (worker=%d single=%d) to expose the underflow",
-			wp.Sent, sp.Sent)
+	if fast.Sent <= slow.Sent {
+		t.Fatalf("test needs one prober to dominate (fast=%d slow=%d) to expose the underflow",
+			fast.Sent, slow.Sent)
 	}
-	if wp.Completed != wp.Sent {
-		t.Fatalf("worker prober: completed %d of %d on a healthy LB", wp.Completed, wp.Sent)
-	}
-	if sp.Completed != sp.Sent {
-		t.Fatalf("single prober: completed %d of %d on a healthy LB", sp.Completed, sp.Sent)
-	}
-	// Pre-fix, sp.DelayedCount() was ≈ 2^64 here (sp.Sent minus the
-	// LB-global completion count, which wp's probes dominate).
-	if d := sp.DelayedCount(); d != 0 {
-		t.Fatalf("single prober delayed count %d, want 0 (underflow regression)", d)
-	}
-	if d := wp.DelayedCount(); d != 0 {
-		t.Fatalf("worker prober delayed count %d, want 0", d)
-	}
-	// The LB-global counter still aggregates both streams.
-	if lb.ProbesCompleted != wp.Sent+sp.Sent {
-		t.Fatalf("LB-global completions %d != %d + %d", lb.ProbesCompleted, wp.Sent, sp.Sent)
+	for name, p := range map[string]*WorkerProber{"fast": fast, "slow": slow} {
+		if p.Completed != p.Sent || uint64(p.Latency.N()) != p.Sent {
+			t.Fatalf("%s prober: completed %d (%d latencies) of %d on a healthy LB",
+				name, p.Completed, p.Latency.N(), p.Sent)
+		}
+		// Pre-fix, the slow prober's DelayedCount() was ≈ 2^64 here (its
+		// Sent minus a completion count the fast prober's probes dominate).
+		if d := p.DelayedCount(); d != 0 {
+			t.Fatalf("%s prober delayed count %d, want 0 (underflow regression)", name, d)
+		}
 	}
 }
 
@@ -70,7 +63,7 @@ func TestProberLossCountsAsDelayed(t *testing.T) {
 	eng, lb := healthyLB(t, l7lb.ModeHermes)
 	openTestConns(eng, lb, 16)
 
-	lossy := NewProber(lb, 8080, 20*time.Millisecond)
+	lossy := NewWorkerProber(lb, 8080, 20*time.Millisecond)
 	lossy.SetDrop(func() bool { return true })
 	clean := NewWorkerProber(lb, 8080, 10*time.Millisecond)
 	eng.At(int64(10*time.Millisecond), func() {
@@ -90,7 +83,7 @@ func TestProberLossCountsAsDelayed(t *testing.T) {
 		t.Fatalf("lossy delayed rate %v, want 1", lossy.DelayedRate())
 	}
 	// The clean prober on the same LB is untouched by its neighbor's loss.
-	if d := clean.DelayedCount(); d != 0 {
-		t.Fatalf("clean prober delayed %d, want 0", d)
+	if clean.Sent == 0 || clean.DelayedCount() != 0 {
+		t.Fatalf("clean prober: sent %d, delayed %d, want > 0 and 0", clean.Sent, clean.DelayedCount())
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"math"
 	"time"
 
-	"hermes/internal/kernel"
 	"hermes/internal/l7lb"
 	"hermes/internal/stats"
 )
@@ -20,121 +19,13 @@ import (
 // 499s).
 const DelayThreshold = 200 * time.Millisecond
 
-// Prober sends probes through an LB at a fixed interval. Each probe is a
-// fresh short connection carrying one minimal request, so it traverses the
-// same dispatch path as tenant traffic; the LB has no probe fast path
-// (§6.2: "The LB contains no probe processing logic").
-type Prober struct {
-	// Interval between probes.
-	Interval time.Duration
-	// Port is the tenant port probed.
-	Port uint16
-
-	lb *l7lb.LB
-	// Sent counts probes issued.
-	Sent uint64
-	// Rejected counts probes whose SYN was refused outright.
-	Rejected uint64
-	// Completed counts this prober's probes that finished (other probers on
-	// the same LB do not contaminate it).
-	Completed uint64
-	// Lost counts probes swallowed by injected probe loss.
-	Lost uint64
-	// Latency samples this prober's probe latencies (ms).
-	Latency stats.Sample
-
-	seq  uint32
-	src  int32
-	drop func() bool
-}
-
-// NewProber creates a prober against lb.
-func NewProber(lb *l7lb.LB, port uint16, interval time.Duration) *Prober {
-	p := &Prober{lb: lb, Port: port, Interval: interval}
-	p.src = lb.RegisterProbeSink(func(_ l7lb.Work, latNS int64) {
-		p.Completed++
-		p.Latency.AddDuration(latNS)
-	})
-	return p
-}
-
-// SetDrop installs a probe-loss predicate: probes for which it returns true
-// are counted as sent but never reach the LB (and so count as delayed).
-func (p *Prober) SetDrop(fn func() bool) { p.drop = fn }
-
-// Run schedules probes over the window [now, now+d).
-func (p *Prober) Run(d time.Duration) {
-	end := p.lb.Eng.Now() + int64(d)
-	p.scheduleNext(p.lb.Eng.Now(), end)
-}
-
-func (p *Prober) scheduleNext(prev, end int64) {
-	next := prev + int64(p.Interval)
-	if next >= end {
-		return
-	}
-	p.lb.Eng.At(next, func() {
-		p.fire()
-		p.scheduleNext(next, end)
-	})
-}
-
-func (p *Prober) fire() {
-	p.seq++
-	p.Sent++
-	if p.drop != nil && p.drop() {
-		p.Lost++
-		return
-	}
-	conn, ok := p.lb.NS.DeliverSYN(kernel.FourTuple{
-		SrcIP:   0xfeed_0000 + p.seq,
-		SrcPort: uint16(40000 + p.seq%20000),
-		DstIP:   0x0a00_0001,
-		DstPort: p.Port,
-	}, nil)
-	if !ok {
-		p.Rejected++
-		return
-	}
-	p.lb.Deliver(conn, l7lb.Work{
-		ArrivalNS: p.lb.Eng.Now(),
-		Cost:      10 * time.Microsecond,
-		Size:      64,
-		RespSize:  64,
-		Close:     true,
-		Probe:     true,
-		ProbeSrc:  p.src,
-		Tenant:    p.Port,
-	})
-}
-
-// DelayedCount returns how many completed probes exceeded the threshold,
-// counting never-completed probes (stranded on hung workers, rejected, or
-// lost in flight) as delayed too — in production those are exactly the 499s.
-// Only this prober's probes count, even with other probers on the same LB.
-func (p *Prober) DelayedCount() uint64 {
-	completedDelayed := uint64(p.Latency.CountAbove(float64(DelayThreshold) / 1e6))
-	var lost uint64
-	if p.Sent > p.Completed {
-		lost = p.Sent - p.Completed
-	}
-	return completedDelayed + lost
-}
-
-// DelayedRate returns the fraction of probes delayed.
-func (p *Prober) DelayedRate() float64 {
-	if p.Sent == 0 {
-		return 0
-	}
-	return float64(p.DelayedCount()) / float64(p.Sent)
-}
-
 // WorkerProber probes every worker, as §6.2 describes ("we periodically
 // send probes to all workers"): each round it delivers a minimal request on
 // one live connection of every worker, so the probe takes the same
 // event-loop path as tenant traffic and a hung or swamped worker delays its
-// probe stream. Workers without connections that round are skipped (in
-// production every worker carries traffic).
+// probe stream; the LB has no probe fast path (§6.2: "The LB contains no
+// probe processing logic"). Workers without connections that round are
+// skipped (in production every worker carries traffic).
 type WorkerProber struct {
 	// Interval between probe rounds.
 	Interval time.Duration
@@ -144,8 +35,6 @@ type WorkerProber struct {
 	lb *l7lb.LB
 	// Sent counts probes issued.
 	Sent uint64
-	// SkippedRounds counts per-worker skips (no live connection).
-	SkippedRounds uint64
 	// Completed counts this prober's probes that finished.
 	Completed uint64
 	// Lost counts probes swallowed by injected probe loss.
@@ -185,7 +74,6 @@ func (p *WorkerProber) scheduleRound(prev, end int64) {
 		for _, w := range p.lb.Workers {
 			s := w.SampleConn()
 			if s == nil || s.Closed() {
-				p.SkippedRounds++
 				continue
 			}
 			p.Sent++
@@ -207,9 +95,10 @@ func (p *WorkerProber) scheduleRound(prev, end int64) {
 	})
 }
 
-// DelayedCount returns probes delayed beyond the threshold, counting
-// never-completed probes as delayed. Only this prober's probes count, even
-// with other probers on the same LB.
+// DelayedCount returns how many completed probes exceeded the threshold,
+// counting never-completed probes (stranded on hung workers or lost in
+// flight) as delayed too — in production those are exactly the 499s. Only
+// this prober's probes count, even with other probers on the same LB.
 func (p *WorkerProber) DelayedCount() uint64 {
 	completedDelayed := uint64(p.Latency.CountAbove(float64(DelayThreshold) / 1e6))
 	var lost uint64

@@ -22,24 +22,25 @@ func healthyLB(t *testing.T, mode l7lb.Mode) (*sim.Engine, *l7lb.LB) {
 	return eng, lb
 }
 
+// A healthy fleet completes every probe, far inside the delay budget.
 func TestProberHealthyPath(t *testing.T) {
 	eng, lb := healthyLB(t, l7lb.ModeHermes)
-	p := NewProber(lb, 8080, 10*time.Millisecond)
-	p.Run(time.Second)
+	openTestConns(eng, lb, 16)
+	p := NewWorkerProber(lb, 8080, 10*time.Millisecond)
+	eng.At(int64(10*time.Millisecond), func() { p.Run(time.Second) })
 	eng.RunUntil(int64(2 * time.Second))
 
 	if p.Sent < 90 {
-		t.Fatalf("sent %d probes, want ≈100", p.Sent)
+		t.Fatalf("sent %d probes, want ≥ one per round", p.Sent)
 	}
-	if lb.ProbesCompleted != p.Sent {
-		t.Fatalf("completed %d of %d", lb.ProbesCompleted, p.Sent)
+	if p.Completed != p.Sent {
+		t.Fatalf("completed %d of %d", p.Completed, p.Sent)
 	}
 	if d := p.DelayedCount(); d != 0 {
 		t.Fatalf("healthy LB delayed %d probes", d)
 	}
-	if lb.ProbeLatency.Percentile(99) > 1.0 {
-		t.Fatalf("probe P99 %v ms exceeds the 1ms healthy bound (§6.2)",
-			lb.ProbeLatency.Percentile(99))
+	if p99 := p.Latency.Percentile(99); p99 > 1.0 {
+		t.Fatalf("probe P99 %v ms exceeds the 1ms healthy bound (§6.2)", p99)
 	}
 	if p.DelayedRate() != 0 {
 		t.Fatal("delayed rate should be 0")
@@ -64,7 +65,7 @@ func TestProberCountsHungWorkerDelays(t *testing.T) {
 			}
 		})
 	}
-	p := NewProber(lb, 8080, 20*time.Millisecond)
+	p := NewWorkerProber(lb, 8080, 20*time.Millisecond)
 	eng.At(int64(50*time.Millisecond), func() { p.Run(time.Second) })
 	eng.RunUntil(int64(1200 * time.Millisecond))
 

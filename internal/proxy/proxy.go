@@ -37,7 +37,8 @@ func WithTracer(tr *tracing.Tracer) Option {
 }
 
 // WithFaults arms a wall-clock translation of a sim fault schedule on the
-// real proxy (docs/FAULTS.md grammar, times relative to New).
+// real proxy (docs/FAULTS.md grammar, times relative to New). New refuses a
+// schedule holding a kind with no real-socket analogue.
 func WithFaults(sched faults.Schedule) Option {
 	return func(o *options) { o.sched = sched }
 }
@@ -122,6 +123,9 @@ func New(cfg Config, opts ...Option) (*Proxy, error) {
 	for _, fn := range opts {
 		fn(&o)
 	}
+	if err := checkFaults(o.sched); err != nil {
+		return nil, err
+	}
 	reg := o.reg
 	if reg == nil {
 		reg = telemetry.NewRegistry()
@@ -193,7 +197,7 @@ func New(cfg Config, opts ...Option) (*Proxy, error) {
 		p.checker = newChecker(cfg.HealthCheck, p.pool, &p.tel)
 		go p.checker.run()
 	}
-	p.applyFaults(o.sched)
+	p.applyFaults(o.sched, o.tracer.FaultTrace())
 	p.wg.Add(1)
 	go p.acceptLoop()
 	return p, nil
@@ -433,39 +437,56 @@ func (p *Proxy) shutdown(timeout time.Duration) error {
 	return nil
 }
 
+// checkFaults refuses a schedule the real proxy cannot honour: queue, selmap
+// and probe faults have no real-socket analogue here. The schedule is known
+// when the proxy is built, so the caller hears it then, not at fire time.
+func checkFaults(sched faults.Schedule) error {
+	for _, ev := range sched.Events {
+		switch ev.Kind {
+		case faults.Hang, faults.Crash, faults.Slow:
+		default:
+			return fmt.Errorf("proxy: fault kind %s has no real-socket analogue (hang, crash and slow do)", ev.Kind)
+		}
+	}
+	return nil
+}
+
 // applyFaults arms a wall-clock translation of the sim fault schedule on the
 // real proxy: hangs and slowdowns map directly; a crash is approximated as a
-// stall until its restart delay (goroutines cannot be SIGKILLed); queue,
-// selmap, and probe faults have no real-socket analogue here and are skipped
-// with a note.
-func (p *Proxy) applyFaults(sched faults.Schedule) {
+// stall until its restart delay (goroutines cannot be SIGKILLed). Each fault
+// that fires is recorded as the simulator's injector records it: counted in
+// faults.injected by kind, and a fault instant on the victim's track carrying
+// the same kind-specific parameter.
+func (p *Proxy) applyFaults(sched faults.Schedule, tr *tracing.FaultTrace) {
+	if len(sched.Events) == 0 {
+		return
+	}
+	injected := faults.InjectedVec(p.reg)
 	for _, ev := range sched.Events {
-		ev := ev
 		time.AfterFunc(time.Duration(ev.AtNS), func() {
-			w := p.victim(ev.Worker)
+			w, now, param := p.victim(ev.Worker), time.Now().UnixNano(), ev.DurNS
 			switch ev.Kind {
 			case faults.Hang:
-				w.hangUntilNS.Store(time.Now().UnixNano() + ev.DurNS)
-				fmt.Printf("faults: hang w%d for %s\n", w.id, time.Duration(ev.DurNS))
+				w.hangUntilNS.Store(now + ev.DurNS)
 			case faults.Crash:
 				dur := ev.RestartNS
 				if dur == 0 {
 					dur = int64(time.Hour)
 				}
-				w.hangUntilNS.Store(time.Now().UnixNano() + dur)
-				fmt.Printf("faults: crash w%d (stall until restart %s)\n", w.id, time.Duration(dur))
+				w.hangUntilNS.Store(now + dur)
+				param = ev.RestartNS
 			case faults.Slow:
 				// Poison per-request latency instead of scaling CPU: the
 				// proxy's cost is dominated by the upstream round trip.
 				const base = 5 * time.Millisecond
 				w.delay.Store(int64(float64(base) * (ev.Factor - 1)))
-				fmt.Printf("faults: slow w%d x%g for %s\n", w.id, ev.Factor, time.Duration(ev.DurNS))
+				param = int64(ev.Factor * 1000)
 				if ev.DurNS > 0 {
 					time.AfterFunc(time.Duration(ev.DurNS), func() { w.delay.Store(0) })
 				}
-			default:
-				fmt.Printf("faults: %s has no real-socket analogue, skipped\n", ev.Kind)
 			}
+			injected.At(int(ev.Kind)).Inc()
+			tr.Event(int32(w.id), now, int64(ev.Kind), param)
 		})
 	}
 }

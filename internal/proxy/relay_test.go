@@ -16,6 +16,7 @@ import (
 	"hermes/internal/faults"
 	"hermes/internal/httpx"
 	"hermes/internal/telemetry"
+	"hermes/internal/tracing"
 )
 
 // scriptedUpstream is an origin whose reply is written by the test: every
@@ -337,7 +338,8 @@ func TestHungWorkerLeavesBitmap(t *testing.T) {
 	cfg := testConfig(newStubUpstream(t))
 	cfg.Workers = 4
 	const hangFor = 150 * time.Millisecond
-	p := startProxy(t, cfg, WithFaults(faults.Schedule{Events: []faults.Event{
+	tracer := tracing.New(tracing.Config{Concurrent: true, MaxSpans: 1 << 10})
+	p := startProxy(t, cfg, WithTracer(tracer), WithFaults(faults.Schedule{Events: []faults.Event{
 		{Kind: faults.Hang, AtNS: 0, Worker: 1, DurNS: int64(hangFor)},
 	}}))
 	pol := p.Controller().Config()
@@ -357,6 +359,43 @@ func TestHungWorkerLeavesBitmap(t *testing.T) {
 	out := waitFor(0b1101, pol.HangThreshold+2*pol.EpollTimeout+25*time.Millisecond)
 	back := waitFor(0b1111, hangFor+2*pol.EpollTimeout+25*time.Millisecond)
 	t.Logf("hung worker excluded after %v, readmitted %v later", out, back)
+
+	// The artefacts say which worker was hung, and when: one faults.injected
+	// count in the hang slot, one fault instant on the victim's track.
+	row := p.Registry().Snapshot().Get("faults.injected")
+	if row == nil || row.Total() != 1 || row.Values[faults.Hang] != 1 {
+		t.Errorf("faults.injected = %+v, want one hang", row)
+	}
+	var instants []tracing.Span
+	for _, s := range tracer.Spans() {
+		if s.Kind == tracing.KindFault {
+			instants = append(instants, s)
+		}
+	}
+	if len(instants) != 1 || instants[0].Worker != 1 || instants[0].Arg != int64(faults.Hang) || instants[0].Arg2 != int64(hangFor) {
+		t.Errorf("fault instants = %+v, want one hang of %v on worker 1", instants, hangFor)
+	}
+}
+
+// A fault the real proxy cannot inject is refused when the proxy is built,
+// by name, and a proxy without a schedule registers no fault row.
+func TestUnsupportedFaultRefusedAtNew(t *testing.T) {
+	cfg := testConfig(newStubUpstream(t))
+	for _, kind := range []faults.Kind{faults.ShrinkQueue, faults.SyncStall, faults.ProbeLoss} {
+		p, err := New(cfg, WithFaults(faults.Schedule{Events: []faults.Event{
+			{Kind: faults.Slow, Factor: 2}, {Kind: kind, AtNS: int64(time.Hour)},
+		}}))
+		if err == nil {
+			p.Close()
+			t.Fatalf("New accepted a %s fault", kind)
+		}
+		if !strings.Contains(err.Error(), kind.String()) {
+			t.Errorf("error %q does not name %s", err, kind)
+		}
+	}
+	if row := startProxy(t, cfg).Registry().Snapshot().Get("faults.injected"); row != nil {
+		t.Errorf("proxy without a fault schedule registered %+v", row)
+	}
 }
 
 // One large request must not leave a large buffer behind: grown buffers go

@@ -64,8 +64,24 @@ func TestWSTWriteRead(t *testing.T) {
 	if self := wr.Read(); self != got {
 		t.Fatalf("Writer.Read %+v != snapshot %+v", self, got)
 	}
-	if wr.Generation() != 1 {
-		t.Fatalf("Generation = %d, want 1", wr.Generation())
+}
+
+// A slot holds the paper's three live words (Fig. 9 lines 12/14/18) and
+// nothing else: a write nobody reads would show up as a fourth.
+func TestWriterTouchesOnlyThreeWords(t *testing.T) {
+	w := NewWST(4)
+	wr := w.Writer(2)
+	wr.SetLoopEnter(12345)
+	wr.AddBusy(7)
+	wr.AddConn(3)
+	for i := 0; i < w.region.Len(); i++ {
+		word, live := i-2*slotWords, false
+		if word >= 0 && word < slotWords {
+			live = word <= offConn
+		}
+		if got := w.region.Load(i) != 0; got != live {
+			t.Errorf("region word %d (slot word %d): non-zero = %v, want %v", i, word, got, live)
+		}
 	}
 }
 

@@ -14,7 +14,6 @@ const (
 	offLoopEnter = 0 // virtual ns of last event-loop entry
 	offBusy      = 1 // pending events: += epoll_wait batch, -- per handled event
 	offConn      = 2 // accumulated connections: ++ accept, -- close
-	offGen       = 3 // write generation, diagnostics only
 	slotWords    = 8 // one 64-byte cache line
 )
 
@@ -81,7 +80,6 @@ type Writer struct {
 // SetLoopEnter records the timestamp of entering the event loop.
 func (w Writer) SetLoopEnter(ns int64) {
 	w.region.StoreInt64(w.base+offLoopEnter, ns)
-	w.region.Add(w.base+offGen, 1)
 }
 
 // AddBusy adjusts the pending-event count by delta.
@@ -102,9 +100,6 @@ func (w Writer) Read() Metrics {
 		Conn:        w.region.LoadInt64(w.base + offConn),
 	}
 }
-
-// Generation returns the number of loop entries published (diagnostics).
-func (w Writer) Generation() uint64 { return w.region.Load(w.base + offGen) }
 
 // Snapshot reads every worker's metrics without locks, appending into dst
 // (reused across calls to stay allocation-free on the scheduling path) and

@@ -182,55 +182,6 @@ func MeanStddev(vals []float64) (mean, std float64) {
 	return w.Mean(), w.Stddev()
 }
 
-// Histogram is a log₂-bucketed histogram for long-tailed quantities
-// (processing times, request sizes).
-type Histogram struct {
-	counts []uint64
-	total  uint64
-}
-
-// NewHistogram creates a histogram with buckets [2^i, 2^(i+1)) for
-// i in 0..buckets-1 (values < 1 land in bucket 0, overflow in the last).
-func NewHistogram(buckets int) *Histogram {
-	return &Histogram{counts: make([]uint64, buckets)}
-}
-
-// Add records a value.
-func (h *Histogram) Add(v float64) {
-	b := 0
-	if v >= 1 {
-		b = int(math.Log2(v))
-	}
-	if b >= len(h.counts) {
-		b = len(h.counts) - 1
-	}
-	if b < 0 {
-		b = 0
-	}
-	h.counts[b]++
-	h.total++
-}
-
-// Total returns the number of recorded values.
-func (h *Histogram) Total() uint64 { return h.total }
-
-// Bucket returns bucket i's count.
-func (h *Histogram) Bucket(i int) uint64 { return h.counts[i] }
-
-// CDF returns (upper bound, cumulative fraction) per bucket.
-func (h *Histogram) CDF() [][2]float64 {
-	if h.total == 0 {
-		return nil
-	}
-	out := make([][2]float64, 0, len(h.counts))
-	cum := uint64(0)
-	for i, c := range h.counts {
-		cum += c
-		out = append(out, [2]float64{math.Pow(2, float64(i+1)), float64(cum) / float64(h.total)})
-	}
-	return out
-}
-
 // FormatMS renders a millisecond quantity the way the paper's tables do:
 // three significant-ish decimals for small values, fewer for large.
 func FormatMS(ms float64) string {

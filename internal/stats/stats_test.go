@@ -149,31 +149,6 @@ func TestCDFMonotonic(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(10)
-	h.Add(0.5) // bucket 0
-	h.Add(1)   // bucket 0
-	h.Add(2)   // bucket 1
-	h.Add(3)   // bucket 1
-	h.Add(16)  // bucket 4
-	h.Add(1024)
-	h.Add(1 << 30) // 1024 and 2^30 both overflow → last bucket
-	if h.Total() != 7 {
-		t.Fatalf("total = %d", h.Total())
-	}
-	if h.Bucket(0) != 2 || h.Bucket(1) != 2 || h.Bucket(4) != 1 || h.Bucket(9) != 2 {
-		t.Fatalf("buckets: %v %v %v %v", h.Bucket(0), h.Bucket(1), h.Bucket(4), h.Bucket(9))
-	}
-	cdf := h.CDF()
-	if cdf[len(cdf)-1][1] != 1 {
-		t.Fatal("histogram CDF must end at 1")
-	}
-	empty := NewHistogram(4)
-	if empty.CDF() != nil {
-		t.Fatal("empty histogram CDF must be nil")
-	}
-}
-
 func TestFormatMS(t *testing.T) {
 	cases := map[float64]string{
 		0.439:  "0.439",

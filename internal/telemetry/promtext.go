@@ -43,13 +43,6 @@ func promEscapeHelp(s string) string {
 	return strings.ReplaceAll(s, "\n", `\n`)
 }
 
-// PromEscapeLabel escapes a label value: backslash, double quote, newline.
-func PromEscapeLabel(s string) string {
-	s = strings.ReplaceAll(s, `\`, `\\`)
-	s = strings.ReplaceAll(s, `"`, `\"`)
-	return strings.ReplaceAll(s, "\n", `\n`)
-}
-
 // WriteOpenMetrics renders the snapshot as OpenMetrics text. Every
 // registered instrument is exposed; sanitized-name collisions are an error
 // (two catalog names must not map to one exposition family).
@@ -120,18 +113,6 @@ func writeFamily(w io.Writer, fam string, ms *MetricSnapshot) error {
 		}
 		_, err := fmt.Fprintf(w, "%s_sum %d\n%s_count %d\n", fam, ms.Sum, fam, ms.Count)
 		return err
-	case "timeline_vec":
-		// Timelines export their most recent value per slot (scrape model:
-		// history reconstitutes server-side from repeated scrapes).
-		for i, tl := range ms.Timelines {
-			if len(tl) == 0 {
-				continue
-			}
-			if _, err := fmt.Fprintf(w, "%s{slot=\"%d\"} %d\n", fam, i, tl[len(tl)-1].Value); err != nil {
-				return err
-			}
-		}
-		return nil
 	default:
 		return fmt.Errorf("telemetry: exposition: unknown kind %q for %q", ms.Kind, ms.Name)
 	}

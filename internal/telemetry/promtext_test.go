@@ -31,9 +31,6 @@ func goldenRegistry() *Registry {
 	cv.At(2).Add(9)
 	gv := reg.GaugeVec(Metric{Name: "g.backend.active", Layer: "g", Unit: "reqs"}, 2)
 	gv.At(1).Set(5)
-	tv := reg.TimelineVec(Metric{Name: "g.worker.open_conns", Layer: "g", Unit: "conns"}, 2, 4)
-	tv.At(0).Record(100, 11)
-	tv.At(0).Record(200, 12)
 	return reg
 }
 
@@ -133,10 +130,9 @@ func TestOpenMetricsConformance(t *testing.T) {
 		t.Errorf("counter-vec slot 2 missing: %+v", cv.Samples)
 	}
 
-	// Timelines export their latest value only.
-	tv := byName["hermes_g_worker_open_conns"]
-	if tv == nil || len(tv.Samples) != 1 || tv.Samples[0].Value != 12 || tv.Samples[0].Label("slot") != "0" {
-		t.Errorf("timeline family = %+v", tv)
+	gv := byName["hermes_g_backend_active"]
+	if gv == nil || gv.Type != "gauge" || len(gv.Samples) != 2 || gv.Samples[1].Value != 5 || gv.Samples[1].Label("slot") != "1" {
+		t.Errorf("gauge-vec family = %+v", gv)
 	}
 }
 

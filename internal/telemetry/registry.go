@@ -4,13 +4,13 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 )
 
-// Registry is the live Sink: it owns every registered instrument and can
-// snapshot them all atomically-per-value at any time. Registration takes a
-// lock (it happens once, at wiring time); recording through the returned
-// handles is lock-free.
+// Registry hands out instrument handles: it owns every registered instrument
+// and can snapshot them all atomically-per-value at any time. Registration
+// takes a lock (it happens once, at wiring time); recording through the
+// returned handles is lock-free. A nil *Registry disables everything: its
+// registration methods return nil handles, whose methods no-op.
 //
 // Requesting the same metric name twice returns the same handle, so
 // several components may share an instrument (e.g. the per-worker wakeup
@@ -29,7 +29,6 @@ type entry struct {
 	h    *Histogram
 	cv   *CounterVec
 	gv   *GaugeVec
-	tv   *TimelineVec
 }
 
 // NewRegistry creates an empty registry.
@@ -37,10 +36,16 @@ func NewRegistry() *Registry {
 	return &Registry{byName: make(map[string]*entry)}
 }
 
-// get finds or creates the entry for m. The caller must hold r.mu and must
-// finish initializing a fresh entry's instrument before releasing it, so
-// that every entry visible to Snapshot is fully built.
-func (r *Registry) get(m Metric, kind Kind) *entry {
+// register finds the entry for m or creates it, running build on the fresh
+// entry under the lock, so that every entry visible to Snapshot is fully
+// built. A nil registry registers nothing and returns an entry with no
+// instruments: the nil handles the layers then hold are the no-op ones.
+func (r *Registry) register(m Metric, kind Kind, build func(*entry)) *entry {
+	if r == nil {
+		return &entry{}
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	if e, ok := r.byName[m.Name]; ok {
 		if e.kind != kind {
 			panic(fmt.Sprintf("telemetry: metric %q re-registered as %v (was %v)", m.Name, kind, e.kind))
@@ -48,87 +53,48 @@ func (r *Registry) get(m Metric, kind Kind) *entry {
 		return e
 	}
 	e := &entry{m: m, kind: kind}
+	build(e)
 	r.byName[m.Name] = e
 	r.entries = append(r.entries, e)
 	return e
 }
 
-// Counter implements Sink.
+// Counter returns the counter registered under m.
 func (r *Registry) Counter(m Metric) *Counter {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	e := r.get(m, KindCounter)
-	if e.c == nil {
-		e.c = &Counter{}
-	}
-	return e.c
+	return r.register(m, KindCounter, func(e *entry) { e.c = &Counter{} }).c
 }
 
-// Gauge implements Sink.
+// Gauge returns the gauge registered under m.
 func (r *Registry) Gauge(m Metric) *Gauge {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	e := r.get(m, KindGauge)
-	if e.g == nil {
-		e.g = &Gauge{}
-	}
-	return e.g
+	return r.register(m, KindGauge, func(e *entry) { e.g = &Gauge{} }).g
 }
 
-// Histogram implements Sink. bounds are the inclusive bucket upper bounds,
-// strictly increasing; the first registration wins.
+// Histogram returns the histogram registered under m. bounds are the
+// inclusive bucket upper bounds, strictly increasing; the first registration
+// wins.
 func (r *Registry) Histogram(m Metric, bounds []int64) *Histogram {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	e := r.get(m, KindHistogram)
-	if e.h == nil {
-		e.h = newHistogram(bounds)
-	}
-	return e.h
+	return r.register(m, KindHistogram, func(e *entry) { e.h = newHistogram(bounds) }).h
 }
 
-// CounterVec implements Sink; n is the family size (first registration wins).
+// CounterVec returns the counter family registered under m; n is the family
+// size (first registration wins).
 func (r *Registry) CounterVec(m Metric, n int) *CounterVec {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	e := r.get(m, KindCounterVec)
-	if e.cv == nil {
-		e.cv = &CounterVec{cs: make([]Counter, n)}
-	}
-	return e.cv
+	return r.register(m, KindCounterVec, func(e *entry) { e.cv = &CounterVec{cs: make([]Counter, n)} }).cv
 }
 
-// GaugeVec implements Sink.
+// GaugeVec returns the gauge family registered under m.
 func (r *Registry) GaugeVec(m Metric, n int) *GaugeVec {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	e := r.get(m, KindGaugeVec)
-	if e.gv == nil {
-		e.gv = &GaugeVec{gs: make([]Gauge, n)}
-	}
-	return e.gv
-}
-
-// TimelineVec implements Sink; n timelines of the given depth.
-func (r *Registry) TimelineVec(m Metric, n, depth int) *TimelineVec {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	e := r.get(m, KindTimelineVec)
-	if e.tv == nil {
-		tv := &TimelineVec{ts: make([]Timeline, n)}
-		for i := range tv.ts {
-			tv.ts[i].buf = make([]atomic.Int64, 2*depth)
-		}
-		e.tv = tv
-	}
-	return e.tv
+	return r.register(m, KindGaugeVec, func(e *entry) { e.gv = &GaugeVec{gs: make([]Gauge, n)} }).gv
 }
 
 // Snapshot captures every registered instrument. Each value is read with
 // the same atomic the writers use; the snapshot is consistent per value
 // and stable once taken. Metrics are ordered by name for deterministic
-// rendering.
+// rendering. A nil registry's snapshot is empty.
 func (r *Registry) Snapshot() Snapshot {
+	if r == nil {
+		return Snapshot{}
+	}
 	r.mu.Lock()
 	entries := append([]*entry(nil), r.entries...)
 	r.mu.Unlock()
@@ -170,11 +136,6 @@ func (r *Registry) Snapshot() Snapshot {
 			ms.Values = make([]int64, e.gv.Len())
 			for i := range ms.Values {
 				ms.Values[i] = e.gv.At(i).Load()
-			}
-		case KindTimelineVec:
-			ms.Timelines = make([][]Sample, e.tv.Len())
-			for i := range ms.Timelines {
-				ms.Timelines[i] = e.tv.At(i).Snapshot()
 			}
 		}
 		snap.Metrics = append(snap.Metrics, ms)

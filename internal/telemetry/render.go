@@ -38,8 +38,6 @@ type MetricSnapshot struct {
 	// JSON consumers. Entries are null — not 0 — when the histogram never
 	// recorded, so an empty histogram can't be mistaken for a fast one.
 	Quantiles map[string]*float64 `json:"quantiles,omitempty"`
-	// Timelines carries per-slot ring-buffer samples, oldest first.
-	Timelines [][]Sample `json:"timelines,omitempty"`
 }
 
 // Quantile estimates quantile p in (0,1) of a histogram snapshot by linear
@@ -120,12 +118,6 @@ func (s Snapshot) Text() string {
 			}
 			fmt.Fprintf(&b, "n=%d mean=%.0f p50=%.0f p99=%.0f %s",
 				ms.Count, mean, ms.Quantile(0.50), ms.Quantile(0.99), ms.Unit)
-		case len(ms.Timelines) > 0:
-			total := 0
-			for _, tl := range ms.Timelines {
-				total += len(tl)
-			}
-			fmt.Fprintf(&b, "slots=%d samples=%d %s", len(ms.Timelines), total, ms.Unit)
 		case len(ms.Values) > 0:
 			fmt.Fprintf(&b, "total=%d per-slot=%v %s", ms.Total(), ms.Values, ms.Unit)
 		default:

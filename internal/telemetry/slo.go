@@ -247,23 +247,21 @@ type SLO struct {
 	last  SLOStatus
 }
 
-// NewSLO validates cfg, registers the slo.* instruments on reg, and hooks
-// the monitor onto win's ticks.
+// NewSLO validates cfg, registers the slo.* instruments on reg (nil: none),
+// and hooks the monitor onto win's ticks.
 func NewSLO(cfg SLOConfig, win *Windows, reg *Registry) (*SLO, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	s := &SLO{cfg: cfg, win: win}
-	if reg != nil {
-		s.stateGauge = reg.Gauge(Metric{Name: "slo.state", Layer: "slo", Unit: "state",
-			Help: "SLO burn-rate verdict: 0 ok, 1 warn, 2 page"})
-		s.latBurn = reg.Gauge(Metric{Name: "slo.latency.burn_milli", Layer: "slo", Unit: "milli",
-			Help: "latency SLI burn rate over the page short window, x1000"})
-		s.errBurn = reg.Gauge(Metric{Name: "slo.errors.burn_milli", Layer: "slo", Unit: "milli",
-			Help: "error SLI burn rate over the page short window, x1000"})
-		s.transitions = reg.Counter(Metric{Name: "slo.transitions", Layer: "slo", Unit: "flips",
-			Help: "SLO state transitions (any direction)"})
-	}
+	s.stateGauge = reg.Gauge(Metric{Name: "slo.state", Layer: "slo", Unit: "state",
+		Help: "SLO burn-rate verdict: 0 ok, 1 warn, 2 page"})
+	s.latBurn = reg.Gauge(Metric{Name: "slo.latency.burn_milli", Layer: "slo", Unit: "milli",
+		Help: "latency SLI burn rate over the page short window, x1000"})
+	s.errBurn = reg.Gauge(Metric{Name: "slo.errors.burn_milli", Layer: "slo", Unit: "milli",
+		Help: "error SLI burn rate over the page short window, x1000"})
+	s.transitions = reg.Counter(Metric{Name: "slo.transitions", Layer: "slo", Unit: "flips",
+		Help: "SLO state transitions (any direction)"})
 	s.last.State = SLOOK.String()
 	s.last.LatencyObjective = cfg.latencyObjective()
 	s.last.ErrorObjective = cfg.errorObjective()

@@ -10,8 +10,8 @@
 //  1. Zero allocation and near-zero cost on the hot path. Instruments are
 //     small handles obtained once at wiring time; recording is one or two
 //     atomic operations. A nil handle is a valid no-op instrument, so
-//     disabling telemetry is "don't wire a Sink" — the instrumented code
-//     runs identically either way (a single nil check per record).
+//     disabling telemetry is "don't wire a Registry" — the instrumented
+//     code runs identically either way (a single nil check per record).
 //  2. Stable identity. Every instrument is keyed by a Metric descriptor
 //     (name, layer, unit); the catalog lives in docs/TELEMETRY.md.
 //  3. Consistent snapshots. A Registry snapshot reads each value with the
@@ -32,26 +32,15 @@ const (
 	KindHistogram
 	KindCounterVec
 	KindGaugeVec
-	KindTimelineVec
 )
 
+var kindNames = [...]string{"counter", "gauge", "histogram", "counter_vec", "gauge_vec"}
+
 func (k Kind) String() string {
-	switch k {
-	case KindCounter:
-		return "counter"
-	case KindGauge:
-		return "gauge"
-	case KindHistogram:
-		return "histogram"
-	case KindCounterVec:
-		return "counter_vec"
-	case KindGaugeVec:
-		return "gauge_vec"
-	case KindTimelineVec:
-		return "timeline_vec"
-	default:
-		return "unknown"
+	if int(k) < len(kindNames) {
+		return kindNames[k]
 	}
+	return "unknown"
 }
 
 // Metric is the stable identity of one instrument. Handles are obtained
@@ -65,18 +54,6 @@ type Metric struct {
 	Unit string
 	// Help is a one-line description for the catalog.
 	Help string
-}
-
-// Sink hands out instrument handles. *Registry is the live implementation;
-// a nil Sink disables everything (layers then hold typed-nil handles whose
-// methods no-op).
-type Sink interface {
-	Counter(m Metric) *Counter
-	Gauge(m Metric) *Gauge
-	Histogram(m Metric, bounds []int64) *Histogram
-	CounterVec(m Metric, n int) *CounterVec
-	GaugeVec(m Metric, n int) *GaugeVec
-	TimelineVec(m Metric, n, depth int) *TimelineVec
 }
 
 // --- Counter ---
@@ -273,77 +250,4 @@ func (v *GaugeVec) Len() int {
 		return 0
 	}
 	return len(v.gs)
-}
-
-// --- Timeline ---
-
-// Sample is one timeline point.
-type Sample struct {
-	TSNS  int64 `json:"ts_ns"`
-	Value int64 `json:"value"`
-}
-
-// Timeline is a fixed-depth ring buffer of timestamped samples — one
-// worker's recent history of a value (open connections, queue depth).
-// Recording is lock-free; entries are stored through atomics so snapshots
-// under concurrent writers are race-free, though a reader may observe a
-// timestamp and value from adjacent writes (the WST tearing tolerance).
-type Timeline struct {
-	buf  []atomic.Int64 // pairs: [ts0, v0, ts1, v1, ...]
-	next atomic.Uint64  // total records; next slot = next % depth
-}
-
-// Record appends one sample, overwriting the oldest once full.
-func (t *Timeline) Record(tsNS, v int64) {
-	if t == nil || len(t.buf) == 0 {
-		return
-	}
-	depth := uint64(len(t.buf) / 2)
-	slot := (t.next.Add(1) - 1) % depth
-	t.buf[2*slot].Store(tsNS)
-	t.buf[2*slot+1].Store(v)
-}
-
-// Snapshot returns the retained samples, oldest first.
-func (t *Timeline) Snapshot() []Sample {
-	if t == nil || len(t.buf) == 0 {
-		return nil
-	}
-	depth := uint64(len(t.buf) / 2)
-	n := t.next.Load()
-	have := n
-	if have > depth {
-		have = depth
-	}
-	out := make([]Sample, 0, have)
-	start := uint64(0)
-	if n > depth {
-		start = n % depth
-	}
-	for i := uint64(0); i < have; i++ {
-		slot := (start + i) % depth
-		out = append(out, Sample{TSNS: t.buf[2*slot].Load(), Value: t.buf[2*slot+1].Load()})
-	}
-	return out
-}
-
-// TimelineVec is a fixed-size family of per-worker timelines.
-type TimelineVec struct {
-	ts []Timeline
-}
-
-// At returns element i's timeline (nil no-op when out of range or nil vec).
-func (v *TimelineVec) At(i int) *Timeline {
-	if v == nil || i < 0 || i >= len(v.ts) {
-		return nil
-	}
-	return &v.ts[i]
-}
-
-// Len returns the family size (0 on nil).
-func (v *TimelineVec) Len() int {
-	if v == nil {
-		return 0
-	}
-	return len(v.ts)
 }

@@ -47,10 +47,15 @@ func TestNilHandlesNoOp(t *testing.T) {
 		t.Error("nil gauge vec Len != 0")
 	}
 
-	var tv *TimelineVec
-	tv.At(0).Record(1, 2)
-	if tv.Len() != 0 || tv.At(0).Snapshot() != nil {
-		t.Error("nil timeline vec not empty")
+	// A nil registry is the disabled sink: it hands out the nil handles above.
+	var r *Registry
+	m := Metric{Name: "x"}
+	if r.Counter(m) != nil || r.Gauge(m) != nil || r.Histogram(m, []int64{1}) != nil ||
+		r.CounterVec(m, 2) != nil || r.GaugeVec(m, 2) != nil {
+		t.Error("nil registry handed out a live handle")
+	}
+	if n := len(r.Snapshot().Metrics); n != 0 {
+		t.Errorf("nil registry snapshot has %d metrics", n)
 	}
 }
 
@@ -122,35 +127,6 @@ func TestBucketLayouts(t *testing.T) {
 	}
 	if cb[len(cb)-1] != 64 {
 		t.Errorf("CountBuckets(64) last bound = %d", cb[len(cb)-1])
-	}
-}
-
-// A timeline deeper than its write count returns writes in order; once it
-// wraps, it retains exactly depth samples, oldest first.
-func TestTimelineWraparound(t *testing.T) {
-	r := NewRegistry()
-	tv := r.TimelineVec(Metric{Name: "tl"}, 1, 4)
-	tl := tv.At(0)
-
-	tl.Record(1, 10)
-	tl.Record(2, 20)
-	got := tl.Snapshot()
-	if len(got) != 2 || got[0] != (Sample{1, 10}) || got[1] != (Sample{2, 20}) {
-		t.Fatalf("partial snapshot = %v", got)
-	}
-
-	for i := int64(3); i <= 10; i++ {
-		tl.Record(i, i*10)
-	}
-	got = tl.Snapshot()
-	if len(got) != 4 {
-		t.Fatalf("wrapped snapshot len = %d, want 4", len(got))
-	}
-	for i, s := range got {
-		wantTS := int64(7 + i)
-		if s.TSNS != wantTS || s.Value != wantTS*10 {
-			t.Errorf("sample %d = %+v, want ts=%d v=%d", i, s, wantTS, wantTS*10)
-		}
 	}
 }
 
@@ -333,13 +309,13 @@ func TestRegistryConcurrentWriters(t *testing.T) {
 			g := r.Gauge(m("conc.gauge"))
 			h := r.Histogram(m("conc.hist"), []int64{8, 64, 512})
 			cv := r.CounterVec(m("conc.vec"), writers)
-			tv := r.TimelineVec(m("conc.tl"), writers, 16)
+			gv := r.GaugeVec(m("conc.gvec"), writers)
 			for i := 0; i < perW; i++ {
 				c.Inc()
 				g.SetMax(int64(w*perW + i))
 				h.Observe(int64(i % 1000))
 				cv.At(w).Inc()
-				tv.At(w).Record(int64(i), int64(w))
+				gv.At(w).Set(int64(i))
 			}
 		}(w)
 	}
@@ -362,9 +338,9 @@ func TestRegistryConcurrentWriters(t *testing.T) {
 			t.Errorf("vec slot %d = %d, want %d", i, v, perW)
 		}
 	}
-	for i, tl := range snap.Get("conc.tl").Timelines {
-		if len(tl) != 16 {
-			t.Errorf("timeline %d retained %d samples, want 16", i, len(tl))
+	for i, v := range snap.Get("conc.gvec").Values {
+		if v != perW-1 {
+			t.Errorf("gauge vec slot %d = %d, want the last write %d", i, v, perW-1)
 		}
 	}
 }

@@ -377,12 +377,6 @@ func (d WindowDelta) WriteText(w io.Writer) {
 			fmt.Fprintf(w, "%d %s", ms.Value, ms.Unit)
 		case "gauge_vec":
 			fmt.Fprintf(w, "total=%d per-slot=%v %s", ms.Total(), ms.Values, ms.Unit)
-		case "timeline_vec":
-			total := 0
-			for _, tl := range ms.Timelines {
-				total += len(tl)
-			}
-			fmt.Fprintf(w, "slots=%d samples=%d %s", len(ms.Timelines), total, ms.Unit)
 		default: // counter, counter_vec
 			delta := d.Delta(ms.Name)
 			fmt.Fprintf(w, "+%d (%.1f/s) %s", delta, float64(delta)/sec, ms.Unit)

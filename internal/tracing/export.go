@@ -33,17 +33,6 @@ func MetaFor(cell string, st Stats) Meta {
 	}
 }
 
-// jsonlSpan is the compact one-line-per-span schema (docs/TRACING.md).
-type jsonlSpan struct {
-	Conn    uint64 `json:"conn"`
-	Worker  int32  `json:"worker"`
-	Kind    string `json:"kind"`
-	StartNS int64  `json:"start_ns"`
-	EndNS   int64  `json:"end_ns"`
-	Arg     int64  `json:"arg"`
-	Arg2    int64  `json:"arg2"`
-}
-
 // WriteJSONL writes the compact span dump: a meta header line followed by
 // one JSON object per span, in the given order.
 func WriteJSONL(w io.Writer, spans []Span, meta Meta) error {
@@ -53,11 +42,7 @@ func WriteJSONL(w io.Writer, spans []Span, meta Meta) error {
 		return err
 	}
 	for _, s := range spans {
-		js := jsonlSpan{
-			Conn: s.Conn, Worker: s.Worker, Kind: s.Kind.String(),
-			StartNS: s.StartNS, EndNS: s.EndNS, Arg: s.Arg, Arg2: s.Arg2,
-		}
-		if err := enc.Encode(js); err != nil {
+		if err := enc.Encode(s); err != nil {
 			return err
 		}
 	}
@@ -89,59 +74,52 @@ func tid(worker int32) int {
 
 func usec(ns int64) float64 { return float64(ns) / 1e3 }
 
-// spanArgs builds the kind-specific args object shown in Perfetto's detail
-// pane. Readers invert it (see read.go) — keep the two in sync.
+// spanArgs builds the args object shown in Perfetto's detail pane: the
+// connection id and the kind's two annotations, named and rendered as its
+// descriptor says.
 func spanArgs(s Span) map[string]any {
 	a := map[string]any{}
 	if s.Conn != 0 {
 		a["conn"] = s.Conn
 	}
-	switch s.Kind {
-	case KindSYN:
-		a["via"] = Via(s.Arg).String()
-		a["worker"] = s.Arg2
-	case KindDrop:
-		a["via"] = Via(s.Arg).String()
-		a["overflow"] = s.Arg2 != 0
-	case KindNotifyWait:
-		a["probe"] = s.Arg != 0
-	case KindServe:
-		a["probe"] = s.Arg != 0
-		a["latency_ns"] = s.Arg2
-	case KindClose:
-		a["reset"] = s.Arg != 0
-	case KindWakeup:
-		a["events"] = s.Arg
-		a["spurious"] = s.Arg2 != 0
-	case KindSchedule:
-		a["passed"] = s.Arg
-		a["total"] = s.Arg2
-	case KindSelmapSync:
-		a["bits"] = s.Arg
-	case KindFault:
-		a["code"] = s.Arg
-		if s.Arg2 != 0 {
-			a["param"] = s.Arg2
-		}
-	case KindProbe:
-		a["backend"] = s.Arg
-		a["ok"] = s.Arg2 != 0
-	case KindBackendState:
-		a["backend"] = s.Arg
-		a["state"] = s.Arg2
-	}
+	d := s.Kind.Desc()
+	d.Arg.render(a, s.Arg)
+	d.Arg2.render(a, s.Arg2)
 	return a
 }
+
+// render puts annotation value v into args under the slot's name, in the
+// form its type calls for.
+func (d ArgDesc) render(args map[string]any, v int64) {
+	switch d.Type {
+	case ArgNum:
+		args[d.Name] = v
+	case ArgNumIfSet:
+		if v != 0 {
+			args[d.Name] = v
+		}
+	case ArgBool:
+		args[d.Name] = v != 0
+	case ArgVia:
+		args[d.Name] = Via(v).String()
+	}
+}
+
+// chromeHead is the first line of every Chrome trace WriteChrome writes, by
+// which ReadSpans recognises a rendering handed to it as a dump.
+const chromeHead = `{"traceEvents":[`
 
 // WriteChrome writes a Chrome trace-event JSON file loadable in Perfetto:
 // one "thread" per worker plus a kernel thread (tid 0), all under pid 0.
 // Run-to-completion worker spans (serve, epoll_wait) are complete events;
 // connection-scoped waits (accept_queue, notify_wait) overlap freely and go
-// out as async begin/end pairs; everything else is an instant. Timestamps
-// are microseconds (ns/1000), recoverable exactly by rounding.
+// out as async begin/end pairs; everything else is an instant (KindDesc.Phase).
+// Timestamps are microseconds (ns/1000). The file is a rendering, not a dump:
+// ReadSpans does not take it back, so keep the JSONL beside it (`hermesctl
+// spans -chrome` renders one from the other at any time).
 func WriteChrome(w io.Writer, spans []Span, meta Meta) error {
 	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString("{\"traceEvents\":[\n"); err != nil {
+	if _, err := bw.WriteString(chromeHead + "\n"); err != nil {
 		return err
 	}
 	first := true
@@ -183,8 +161,8 @@ func WriteChrome(w io.Writer, spans []Span, meta Meta) error {
 	for _, s := range spans {
 		ev := chromeEvent{Name: s.Kind.String(), Pid: 0, Tid: tid(s.Worker),
 			Ts: usec(s.StartNS), Args: spanArgs(s)}
-		switch s.Kind {
-		case KindAcceptQueue, KindNotifyWait:
+		switch s.Kind.Desc().Phase {
+		case PhaseAsync:
 			ev.Ph, ev.Cat = "b", "conn"
 			if s.Kind == KindAcceptQueue {
 				ev.ID = fmt.Sprintf("c%d", s.Conn)
@@ -192,23 +170,19 @@ func WriteChrome(w io.Writer, spans []Span, meta Meta) error {
 				ev.ID = fmt.Sprintf("c%d.r%d", s.Conn, reqSeq[s.Conn])
 				reqSeq[s.Conn]++
 			}
-			if err := emit(ev); err != nil {
-				return err
-			}
+		case PhaseComplete:
+			d := usec(s.EndNS - s.StartNS)
+			ev.Ph, ev.Dur = "X", &d
+		default: // instants
+			ev.Ph, ev.S = "i", "t"
+		}
+		if err := emit(ev); err != nil {
+			return err
+		}
+		if ev.Ph == "b" {
 			end := chromeEvent{Name: ev.Name, Ph: "e", Ts: usec(s.EndNS),
 				Pid: 0, Tid: ev.Tid, Cat: "conn", ID: ev.ID}
 			if err := emit(end); err != nil {
-				return err
-			}
-		case KindServe, KindWakeup, KindProbe:
-			d := usec(s.EndNS - s.StartNS)
-			ev.Ph, ev.Dur = "X", &d
-			if err := emit(ev); err != nil {
-				return err
-			}
-		default: // instants
-			ev.Ph, ev.S = "i", "t"
-			if err := emit(ev); err != nil {
 				return err
 			}
 		}

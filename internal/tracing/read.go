@@ -6,30 +6,13 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 )
 
-// ReadSpans parses a span dump in either export format (sniffed from the
-// content: a Chrome trace is one object with "traceEvents"; JSONL is a meta
-// line followed by span lines). Spans come back in file order.
+// ReadSpans parses a span dump: JSONL, a meta line followed by span lines
+// (WriteJSONL). Spans come back in file order. A Chrome trace is a rendering
+// of a dump, not a dump; handed one, ReadSpans says so.
 func ReadSpans(r io.Reader) ([]Span, Meta, error) {
-	buf, err := io.ReadAll(r)
-	if err != nil {
-		return nil, Meta{}, err
-	}
-	var chrome struct {
-		TraceEvents []json.RawMessage `json:"traceEvents"`
-		HermesMeta  Meta              `json:"hermesMeta"`
-	}
-	if json.Unmarshal(buf, &chrome) == nil && chrome.TraceEvents != nil {
-		spans, err := readChromeEvents(chrome.TraceEvents)
-		return spans, chrome.HermesMeta, err
-	}
-	return readJSONL(buf)
-}
-
-func readJSONL(buf []byte) ([]Span, Meta, error) {
-	sc := bufio.NewScanner(bytes.NewReader(buf))
+	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<16), 1<<22)
 	var meta Meta
 	var spans []Span
@@ -41,6 +24,9 @@ func readJSONL(buf []byte) ([]Span, Meta, error) {
 		}
 		lineNo++
 		if lineNo == 1 {
+			if bytes.HasPrefix(line, []byte(chromeHead)) {
+				return nil, Meta{}, fmt.Errorf("this is a Chrome trace, a rendering for Perfetto: analyse the .jsonl dump instead (hermes-bench -spans x.jsonl, hermes-lb -trace x.jsonl)")
+			}
 			if err := json.Unmarshal(line, &meta); err != nil {
 				return nil, Meta{}, fmt.Errorf("meta line: %w", err)
 			}
@@ -49,18 +35,14 @@ func readJSONL(buf []byte) ([]Span, Meta, error) {
 			}
 			continue
 		}
-		var js jsonlSpan
-		if err := json.Unmarshal(line, &js); err != nil {
+		s := Span{Kind: NumKinds} // a line must name its kind
+		if err := json.Unmarshal(line, &s); err != nil {
 			return nil, Meta{}, fmt.Errorf("line %d: %w", lineNo, err)
 		}
-		kind, ok := KindFromName(js.Kind)
-		if !ok {
-			return nil, Meta{}, fmt.Errorf("line %d: unknown kind %q", lineNo, js.Kind)
+		if s.Kind == NumKinds {
+			return nil, Meta{}, fmt.Errorf("line %d: span without a kind", lineNo)
 		}
-		spans = append(spans, Span{
-			Conn: js.Conn, Worker: js.Worker, Kind: kind,
-			StartNS: js.StartNS, EndNS: js.EndNS, Arg: js.Arg, Arg2: js.Arg2,
-		})
+		spans = append(spans, s)
 	}
 	if err := sc.Err(); err != nil {
 		return nil, Meta{}, err
@@ -69,128 +51,4 @@ func readJSONL(buf []byte) ([]Span, Meta, error) {
 		return nil, Meta{}, fmt.Errorf("empty span dump")
 	}
 	return spans, meta, nil
-}
-
-// chromeInEvent is the decoded side of chromeEvent.
-type chromeInEvent struct {
-	Name string         `json:"name"`
-	Ph   string         `json:"ph"`
-	Ts   float64        `json:"ts"`
-	Dur  float64        `json:"dur"`
-	Tid  int            `json:"tid"`
-	Cat  string         `json:"cat"`
-	ID   string         `json:"id"`
-	Args map[string]any `json:"args"`
-}
-
-func nsOf(usec float64) int64 { return int64(math.Round(usec * 1e3)) }
-
-func argInt(args map[string]any, key string) int64 {
-	if v, ok := args[key].(float64); ok {
-		return int64(math.Round(v))
-	}
-	return 0
-}
-
-func argBool(args map[string]any, key string) int64 {
-	if v, ok := args[key].(bool); ok && v {
-		return 1
-	}
-	return 0
-}
-
-func argVia(args map[string]any) (int64, error) {
-	name, _ := args["via"].(string)
-	via, ok := ViaFromName(name)
-	if !ok {
-		return 0, fmt.Errorf("unknown via %q", name)
-	}
-	return int64(via), nil
-}
-
-// readChromeEvents reconstructs spans from a Chrome trace we wrote:
-// metadata events are skipped, async begin/end pairs are rejoined by
-// (cat, id, name), and kind-specific args invert spanArgs.
-func readChromeEvents(events []json.RawMessage) ([]Span, error) {
-	var spans []Span
-	open := map[string]Span{} // pending async begins, keyed by id+name
-	for i, raw := range events {
-		var ev chromeInEvent
-		if err := json.Unmarshal(raw, &ev); err != nil {
-			return nil, fmt.Errorf("event %d: %w", i, err)
-		}
-		if ev.Ph == "M" {
-			continue
-		}
-		if ev.Ph == "e" {
-			key := ev.ID + "\x00" + ev.Name
-			s, ok := open[key]
-			if !ok {
-				return nil, fmt.Errorf("event %d: async end %q/%q without begin", i, ev.ID, ev.Name)
-			}
-			delete(open, key)
-			s.EndNS = nsOf(ev.Ts)
-			spans = append(spans, s)
-			continue
-		}
-		kind, ok := KindFromName(ev.Name)
-		if !ok {
-			return nil, fmt.Errorf("event %d: unknown kind %q", i, ev.Name)
-		}
-		s := Span{Kind: kind, Worker: int32(ev.Tid) - 1, StartNS: nsOf(ev.Ts)}
-		if ev.Tid == 0 {
-			s.Worker = KernelTrack
-		}
-		s.Conn = uint64(argInt(ev.Args, "conn"))
-		switch kind {
-		case KindSYN:
-			via, err := argVia(ev.Args)
-			if err != nil {
-				return nil, fmt.Errorf("event %d: %w", i, err)
-			}
-			s.Arg, s.Arg2 = via, argInt(ev.Args, "worker")
-		case KindDrop:
-			via, err := argVia(ev.Args)
-			if err != nil {
-				return nil, fmt.Errorf("event %d: %w", i, err)
-			}
-			s.Arg, s.Arg2 = via, argBool(ev.Args, "overflow")
-		case KindNotifyWait:
-			s.Arg = argBool(ev.Args, "probe")
-		case KindServe:
-			s.Arg, s.Arg2 = argBool(ev.Args, "probe"), argInt(ev.Args, "latency_ns")
-		case KindClose:
-			s.Arg = argBool(ev.Args, "reset")
-		case KindWakeup:
-			s.Arg, s.Arg2 = argInt(ev.Args, "events"), argBool(ev.Args, "spurious")
-		case KindSchedule:
-			s.Arg, s.Arg2 = argInt(ev.Args, "passed"), argInt(ev.Args, "total")
-		case KindSelmapSync:
-			s.Arg = argInt(ev.Args, "bits")
-		case KindFault:
-			s.Arg = argInt(ev.Args, "code")
-			s.Arg2 = argInt(ev.Args, "param")
-		case KindProbe:
-			s.Arg, s.Arg2 = argInt(ev.Args, "backend"), argBool(ev.Args, "ok")
-		case KindBackendState:
-			s.Arg, s.Arg2 = argInt(ev.Args, "backend"), argInt(ev.Args, "state")
-		}
-		switch ev.Ph {
-		case "b":
-			s.EndNS = s.StartNS // completed by the matching "e"
-			open[ev.ID+"\x00"+ev.Name] = s
-		case "X":
-			s.EndNS = s.StartNS + nsOf(ev.Dur)
-			spans = append(spans, s)
-		case "i", "I":
-			s.EndNS = s.StartNS
-			spans = append(spans, s)
-		default:
-			return nil, fmt.Errorf("event %d: unsupported phase %q", i, ev.Ph)
-		}
-	}
-	if len(open) > 0 {
-		return nil, fmt.Errorf("%d async span(s) never ended", len(open))
-	}
-	return spans, nil
 }

@@ -21,7 +21,10 @@
 //     and the loss is counted, never silent.
 package tracing
 
-import "sort"
+import (
+	"fmt"
+	"sort"
+)
 
 // Kind classifies a span or instant event.
 type Kind uint8
@@ -71,28 +74,111 @@ const (
 	KindBackendState
 )
 
-// kindNames are the stable export names (docs/TRACING.md).
-var kindNames = [...]string{
-	"syn", "drop", "accept_queue", "accept", "notify_wait",
-	"serve", "close", "epoll_wait", "schedule", "selmap_sync", "fault",
-	"probe", "backend_state",
+// Track says which tracks a kind may sit on.
+type Track uint8
+
+// Track rules.
+const (
+	OnKernel Track = iota + 1 // the kernel track only
+	OnWorker                  // a worker track only
+	OnEither                  // the affected worker's track, or the kernel's for LB-wide events
+)
+
+// Phase is how a kind is drawn in a Chrome trace.
+type Phase uint8
+
+// Chrome phases.
+const (
+	PhaseInstant  Phase = iota + 1 // a zero-duration marker: one "i" event
+	PhaseComplete                  // run-to-completion work on its track (serve, epoll_wait): one "X" event
+	PhaseAsync                     // a connection-scoped wait that may overlap its neighbours: a "b"/"e" pair
+)
+
+// ArgType is how one of a span's two annotations is rendered and checked.
+type ArgType uint8
+
+// Argument types. ArgNone is an unused slot.
+const (
+	ArgNone     ArgType = iota
+	ArgNum              // a plain number
+	ArgNumIfSet         // a number, left out of the rendering when 0
+	ArgBool             // 0 or 1, rendered false/true
+	ArgVia              // a Via code, rendered by name
+)
+
+// ArgDesc names and types one annotation slot (Span.Arg or Span.Arg2).
+type ArgDesc struct {
+	Name string
+	Type ArgType
 }
 
-func (k Kind) String() string {
-	if int(k) < len(kindNames) {
-		return kindNames[k]
+// Holds reports whether v is a value the slot can carry: a Via slot holds
+// only the known steering paths, any other slot any number.
+func (d ArgDesc) Holds(v int64) bool {
+	return d.Type != ArgVia || (v >= 0 && v < int64(len(viaNames)))
+}
+
+// KindDesc is everything that differs between span kinds. The export name,
+// the Chrome rendering and `hermesctl check spans` all read it here, and
+// docs/TRACING.md's kind table is pinned to it by test.
+type KindDesc struct {
+	// Name is the stable export name.
+	Name string
+	// Track is the track rule.
+	Track Track
+	// ConnScoped kinds belong to one connection's chain and must carry its
+	// id; the others may have Conn 0.
+	ConnScoped bool
+	// Phase is the Chrome rendering.
+	Phase Phase
+	// Arg and Arg2 describe the two annotation slots.
+	Arg, Arg2 ArgDesc
+}
+
+// kinds is the one per-kind table, indexed by Kind.
+var kinds = [...]KindDesc{
+	KindSYN:          {"syn", OnKernel, true, PhaseInstant, ArgDesc{"via", ArgVia}, ArgDesc{"worker", ArgNum}},
+	KindDrop:         {"drop", OnKernel, false, PhaseInstant, ArgDesc{"via", ArgVia}, ArgDesc{"overflow", ArgBool}},
+	KindAcceptQueue:  {"accept_queue", OnWorker, true, PhaseAsync, ArgDesc{}, ArgDesc{}},
+	KindAccept:       {"accept", OnWorker, true, PhaseInstant, ArgDesc{}, ArgDesc{}},
+	KindNotifyWait:   {"notify_wait", OnWorker, true, PhaseAsync, ArgDesc{"probe", ArgBool}, ArgDesc{}},
+	KindServe:        {"serve", OnWorker, true, PhaseComplete, ArgDesc{"probe", ArgBool}, ArgDesc{"latency_ns", ArgNum}},
+	KindClose:        {"close", OnWorker, true, PhaseInstant, ArgDesc{"reset", ArgBool}, ArgDesc{}},
+	KindWakeup:       {"epoll_wait", OnWorker, false, PhaseComplete, ArgDesc{"events", ArgNum}, ArgDesc{"spurious", ArgBool}},
+	KindSchedule:     {"schedule", OnWorker, false, PhaseInstant, ArgDesc{"passed", ArgNum}, ArgDesc{"total", ArgNum}},
+	KindSelmapSync:   {"selmap_sync", OnKernel, false, PhaseInstant, ArgDesc{"bits", ArgNum}, ArgDesc{}},
+	KindFault:        {"fault", OnEither, false, PhaseInstant, ArgDesc{"code", ArgNum}, ArgDesc{"param", ArgNumIfSet}},
+	KindProbe:        {"probe", OnKernel, false, PhaseComplete, ArgDesc{"backend", ArgNum}, ArgDesc{"ok", ArgBool}},
+	KindBackendState: {"backend_state", OnKernel, false, PhaseInstant, ArgDesc{"backend", ArgNum}, ArgDesc{"state", ArgNum}},
+}
+
+// NumKinds is the number of span kinds; every Kind below it has a descriptor.
+const NumKinds = Kind(len(kinds))
+
+// Desc returns the kind's descriptor (Name "unknown" and nothing else for a
+// Kind past NumKinds).
+func (k Kind) Desc() KindDesc {
+	if k < NumKinds {
+		return kinds[k]
 	}
-	return "unknown"
+	return KindDesc{Name: "unknown"}
 }
 
-// KindFromName inverts String (dump readers). ok=false for unknown names.
-func KindFromName(name string) (Kind, bool) {
-	for i, n := range kindNames {
-		if n == name {
-			return Kind(i), true
+func (k Kind) String() string { return k.Desc().Name }
+
+// MarshalText and UnmarshalText carry a Kind by its export name, which makes
+// a Span its own line of a JSONL dump (WriteJSONL, ReadSpans).
+func (k Kind) MarshalText() ([]byte, error) { return []byte(k.String()), nil }
+
+// UnmarshalText inverts String; an unknown name is an error.
+func (k *Kind) UnmarshalText(name []byte) error {
+	for i := range kinds {
+		if kinds[i].Name == string(name) {
+			*k = Kind(i)
+			return nil
 		}
 	}
-	return 0, false
+	return fmt.Errorf("unknown kind %q", name)
 }
 
 // Via is the steering path that chose a connection's socket at SYN time.
@@ -122,36 +208,27 @@ func (v Via) String() string {
 	return "unknown"
 }
 
-// ViaFromName inverts String. ok=false for unknown names.
-func ViaFromName(name string) (Via, bool) {
-	for i, n := range viaNames {
-		if n == name {
-			return Via(i), true
-		}
-	}
-	return 0, false
-}
-
 // KernelTrack is the Worker value of events on the kernel track.
 const KernelTrack int32 = -1
 
 // Span is one recorded event. Instants have StartNS == EndNS. Arg/Arg2 are
 // kind-specific (see the Kind constants); fixed fields keep recording
-// allocation-light and dumps byte-deterministic.
+// allocation-light and dumps byte-deterministic. Its JSON form is the
+// one-line-per-span schema of a JSONL dump (docs/TRACING.md).
 type Span struct {
 	// Conn is the connection this span belongs to (0 for global events:
 	// wakeups, schedule passes, selmap syncs).
-	Conn uint64
+	Conn uint64 `json:"conn"`
 	// Worker is the track: a worker id, or KernelTrack.
-	Worker int32
+	Worker int32 `json:"worker"`
 	// Kind classifies the span.
-	Kind Kind
+	Kind Kind `json:"kind"`
 	// StartNS / EndNS are the span bounds in virtual (or wall) nanoseconds.
-	StartNS int64
-	EndNS   int64
+	StartNS int64 `json:"start_ns"`
+	EndNS   int64 `json:"end_ns"`
 	// Arg / Arg2 are kind-specific annotations.
-	Arg  int64
-	Arg2 int64
+	Arg  int64 `json:"arg"`
+	Arg2 int64 `json:"arg2"`
 }
 
 // Instant reports whether the span is a zero-duration event.

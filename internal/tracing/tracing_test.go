@@ -3,7 +3,10 @@ package tracing
 import (
 	"bytes"
 	"encoding/json"
+	"os"
 	"reflect"
+	"regexp"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -179,23 +182,25 @@ func TestDisabledHooksZeroAlloc(t *testing.T) {
 	}
 }
 
-func roundTrip(t *testing.T, write func(*bytes.Buffer, []Span, Meta) error) {
-	t.Helper()
+// mixedSpans records one span of most kinds: a drop, a full connection, a
+// schedule pass, a selmap sync and a wakeup.
+func mixedSpans() ([]Span, Meta) {
 	tr := New(DefaultConfig())
 	k, w := tr.KernelTrace(), tr.WorkerTrace(1)
 	k.ConnDropped(50, ViaHash, false)
 	recordConn(k, w, 7, 1000, 300)
-	// A second request on the same conn would overlap — exercise async ids.
 	tr.ScheduleTrace().Pass(1, 2500, 3, 4)
 	tr.MapTrace(func() int64 { return 2600 }).Sync(5)
 	w2 := tr.WorkerTrace(0)
 	w2.Wakeup(2700, 2800, 0, false)
 	tr.Flush()
-	want := tr.Spans()
-	meta := MetaFor("cellA", tr.Stats())
+	return tr.Spans(), MetaFor("cellA", tr.Stats())
+}
 
+func TestJSONLRoundTrip(t *testing.T) {
+	want, meta := mixedSpans()
 	var buf bytes.Buffer
-	if err := write(&buf, want, meta); err != nil {
+	if err := WriteJSONL(&buf, want, meta); err != nil {
 		t.Fatal(err)
 	}
 	got, gotMeta, err := ReadSpans(&buf)
@@ -205,21 +210,82 @@ func roundTrip(t *testing.T, write func(*bytes.Buffer, []Span, Meta) error) {
 	if gotMeta != meta {
 		t.Errorf("meta = %+v, want %+v", gotMeta, meta)
 	}
-	// Chrome async pairs complete at the "e" event, so file order differs;
-	// compare under the canonical sort.
-	SortSpans(got)
-	SortSpans(want)
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("round trip mismatch:\n got %+v\nwant %+v", got, want)
 	}
 }
 
-func TestJSONLRoundTrip(t *testing.T) {
-	roundTrip(t, func(b *bytes.Buffer, s []Span, m Meta) error { return WriteJSONL(b, s, m) })
+// A Chrome trace is a rendering, not a dump: handed one, the reader says so
+// and names the fix instead of guessing at spans.
+func TestReadSpansRefusesChrome(t *testing.T) {
+	spans, meta := mixedSpans()
+	var buf bytes.Buffer
+	if err := WriteChrome(&buf, spans, meta); err != nil {
+		t.Fatal(err)
+	}
+	got, _, err := ReadSpans(&buf)
+	if err == nil || got != nil {
+		t.Fatalf("ReadSpans(chrome) = %d spans, err %v; want an error", len(got), err)
+	}
+	for _, want := range []string{"Chrome trace", ".jsonl"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not mention %q", err, want)
+		}
+	}
 }
 
-func TestChromeRoundTrip(t *testing.T) {
-	roundTrip(t, func(b *bytes.Buffer, s []Span, m Meta) error { return WriteChrome(b, s, m) })
+// The per-kind table is the only per-kind knowledge in the tree: every Kind
+// has a complete descriptor, and docs/TRACING.md's kind table lists exactly
+// the table's names.
+func TestKindTableCompleteAndDocumented(t *testing.T) {
+	names := map[string]bool{}
+	for k := Kind(0); k < NumKinds; k++ {
+		d := k.Desc()
+		if d.Name == "" || d.Name == "unknown" || d.Track == 0 || d.Phase == 0 {
+			t.Errorf("kind %d has an incomplete descriptor: %+v", k, d)
+		}
+		for _, a := range []ArgDesc{d.Arg, d.Arg2} {
+			if (a.Name == "") != (a.Type == ArgNone) {
+				t.Errorf("%s: argument %+v is half described", d.Name, a)
+			}
+		}
+		if d.ConnScoped && d.Track == OnEither {
+			t.Errorf("%s: a connection-scoped kind sits on one kind of track", d.Name)
+		}
+		var back Kind
+		if err := back.UnmarshalText([]byte(d.Name)); err != nil || back != k || names[d.Name] {
+			t.Errorf("%s: name does not invert to kind %d (%v)", d.Name, k, err)
+		}
+		names[d.Name] = true
+	}
+	if d := NumKinds.Desc(); d != (KindDesc{Name: "unknown"}) {
+		t.Errorf("kind past the table = %+v", d)
+	}
+
+	doc, err := os.ReadFile("../../docs/TRACING.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, schema, ok := strings.Cut(string(doc), "\n## Span schema\n")
+	if !ok {
+		t.Fatal("docs/TRACING.md has no \"## Span schema\" section")
+	}
+	schema, _, _ = strings.Cut(schema, "\n## ")
+	documented := map[string]bool{}
+	for _, m := range regexp.MustCompile("(?m)^\\| `([a-z_]+)` \\|").FindAllStringSubmatch(schema, -1) {
+		if documented[m[1]] {
+			t.Errorf("docs/TRACING.md lists %s twice", m[1])
+		}
+		documented[m[1]] = true
+		if !names[m[1]] {
+			t.Errorf("docs/TRACING.md lists %s, which is not a span kind", m[1])
+		}
+	}
+	for name := range names {
+		if !documented[name] {
+			t.Errorf("span kind %s has no row in docs/TRACING.md", name)
+		}
+	}
 }
 
 func TestChromeIsValidJSON(t *testing.T) {

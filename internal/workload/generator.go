@@ -28,9 +28,8 @@ type Generator struct {
 	RequestsSent uint64
 	// LiveConns tracks currently open generated connections.
 	LiveConns int
-	// PortConns / PortRequests break arrivals down by tenant port.
-	PortConns    map[uint16]uint64
-	PortRequests map[uint16]uint64
+	// PortConns breaks accepted connections down by tenant port.
+	PortConns map[uint16]uint64
 
 	// Free lists for the arrival-chain and request-train state objects.
 	// Each carries its own pre-bound timer callback, so the open-loop
@@ -69,11 +68,10 @@ func NewGenerator(lb *l7lb.LB, spec Spec) (*Generator, error) {
 		return nil, err
 	}
 	return &Generator{
-		lb:           lb,
-		spec:         spec,
-		rng:          lb.Eng.Rand(),
-		PortConns:    make(map[uint16]uint64),
-		PortRequests: make(map[uint16]uint64),
+		lb:        lb,
+		spec:      spec,
+		rng:       lb.Eng.Rand(),
+		PortConns: make(map[uint16]uint64),
 	}, nil
 }
 
@@ -196,7 +194,6 @@ func (t *reqTrain) run() {
 	}
 	last := t.idx == t.total
 	g.RequestsSent++
-	g.PortRequests[t.port]++
 	g.lb.Deliver(conn, l7lb.Work{
 		ArrivalNS: g.lb.Eng.Now(),
 		Cost:      time.Duration(g.spec.CostNS.Sample(g.rng)),
