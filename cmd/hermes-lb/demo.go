@@ -15,8 +15,8 @@ import (
 	"hermes/internal/tracing"
 )
 
-// runDemo spins up two trivial backends, the proxy, and a client fleet, with
-// one worker poisoned halfway through to show the bitmap steering around it.
+// runDemo spins up two stub origins, the proxy, and a client fleet, with one
+// worker poisoned halfway through to show the bitmap steering around it.
 func runDemo(cfg proxy.Config, requests int, statsEvery time.Duration, tracer *tracing.Tracer, tracePath string, sched faults.Schedule) int {
 	backendAddrs := make([]string, 2)
 	for i := range backendAddrs {
@@ -24,26 +24,9 @@ func runDemo(cfg proxy.Config, requests int, statsEvery time.Duration, tracer *t
 		if err != nil {
 			panic(err)
 		}
+		defer ln.Close()
 		backendAddrs[i] = ln.Addr().String()
-		id := i
-		go func() {
-			for {
-				c, err := ln.Accept()
-				if err != nil {
-					return
-				}
-				go func(c net.Conn) {
-					defer c.Close()
-					buf := make([]byte, 32<<10)
-					n, _ := c.Read(buf)
-					if _, _, err := httpx.ParseRequest(buf[:n]); err != nil {
-						return
-					}
-					resp := httpx.Response{Status: 200, Body: []byte(fmt.Sprintf("hello from backend %d", id))}
-					_, _ = c.Write(resp.Append(nil))
-				}(c)
-			}
-		}()
+		go serveStub(ln)
 	}
 
 	cfg.Listen = "127.0.0.1:0"

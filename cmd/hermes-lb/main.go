@@ -38,7 +38,7 @@ func run() int {
 		backends     = flag.String("backends", "", "comma-separated backend addresses, each optionally addr*weight")
 		workers      = flag.Int("workers", 0, "worker goroutines (1-64)")
 		policy       = flag.String("policy", "", "backend policy: round-robin | weighted | least-connections")
-		admin        = flag.String("admin", "", "admin address serving the REST API (/healthz /backends /stats /circuits /metrics /slo /policy /status)")
+		admin        = flag.String("admin", "", "admin address serving the REST API (/healthz /backends /slo /policy /status; every number: /stats as JSON, /metrics as OpenMetrics)")
 		debugAddr    = flag.String("debug-addr", "", "serve net/http/pprof on this address (off unless set; bind to localhost)")
 		sloSpec      = flag.String("slo", "", "SLO objectives (\"latency<=250ms@99%;errors@99.9%;page=10x/10s+1m;warn=2x/1m+5m\"); \"off\" disables the monitor")
 		drainTimeout = flag.Duration("drain-timeout", 0, "graceful-shutdown drain deadline")
@@ -226,9 +226,8 @@ func writeTrace(path string, tr *tracing.Tracer) error {
 	return err
 }
 
-// runStubBackend serves a trivial HTTP/1.1 upstream: 200 to everything
-// (including health probes), body naming the instance — enough to smoke-test
-// the proxy without a second binary.
+// runStubBackend is -serve-backend: the stub origin on addr until
+// interrupted — enough to smoke-test the proxy without a second binary.
 func runStubBackend(addr string) int {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -242,10 +241,19 @@ func runStubBackend(addr string) int {
 		<-sig
 		ln.Close()
 	}()
+	serveStub(ln)
+	return 0
+}
+
+// serveStub is the one stub origin (-serve-backend, and -demo's backends): a
+// trivial HTTP/1.1 upstream answering 200 to everything (including health
+// probes) with a body naming the instance, keep-alive honoured. It returns
+// when ln is closed.
+func serveStub(ln net.Listener) {
 	for {
 		c, err := ln.Accept()
 		if err != nil {
-			return 0
+			return
 		}
 		go func(c net.Conn) {
 			defer c.Close()

@@ -7,9 +7,47 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
-	"sync/atomic"
 	"testing"
+	"time"
+
+	"hermes/internal/telemetry"
 )
+
+// stubRows is a registry holding the rows hermesctl reads, under the names
+// and kinds internal/proxy registers them with; served as GET /stats it is
+// what a live proxy answers.
+type stubRows struct {
+	reg                    *telemetry.Registry
+	served                 *telemetry.CounterVec
+	latency                *telemetry.Histogram
+	errs, unavail, retries *telemetry.Counter
+}
+
+func newStubRows(workers int) *stubRows {
+	reg := telemetry.NewRegistry()
+	m := func(name string) telemetry.Metric { return telemetry.Metric{Name: name, Layer: "proxy"} }
+	return &stubRows{
+		reg:     reg,
+		served:  reg.CounterVec(m(rowServed), workers),
+		latency: reg.Histogram(m(rowLatency), telemetry.DurationBuckets()),
+		errs:    reg.Counter(m("proxy.upstream_errors")),
+		unavail: reg.Counter(m("proxy.unavailable")),
+		retries: reg.Counter(m("proxy.retry.attempts")),
+	}
+}
+
+// request records n requests of the given latency on worker w.
+func (r *stubRows) request(w, n int, latency time.Duration) {
+	r.served.At(w).Add(uint64(n))
+	for i := 0; i < n; i++ {
+		r.latency.Observe(int64(latency))
+	}
+}
+
+func (r *stubRows) serveStats(w http.ResponseWriter, _ *http.Request) {
+	w.Header().Set("Content-Type", "application/json")
+	_ = r.reg.Snapshot().WriteJSON(w)
+}
 
 // stubAdmin serves canned admin-API responses for golden tests.
 func stubAdmin(t *testing.T) string {
@@ -22,21 +60,23 @@ func stubAdmin(t *testing.T) string {
 			_, _ = w.Write([]byte(body))
 		})
 	}
-	serve("/healthz", 200, `{"status":"degraded","backends":2,"available":1,"workers":4,"uptime_sec":61}`)
+	serve("/healthz", 200, `{"status":"degraded","policy":"weighted","backends":2,"available":1,"workers":4,"uptime_sec":61}`)
 	serve("/backends", 200, `[
   {"index":0,"address":"127.0.0.1:9001","weight":3,"healthy":true,"active":2,"requests":120,"errors":1,"last_probe_ok":true,"circuit":{"state":"closed","consecutive_fails":0,"opens":0,"half_opens":0,"closes":0}},
   {"index":1,"address":"127.0.0.1:9002","weight":1,"healthy":false,"down_reason":"active","active":0,"requests":40,"errors":9,"last_probe_ok":false,"circuit":{"state":"open","consecutive_fails":5,"opens":1,"half_opens":0,"closes":0,"open_for_ms":2500}}
 ]`)
-	serve("/stats", 200, `{"uptime_sec":61.5,"policy":"weighted","workers":4,"served":160,"errors":2,"unavailable":1,
-  "latency_p50_ms":1.25,"latency_p99_ms":9.5,
-  "retry_attempts":12,"retry_recovered":10,"retry_exhausted":2,
-  "circuit_rejections":7,"health_probes":60,"health_transitions":2,
-  "worker_handled":[40,41,39,40],
-  "scheduler":{"schedule_calls":500,"syncs":480,"batched":20,"avg_passed":3.5,"empty_sets":0,"selection_bitmap":11,"available_mask":15}}`)
-	serve("/circuits", 200, `{
-  "127.0.0.1:9002":{"state":"open","consecutive_fails":5,"opens":1,"half_opens":0,"closes":0,"open_for_ms":2500},
-  "127.0.0.1:9001":{"state":"closed","consecutive_fails":0,"opens":0,"half_opens":0,"closes":0}
-}`)
+	rows := newStubRows(4)
+	for w, n := range []int{40, 41, 39, 40} {
+		rows.request(w, n, time.Millisecond)
+	}
+	rows.errs.Add(2)
+	rows.retries.Add(12)
+	rows.reg.Counter(telemetry.Metric{Name: "core.schedule.recomputes", Layer: "core", Unit: "passes"}).Add(500)
+	rows.reg.Gauge(telemetry.Metric{Name: "slo.state", Layer: "slo"}).Set(1)
+	mux.HandleFunc("/stats", rows.serveStats)
+	serve("/status", 200, `{"stats":{"ScheduleCalls":500,"Syncs":480,"Batched":20,"AvgAlive":4,"AvgPassed":3.5,"EmptySets":0},
+  "selection":["`+strings.Repeat("0", 60)+`1011"],"available_mask":["`+strings.Repeat("0", 60)+`1111"],
+  "workers":[{"worker":0},{"worker":1},{"worker":2},{"worker":3}]}`)
 	srv := httptest.NewServer(mux)
 	t.Cleanup(srv.Close)
 	return strings.TrimPrefix(srv.URL, "http://")
@@ -53,6 +93,7 @@ func TestStatusText(t *testing.T) {
 	addr := stubAdmin(t)
 	out, _, code := runCtl(t, "-admin", addr, "status")
 	want := `status:    degraded
+policy:    weighted
 backends:  1/2 available
 workers:   4
 uptime:    1m1s
@@ -94,19 +135,23 @@ func TestStatsText(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("exit = %d", code)
 	}
+	// The proxy.* and core.* rows as Snapshot.Text prints them, then the
+	// scheduler's state from /status.
 	for _, want := range []string{
-		"policy:              weighted",
-		"served:              160",
-		"latency p50/p99:     1.25ms / 9.50ms",
-		"retries:             12 attempted, 10 recovered, 2 exhausted",
-		"circuit rejections:  7",
-		"worker handled:      [40 41 39 40]",
+		"proxy.worker.requests_served       counter_vec total=160 per-slot=[40 41 39 40]",
+		"proxy.request_latency_ns           histogram   n=160",
+		"proxy.upstream_errors              counter     2",
+		"proxy.retry.attempts               counter     12",
+		"core.schedule.recomputes           counter     500 passes",
 		"500 passes, 480 syncs (20 batched), avg 3.5 selected, 0 empty",
 		"selection bitmap:    1011 (available mask 1111)",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("stats output missing %q:\n%s", want, out)
 		}
+	}
+	if strings.Contains(out, "slo.state") {
+		t.Errorf("stats prints rows of other layers:\n%s", out)
 	}
 }
 
@@ -119,7 +164,7 @@ func TestCircuitsTextSorted(t *testing.T) {
 	i1 := strings.Index(out, "127.0.0.1:9001")
 	i2 := strings.Index(out, "127.0.0.1:9002")
 	if i1 < 0 || i2 < 0 || i1 > i2 {
-		t.Errorf("circuits not sorted by address:\n%s", out)
+		t.Errorf("circuits not in /backends order:\n%s", out)
 	}
 	if !strings.Contains(out, "2.5s") {
 		t.Errorf("open-for rendering missing:\n%s", out)
@@ -227,16 +272,16 @@ func TestStatusShowsSLO(t *testing.T) {
 	}
 }
 
-// TestWatch drives the watch loop against a stub whose counters advance on
-// every /stats poll, checking per-interval rates (not cumulative totals).
+// TestWatch drives the watch loop against a stub whose rows advance on
+// every /stats poll, checking per-interval rates and windowed quantiles (not
+// cumulative ones).
 func TestWatch(t *testing.T) {
-	var served atomic.Uint64
-	served.Store(100)
+	rows := newStubRows(1)
+	rows.request(0, 1000, 50*time.Millisecond) // history the windows must not see
 	mux := http.NewServeMux()
 	mux.HandleFunc("/stats", func(w http.ResponseWriter, r *http.Request) {
-		s := served.Add(50) // +50 per interval
-		fmt.Fprintf(w, `{"served":%d,"errors":0,"unavailable":0,"retry_attempts":0,
-  "latency_p50_ms":1.25,"latency_p99_ms":9.5,"worker_handled":[1],"scheduler":{}}`, s)
+		rows.request(0, 50, time.Millisecond) // +50 fast requests per interval
+		rows.serveStats(w, r)
 	})
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		_, _ = w.Write([]byte(`{"status":"ok","backends":1,"available":1,"workers":1,"slo":"ok"}`))
@@ -257,8 +302,15 @@ func TestWatch(t *testing.T) {
 		t.Errorf("header = %q", lines[0])
 	}
 	for _, row := range lines[1:] {
-		if !strings.Contains(row, "ok") || !strings.Contains(row, "1.25") || !strings.Contains(row, "9.50") {
-			t.Errorf("row = %q", row)
+		f := strings.Fields(row)
+		if len(f) != 9 || f[1] != "ok" || f[2] != "ok" {
+			t.Fatalf("row = %q", row)
+		}
+		var p50, p99 float64
+		fmt.Sscan(f[7], &p50)
+		fmt.Sscan(f[8], &p99)
+		if p50 <= 0 || p50 > 2 || p99 <= 0 || p99 > 2 {
+			t.Errorf("row = %q: p50/p99 should be the interval's ≈ 1 ms, not the history's 50 ms", row)
 		}
 	}
 
@@ -272,15 +324,11 @@ func TestWatch(t *testing.T) {
 		t.Fatalf("json lines = %d:\n%s", len(jlines), out)
 	}
 	for _, l := range jlines {
-		var row struct {
-			Status    string  `json:"status"`
-			SLO       string  `json:"slo"`
-			ReqPerSec float64 `json:"req_per_sec"`
-		}
+		var row watchRow
 		if err := json.Unmarshal([]byte(l), &row); err != nil {
 			t.Fatalf("bad json row %q: %v", l, err)
 		}
-		if row.Status != "ok" || row.SLO != "ok" || row.ReqPerSec <= 0 {
+		if row.Status != "ok" || row.SLO != "ok" || row.ReqPerSec <= 0 || row.UnixNS == 0 || row.P99MS == nil {
 			t.Errorf("json row = %+v", row)
 		}
 	}

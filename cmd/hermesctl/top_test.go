@@ -2,43 +2,28 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
-// stubTopAdmin serves a minimal admin plane whose counters advance on every
-// /metrics scrape, so two polls produce non-zero rates.
-func stubTopAdmin(t *testing.T) string {
+// stubTopAdmin serves a minimal admin plane. before runs ahead of every
+// /stats poll, so a test decides what each interval holds.
+func stubTopAdmin(t *testing.T, rows *stubRows, before func(poll int)) string {
 	t.Helper()
 	var polls atomic.Int64
 	mux := http.NewServeMux()
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		n := polls.Add(1) * 100
-		w.Header().Set("Content-Type", "application/openmetrics-text; version=1.0.0; charset=utf-8")
-		fmt.Fprintf(w, `# HELP hermes_proxy_worker_requests_served proxy-layer counter_vec (reqs)
-# TYPE hermes_proxy_worker_requests_served counter
-hermes_proxy_worker_requests_served_total{slot="0"} %d
-hermes_proxy_worker_requests_served_total{slot="1"} %d
-# HELP hermes_proxy_request_latency_ns proxy-layer histogram (ns)
-# TYPE hermes_proxy_request_latency_ns histogram
-hermes_proxy_request_latency_ns_bucket{le="1048576"} %d
-hermes_proxy_request_latency_ns_bucket{le="16777216"} %d
-hermes_proxy_request_latency_ns_bucket{le="+Inf"} %d
-hermes_proxy_request_latency_ns_sum %d
-hermes_proxy_request_latency_ns_count %d
-# HELP hermes_proxy_upstream_errors proxy-layer counter (errors)
-# TYPE hermes_proxy_upstream_errors counter
-hermes_proxy_upstream_errors_total %d
-# HELP hermes_proxy_backend_healthy proxy-layer gauge_vec (bool)
-# TYPE hermes_proxy_backend_healthy gauge
-hermes_proxy_backend_healthy{slot="0"} 1
-hermes_proxy_backend_healthy{slot="1"} 0
-# EOF
-`, n, n*2, n, 2*n, 2*n, 1000*n, 2*n, n/100)
+	mux.HandleFunc("/stats", func(w http.ResponseWriter, r *http.Request) {
+		before(int(polls.Add(1)))
+		rows.serveStats(w, r)
+	})
+	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
+		_, _ = w.Write([]byte(`{"status":"ok","backends":2,"available":1,"workers":2}`))
 	})
 	mux.HandleFunc("/slo", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
@@ -61,9 +46,14 @@ hermes_proxy_backend_healthy{slot="1"} 0
 }
 
 // TestTopOnceFrame drives `top -once` end to end against the stub: two
-// scrapes, one frame, every dashboard section present.
+// polls, one frame, every dashboard section present.
 func TestTopOnceFrame(t *testing.T) {
-	addr := stubTopAdmin(t)
+	rows := newStubRows(2)
+	addr := stubTopAdmin(t, rows, func(int) {
+		rows.request(0, 100, time.Millisecond)
+		rows.request(1, 200, 10*time.Millisecond)
+		rows.errs.Inc()
+	})
 	var out, errW bytes.Buffer
 	code := run([]string{"-admin", addr, "-interval", "20ms", "-once", "top"}, &out, &errW)
 	if code != 0 {
@@ -73,7 +63,7 @@ func TestTopOnceFrame(t *testing.T) {
 	for _, want := range []string{
 		"hermesctl top — " + addr,
 		"slo: warn",
-		"requests ", "errors ", "p50 ", "p99 ",
+		"requests ", "errors ", "p50 ", "p99 ", "ms",
 		"burn ×budget",
 		"WORKER", "w0", "w1",
 		"BACKEND", "127.0.0.1:9001", "closed",
@@ -112,6 +102,64 @@ func TestSparkline(t *testing.T) {
 	// visible window.
 	if got := sparkline([]float64{9, 9, 1, 0}, 2); got != "█▁" {
 		t.Errorf("window = %q, want %q", got, "█▁")
+	}
+}
+
+// TestWatchAndTopAgree: one interval read by both commands — 200 fast
+// requests and 4 errors on top of a slow history — prints the same numbers.
+// The quantiles are the interval's in both (watch once printed the cumulative
+// ones under the same heading), and errors per request is 4/200 in both
+// whatever each run's wall-clock interval came to.
+func TestWatchAndTopAgree(t *testing.T) {
+	interval := func(poll int, rows *stubRows) {
+		if poll == 1 {
+			rows.request(0, 1000, 50*time.Millisecond) // before the window
+			return
+		}
+		rows.request(0, 120, time.Millisecond)
+		rows.request(1, 76, 3*time.Millisecond)
+		rows.request(1, 4, 10*time.Millisecond)
+		rows.errs.Add(4)
+	}
+	rowsW, rowsT := newStubRows(2), newStubRows(2)
+	addrW := stubTopAdmin(t, rowsW, func(poll int) { interval(poll, rowsW) })
+	addrT := stubTopAdmin(t, rowsT, func(poll int) { interval(poll, rowsT) })
+
+	out, errS, code := runCtl(t, "-admin", addrW, "-json", "-interval", "20ms", "-count", "1", "watch")
+	if code != 0 {
+		t.Fatalf("watch exit = %d: %s", code, errS)
+	}
+	var row watchRow
+	if err := json.Unmarshal([]byte(out), &row); err != nil {
+		t.Fatalf("watch row %q: %v", out, err)
+	}
+	frame, errS, code := runCtl(t, "-admin", addrT, "-interval", "20ms", "-once", "top")
+	if code != 0 {
+		t.Fatalf("top exit = %d: %s", code, errS)
+	}
+	var req, errs, unavail float64
+	var p50, p99 string
+	totals := strings.Split(frame, "\n")[1]
+	if _, err := fmt.Sscanf(totals, "requests %f/s errors %f/s 503s %f/s p50 %s p99 %s", &req, &errs, &unavail, &p50, &p99); err != nil {
+		t.Fatalf("top totals line %q: %v", totals, err)
+	}
+
+	if row.P50MS == nil || row.P99MS == nil {
+		t.Fatalf("watch row has no quantiles: %s", out)
+	}
+	if w50, w99 := ms(row.P50MS, "ms"), ms(row.P99MS, "ms"); w50 != p50 || w99 != p99 {
+		t.Errorf("watch p50/p99 = %s/%s, top = %s/%s over the same interval", w50, w99, p50, p99)
+	}
+	if *row.P50MS > 2 || *row.P99MS < 8 || *row.P99MS > 17 {
+		t.Errorf("p50/p99 = %.2f/%.2f ms: want the interval's (≈ 1 and ≈ 10), not the history's 50", *row.P50MS, *row.P99MS)
+	}
+	for name, r := range map[string]float64{"watch": row.ErrPerSec / row.ReqPerSec, "top": errs / req} {
+		if r < 0.0195 || r > 0.0205 {
+			t.Errorf("%s: err/s ÷ req/s = %.4f, want 4/200", name, r)
+		}
+	}
+	if unavail != 0 || row.UnavailPerSec != 0 {
+		t.Errorf("503s: top %.1f/s, watch %.1f/s, want none", unavail, row.UnavailPerSec)
 	}
 }
 

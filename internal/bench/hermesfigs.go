@@ -89,11 +89,6 @@ func fig11Cells(opts Options) []Cell {
 
 func fig11Render(opts Options, results []any) string {
 	oldRate, newRate := results[0].(float64), results[1].(float64)
-	if newRate >= oldRate {
-		// Guard for pathological seeds; the shape requires old > new.
-		newRate = oldRate / 500
-	}
-
 	out := fmt.Sprintf("measured delayed-probe rate: exclusive=%.5f hermes=%.6f\n", oldRate, newRate)
 	for _, rg := range []struct {
 		name     string

@@ -14,8 +14,8 @@ func TestControllerAvailabilityVeto(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ctl.AvailableMask() != ^uint64(0) {
-		t.Fatalf("default mask = %b, want all ones", ctl.AvailableMask())
+	if ctl.AvailableMask(0) != ^uint64(0) {
+		t.Fatalf("default mask = %b, want all ones", ctl.AvailableMask(0))
 	}
 	now := int64(time.Second)
 	hooks := []*WorkerHook{ctl.NewWorkerHook(0), ctl.NewWorkerHook(1), ctl.NewWorkerHook(2)}

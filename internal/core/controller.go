@@ -175,9 +175,9 @@ func (c *Controller) SetWorkerAvailable(id int, ok bool) error {
 	}
 }
 
-// AvailableMask returns group 0's availability veto mask (bit i set = worker
-// i eligible) — the whole fleet's when it fits one group.
-func (c *Controller) AvailableMask() uint64 { return c.groups[0].avail.Load() }
+// AvailableMask returns group gi's availability veto mask (bit i set = the
+// group's worker i eligible).
+func (c *Controller) AvailableMask(gi int) uint64 { return c.groups[gi].avail.Load() }
 
 // SetFilterOrder overrides the filter cascade (ablations, live policy).
 func (c *Controller) SetFilterOrder(o FilterOrder) {

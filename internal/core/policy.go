@@ -84,8 +84,9 @@ func ApplyPolicy(c *Controller, p Policy) error {
 //
 //	GET  /policy  → current policy JSON
 //	PUT  /policy  ← policy JSON (validated; atomic swap)
-//	GET  /status  → scheduling statistics, every group's selection word
-//	                (group order) and live worker metrics (global id order)
+//	GET  /status  → scheduling statistics, every group's selection word and
+//	                availability veto mask (group order) and live worker
+//	                metrics (global id order)
 //
 // Mount it on any mux; it performs no authentication (production would sit
 // behind the control-plane's).
@@ -127,14 +128,16 @@ func PolicyHandler(c *Controller) http.Handler {
 		for i, m := range snap {
 			ws[i] = workerStatus{Worker: i, LoopEnterNS: m.LoopEnterNS, Busy: m.Busy, Conn: m.Conn}
 		}
-		sel := make([]string, c.Groups())
+		sel, avail := make([]string, c.Groups()), make([]string, c.Groups())
 		for gi := range sel {
 			sel[gi] = fmt.Sprintf("%064b", c.Selection(gi))
+			avail[gi] = fmt.Sprintf("%064b", c.AvailableMask(gi))
 		}
 		writeJSON(w, http.StatusOK, map[string]any{
-			"stats":     c.Stats(),
-			"selection": sel,
-			"workers":   ws,
+			"stats":          c.Stats(),
+			"selection":      sel,
+			"available_mask": avail,
+			"workers":        ws,
 		})
 	})
 	return mux

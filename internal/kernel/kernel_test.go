@@ -622,8 +622,8 @@ func TestEpollKick(t *testing.T) {
 	}
 }
 
-// A reuseport port whose every member socket has been closed (what
-// LB.QuarantineTenant does) is unbound: the next SYN takes the no-listener
+// A reuseport port whose every member socket has been closed (a tenant taken
+// off the device) is unbound: the next SYN takes the no-listener
 // path — the selector is not run, nothing is booked as a fallback or as an
 // accept-queue overflow — and the port can be bound again. With a member
 // still open the group stays bound.

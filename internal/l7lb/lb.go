@@ -57,9 +57,6 @@ type LB struct {
 	// workload can model client reconnects. The ref's ID is always the
 	// reset connection's ID; Get still resolves within the callback.
 	OnConnReset func(conn kernel.ConnRef)
-	// Guard, if set before Start, attributes hang events to tenants and
-	// quarantines repeat offenders (Appendix C).
-	Guard *TenantGuard
 }
 
 // New assembles an LB on the engine. Call Start to begin the worker loops.
@@ -289,9 +286,6 @@ func (lb *LB) recordCompletion(w *Worker, conn kernel.ConnRef, work Work) {
 	}
 	lb.BytesIn += uint64(work.Size)
 	lb.BytesOut += uint64(work.RespSize)
-	if lb.Guard != nil && !work.Probe {
-		lb.Guard.Note(work.Tenant, work.Cost)
-	}
 	if lb.OnResponse != nil {
 		lb.OnResponse(conn, work)
 	}

@@ -14,7 +14,9 @@ import (
 type HealthzView struct {
 	// Status is "ok" (every backend available), "degraded" (some down),
 	// "unavailable" (none pickable, served as 503), or "draining".
-	Status    string `json:"status"`
+	Status string `json:"status"`
+	// Policy is the backend-selection policy in force.
+	Policy    string `json:"policy"`
 	Backends  int    `json:"backends"`
 	Available int    `json:"available"`
 	Workers   int    `json:"workers"`
@@ -23,16 +25,6 @@ type HealthzView struct {
 	// monitor is disabled. Reported alongside pool availability so one
 	// healthz poll covers both liveness and objective health.
 	SLO string `json:"slo,omitempty"`
-}
-
-// CircuitView is one breaker in /circuits and /backends responses.
-type CircuitView struct {
-	State     string  `json:"state"`
-	Fails     int     `json:"consecutive_fails"`
-	Opens     uint64  `json:"opens"`
-	HalfOpens uint64  `json:"half_opens"`
-	Closes    uint64  `json:"closes"`
-	OpenForMS float64 `json:"open_for_ms,omitempty"`
 }
 
 // BackendView is one pool member in the /backends response.
@@ -53,48 +45,11 @@ type BackendView struct {
 	Circuit *CircuitView `json:"circuit,omitempty"`
 }
 
-// StatsView is the /stats response body.
-type StatsView struct {
-	UptimeSec   float64 `json:"uptime_sec"`
-	Policy      string  `json:"policy"`
-	Workers     int     `json:"workers"`
-	Served      uint64  `json:"served"`
-	Errors      uint64  `json:"errors"`
-	Unavailable uint64  `json:"unavailable"`
-
-	LatencyP50MS *float64 `json:"latency_p50_ms"`
-	LatencyP99MS *float64 `json:"latency_p99_ms"`
-
-	RetryAttempts  uint64 `json:"retry_attempts"`
-	RetryRecovered uint64 `json:"retry_recovered"`
-	RetryExhausted uint64 `json:"retry_exhausted"`
-
-	CircuitRejections uint64 `json:"circuit_rejections"`
-	HealthProbes      uint64 `json:"health_probes"`
-	HealthTransitions uint64 `json:"health_transitions"`
-
-	WorkerHandled []uint64 `json:"worker_handled"`
-
-	// Scheduler is the Hermes control-loop view: Algorithm-1 pass counts and
-	// the live selection/availability bitmaps backend health feeds into.
-	Scheduler SchedulerView `json:"scheduler"`
-}
-
-// SchedulerView surfaces the Hermes controller state in /stats.
-type SchedulerView struct {
-	ScheduleCalls   uint64  `json:"schedule_calls"`
-	Syncs           uint64  `json:"syncs"`
-	Batched         uint64  `json:"batched"`
-	AvgPassed       float64 `json:"avg_passed"`
-	EmptySets       uint64  `json:"empty_sets"`
-	SelectionBitmap uint64  `json:"selection_bitmap"`
-	AvailableMask   uint64  `json:"available_mask"`
-}
-
 // healthzView builds the /healthz body and its HTTP status.
 func (p *Proxy) healthzView() (HealthzView, int) {
 	avail := p.pool.AvailableCount()
 	v := HealthzView{
+		Policy:    p.cfg.Policy,
 		Backends:  len(p.pool.backends),
 		Available: avail,
 		Workers:   len(p.workers),
@@ -103,24 +58,22 @@ func (p *Proxy) healthzView() (HealthzView, int) {
 	if p.slo != nil {
 		v.SLO = p.slo.State().String()
 	}
+	code := http.StatusOK
 	switch {
 	case p.draining.Load():
-		return withStatus(v, "draining"), http.StatusServiceUnavailable
+		v.Status, code = "draining", http.StatusServiceUnavailable
 	case avail == 0:
-		return withStatus(v, "unavailable"), http.StatusServiceUnavailable
+		v.Status, code = "unavailable", http.StatusServiceUnavailable
 	case avail < v.Backends:
-		return withStatus(v, "degraded"), http.StatusOK
+		v.Status = "degraded"
 	default:
-		return withStatus(v, "ok"), http.StatusOK
+		v.Status = "ok"
 	}
+	return v, code
 }
 
-func withStatus(v HealthzView, s string) HealthzView {
-	v.Status = s
-	return v
-}
-
-// backendViews builds the /backends body.
+// backendViews builds the /backends body: each backend's own state beside
+// its slots of the proxy.backend.* rows.
 func (p *Proxy) backendViews() []BackendView {
 	out := make([]BackendView, 0, len(p.pool.backends))
 	for _, b := range p.pool.backends {
@@ -128,7 +81,7 @@ func (p *Proxy) backendViews() []BackendView {
 			Index:    b.idx,
 			Address:  b.addr,
 			Weight:   b.weight,
-			Healthy:  b.healthy.Load(),
+			Healthy:  b.Healthy(),
 			Active:   b.active.Load(),
 			Requests: b.requests.Load(),
 			Errors:   b.errors.Load(),
@@ -141,73 +94,10 @@ func (p *Proxy) backendViews() []BackendView {
 			v.Reason = r
 		}
 		if b.circuit != nil {
-			cv := circuitView(b.circuit.Snapshot())
+			cv := b.circuit.Snapshot()
 			v.Circuit = &cv
 		}
 		out = append(out, v)
-	}
-	return out
-}
-
-func circuitView(s CircuitSnapshot) CircuitView {
-	return CircuitView{
-		State:     s.State.String(),
-		Fails:     s.Fails,
-		Opens:     s.Opens,
-		HalfOpens: s.HalfOpens,
-		Closes:    s.Closes,
-		OpenForMS: float64(s.OpenForNS) / 1e6,
-	}
-}
-
-// statsView builds the /stats body.
-func (p *Proxy) statsView() StatsView {
-	v := StatsView{
-		UptimeSec:   time.Since(time.Unix(0, p.startNS)).Seconds(),
-		Policy:      p.cfg.Policy,
-		Workers:     len(p.workers),
-		Served:      p.Served.Load(),
-		Errors:      p.tel.UpstreamErrors.Load(),
-		Unavailable: p.tel.Unavailable.Load(),
-
-		RetryAttempts:  p.tel.RetryAttempts.Load(),
-		RetryRecovered: p.tel.RetryRecovered.Load(),
-		RetryExhausted: p.tel.RetryExhausted.Load(),
-
-		CircuitRejections: p.tel.CircuitRejections.Load(),
-		HealthProbes:      p.tel.HealthProbes.Load(),
-		HealthTransitions: p.tel.HealthTransitions.Load(),
-	}
-	if ms := p.reg.Snapshot().Get("proxy.request_latency_ns"); ms != nil && ms.Count > 0 {
-		p50 := ms.Quantile(0.50) / 1e6
-		p99 := ms.Quantile(0.99) / 1e6
-		v.LatencyP50MS, v.LatencyP99MS = &p50, &p99
-	}
-	for _, w := range p.workers {
-		v.WorkerHandled = append(v.WorkerHandled, w.handled.Load())
-	}
-	st := p.ctl.Stats()
-	bitmap, _ := p.ctl.SelMap().Lookup(0)
-	v.Scheduler = SchedulerView{
-		ScheduleCalls:   st.ScheduleCalls,
-		Syncs:           st.Syncs,
-		Batched:         st.Batched,
-		AvgPassed:       st.AvgPassed,
-		EmptySets:       st.EmptySets,
-		SelectionBitmap: bitmap,
-		AvailableMask:   p.ctl.AvailableMask(),
-	}
-	return v
-}
-
-// circuitViews builds the /circuits body, keyed by backend address.
-func (p *Proxy) circuitViews() map[string]CircuitView {
-	out := make(map[string]CircuitView, len(p.pool.backends))
-	for _, b := range p.pool.backends {
-		if b.circuit == nil {
-			continue
-		}
-		out[b.addr] = circuitView(b.circuit.Snapshot())
 	}
 	return out
 }
@@ -216,20 +106,25 @@ func (p *Proxy) circuitViews() map[string]CircuitView {
 //
 //	GET /healthz   liveness + pool availability + SLO state (503 when nothing pickable)
 //	GET /backends  per-backend health, counters, circuit state
-//	GET /stats     request/retry/latency counters + Hermes scheduler state
-//	GET /circuits  per-backend breaker snapshots
-//	GET /metrics   OpenMetrics exposition of the full telemetry catalog
+//	GET /stats     the telemetry registry's snapshot (the JSON of a hermes-bench -metrics cell)
+//	GET /metrics   the same snapshot as an OpenMetrics exposition
 //	GET /slo       burn-rate monitor status (404 when disabled)
 //	GET,PUT /policy, GET /status  the Hermes policy API (core.PolicyHandler)
 //
-// JSON responses are uncacheable point-in-time reads: every endpoint sets
-// Cache-Control: no-store.
+// Every number is a registry row: /stats and /metrics are its two encodings,
+// and the counts /backends shows are read from the same slots. The other
+// endpoints carry what a counter cannot (verdicts, reasons, breaker
+// positions, bitmaps). Responses are uncacheable point-in-time reads: every
+// endpoint sets Cache-Control: no-store.
 func AdminHandler(p *Proxy) http.Handler {
 	mux := http.NewServeMux()
-	serve := func(w http.ResponseWriter, status int, body any) {
-		w.Header().Set("Content-Type", "application/json")
+	header := func(w http.ResponseWriter, contentType string, status int) {
+		w.Header().Set("Content-Type", contentType)
 		w.Header().Set("Cache-Control", "no-store")
 		w.WriteHeader(status)
+	}
+	serve := func(w http.ResponseWriter, status int, body any) {
+		header(w, "application/json", status)
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
 		_ = enc.Encode(body)
@@ -251,10 +146,8 @@ func AdminHandler(p *Proxy) http.Handler {
 		serve(w, http.StatusOK, p.backendViews())
 	}))
 	mux.Handle("/stats", get(func(w http.ResponseWriter, r *http.Request) {
-		serve(w, http.StatusOK, p.statsView())
-	}))
-	mux.Handle("/circuits", get(func(w http.ResponseWriter, r *http.Request) {
-		serve(w, http.StatusOK, p.circuitViews())
+		header(w, "application/json", http.StatusOK)
+		_ = p.reg.Snapshot().WriteJSON(w)
 	}))
 	mux.Handle("/metrics", get(func(w http.ResponseWriter, r *http.Request) {
 		var buf bytes.Buffer
@@ -262,8 +155,7 @@ func AdminHandler(p *Proxy) http.Handler {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return
 		}
-		w.Header().Set("Content-Type", telemetry.PromContentType)
-		w.Header().Set("Cache-Control", "no-store")
+		header(w, telemetry.PromContentType, http.StatusOK)
 		_, _ = w.Write(buf.Bytes())
 	}))
 	mux.Handle("/slo", get(func(w http.ResponseWriter, r *http.Request) {

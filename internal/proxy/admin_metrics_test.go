@@ -1,9 +1,12 @@
 package proxy
 
 import (
+	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -12,9 +15,10 @@ import (
 )
 
 // TestAdminMetricsPlane covers the live metrics endpoints: /metrics is a
-// conformant OpenMetrics exposition, /slo reports the monitor, every JSON
-// endpoint declares its content type and no-store, and /healthz carries the
-// SLO verdict.
+// conformant OpenMetrics exposition, /stats is the same registry snapshot in
+// the encoding of a hermes-bench -metrics cell, /slo reports the monitor,
+// every JSON endpoint declares its content type and no-store, and /healthz
+// carries the SLO verdict.
 func TestAdminMetricsPlane(t *testing.T) {
 	b := newStubUpstream(t)
 	cfg := testConfig(b)
@@ -61,6 +65,42 @@ func TestAdminMetricsPlane(t *testing.T) {
 		}
 	}
 
+	// /stats decodes as what `hermesctl check metrics` reads a cell into,
+	// and carries every proxy.* row of the catalog with the values the proxy
+	// holds.
+	resp, err = http.Get(srv.URL + "/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap telemetry.Snapshot
+	err = json.NewDecoder(resp.Body).Decode(&snap)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatalf("/stats is not a registry snapshot: %v", err)
+	}
+	doc, err := os.ReadFile("../../docs/TELEMETRY.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := regexp.MustCompile("(?m)^\\| `(proxy\\.[a-z0-9_.]+)` \\|").FindAllStringSubmatch(string(doc), -1)
+	if len(rows) < 19 {
+		t.Fatalf("docs/TELEMETRY.md lists %d proxy.* rows, want the whole table", len(rows))
+	}
+	for _, m := range rows {
+		if snap.Get(m[1]) == nil {
+			t.Errorf("/stats has no %s row", m[1])
+		}
+	}
+	if ms := snap.Get("proxy.worker.requests_served"); ms == nil || ms.Total() != 5 {
+		t.Errorf("/stats proxy.worker.requests_served = %+v, want 5 in all", ms)
+	}
+	if ms := snap.Get("proxy.request_latency_ns"); ms == nil || ms.Count != 5 || len(ms.Buckets) == 0 {
+		t.Errorf("/stats proxy.request_latency_ns = %+v, want 5 observations with buckets", ms)
+	}
+	if snap.Get("core.schedule.recomputes") == nil {
+		t.Error("/stats has no core.schedule.recomputes row")
+	}
+
 	resp, err = http.Get(srv.URL + "/slo")
 	if err != nil {
 		t.Fatal(err)
@@ -80,7 +120,7 @@ func TestAdminMetricsPlane(t *testing.T) {
 	}
 
 	// Every JSON endpoint declares content type and no-store.
-	for _, path := range []string{"/healthz", "/backends", "/stats", "/circuits", "/slo"} {
+	for _, path := range []string{"/healthz", "/backends", "/stats", "/slo"} {
 		resp, err := http.Get(srv.URL + path)
 		if err != nil {
 			t.Fatal(err)

@@ -3,6 +3,8 @@ package proxy
 import (
 	"sync"
 	"sync/atomic"
+
+	"hermes/internal/telemetry"
 )
 
 // Backend health-state codes, exported in backend_state trace spans and the
@@ -20,7 +22,14 @@ type Backend struct {
 	addr   string
 	weight int
 
-	healthy atomic.Bool
+	// The backend's slots of the proxy.backend.* rows are where these four
+	// facts live (as worker.handled is its slot of requests_served): the
+	// health verdict (1 = healthy), the in-flight proxied request count (the
+	// least-conn metric), proxied requests completed, upstream failures.
+	healthy  *telemetry.Gauge
+	active   *telemetry.Gauge
+	requests *telemetry.Counter
+	errors   *telemetry.Counter
 
 	// Active-probe streaks (health checker goroutine only).
 	probeOKs   int
@@ -30,35 +39,22 @@ type Backend struct {
 	// proxying (any worker).
 	passiveFails atomic.Int32
 
-	// active is the in-flight proxied request count (least-conn metric).
-	active atomic.Int64
-
-	requests atomic.Uint64 // proxied requests completed
-	errors   atomic.Uint64 // upstream failures
-
 	lastProbeNS   atomic.Int64 // wall time of the last active probe (0 = never)
 	lastProbeOK   atomic.Bool
 	lastChangeNS  atomic.Int64 // wall time of the last health transition
 	downReason    atomic.Value // string: "active" | "passive" | ""
-	healthyGauge  func(int64)  // telemetry hook (nil = off)
 	circuit       *Circuit     // nil when circuit breaking is disabled
 	smoothCurrent int          // smooth-weighted-RR state (pool.mu)
 }
 
-// Addr returns the backend's dial address.
-func (b *Backend) Addr() string { return b.addr }
-
 // Healthy reports the combined active+passive health verdict.
-func (b *Backend) Healthy() bool { return b.healthy.Load() }
-
-// Circuit returns the backend's breaker (nil when disabled).
-func (b *Backend) Circuit() *Circuit { return b.circuit }
+func (b *Backend) Healthy() bool { return b.healthy.Load() != 0 }
 
 // available reports whether the pool may pick this backend at all: healthy
 // and not rejected by an open circuit. Half-open admission is checked at
 // pick time (it consumes a trial slot).
 func (b *Backend) available() bool {
-	if !b.healthy.Load() {
+	if !b.Healthy() {
 		return false
 	}
 	if b.circuit != nil && b.circuit.State() == CircuitOpen {
@@ -78,21 +74,20 @@ type Pool struct {
 	mu sync.Mutex
 	rr atomic.Uint32
 
-	// onTransition observes backend health flips (telemetry/trace wiring;
-	// nil = off). reason is "active" or "passive".
-	onTransition func(b *Backend, healthy bool, reason string)
-
-	// tel, when set, receives per-backend and circuit-rejection counts.
+	// tel is where the pool counts and traces: the per-backend rows are handed
+	// to the backends slot by slot, transitions go on its trace handle.
 	tel *Instruments
 
 	passiveThreshold int
 }
 
-// newPool builds the pool from validated config.
-func newPool(cfg Config, now func() int64) *Pool {
+// newPool builds the pool from validated config; its backends and breakers
+// count on tel's rows and trace their transitions as backend_state instants.
+func newPool(cfg Config, now func() int64, tel *Instruments) *Pool {
 	p := &Pool{
 		policy:           cfg.Policy,
 		now:              now,
+		tel:              tel,
 		passiveThreshold: cfg.HealthCheck.PassiveThreshold,
 	}
 	for i, bc := range cfg.Backends {
@@ -100,21 +95,30 @@ func newPool(cfg Config, now func() int64) *Pool {
 		if w < 1 {
 			w = 1
 		}
-		b := &Backend{idx: i, addr: bc.Address, weight: w}
+		b := &Backend{
+			idx: i, addr: bc.Address, weight: w,
+			healthy:  tel.BackendHealthy.At(i),
+			active:   tel.BackendActive.At(i),
+			requests: tel.BackendRequests.At(i),
+			errors:   tel.BackendErrors.At(i),
+		}
 		// Backends start healthy: the first probe round or passive failures
 		// demote them, so a cold start never black-holes traffic.
-		b.healthy.Store(true)
+		b.healthy.Set(stateHealthy)
 		b.downReason.Store("")
 		if cfg.CircuitBreaker.Enabled {
 			b.circuit = NewCircuit(cfg.CircuitBreaker, now)
+			b.circuit.rows = [...]*telemetry.Counter{
+				CircuitClosed: tel.CircuitCloses, CircuitOpen: tel.CircuitOpens, CircuitHalfOpen: tel.CircuitHalfOpens,
+			}
+			b.circuit.onTransition = func(from, to CircuitState) {
+				tel.ptr.BackendState(i, now(), stateCircuit+int64(to))
+			}
 		}
 		p.backends = append(p.backends, b)
 	}
 	return p
 }
-
-// Backends returns the pool members (fixed after construction).
-func (p *Pool) Backends() []*Backend { return p.backends }
 
 // AvailableCount returns how many backends are currently pickable.
 func (p *Pool) AvailableCount() int {
@@ -151,9 +155,7 @@ func (p *Pool) admit(b *Backend) bool {
 	if b.circuit.Allow() {
 		return true
 	}
-	if p.tel != nil {
-		p.tel.CircuitRejections.Inc()
-	}
+	p.tel.CircuitRejections.Inc()
 	return false
 }
 
@@ -161,7 +163,7 @@ func (p *Pool) admit(b *Backend) bool {
 // tried this request, and healthy. Circuit state is judged by admit so
 // rejections are counted and half-open trials consume a slot.
 func (b *Backend) eligible(tried uint64) bool {
-	return tried&(1<<uint(b.idx)) == 0 && b.healthy.Load()
+	return tried&(1<<uint(b.idx)) == 0 && b.Healthy()
 }
 
 func (p *Pool) pickRoundRobin(tried uint64) *Backend {
@@ -243,56 +245,47 @@ func (p *Pool) pickLeastConn(tried uint64) *Backend {
 // must have obtained b from Pick (so half-open trial slots balance).
 func (p *Pool) Observe(b *Backend, ok bool) {
 	if ok {
-		b.requests.Add(1)
-		if p.tel != nil {
-			p.tel.BackendRequests.At(b.idx).Inc()
-		}
+		b.requests.Inc()
 		b.passiveFails.Store(0)
 		if b.circuit != nil {
 			b.circuit.Success()
 		}
 		// A working backend with no active prober recovers on first success
 		// (passive-only deployments would otherwise stay down forever).
-		if !b.healthy.Load() && b.downReason.Load() == "passive" && p.passiveThreshold > 0 {
+		if !b.Healthy() && b.downReason.Load() == "passive" && p.passiveThreshold > 0 {
 			p.setHealthy(b, true, "passive")
 		}
 		return
 	}
-	b.errors.Add(1)
-	if p.tel != nil {
-		p.tel.BackendErrors.At(b.idx).Inc()
-	}
+	b.errors.Inc()
 	if b.circuit != nil {
 		b.circuit.Failure()
 	}
 	if p.passiveThreshold > 0 {
-		if fails := b.passiveFails.Add(1); int(fails) >= p.passiveThreshold && b.healthy.Load() {
+		if fails := b.passiveFails.Add(1); int(fails) >= p.passiveThreshold && b.Healthy() {
 			p.setHealthy(b, false, "passive")
 		}
 	}
 }
 
-// setHealthy flips b's health state and notifies the wiring. reason is
-// "active" (probe verdict) or "passive" (request-path verdict).
+// setHealthy flips b's health state, counted and traced once per flip. reason
+// is "active" (probe verdict) or "passive" (request-path verdict).
 func (p *Pool) setHealthy(b *Backend, healthy bool, reason string) {
-	if b.healthy.Swap(healthy) == healthy {
+	state := stateUnhealthy
+	if healthy {
+		state = stateHealthy
+	}
+	if b.healthy.Swap(state) == state {
 		return
 	}
+	p.tel.HealthTransitions.Inc()
 	if healthy {
 		b.downReason.Store("")
 		b.passiveFails.Store(0)
 	} else {
 		b.downReason.Store(reason)
 	}
-	b.lastChangeNS.Store(p.now())
-	if b.healthyGauge != nil {
-		if healthy {
-			b.healthyGauge(1)
-		} else {
-			b.healthyGauge(0)
-		}
-	}
-	if p.onTransition != nil {
-		p.onTransition(b, healthy, reason)
-	}
+	now := p.now()
+	b.lastChangeNS.Store(now)
+	p.tel.ptr.BackendState(b.idx, now, state)
 }

@@ -1,6 +1,10 @@
 package proxy
 
-import "sync"
+import (
+	"sync"
+
+	"hermes/internal/telemetry"
+)
 
 // CircuitState is one breaker's position.
 type CircuitState int32
@@ -44,11 +48,14 @@ type Circuit struct {
 	inflight   int   // admitted trial requests while half-open
 	openedAtNS int64 // when the circuit last opened
 
-	// Transition counters (admin API / telemetry).
-	opens, halfOpens, closes uint64
+	// Transitions into each state: entered counts this breaker's (its
+	// /backends row), rows the whole pool's (proxy.circuit.closes, .opens,
+	// .half_opens; nil handles count nothing).
+	entered [3]uint64
+	rows    [3]*telemetry.Counter
 
-	// onTransition, when set, observes every state change (telemetry and
-	// trace wiring). Called outside the lock.
+	// onTransition, when set, observes every state change (trace wiring).
+	// Called outside the lock.
 	onTransition func(from, to CircuitState)
 }
 
@@ -65,16 +72,15 @@ func (c *Circuit) transition(to CircuitState) func() {
 		return nil
 	}
 	c.state = to
+	c.entered[to]++
+	c.rows[to].Inc()
 	switch to {
 	case CircuitOpen:
-		c.opens++
 		c.openedAtNS = c.now()
 	case CircuitHalfOpen:
-		c.halfOpens++
 		c.successes = 0
 		c.inflight = 0
 	case CircuitClosed:
-		c.closes++
 		c.fails = 0
 	}
 	if cb := c.onTransition; cb != nil {
@@ -169,31 +175,32 @@ func (c *Circuit) State() CircuitState {
 	return s
 }
 
-// CircuitSnapshot is the admin-API view of one breaker.
-type CircuitSnapshot struct {
-	State     CircuitState
-	Fails     int
-	Opens     uint64
-	HalfOpens uint64
-	Closes    uint64
-	// OpenForNS is how long the circuit has been away from closed
-	// (0 when closed).
-	OpenForNS int64
+// CircuitView is one breaker as the admin API shows it, inside its backend's
+// /backends row.
+type CircuitView struct {
+	State     string `json:"state"`
+	Fails     int    `json:"consecutive_fails"`
+	Opens     uint64 `json:"opens"`
+	HalfOpens uint64 `json:"half_opens"`
+	Closes    uint64 `json:"closes"`
+	// OpenForMS is how long the circuit has been away from closed.
+	OpenForMS float64 `json:"open_for_ms,omitempty"`
 }
 
 // Snapshot captures the breaker for the admin API.
-func (c *Circuit) Snapshot() CircuitSnapshot {
+func (c *Circuit) Snapshot() CircuitView {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	s := CircuitSnapshot{
-		State: c.state, Fails: c.fails,
-		Opens: c.opens, HalfOpens: c.halfOpens, Closes: c.closes,
+	state := c.state
+	if state == CircuitOpen && c.now()-c.openedAtNS >= int64(c.cfg.Timeout) {
+		state = CircuitHalfOpen
 	}
-	if c.state == CircuitOpen && c.now()-c.openedAtNS >= int64(c.cfg.Timeout) {
-		s.State = CircuitHalfOpen
+	v := CircuitView{
+		State: state.String(), Fails: c.fails,
+		Opens: c.entered[CircuitOpen], HalfOpens: c.entered[CircuitHalfOpen], Closes: c.entered[CircuitClosed],
 	}
 	if c.state != CircuitClosed {
-		s.OpenForNS = c.now() - c.openedAtNS
+		v.OpenForMS = float64(c.now()-c.openedAtNS) / 1e6
 	}
-	return s
+	return v
 }

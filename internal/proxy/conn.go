@@ -296,7 +296,6 @@ func (c *conn) forward(reqLen int) (keep bool) {
 			w.hook.EventsFetched(1) // retry pressure → WST busy → Algorithm 1
 		}
 		b.active.Add(1)
-		p.tel.BackendActive.At(b.idx).Add(1)
 		up, n, respLen, err := c.roundTrip(b, body, rbuf)
 		// With a reply head in hand bytes start reaching the client, so from
 		// here on nothing can be replayed.
@@ -306,7 +305,6 @@ func (c *conn) forward(reqLen int) (keep bool) {
 			up.Close()
 		}
 		b.active.Add(-1)
-		p.tel.BackendActive.At(b.idx).Add(-1)
 		if attempt > 0 {
 			w.hook.EventHandled()
 		}
@@ -321,7 +319,6 @@ func (c *conn) forward(reqLen int) (keep bool) {
 		case attempt > 0:
 			p.tel.RetryRecovered.Inc()
 		}
-		p.Served.Add(1)
 		return keep
 	}
 	if attempts > 1 {

@@ -12,19 +12,19 @@ import (
 // checker actively probes every backend each interval: one HTTP GET of the
 // configured path, bounded by the probe timeout. Streak counting implements
 // the healthy/unhealthy thresholds; verdict flips go through Pool.setHealthy
-// so passive checks, telemetry, and tracing all share one transition path.
+// so passive checks, telemetry, and tracing all share one transition path,
+// and probes are counted and traced on the pool's instruments.
 type checker struct {
 	cfg  HealthCheckConfig
 	pool *Pool
-	tel  *Instruments
 
 	stop chan struct{}
 	done chan struct{}
 }
 
-func newChecker(cfg HealthCheckConfig, pool *Pool, tel *Instruments) *checker {
+func newChecker(cfg HealthCheckConfig, pool *Pool) *checker {
 	return &checker{
-		cfg: cfg, pool: pool, tel: tel,
+		cfg: cfg, pool: pool,
 		stop: make(chan struct{}),
 		done: make(chan struct{}),
 	}
@@ -58,13 +58,13 @@ func (c *checker) sweep() {
 			ok := c.probeOnce(b.addr)
 			end := time.Now()
 
-			c.tel.HealthProbes.Inc()
+			c.pool.tel.HealthProbes.Inc()
 			if !ok {
-				c.tel.HealthProbeFailures.Inc()
+				c.pool.tel.HealthProbeFailures.Inc()
 			}
 			b.lastProbeNS.Store(end.UnixNano())
 			b.lastProbeOK.Store(ok)
-			c.tel.ptr.Probe(b.idx, start.UnixNano(), end.UnixNano(), ok)
+			c.pool.tel.ptr.Probe(b.idx, start.UnixNano(), end.UnixNano(), ok)
 
 			// Streaks are only touched here (single checker goroutine per
 			// backend per sweep; sweeps don't overlap per backend because
@@ -72,13 +72,13 @@ func (c *checker) sweep() {
 			if ok {
 				b.probeOKs++
 				b.probeFails = 0
-				if !b.healthy.Load() && b.probeOKs >= c.cfg.HealthyThreshold {
+				if !b.Healthy() && b.probeOKs >= c.cfg.HealthyThreshold {
 					c.pool.setHealthy(b, true, "active")
 				}
 			} else {
 				b.probeFails++
 				b.probeOKs = 0
-				if b.healthy.Load() && b.probeFails >= c.cfg.UnhealthyThreshold {
+				if b.Healthy() && b.probeFails >= c.cfg.UnhealthyThreshold {
 					c.pool.setHealthy(b, false, "active")
 				}
 			}

@@ -52,7 +52,7 @@ func probeOrigin(t *testing.T, reply string, after func(net.Conn)) string {
 func holdOpen(c net.Conn) { _, _ = c.Read(make([]byte, 1)) }
 
 func testChecker(timeout time.Duration) *checker {
-	return newChecker(HealthCheckConfig{Path: "/health", Timeout: timeout}, nil, &Instruments{})
+	return newChecker(HealthCheckConfig{Path: "/health", Timeout: timeout}, nil)
 }
 
 // A backend that keeps the connection alive after its reply used to cost a

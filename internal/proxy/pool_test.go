@@ -3,6 +3,8 @@ package proxy
 import (
 	"fmt"
 	"testing"
+
+	"hermes/internal/telemetry"
 )
 
 func testPoolConfig(policy string, weights ...int) Config {
@@ -16,6 +18,12 @@ func testPoolConfig(policy string, weights ...int) Config {
 		})
 	}
 	return c
+}
+
+// testPool builds a pool counting on a private registry's rows.
+func testPool(cfg Config, now func() int64) *Pool {
+	tel := newInstruments(telemetry.NewRegistry(), nil, 1, len(cfg.Backends))
+	return newPool(cfg, now, &tel)
 }
 
 func backendAddr(i int) string {
@@ -35,7 +43,7 @@ func countPicks(p *Pool, n int) map[int]int {
 }
 
 func TestPoolRoundRobinCycles(t *testing.T) {
-	p := newPool(testPoolConfig(PolicyRoundRobin, 1, 1, 1), func() int64 { return 0 })
+	p := testPool(testPoolConfig(PolicyRoundRobin, 1, 1, 1), func() int64 { return 0 })
 	got := countPicks(p, 9)
 	for i := 0; i < 3; i++ {
 		if got[i] != 3 {
@@ -46,7 +54,7 @@ func TestPoolRoundRobinCycles(t *testing.T) {
 
 // Smooth weighted round-robin distributes picks proportionally to weight.
 func TestPoolWeightedDistribution(t *testing.T) {
-	p := newPool(testPoolConfig(PolicyWeighted, 5, 2, 1), func() int64 { return 0 })
+	p := testPool(testPoolConfig(PolicyWeighted, 5, 2, 1), func() int64 { return 0 })
 	got := countPicks(p, 80)
 	if got[0] != 50 || got[1] != 20 || got[2] != 10 {
 		t.Errorf("weighted picks = %v, want 50/20/10", got)
@@ -54,17 +62,17 @@ func TestPoolWeightedDistribution(t *testing.T) {
 }
 
 func TestPoolLeastConnPrefersIdle(t *testing.T) {
-	p := newPool(testPoolConfig(PolicyLeastConn, 1, 1), func() int64 { return 0 })
-	p.backends[0].active.Store(5)
+	p := testPool(testPoolConfig(PolicyLeastConn, 1, 1), func() int64 { return 0 })
+	p.backends[0].active.Set(5)
 	for i := 0; i < 4; i++ {
 		if b := p.Pick(0); b.idx != 1 {
 			t.Fatalf("pick %d chose loaded backend %d", i, b.idx)
 		}
 	}
 	// Weight scales the score: 10 in-flight at weight 10 beats 2 at weight 1.
-	p = newPool(testPoolConfig(PolicyLeastConn, 10, 1), func() int64 { return 0 })
-	p.backends[0].active.Store(10)
-	p.backends[1].active.Store(2)
+	p = testPool(testPoolConfig(PolicyLeastConn, 10, 1), func() int64 { return 0 })
+	p.backends[0].active.Set(10)
+	p.backends[1].active.Set(2)
 	if b := p.Pick(0); b.idx != 0 {
 		t.Errorf("least-conn ignored weight: picked %d", b.idx)
 	}
@@ -72,7 +80,7 @@ func TestPoolLeastConnPrefersIdle(t *testing.T) {
 
 func TestPoolSkipsTriedAndUnhealthy(t *testing.T) {
 	for _, policy := range []string{PolicyRoundRobin, PolicyWeighted, PolicyLeastConn} {
-		p := newPool(testPoolConfig(policy, 1, 1, 1), func() int64 { return 0 })
+		p := testPool(testPoolConfig(policy, 1, 1, 1), func() int64 { return 0 })
 		p.setHealthy(p.backends[1], false, "active")
 		for i := 0; i < 6; i++ {
 			b := p.Pick(1 << 0) // exclude 0 as already-tried
@@ -93,7 +101,7 @@ func TestPoolCircuitGatesPick(t *testing.T) {
 	cfg := testPoolConfig(PolicyRoundRobin, 1, 1)
 	cfg.HealthCheck.PassiveThreshold = 0 // isolate the breaker from passive health
 	clk := &fakeClock{}
-	p := newPool(cfg, clk.now)
+	p := testPool(cfg, clk.now)
 	// Trip backend 0's breaker.
 	b0 := p.backends[0]
 	for i := 0; i < cfg.CircuitBreaker.FailureThreshold; i++ {
@@ -133,14 +141,7 @@ func TestPoolPassiveHealth(t *testing.T) {
 	cfg := testPoolConfig(PolicyRoundRobin, 1, 1)
 	cfg.CircuitBreaker.Enabled = false
 	cfg.HealthCheck.PassiveThreshold = 3
-	p := newPool(cfg, func() int64 { return 42 })
-	var flips []bool
-	p.onTransition = func(b *Backend, healthy bool, reason string) {
-		if reason != "passive" {
-			t.Errorf("transition reason = %q, want passive", reason)
-		}
-		flips = append(flips, healthy)
-	}
+	p := testPool(cfg, func() int64 { return 42 })
 	b0 := p.backends[0]
 	for i := 0; i < 3; i++ {
 		p.Observe(b0, false)
@@ -156,7 +157,10 @@ func TestPoolPassiveHealth(t *testing.T) {
 	if !b0.Healthy() {
 		t.Fatal("backend did not recover on success")
 	}
-	if len(flips) != 2 || flips[0] || !flips[1] {
-		t.Errorf("transitions = %v, want [false true]", flips)
+	if n := p.tel.HealthTransitions.Load(); n != 2 {
+		t.Errorf("proxy.health.transitions = %d, want 2 (down, up)", n)
+	}
+	if b0.lastChangeNS.Load() != 42 {
+		t.Errorf("last change stamped %d, want the pool clock's 42", b0.lastChangeNS.Load())
 	}
 }

@@ -74,10 +74,6 @@ type Proxy struct {
 
 	startNS int64
 
-	// Served counts proxied requests. Upstream failures and 503s with no
-	// pickable backend are counted once, on tel's instruments.
-	Served atomic.Uint64
-
 	// Connection tracking for graceful drain.
 	mu       sync.Mutex
 	conns    map[net.Conn]struct{}
@@ -175,8 +171,7 @@ func New(cfg Config, opts ...Option) (*Proxy, error) {
 	}
 	p.stopSampler = p.win.Start()
 
-	p.pool = newPool(cfg, func() int64 { return time.Now().UnixNano() })
-	p.wireBackends()
+	p.pool = newPool(cfg, func() int64 { return time.Now().UnixNano() }, &p.tel)
 	p.drainHook = ctl.NewWorkerHook(0)
 
 	for i := 0; i < cfg.Workers; i++ {
@@ -194,7 +189,7 @@ func New(cfg Config, opts ...Option) (*Proxy, error) {
 	p.drainHook.ScheduleAndSync(time.Now().UnixNano())
 
 	if cfg.HealthCheck.Enabled {
-		p.checker = newChecker(cfg.HealthCheck, p.pool, &p.tel)
+		p.checker = newChecker(cfg.HealthCheck, p.pool)
 		go p.checker.run()
 	}
 	p.applyFaults(o.sched, o.tracer.FaultTrace())
@@ -203,59 +198,14 @@ func New(cfg Config, opts ...Option) (*Proxy, error) {
 	return p, nil
 }
 
-// wireBackends connects pool transitions and circuit transitions to
-// telemetry and tracing, and initializes the healthy gauges.
-func (p *Proxy) wireBackends() {
-	for _, b := range p.pool.backends {
-		b := b
-		gauge := p.tel.BackendHealthy.At(b.idx)
-		gauge.Set(1)
-		b.healthyGauge = func(v int64) { gauge.Set(v) }
-		if b.circuit != nil {
-			b.circuit.onTransition = func(from, to CircuitState) {
-				switch to {
-				case CircuitOpen:
-					p.tel.CircuitOpens.Inc()
-				case CircuitHalfOpen:
-					p.tel.CircuitHalfOpens.Inc()
-				case CircuitClosed:
-					p.tel.CircuitCloses.Inc()
-				}
-				p.tel.ptr.BackendState(b.idx, time.Now().UnixNano(), stateCircuit+int64(to))
-			}
-		}
-	}
-	p.pool.tel = &p.tel
-	p.pool.onTransition = func(b *Backend, healthy bool, reason string) {
-		p.tel.HealthTransitions.Inc()
-		state := stateUnhealthy
-		if healthy {
-			state = stateHealthy
-		}
-		p.tel.ptr.BackendState(b.idx, time.Now().UnixNano(), state)
-	}
-}
-
 // Addr returns the client-facing listen address.
 func (p *Proxy) Addr() string { return p.ln.Addr().String() }
 
 // Controller exposes the Hermes controller (policy API, stats).
 func (p *Proxy) Controller() *core.Controller { return p.ctl }
 
-// Pool exposes the backend pool (admin API, tests).
-func (p *Proxy) Pool() *Pool { return p.pool }
-
 // Registry exposes the telemetry registry (stats reporting).
 func (p *Proxy) Registry() *telemetry.Registry { return p.reg }
-
-// Windows exposes the windowed time-series layer (admin API, -stats-every).
-func (p *Proxy) Windows() *telemetry.Windows { return p.win }
-
-// SLO exposes the burn-rate monitor, nil when disabled.
-func (p *Proxy) SLO() *telemetry.SLO { return p.slo }
-
-// Config returns the validated configuration the proxy runs.
-func (p *Proxy) Config() Config { return p.cfg }
 
 // Workers returns the worker count.
 func (p *Proxy) Workers() int { return len(p.workers) }

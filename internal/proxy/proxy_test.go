@@ -190,7 +190,7 @@ func TestProxyEndToEnd(t *testing.T) {
 			t.Fatalf("request %d: status %d", i, resp.Status)
 		}
 	}
-	if got := p.Served.Load(); got != 20 {
+	if got := p.Registry().Snapshot().Get("proxy.backend.requests").Total(); got != 20 {
 		t.Errorf("served = %d, want 20", got)
 	}
 	if b0.hits.Load() == 0 || b1.hits.Load() == 0 {
@@ -294,21 +294,22 @@ func TestAdminEndpoints(t *testing.T) {
 		return body
 	}
 
-	if body := read("/healthz", 200); !strings.Contains(string(body), `"status": "ok"`) {
+	if body := string(read("/healthz", 200)); !strings.Contains(body, `"status": "ok"`) ||
+		!strings.Contains(body, `"policy": "`+cfg.Policy+`"`) {
 		t.Errorf("/healthz = %s", body)
 	}
-	body := read("/backends", 200)
-	if !strings.Contains(string(body), b0.addr) || !strings.Contains(string(body), b1.addr) {
+	// Each breaker is inside its backend's row; there is no /circuits.
+	body := string(read("/backends", 200))
+	if !strings.Contains(body, b0.addr) || !strings.Contains(body, b1.addr) ||
+		strings.Count(body, `"state": "closed"`) != 2 {
 		t.Errorf("/backends = %s", body)
 	}
-	if body := read("/stats", 200); !strings.Contains(string(body), `"served": 5`) {
-		t.Errorf("/stats = %s", body)
-	}
-	if body := read("/circuits", 200); !strings.Contains(string(body), `"state": "closed"`) {
-		t.Errorf("/circuits = %s", body)
-	}
-	// The Hermes policy API keeps its shape under the same mux.
-	if body := read("/status", 200); !strings.Contains(string(body), `"selection"`) {
+	read("/circuits", 404)
+	read("/stats", 200) // its body: TestAdminMetricsPlane
+	// The Hermes policy API keeps its shape under the same mux; the
+	// availability mask sits beside the selection it vetoes.
+	if body := string(read("/status", 200)); !strings.Contains(body, `"selection"`) ||
+		!strings.Contains(body, `"available_mask"`) {
 		t.Errorf("/status = %s", body)
 	}
 	read("/policy", 200)
@@ -318,6 +319,47 @@ func TestAdminEndpoints(t *testing.T) {
 	p.pool.setHealthy(p.pool.backends[1], false, "active")
 	if body := read("/healthz", 503); !strings.Contains(string(body), `"status": "unavailable"`) {
 		t.Errorf("/healthz all-down = %s", body)
+	}
+}
+
+// What /backends says of a backend is its slot of the proxy.backend.* rows:
+// with one backend dead (every second pick fails and is retried onto the
+// live one) the two reads agree field by field, the requests add up to what
+// was served, and nothing is left in flight.
+func TestBackendFactsCountedOnce(t *testing.T) {
+	live, dead := newStubUpstream(t), newStubUpstream(t)
+	dead.kill()
+	reg := telemetry.NewRegistry()
+	p := startProxy(t, testConfig(live, dead), WithTelemetry(reg))
+	const n = 24
+	for i := 0; i < n; i++ {
+		if resp, err := get(p.Addr(), "/", nil); err != nil || resp.Status != 200 {
+			t.Fatalf("request %d: %v %v", i, resp, err)
+		}
+	}
+	snap := reg.Snapshot()
+	views := p.backendViews()
+	var requests, errs uint64
+	for i, v := range views {
+		requests, errs = requests+v.Requests, errs+v.Errors
+		if got := uint64(snap.Get("proxy.backend.requests").Values[i]); got != v.Requests {
+			t.Errorf("backend %d: /backends requests %d, row slot %d", i, v.Requests, got)
+		}
+		if got := uint64(snap.Get("proxy.backend.errors").Values[i]); got != v.Errors {
+			t.Errorf("backend %d: /backends errors %d, row slot %d", i, v.Errors, got)
+		}
+		if got := snap.Get("proxy.backend.active").Values[i]; got != v.Active || got != 0 {
+			t.Errorf("backend %d: /backends active %d, row slot %d, want both 0", i, v.Active, got)
+		}
+		if got := snap.Get("proxy.backend.healthy").Values[i]; (got == 1) != v.Healthy {
+			t.Errorf("backend %d: /backends healthy %v, row slot %d", i, v.Healthy, got)
+		}
+	}
+	if served := snap.Get("proxy.worker.requests_served").Total(); requests != n || served != n {
+		t.Errorf("Σ backend requests = %d, workers served %d, want %d", requests, served, n)
+	}
+	if errs == 0 || views[0].Errors != 0 || views[1].Requests != 0 {
+		t.Errorf("the dead backend should hold every error and no request: %+v", views)
 	}
 }
 
@@ -348,7 +390,7 @@ func TestShutdownDrainsInFlight(t *testing.T) {
 		t.Fatalf("in-flight request dropped: status=%v err=%v", r.resp, r.err)
 	}
 	// Drain vetoed every worker in the availability mask before closing.
-	if mask := p.Controller().AvailableMask() & 0b11; mask != 0 {
+	if mask := p.Controller().AvailableMask(0) & 0b11; mask != 0 {
 		t.Errorf("worker bits after drain = %b, want 0", mask)
 	}
 	if _, err := net.DialTimeout("tcp", p.Addr(), 200*time.Millisecond); err == nil {

@@ -326,8 +326,8 @@ func TestIdleWorkersStaySelectable(t *testing.T) {
 	if _, ok := p.Controller().Select(1, 1); !ok {
 		t.Fatalf("no worker selectable after %v idle", 10*hang)
 	}
-	if bm := p.statsView().Scheduler.SelectionBitmap; bm != 0b1111 {
-		t.Fatalf("/stats selection bitmap = %04b after idling, want 1111", bm)
+	if bm := p.Controller().Selection(0); bm != 0b1111 {
+		t.Fatalf("/status selection bitmap = %04b after idling, want 1111", bm)
 	}
 }
 
@@ -343,7 +343,7 @@ func TestHungWorkerLeavesBitmap(t *testing.T) {
 		{Kind: faults.Hang, AtNS: 0, Worker: 1, DurNS: int64(hangFor)},
 	}}))
 	pol := p.Controller().Config()
-	bitmap := func() uint64 { return p.statsView().Scheduler.SelectionBitmap }
+	bitmap := func() uint64 { return p.Controller().Selection(0) }
 	waitFor := func(want uint64, within time.Duration) time.Duration {
 		t.Helper()
 		start := time.Now()

@@ -101,6 +101,15 @@ func (g *Gauge) Set(v int64) {
 	}
 }
 
+// Swap stores v and returns the value it replaced (0 on nil): a gauge that
+// holds a state lets exactly one of several writers see each change.
+func (g *Gauge) Swap(v int64) int64 {
+	if g == nil {
+		return 0
+	}
+	return g.v.Swap(v)
+}
+
 // Add adjusts the value by delta.
 func (g *Gauge) Add(delta int64) {
 	if g != nil {

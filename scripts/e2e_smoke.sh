@@ -2,8 +2,9 @@
 # End-to-end smoke test for the real proxy: two local backends, a hermes-lb
 # instance with a worker-crash fault injected, live load, a backend kill and
 # restart, and hermesctl assertions that failover and recovery actually show
-# up through the admin API. CI runs this after the unit suites; it needs no
-# tools beyond bash and the go toolchain.
+# up through the admin API; then the six examples/ mains, each run to exit 0.
+# CI runs this after the unit suites; it needs no tools beyond bash, awk and
+# the go toolchain.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -131,7 +132,9 @@ for i in $(seq 1 50); do
   sleep 0.1
 done
 ctl_has 'status: *degraded' status || { ctl status; fail "status not degraded with a dead backend"; }
+# Each breaker is inside its backend's /backends row; `circuits` renders them.
 ctl_has "$B2" circuits || { ctl circuits; fail "circuits view missing $B2" ; }
+ctl -json backends | grep -q '"circuit"' || fail "/backends rows carry no circuit"
 echo "e2e: phase 2 ok (backend death covered by retries, evicted by prober)"
 
 # Phase 3: resurrect backend 2 on the same address; the prober must readmit
@@ -204,8 +207,14 @@ case $line in *" 200 "*) ;; *) fail "third connection behind slow clients -> $li
 echo "e2e: phase 5 ok (request served in ${ms}ms beside an idle and a dripping connection)"
 
 # Final: stats must reconcile, and shutdown must drain cleanly (exit 0).
-ctl_has 'served:' stats || fail "stats rendering broken"
-served=$(ctl -json stats | sed -n 's/.*"served": *\([0-9]*\).*/\1/p')
+# /stats is the registry's snapshot: served is the proxy.worker.requests_served
+# row, its per-worker values summed.
+ctl_has '^proxy\.worker\.requests_served .*total=' stats || fail "stats rendering broken"
+served=$(ctl -json stats | awk '
+  /"name": "proxy.worker.requests_served"/ { row = 1 }
+  row && /"values"/ { vals = 1; next }
+  vals && /\]/ { print sum + 0; exit }
+  vals { gsub(/[^0-9]/, ""); sum += $0 }')
 [ "${served:-0}" -ge 100 ] || fail "served=$served, want >= 100"
 ctl_has 'selection bitmap:' stats || fail "scheduler state missing from stats"
 
@@ -214,4 +223,17 @@ if ! wait "$PROXY_PID"; then
   cat "$WORK/proxy.log" >&2
   fail "proxy exited non-zero on graceful shutdown"
 fi
-echo "e2e: PASS (served=$served, graceful drain clean)"
+echo "e2e: proxy ok (served=$served, graceful drain clean)"
+
+# The six examples/ mains are programs, not just things that compile: each
+# must run to exit 0 (built, they take well under a second apiece). This is
+# what evaluates the mechanisms only an example reaches — core.WithGroups /
+# WithGroupKey (Fig. A6) through examples/cachegroups.
+echo "e2e: building and running the examples"
+mkdir "$WORK/examples"
+go build -o "$WORK/examples/" ./examples/...
+for ex in "$WORK"/examples/*; do
+  timeout 30 "$ex" >"$ex.log" 2>&1 || { tail -n 20 "$ex.log" >&2; fail "examples/${ex##*/} did not exit 0 within 30 s"; }
+done
+[ "$(ls "$WORK"/examples/*.log | wc -l)" -eq 6 ] || fail "expected six examples, ran $(ls "$WORK"/examples/*.log | wc -l)"
+echo "e2e: PASS (served=$served, six examples ran)"
