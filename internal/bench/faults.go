@@ -138,8 +138,7 @@ func (tr *faultsTraffic) stream(ref kernel.ConnRef) {
 	tr.lb.Deliver(conn, l7lb.Work{
 		ArrivalNS: eng.Now(),
 		Cost:      time.Duration(tr.cost.Sample(rng)),
-		Size:      300, RespSize: 600,
-		Tenant: tr.port,
+		Tenant:    tr.port,
 	})
 	gap := time.Duration(float64(tr.interReq) * (0.5 + rng.Float64()))
 	eng.After(gap, func() { tr.stream(ref) })
@@ -179,9 +178,8 @@ func (tr *faultsTraffic) churnReqs(ref kernel.ConnRef, remaining int) {
 	tr.lb.Deliver(conn, l7lb.Work{
 		ArrivalNS: eng.Now(),
 		Cost:      time.Duration(tr.cost.Sample(rng)),
-		Size:      300, RespSize: 600,
-		Close:  remaining == 1,
-		Tenant: tr.port,
+		Close:     remaining == 1,
+		Tenant:    tr.port,
 	})
 	eng.After(tr.interReq/4, func() { tr.churnReqs(ref, remaining-1) })
 }

@@ -100,8 +100,6 @@ func DefaultWorkFactory(base time.Duration, perByte time.Duration) WorkFactory {
 		return l7lb.Work{
 			ArrivalNS: arrivalNS,
 			Cost:      base + time.Duration(len(payload))*perByte,
-			Size:      len(payload),
-			RespSize:  3 * len(payload),
 			Close:     last,
 			Tenant:    t.L7Port,
 		}

@@ -59,8 +59,8 @@ type NetStack struct {
 	Mode WakeMode
 
 	eng         *sim.Engine
-	shared      map[uint16]*Socket
-	groups      map[uint16]*ReuseportGroup
+	ports       portTable
+	groupsBound int // reuseport groups currently bound
 	nextSockID  int
 	nextConnID  uint64
 	nextEpollID int
@@ -82,18 +82,46 @@ type NetStack struct {
 	obs *observer // nil until Observe
 }
 
+// portBinding is what listens on one port: a reuseport group, a shared
+// socket, or (both nil) nothing. checkPortFree keeps the two exclusive.
+type portBinding struct {
+	group  *ReuseportGroup
+	shared *Socket
+}
+
+// portTable maps a 16-bit port to its binding by index instead of by hash:
+// 256 pages of 256 entries, a page allocated when a port in it is first
+// bound. A lookup is two indexed loads; a device with 400 consecutive ports
+// bound touches two or three pages.
+type portTable [256]*[256]portBinding
+
+// get returns the binding of port, empty if nothing was ever bound there. It
+// never allocates.
+func (t *portTable) get(port uint16) (b portBinding) {
+	if pg := t[port>>8]; pg != nil {
+		b = pg[port&0xff]
+	}
+	return b
+}
+
+// at returns the binding of port for writing, allocating its page on first
+// use.
+func (t *portTable) at(port uint16) *portBinding {
+	pg := t[port>>8]
+	if pg == nil {
+		pg = new([256]portBinding)
+		t[port>>8] = pg
+	}
+	return &pg[port&0xff]
+}
+
 // DefaultAcceptBacklog is the accept-queue capacity used when callers pass
 // backlog ≤ 0 (listen(2)'s somaxconn role).
 const DefaultAcceptBacklog = 1024
 
 // NewNetStack creates a stack on the given engine.
 func NewNetStack(eng *sim.Engine, mode WakeMode) *NetStack {
-	return &NetStack{
-		Mode:   mode,
-		eng:    eng,
-		shared: make(map[uint16]*Socket),
-		groups: make(map[uint16]*ReuseportGroup),
-	}
+	return &NetStack{Mode: mode, eng: eng}
 }
 
 // SetBurstWidth does nothing. It set the width of wake-frame coalescing, which
@@ -150,7 +178,7 @@ func (ns *NetStack) ListenShared(port uint16, backlog int) (*Socket, error) {
 		return nil, err
 	}
 	s := ns.newSocket(port, true, backlog)
-	ns.shared[port] = s
+	ns.ports.at(port).shared = s
 	return s, nil
 }
 
@@ -171,25 +199,27 @@ func (ns *NetStack) ListenReuseport(port uint16, n, backlog int) (*ReuseportGrou
 		s.groupIdx = i
 		g.socks = append(g.socks, s)
 	}
-	ns.groups[port] = g
+	ns.ports.at(port).group = g
+	ns.groupsBound++
 	return g, nil
 }
 
 func (ns *NetStack) checkPortFree(port uint16) error {
-	if _, ok := ns.shared[port]; ok {
+	b := ns.ports.get(port)
+	if b.shared != nil {
 		return fmt.Errorf("kernel: port %d already bound (shared)", port)
 	}
-	if _, ok := ns.groups[port]; ok {
+	if b.group != nil {
 		return fmt.Errorf("kernel: port %d already bound (reuseport)", port)
 	}
 	return nil
 }
 
 // Group returns the reuseport group bound to port, if any.
-func (ns *NetStack) Group(port uint16) *ReuseportGroup { return ns.groups[port] }
+func (ns *NetStack) Group(port uint16) *ReuseportGroup { return ns.ports.get(port).group }
 
 // SharedSocket returns the shared listening socket bound to port, if any.
-func (ns *NetStack) SharedSocket(port uint16) *Socket { return ns.shared[port] }
+func (ns *NetStack) SharedSocket(port uint16) *Socket { return ns.ports.get(port).shared }
 
 // NewEpoll creates an epoll instance (epoll_create).
 func (ns *NetStack) NewEpoll() *Epoll {
@@ -207,17 +237,13 @@ func (ns *NetStack) NewEpoll() *Epoll {
 // shared socket), creates the connection socket, and queues it for accept.
 // Returns ok=false if there is no listener or the accept queue overflowed.
 func (ns *NetStack) DeliverSYN(tuple FourTuple, meta any) (*Conn, bool) {
-	g := ns.groups[tuple.DstPort]
-	var s *Socket
-	if g == nil {
-		s = ns.shared[tuple.DstPort]
-	}
-	return ns.deliverSYNResolved(tuple, meta, g, s)
+	b := ns.ports.get(tuple.DstPort)
+	return ns.deliverSYNResolved(tuple, meta, b.group, b.shared)
 }
 
 // deliverSYNResolved is DeliverSYN past port resolution: the listener (g or
 // s, both possibly nil for an unbound port) has already been looked up, so
-// burst callers pay the map walk once per run of equal destination ports.
+// burst callers pay the lookup once per run of equal destination ports.
 func (ns *NetStack) deliverSYNResolved(tuple FourTuple, meta any, g *ReuseportGroup, s *Socket) (*Conn, bool) {
 	var target *Socket
 	via := tracing.ViaShared
@@ -296,29 +322,24 @@ func (ns *NetStack) deliverSYNResolved(tuple FourTuple, meta any, g *ReuseportGr
 // reuse a scratch slice allocation-free.
 func (ns *NetStack) DeliverSYNBurst(tuples []FourTuple, metas []any, conns []*Conn) []*Conn {
 	// Port resolution is hoisted per run of equal destination ports — a
-	// NIC burst is usually single-port, so the map walk amortizes across
+	// NIC burst is usually single-port, so the lookup amortizes across
 	// the vector. Safe within one call: no listener can be bound or closed
 	// mid-burst (worker reactions are deferred engine events).
 	var (
-		g        *ReuseportGroup
-		s        *Socket
+		b        portBinding
 		port     uint16
 		resolved bool
 	)
 	for i := range tuples {
 		if p := tuples[i].DstPort; !resolved || p != port {
 			port, resolved = p, true
-			g = ns.groups[p]
-			s = nil
-			if g == nil {
-				s = ns.shared[p]
-			}
+			b = ns.ports.get(p)
 		}
 		var m any
 		if metas != nil {
 			m = metas[i]
 		}
-		c, _ := ns.deliverSYNResolved(tuples[i], m, g, s)
+		c, _ := ns.deliverSYNResolved(tuples[i], m, b.group, b.shared)
 		conns = append(conns, c)
 	}
 	return conns
@@ -381,9 +402,10 @@ func (ns *NetStack) CloseSocket(s *Socket) {
 		// Unbind the port once nothing listens on it: a shared socket at
 		// once, a reuseport group when its last member closes.
 		if s.group == nil {
-			delete(ns.shared, s.Port)
+			ns.ports.at(s.Port).shared = nil
 		} else if s.group.allClosed() {
-			delete(ns.groups, s.Port)
+			ns.ports.at(s.Port).group = nil
+			ns.groupsBound--
 		}
 	} else if s.conn != nil {
 		ns.connFree = append(ns.connFree, s.conn)

@@ -86,7 +86,7 @@ func (ns *NetStack) Observe(sink *telemetry.Registry, tr *tracing.Tracer, slots 
 		o.wakes = sink.Counter(wakeRows[ns.Mode])
 	}
 
-	if len(ns.groups) > 0 {
+	if ns.groupsBound > 0 {
 		o.observeReuseport()
 	}
 }

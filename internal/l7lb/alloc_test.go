@@ -66,8 +66,8 @@ func TestPayloadShapesAndResetWithQueuedPayloads(t *testing.T) {
 			var seen []Work
 			lb.OnResponse = func(_ kernel.ConnRef, w Work) { seen = append(seen, w) }
 
-			pooled := Work{ArrivalNS: 0, Cost: 5 * time.Microsecond, Size: 1, RespSize: 2, Tenant: 8080}
-			byValue := Work{ArrivalNS: 0, Cost: 7 * time.Microsecond, Size: 3, RespSize: 4, Close: true, Tenant: 8080}
+			pooled := Work{ArrivalNS: 0, Cost: 5 * time.Microsecond, Tenant: 8080}
+			byValue := Work{ArrivalNS: 0, Cost: 7 * time.Microsecond, Close: true, Tenant: 8080}
 			conn := openConn(t, lb, 1, 8080)
 			lb.Deliver(conn, pooled)
 			lb.NS.DeliverData(conn, byValue)
@@ -121,17 +121,17 @@ func TestPayloadShapesAndResetWithQueuedPayloads(t *testing.T) {
 			seen = seen[:0]
 			for i := 0; i < 8; i++ {
 				c := openConn(t, lb, uint32(10+i), 8080)
-				lb.Deliver(c, Work{ArrivalNS: eng.Now(), Cost: time.Microsecond, Size: 100 + i, Close: true, Tenant: 8080})
+				lb.Deliver(c, Work{ArrivalNS: eng.Now(), Cost: time.Microsecond + time.Duration(i), Close: true, Tenant: 8080})
 			}
 			eng.RunUntil(eng.Now() + int64(10*time.Millisecond))
 			if len(seen) != 8 {
 				t.Fatalf("served %d of 8 requests after the reset", len(seen))
 			}
-			sizes := map[int]bool{}
+			costs := map[time.Duration]bool{}
 			for _, w := range seen {
-				sizes[w.Size] = true
+				costs[w.Cost] = true
 			}
-			if len(sizes) != 8 {
+			if len(costs) != 8 {
 				t.Fatalf("requests after the reset arrived as %+v: payloads aliased", seen)
 			}
 		})

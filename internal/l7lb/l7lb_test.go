@@ -26,8 +26,6 @@ func sendReq(lb *LB, conn *kernel.Conn, cost time.Duration, closeAfter bool) {
 	lb.Deliver(conn, Work{
 		ArrivalNS: lb.Eng.Now(),
 		Cost:      cost,
-		Size:      200,
-		RespSize:  500,
 		Close:     closeAfter,
 		Tenant:    conn.Tuple.DstPort,
 	})
@@ -72,9 +70,6 @@ func TestAllModesServeTraffic(t *testing.T) {
 			}
 			if p99 := lb.Latency.Percentile(99); p99 > 50 {
 				t.Fatalf("P99 latency %v ms is absurd for idle system", p99)
-			}
-			if lb.BytesOut != conns*500 || lb.BytesIn != conns*200 {
-				t.Fatalf("bytes: in=%d out=%d", lb.BytesIn, lb.BytesOut)
 			}
 			if lb.TotalBusyNS() == 0 {
 				t.Fatal("no busy time accounted")

@@ -41,9 +41,6 @@ type LB struct {
 	Latency stats.Sample
 	// Completed counts finished requests (excluding probes).
 	Completed uint64
-	// BytesIn / BytesOut total request/response bytes.
-	BytesIn  uint64
-	BytesOut uint64
 	// ConnsReset counts RSTs from pool exhaustion, shedding, and crashes.
 	ConnsReset uint64
 
@@ -284,8 +281,6 @@ func (lb *LB) recordCompletion(w *Worker, conn kernel.ConnRef, work Work) {
 			o.latency.Observe(lat)
 		}
 	}
-	lb.BytesIn += uint64(work.Size)
-	lb.BytesOut += uint64(work.RespSize)
 	if lb.OnResponse != nil {
 		lb.OnResponse(conn, work)
 	}

@@ -6,6 +6,11 @@ import "time"
 // the workload generator attaches it as the payload of a readable event, and
 // the worker charges itself Cost of virtual CPU to process it. The classes
 // mirror the paper's processing tasks (§2.1).
+//
+// The simulator does not model bytes on the wire, so a request carries no
+// size: whatever a request's bytes cost the worker is inside Cost. Request
+// sizes are evaluated where the paper reports them, as distributions (Table 1,
+// internal/bench/tables.go, sampling workload.Spec.SizeBytes directly).
 type Work struct {
 	// ArrivalNS is the virtual time the request reached the LB (data
 	// delivery); end-to-end latency is completion − arrival.
@@ -14,10 +19,6 @@ type Work struct {
 	// TLS, compression, copying — request-dependent, invisible to the
 	// kernel: the paper's core observation, §3).
 	Cost time.Duration
-	// Size is the request size in bytes (Table 1).
-	Size int
-	// RespSize is the response size in bytes.
-	RespSize int
 	// Close requests connection teardown after the response.
 	Close bool
 	// Probe marks the health probes of Fig. 11.

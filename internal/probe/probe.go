@@ -84,8 +84,6 @@ func (p *WorkerProber) scheduleRound(prev, end int64) {
 			p.lb.Deliver(s.Conn(), l7lb.Work{
 				ArrivalNS: p.lb.Eng.Now(),
 				Cost:      10 * time.Microsecond,
-				Size:      64,
-				RespSize:  64,
 				Probe:     true,
 				ProbeSrc:  p.src,
 				Tenant:    p.Port,

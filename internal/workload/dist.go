@@ -15,6 +15,10 @@ import (
 // Dist is a one-dimensional sampling distribution.
 type Dist interface {
 	Sample(r *rand.Rand) float64
+	// Skip advances r exactly as Sample would, without computing the value:
+	// for a draw whose result nothing reads but whose place in a shared
+	// random stream everything after it depends on.
+	Skip(r *rand.Rand)
 	// Mean returns the distribution's expectation (for load accounting).
 	Mean() float64
 }
@@ -25,6 +29,9 @@ type Const float64
 // Sample implements Dist.
 func (c Const) Sample(*rand.Rand) float64 { return float64(c) }
 
+// Skip implements Dist.
+func (c Const) Skip(*rand.Rand) {}
+
 // Mean implements Dist.
 func (c Const) Mean() float64 { return float64(c) }
 
@@ -34,6 +41,9 @@ type Uniform struct{ Lo, Hi float64 }
 // Sample implements Dist.
 func (u Uniform) Sample(r *rand.Rand) float64 { return u.Lo + r.Float64()*(u.Hi-u.Lo) }
 
+// Skip implements Dist.
+func (u Uniform) Skip(r *rand.Rand) { r.Float64() }
+
 // Mean implements Dist.
 func (u Uniform) Mean() float64 { return (u.Lo + u.Hi) / 2 }
 
@@ -42,6 +52,9 @@ type Exp struct{ MeanVal float64 }
 
 // Sample implements Dist.
 func (e Exp) Sample(r *rand.Rand) float64 { return r.ExpFloat64() * e.MeanVal }
+
+// Skip implements Dist.
+func (e Exp) Skip(r *rand.Rand) { r.ExpFloat64() }
 
 // Mean implements Dist.
 func (e Exp) Mean() float64 { return e.MeanVal }
@@ -54,6 +67,9 @@ type LogNormal struct{ Mu, Sigma float64 }
 func (l LogNormal) Sample(r *rand.Rand) float64 {
 	return math.Exp(l.Mu + l.Sigma*r.NormFloat64())
 }
+
+// Skip implements Dist.
+func (l LogNormal) Skip(r *rand.Rand) { r.NormFloat64() }
 
 // Mean implements Dist.
 func (l LogNormal) Mean() float64 { return math.Exp(l.Mu + l.Sigma*l.Sigma/2) }
@@ -68,6 +84,9 @@ type Pareto struct {
 func (p Pareto) Sample(r *rand.Rand) float64 {
 	return p.XMin / math.Pow(1-r.Float64(), 1/p.Alpha)
 }
+
+// Skip implements Dist.
+func (p Pareto) Skip(r *rand.Rand) { r.Float64() }
 
 // Mean implements Dist.
 func (p Pareto) Mean() float64 {
@@ -84,20 +103,13 @@ type Mixture struct {
 }
 
 // Sample implements Dist.
-func (m Mixture) Sample(r *rand.Rand) float64 {
-	total := 0.0
-	for _, w := range m.Weights {
-		total += w
-	}
-	x := r.Float64() * total
-	for i, w := range m.Weights {
-		if x < w {
-			return m.Components[i].Sample(r)
-		}
-		x -= w
-	}
-	return m.Components[len(m.Components)-1].Sample(r)
-}
+func (m Mixture) Sample(r *rand.Rand) float64 { return m.pick(r).Sample(r) }
+
+// Skip implements Dist.
+func (m Mixture) Skip(r *rand.Rand) { m.pick(r).Skip(r) }
+
+// pick draws the component one Sample or Skip goes to.
+func (m Mixture) pick(r *rand.Rand) Dist { return m.Components[PickWeighted(r, m.Weights)] }
 
 // Mean implements Dist.
 func (m Mixture) Mean() float64 {

@@ -28,8 +28,6 @@ type Generator struct {
 	RequestsSent uint64
 	// LiveConns tracks currently open generated connections.
 	LiveConns int
-	// PortConns breaks accepted connections down by tenant port.
-	PortConns map[uint16]uint64
 
 	// Free lists for the arrival-chain and request-train state objects.
 	// Each carries its own pre-bound timer callback, so the open-loop
@@ -67,12 +65,7 @@ func NewGenerator(lb *l7lb.LB, spec Spec) (*Generator, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	return &Generator{
-		lb:        lb,
-		spec:      spec,
-		rng:       lb.Eng.Rand(),
-		PortConns: make(map[uint16]uint64),
-	}, nil
+	return &Generator{lb: lb, spec: spec, rng: lb.Eng.Rand()}, nil
 }
 
 // Run schedules connection arrivals over the window [now, now+d). Request
@@ -146,7 +139,6 @@ func (g *Generator) openConn() {
 		return
 	}
 	g.LiveConns++
-	g.PortConns[port]++
 
 	reqs := int(g.spec.ReqPerConn.Sample(g.rng))
 	if reqs < 1 {
@@ -194,14 +186,18 @@ func (t *reqTrain) run() {
 	}
 	last := t.idx == t.total
 	g.RequestsSent++
-	g.lb.Deliver(conn, l7lb.Work{
+	work := l7lb.Work{
 		ArrivalNS: g.lb.Eng.Now(),
 		Cost:      time.Duration(g.spec.CostNS.Sample(g.rng)),
-		Size:      int(g.spec.SizeBytes.Sample(g.rng)),
-		RespSize:  int(g.spec.RespBytes.Sample(g.rng)),
 		Close:     last,
 		Tenant:    t.port,
-	})
+	}
+	// Bytes on the wire are not simulated, but the two size draws keep their
+	// place in the engine's random stream: every gap, cost and arrival after
+	// them depends on it.
+	g.spec.SizeBytes.Skip(g.rng)
+	g.spec.RespBytes.Skip(g.rng)
+	g.lb.Deliver(conn, work)
 	if last {
 		t.retire()
 		return

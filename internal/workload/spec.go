@@ -24,7 +24,9 @@ type Spec struct {
 	// CostNS samples per-request worker CPU time in ns (the paper's
 	// processing-time axis).
 	CostNS Dist
-	// SizeBytes / RespBytes sample request/response sizes.
+	// SizeBytes / RespBytes sample request/response sizes. Table 1 reads
+	// them directly; a Generator only steps past the two draws
+	// (Dist.Skip), because a simulated request carries no bytes.
 	SizeBytes Dist
 	RespBytes Dist
 	// Ports are the tenant ports traffic targets; PortWeights skews tenant

@@ -108,8 +108,6 @@ func (s *Surge) sendBurstReq(ref kernel.ConnRef, remaining int) {
 	s.lb.Deliver(conn, l7lb.Work{
 		ArrivalNS: s.lb.Eng.Now(),
 		Cost:      time.Duration(s.spec.BurstCostNS.Sample(s.rng)),
-		Size:      300,
-		RespSize:  900,
 		Close:     remaining == 1,
 		Tenant:    s.spec.Port,
 	})
