@@ -61,15 +61,17 @@ func TestTelemetryCatalogMatchesDoc(t *testing.T) {
 	pcfg.Listen = "127.0.0.1:0"
 	pcfg.HealthCheck.Enabled = false
 	pcfg.Backends = []proxy.BackendConfig{{Address: "127.0.0.1:1"}}
-	p, err := proxy.New(pcfg, proxy.WithTelemetry(reg), proxy.WithTracer(tracer))
+	p, err := proxy.New(pcfg, proxy.WithTracer(tracer))
 	if err != nil {
 		t.Fatal(err)
 	}
 	p.Close()
 
 	registered := map[string]bool{}
-	for _, ms := range reg.Snapshot().Metrics {
-		registered[ms.Name] = true
+	for _, snap := range []telemetry.Snapshot{reg.Snapshot(), p.Registry().Snapshot()} {
+		for _, ms := range snap.Metrics {
+			registered[ms.Name] = true
+		}
 	}
 	for _, name := range sortedKeys(registered) {
 		if !documented[name] {

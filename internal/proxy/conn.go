@@ -337,7 +337,7 @@ var errUpstreamProto = errors.New("proxy: upstream reply not relayable")
 // any error here leaves the request replayable.
 func (c *conn) roundTrip(b *Backend, body, rbuf []byte) (up net.Conn, n, respLen int, err error) {
 	p := c.w.p
-	if up, err = net.DialTimeout("tcp", b.addr, p.cfg.DialTimeout); err != nil {
+	if up, err = p.dialer.Dial("tcp", b.addr); err != nil {
 		return nil, 0, 0, err
 	}
 	if len(body) == 0 {

@@ -1,6 +1,7 @@
 package proxy
 
 import (
+	"context"
 	"fmt"
 	"net"
 	"strconv"
@@ -19,15 +20,8 @@ import (
 type Option func(*options)
 
 type options struct {
-	reg    *telemetry.Registry
 	tracer *tracing.Tracer
 	sched  faults.Schedule
-}
-
-// WithTelemetry registers the proxy's instruments on an existing registry
-// instead of a private one (embedding, tests).
-func WithTelemetry(reg *telemetry.Registry) Option {
-	return func(o *options) { o.reg = reg }
 }
 
 // WithTracer arms the per-connection flight recorder (a concurrent tracer;
@@ -49,6 +43,7 @@ func WithFaults(sched faults.Schedule) Option {
 type Proxy struct {
 	cfg     Config
 	ln      net.Listener
+	dialer  net.Dialer // upstream dials
 	ctl     *core.Controller
 	pool    *Pool
 	bufs    *bufPool
@@ -122,10 +117,7 @@ func New(cfg Config, opts ...Option) (*Proxy, error) {
 	if err := checkFaults(o.sched); err != nil {
 		return nil, err
 	}
-	reg := o.reg
-	if reg == nil {
-		reg = telemetry.NewRegistry()
-	}
+	reg := telemetry.NewRegistry()
 
 	ctl, err := core.New(cfg.Workers, core.DefaultConfig())
 	if err != nil {
@@ -135,7 +127,11 @@ func New(cfg Config, opts ...Option) (*Proxy, error) {
 	// of the flight recorder, since every request ends in one.
 	ctl.Observe(reg, nil, nil)
 
-	ln, err := net.Listen("tcp", cfg.Listen)
+	// No TCP keep-alive probes on either side: the proxy bounds both
+	// lifetimes itself — an idle client is closed after ClientIdleTimeout, an
+	// upstream connection carries one request — so the four setsockopts Go
+	// spends arming probes on every accepted and dialled socket buy nothing.
+	ln, err := (&net.ListenConfig{KeepAlive: -1}).Listen(context.Background(), "tcp", cfg.Listen)
 	if err != nil {
 		return nil, err
 	}
@@ -143,6 +139,7 @@ func New(cfg Config, opts ...Option) (*Proxy, error) {
 	p := &Proxy{
 		cfg:     cfg,
 		ln:      ln,
+		dialer:  net.Dialer{Timeout: cfg.DialTimeout, KeepAlive: -1},
 		ctl:     ctl,
 		reg:     reg,
 		bufs:    newBufPool(),

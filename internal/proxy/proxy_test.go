@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"hermes/internal/httpx"
-	"hermes/internal/telemetry"
 )
 
 // stubUpstream is a controllable real-TCP backend for proxy tests.
@@ -206,8 +205,8 @@ func TestProxyRetryCoversDeadBackend(t *testing.T) {
 	cfg := testConfig(dead, live)
 	cfg.Buffer.Retries = 2
 	cfg.HealthCheck.PassiveThreshold = 3
-	reg := telemetry.NewRegistry()
-	p := startProxy(t, cfg, WithTelemetry(reg))
+	p := startProxy(t, cfg)
+	reg := p.Registry()
 	for i := 0; i < 30; i++ {
 		resp, err := get(p.Addr(), "/", nil)
 		if err != nil || resp.Status != 200 {
@@ -329,8 +328,8 @@ func TestAdminEndpoints(t *testing.T) {
 func TestBackendFactsCountedOnce(t *testing.T) {
 	live, dead := newStubUpstream(t), newStubUpstream(t)
 	dead.kill()
-	reg := telemetry.NewRegistry()
-	p := startProxy(t, testConfig(live, dead), WithTelemetry(reg))
+	p := startProxy(t, testConfig(live, dead))
+	reg := p.Registry()
 	const n = 24
 	for i := 0; i < n; i++ {
 		if resp, err := get(p.Addr(), "/", nil); err != nil || resp.Status != 200 {
@@ -405,11 +404,11 @@ func TestShutdownForceClosesAfterDeadline(t *testing.T) {
 	b.hang.Store(true)
 	cfg := testConfig(b)
 	cfg.ResponseTimeout = 500 * time.Millisecond
-	reg := telemetry.NewRegistry()
-	p, err := New(cfg, WithTelemetry(reg))
+	p, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	reg := p.Registry()
 	go get(p.Addr(), "/hang", nil)
 	time.Sleep(100 * time.Millisecond)
 	err = p.Shutdown(100 * time.Millisecond)
@@ -448,8 +447,8 @@ func TestHealthEvictionAndRecoverySoak(t *testing.T) {
 		SuccessThreshold: 1,
 		Timeout:          400 * time.Millisecond,
 	}
-	reg := telemetry.NewRegistry()
-	p := startProxy(t, cfg, WithTelemetry(reg))
+	p := startProxy(t, cfg)
+	reg := p.Registry()
 
 	var lost, served atomic.Uint64
 	stop := make(chan struct{})

@@ -15,7 +15,6 @@ import (
 
 	"hermes/internal/faults"
 	"hermes/internal/httpx"
-	"hermes/internal/telemetry"
 	"hermes/internal/tracing"
 )
 
@@ -244,8 +243,8 @@ func TestRelayTruncation(t *testing.T) {
 		cfg := testConfig()
 		cfg.Backends = []BackendConfig{{Address: bad.addr, Weight: 1}, {Address: good.addr, Weight: 1}}
 		cfg.Buffer.Retries = 1
-		reg := telemetry.NewRegistry()
-		p := startProxy(t, cfg, WithTelemetry(reg))
+		p := startProxy(t, cfg)
+		reg := p.Registry()
 		k := dialKeepAlive(t, p.Addr())
 		for i := 0; i < 4; i++ {
 			resp, body, err := k.do("GET", "/", "")
@@ -285,8 +284,8 @@ func TestRelayTruncation(t *testing.T) {
 			cfg := testConfig()
 			cfg.Backends = []BackendConfig{{Address: bad.addr, Weight: 1}}
 			cfg.Buffer.Retries = 2
-			reg := telemetry.NewRegistry()
-			p := startProxy(t, cfg, WithTelemetry(reg))
+			p := startProxy(t, cfg)
+			reg := p.Registry()
 			k := dialKeepAlive(t, p.Addr())
 			resp, body, err := k.do("GET", "/", "")
 			if resp == nil || resp.StatusCode != 200 {
@@ -505,11 +504,11 @@ func TestSlowClientsDoNotBlockTheWorker(t *testing.T) {
 func TestDrainWithManyParkedConnections(t *testing.T) {
 	b := newStubUpstream(t)
 	b.delay.Store(int64(100 * time.Millisecond))
-	reg := telemetry.NewRegistry()
-	p, err := New(testConfig(b), WithTelemetry(reg))
+	p, err := New(testConfig(b))
 	if err != nil {
 		t.Fatal(err)
 	}
+	reg := p.Registry()
 	const parked = 64
 	var served atomic.Int32
 	var clients sync.WaitGroup

@@ -10,23 +10,27 @@
 // are processed in the order they were enqueued.
 //
 // The event queue is shaped like what the simulator schedules (docs/PERF.md,
-// "The event queue"): a FIFO ring for events scheduled for the instant the
-// clock already stands on (wake trampolines, zero-cost loop tails, immediate
-// deliveries: O(1) in and out), a 4-ary min-heap for near events, and a
-// second one for far timers, so a parked epoll timeout is armed and cancelled
-// without deepening the heap that near events fire from. Heap entries carry
-// their (at, seq) key by value, so a comparison never chases an event pointer.
+// "The event queue" and "Near timers leave the heap"): a FIFO ring for events
+// scheduled for the instant the clock already stands on (wake trampolines,
+// zero-cost loop tails, immediate deliveries: O(1) in and out), a calendar of
+// 256 ns buckets for the next ≈ 1 ms (service times, arrival gaps: O(1) in,
+// out and cancelled), and a 4-ary min-heap for far timers, so a parked epoll
+// timeout is armed and cancelled without touching the structure near events
+// fire from. Heap entries carry their (at, seq) key by value, so a comparison
+// never chases an event pointer.
 //
 // The hot path is allocation-free in steady state: fired and cancelled
-// timer events return to a per-engine free list, and the ring and both heaps
-// keep their backing arrays. Timer handles carry a generation number, so a
-// handle that outlives its event (e.g. an epoll timeout raced by an arrival)
-// can never cancel a recycled event by mistake.
+// timer events return to a per-engine free list, the calendar links them
+// through their own fields, and the ring and the heap keep their backing
+// arrays. Timer handles carry a generation number, so a handle that outlives
+// its event (e.g. an epoll timeout raced by an arrival) can never cancel a
+// recycled event by mistake.
 package sim
 
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"time"
 )
@@ -39,23 +43,31 @@ const (
 	inFar
 )
 
-// farHorizon is the delay from which a timer is filed in the far heap. The
-// simulator's delays are bimodal — service and arrival gaps of microseconds,
-// epoll timeouts and idle timers of milliseconds — and anything in between
-// splits them. Firing order does not depend on the value: Step takes the
-// earlier of the two heap tops.
-const farHorizon = int64(time.Millisecond)
+// The calendar's geometry: nBuckets buckets of 1<<bucketShift ns. An event is
+// filed in it when its bucket is fewer than nBuckets buckets past the clock's,
+// so no two pending events of different bucket numbers share a slot, and its
+// span — ≈ 1.05 ms — is the near/far boundary. The simulator's delays are
+// bimodal (service and arrival gaps of microseconds, epoll timeouts and idle
+// timers of milliseconds), and the span splits them.
+const (
+	bucketShift = 8
+	nBuckets    = 1 << 12
+	calSpan     = int64(nBuckets) << bucketShift
+)
 
 // timerEvent is one scheduled event. Events are pooled: after firing or
 // cancellation they go back to the engine's free list and may be reused by a
 // later At/After, with gen bumped so stale Timer handles are invalidated.
 type timerEvent struct {
-	at    int64
-	gen   uint64
-	fn    func()
-	eng   *Engine
-	index int32 // ring slot or heap index
-	queue uint8
+	at  int64
+	gen uint64
+	fn  func()
+	eng *Engine
+	// next and prev link a calendar bucket's list (prev of its first event
+	// is its last); next also links the free list.
+	next, prev *timerEvent
+	index      int32 // ring slot or heap index
+	queue      uint8
 }
 
 // Timer is a handle to a scheduled event that can be cancelled (used for
@@ -86,7 +98,7 @@ func (t Timer) Cancel() bool {
 		e.ring[ev.index] = nil
 		e.ringLive--
 	case inNear:
-		e.near.removeAt(int(ev.index))
+		e.near.remove(ev)
 	case inFar:
 		e.far.removeAt(int(ev.index))
 	}
@@ -121,10 +133,13 @@ type Engine struct {
 	ringHead, ringTail uint32
 	ringLive           int
 
-	near, far  eventHeap
-	farHorizon int64 // the constant; a field only so the tests can move it
+	near calendar
+	far  eventHeap
+	// farHorizon lowers the near/far boundary below the calendar's span; a
+	// field only so the tests can move it.
+	farHorizon int64
 
-	free []*timerEvent
+	free *timerEvent // released events, linked through next
 	rng  *rand.Rand
 
 	// Executed counts fired (non-cancelled) events, for diagnostics.
@@ -133,12 +148,12 @@ type Engine struct {
 
 // NewEngine creates an engine at time 0 with a deterministic RNG.
 func NewEngine(seed int64) *Engine {
-	return &Engine{
+	e := &Engine{
 		rng:        rand.New(rand.NewSource(seed)),
-		near:       eventHeap{queue: inNear},
-		far:        eventHeap{queue: inFar},
-		farHorizon: farHorizon,
+		farHorizon: calSpan,
 	}
+	e.near.minAt = math.MaxInt64
+	return e
 }
 
 // Now returns the current virtual time in nanoseconds.
@@ -148,15 +163,19 @@ func (e *Engine) Now() int64 { return e.now }
 func (e *Engine) Rand() *rand.Rand { return e.rng }
 
 // At schedules fn at absolute virtual time t (≥ now) and returns its timer.
+//
+// Whether an event is filed near or far depends only on how far ahead of the
+// clock it is scheduled, and a later scheduling of the same instant is nearer.
+// So of two queued events of one instant, a far one was scheduled before a
+// near one: seq orders the far heap, and the calendar's lists are in
+// scheduling order, which is all the (at, seq) order needs.
 func (e *Engine) At(t int64, fn func()) Timer {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling into the past: %d < %d", t, e.now))
 	}
-	var ev *timerEvent
-	if n := len(e.free); n > 0 {
-		ev = e.free[n-1]
-		e.free[n-1] = nil
-		e.free = e.free[:n-1]
+	ev := e.free
+	if ev != nil {
+		e.free = ev.next
 	} else {
 		ev = &timerEvent{eng: e}
 	}
@@ -164,9 +183,8 @@ func (e *Engine) At(t int64, fn func()) Timer {
 	switch {
 	case t == e.now:
 		e.ringPush(ev)
-	case t-e.now < e.farHorizon:
-		e.seq++
-		e.near.push(ev, e.seq)
+	case t>>bucketShift-e.now>>bucketShift < nBuckets && t-e.now < e.farHorizon:
+		e.near.push(ev)
 	default:
 		e.seq++
 		e.far.push(ev, e.seq)
@@ -187,31 +205,36 @@ func (e *Engine) After(d time.Duration, fn func()) Timer {
 func (e *Engine) release(ev *timerEvent) {
 	ev.fn = nil
 	ev.gen++
-	e.free = append(e.free, ev)
+	ev.next, e.free = e.free, ev
 }
 
 // Step fires the next event. It returns false when no events remain.
 func (e *Engine) Step() bool { return e.step(math.MaxInt64) }
 
 // step fires the next event if it is due by deadline. The order is (at, seq):
-// a heap event of the current instant was scheduled before the clock reached
-// it — otherwise it would be in the ring — so it precedes the whole ring, and
-// the ring precedes every later instant.
+// of the calendar's and the heap's earliest the heap's wins a tie (At says
+// why); a queued event of the current instant was scheduled before the clock
+// reached it — otherwise it would be in the ring — so it precedes the whole
+// ring, and the ring precedes every later instant.
 func (e *Engine) step(deadline int64) bool {
-	h := &e.near
-	if len(e.far.a) > 0 && (len(h.a) == 0 || e.far.a[0].before(h.a[0])) {
-		h = &e.far
+	ev, at := e.near.min, e.near.minAt
+	far := len(e.far.a) > 0 && e.far.a[0].at <= at
+	if far {
+		ev, at = e.far.a[0].ev, e.far.a[0].at
 	}
-	var ev *timerEvent
 	switch {
-	case e.ringLive > 0 && (len(h.a) == 0 || h.a[0].at > e.now):
+	case e.ringLive > 0 && at > e.now:
 		if e.now > deadline {
 			return false
 		}
 		ev = e.ringPop()
-	case len(h.a) > 0 && h.a[0].at <= deadline:
-		ev = h.popMin()
-		e.now = ev.at
+	case ev != nil && at <= deadline:
+		if far {
+			e.far.removeAt(0)
+		} else {
+			e.near.remove(ev)
+		}
+		e.now = at
 	default:
 		return false
 	}
@@ -243,7 +266,7 @@ func (e *Engine) RunFor(d time.Duration) { e.RunUntil(e.now + int64(d)) }
 
 // Pending returns the number of scheduled events. Cancelled timers are
 // removed eagerly, so this is an exact count of live events.
-func (e *Engine) Pending() int { return e.ringLive + len(e.near.a) + len(e.far.a) }
+func (e *Engine) Pending() int { return e.ringLive + e.near.n + len(e.far.a) }
 
 // --- same-instant ring ---
 
@@ -288,7 +311,106 @@ func (e *Engine) ringGrow() {
 	e.ring, e.ringHead, e.ringTail = grown, 0, n
 }
 
-// --- 4-ary min-heap on (at, seq) ---
+// --- calendar of near events ---
+//
+// Each bucket is a list of its events in scheduling order, linked through the
+// events themselves: head[b] is the first, whose prev is the last, so an
+// append, an unlink and a cancel are O(1) and nothing is allocated. Every
+// pending event lies less than nBuckets buckets past the clock, so walking
+// the bucket indices circularly from the clock's bucket visits them in time
+// order. min is the earliest event, kept on push and found again when it
+// leaves: the first occupied bucket at or after its own (two bitmap words
+// say which), scanned for its smallest at — the first of equals is the
+// oldest, and the first event of the leaver's own instant ends the scan, since
+// nothing left is earlier. A burst of one instant therefore costs one step
+// per pop, not the length of its bucket.
+
+type calendar struct {
+	head  [nBuckets]*timerEvent
+	words [nBuckets / 64]uint64 // bit b%64 of words[b/64]: head[b] != nil
+	top   uint64                // bit w: words[w] != 0
+	min   *timerEvent
+	minAt int64 // min.at, or math.MaxInt64 when the calendar is empty
+	n     int
+}
+
+func bucketOf(at int64) int { return int(at>>bucketShift) & (nBuckets - 1) }
+
+func (c *calendar) push(ev *timerEvent) {
+	b := bucketOf(ev.at)
+	ev.queue, ev.next = inNear, nil
+	if first := c.head[b]; first == nil {
+		c.head[b], ev.prev = ev, ev
+		c.words[b>>6] |= 1 << (b & 63)
+		c.top |= 1 << (b >> 6)
+	} else {
+		last := first.prev
+		last.next, ev.prev, first.prev = ev, last, ev
+	}
+	c.n++
+	if ev.at < c.minAt {
+		c.min, c.minAt = ev, ev.at
+	}
+}
+
+// remove unlinks ev (the minimum when it fires, any event when cancelled).
+func (c *calendar) remove(ev *timerEvent) {
+	b := bucketOf(ev.at)
+	first := c.head[b]
+	switch {
+	case ev != first:
+		ev.prev.next = ev.next
+		if ev.next != nil {
+			ev.next.prev = ev.prev
+		} else {
+			first.prev = ev.prev
+		}
+	case ev.next != nil:
+		c.head[b], ev.next.prev = ev.next, ev.prev
+	default:
+		c.head[b] = nil
+		if c.words[b>>6] &^= 1 << (b & 63); c.words[b>>6] == 0 {
+			c.top &^= 1 << (b >> 6)
+		}
+	}
+	c.n--
+	if ev == c.min {
+		c.min, c.minAt = nil, math.MaxInt64
+		if c.n > 0 {
+			c.min = c.earliest(c.occupied(b), ev.at)
+			c.minAt = c.min.at
+		}
+	}
+}
+
+// occupied returns the first non-empty bucket at or after b, wrapping round;
+// the calendar is not empty.
+func (c *calendar) occupied(b int) int {
+	w := b >> 6
+	if m := c.words[w] >> (b & 63); m != 0 {
+		return b + bits.TrailingZeros64(m)
+	}
+	t := c.top &^ (2<<w - 1) // the words after w, else wrap round to all
+	if t == 0 {
+		t = c.top
+	}
+	w = bits.TrailingZeros64(t)
+	return w<<6 + bits.TrailingZeros64(c.words[w])
+}
+
+// earliest scans bucket b for its first event of the smallest at; no event
+// is earlier than floor, so one at floor is the answer.
+func (c *calendar) earliest(b int, floor int64) *timerEvent {
+	m := c.head[b]
+	for ev := m.next; ev != nil && m.at != floor; ev = ev.next {
+		if ev.at < m.at {
+			m = ev
+		}
+	}
+	return m
+}
+
+// --- 4-ary min-heap on (at, seq): the far timers ---
 //
 // A 4-ary heap halves the tree depth of a binary heap and keeps the four
 // siblings of each inner node, keys included, in 96 adjacent bytes; the inner
@@ -307,20 +429,13 @@ func (a entry) before(b entry) bool {
 }
 
 type eventHeap struct {
-	a     []entry
-	queue uint8 // what its events' queue field says: inNear or inFar
+	a []entry
 }
 
 func (h *eventHeap) push(ev *timerEvent, seq uint64) {
-	ev.queue = h.queue
+	ev.queue = inFar
 	h.a = append(h.a, entry{})
 	h.siftUp(len(h.a)-1, entry{at: ev.at, seq: seq, ev: ev})
-}
-
-func (h *eventHeap) popMin() *timerEvent {
-	ev := h.a[0].ev
-	h.removeAt(0)
-	return ev
 }
 
 // removeAt deletes the event at heap index i (the minimum, or an eager

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 	"time"
 )
@@ -252,7 +253,7 @@ func TestGoldenSequence(t *testing.T) {
 }
 
 // TestHeapStressOrdering pushes a large shuffled schedule with interleaved
-// cancellations through the 4-ary heap and checks global firing order.
+// cancellations through the calendar and checks global firing order.
 func TestHeapStressOrdering(t *testing.T) {
 	e := NewEngine(7)
 	const n = 5000
@@ -321,6 +322,38 @@ func BenchmarkEngineCancel(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		tm := e.After(time.Millisecond, fn)
 		tm.Cancel()
+	}
+}
+
+// BenchmarkEngineHold is the classic hold model on the near queue: with n
+// standing timers, fire the earliest and schedule one more, a delay drawn from
+// a fixed table of service-time-like gaps (exponential, mean 20 µs, under
+// 1 ms). The depths are what a sim-table3 cell's near queue holds — median 6
+// to 25, at most 47 — and 900, a far deeper one.
+func BenchmarkEngineHold(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	var delays [1024]time.Duration
+	for i := range delays {
+		delays[i] = time.Duration(min(1+rng.ExpFloat64()*20e3, 999e3))
+	}
+	fn := func() {}
+	for _, n := range []int{8, 25, 64, 900} {
+		b.Run(fmt.Sprintf("near=%d", n), func(b *testing.B) {
+			e := NewEngine(1)
+			for i := 0; i < n; i++ {
+				e.After(delays[i%len(delays)], fn)
+			}
+			for i := 0; i < 4*n; i++ { // reach the steady spread before timing
+				e.Step()
+				e.After(delays[i%len(delays)], fn)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				e.Step()
+				e.After(delays[i%len(delays)], fn)
+			}
+		})
 	}
 }
 

@@ -9,8 +9,9 @@ import (
 
 // The engine's contract is one sentence — events fire in (at, seq) order —
 // and its queue is three structures. orderProgram runs a byte string as a
-// program of At / After(0) / After(d) / Cancel / Step / RunUntil calls, issued
-// from the driver and from inside handlers, against both the engine and a
+// program of At / After(0) / After(d) / Cancel / Step / RunUntil calls, bursts
+// of one instant and cancellations of the earliest event, issued from the
+// driver and from inside handlers, against both the engine and a
 // reference that is nothing but that sentence: a slice scanned for its
 // (at, seq) minimum. Every fired handler checks itself against the
 // reference's next event and the clock; every driver op checks Pending,
@@ -32,6 +33,7 @@ type orderProgram struct {
 
 	ref    []refEvent // unordered; the minimum is found by scanning
 	refNow int64
+	lastAt int64 // the instant most recently scheduled
 	seq    int
 	fired  uint64
 }
@@ -45,11 +47,16 @@ func (p *orderProgram) next() int {
 	return int(b)
 }
 
-// delay draws a delay that lands on every queue and on both sides of the
-// near/far boundary, wherever the program put it.
+// delay draws a delay that lands on every queue, on both sides of the
+// near/far boundary wherever the program put it, and on the calendar's
+// geometry: both sides of a bucket edge and of its span, a few spans ahead (the
+// bucket index wraps round), and the instant scheduled last — from a later
+// clock, so one instant is queued in the heap and in the calendar at once.
 func (p *orderProgram) delay() int64 {
 	h := p.eng.farHorizon
-	switch b := p.next(); b % 8 {
+	now := p.eng.Now()
+	w := int64(1) << bucketShift
+	switch b := p.next(); b % 16 {
 	case 0:
 		return 0
 	case 1:
@@ -64,8 +71,24 @@ func (p *orderProgram) delay() int64 {
 		return clampDelay(h + 1)
 	case 6:
 		return int64(5 * time.Millisecond)
-	default:
+	case 7:
 		return int64(b) * 1000
+	case 8:
+		return w - 1
+	case 9:
+		return w
+	case 10:
+		return w + 1
+	case 11:
+		return (now/w+1)*w - now // the next bucket edge
+	case 12:
+		return calSpan - 1 - int64(b>>4%3)*w
+	case 13:
+		return calSpan + int64(b>>4%3) - 1
+	case 14:
+		return calSpan * int64(1+b>>4%4)
+	default:
+		return max(p.lastAt-now, 0)
 	}
 }
 
@@ -108,6 +131,7 @@ func (p *orderProgram) schedule(d int64, useAfter bool) {
 	id := len(p.timers)
 	nested := p.next() % 3
 	at := p.eng.Now() + d
+	p.lastAt = at
 	fn := func() { p.fire(id, nested) }
 	var tm Timer
 	if useAfter {
@@ -127,7 +151,27 @@ func (p *orderProgram) cancel() {
 	if len(p.timers) == 0 {
 		return
 	}
-	id := p.next() % len(p.timers)
+	p.cancelID(p.next() % len(p.timers))
+}
+
+// cancelMin cancels the earliest pending event — the one the engine has
+// cached — so the next step must find the new earliest.
+func (p *orderProgram) cancelMin() {
+	if m := p.refMin(); m >= 0 {
+		p.cancelID(p.ref[m].id)
+	}
+}
+
+// burst schedules two to five events for one instant: one bucket, fired in
+// the order they were scheduled.
+func (p *orderProgram) burst() {
+	d := p.delay()
+	for n := 2 + p.next()%4; n > 0; n-- {
+		p.schedule(d, n%2 == 0)
+	}
+}
+
+func (p *orderProgram) cancelID(id int) {
 	i := p.refFind(id)
 	tm := p.timers[id]
 	if got, want := tm.Pending(), i >= 0; got != want {
@@ -162,7 +206,7 @@ func (p *orderProgram) fire(id, nested int) {
 		p.t.Fatalf("event %d: handle live inside its own handler", id)
 	}
 	for i := 0; i < nested; i++ {
-		switch p.next() % 4 {
+		switch p.next() % 6 {
 		case 0:
 			p.schedule(0, true) // the same-instant trampoline
 		case 1:
@@ -171,6 +215,10 @@ func (p *orderProgram) fire(id, nested int) {
 			p.schedule(p.delay(), false)
 		case 3:
 			p.cancel()
+		case 4:
+			p.cancelMin()
+		case 5:
+			p.burst()
 		}
 	}
 }
@@ -183,8 +231,8 @@ func (p *orderProgram) check(op string) {
 }
 
 // runOrderProgram interprets prog. Its first byte places the near/far
-// boundary: the shipped constant, 0 (everything far), +∞ (everything near),
-// or a few nanoseconds, so that small delays straddle it.
+// boundary: the calendar's span, 0 (everything far), +∞ (the span decides
+// alone), or a few nanoseconds, so that small delays straddle it.
 func runOrderProgram(t *testing.T, prog []byte) {
 	p := &orderProgram{t: t, prog: prog, eng: NewEngine(1)}
 	switch p.next() % 4 {
@@ -196,7 +244,7 @@ func runOrderProgram(t *testing.T, prog []byte) {
 		p.eng.farHorizon = 3
 	}
 	for p.pc < len(p.prog) {
-		switch p.next() % 8 {
+		switch p.next() % 10 {
 		case 0, 1:
 			p.schedule(p.delay(), false)
 			p.check("At")
@@ -227,6 +275,12 @@ func runOrderProgram(t *testing.T, prog []byte) {
 				p.refNow = deadline
 			}
 			p.check("RunUntil")
+		case 8:
+			p.cancelMin()
+			p.check("cancel the earliest")
+		case 9:
+			p.burst()
+			p.check("burst")
 		}
 	}
 	p.eng.Run()
@@ -243,7 +297,11 @@ func runOrderProgram(t *testing.T, prog []byte) {
 
 // orderSeeds are hand-written programs for the corners: a same-instant event
 // cancelled while queued, a stale handle cancelled after its storage was
-// recycled, delays exactly on the boundary, and each boundary override.
+// recycled, delays exactly on the boundary, and each boundary override. The
+// calendar's corners — bucket and span edges, a slot that would alias the
+// clock's, index wrap-round, one instant in the heap and the calendar, a
+// burst in one bucket, the cached minimum cancelled — are the checked-in
+// corpus under testdata/fuzz/FuzzEngineOrder, which go test runs too.
 var orderSeeds = [][]byte{
 	{0, 2, 0, 2, 0, 4, 0, 5, 5},                                  // ring, ring, cancel the first, step twice
 	{0, 0, 1, 0, 5, 0, 1, 0, 4, 0, 5},                            // fire, reuse the pooled event, cancel through the stale handle

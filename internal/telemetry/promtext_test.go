@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"hermes/internal/openmetrics"
 )
@@ -152,7 +153,7 @@ func TestOpenMetricsNameCollision(t *testing.T) {
 // the same exposition (the burn verdict is scrapeable).
 func TestSLOExpositionIncluded(t *testing.T) {
 	reg := NewRegistry()
-	win, err := NewWindows(reg, DefaultWindowConfig())
+	win, err := NewWindows(reg, WindowConfig{Tick: time.Second, Depth: 360})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,12 +28,6 @@ type WindowConfig struct {
 	Depth int
 }
 
-// DefaultWindowConfig retains six minutes of one-second ticks — enough for
-// the default SRE-workbook-style burn windows (10s/1m/5m).
-func DefaultWindowConfig() WindowConfig {
-	return WindowConfig{Tick: time.Second, Depth: 360}
-}
-
 // Validate reports the first invalid field.
 func (c WindowConfig) Validate() error {
 	if c.Tick <= 0 {
@@ -104,13 +98,6 @@ func (w *Windows) Tick(nowNS int64) {
 	for _, fn := range w.onTick {
 		fn(nowNS)
 	}
-}
-
-// Ticks returns how many samples have been taken.
-func (w *Windows) Ticks() uint64 {
-	w.mu.RLock()
-	defer w.mu.RUnlock()
-	return w.n
 }
 
 // Start launches the wall-clock sampler goroutine; the returned stop
@@ -262,20 +249,6 @@ func (d WindowDelta) histDelta(name string) (bounds []int64, counts []uint64, ok
 		}
 	}
 	return bounds, counts, true
-}
-
-// HistCount returns how many observations the named histogram recorded
-// inside the window.
-func (d WindowDelta) HistCount(name string) uint64 {
-	_, counts, ok := d.histDelta(name)
-	if !ok {
-		return 0
-	}
-	var total uint64
-	for _, c := range counts {
-		total += c
-	}
-	return total
 }
 
 // Quantile estimates quantile p of the named histogram over the window

@@ -56,8 +56,9 @@ func TestWindowDeterministicUnderSimClock(t *testing.T) {
 	if got := d.Rate("t.requests"); got != 10 {
 		t.Errorf("1s rate = %g, want 10", got)
 	}
-	if got := d.HistCount("t.latency_ns"); got != 11 {
-		t.Errorf("1s hist count = %d, want 11", got)
+	// The last second holds ten fast observations and the outlier.
+	if frac, ok := d.FractionAtMost("t.latency_ns", 1000); !ok || frac != 10.0/11 {
+		t.Errorf("1s FractionAtMost(1000) = %g (ok=%v), want 10/11", frac, ok)
 	}
 	if got := d.SlotDelta("t.worker.served", 0); got != 10 {
 		t.Errorf("1s slot 0 delta = %d, want 10", got)
@@ -174,7 +175,10 @@ func TestWindowWallClockSampler(t *testing.T) {
 	win, _ := NewWindows(reg, WindowConfig{Tick: 2 * time.Millisecond, Depth: 16})
 	stop := win.Start()
 	deadline := time.Now().Add(2 * time.Second)
-	for win.Ticks() < 3 {
+	for {
+		if d, ok := win.Window(time.Hour); ok && d.Delta("t.requests") > 0 {
+			break
+		}
 		if time.Now().After(deadline) {
 			t.Fatal("sampler never ticked")
 		}
@@ -182,9 +186,9 @@ func TestWindowWallClockSampler(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	stop()
-	n := win.Ticks()
+	d, _ := win.Window(time.Hour)
 	time.Sleep(10 * time.Millisecond)
-	if win.Ticks() != n {
+	if d2, _ := win.Window(time.Hour); d2.EndNS != d.EndNS {
 		t.Error("sampler kept ticking after stop")
 	}
 }

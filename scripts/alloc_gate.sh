@@ -4,7 +4,7 @@
 # on how fast the runner is. Prints the benchmark output; the exit status is
 # the gate (1 also when nothing matched, or the benchmark itself failed).
 #
-#   scripts/alloc_gate.sh ./internal/sim/ 'Engine(Schedule|Cancel|ParkedTimers)' 100x
+#   scripts/alloc_gate.sh ./internal/sim/ 'Engine(Schedule|Cancel|ParkedTimers|Hold)' 100x
 set -euo pipefail
 
 if [ $# -ne 3 ]; then
