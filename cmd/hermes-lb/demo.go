@@ -4,13 +4,13 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"net/http"
 	"os"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"hermes/internal/faults"
-	"hermes/internal/httpx"
 	"hermes/internal/proxy"
 	"hermes/internal/tracing"
 )
@@ -51,6 +51,8 @@ func runDemo(cfg proxy.Config, requests int, statsEvery time.Duration, tracer *t
 	// the schedulers (wave-style load would let everyone look idle between
 	// waves and defeat the feedback loop).
 	const clientPool = 24
+	// One connection per request, so every request is a steering decision.
+	client := &http.Client{Timeout: 3 * time.Second, Transport: &http.Transport{DisableKeepAlives: true}}
 	var wg sync.WaitGroup
 	var ok, bad, issued atomic.Uint64
 	poisonAt := uint64(requests / 2)
@@ -67,7 +69,7 @@ func runDemo(cfg proxy.Config, requests int, statsEvery time.Duration, tracer *t
 					p.SetWorkerDelay(workers-1, 25*time.Millisecond)
 					fmt.Printf("poisoning worker %d at request %d\n", workers-1, i)
 				}
-				if err := demoRequest(p.Addr(), int(i)); err != nil {
+				if err := demoRequest(client, p.Addr(), int(i)); err != nil {
 					bad.Add(1)
 				} else {
 					ok.Add(1)
@@ -103,34 +105,17 @@ func runDemo(cfg proxy.Config, requests int, statsEvery time.Duration, tracer *t
 	return 0
 }
 
-func demoRequest(addr string, i int) error {
-	conn, err := net.DialTimeout("tcp", addr, time.Second)
+func demoRequest(client *http.Client, addr string, i int) error {
+	resp, err := client.Get(fmt.Sprintf("http://%s/demo/%d", addr, i))
 	if err != nil {
 		return err
 	}
-	defer conn.Close()
-	req := httpx.Request{
-		Method: "GET",
-		Target: fmt.Sprintf("/demo/%d", i),
-		Headers: []httpx.Header{
-			{Name: "Host", Value: "demo"},
-			{Name: "Connection", Value: "close"},
-		},
-	}
-	if _, err := conn.Write(req.Append(nil)); err != nil {
+	defer resp.Body.Close()
+	if _, err := io.Copy(io.Discard, resp.Body); err != nil {
 		return err
 	}
-	_ = conn.SetReadDeadline(time.Now().Add(3 * time.Second))
-	data, err := io.ReadAll(conn)
-	if err != nil && len(data) == 0 {
-		return err
-	}
-	resp, _, perr := httpx.ParseResponse(data)
-	if perr != nil {
-		return perr
-	}
-	if resp.Status != 200 {
-		return fmt.Errorf("status %d", resp.Status)
+	if resp.StatusCode != http.StatusOK {
+		return fmt.Errorf("status %d", resp.StatusCode)
 	}
 	return nil
 }

@@ -21,7 +21,6 @@ import (
 	"time"
 
 	"hermes/internal/faults"
-	"hermes/internal/httpx"
 	"hermes/internal/proxy"
 	"hermes/internal/telemetry"
 	"hermes/internal/tracing"
@@ -34,14 +33,8 @@ func main() { os.Exit(run()) }
 func run() int {
 	var (
 		config       = flag.String("config", "", "YAML config file (docs/PROXY.md); explicit flags override it")
-		listen       = flag.String("listen", "", "address to listen on")
-		backends     = flag.String("backends", "", "comma-separated backend addresses, each optionally addr*weight")
-		workers      = flag.Int("workers", 0, "worker goroutines (1-64)")
-		policy       = flag.String("policy", "", "backend policy: round-robin | weighted | least-connections")
-		admin        = flag.String("admin", "", "admin address serving the REST API (/healthz /backends /slo /policy /status; every number: /stats as JSON, /metrics as OpenMetrics)")
+		applyFlags   = proxy.BindFlags(flag.CommandLine) // -listen -backends -workers -policy -admin -drain-timeout -slo
 		debugAddr    = flag.String("debug-addr", "", "serve net/http/pprof on this address (off unless set; bind to localhost)")
-		sloSpec      = flag.String("slo", "", "SLO objectives (\"latency<=250ms@99%;errors@99.9%;page=10x/10s+1m;warn=2x/1m+5m\"); \"off\" disables the monitor")
-		drainTimeout = flag.Duration("drain-timeout", 0, "graceful-shutdown drain deadline")
 		statsEvery   = flag.Duration("stats-every", 0, "periodically print windowed telemetry deltas and rates (0 = off)")
 		trace        = flag.String("trace", "", "record spans (docs/TRACING.md), written on shutdown: .jsonl = the span dump hermesctl reads; else a Chrome trace for Perfetto")
 		demo         = flag.Bool("demo", false, "run a self-contained demo (own backends + client load)")
@@ -82,36 +75,8 @@ func run() int {
 			return 2
 		}
 	}
-	var flagErr error
-	flag.Visit(func(f *flag.Flag) {
-		switch f.Name {
-		case "listen":
-			cfg.Listen = *listen
-		case "backends":
-			bs, err := proxy.ParseBackends(*backends)
-			if err != nil && flagErr == nil {
-				flagErr = err
-			}
-			cfg.Backends = bs
-		case "workers":
-			cfg.Workers = *workers
-		case "policy":
-			cfg.Policy = *policy
-		case "admin":
-			cfg.AdminListen = *admin
-		case "drain-timeout":
-			cfg.DrainTimeout = *drainTimeout
-		case "slo":
-			if *sloSpec == "off" {
-				cfg.SLO.Enabled = false
-			} else {
-				cfg.SLO.Enabled = true
-				cfg.SLO.Objectives = *sloSpec
-			}
-		}
-	})
-	if flagErr != nil {
-		fmt.Fprintln(os.Stderr, "hermes-lb:", flagErr)
+	if err := applyFlags(&cfg); err != nil {
+		fmt.Fprintln(os.Stderr, "hermes-lb:", err)
 		return 2
 	}
 
@@ -250,40 +215,8 @@ func runStubBackend(addr string) int {
 // probes) with a body naming the instance, keep-alive honoured. It returns
 // when ln is closed.
 func serveStub(ln net.Listener) {
-	for {
-		c, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		go func(c net.Conn) {
-			defer c.Close()
-			buf := make([]byte, 64<<10)
-			pending := 0
-			for {
-				_ = c.SetReadDeadline(time.Now().Add(10 * time.Second))
-				n, err := c.Read(buf[pending:])
-				if err != nil {
-					return
-				}
-				pending += n
-				req, consumed, perr := httpx.ParseRequest(buf[:pending])
-				if perr == httpx.ErrIncomplete {
-					continue
-				}
-				if perr != nil {
-					return
-				}
-				copy(buf, buf[consumed:pending])
-				pending -= consumed
-				resp := httpx.Response{Status: 200,
-					Body: []byte(fmt.Sprintf("hello from %s (%s)", ln.Addr(), req.Target))}
-				if _, err := c.Write(resp.Append(nil)); err != nil {
-					return
-				}
-				if !req.WantsKeepAlive() {
-					return
-				}
-			}
-		}(c)
-	}
+	// http.Serve's only error is the closed listener, which is how it stops.
+	_ = http.Serve(ln, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		fmt.Fprintf(w, "hello from %s (%s)", ln.Addr(), r.RequestURI)
+	}))
 }

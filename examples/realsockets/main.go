@@ -1,15 +1,14 @@
-// Realsockets: the Hermes control loop running over real TCP sockets and
-// goroutine workers — the "expose it through an SDK" form factor of §4.2.
+// Realsockets: the Hermes control loop running over real TCP sockets — the
+// "expose it through an SDK" form factor of §4.2, as internal/proxy runs it.
 //
-// A listener on loopback accepts connections and dispatches each to a
-// worker chosen by the live Hermes bitmap (Controller.Select over the
-// shared Worker Status Table), standing in for the kernel's reuseport
-// program, which portable Go cannot attach. Workers parse HTTP/1.1 with the
-// repo's own codec, publish their status through the lock-free WST exactly
-// as in Fig. 9, and run Algorithm 1 at the end of every loop.
+// Two HTTP origins sit behind the proxy's four workers. Each worker publishes
+// its status to the Worker Status Table and runs Algorithm 1 at the end of
+// every request; the acceptor steers each new connection by the live
+// selection bitmap (Controller.Select), standing in for the kernel's
+// reuseport program, which portable Go cannot attach.
 //
-// One worker is deliberately poisoned with a slow handler; watch Hermes
-// steer new connections away from it while total throughput holds.
+// Worker 3 is poisoned from the start with 20 ms per request; watch Hermes
+// steer new connections away from it while the other three carry the load.
 //
 //	go run ./examples/realsockets
 package main
@@ -17,13 +16,13 @@ package main
 import (
 	"fmt"
 	"io"
-	"net"
+	"net/http"
+	"net/http/httptest"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"hermes/internal/core"
-	"hermes/internal/httpx"
+	"hermes/internal/proxy"
 )
 
 const (
@@ -33,182 +32,63 @@ const (
 	slowWorker = 3 // poisoned worker: 20ms per request
 )
 
-type worker struct {
-	id     int
-	hook   *core.WorkerHook
-	queue  chan net.Conn
-	served atomic.Uint64
-}
-
-func (w *worker) run(wg *sync.WaitGroup) {
-	defer wg.Done()
-	buf := make([]byte, 16<<10)
-	for conn := range w.queue {
-		w.hook.LoopEnter(time.Now().UnixNano())
-		w.hook.ConnOpened()
-		w.serveConn(conn, buf)
-		w.hook.ConnClosed()
-		w.hook.ScheduleAndSync(time.Now().UnixNano())
-	}
-}
-
-func (w *worker) serveConn(conn net.Conn, buf []byte) {
-	defer conn.Close()
-	pending := 0
-	for {
-		_ = conn.SetReadDeadline(time.Now().Add(2 * time.Second))
-		n, err := conn.Read(buf[pending:])
-		if err != nil {
-			return
-		}
-		pending += n
-		for {
-			req, consumed, perr := httpx.ParseRequest(buf[:pending])
-			if perr == httpx.ErrIncomplete {
-				break
-			}
-			if perr != nil {
-				return
-			}
-			copy(buf, buf[consumed:pending])
-			pending -= consumed
-
-			w.hook.EventsFetched(1)
-			if w.id == slowWorker {
-				time.Sleep(20 * time.Millisecond) // poisoned handler
-			}
-			resp := httpx.Response{
-				Status: 200,
-				Headers: []httpx.Header{
-					{Name: "X-Worker", Value: fmt.Sprint(w.id)},
-				},
-				Body: []byte("ok from worker " + fmt.Sprint(w.id)),
-			}
-			if _, err := conn.Write(resp.Append(nil)); err != nil {
-				return
-			}
-			w.served.Add(1)
-			w.hook.EventHandled()
-			if !req.WantsKeepAlive() {
-				return
-			}
-		}
-		w.hook.LoopEnter(time.Now().UnixNano())
-		w.hook.ScheduleAndSync(time.Now().UnixNano())
-	}
-}
-
 func main() {
-	ctl, err := core.New(workers, core.DefaultConfig())
+	cfg := proxy.DefaultConfig()
+	cfg.Listen = "127.0.0.1:0"
+	cfg.Workers = workers
+	for i := 0; i < 2; i++ {
+		origin := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			fmt.Fprintf(w, "ok from origin %d", i)
+		}))
+		defer origin.Close()
+		cfg.Backends = append(cfg.Backends, proxy.BackendConfig{Address: origin.Listener.Addr().String(), Weight: 1})
+	}
+	p, err := proxy.New(cfg)
 	if err != nil {
 		panic(err)
 	}
+	defer p.Close()
+	p.SetWorkerDelay(slowWorker, 20*time.Millisecond)
+	fmt.Println("hermes-lb listening on", p.Addr())
 
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		panic(err)
-	}
-	defer ln.Close()
-	addr := ln.Addr().String()
-	fmt.Println("hermes-over-goroutines listening on", addr)
-
-	ws := make([]*worker, workers)
+	// Clients: one connection per request, so every request is a new
+	// steering decision.
+	client := &http.Client{Timeout: 2 * time.Second, Transport: &http.Transport{DisableKeepAlives: true}}
 	var wg sync.WaitGroup
-	for i := range ws {
-		ws[i] = &worker{id: i, hook: ctl.NewWorkerHook(i), queue: make(chan net.Conn, 256)}
-		ws[i].hook.LoopEnter(time.Now().UnixNano())
-		wg.Add(1)
-		go ws[i].run(&wg)
-	}
-	// Seed the kernel-side map once so the first accepts have a bitmap.
-	ws[0].hook.ScheduleAndSync(time.Now().UnixNano())
-
-	// Acceptor: the kernel-dispatch stand-in. Reads the selection map the
-	// schedulers publish and picks the worker by scaled hash, with
-	// round-robin fallback when too few workers pass (Algorithm 2's
-	// fallback arm).
-	var dispatched [workers]atomic.Uint64
-	var hashSeq atomic.Uint32
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			h := hashSeq.Add(2654435761)
-			wi, ok := ctl.Select(h, h)
-			if !ok {
-				wi = int(h % workers)
-			}
-			dispatched[wi].Add(1)
-			ws[wi].queue <- conn
-		}
-	}()
-
-	// Clients: keep-alive connections, sequential requests.
-	var clientWG sync.WaitGroup
 	var failures atomic.Uint64
 	start := time.Now()
 	for c := 0; c < clients; c++ {
-		clientWG.Add(1)
+		wg.Add(1)
 		go func(c int) {
-			defer clientWG.Done()
+			defer wg.Done()
 			for r := 0; r < reqPerCli; r++ {
-				if err := doRequest(addr, c, r); err != nil {
+				resp, err := client.Get(fmt.Sprintf("http://%s/client%d/req%d", p.Addr(), c, r))
+				if err == nil {
+					_, err = io.Copy(io.Discard, resp.Body)
+					resp.Body.Close()
+				}
+				if err != nil || resp.StatusCode != http.StatusOK {
 					failures.Add(1)
 				}
 			}
 		}(c)
 	}
-	clientWG.Wait()
+	wg.Wait()
 	elapsed := time.Since(start)
 
-	for i := range ws {
-		close(ws[i].queue)
-	}
-	wg.Wait()
-
-	total := uint64(0)
-	fmt.Printf("\n%-8s %-12s %-10s\n", "worker", "dispatched", "served")
-	for i, w := range ws {
+	var total uint64
+	fmt.Printf("\n%-8s %-10s\n", "worker", "handled")
+	for i := 0; i < workers; i++ {
 		note := ""
 		if i == slowWorker {
 			note = "  <- poisoned (20ms/request)"
 		}
-		fmt.Printf("w%-7d %-12d %-10d%s\n", i, dispatched[i].Load(), w.served.Load(), note)
-		total += w.served.Load()
+		fmt.Printf("w%-7d %-10d%s\n", i, p.WorkerHandled(i), note)
+		total += p.WorkerHandled(i)
 	}
-	st := ctl.Stats()
+	st := p.Controller().Stats()
 	fmt.Printf("\nserved %d requests in %v (%d failures), %d scheduler passes, avg %.1f workers selected\n",
 		total, elapsed.Round(time.Millisecond), failures.Load(), st.ScheduleCalls, st.AvgPassed)
-	fmt.Println("the poisoned worker's pending-event count keeps it out of the bitmap,")
+	fmt.Println("the poisoned worker's requests in flight keep it out of the bitmap,")
 	fmt.Println("so the acceptor starves it of new connections — same loop as the paper's kernel path.")
-}
-
-func doRequest(addr string, c, r int) error {
-	conn, err := net.DialTimeout("tcp", addr, time.Second)
-	if err != nil {
-		return err
-	}
-	defer conn.Close()
-	req := httpx.Request{
-		Method: "GET",
-		Target: fmt.Sprintf("/client%d/req%d", c, r),
-		Headers: []httpx.Header{
-			{Name: "Host", Value: "demo"},
-			{Name: "Connection", Value: "close"},
-		},
-	}
-	if _, err := conn.Write(req.Append(nil)); err != nil {
-		return err
-	}
-	_ = conn.SetReadDeadline(time.Now().Add(2 * time.Second))
-	data, err := io.ReadAll(conn)
-	if err != nil {
-		return err
-	}
-	if _, _, err := httpx.ParseResponse(data); err != nil {
-		return err
-	}
-	return nil
 }

@@ -146,13 +146,17 @@ func TestAdminMetricsPlane(t *testing.T) {
 	}
 }
 
-// TestAdminSLODisabled: with the monitor off, /slo 404s and /healthz omits
-// the verdict.
+// TestAdminSLODisabled: with the monitor off, nothing samples the registry
+// (the monitor owns the only sampler and its ring), /slo 404s and /healthz
+// omits the verdict.
 func TestAdminSLODisabled(t *testing.T) {
 	b := newStubUpstream(t)
 	cfg := testConfig(b)
 	cfg.SLO.Enabled = false
 	p := startProxy(t, cfg)
+	if p.slo != nil || p.Registry().Snapshot().Get("slo.state") != nil {
+		t.Fatal("SLO off, yet a monitor (and with it a sampler) exists")
+	}
 	srv := httptest.NewServer(AdminHandler(p))
 	defer srv.Close()
 

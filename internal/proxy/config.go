@@ -10,9 +10,11 @@
 package proxy
 
 import (
+	"flag"
 	"fmt"
 	"net"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -72,17 +74,8 @@ type CircuitBreakerConfig struct {
 	Timeout time.Duration
 }
 
-// TelemetrySettings tunes the windowed time-series sampler behind /metrics,
-// /slo, and -stats-every (docs/TELEMETRY.md).
-type TelemetrySettings struct {
-	// WindowTick is the sampling period for windowed rates and quantiles.
-	WindowTick time.Duration
-	// WindowDepth is how many ticks of history the ring retains; the longest
-	// answerable window is WindowTick × (WindowDepth-1).
-	WindowDepth int
-}
-
-// SLOSettings arms the burn-rate monitor over the windowed layer.
+// SLOSettings arms the burn-rate monitor, which samples the registry on a
+// period derived from its windows (telemetry.NewSLO).
 type SLOSettings struct {
 	// Enabled turns SLO evaluation on (state surfaces in /healthz and /slo).
 	Enabled bool
@@ -103,7 +96,7 @@ type BufferConfig struct {
 }
 
 // Config is the proxy's full configuration. Zero value is not runnable; use
-// DefaultConfig then overlay a file (LoadFile) and flags.
+// DefaultConfig then overlay a file (LoadFile) and flags (BindFlags).
 type Config struct {
 	// Listen is the client-facing address.
 	Listen string
@@ -119,7 +112,6 @@ type Config struct {
 	HealthCheck    HealthCheckConfig
 	CircuitBreaker CircuitBreakerConfig
 	Buffer         BufferConfig
-	Telemetry      TelemetrySettings
 	SLO            SLOSettings
 
 	// DialTimeout bounds one upstream dial.
@@ -159,10 +151,6 @@ func DefaultConfig() Config {
 		Buffer: BufferConfig{
 			MaxRequestBody: 10 << 20,
 			Retries:        2,
-		},
-		Telemetry: TelemetrySettings{
-			WindowTick:  time.Second,
-			WindowDepth: 360,
 		},
 		SLO:               SLOSettings{Enabled: true},
 		DialTimeout:       2 * time.Second,
@@ -254,20 +242,12 @@ func (c Config) Validate() error {
 	if c.DrainTimeout < 0 {
 		return fmt.Errorf("proxy: drain timeout must be ≥ 0, got %v", c.DrainTimeout)
 	}
-	if err := c.windowConfig().Validate(); err != nil {
-		return fmt.Errorf("proxy: telemetry: %w", err)
-	}
 	if c.SLO.Enabled {
 		if _, err := c.sloConfig(); err != nil {
 			return fmt.Errorf("proxy: slo: %w", err)
 		}
 	}
 	return nil
-}
-
-// windowConfig maps the telemetry settings onto the sampler config.
-func (c Config) windowConfig() telemetry.WindowConfig {
-	return telemetry.WindowConfig{Tick: c.Telemetry.WindowTick, Depth: c.Telemetry.WindowDepth}
 }
 
 // sloConfig resolves the SLO objectives against the proxy.* catalog: totals
@@ -304,6 +284,131 @@ func ParseBackends(s string) ([]BackendConfig, error) {
 	return out, nil
 }
 
+// setting is one config.yaml key: where it sits, the hermes-lb flag that
+// also sets it ("" for file-only keys), and how a value is applied. Both
+// configuration paths go through set — LoadFile for the file, BindFlags for
+// the flags — so a key and its flag cannot disagree.
+type setting struct {
+	section, key, flag, usage string
+	set                       func(*Config, string) error
+}
+
+// settings is every config.yaml key (docs/PROXY.md), in the document's order.
+// Top-level "backends" is a list the file path decodes itself; its row is
+// what the -backends flag sets.
+var settings = []setting{
+	{"server", "listen", "listen", "address to listen on", str(func(c *Config) *string { return &c.Listen })},
+	{"server", "admin_listen", "admin", "admin address serving the REST API (/healthz /backends /slo /policy /status; every number: /stats as JSON, /metrics as OpenMetrics)", str(func(c *Config) *string { return &c.AdminListen })},
+	{"server", "workers", "workers", "worker goroutines (1-64)", integer(func(c *Config) *int { return &c.Workers })},
+	{"server", "drain_timeout", "drain-timeout", "graceful-shutdown drain deadline", duration(func(c *Config) *time.Duration { return &c.DrainTimeout })},
+	{"server", "dial_timeout", "", "", duration(func(c *Config) *time.Duration { return &c.DialTimeout })},
+	{"server", "response_timeout", "", "", duration(func(c *Config) *time.Duration { return &c.ResponseTimeout })},
+	{"server", "client_idle_timeout", "", "", duration(func(c *Config) *time.Duration { return &c.ClientIdleTimeout })},
+	{"", "backends", "backends", "comma-separated backend addresses, each optionally addr*weight", func(c *Config, v string) (err error) {
+		c.Backends, err = ParseBackends(v)
+		return err
+	}},
+	{"load_balancing", "algorithm", "policy", "backend policy: round-robin | weighted | least-connections", str(func(c *Config) *string { return &c.Policy })},
+	{"health_check", "enabled", "", "", boolean(func(c *Config) *bool { return &c.HealthCheck.Enabled })},
+	{"health_check", "path", "", "", str(func(c *Config) *string { return &c.HealthCheck.Path })},
+	{"health_check", "interval", "", "", duration(func(c *Config) *time.Duration { return &c.HealthCheck.Interval })},
+	{"health_check", "timeout", "", "", duration(func(c *Config) *time.Duration { return &c.HealthCheck.Timeout })},
+	{"health_check", "healthy_threshold", "", "", integer(func(c *Config) *int { return &c.HealthCheck.HealthyThreshold })},
+	{"health_check", "unhealthy_threshold", "", "", integer(func(c *Config) *int { return &c.HealthCheck.UnhealthyThreshold })},
+	{"health_check", "passive_threshold", "", "", integer(func(c *Config) *int { return &c.HealthCheck.PassiveThreshold })},
+	{"circuit_breaker", "enabled", "", "", boolean(func(c *Config) *bool { return &c.CircuitBreaker.Enabled })},
+	{"circuit_breaker", "failure_threshold", "", "", integer(func(c *Config) *int { return &c.CircuitBreaker.FailureThreshold })},
+	{"circuit_breaker", "success_threshold", "", "", integer(func(c *Config) *int { return &c.CircuitBreaker.SuccessThreshold })},
+	{"circuit_breaker", "timeout", "", "", duration(func(c *Config) *time.Duration { return &c.CircuitBreaker.Timeout })},
+	{"buffer", "max_request_body", "", "", integer(func(c *Config) *int { return &c.Buffer.MaxRequestBody })},
+	{"buffer", "retries", "", "", integer(func(c *Config) *int { return &c.Buffer.Retries })},
+	{"slo", "enabled", "", "", boolean(func(c *Config) *bool { return &c.SLO.Enabled })},
+	{"slo", "objectives", "slo", `SLO objectives ("latency<=250ms@99%;errors@99.9%;page=10x/10s+1m;warn=2x/1m+5m"); "off" disables the monitor`, str(func(c *Config) *string { return &c.SLO.Objectives })},
+}
+
+// The four typed setters: each parses a scalar into the field f selects.
+
+func str(f func(*Config) *string) func(*Config, string) error {
+	return func(c *Config, v string) error { *f(c) = v; return nil }
+}
+
+func integer(f func(*Config) *int) func(*Config, string) error {
+	return func(c *Config, v string) (err error) {
+		*f(c), err = atoi(v)
+		return err
+	}
+}
+
+func atoi(v string) (int, error) {
+	n, err := strconv.Atoi(v)
+	if err != nil {
+		return 0, fmt.Errorf("bad integer %q", v)
+	}
+	return n, nil
+}
+
+func boolean(f func(*Config) *bool) func(*Config, string) error {
+	return func(c *Config, v string) error {
+		switch v {
+		case "true", "yes", "on":
+			*f(c) = true
+		case "false", "no", "off":
+			*f(c) = false
+		default:
+			return fmt.Errorf("bad boolean %q", v)
+		}
+		return nil
+	}
+}
+
+func duration(f func(*Config) *time.Duration) func(*Config, string) error {
+	return func(c *Config, v string) error {
+		d, err := time.ParseDuration(v)
+		if err != nil {
+			return fmt.Errorf("bad duration %q", v)
+		}
+		*f(c) = d
+		return nil
+	}
+}
+
+// BindFlags registers the flags of the settings table on fs. The returned
+// apply replays, in command-line order, the flags the user gave through the
+// same setters the file uses; call it after LoadFile so that flags override
+// the file and the file overrides the defaults. -slo is the one flag that
+// does more than its key: "off" disables the monitor, any other spec enables
+// it with those objectives.
+func BindFlags(fs *flag.FlagSet) (apply func(*Config) error) {
+	var given []func(*Config) error
+	for _, s := range settings {
+		if s.flag == "" {
+			continue
+		}
+		fs.Func(s.flag, s.usage, func(v string) error {
+			given = append(given, func(c *Config) error {
+				if s.flag == "slo" {
+					if c.SLO.Enabled = v != "off"; !c.SLO.Enabled {
+						return nil
+					}
+				}
+				if err := s.set(c, v); err != nil {
+					return fmt.Errorf("-%s: %w", s.flag, err)
+				}
+				return nil
+			})
+			return nil
+		})
+	}
+	return func(c *Config) error {
+		for _, set := range given {
+			if err := set(c); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+}
+
 // LoadFile reads a config.yaml (the SNIPPETS exemplar shape, see
 // docs/PROXY.md) and overlays it on base. Unknown keys are errors.
 func LoadFile(path string, base Config) (Config, error) {
@@ -320,165 +425,84 @@ func loadYAML(data []byte, base Config) (Config, error) {
 		return base, err
 	}
 	c := base
-	d := &decoder{}
-
-	if m := d.section(root, "server"); m != nil {
-		d.str(m, "listen", &c.Listen)
-		d.str(m, "admin_listen", &c.AdminListen)
-		d.integer(m, "workers", &c.Workers)
-		d.duration(m, "drain_timeout", &c.DrainTimeout)
-		d.duration(m, "dial_timeout", &c.DialTimeout)
-		d.duration(m, "response_timeout", &c.ResponseTimeout)
-		d.duration(m, "client_idle_timeout", &c.ClientIdleTimeout)
-		d.noExtra("server", m)
-	}
-	if raw, ok := root["backends"]; ok {
-		delete(root, "backends")
-		items, ok := raw.([]any)
-		if !ok {
-			d.errf("backends: want a list")
-		} else {
-			c.Backends = nil
-			for i, it := range items {
-				m, ok := it.(map[string]any)
-				if !ok {
-					d.errf("backends[%d]: want a mapping with address/weight", i)
-					continue
-				}
-				b := BackendConfig{Weight: 1}
-				d.str(m, "address", &b.Address)
-				d.integer(m, "weight", &b.Weight)
-				d.noExtra(fmt.Sprintf("backends[%d]", i), m)
-				c.Backends = append(c.Backends, b)
-			}
-		}
-	}
-	if m := d.section(root, "load_balancing"); m != nil {
-		d.str(m, "algorithm", &c.Policy)
-		d.noExtra("load_balancing", m)
-	}
-	if m := d.section(root, "health_check"); m != nil {
-		d.boolean(m, "enabled", &c.HealthCheck.Enabled)
-		d.str(m, "path", &c.HealthCheck.Path)
-		d.duration(m, "interval", &c.HealthCheck.Interval)
-		d.duration(m, "timeout", &c.HealthCheck.Timeout)
-		d.integer(m, "healthy_threshold", &c.HealthCheck.HealthyThreshold)
-		d.integer(m, "unhealthy_threshold", &c.HealthCheck.UnhealthyThreshold)
-		d.integer(m, "passive_threshold", &c.HealthCheck.PassiveThreshold)
-		d.noExtra("health_check", m)
-	}
-	if m := d.section(root, "circuit_breaker"); m != nil {
-		d.boolean(m, "enabled", &c.CircuitBreaker.Enabled)
-		d.integer(m, "failure_threshold", &c.CircuitBreaker.FailureThreshold)
-		d.integer(m, "success_threshold", &c.CircuitBreaker.SuccessThreshold)
-		d.duration(m, "timeout", &c.CircuitBreaker.Timeout)
-		d.noExtra("circuit_breaker", m)
-	}
-	if m := d.section(root, "buffer"); m != nil {
-		d.integer(m, "max_request_body", &c.Buffer.MaxRequestBody)
-		d.integer(m, "retries", &c.Buffer.Retries)
-		d.noExtra("buffer", m)
-	}
-	if m := d.section(root, "telemetry"); m != nil {
-		d.duration(m, "window_tick", &c.Telemetry.WindowTick)
-		d.integer(m, "window_depth", &c.Telemetry.WindowDepth)
-		d.noExtra("telemetry", m)
-	}
-	if m := d.section(root, "slo"); m != nil {
-		d.boolean(m, "enabled", &c.SLO.Enabled)
-		d.str(m, "objectives", &c.SLO.Objectives)
-		d.noExtra("slo", m)
-	}
-	for key := range root {
-		d.errf("unknown top-level section %q", key)
-	}
-	if d.err != nil {
-		return base, fmt.Errorf("proxy: config: %w", d.err)
+	if err := c.decode(root); err != nil {
+		return base, fmt.Errorf("proxy: config: %w", err)
 	}
 	return c, nil
 }
 
-// decoder accumulates the first decode error while pulling typed values out
-// of the parsed YAML tree.
-type decoder struct{ err error }
-
-func (d *decoder) errf(format string, args ...any) {
-	if d.err == nil {
-		d.err = fmt.Errorf(format, args...)
-	}
-}
-
-func (d *decoder) section(root map[string]any, key string) map[string]any {
-	raw, ok := root[key]
-	if !ok {
-		return nil
-	}
-	delete(root, key)
-	m, ok := raw.(map[string]any)
-	if !ok {
-		d.errf("%s: want a mapping", key)
-		return nil
-	}
-	return m
-}
-
-func (d *decoder) scalar(m map[string]any, key string) (string, bool) {
-	raw, ok := m[key]
-	if !ok {
-		return "", false
-	}
-	delete(m, key)
-	s, ok := raw.(string)
-	if !ok {
-		d.errf("%s: want a scalar", key)
-		return "", false
-	}
-	return s, true
-}
-
-func (d *decoder) str(m map[string]any, key string, dst *string) {
-	if s, ok := d.scalar(m, key); ok {
-		*dst = s
-	}
-}
-
-func (d *decoder) integer(m map[string]any, key string, dst *int) {
-	if s, ok := d.scalar(m, key); ok {
-		n, err := strconv.Atoi(s)
-		if err != nil {
-			d.errf("%s: bad integer %q", key, s)
-			return
+// decode applies a parsed file through the settings table, in file order:
+// the first bad key the file holds is the one reported.
+func (c *Config) decode(root yamlMap) error {
+	for _, top := range root {
+		if top.key == "backends" {
+			bs, err := decodeBackends(top.val)
+			if err != nil {
+				return err
+			}
+			c.Backends = bs
+			continue
 		}
-		*dst = n
-	}
-}
-
-func (d *decoder) boolean(m map[string]any, key string, dst *bool) {
-	if s, ok := d.scalar(m, key); ok {
-		switch s {
-		case "true", "yes", "on":
-			*dst = true
-		case "false", "no", "off":
-			*dst = false
-		default:
-			d.errf("%s: bad boolean %q", key, s)
+		if !slices.ContainsFunc(settings, func(s setting) bool { return s.section == top.key }) {
+			return fmt.Errorf("unknown top-level section %q", top.key)
+		}
+		m, ok := top.val.(yamlMap)
+		if !ok {
+			return fmt.Errorf("%s: want a mapping", top.key)
+		}
+		for _, e := range m {
+			i := slices.IndexFunc(settings, func(s setting) bool { return s.section == top.key && s.key == e.key })
+			if i < 0 {
+				return fmt.Errorf("%s: unknown key %q", top.key, e.key)
+			}
+			if err := setScalar(e, func(v string) error { return settings[i].set(c, v) }); err != nil {
+				return err
+			}
 		}
 	}
+	return nil
 }
 
-func (d *decoder) duration(m map[string]any, key string, dst *time.Duration) {
-	if s, ok := d.scalar(m, key); ok {
-		v, err := time.ParseDuration(s)
-		if err != nil {
-			d.errf("%s: bad duration %q", key, s)
-			return
+// setScalar hands a key's scalar value to set, naming the key in any error.
+func setScalar(e yamlEntry, set func(string) error) error {
+	v, ok := e.val.(string)
+	if !ok {
+		return fmt.Errorf("%s: want a scalar", e.key)
+	}
+	if err := set(v); err != nil {
+		return fmt.Errorf("%s: %w", e.key, err)
+	}
+	return nil
+}
+
+// decodeBackends reads the backends list: mappings of address and weight.
+func decodeBackends(raw any) ([]BackendConfig, error) {
+	items, ok := raw.([]any)
+	if !ok {
+		return nil, fmt.Errorf("backends: want a list")
+	}
+	out := make([]BackendConfig, len(items))
+	for i, it := range items {
+		m, ok := it.(yamlMap)
+		if !ok {
+			return nil, fmt.Errorf("backends[%d]: want a mapping with address/weight", i)
 		}
-		*dst = v
+		b := &out[i]
+		b.Weight = 1
+		for _, e := range m {
+			var set func(string) error
+			switch e.key {
+			case "address":
+				set = func(v string) error { b.Address = v; return nil }
+			case "weight":
+				set = func(v string) (err error) { b.Weight, err = atoi(v); return err }
+			default:
+				return nil, fmt.Errorf("backends[%d]: unknown key %q", i, e.key)
+			}
+			if err := setScalar(e, set); err != nil {
+				return nil, err
+			}
+		}
 	}
-}
-
-func (d *decoder) noExtra(section string, m map[string]any) {
-	for key := range m {
-		d.errf("%s: unknown key %q", section, key)
-	}
+	return out, nil
 }

@@ -58,11 +58,9 @@ type Proxy struct {
 
 	reg *telemetry.Registry
 	tel Instruments
-	// win samples the registry on a wall-clock tick for windowed rates and
-	// quantiles; slo rides its ticks. stopSampler halts the sampler on drain.
-	win         *telemetry.Windows
-	slo         *telemetry.SLO
-	stopSampler func()
+	// slo is the burn-rate monitor and the only sampler of the registry: nil
+	// when the SLO is off, and then nothing samples.
+	slo *telemetry.SLO
 
 	connSeq atomic.Uint64
 	hashSeq atomic.Uint32
@@ -149,24 +147,24 @@ func New(cfg Config, opts ...Option) (*Proxy, error) {
 	}
 	p.tel = newInstruments(reg, o.tracer, cfg.Workers, len(cfg.Backends))
 
-	// The windowed layer samples off the hot path: instruments record
-	// normally; the sampler snapshots the registry once per tick.
-	if p.win, err = telemetry.NewWindows(reg, cfg.windowConfig()); err != nil {
-		ln.Close()
-		return nil, err
-	}
+	// The monitor samples off the hot path: instruments record normally; its
+	// sampler snapshots the registry once per tick until the drain starts.
 	if cfg.SLO.Enabled {
 		sloCfg, err := cfg.sloConfig()
 		if err != nil {
 			ln.Close()
 			return nil, err
 		}
-		if p.slo, err = telemetry.NewSLO(sloCfg, p.win, reg); err != nil {
+		if p.slo, err = telemetry.NewSLO(sloCfg, reg); err != nil {
 			ln.Close()
 			return nil, err
 		}
+		p.wg.Add(1)
+		go func() {
+			defer p.wg.Done()
+			p.slo.Run(p.stop)
+		}()
 	}
-	p.stopSampler = p.win.Start()
 
 	p.pool = newPool(cfg, func() int64 { return time.Now().UnixNano() }, &p.tel)
 	p.drainHook = ctl.NewWorkerHook(0)
@@ -334,9 +332,6 @@ func (p *Proxy) shutdown(timeout time.Duration) error {
 	p.ln.Close()
 	if p.checker != nil {
 		p.checker.Stop()
-	}
-	if p.stopSampler != nil {
-		p.stopSampler()
 	}
 
 	// Wake idle keep-alive readers so they observe the drain.

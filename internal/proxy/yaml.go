@@ -2,16 +2,17 @@ package proxy
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
 // parseYAML parses the YAML subset the proxy config uses — nested mappings by
 // indentation, lists of mappings ("- key: value"), quoted or bare scalars,
-// and # comments. Everything parses to map[string]any / []any / string; the
-// decoder in config.go applies types. Anchors, flow syntax, multi-line
-// scalars, and tabs are rejected, keeping the grammar small enough to trust
-// without a dependency.
-func parseYAML(data []byte) (map[string]any, error) {
+// and # comments. Everything parses to yamlMap / []any / string; the settings
+// table in config.go applies types. Anchors, flow syntax, multi-line scalars,
+// and tabs are rejected, keeping the grammar small enough to trust without a
+// dependency.
+func parseYAML(data []byte) (yamlMap, error) {
 	var lines []yamlLine
 	for no, raw := range strings.Split(string(data), "\n") {
 		if strings.ContainsRune(raw, '\t') {
@@ -29,7 +30,7 @@ func parseYAML(data []byte) (map[string]any, error) {
 		})
 	}
 	if len(lines) == 0 {
-		return map[string]any{}, nil
+		return nil, nil
 	}
 	if lines[0].indent != 0 {
 		return nil, fmt.Errorf("line %d: top level must not be indented", lines[0].no)
@@ -44,45 +45,59 @@ func parseYAML(data []byte) (map[string]any, error) {
 	return m, nil
 }
 
+// yamlMap is a mapping in file order, so that the loader meets keys — and
+// reports the first bad one — the way the file reads.
+type yamlMap []yamlEntry
+
+type yamlEntry struct {
+	key string
+	val any // string, yamlMap or []any
+}
+
 type yamlLine struct {
 	indent int
 	text   string
 	no     int
 }
 
-// stripComment removes a trailing # comment, respecting single and double
-// quotes.
+// stripComment removes a trailing # comment. As in YAML, a comment or a
+// quoted scalar starts only at the beginning of the line or after a space, so
+// "/health#x" is a value and "it's" opens no quote; a # inside quotes is text.
 func stripComment(s string) string {
 	var quote byte
 	for i := 0; i < len(s); i++ {
-		switch c := s[i]; {
+		c, atStart := s[i], i == 0 || s[i-1] == ' '
+		switch {
 		case quote != 0:
 			if c == quote {
 				quote = 0
 			}
-		case c == '\'' || c == '"':
+		case (c == '\'' || c == '"') && atStart:
 			quote = c
-		case c == '#':
+		case c == '#' && atStart:
 			return s[:i]
 		}
 	}
 	return s
 }
 
-func unquote(s string) string {
-	if len(s) >= 2 {
-		if (s[0] == '"' && s[len(s)-1] == '"') || (s[0] == '\'' && s[len(s)-1] == '\'') {
-			return s[1 : len(s)-1]
-		}
+// unquote strips the quotes of a quoted scalar. A quote that opens a scalar
+// must close it, at its end: anything else is an error, not part of the value.
+func unquote(s string, no int) (string, error) {
+	if s == "" || (s[0] != '"' && s[0] != '\'') {
+		return s, nil
 	}
-	return s
+	if len(s) < 2 || strings.IndexByte(s[1:], s[0])+1 != len(s)-1 {
+		return "", fmt.Errorf("line %d: unterminated quote in %s", no, s)
+	}
+	return s[1 : len(s)-1], nil
 }
 
 // parseMapping consumes "key: value" / "key:" lines at exactly indent,
 // returning the mapping and the unconsumed tail (first line at a shallower
 // indent).
-func parseMapping(ls []yamlLine, indent int) (map[string]any, []yamlLine, error) {
-	m := map[string]any{}
+func parseMapping(ls []yamlLine, indent int) (yamlMap, []yamlLine, error) {
+	var m yamlMap
 	for len(ls) > 0 {
 		l := ls[0]
 		if l.indent < indent {
@@ -98,17 +113,21 @@ func parseMapping(ls []yamlLine, indent int) (map[string]any, []yamlLine, error)
 		if !ok {
 			return nil, nil, fmt.Errorf("line %d: want \"key: value\", got %q", l.no, l.text)
 		}
-		if _, dup := m[key]; dup {
+		if slices.ContainsFunc(m, func(e yamlEntry) bool { return e.key == key }) {
 			return nil, nil, fmt.Errorf("line %d: duplicate key %q", l.no, key)
 		}
 		ls = ls[1:]
 		if rest != "" {
-			m[key] = unquote(rest)
+			v, err := unquote(rest, l.no)
+			if err != nil {
+				return nil, nil, err
+			}
+			m = append(m, yamlEntry{key, v})
 			continue
 		}
 		// Block value: a nested mapping or list at deeper indent, or empty.
 		if len(ls) == 0 || ls[0].indent <= indent {
-			m[key] = ""
+			m = append(m, yamlEntry{key, ""})
 			continue
 		}
 		var (
@@ -123,7 +142,7 @@ func parseMapping(ls []yamlLine, indent int) (map[string]any, []yamlLine, error)
 		if err != nil {
 			return nil, nil, err
 		}
-		m[key] = v
+		m = append(m, yamlEntry{key, v})
 	}
 	return m, ls, nil
 }
@@ -149,7 +168,11 @@ func parseList(ls []yamlLine, indent int) ([]any, []yamlLine, error) {
 		}
 		body := strings.TrimSpace(l.text[2:])
 		if _, _, isMap := splitKey(body); !isMap {
-			out = append(out, unquote(body))
+			v, err := unquote(body, l.no)
+			if err != nil {
+				return nil, nil, err
+			}
+			out = append(out, v)
 			ls = ls[1:]
 			continue
 		}

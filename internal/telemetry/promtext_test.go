@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"hermes/internal/openmetrics"
 )
@@ -153,14 +152,10 @@ func TestOpenMetricsNameCollision(t *testing.T) {
 // the same exposition (the burn verdict is scrapeable).
 func TestSLOExpositionIncluded(t *testing.T) {
 	reg := NewRegistry()
-	win, err := NewWindows(reg, WindowConfig{Tick: time.Second, Depth: 360})
-	if err != nil {
-		t.Fatal(err)
-	}
 	cfg := DefaultSLOConfig()
 	cfg.LatencyMetric = "t.latency_ns"
 	reg.Histogram(Metric{Name: "t.latency_ns", Layer: "t", Unit: "ns"}, DurationBuckets())
-	if _, err := NewSLO(cfg, win, reg); err != nil {
+	if _, err := NewSLO(cfg, reg); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer

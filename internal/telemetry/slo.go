@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"sync"
@@ -9,10 +10,11 @@ import (
 )
 
 // This file is the SLO burn-rate monitor: two SLIs (latency and errors)
-// evaluated on every windowed-layer tick against multi-window multi-burn-rate
-// rules (SRE-workbook style, scaled to LB timescales). The verdict surfaces
-// three ways: as the slo.* gauges in the registry (so /metrics exports it),
-// as the /slo admin JSON, and as the state string in /healthz.
+// evaluated after every sample of its own window ring against multi-window
+// multi-burn-rate rules (SRE-workbook style, scaled to LB timescales). The
+// verdict surfaces three ways: as the slo.* gauges in the registry (so
+// /metrics exports it), as the /slo admin JSON, and as the state string in
+// /healthz.
 
 // SLOState is the alert ladder: ok → warn → page.
 type SLOState int
@@ -88,24 +90,29 @@ func (c SLOConfig) Validate() error {
 		if c.LatencyThresholdNS <= 0 {
 			return fmt.Errorf("telemetry: slo latency threshold must be positive, got %d", c.LatencyThresholdNS)
 		}
-		if c.LatencyGoal <= 0 || c.LatencyGoal >= 1 {
+		if !(c.LatencyGoal > 0 && c.LatencyGoal < 1) { // NaN fails too
 			return fmt.Errorf("telemetry: slo latency goal %.4f outside (0,1)", c.LatencyGoal)
 		}
 	}
-	if len(c.TotalMetrics) > 0 && (c.ErrorGoal <= 0 || c.ErrorGoal >= 1) {
+	if len(c.TotalMetrics) > 0 && !(c.ErrorGoal > 0 && c.ErrorGoal < 1) {
 		return fmt.Errorf("telemetry: slo error goal %.4f outside (0,1)", c.ErrorGoal)
 	}
 	for _, r := range []struct {
 		name string
 		rule BurnRule
 	}{{"page", c.Page}, {"warn", c.Warn}} {
-		if r.rule.Burn <= 0 {
-			return fmt.Errorf("telemetry: slo %s burn must be positive, got %g", r.name, r.rule.Burn)
+		if !(r.rule.Burn > 0) || math.IsInf(r.rule.Burn, 1) { // NaN fails too
+			return fmt.Errorf("telemetry: slo %s burn must be positive and finite, got %g", r.name, r.rule.Burn)
 		}
 		if r.rule.Short <= 0 || r.rule.Long < r.rule.Short {
 			return fmt.Errorf("telemetry: slo %s windows want 0 < short ≤ long, got %v/%v",
 				r.name, r.rule.Short, r.rule.Long)
 		}
+	}
+	// A tick longer than the shortest window would read that window over the
+	// whole tick, wider than asked.
+	if tick, _ := c.sampling(); tick > min(c.Page.Short, c.Warn.Short) {
+		return fmt.Errorf("telemetry: slo windows cannot be sampled at a %v tick: want the shortest ≥ 1ms and ≥ the longest ÷ 600", tick)
 	}
 	return nil
 }
@@ -173,7 +180,7 @@ func ParseSLOSpec(spec string, base SLOConfig) (SLOConfig, error) {
 // parsePercent reads "99.9%" (or "99.9") as 0.999.
 func parsePercent(s string) (float64, error) {
 	v, err := strconv.ParseFloat(strings.TrimSuffix(strings.TrimSpace(s), "%"), 64)
-	if err != nil || v <= 0 || v >= 100 {
+	if err != nil || !(v > 0 && v < 100) { // NaN fails too
 		return 0, fmt.Errorf("bad percentage %q (want e.g. 99.9%%)", s)
 	}
 	return v / 100, nil
@@ -186,7 +193,7 @@ func parseBurnRule(s string) (BurnRule, error) {
 		return BurnRule{}, fmt.Errorf("want Nx/SHORT+LONG, got %q", s)
 	}
 	burn, err := strconv.ParseFloat(strings.TrimSuffix(burnS, "x"), 64)
-	if err != nil || burn <= 0 {
+	if err != nil || !(burn > 0) || math.IsInf(burn, 1) {
 		return BurnRule{}, fmt.Errorf("bad burn factor %q", burnS)
 	}
 	shortS, longS, ok := strings.Cut(winS, "+")
@@ -229,13 +236,15 @@ type SLOStatus struct {
 	WindowReqPerSec float64 `json:"window_req_per_sec"`
 }
 
-// SLO evaluates the objectives after every Windows tick. Its verdict is
-// also pushed into the registry as gauges — slo.state (0 ok / 1 warn /
-// 2 page), slo.latency.burn_milli and slo.errors.burn_milli (page-short
-// burn ×1000) — plus a slo.transitions counter.
+// SLO samples a registry into a ring of snapshots and evaluates the
+// objectives after every sample. Its verdict is also pushed into the
+// registry as gauges — slo.state (0 ok / 1 warn / 2 page),
+// slo.latency.burn_milli and slo.errors.burn_milli (page-short burn ×1000) —
+// plus a slo.transitions counter.
 type SLO struct {
-	cfg SLOConfig
-	win *Windows
+	cfg  SLOConfig
+	win  *windows
+	tick time.Duration // Start's sampling period
 
 	stateGauge  *Gauge
 	latBurn     *Gauge
@@ -247,13 +256,33 @@ type SLO struct {
 	last  SLOStatus
 }
 
+// minTick floors the derived sampling period, so windows of a few
+// nanoseconds cannot ask the wall-clock sampler to spin.
+const minTick = time.Millisecond
+
+// sampling derives the monitor's ring from the rules' windows: a tick of
+// max(shortest ÷ 10, longest ÷ 600, 1 ms), so the ring stays under ≈ 600
+// samples, and ⌈longest ÷ tick⌉ + 2 samples (1 s and 302 for the defaults).
+func (c SLOConfig) sampling() (tick time.Duration, depth int) {
+	shortest := min(c.Page.Short, c.Warn.Short)
+	longest := max(c.Page.Long, c.Warn.Long)
+	tick = max(shortest/10, longest/600, minTick)
+	depth = int(longest/tick) + 2
+	if longest%tick != 0 {
+		depth++
+	}
+	return tick, depth
+}
+
 // NewSLO validates cfg, registers the slo.* instruments on reg (nil: none),
-// and hooks the monitor onto win's ticks.
-func NewSLO(cfg SLOConfig, win *Windows, reg *Registry) (*SLO, error) {
+// and sizes its ring from the rules' windows (sampling). Nothing samples
+// until Tick or Run.
+func NewSLO(cfg SLOConfig, reg *Registry) (*SLO, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	s := &SLO{cfg: cfg, win: win}
+	tick, depth := cfg.sampling()
+	s := &SLO{cfg: cfg, win: newWindows(reg, depth), tick: tick}
 	s.stateGauge = reg.Gauge(Metric{Name: "slo.state", Layer: "slo", Unit: "state",
 		Help: "SLO burn-rate verdict: 0 ok, 1 warn, 2 page"})
 	s.latBurn = reg.Gauge(Metric{Name: "slo.latency.burn_milli", Layer: "slo", Unit: "milli",
@@ -265,8 +294,29 @@ func NewSLO(cfg SLOConfig, win *Windows, reg *Registry) (*SLO, error) {
 	s.last.State = SLOOK.String()
 	s.last.LatencyObjective = cfg.latencyObjective()
 	s.last.ErrorObjective = cfg.errorObjective()
-	win.OnTick(s.Evaluate)
 	return s, nil
+}
+
+// Tick samples the registry at nowNS, then re-evaluates the verdict. This is
+// the fake-clock entry point; Run drives it on the wall clock.
+func (s *SLO) Tick(nowNS int64) {
+	s.win.tick(nowNS)
+	s.evaluate(nowNS)
+}
+
+// Run is the wall-clock sampler: one Tick per derived period until stop is
+// closed.
+func (s *SLO) Run(stop <-chan struct{}) {
+	t := time.NewTicker(s.tick)
+	defer t.Stop()
+	for {
+		select {
+		case <-stop:
+			return
+		case now := <-t.C:
+			s.Tick(now.UnixNano())
+		}
+	}
 }
 
 func (c SLOConfig) latencyObjective() string {
@@ -283,9 +333,6 @@ func (c SLOConfig) errorObjective() string {
 	}
 	return fmt.Sprintf("%.4g%% success", c.ErrorGoal*100)
 }
-
-// Config returns the monitor's configuration.
-func (s *SLO) Config() SLOConfig { return s.cfg }
 
 // State returns the current verdict.
 func (s *SLO) State() SLOState {
@@ -355,9 +402,8 @@ func fires(rule BurnRule, short, long float64) bool {
 	return short >= rule.Burn && long >= rule.Burn
 }
 
-// Evaluate recomputes the verdict at nowNS. Windows.Tick calls it via the
-// OnTick hook; tests drive it directly after manual ticks.
-func (s *SLO) Evaluate(nowNS int64) {
+// evaluate recomputes the verdict at nowNS, after Tick has sampled.
+func (s *SLO) evaluate(nowNS int64) {
 	lat := s.burns(s.latencyBurn)
 	errs := s.burns(s.errorBurn)
 

@@ -2,22 +2,19 @@ package telemetry
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"time"
 )
 
-// sloFixture wires a registry + windows + monitor with tight fake-clock
-// windows: page at 10x over 2s+4s, warn at 2x over 4s+8s.
-func sloFixture(t *testing.T) (*Registry, *Counter, *Counter, *Histogram, *Windows, *SLO) {
+// sloFixture wires a registry + monitor with tight fake-clock windows: page
+// at 10x over 2s+4s, warn at 2x over 4s+8s.
+func sloFixture(t *testing.T) (*Registry, *Counter, *Counter, *Histogram, *SLO) {
 	t.Helper()
 	reg := NewRegistry()
 	total := reg.Counter(Metric{Name: "t.requests", Layer: "t", Unit: "reqs"})
 	bad := reg.Counter(Metric{Name: "t.errors", Layer: "t", Unit: "errors"})
 	lat := reg.Histogram(Metric{Name: "t.latency_ns", Layer: "t", Unit: "ns"}, DurationBuckets())
-	win, err := NewWindows(reg, WindowConfig{Tick: time.Second, Depth: 32})
-	if err != nil {
-		t.Fatal(err)
-	}
 	cfg := SLOConfig{
 		LatencyMetric:      "t.latency_ns",
 		LatencyThresholdNS: int64(50 * time.Millisecond),
@@ -28,18 +25,18 @@ func sloFixture(t *testing.T) (*Registry, *Counter, *Counter, *Histogram, *Windo
 		Page:               BurnRule{Burn: 10, Short: 2 * time.Second, Long: 4 * time.Second},
 		Warn:               BurnRule{Burn: 2, Short: 4 * time.Second, Long: 8 * time.Second},
 	}
-	slo, err := NewSLO(cfg, win, reg)
+	slo, err := NewSLO(cfg, reg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return reg, total, bad, lat, win, slo
+	return reg, total, bad, lat, slo
 }
 
 // TestSLOBurnStateTransitions walks the monitor through ok → page → warn →
 // ok under a fake clock: a hard error burst pages, the recovery tail keeps
 // the longer warn windows burning, and full recovery returns to ok.
 func TestSLOBurnStateTransitions(t *testing.T) {
-	reg, total, bad, lat, win, slo := sloFixture(t)
+	reg, total, bad, lat, slo := sloFixture(t)
 
 	now := int64(0)
 	tick := func(requests, errors int) {
@@ -51,7 +48,7 @@ func TestSLOBurnStateTransitions(t *testing.T) {
 			bad.Inc()
 		}
 		now += int64(time.Second)
-		win.Tick(now)
+		slo.Tick(now)
 	}
 
 	// Clean traffic: 100 req/s, no errors → ok.
@@ -105,7 +102,7 @@ func TestSLOBurnStateTransitions(t *testing.T) {
 // TestSLOLatencyBurn pages on slow-but-successful traffic: the latency SLI
 // burns even with a zero error rate.
 func TestSLOLatencyBurn(t *testing.T) {
-	_, total, _, lat, win, slo := sloFixture(t)
+	_, total, _, lat, slo := sloFixture(t)
 	now := int64(0)
 	tick := func(slowShare float64) {
 		for i := 0; i < 100; i++ {
@@ -117,7 +114,7 @@ func TestSLOLatencyBurn(t *testing.T) {
 			}
 		}
 		now += int64(time.Second)
-		win.Tick(now)
+		slo.Tick(now)
 	}
 	for i := 0; i < 6; i++ {
 		tick(0)
@@ -144,9 +141,9 @@ func TestSLOLatencyBurn(t *testing.T) {
 // TestSLONoTrafficBurnsNothing: an idle proxy must not page (no requests →
 // zero burn, not division blowups).
 func TestSLONoTrafficBurnsNothing(t *testing.T) {
-	_, _, _, _, win, slo := sloFixture(t)
+	_, _, _, _, slo := sloFixture(t)
 	for i := int64(1); i <= 10; i++ {
-		win.Tick(i * int64(time.Second))
+		slo.Tick(i * int64(time.Second))
 	}
 	if got := slo.State(); got != SLOOK {
 		t.Fatalf("idle state = %v, want ok", got)
@@ -190,9 +187,70 @@ func TestParseSLOSpec(t *testing.T) {
 		"warn=0x/1m+5m",        // zero burn
 		"throughput>=100",      // unknown clause
 		"latency<=50ms@99%%%%", // garbage pct
+		"page=Infx/10s+1m",     // an infinite burn never fires
+		"page=1e400x/10s+1m",   // overflows to +Inf
 	} {
 		if _, err := ParseSLOSpec(bad, base); err == nil {
 			t.Errorf("spec %q: want error", bad)
 		}
 	}
+}
+
+// TestSLORingFromWindows pins the derived sampler: max(shortest ÷ 10,
+// longest ÷ 600, minTick) per tick and ⌈longest ÷ tick⌉ + 2 samples; windows
+// whose tick would exceed the shortest one are rejected.
+func TestSLORingFromWindows(t *testing.T) {
+	for _, tc := range []struct {
+		spec  string
+		tick  time.Duration
+		depth int
+	}{
+		{"", time.Second, 302}, // the defaults: 10s+1m page, 1m+5m warn
+		{"page=10x/2s+4s;warn=2x/4s+8s", 200 * time.Millisecond, 42},
+		{"page=10x/10s+1h;warn=2x/1m+100m", 10 * time.Second, 602}, // longest = 600 × shortest, the widest accepted
+		{"page=10x/7s+7s;warn=2x/7s+7s", 700 * time.Millisecond, 12},
+		{"page=10x/1ms+1ms;warn=2x/1ms+1ms", minTick, 3},
+	} {
+		c, err := ParseSLOSpec(tc.spec, DefaultSLOConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := NewSLO(c, NewRegistry())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.tick != tc.tick || len(s.win.ring) != tc.depth {
+			t.Errorf("spec %q: tick %v depth %d, want %v and %d", tc.spec, s.tick, len(s.win.ring), tc.tick, tc.depth)
+		}
+	}
+	// A 36 s tick for a 10 s window, a 1 ms tick for a 1 ns one: each window
+	// would be read over the whole tick, so neither spec is accepted.
+	for _, spec := range []string{"page=10x/10s+1h;warn=2x/1m+6h", "page=10x/1ns+1ns;warn=2x/1ns+1ns"} {
+		if _, err := ParseSLOSpec(spec, DefaultSLOConfig()); err == nil {
+			t.Errorf("spec %q: windows the sampler cannot resolve were accepted", spec)
+		}
+	}
+}
+
+// FuzzParseSLOSpec throws arbitrary specs at the -slo / slo.objectives
+// grammar: it must never panic, what it accepts must validate, and parsing an
+// accepted spec again over its own result must change nothing. The seed
+// corpus under testdata/fuzz/FuzzParseSLOSpec holds TestParseSLOSpec's cases.
+func FuzzParseSLOSpec(f *testing.F) {
+	base := DefaultSLOConfig()
+	base.LatencyMetric = "t.latency_ns"
+	base.TotalMetrics = []string{"t.requests"}
+	f.Fuzz(func(t *testing.T, spec string) {
+		c, err := ParseSLOSpec(spec, base)
+		if err != nil {
+			return
+		}
+		if err := c.Validate(); err != nil {
+			t.Fatalf("accepted %q but the result fails Validate: %v", spec, err)
+		}
+		again, err := ParseSLOSpec(spec, c)
+		if err != nil || !reflect.DeepEqual(again, c) {
+			t.Fatalf("re-parsing %q over its own result: %+v, %v; want %+v", spec, again, err, c)
+		}
+	})
 }

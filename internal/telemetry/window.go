@@ -10,34 +10,13 @@ import (
 	"hermes/internal/stats"
 )
 
-// This file is the windowed time-series layer: a fixed-size ring of whole
-// registry snapshots sampled on a tick (wall clock in the live proxy,
-// explicit Tick calls under the sim clock), from which callers derive
-// windowed rates, deltas, and rolling histogram quantiles by diffing two
-// ring edges. Sampling runs entirely off the hot path — recording stays the
-// same one-or-two-atomics it always was; the sampler goroutine pays the
-// snapshot cost on its own time.
-
-// WindowConfig tunes the sampling ring.
-type WindowConfig struct {
-	// Tick is the sampling period used by Start (manual Tick callers pick
-	// their own cadence).
-	Tick time.Duration
-	// Depth is the number of retained ticks; Depth×Tick bounds the longest
-	// answerable window.
-	Depth int
-}
-
-// Validate reports the first invalid field.
-func (c WindowConfig) Validate() error {
-	if c.Tick <= 0 {
-		return fmt.Errorf("telemetry: window tick must be positive, got %v", c.Tick)
-	}
-	if c.Depth < 2 {
-		return fmt.Errorf("telemetry: window depth must be ≥ 2, got %d", c.Depth)
-	}
-	return nil
-}
+// This file is the windowed time-series layer behind the SLO monitor: a
+// fixed-size ring of whole registry snapshots sampled on a tick (wall clock
+// in the live proxy, explicit SLO.Tick calls under a fake clock), from which
+// windowed rates, deltas, and rolling histogram quantiles are derived by
+// diffing two ring edges. Sampling runs entirely off the hot path — recording
+// stays the same one-or-two-atomics it always was; the sampler goroutine pays
+// the snapshot cost on its own time.
 
 // tickPoint is one retained sample: the whole registry at one instant.
 type tickPoint struct {
@@ -45,93 +24,37 @@ type tickPoint struct {
 	snap Snapshot
 }
 
-// Windows samples a Registry into a ring of snapshots and answers windowed
-// queries by diffing ring edges. Tick (or the Start goroutine) is the only
-// writer; queries take a read lock and never block recording.
-type Windows struct {
+// windows samples a Registry into a ring of snapshots and answers windowed
+// queries by diffing ring edges. tick is the only writer; queries take a read
+// lock and never block recording.
+type windows struct {
 	reg *Registry
-	cfg WindowConfig
 
 	mu   sync.RWMutex
 	ring []tickPoint
 	n    uint64 // total ticks taken; next slot = n % depth
-
-	onTick []func(nowNS int64) // run after each tick, outside the write lock
-
-	startOnce sync.Once
-	stopCh    chan struct{}
-	doneCh    chan struct{}
 }
 
-// NewWindows builds a sampler over reg. The config must validate; the zero
-// ring answers no windows until two ticks have been taken.
-func NewWindows(reg *Registry, cfg WindowConfig) (*Windows, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	return &Windows{
-		reg:    reg,
-		cfg:    cfg,
-		ring:   make([]tickPoint, cfg.Depth),
-		stopCh: make(chan struct{}),
-		doneCh: make(chan struct{}),
-	}, nil
+// newWindows builds a ring of depth (≥ 2) samples over reg; it answers no
+// windows until two ticks have been taken.
+func newWindows(reg *Registry, depth int) *windows {
+	return &windows{reg: reg, ring: make([]tickPoint, depth)}
 }
 
-// Config returns the sampling configuration.
-func (w *Windows) Config() WindowConfig { return w.cfg }
-
-// OnTick registers fn to run after every tick (the SLO monitor's hook).
-// Must be called before Start or the first Tick.
-func (w *Windows) OnTick(fn func(nowNS int64)) {
-	w.onTick = append(w.onTick, fn)
-}
-
-// Tick samples the registry at nowNS. This is the sim-clock entry point;
-// Start drives it on the wall clock. Hooks run after the ring is updated.
-func (w *Windows) Tick(nowNS int64) {
+// tick samples the registry at nowNS.
+func (w *windows) tick(nowNS int64) {
 	snap := w.reg.Snapshot()
 	w.mu.Lock()
 	w.ring[w.n%uint64(len(w.ring))] = tickPoint{tsNS: nowNS, snap: snap}
 	w.n++
 	w.mu.Unlock()
-	for _, fn := range w.onTick {
-		fn(nowNS)
-	}
-}
-
-// Start launches the wall-clock sampler goroutine; the returned stop
-// function halts it and waits for it to exit. Start is idempotent.
-func (w *Windows) Start() (stop func()) {
-	w.startOnce.Do(func() {
-		go func() {
-			defer close(w.doneCh)
-			t := time.NewTicker(w.cfg.Tick)
-			defer t.Stop()
-			for {
-				select {
-				case <-w.stopCh:
-					return
-				case now := <-t.C:
-					w.Tick(now.UnixNano())
-				}
-			}
-		}()
-	})
-	var once sync.Once
-	return func() {
-		once.Do(func() {
-			close(w.stopCh)
-			<-w.doneCh
-		})
-	}
 }
 
 // Window returns the delta view spanning approximately d: the newest tick
 // is the end edge, and the start edge is the newest retained tick at least
 // d older (falling back to the oldest retained tick when history is
 // shorter). ok is false until two ticks with distinct timestamps exist.
-func (w *Windows) Window(d time.Duration) (WindowDelta, bool) {
+func (w *windows) Window(d time.Duration) (WindowDelta, bool) {
 	w.mu.RLock()
 	defer w.mu.RUnlock()
 	depth := uint64(len(w.ring))
@@ -162,7 +85,7 @@ func (w *Windows) Window(d time.Duration) (WindowDelta, bool) {
 
 // WindowDelta is the difference between two registry snapshots — the unit
 // every windowed query (rate, windowed quantile, SLI ratio) is answered
-// from. Build one from a Windows ring or directly from two snapshots
+// from. Build one from the SLO monitor's ring or directly from two snapshots
 // (hermes-lb's -stats-every interval reporting).
 type WindowDelta struct {
 	StartNS, EndNS int64

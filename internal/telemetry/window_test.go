@@ -21,10 +21,7 @@ func fixtureRegistry() (*Registry, *Counter, *Histogram, *Gauge, *CounterVec) {
 // wall-clock dependence when ticked manually.
 func TestWindowDeterministicUnderSimClock(t *testing.T) {
 	reg, c, h, g, cv := fixtureRegistry()
-	win, err := NewWindows(reg, WindowConfig{Tick: time.Second, Depth: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
+	win := newWindows(reg, 8)
 
 	if _, ok := win.Window(time.Second); ok {
 		t.Fatal("window answered before two ticks exist")
@@ -32,7 +29,7 @@ func TestWindowDeterministicUnderSimClock(t *testing.T) {
 
 	// t=0s: empty baseline. Then 10 requests/sec for 3 seconds, with
 	// latencies filling the 0-1000 bucket, and one slow outlier at t=3s.
-	win.Tick(0)
+	win.tick(0)
 	for sec := int64(1); sec <= 3; sec++ {
 		for i := 0; i < 10; i++ {
 			c.Inc()
@@ -43,7 +40,7 @@ func TestWindowDeterministicUnderSimClock(t *testing.T) {
 			h.Observe(3000) // outlier in the (2000,4000] bucket
 		}
 		g.Set(sec)
-		win.Tick(sec * int64(time.Second))
+		win.tick(sec * int64(time.Second))
 	}
 
 	d, ok := win.Window(time.Second)
@@ -100,8 +97,8 @@ func TestWindowDeterministicUnderSimClock(t *testing.T) {
 
 	// A second identical run must produce identical windowed reads.
 	reg2, c2, h2, g2, cv2 := fixtureRegistry()
-	win2, _ := NewWindows(reg2, WindowConfig{Tick: time.Second, Depth: 8})
-	win2.Tick(0)
+	win2 := newWindows(reg2, 8)
+	win2.tick(0)
 	for sec := int64(1); sec <= 3; sec++ {
 		for i := 0; i < 10; i++ {
 			c2.Inc()
@@ -112,7 +109,7 @@ func TestWindowDeterministicUnderSimClock(t *testing.T) {
 			h2.Observe(3000)
 		}
 		g2.Set(sec)
-		win2.Tick(sec * int64(time.Second))
+		win2.tick(sec * int64(time.Second))
 	}
 	d3b, _ := win2.Window(3 * time.Second)
 	if d3.Text() != d3b.Text() {
@@ -124,10 +121,10 @@ func TestWindowDeterministicUnderSimClock(t *testing.T) {
 // windows clamp to what is retained.
 func TestWindowRingEviction(t *testing.T) {
 	reg, c, _, _, _ := fixtureRegistry()
-	win, _ := NewWindows(reg, WindowConfig{Tick: time.Second, Depth: 4})
+	win := newWindows(reg, 4)
 	for sec := int64(0); sec < 10; sec++ {
 		c.Inc()
-		win.Tick(sec * int64(time.Second))
+		win.tick(sec * int64(time.Second))
 	}
 	// Retained ticks: t=6..9 → longest window is 3s with deltas 1/s.
 	d, ok := win.Window(time.Hour)
@@ -143,14 +140,14 @@ func TestWindowRingEviction(t *testing.T) {
 // +delta (rate), histograms as windowed quantiles, gauges as level.
 func TestWindowDeltaText(t *testing.T) {
 	reg, c, h, g, _ := fixtureRegistry()
-	win, _ := NewWindows(reg, WindowConfig{Tick: time.Second, Depth: 4})
-	win.Tick(0)
+	win := newWindows(reg, 4)
+	win.tick(0)
 	for i := 0; i < 20; i++ {
 		c.Inc()
 		h.Observe(1500)
 	}
 	g.Set(7)
-	win.Tick(int64(2 * time.Second))
+	win.tick(int64(2 * time.Second))
 
 	d, _ := win.Window(2 * time.Second)
 	text := d.Text()
@@ -168,15 +165,20 @@ func TestWindowDeltaText(t *testing.T) {
 	}
 }
 
-// TestWindowWallClockSampler smoke-tests Start/stop: ticks advance and stop
-// halts the goroutine.
+// TestWindowWallClockSampler smoke-tests SLO.Run: the monitor's ring advances
+// on the wall clock and closing stop ends the loop.
 func TestWindowWallClockSampler(t *testing.T) {
 	reg, c, _, _, _ := fixtureRegistry()
-	win, _ := NewWindows(reg, WindowConfig{Tick: 2 * time.Millisecond, Depth: 16})
-	stop := win.Start()
+	slo, err := NewSLO(sampledSLOConfig(), reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stopCh, done := make(chan struct{}), make(chan struct{})
+	go func() { defer close(done); slo.Run(stopCh) }()
+	stop := func() { close(stopCh); <-done }
 	deadline := time.Now().Add(2 * time.Second)
 	for {
-		if d, ok := win.Window(time.Hour); ok && d.Delta("t.requests") > 0 {
+		if d, ok := slo.win.Window(time.Hour); ok && d.Delta("t.requests") > 0 {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -186,21 +188,39 @@ func TestWindowWallClockSampler(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	stop()
-	d, _ := win.Window(time.Hour)
+	d, _ := slo.win.Window(time.Hour)
 	time.Sleep(10 * time.Millisecond)
-	if d2, _ := win.Window(time.Hour); d2.EndNS != d.EndNS {
+	if d2, _ := slo.win.Window(time.Hour); d2.EndNS != d.EndNS {
 		t.Error("sampler kept ticking after stop")
 	}
 }
 
+// sampledSLOConfig binds the monitor to fixtureRegistry's rows with windows
+// short enough for a 1 ms tick (shortest 10 ms ÷ 10) and a 62-sample ring.
+func sampledSLOConfig() SLOConfig {
+	return SLOConfig{
+		LatencyMetric:      "t.latency_ns",
+		LatencyThresholdNS: 2000,
+		LatencyGoal:        0.99,
+		TotalMetrics:       []string{"t.requests"},
+		ErrorGoal:          0.999,
+		Page:               BurnRule{Burn: 10, Short: 10 * time.Millisecond, Long: 20 * time.Millisecond},
+		Warn:               BurnRule{Burn: 2, Short: 20 * time.Millisecond, Long: 60 * time.Millisecond},
+	}
+}
+
 // BenchmarkTelemetryHotPathSampled proves the acceptance bar: recording
-// stays allocation-free while the windowed sampler is live. CI greps the
-// allocs/op column.
+// stays allocation-free while the SLO monitor's 1 ms sampler is live. CI
+// greps the allocs/op column.
 func BenchmarkTelemetryHotPathSampled(b *testing.B) {
 	reg, c, h, g, cv := fixtureRegistry()
-	win, _ := NewWindows(reg, WindowConfig{Tick: time.Millisecond, Depth: 64})
-	stop := win.Start()
-	defer stop()
+	slo, err := NewSLO(sampledSLOConfig(), reg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	stop := make(chan struct{})
+	defer close(stop)
+	go slo.Run(stop)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
