@@ -158,9 +158,6 @@ func (t *top) frame() string {
 		health := "up"
 		if !be.Healthy {
 			health = "DOWN"
-			if be.Reason != "" {
-				health = "DOWN:" + be.Reason
-			}
 		}
 		circuit := "-"
 		if be.Circuit != nil {

@@ -37,7 +37,7 @@ func stubTopAdmin(t *testing.T, rows *stubRows, before func(poll int)) string {
 		w.Header().Set("Content-Type", "application/json")
 		_, _ = w.Write([]byte(`[
   {"index":0,"address":"127.0.0.1:9001","weight":1,"healthy":true,"active":2,"requests":120,"errors":1,"last_probe_ok":true,"circuit":{"state":"closed"}},
-  {"index":1,"address":"127.0.0.1:9002","weight":1,"healthy":false,"down_reason":"active","active":0,"requests":40,"errors":9,"last_probe_ok":false,"circuit":{"state":"open"}}
+  {"index":1,"address":"127.0.0.1:9002","weight":1,"healthy":false,"active":0,"requests":40,"errors":9,"last_probe_ok":false,"circuit":{"state":"open"}}
 ]`))
 	})
 	srv := httptest.NewServer(mux)
@@ -67,7 +67,7 @@ func TestTopOnceFrame(t *testing.T) {
 		"burn ×budget",
 		"WORKER", "w0", "w1",
 		"BACKEND", "127.0.0.1:9001", "closed",
-		"127.0.0.1:9002", "DOWN:active", "open",
+		"127.0.0.1:9002", "DOWN", "open",
 	} {
 		if !strings.Contains(frame, want) {
 			t.Errorf("frame missing %q:\n%s", want, frame)

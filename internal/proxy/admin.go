@@ -33,7 +33,6 @@ type BackendView struct {
 	Address  string `json:"address"`
 	Weight   int    `json:"weight"`
 	Healthy  bool   `json:"healthy"`
-	Reason   string `json:"down_reason,omitempty"`
 	Active   int64  `json:"active"`
 	Requests uint64 `json:"requests"`
 	Errors   uint64 `json:"errors"`
@@ -90,9 +89,6 @@ func (p *Proxy) backendViews() []BackendView {
 			LastProbeOK:      b.lastProbeOK.Load(),
 			LastChangeUnixNS: b.lastChangeNS.Load(),
 		}
-		if r, _ := b.downReason.Load().(string); r != "" && !v.Healthy {
-			v.Reason = r
-		}
 		if b.circuit != nil {
 			cv := b.circuit.Snapshot()
 			v.Circuit = &cv
@@ -113,8 +109,8 @@ func (p *Proxy) backendViews() []BackendView {
 //
 // Every number is a registry row: /stats and /metrics are its two encodings,
 // and the counts /backends shows are read from the same slots. The other
-// endpoints carry what a counter cannot (verdicts, reasons, breaker
-// positions, bitmaps). Responses are uncacheable point-in-time reads: every
+// endpoints carry what a counter cannot (verdicts, breaker positions,
+// bitmaps). Responses are uncacheable point-in-time reads: every
 // endpoint sets Cache-Control: no-store.
 func AdminHandler(p *Proxy) http.Handler {
 	mux := http.NewServeMux()

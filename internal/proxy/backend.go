@@ -35,19 +35,15 @@ type Backend struct {
 	probeOKs   int
 	probeFails int
 
-	// passiveFails counts consecutive upstream errors observed while
-	// proxying (any worker).
-	passiveFails atomic.Int32
-
 	lastProbeNS   atomic.Int64 // wall time of the last active probe (0 = never)
 	lastProbeOK   atomic.Bool
 	lastChangeNS  atomic.Int64 // wall time of the last health transition
-	downReason    atomic.Value // string: "active" | "passive" | ""
 	circuit       *Circuit     // nil when circuit breaking is disabled
 	smoothCurrent int          // smooth-weighted-RR state (pool.mu)
 }
 
-// Healthy reports the combined active+passive health verdict.
+// Healthy reports the prober's out-of-band verdict. What proxied requests
+// say about the backend is the circuit breaker's to judge.
 func (b *Backend) Healthy() bool { return b.healthy.Load() != 0 }
 
 // available reports whether the pool may pick this backend at all: healthy
@@ -77,19 +73,12 @@ type Pool struct {
 	// tel is where the pool counts and traces: the per-backend rows are handed
 	// to the backends slot by slot, transitions go on its trace handle.
 	tel *Instruments
-
-	passiveThreshold int
 }
 
 // newPool builds the pool from validated config; its backends and breakers
 // count on tel's rows and trace their transitions as backend_state instants.
 func newPool(cfg Config, now func() int64, tel *Instruments) *Pool {
-	p := &Pool{
-		policy:           cfg.Policy,
-		now:              now,
-		tel:              tel,
-		passiveThreshold: cfg.HealthCheck.PassiveThreshold,
-	}
+	p := &Pool{policy: cfg.Policy, now: now, tel: tel}
 	for i, bc := range cfg.Backends {
 		w := bc.Weight
 		if w < 1 {
@@ -102,16 +91,15 @@ func newPool(cfg Config, now func() int64, tel *Instruments) *Pool {
 			requests: tel.BackendRequests.At(i),
 			errors:   tel.BackendErrors.At(i),
 		}
-		// Backends start healthy: the first probe round or passive failures
-		// demote them, so a cold start never black-holes traffic.
+		// Backends start healthy: the first probe round or an opened circuit
+		// takes them out, so a cold start never black-holes traffic.
 		b.healthy.Set(stateHealthy)
-		b.downReason.Store("")
 		if cfg.CircuitBreaker.Enabled {
 			b.circuit = NewCircuit(cfg.CircuitBreaker, now)
 			b.circuit.rows = [...]*telemetry.Counter{
 				CircuitClosed: tel.CircuitCloses, CircuitOpen: tel.CircuitOpens, CircuitHalfOpen: tel.CircuitHalfOpens,
 			}
-			b.circuit.onTransition = func(from, to CircuitState) {
+			b.circuit.onTransition = func(to CircuitState) {
 				tel.ptr.BackendState(i, now(), stateCircuit+int64(to))
 			}
 		}
@@ -134,8 +122,10 @@ func (p *Pool) AvailableCount() int {
 // Pick selects a backend under the configured policy, skipping members whose
 // index bit is set in tried (the retry path's exclusion mask) and members
 // that are unhealthy or circuit-rejected. A half-open circuit admits the
-// pick as a trial request. Returns nil when nothing is available.
-func (p *Pool) Pick(tried uint64) *Backend {
+// pick as a trial request. The epoch names the breaker state the pick was
+// admitted in; hand it back to Observe. Returns nil when nothing is
+// available.
+func (p *Pool) Pick(tried uint64) (*Backend, uint64) {
 	switch p.policy {
 	case PolicyLeastConn:
 		return p.pickLeastConn(tried)
@@ -148,15 +138,15 @@ func (p *Pool) Pick(tried uint64) *Backend {
 
 // admit finalizes a candidate: the circuit must allow the request — open
 // circuits reject (counted), half-open circuits must grant a trial slot.
-func (p *Pool) admit(b *Backend) bool {
+func (p *Pool) admit(b *Backend) (uint64, bool) {
 	if b.circuit == nil {
-		return true
+		return 0, true
 	}
-	if b.circuit.Allow() {
-		return true
+	epoch, ok := b.circuit.Allow()
+	if !ok {
+		p.tel.CircuitRejections.Inc()
 	}
-	p.tel.CircuitRejections.Inc()
-	return false
+	return epoch, ok
 }
 
 // eligible is the pre-admission filter shared by the pick paths: not yet
@@ -166,7 +156,7 @@ func (b *Backend) eligible(tried uint64) bool {
 	return tried&(1<<uint(b.idx)) == 0 && b.Healthy()
 }
 
-func (p *Pool) pickRoundRobin(tried uint64) *Backend {
+func (p *Pool) pickRoundRobin(tried uint64) (*Backend, uint64) {
 	n := len(p.backends)
 	start := int(p.rr.Add(1)-1) % n
 	for i := 0; i < n; i++ {
@@ -174,17 +164,17 @@ func (p *Pool) pickRoundRobin(tried uint64) *Backend {
 		if !b.eligible(tried) {
 			continue
 		}
-		if p.admit(b) {
-			return b
+		if epoch, ok := p.admit(b); ok {
+			return b, epoch
 		}
 	}
-	return nil
+	return nil, 0
 }
 
 // pickWeighted runs smooth weighted round-robin (the nginx algorithm): each
 // eligible backend gains its weight, the leader is picked and pays the total
 // back, interleaving picks proportionally to weight without bursts.
-func (p *Pool) pickWeighted(tried uint64) *Backend {
+func (p *Pool) pickWeighted(tried uint64) (*Backend, uint64) {
 	p.mu.Lock()
 	var (
 		best  *Backend
@@ -205,10 +195,10 @@ func (p *Pool) pickWeighted(tried uint64) *Backend {
 	}
 	p.mu.Unlock()
 	if best == nil {
-		return nil
+		return nil, 0
 	}
-	if p.admit(best) {
-		return best
+	if epoch, ok := p.admit(best); ok {
+		return best, epoch
 	}
 	// The leader's circuit declined (open, or half-open with no free trial
 	// slot): fall back to any other admissible backend this round.
@@ -217,7 +207,7 @@ func (p *Pool) pickWeighted(tried uint64) *Backend {
 
 // pickLeastConn picks the backend with the fewest in-flight requests per
 // unit weight (ties broken by index for determinism).
-func (p *Pool) pickLeastConn(tried uint64) *Backend {
+func (p *Pool) pickLeastConn(tried uint64) (*Backend, uint64) {
 	var (
 		best      *Backend
 		bestScore float64
@@ -232,45 +222,32 @@ func (p *Pool) pickLeastConn(tried uint64) *Backend {
 		}
 	}
 	if best == nil {
-		return nil
+		return nil, 0
 	}
-	if p.admit(best) {
-		return best
+	if epoch, ok := p.admit(best); ok {
+		return best, epoch
 	}
 	return p.pickLeastConn(tried | 1<<uint(best.idx))
 }
 
-// Observe records one proxied request's outcome against b: circuit
-// accounting, passive health checking, and per-backend counters. Callers
-// must have obtained b from Pick (so half-open trial slots balance).
-func (p *Pool) Observe(b *Backend, ok bool) {
-	if ok {
-		b.requests.Inc()
-		b.passiveFails.Store(0)
+// Observe records one proxied request's outcome against b, picked at epoch:
+// the breaker's verdict and the per-backend counters.
+func (p *Pool) Observe(b *Backend, epoch uint64, ok bool) {
+	if !ok {
+		b.errors.Inc()
 		if b.circuit != nil {
-			b.circuit.Success()
-		}
-		// A working backend with no active prober recovers on first success
-		// (passive-only deployments would otherwise stay down forever).
-		if !b.Healthy() && b.downReason.Load() == "passive" && p.passiveThreshold > 0 {
-			p.setHealthy(b, true, "passive")
+			b.circuit.Failure(epoch)
 		}
 		return
 	}
-	b.errors.Inc()
+	b.requests.Inc()
 	if b.circuit != nil {
-		b.circuit.Failure()
-	}
-	if p.passiveThreshold > 0 {
-		if fails := b.passiveFails.Add(1); int(fails) >= p.passiveThreshold && b.Healthy() {
-			p.setHealthy(b, false, "passive")
-		}
+		b.circuit.Success(epoch)
 	}
 }
 
-// setHealthy flips b's health state, counted and traced once per flip. reason
-// is "active" (probe verdict) or "passive" (request-path verdict).
-func (p *Pool) setHealthy(b *Backend, healthy bool, reason string) {
+// setHealthy flips b's health verdict, counted and traced once per flip.
+func (p *Pool) setHealthy(b *Backend, healthy bool) {
 	state := stateUnhealthy
 	if healthy {
 		state = stateHealthy
@@ -279,12 +256,6 @@ func (p *Pool) setHealthy(b *Backend, healthy bool, reason string) {
 		return
 	}
 	p.tel.HealthTransitions.Inc()
-	if healthy {
-		b.downReason.Store("")
-		b.passiveFails.Store(0)
-	} else {
-		b.downReason.Store(reason)
-	}
 	now := p.now()
 	b.lastChangeNS.Store(now)
 	p.tel.ptr.BackendState(b.idx, now, state)

@@ -43,10 +43,11 @@ type Circuit struct {
 
 	mu         sync.Mutex
 	state      CircuitState
-	fails      int   // consecutive failures while closed
-	successes  int   // consecutive trial successes while half-open
-	inflight   int   // admitted trial requests while half-open
-	openedAtNS int64 // when the circuit last opened
+	epoch      uint64 // transitions so far: names the state a request was admitted in
+	fails      int    // consecutive failures while closed
+	successes  int    // trial successes while half-open
+	inflight   int    // outstanding trials while half-open
+	openedAtNS int64  // when the circuit last opened
 
 	// Transitions into each state: entered counts this breaker's (its
 	// /backends row), rows the whole pool's (proxy.circuit.closes, .opens,
@@ -55,8 +56,8 @@ type Circuit struct {
 	rows    [3]*telemetry.Counter
 
 	// onTransition, when set, observes every state change (trace wiring).
-	// Called outside the lock.
-	onTransition func(from, to CircuitState)
+	// It runs under mu, so it must not call back into the breaker.
+	onTransition func(to CircuitState)
 }
 
 // NewCircuit creates a breaker; now supplies nanosecond timestamps.
@@ -64,14 +65,13 @@ func NewCircuit(cfg CircuitBreakerConfig, now func() int64) *Circuit {
 	return &Circuit{cfg: cfg, now: now}
 }
 
-// transition must be called with mu held; it returns the callback to invoke
-// after unlocking.
-func (c *Circuit) transition(to CircuitState) func() {
-	from := c.state
-	if from == to {
-		return nil
+// transition must be called with mu held.
+func (c *Circuit) transition(to CircuitState) {
+	if c.state == to {
+		return
 	}
 	c.state = to
+	c.epoch++
 	c.entered[to]++
 	c.rows[to].Inc()
 	switch to {
@@ -83,96 +83,86 @@ func (c *Circuit) transition(to CircuitState) func() {
 	case CircuitClosed:
 		c.fails = 0
 	}
-	if cb := c.onTransition; cb != nil {
-		return func() { cb(from, to) }
+	if c.onTransition != nil {
+		c.onTransition(to)
 	}
-	return nil
+}
+
+// current is the position with the open → half-open timeout applied, so
+// observers see "half-open" once the trial window has arrived even before the
+// next request does. Must be called with mu held.
+func (c *Circuit) current() CircuitState {
+	if c.state == CircuitOpen && c.now()-c.openedAtNS >= int64(c.cfg.Timeout) {
+		return CircuitHalfOpen
+	}
+	return c.state
 }
 
 // Allow reports whether a request may proceed, admitting it as a half-open
-// trial when the breaker is probing. Every Allow()=true must be paired with
-// exactly one Success or Failure.
-func (c *Circuit) Allow() bool {
+// trial when the breaker is probing. Every Allow that returns ok must be
+// paired with exactly one Success or Failure carrying the returned epoch: an
+// outcome counts only in the state it was admitted in, so a request admitted
+// while closed that ends during half-open is neither a trial nor a verdict.
+func (c *Circuit) Allow() (epoch uint64, ok bool) {
 	c.mu.Lock()
-	var fire func()
-	switch c.state {
+	defer c.mu.Unlock()
+	switch c.current() {
 	case CircuitOpen:
-		if c.now()-c.openedAtNS < int64(c.cfg.Timeout) {
-			c.mu.Unlock()
-			return false
-		}
-		fire = c.transition(CircuitHalfOpen)
-		fallthrough
+		return 0, false
 	case CircuitHalfOpen:
+		c.transition(CircuitHalfOpen)
 		// Bound concurrent trials by the success threshold: enough probes to
 		// close the circuit, never a thundering herd onto a sick backend.
 		if c.inflight >= c.cfg.SuccessThreshold {
-			c.mu.Unlock()
-			if fire != nil {
-				fire()
-			}
-			return false
+			return 0, false
 		}
 		c.inflight++
 	}
-	c.mu.Unlock()
-	if fire != nil {
-		fire()
-	}
-	return true
+	return c.epoch, true
 }
 
-// Success records a request that completed against the backend.
-func (c *Circuit) Success() {
+// Success records a request admitted at epoch that completed against the
+// backend.
+func (c *Circuit) Success(epoch uint64) {
 	c.mu.Lock()
-	var fire func()
+	defer c.mu.Unlock()
+	if epoch != c.epoch {
+		return
+	}
 	switch c.state {
 	case CircuitClosed:
 		c.fails = 0
 	case CircuitHalfOpen:
 		c.inflight--
-		c.successes++
-		if c.successes >= c.cfg.SuccessThreshold {
-			fire = c.transition(CircuitClosed)
+		if c.successes++; c.successes >= c.cfg.SuccessThreshold {
+			c.transition(CircuitClosed)
 		}
-	}
-	c.mu.Unlock()
-	if fire != nil {
-		fire()
 	}
 }
 
-// Failure records a request that failed against the backend.
-func (c *Circuit) Failure() {
+// Failure records a request admitted at epoch that failed against the
+// backend.
+func (c *Circuit) Failure(epoch uint64) {
 	c.mu.Lock()
-	var fire func()
+	defer c.mu.Unlock()
+	if epoch != c.epoch {
+		return
+	}
 	switch c.state {
 	case CircuitClosed:
-		c.fails++
-		if c.fails >= c.cfg.FailureThreshold {
-			fire = c.transition(CircuitOpen)
+		if c.fails++; c.fails >= c.cfg.FailureThreshold {
+			c.transition(CircuitOpen)
 		}
 	case CircuitHalfOpen:
-		c.inflight--
-		fire = c.transition(CircuitOpen)
-	}
-	c.mu.Unlock()
-	if fire != nil {
-		fire()
+		c.transition(CircuitOpen)
 	}
 }
 
-// State returns the current position, applying the open→half-open timeout
-// lazily so observers see "half-open" once the probe window has arrived even
-// before the next request does.
+// State returns the current position (see current).
 func (c *Circuit) State() CircuitState {
 	c.mu.Lock()
-	s := c.state
-	if s == CircuitOpen && c.now()-c.openedAtNS >= int64(c.cfg.Timeout) {
-		s = CircuitHalfOpen
-	}
-	c.mu.Unlock()
-	return s
+	defer c.mu.Unlock()
+	return c.current()
 }
 
 // CircuitView is one breaker as the admin API shows it, inside its backend's
@@ -191,12 +181,8 @@ type CircuitView struct {
 func (c *Circuit) Snapshot() CircuitView {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	state := c.state
-	if state == CircuitOpen && c.now()-c.openedAtNS >= int64(c.cfg.Timeout) {
-		state = CircuitHalfOpen
-	}
 	v := CircuitView{
-		State: state.String(), Fails: c.fails,
+		State: c.current().String(), Fails: c.fails,
 		Opens: c.entered[CircuitOpen], HalfOpens: c.entered[CircuitHalfOpen], Closes: c.entered[CircuitClosed],
 	}
 	if c.state != CircuitClosed {

@@ -2,8 +2,8 @@
 // cmd/hermes-lb: an HTTP/1.1 edge whose worker scheduling runs the Hermes
 // control loop (workers publish to the Worker Status Table, every worker runs
 // Algorithm 1, the acceptor picks workers from the live selection bitmap) and
-// whose backend pool adds the classic L7 edge features — active and passive
-// health checks, circuit breaking with half-open probing, weighted and
+// whose backend pool adds the classic L7 edge features — active health
+// checks, circuit breaking with half-open probing, weighted and
 // least-connection policies, and bounded retry/buffering — so backend
 // availability and worker-load steering become one userspace decision
 // (docs/PROXY.md).
@@ -37,7 +37,8 @@ type BackendConfig struct {
 	Weight int
 }
 
-// HealthCheckConfig tunes active and passive backend health checks.
+// HealthCheckConfig tunes active backend health checks: the out-of-band
+// detector. Failures of proxied requests are the circuit breaker's to judge.
 type HealthCheckConfig struct {
 	// Enabled turns active probing on.
 	Enabled bool
@@ -53,14 +54,11 @@ type HealthCheckConfig struct {
 	// UnhealthyThreshold is the consecutive probe failures required to mark
 	// a healthy backend unhealthy.
 	UnhealthyThreshold int
-	// PassiveThreshold marks a backend unhealthy after this many consecutive
-	// upstream errors observed while proxying (0 disables passive checks).
-	// Passive marks recover through active probing when Enabled, else after
-	// the first successful proxied request.
-	PassiveThreshold int
 }
 
-// CircuitBreakerConfig tunes per-backend circuit breaking.
+// CircuitBreakerConfig tunes per-backend circuit breaking: the in-band
+// detector, which evicts a backend whose proxied requests fail and readmits
+// it through half-open trials, with or without a prober.
 type CircuitBreakerConfig struct {
 	// Enabled turns circuit breaking on.
 	Enabled bool
@@ -140,11 +138,10 @@ func DefaultConfig() Config {
 			Timeout:            500 * time.Millisecond,
 			HealthyThreshold:   2,
 			UnhealthyThreshold: 3,
-			PassiveThreshold:   3,
 		},
 		CircuitBreaker: CircuitBreakerConfig{
 			Enabled:          true,
-			FailureThreshold: 5,
+			FailureThreshold: 3,
 			SuccessThreshold: 2,
 			Timeout:          10 * time.Second,
 		},
@@ -216,9 +213,6 @@ func (c Config) Validate() error {
 			return fmt.Errorf("proxy: health_check thresholds must be ≥ 1, got healthy=%d unhealthy=%d",
 				h.HealthyThreshold, h.UnhealthyThreshold)
 		}
-	}
-	if h.PassiveThreshold < 0 {
-		return fmt.Errorf("proxy: health_check passive_threshold must be ≥ 0, got %d", h.PassiveThreshold)
 	}
 	cb := c.CircuitBreaker
 	if cb.Enabled {
@@ -315,7 +309,6 @@ var settings = []setting{
 	{"health_check", "timeout", "", "", duration(func(c *Config) *time.Duration { return &c.HealthCheck.Timeout })},
 	{"health_check", "healthy_threshold", "", "", integer(func(c *Config) *int { return &c.HealthCheck.HealthyThreshold })},
 	{"health_check", "unhealthy_threshold", "", "", integer(func(c *Config) *int { return &c.HealthCheck.UnhealthyThreshold })},
-	{"health_check", "passive_threshold", "", "", integer(func(c *Config) *int { return &c.HealthCheck.PassiveThreshold })},
 	{"circuit_breaker", "enabled", "", "", boolean(func(c *Config) *bool { return &c.CircuitBreaker.Enabled })},
 	{"circuit_breaker", "failure_threshold", "", "", integer(func(c *Config) *int { return &c.CircuitBreaker.FailureThreshold })},
 	{"circuit_breaker", "success_threshold", "", "", integer(func(c *Config) *int { return &c.CircuitBreaker.SuccessThreshold })},

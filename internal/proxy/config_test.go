@@ -37,7 +37,6 @@ health_check:
   timeout: 100ms
   healthy_threshold: 2
   unhealthy_threshold: 3
-  passive_threshold: 4
 
 circuit_breaker:
   enabled: true
@@ -81,7 +80,7 @@ func TestLoadYAMLFull(t *testing.T) {
 	h := c.HealthCheck
 	if !h.Enabled || h.Path != "/health" || h.Interval != 250*time.Millisecond ||
 		h.Timeout != 100*time.Millisecond || h.HealthyThreshold != 2 ||
-		h.UnhealthyThreshold != 3 || h.PassiveThreshold != 4 {
+		h.UnhealthyThreshold != 3 {
 		t.Errorf("health_check = %+v", h)
 	}
 	cb := c.CircuitBreaker
@@ -122,6 +121,8 @@ func TestLoadYAMLErrors(t *testing.T) {
 		{"bad boolean", "health_check:\n  enabled: maybe\n", "bad boolean"},
 		{"backends not list", "backends: 127.0.0.1:9001\n", "want a list"},
 		{"tab indent", "server:\n\tworkers: 2\n", "tab"},
+		// Passive health is gone: the circuit breaker judges proxied requests.
+		{"passive threshold", "health_check:\n  passive_threshold: 3\n", `health_check: unknown key "passive_threshold"`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -282,7 +282,7 @@ func (c *conn) forward(reqLen int) (keep bool) {
 		lastErr error
 	)
 	for attempt := 0; attempt < attempts; attempt++ {
-		b := p.pool.Pick(tried)
+		b, epoch := p.pool.Pick(tried)
 		if b == nil {
 			if attempt == 0 {
 				p.tel.Unavailable.Inc()
@@ -308,7 +308,7 @@ func (c *conn) forward(reqLen int) (keep bool) {
 		if attempt > 0 {
 			w.hook.EventHandled()
 		}
-		p.pool.Observe(b, err == nil)
+		p.pool.Observe(b, epoch, err == nil)
 		switch {
 		case !committed:
 			lastErr = err

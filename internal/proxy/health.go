@@ -11,9 +11,10 @@ import (
 
 // checker actively probes every backend each interval: one HTTP GET of the
 // configured path, bounded by the probe timeout. Streak counting implements
-// the healthy/unhealthy thresholds; verdict flips go through Pool.setHealthy
-// so passive checks, telemetry, and tracing all share one transition path,
-// and probes are counted and traced on the pool's instruments.
+// the healthy/unhealthy thresholds; verdict flips go through Pool.setHealthy,
+// which counts and traces them, and probes are counted and traced on the
+// pool's instruments. The prober is the out-of-band detector; the circuit
+// breaker judges proxied requests in band.
 type checker struct {
 	cfg  HealthCheckConfig
 	pool *Pool
@@ -73,13 +74,13 @@ func (c *checker) sweep() {
 				b.probeOKs++
 				b.probeFails = 0
 				if !b.Healthy() && b.probeOKs >= c.cfg.HealthyThreshold {
-					c.pool.setHealthy(b, true, "active")
+					c.pool.setHealthy(b, true)
 				}
 			} else {
 				b.probeFails++
 				b.probeOKs = 0
 				if b.Healthy() && b.probeFails >= c.cfg.UnhealthyThreshold {
-					c.pool.setHealthy(b, false, "active")
+					c.pool.setHealthy(b, false)
 				}
 			}
 		}(b)

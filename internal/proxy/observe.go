@@ -28,8 +28,8 @@ type Instruments struct {
 	// HealthProbes / HealthProbeFailures count active probes.
 	HealthProbes        *telemetry.Counter
 	HealthProbeFailures *telemetry.Counter
-	// HealthTransitions counts health verdict flips (either direction,
-	// active or passive).
+	// HealthTransitions counts the prober's health verdict flips (either
+	// direction).
 	HealthTransitions *telemetry.Counter
 
 	// CircuitOpens / CircuitHalfOpens / CircuitCloses count breaker

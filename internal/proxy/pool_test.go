@@ -33,7 +33,7 @@ func backendAddr(i int) string {
 func countPicks(p *Pool, n int) map[int]int {
 	got := make(map[int]int)
 	for i := 0; i < n; i++ {
-		b := p.Pick(0)
+		b, _ := p.Pick(0)
 		if b == nil {
 			break
 		}
@@ -65,7 +65,7 @@ func TestPoolLeastConnPrefersIdle(t *testing.T) {
 	p := testPool(testPoolConfig(PolicyLeastConn, 1, 1), func() int64 { return 0 })
 	p.backends[0].active.Set(5)
 	for i := 0; i < 4; i++ {
-		if b := p.Pick(0); b.idx != 1 {
+		if b, _ := p.Pick(0); b.idx != 1 {
 			t.Fatalf("pick %d chose loaded backend %d", i, b.idx)
 		}
 	}
@@ -73,7 +73,7 @@ func TestPoolLeastConnPrefersIdle(t *testing.T) {
 	p = testPool(testPoolConfig(PolicyLeastConn, 10, 1), func() int64 { return 0 })
 	p.backends[0].active.Set(10)
 	p.backends[1].active.Set(2)
-	if b := p.Pick(0); b.idx != 0 {
+	if b, _ := p.Pick(0); b.idx != 0 {
 		t.Errorf("least-conn ignored weight: picked %d", b.idx)
 	}
 }
@@ -81,17 +81,25 @@ func TestPoolLeastConnPrefersIdle(t *testing.T) {
 func TestPoolSkipsTriedAndUnhealthy(t *testing.T) {
 	for _, policy := range []string{PolicyRoundRobin, PolicyWeighted, PolicyLeastConn} {
 		p := testPool(testPoolConfig(policy, 1, 1, 1), func() int64 { return 0 })
-		p.setHealthy(p.backends[1], false, "active")
+		p.setHealthy(p.backends[1], false)
 		for i := 0; i < 6; i++ {
-			b := p.Pick(1 << 0) // exclude 0 as already-tried
+			b, epoch := p.Pick(1 << 0) // exclude 0 as already-tried
 			if b == nil || b.idx != 2 {
 				t.Fatalf("%s: pick = %v, want backend 2 (0 tried, 1 unhealthy)", policy, b)
 			}
-			p.Observe(b, true)
+			p.Observe(b, epoch, true)
 		}
-		if b := p.Pick(1<<0 | 1<<2); b != nil {
+		if b, _ := p.Pick(1<<0 | 1<<2); b != nil {
 			t.Errorf("%s: picked %d with everything excluded", policy, b.idx)
 		}
+	}
+}
+
+// failOn records n failed requests against b, each admitted by its breaker.
+func failOn(p *Pool, b *Backend, n int) {
+	for i := 0; i < n; i++ {
+		epoch, _ := b.circuit.Allow()
+		p.Observe(b, epoch, false)
 	}
 }
 
@@ -99,19 +107,16 @@ func TestPoolSkipsTriedAndUnhealthy(t *testing.T) {
 // dead pool returns nil.
 func TestPoolCircuitGatesPick(t *testing.T) {
 	cfg := testPoolConfig(PolicyRoundRobin, 1, 1)
-	cfg.HealthCheck.PassiveThreshold = 0 // isolate the breaker from passive health
 	clk := &fakeClock{}
 	p := testPool(cfg, clk.now)
 	// Trip backend 0's breaker.
 	b0 := p.backends[0]
-	for i := 0; i < cfg.CircuitBreaker.FailureThreshold; i++ {
-		p.Observe(b0, false)
-	}
+	failOn(p, b0, cfg.CircuitBreaker.FailureThreshold)
 	if b0.circuit.State() != CircuitOpen {
 		t.Fatalf("circuit = %v after %d failures", b0.circuit.State(), cfg.CircuitBreaker.FailureThreshold)
 	}
 	for i := 0; i < 4; i++ {
-		if b := p.Pick(0); b == nil || b.idx != 1 {
+		if b, _ := p.Pick(0); b == nil || b.idx != 1 {
 			t.Fatalf("pick = %v, want backend 1 while 0's circuit is open", b)
 		}
 	}
@@ -122,9 +127,9 @@ func TestPoolCircuitGatesPick(t *testing.T) {
 	clk.advance(int64(cfg.CircuitBreaker.Timeout))
 	seen := map[int]bool{}
 	for i := 0; i < 4; i++ {
-		if b := p.Pick(0); b != nil {
+		if b, epoch := p.Pick(0); b != nil {
 			seen[b.idx] = true
-			p.Observe(b, true)
+			p.Observe(b, epoch, true)
 		}
 	}
 	if !seen[0] {
@@ -133,30 +138,62 @@ func TestPoolCircuitGatesPick(t *testing.T) {
 	if b0.circuit.State() != CircuitClosed {
 		t.Errorf("circuit = %v after successful trials", b0.circuit.State())
 	}
+	// Both breakers open: nothing is pickable.
+	failOn(p, b0, cfg.CircuitBreaker.FailureThreshold)
+	failOn(p, p.backends[1], cfg.CircuitBreaker.FailureThreshold)
+	if b, _ := p.Pick(0); b != nil {
+		t.Errorf("picked %d with every circuit open", b.idx)
+	}
 }
 
-// Passive checks: consecutive upstream errors mark a backend unhealthy, and
-// (with no active prober) the first success restores it.
+// The breaker is the passive health check: consecutive failed requests evict
+// a backend, and with no prober its half-open trials readmit it. The prober's
+// verdict never moves.
 func TestPoolPassiveHealth(t *testing.T) {
 	cfg := testPoolConfig(PolicyRoundRobin, 1, 1)
-	cfg.CircuitBreaker.Enabled = false
-	cfg.HealthCheck.PassiveThreshold = 3
-	p := testPool(cfg, func() int64 { return 42 })
+	clk := &fakeClock{}
+	p := testPool(cfg, clk.now)
 	b0 := p.backends[0]
-	for i := 0; i < 3; i++ {
-		p.Observe(b0, false)
+	failOn(p, b0, 3) // the default failure_threshold
+	for i := 0; i < 4; i++ {
+		if b, _ := p.Pick(0); b == nil || b.idx != 1 {
+			t.Fatalf("pick = %v, want backend 1 while 0 is evicted", b)
+		}
 	}
-	if b0.Healthy() {
-		t.Fatal("backend still healthy after passive threshold")
+	if n := p.AvailableCount(); n != 1 {
+		t.Errorf("AvailableCount = %d, want 1", n)
 	}
-	if r, _ := b0.downReason.Load().(string); r != "passive" {
-		t.Errorf("down reason = %q", r)
+	// After the timeout a trial readmits backend 0, with no prober running.
+	clk.advance(int64(cfg.CircuitBreaker.Timeout))
+	trials := 0
+	for i := 0; i < 4 && b0.circuit.State() != CircuitClosed; i++ {
+		if b, epoch := p.Pick(0); b == b0 {
+			trials++
+			p.Observe(b, epoch, true)
+		}
 	}
-	// Success observed (e.g. a retry landed here anyway): recovers.
-	p.Observe(b0, true)
+	if b0.circuit.State() != CircuitClosed || trials != cfg.CircuitBreaker.SuccessThreshold {
+		t.Fatalf("circuit = %v after %d trial successes, want closed after %d",
+			b0.circuit.State(), trials, cfg.CircuitBreaker.SuccessThreshold)
+	}
+	if n := p.AvailableCount(); n != 2 {
+		t.Errorf("AvailableCount = %d after readmission, want 2", n)
+	}
 	if !b0.Healthy() {
-		t.Fatal("backend did not recover on success")
+		t.Error("the breaker moved the prober's verdict")
 	}
+	if n := p.tel.HealthTransitions.Load(); n != 0 {
+		t.Errorf("proxy.health.transitions = %d, want 0 (no prober ran)", n)
+	}
+}
+
+// A prober verdict flip is counted and stamped with the pool clock.
+func TestPoolSetHealthyStamps(t *testing.T) {
+	p := testPool(testPoolConfig(PolicyRoundRobin, 1), func() int64 { return 42 })
+	b0 := p.backends[0]
+	p.setHealthy(b0, false)
+	p.setHealthy(b0, false) // no flip: not counted
+	p.setHealthy(b0, true)
 	if n := p.tel.HealthTransitions.Load(); n != 2 {
 		t.Errorf("proxy.health.transitions = %d, want 2 (down, up)", n)
 	}

@@ -120,7 +120,6 @@ func testConfig(backends ...*stubUpstream) Config {
 	cfg.Listen = "127.0.0.1:0"
 	cfg.Workers = 2
 	cfg.HealthCheck.Enabled = false
-	cfg.HealthCheck.PassiveThreshold = 0
 	cfg.CircuitBreaker.Enabled = false
 	cfg.DialTimeout = time.Second
 	cfg.ResponseTimeout = 2 * time.Second
@@ -198,13 +197,13 @@ func TestProxyEndToEnd(t *testing.T) {
 }
 
 // One dead backend: idempotent requests retry onto the live one — zero lost —
-// and passive checks eventually evict the corpse.
+// and its circuit opens, evicting the corpse.
 func TestProxyRetryCoversDeadBackend(t *testing.T) {
 	dead, live := newStubUpstream(t), newStubUpstream(t)
 	dead.kill()
 	cfg := testConfig(dead, live)
 	cfg.Buffer.Retries = 2
-	cfg.HealthCheck.PassiveThreshold = 3
+	cfg.CircuitBreaker.Enabled = true
 	p := startProxy(t, cfg)
 	reg := p.Registry()
 	for i := 0; i < 30; i++ {
@@ -216,8 +215,8 @@ func TestProxyRetryCoversDeadBackend(t *testing.T) {
 	if n := reg.Snapshot().Get("proxy.retry.recovered").Value; n == 0 {
 		t.Error("no retries recorded despite a dead backend")
 	}
-	if p.pool.backends[0].Healthy() {
-		t.Error("passive checks never evicted the dead backend")
+	if st := p.pool.backends[0].circuit.State(); st != CircuitOpen {
+		t.Errorf("dead backend's circuit = %v, want open", st)
 	}
 	if p.tel.UpstreamErrors.Load() != 0 {
 		t.Errorf("errors = %d, want 0 (every request should recover)", p.tel.UpstreamErrors.Load())
@@ -225,11 +224,15 @@ func TestProxyRetryCoversDeadBackend(t *testing.T) {
 }
 
 // Everything down: 502 while failures accumulate, 503 once the pool knows.
+// With no prober, the breaker's half-open trial readmits the backend once it
+// is back.
 func TestProxyAllBackendsDown(t *testing.T) {
 	dead := newStubUpstream(t)
 	dead.kill()
 	cfg := testConfig(dead)
-	cfg.HealthCheck.PassiveThreshold = 1
+	cfg.CircuitBreaker.Enabled = true
+	cfg.CircuitBreaker.FailureThreshold = 1
+	cfg.CircuitBreaker.Timeout = 500 * time.Millisecond
 	p := startProxy(t, cfg)
 	resp, err := get(p.Addr(), "/", nil)
 	if err != nil || resp.Status != 502 {
@@ -241,6 +244,17 @@ func TestProxyAllBackendsDown(t *testing.T) {
 	}
 	if p.tel.Unavailable.Load() == 0 {
 		t.Error("unavailable counter never moved")
+	}
+	dead.restart()
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(50 * time.Millisecond) {
+		resp, err = get(p.Addr(), "/", nil)
+		if err == nil && resp.Status == 200 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("backend back, proxy still answers status=%v err=%v (circuit %v)",
+				resp, err, p.pool.backends[0].circuit.State())
+		}
 	}
 }
 
@@ -314,8 +328,8 @@ func TestAdminEndpoints(t *testing.T) {
 	read("/policy", 200)
 
 	// Unhealthy pool flips healthz to 503.
-	p.pool.setHealthy(p.pool.backends[0], false, "active")
-	p.pool.setHealthy(p.pool.backends[1], false, "active")
+	p.pool.setHealthy(p.pool.backends[0], false)
+	p.pool.setHealthy(p.pool.backends[1], false)
 	if body := read("/healthz", 503); !strings.Contains(string(body), `"status": "unavailable"`) {
 		t.Errorf("/healthz all-down = %s", body)
 	}
@@ -439,7 +453,6 @@ func TestHealthEvictionAndRecoverySoak(t *testing.T) {
 		Timeout:            100 * time.Millisecond,
 		HealthyThreshold:   2,
 		UnhealthyThreshold: 2,
-		PassiveThreshold:   0, // active probes only: measure probe-driven eviction
 	}
 	cfg.CircuitBreaker = CircuitBreakerConfig{
 		Enabled:          true,

@@ -2,7 +2,9 @@
 # End-to-end smoke test for the real proxy: two local backends, a hermes-lb
 # instance with a worker-crash fault injected, live load, a backend kill and
 # restart, and hermesctl assertions that failover and recovery actually show
-# up through the admin API; then the six examples/ mains, each run to exit 0.
+# up through the admin API; a one-backend proxy with no prober whose circuit
+# breaker alone evicts and readmits its backend; then the six examples/ mains,
+# each run to exit 0.
 # CI runs this after the unit suites; it needs no tools beyond bash, awk and
 # the go toolchain.
 set -euo pipefail
@@ -11,9 +13,11 @@ cd "$(dirname "$0")/.."
 
 LISTEN=127.0.0.1:18080
 LISTEN1=127.0.0.1:18081 # the one-worker instance of phase 5
+LISTEN2=127.0.0.1:18082 # the no-prober instance of phase 6
 ADMIN=127.0.0.1:19900
 B1=127.0.0.1:19001
 B2=127.0.0.1:19002
+B3=127.0.0.1:19003 # phase 6's only backend
 
 WORK=$(mktemp -d)
 PIDS=()
@@ -205,6 +209,51 @@ exec 4<&- 4>&- 5<&- 5>&-
 case $line in *" 200 "*) ;; *) fail "third connection behind slow clients -> $line" ;; esac
 [ "$ms" -lt 1000 ] || fail "third connection waited ${ms}ms behind an idle and a dripping connection"
 echo "e2e: phase 5 ok (request served in ${ms}ms beside an idle and a dripping connection)"
+
+# Phase 6: recovery without a prober. A one-backend proxy with active health
+# checks off has the circuit breaker as its only failure detector. Killing the
+# backend must give 502 while failures accumulate, then 503 once the circuit
+# is open; restarting it must bring 200s back through the half-open trials,
+# circuit_breaker.timeout (1s) after the circuit opened.
+B3_PID=$(start_backend "$B3" b3)
+cat >"$WORK/noprobe.yaml" <<EOF
+server:
+  listen: $LISTEN2
+  workers: 1
+backends:
+  - address: $B3
+health_check:
+  enabled: false
+circuit_breaker:
+  timeout: 1s
+EOF
+"$WORK/hermes-lb" -config "$WORK/noprobe.yaml" >"$WORK/proxy2.log" 2>&1 &
+PIDS+=($!)
+for i in $(seq 1 50); do
+  req /up "$LISTEN2" 2>/dev/null | grep -q ' 200 ' && break
+  [ "$i" = 50 ] && { cat "$WORK/proxy2.log" >&2; fail "no-prober proxy never came up"; }
+  sleep 0.1
+done
+kill "$B3_PID"
+wait "$B3_PID" 2>/dev/null || true
+codes=""
+for i in $(seq 1 10); do
+  code=$(req /down "$LISTEN2" | awk '{print $2}')
+  codes="$codes $code"
+  [ "$code" = 503 ] && break
+done
+case $codes in " 502"*" 503") ;; *) fail "backend down: statuses$codes, want 502s then 503" ;; esac
+start_backend "$B3" b3-again >/dev/null
+for i in $(seq 1 60); do
+  req /back "$LISTEN2" | grep -q ' 200 ' && break
+  [ "$i" = 60 ] && fail "backend back for 6 s, the no-prober proxy still refuses it"
+  sleep 0.1
+done
+for i in $(seq 1 10); do
+  line=$(req "/again$i" "$LISTEN2")
+  case $line in *" 200 "*) ;; *) fail "request $i after readmission -> $line" ;; esac
+done
+echo "e2e: phase 6 ok (statuses$codes while down, 200s again once the backend returned)"
 
 # Final: stats must reconcile, and shutdown must drain cleanly (exit 0).
 # /stats is the registry's snapshot: served is the proxy.worker.requests_served
