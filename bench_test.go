@@ -55,7 +55,8 @@ func runCell(b *testing.B, spec workload.Spec, mode l7lb.Mode) {
 }
 
 // BenchmarkExperiment runs every registered experiment end to end, one
-// sub-benchmark each: registering an experiment is what benchmarks it.
+// sub-benchmark each: registering an experiment is what benchmarks it. Each
+// run must give well-formed tables (stats.Table.Check).
 func BenchmarkExperiment(b *testing.B) {
 	exps := bench.Experiments()
 	names := make([]string, 0, len(exps))
@@ -69,8 +70,14 @@ func BenchmarkExperiment(b *testing.B) {
 			o := benchOptions()
 			for i := 0; i < b.N; i++ {
 				o.Seed = int64(i + 1)
-				if out := bench.RunExperiment(e, o); out == "" {
-					b.Fatal(name + " rendered nothing")
+				tables := bench.RunExperiment(e, o)
+				if len(tables) == 0 {
+					b.Fatal(name + " gave no tables")
+				}
+				for _, tb := range tables {
+					if err := tb.Check(); err != nil {
+						b.Fatalf("%s: %v", name, err)
+					}
 				}
 			}
 		})

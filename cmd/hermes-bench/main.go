@@ -56,7 +56,7 @@ func die(code int, format string, args ...any) {
 
 func main() {
 	var (
-		exp      = flag.String("exp", "all", "experiment id (table1..table5, fig2..fig15, figA5, walkthrough, all, list)")
+		exp      = flag.String("exp", "all", "comma-separated experiment ids, all, or list (prints the ids)")
 		seed     = flag.Int64("seed", 1, "simulation seed")
 		workers  = flag.Int("workers", 16, "workers per LB device")
 		window   = flag.Duration("window", time.Second, "measurement window (virtual time)")
@@ -166,8 +166,12 @@ func main() {
 			dumps[name] = opts.Metrics
 		}
 		start := time.Now()
-		out := bench.RunExperiment(e, opts)
-		fmt.Printf("### %s — %s (wall %.1fs)\n%s\n", name, e.Desc, time.Since(start).Seconds(), out)
+		tables := bench.RunExperiment(e, opts)
+		fmt.Printf("### %s — %s (wall %.1fs)\n", name, e.Desc, time.Since(start).Seconds())
+		for _, tb := range tables {
+			fmt.Print(tb.Render())
+		}
+		fmt.Println()
 	}
 
 	if *metrics != "" {

@@ -27,7 +27,8 @@ func main() {
 	)
 
 	tb := stats.NewTable("Fig A6 — locality vs balance across group counts",
-		"groups", "span", "avg workers per destination", "conn stddev across workers")
+		stats.Col("groups"), stats.Col("span"), stats.Fixed("avg workers per destination", 1),
+		stats.Fixed("conn stddev across workers", 1))
 	for _, groups := range []int{1, 2, 4, 8, 16} {
 		eng := sim.NewEngine(5)
 		ns := kernel.NewNetStack(eng, kernel.WakeExclusiveLIFO)
@@ -88,9 +89,7 @@ func main() {
 			spreadSum += float64(len(ws))
 		}
 		_, sd := stats.MeanStddev(perWorker)
-		tb.AddRow(groups, workers/groups,
-			fmt.Sprintf("%.1f", spreadSum/float64(dests)),
-			fmt.Sprintf("%.1f", sd))
+		tb.AddRow(groups, workers/groups, spreadSum/float64(dests), sd)
 	}
 	fmt.Print(tb.Render())
 	fmt.Println("\nFewer groups → better balance (low stddev) but every destination's")

@@ -71,10 +71,9 @@ func main() {
 
 	fmt.Println()
 	tb := stats.NewTable("Per-device results (shared ECMP traffic)",
-		"device", "mode", "flows", "avg (ms)", "P99 (ms)")
+		stats.Col("device"), stats.Col("mode"), stats.Col("flows"), stats.MS("avg (ms)"), stats.MS("P99 (ms)"))
 	for di, d := range c.Devices {
-		tb.AddRow(fmt.Sprintf("dev%d", di), modes[di].String(), d.Completed,
-			stats.FormatMS(d.Latency.Mean()), stats.FormatMS(d.Latency.Percentile(99)))
+		tb.AddRow(fmt.Sprintf("dev%d", di), modes[di].String(), d.Completed, d.Latency.Mean(), d.Latency.Percentile(99))
 	}
 	fmt.Print(tb.Render())
 	fmt.Printf("\npipeline: %d flows opened, %d attack SYNs blocked after migration, %d bad frames\n",

@@ -25,7 +25,8 @@ func main() {
 	ports := []uint16{8080, 8081, 8082, 8083}
 
 	tb := stats.NewTable("Quickstart — case2-style workload, 16 workers",
-		"mode", "avg (ms)", "P99 (ms)", "throughput (kRPS)", "conn stddev")
+		stats.Col("mode"), stats.MS("avg (ms)"), stats.MS("P99 (ms)"), stats.Fixed("throughput (kRPS)", 1),
+		stats.Fixed("conn stddev", 1))
 	for _, mode := range []l7lb.Mode{
 		l7lb.ModeExclusive, l7lb.ModeReuseport, l7lb.ModeHermes,
 	} {
@@ -57,11 +58,8 @@ func main() {
 		}
 		_, connSD := stats.MeanStddev(f)
 
-		tb.AddRow(mode.String(),
-			stats.FormatMS(lb.Latency.Mean()),
-			stats.FormatMS(lb.Latency.Percentile(99)),
-			fmt.Sprintf("%.1f", float64(inWindow)/window.Seconds()/1000),
-			fmt.Sprintf("%.1f", connSD))
+		tb.AddRow(mode.String(), lb.Latency.Mean(), lb.Latency.Percentile(99),
+			float64(inWindow)/window.Seconds()/1000, connSD)
 	}
 	fmt.Print(tb.Render())
 	fmt.Println("\nHermes schedules new connections away from busy and hung workers")

@@ -1,8 +1,6 @@
 package bench
 
 import (
-	"fmt"
-
 	"hermes/internal/core"
 	"hermes/internal/l7lb"
 	"hermes/internal/stats"
@@ -17,12 +15,8 @@ import (
 //   - two-stage filtering vs single-winner sync,
 //   - θ/Avg extremes vs the 0.5 optimum.
 func init() {
-	Register(Experiment{
-		Name:   "ablations",
-		Desc:   "design-choice ablations: filter order, placement, single-winner, theta, fallback",
-		Cells:  ablationsCells,
-		Render: ablationsRender,
-	})
+	Register(Experiment{Name: "ablations", Cells: ablationsCells, Tables: ablationsTables,
+		Desc: "design-choice ablations: filter order, placement, single-winner, theta, fallback"})
 }
 
 type ablationVariant struct {
@@ -79,13 +73,12 @@ func ablationsCells(opts Options) []Cell {
 	return cells
 }
 
-func ablationsRender(opts Options, results []any) string {
+func ablationsTables(_ Options, results []any) []*stats.Table {
 	tb := stats.NewTable("Ablations — Hermes design choices under a hang-prone mix",
-		"variant", "avg (ms)", "P99 (ms)", "thr (kRPS)")
+		stats.Col("variant"), stats.MS("avg (ms)"), stats.MS("P99 (ms)"), stats.Fixed("thr (kRPS)", 1))
 	for i, v := range ablationVariants() {
 		run := results[i].(*RunResult)
-		tb.AddRow(v.name, stats.FormatMS(run.AvgMS), stats.FormatMS(run.P99MS),
-			fmt.Sprintf("%.1f", run.ThroughputKRPS))
+		tb.AddRow(v.name, run.AvgMS, run.P99MS, run.ThroughputKRPS)
 	}
-	return tb.Render()
+	return []*stats.Table{tb}
 }

@@ -1,8 +1,6 @@
 package bench
 
 import (
-	"fmt"
-
 	"hermes/internal/l7lb"
 	"hermes/internal/stats"
 	"hermes/internal/workload"
@@ -14,12 +12,8 @@ import (
 // dispatcher; §8: io_uring's FIFO; the unmerged epoll-rr) — on the same
 // case-2-style workload at medium load, one cell per mode.
 func init() {
-	Register(Experiment{
-		Name:   "baselines",
-		Desc:   "every dispatch mode (incl. herd, accept-mutex, dispatcher, io_uring) on one workload",
-		Cells:  baselinesCells,
-		Render: baselinesRender,
-	})
+	Register(Experiment{Name: "baselines", Cells: baselinesCells, Tables: baselinesTables,
+		Desc: "every dispatch mode (incl. herd, accept-mutex, dispatcher, io_uring) on one workload"})
 }
 
 func baselinesCells(opts Options) []Cell {
@@ -42,9 +36,10 @@ func baselinesCells(opts Options) []Cell {
 	return cells
 }
 
-func baselinesRender(opts Options, results []any) string {
+func baselinesTables(_ Options, results []any) []*stats.Table {
 	tb := stats.NewTable("All dispatch modes — case2-style workload (medium)",
-		"mode", "avg (ms)", "P99 (ms)", "thr (kRPS)", "goodput (kRPS)", "notes")
+		stats.Col("mode"), stats.MS("avg (ms)"), stats.MS("P99 (ms)"), stats.Fixed("thr (kRPS)", 1),
+		stats.Fixed("goodput (kRPS)", 1), stats.Col("notes"))
 	notes := map[l7lb.Mode]string{
 		l7lb.ModeHerd:         "pre-4.5 epoll: spurious wakeups burn CPU",
 		l7lb.ModeExclusive:    "production default before Hermes",
@@ -58,11 +53,7 @@ func baselinesRender(opts Options, results []any) string {
 	}
 	for i, mode := range AllModes {
 		run := results[i].(*RunResult)
-		tb.AddRow(mode.String(),
-			stats.FormatMS(run.AvgMS), stats.FormatMS(run.P99MS),
-			fmt.Sprintf("%.1f", run.ThroughputKRPS),
-			fmt.Sprintf("%.1f", run.GoodputKRPS),
-			notes[mode])
+		tb.AddRow(mode.String(), run.AvgMS, run.P99MS, run.ThroughputKRPS, run.GoodputKRPS, notes[mode])
 	}
-	return tb.Render()
+	return []*stats.Table{tb}
 }

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"hermes/internal/l7lb"
+	"hermes/internal/stats"
 	"hermes/internal/tracing"
 	"hermes/internal/workload"
 )
@@ -151,51 +152,69 @@ func TestMarkedCriterion(t *testing.T) {
 	}
 }
 
-func TestTable1Shape(t *testing.T) {
-	o := fastOptions()
-	rows := Table1(o)
-	if len(rows) != 4 {
-		t.Fatalf("rows = %d", len(rows))
+// render is the text hermes-bench prints for an experiment's tables.
+func render(tables []*stats.Table) string {
+	var b strings.Builder
+	for _, tb := range tables {
+		b.WriteString(tb.Render())
 	}
-	for _, r := range rows {
-		if !(r.SizeP50 <= r.SizeP90 && r.SizeP90 <= r.SizeP99) {
-			t.Fatalf("%s size percentiles not monotone: %+v", r.Region, r)
-		}
-		if !(r.ProcP50 <= r.ProcP90 && r.ProcP90 <= r.ProcP99) {
-			t.Fatalf("%s proc percentiles not monotone: %+v", r.Region, r)
+	return b.String()
+}
+
+// runExp runs the named experiment and returns its tables.
+func runExp(t testing.TB, name string, o Options) []*stats.Table {
+	t.Helper()
+	e, ok := Experiments()[name]
+	if !ok {
+		t.Fatalf("no experiment %q", name)
+	}
+	return RunExperiment(e, o)
+}
+
+func TestTable1Shape(t *testing.T) {
+	tb := runExp(t, "table1", fastOptions())[0]
+	if len(tb.Rows) != 4 {
+		t.Fatalf("rows = %d", len(tb.Rows))
+	}
+	for _, cols := range [][3]string{
+		{"size P50 (B)", "size P90", "size P99"},
+		{"proc P50 (ms)", "proc P90", "proc P99"},
+	} {
+		p50, p90, p99 := tb.Floats(cols[0]), tb.Floats(cols[1]), tb.Floats(cols[2])
+		for r := range tb.Rows {
+			if !(p50[r] <= p90[r] && p90[r] <= p99[r]) {
+				t.Fatalf("%v %v percentiles not monotone: %v %v %v", tb.Rows[r][0], cols, p50[r], p90[r], p99[r])
+			}
 		}
 	}
 	// Table 1's signature: Region3's P99 dwarfs the others (WebSockets)
 	// while its P50 stays moderate.
-	if rows[2].ProcP99 < 10*rows[0].ProcP99 {
-		t.Fatalf("Region3 P99 %v should dwarf Region1 %v", rows[2].ProcP99, rows[0].ProcP99)
-	}
-	if rendered := RenderTable1(rows); !strings.Contains(rendered, "Region3") {
-		t.Fatal("render broken")
+	if proc := tb.Floats("proc P99"); tb.Rows[2][0] != "Region3" || proc[2] < 10*proc[0] {
+		t.Fatalf("%v P99 %v should dwarf %v's %v", tb.Rows[2][0], proc[2], tb.Rows[0][0], proc[0])
 	}
 }
 
 func TestTable2Shape(t *testing.T) {
-	o := fastOptions()
-	res := Table2(o)
-	if res.Devices != 24 {
-		t.Fatalf("devices = %d", res.Devices)
+	tb := runExp(t, "table2", fastOptions())[0]
+	if got := tb.Title.Args; len(got) != 1 || got[0] != 24 {
+		t.Fatalf("devices = %v", got)
 	}
-	spread := func(d Table2Device) float64 { return d.MaxUtil - d.MinUtil }
-	if spread(res.Worst) < spread(res.Best) {
+	if len(tb.Rows) != 3 || tb.Rows[2][0] != "region-avg" {
+		t.Fatalf("rows %v: want worst, best, region-avg", tb.Rows)
+	}
+	spread := tb.Floats("max-min")
+	if spread[0] < spread[1] {
 		t.Fatal("worst/best inverted")
 	}
 	// Exclusive should produce a real intra-device spread somewhere.
-	if spread(res.Worst) < 0.05 {
-		t.Fatalf("no imbalance found: %+v", res.Worst)
+	if spread[0] < 0.05 {
+		t.Fatalf("no imbalance found: %v", tb.Rows[0])
 	}
-	for _, d := range []Table2Device{res.Worst, res.Best, res.RegionAvg} {
-		if d.MaxUtil > 1.000001 || d.MinUtil < 0 {
-			t.Fatalf("util out of range: %+v", d)
+	maxU, minU := tb.Floats("max core util"), tb.Floats("min core util")
+	for r := range tb.Rows {
+		if maxU[r] > 1.000001 || minU[r] < 0 {
+			t.Fatalf("util out of range: %v", tb.Rows[r])
 		}
-	}
-	if !strings.Contains(RenderTable2(res), "region-avg") {
-		t.Fatal("render broken")
 	}
 }
 
@@ -203,35 +222,30 @@ func TestTable3GridShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("table3 grid is expensive")
 	}
-	o := fastOptions()
-	res := Table3(o)
-	if len(res.Cases) != 4 || len(res.Cells) != 4 {
-		t.Fatalf("cases = %d", len(res.Cases))
+	tables := runExp(t, "table3", fastOptions())
+	if len(tables) != 4 {
+		t.Fatalf("cases = %d", len(tables))
 	}
-	for ci := range res.Cells {
-		if len(res.Cells[ci]) != 3 {
-			t.Fatalf("case %d levels = %d", ci, len(res.Cells[ci]))
+	for ci, tb := range tables {
+		if len(tb.Rows) != len(Table3Modes) {
+			t.Fatalf("case %d modes = %d", ci, len(tb.Rows))
 		}
-		for li := range res.Cells[ci] {
-			if len(res.Cells[ci][li]) != len(Table3Modes) {
-				t.Fatalf("case %d level %d modes = %d", ci, li, len(res.Cells[ci][li]))
-			}
-			for _, c := range res.Cells[ci][li] {
-				if c.ThrK <= 0 {
-					t.Fatalf("case %d level %d %v: zero throughput", ci, li, c.Mode)
+		for _, level := range []string{"L", "M", "H"} {
+			for mi, thr := range tb.Floats(level + " thr(k)") {
+				if !(thr > 0) {
+					t.Fatalf("case %d level %s %v: zero throughput", ci, level, Table3Modes[mi])
 				}
 			}
 		}
 	}
 	// Case 3's signature survives even scaled down: exclusive's average
 	// latency is the worst of the three modes at light load.
-	cells := res.Cells[2][0]
-	if !(cells[0].AvgMS > cells[1].AvgMS && cells[0].AvgMS > cells[2].AvgMS) {
-		t.Fatalf("case3 light: exclusive %v should exceed reuseport %v and hermes %v",
-			cells[0].AvgMS, cells[1].AvgMS, cells[2].AvgMS)
+	if title := tables[2].Title.String(); !strings.Contains(title, "case3") {
+		t.Fatalf("third table is %q", title)
 	}
-	if !strings.Contains(res.Render(), "case3") {
-		t.Fatal("render broken")
+	avg := tables[2].Floats("L avg")
+	if !(avg[0] > avg[1] && avg[0] > avg[2]) {
+		t.Fatalf("case3 light: exclusive %v should exceed reuseport %v and hermes %v", avg[0], avg[1], avg[2])
 	}
 }
 
@@ -285,21 +299,20 @@ func TestExperimentRegistryComplete(t *testing.T) {
 	}
 }
 
+// The cheap experiments pass the structural check at the default fleet; this
+// runs under -short, where the whole-registry check below is skipped.
 func TestCheapExperimentsProduceOutput(t *testing.T) {
 	o := fastOptions()
 	exps := Experiments()
 	for _, name := range []string{"table4", "fig12", "figA5", "walkthrough", "fig2"} {
-		out := RunExperiment(exps[name], o)
-		if len(out) < 50 {
-			t.Errorf("%s output suspiciously short: %q", name, out)
-		}
+		checkTables(t, name, RunExperiment(exps[name], o))
 	}
 }
 
 func TestFig12HitsPaperReduction(t *testing.T) {
-	out := Fig12(fastOptions())
-	if !strings.Contains(out, "18.9%") {
-		t.Fatalf("fig12 output missing 18.9%% reduction:\n%s", out)
+	note := runExp(t, "fig12", fastOptions())[0].Notes[0]
+	if got := note.Args[0].(float64); math.Abs(got-18.9) >= 0.05 {
+		t.Fatalf("fig12 peak unit-cost reduction %v%%, want 18.9%% (%s)", got, note)
 	}
 }
 
@@ -342,8 +355,8 @@ func TestParallelByteIdenticalOutput(t *testing.T) {
 	}
 	exps := Experiments()
 	for _, name := range []string{"table3", "table2", "baselines", "fig15"} {
-		seq := RunExperiment(exps[name], parallelTestOptions(1))
-		par := RunExperiment(exps[name], parallelTestOptions(8))
+		seq := render(RunExperiment(exps[name], parallelTestOptions(1)))
+		par := render(RunExperiment(exps[name], parallelTestOptions(8)))
 		if seq != par {
 			t.Errorf("%s: output differs between -parallel 1 and -parallel 8\n--- seq ---\n%s\n--- par ---\n%s",
 				name, seq, par)
@@ -361,8 +374,8 @@ func TestScaleParallelByteIdenticalOutput(t *testing.T) {
 	}
 	wall := regexp.MustCompile(`wall [0-9.]+s( ratio [0-9.]+x)?`)
 	e := Experiments()["scale"]
-	seq := wall.ReplaceAllString(RunExperiment(e, parallelTestOptions(1)), "wall Xs")
-	par := wall.ReplaceAllString(RunExperiment(e, parallelTestOptions(8)), "wall Xs")
+	seq := wall.ReplaceAllString(render(RunExperiment(e, parallelTestOptions(1))), "wall Xs")
+	par := wall.ReplaceAllString(render(RunExperiment(e, parallelTestOptions(8))), "wall Xs")
 	if seq != par {
 		t.Errorf("scale: output differs between -parallel 1 and -parallel 8\n--- seq ---\n%s\n--- par ---\n%s",
 			seq, par)
@@ -420,8 +433,8 @@ func BenchmarkHarnessParallel(b *testing.B) {
 			o := parallelTestOptions(p)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if res := Table3(o); len(res.Cells) != 4 {
-					b.Fatal("bad grid")
+				if thr := runExp(b, "table3", o)[3].Floats("H thr(k)"); len(thr) != len(Table3Modes) {
+					b.Fatalf("case4 heavy throughputs %v", thr)
 				}
 			}
 		})
@@ -499,9 +512,11 @@ func tinyOptions() Options {
 	return o
 }
 
-// Every option Validate accepts must render: the smallest fleets are where an
-// experiment that indexes workers by position (fig45 picked the two busiest
-// and the two idlest) used to die.
+// Every option Validate accepts must give well-formed tables: at least one,
+// every table with rows as wide as its header and no NaN or infinite number.
+// The smallest fleets are where an experiment that indexes workers by
+// position (fig45 picked the two busiest and the two idlest) used to die, and
+// where a ratio over an empty worker set turns NaN.
 func TestEveryExperimentRendersOnSmallFleets(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every experiment three times")
@@ -516,9 +531,40 @@ func TestEveryExperimentRendersOnSmallFleets(t *testing.T) {
 			if noDevice[name] && workers > 1 {
 				continue // once is enough: table1 alone sorts 480 000 samples
 			}
-			if out := RunExperiment(e, o); len(out) < 50 {
-				t.Errorf("%s at %d workers: output suspiciously short: %q", name, workers, out)
-			}
+			checkTables(t, fmt.Sprintf("%s at %d workers", name, workers), RunExperiment(e, o))
+		}
+	}
+}
+
+// checkTables is the structural check every experiment's output must pass.
+func checkTables(t *testing.T, label string, tables []*stats.Table) {
+	t.Helper()
+	if len(tables) == 0 {
+		t.Errorf("%s: no tables", label)
+	}
+	for _, tb := range tables {
+		if err := tb.Check(); err != nil {
+			t.Errorf("%s: %v", label, err)
+		}
+	}
+}
+
+// The cluster splits the run's workers over its eight devices, and a device
+// never gets none: at one worker each device has one (an unset count would
+// have cluster.New give each sixteen).
+func TestClusterGivesEveryDeviceAWorker(t *testing.T) {
+	o := tinyOptions()
+	o.Workers = 1
+	o.Metrics = NewMetricsCollector()
+	RunExperiment(Experiments()["cluster"], o)
+	for d := 0; d < 8; d++ {
+		cell := fmt.Sprintf("dev%d", d)
+		ms := o.Metrics.Snapshot(cell).Get("l7lb.worker.requests_served")
+		if ms == nil {
+			t.Fatalf("%s recorded no l7lb.worker.requests_served", cell)
+		}
+		if len(ms.Values) != 1 {
+			t.Errorf("%s has %d workers at -workers 1, want 1", cell, len(ms.Values))
 		}
 	}
 }

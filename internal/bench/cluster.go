@@ -11,16 +11,16 @@ import (
 )
 
 func init() {
-	Register(Seq("cluster",
-		"§6.1 methodology: mixed-mode devices behind the Fig. 1 VXLAN/L4 pipeline",
-		ClusterMethodology))
+	Register(Experiment{Name: "cluster", Cells: oneCell("cluster", clusterMethodology), Tables: cellTables,
+		Desc: "§6.1 methodology: mixed-mode devices behind the Fig. 1 VXLAN/L4 pipeline"})
 }
 
-// ClusterMethodology reproduces §6.1's evaluation setup end to end through
+// clusterMethodology reproduces §6.1's evaluation setup end to end through
 // the Fig. 1 pipeline: one epoll-exclusive device and one reuseport device
 // redeployed alongside Hermes devices in a single cluster, all fed the same
-// ECMP-split VXLAN traffic, compared on identical workloads.
-func ClusterMethodology(opts Options) string {
+// ECMP-split VXLAN traffic, compared on identical workloads. Each device
+// gets half the run's workers, and at least one.
+func clusterMethodology(opts Options) *stats.Table {
 	eng := sim.NewEngine(opts.Seed)
 	tenants := []cluster.Tenant{
 		{VNI: 100, PublicPort: 443, L7Port: 9001},
@@ -36,7 +36,7 @@ func ClusterMethodology(opts Options) string {
 	c, err := cluster.New(eng, cluster.Config{
 		Tenants:          tenants,
 		DeviceModes:      modes,
-		WorkersPerDevice: opts.Workers / 2,
+		WorkersPerDevice: max(1, opts.Workers/2),
 		// The cluster builds its own devices on the one engine they share;
 		// this hook is where each gets the observers newLB would give it.
 		LB: func(di int, cfg *l7lb.Config) {
@@ -66,12 +66,11 @@ func ClusterMethodology(opts Options) string {
 	eng.RunUntil(int64(window) + int64(3*time.Second))
 
 	tb := stats.NewTable("Cluster methodology (§6.1) — mixed-mode devices on shared ECMP traffic",
-		"device", "mode", "flows served", "avg (ms)", "P99 (ms)")
+		stats.Col("device"), stats.Col("mode"), stats.Col("flows served"), stats.MS("avg (ms)"), stats.MS("P99 (ms)"))
 	for di, d := range c.Devices {
-		tb.AddRow(fmt.Sprintf("dev%d", di), modes[di].String(), d.Completed,
-			stats.FormatMS(d.Latency.Mean()), stats.FormatMS(d.Latency.Percentile(99)))
+		tb.AddRow(fmt.Sprintf("dev%d", di), modes[di].String(), d.Completed, d.Latency.Mean(), d.Latency.Percentile(99))
 	}
-	return tb.Render() + fmt.Sprintf(
-		"pipeline: %d flows opened, %d refused, %d bad frames, %d live at end\n",
+	tb.Note("pipeline: %d flows opened, %d refused, %d bad frames, %d live at end",
 		c.FlowsOpened, c.FlowsRefused, c.BadFrames, c.LiveFlows())
+	return tb
 }

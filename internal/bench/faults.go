@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"hermes/internal/faults"
@@ -30,12 +31,8 @@ import (
 // Each cell is an independent sim seeded from opts.Seed, so output is
 // byte-identical at any -parallel setting.
 func init() {
-	Register(Experiment{
-		Name:   "faults",
-		Desc:   "blast radius & recovery, identical fault schedule, 3 modes",
-		Cells:  faultsCells,
-		Render: faultsRender,
-	})
+	Register(Experiment{Name: "faults", Cells: faultsCells, Tables: faultsTables,
+		Desc: "blast radius & recovery, identical fault schedule, 3 modes"})
 }
 
 // faultsScenario is one fault script shared by every mode.
@@ -84,8 +81,8 @@ type faultsRow struct {
 	blastMS    float64
 	p99        [3]float64 // base / fault / after, ms
 	recoverMS  float64
-	series     []float64 // p99 per window slice, ms
-	delayed    [3]string // probes delayed/sent per phase
+	series     []float64    // p99 per window slice, ms
+	delayed    [3][2]uint64 // probes delayed, sent per phase
 	injected   uint64
 }
 
@@ -313,64 +310,56 @@ func runFaultsCell(opts Options, scen faultsScenario, mode l7lb.Mode) faultsRow 
 		row.series[i] = slices[i].Percentile(99)
 	}
 	for i, p := range probers {
-		row.delayed[i] = fmt.Sprintf("%d/%d", p.DelayedCount(), p.Sent)
+		row.delayed[i] = [2]uint64{p.DelayedCount(), p.Sent}
 	}
 	return row
 }
 
-func faultsRender(opts Options, results []any) string {
-	var out string
-	rows := map[string]faultsRow{}
-	i := 0
-	for _, scen := range faultsScenarios {
-		for _, mode := range Table3Modes {
-			rows[scen.name+"/"+mode.String()] = results[i].(faultsRow)
-			i++
-		}
+func faultsTables(opts Options, results []any) []*stats.Table {
+	// rows[scenario][mode], in faultsCells' order.
+	rows := make([][]faultsRow, len(faultsScenarios))
+	for i, r := range results {
+		rows[i/len(Table3Modes)] = append(rows[i/len(Table3Modes)], r.(faultsRow))
 	}
-	for _, scen := range faultsScenarios {
-		out += fmt.Sprintf("schedule[%s]: %s\n", scen.name, scen.schedule(opts).String())
-	}
-	for _, scen := range faultsScenarios {
+	var tables []*stats.Table
+	for si, scen := range faultsScenarios {
 		tb := stats.NewTable(
 			fmt.Sprintf("Blast radius — %s scenario (identical schedule, all modes)", scen.name),
-			"mode", "completed", "resets", "SYN drops", "restarts", "detects",
-			"affected", "blast conn-ms", "p99 base", "p99 fault", "p99 after", "recovery ms")
-		for _, mode := range Table3Modes {
-			r := rows[scen.name+"/"+mode.String()]
-			tb.AddRow(mode.String(), r.completed, r.resets, r.synDrops, r.restarts,
-				r.detections, r.affected, fmt.Sprintf("%.1f", r.blastMS),
-				fmt.Sprintf("%.2f", r.p99[0]), fmt.Sprintf("%.2f", r.p99[1]),
-				fmt.Sprintf("%.2f", r.p99[2]), fmt.Sprintf("%.1f", r.recoverMS))
+			stats.Col("mode"), stats.Col("completed"), stats.Col("resets"), stats.Col("SYN drops"),
+			stats.Col("restarts"), stats.Col("detects"), stats.Col("affected"), stats.Fixed("blast conn-ms", 1),
+			stats.Fixed("p99 base", 2), stats.Fixed("p99 fault", 2), stats.Fixed("p99 after", 2),
+			stats.Fixed("recovery ms", 1))
+		for mi, r := range rows[si] {
+			tb.AddRow(Table3Modes[mi].String(), r.completed, r.resets, r.synDrops, r.restarts,
+				r.detections, r.affected, r.blastMS, r.p99[0], r.p99[1], r.p99[2], r.recoverMS)
 		}
-		out += tb.Render()
+		tables = append(tables, tb)
+	}
+	for _, scen := range faultsScenarios {
+		tables[0].Lead("schedule[%s]: %s", scen.name, scen.schedule(opts))
 	}
 
 	pt := stats.NewTable("Hang scenario — delayed probes by phase (Fig. 11-style)",
-		"mode", "before", "during", "after")
-	for _, mode := range Table3Modes {
-		r := rows["hang/"+mode.String()]
-		pt.AddRow(mode.String(), r.delayed[0], r.delayed[1], r.delayed[2])
-	}
-	out += pt.Render()
-
-	st := stats.NewTable(fmt.Sprintf("Hang scenario — p99 (ms) per %v window", opts.Window/5),
-		"mode", "w0", "w1", "w2", "w3", "w4", "w5", "w6", "w7", "w8", "w9")
-	for _, mode := range Table3Modes {
-		r := rows["hang/"+mode.String()]
-		vals := make([]any, 0, 11)
-		vals = append(vals, mode.String())
-		for i := 0; i < 10 && i < len(r.series); i++ {
-			vals = append(vals, fmt.Sprintf("%.2f", r.series[i]))
+		stats.Col("mode"), stats.Col("before"), stats.Col("during"), stats.Col("after"))
+	st := stats.NewTable("", stats.Col("mode"),
+		stats.Fixed("w0", 2), stats.Fixed("w1", 2), stats.Fixed("w2", 2), stats.Fixed("w3", 2), stats.Fixed("w4", 2),
+		stats.Fixed("w5", 2), stats.Fixed("w6", 2), stats.Fixed("w7", 2), stats.Fixed("w8", 2), stats.Fixed("w9", 2))
+	st.Title = stats.Textf("Hang scenario — p99 (ms) per %v window", opts.Window/5)
+	hang := rows[1] // faultsScenarios[1]
+	for mi, r := range hang {
+		row := []any{Table3Modes[mi].String()}
+		for _, d := range r.delayed {
+			row = append(row, stats.Textf("%d/%d", d[0], d[1]))
 		}
-		st.AddRow(vals...)
+		pt.AddRow(row...)
+		row = []any{Table3Modes[mi].String()}
+		for _, p99 := range r.series[:min(10, len(r.series))] {
+			row = append(row, p99)
+		}
+		st.AddRow(row...)
 	}
-	out += st.Render()
-
-	excl := rows["hang/"+l7lb.ModeExclusive.String()]
-	herm := rows["hang/"+l7lb.ModeHermes.String()]
-	out += fmt.Sprintf("hang blast radius: exclusive %.0f conn-ms vs hermes %.0f conn-ms "+
-		"(§7: the watchdog converts a long hang into a fast restart; baselines stall the full hang)\n",
-		excl.blastMS, herm.blastMS)
-	return out
+	st.Note("hang blast radius: exclusive %.0f conn-ms vs hermes %.0f conn-ms "+
+		"(§7: the watchdog converts a long hang into a fast restart; baselines stall the full hang)",
+		hang[slices.Index(Table3Modes, l7lb.ModeExclusive)].blastMS, hang[slices.Index(Table3Modes, l7lb.ModeHermes)].blastMS)
+	return append(tables, pt, st)
 }

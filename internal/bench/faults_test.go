@@ -19,8 +19,8 @@ func TestFaultsParallelByteIdentical(t *testing.T) {
 		o1.Seed = seed
 		o8 := parallelTestOptions(8)
 		o8.Seed = seed
-		seq := RunExperiment(e, o1)
-		par := RunExperiment(e, o8)
+		seq := render(RunExperiment(e, o1))
+		par := render(RunExperiment(e, o8))
 		if seq != par {
 			t.Errorf("seed %d: output differs between -parallel 1 and -parallel 8\n--- seq ---\n%s\n--- par ---\n%s",
 				seed, seq, par)

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"fmt"
 	"math/rand"
 	"time"
 
@@ -12,20 +11,16 @@ import (
 )
 
 func init() {
-	Register(Experiment{
-		Name:   "fig2",
-		Desc:   "connection concentration: exclusive vs rr vs reuseport vs hermes",
-		Cells:  fig2Cells,
-		Render: fig2Render,
-	})
-	Register(Seq("fig3",
-		"lag effect: long-lived connections then synchronized surge", Fig3))
-	Register(Seq("fig45",
-		"per-worker epoll_wait event/processing/blocking distributions", Fig4and5))
-	Register(Seq("fig7",
-		"NIC queues balanced by RSS while CPU cores stay uneven", Fig7))
-	Register(Seq("figA5",
-		"CDF of forwarding rules per port", FigA5))
+	Register(Experiment{Name: "fig2", Cells: fig2Cells, Tables: fig2Tables,
+		Desc: "connection concentration: exclusive vs rr vs reuseport vs hermes"})
+	Register(Experiment{Name: "fig3", Cells: oneCell("fig3", fig3), Tables: cellTables,
+		Desc: "lag effect: long-lived connections then synchronized surge"})
+	Register(Experiment{Name: "fig45", Cells: oneCell("fig45", fig4and5), Tables: cellTables,
+		Desc: "per-worker epoll_wait event/processing/blocking distributions"})
+	Register(Experiment{Name: "fig7", Cells: oneCell("fig7", fig7), Tables: cellTables,
+		Desc: "NIC queues balanced by RSS while CPU cores stay uneven"})
+	Register(Experiment{Name: "figA5", Cells: oneCell("figA5", figA5), Tables: cellTables,
+		Desc: "CDF of forwarding rules per port"})
 }
 
 var fig2Modes = []l7lb.Mode{l7lb.ModeExclusive, l7lb.ModeExclusiveRR, l7lb.ModeIOUring, l7lb.ModeReuseport, l7lb.ModeHermes}
@@ -56,25 +51,24 @@ func fig2Cells(opts Options) []Cell {
 				f[j] = float64(c)
 			}
 			_, sd := stats.MeanStddev(f)
-			return []string{mode.String(), fmt.Sprintf("%v", counts), fmt.Sprintf("%.1f", sd)}
+			return []any{mode.String(), counts, sd}
 		}}
 	}
 	return cells
 }
 
-func fig2Render(opts Options, results []any) string {
+func fig2Tables(_ Options, results []any) []*stats.Table {
 	tb := stats.NewTable("Fig 2 — connection distribution across workers (long-lived conns)",
-		"mode", "per-worker conns", "stddev")
+		stats.Col("mode"), stats.Col("per-worker conns"), stats.Fixed("stddev", 1))
 	for _, r := range results {
-		row := r.([]string)
-		tb.AddRow(row[0], row[1], row[2])
+		tb.AddRow(r.([]any)...)
 	}
-	return tb.Render()
+	return []*stats.Table{tb}
 }
 
-// Fig3 reproduces the lag effect: traffic rate and live connections through
+// fig3 reproduces the lag effect: traffic rate and live connections through
 // a port over time, with per-worker CPU stddev spiking at the burst.
-func Fig3(opts Options) string {
+func fig3(opts Options) *stats.Table {
 	lb := opts.newLB("fig3", opts.Seed, lbConfig(l7lb.ModeExclusive, opts.Workers, []uint16{8080}))
 	lb.Start()
 
@@ -84,7 +78,7 @@ func Fig3(opts Options) string {
 	s.Run()
 
 	tb := stats.NewTable("Fig 3 — traffic rate and #connections through a port (surge at t=4s)",
-		"t (s)", "completed/s (k)", "live conns", "CPU util stddev")
+		stats.Fixed("t (s)", 2), stats.Fixed("completed/s (k)", 1), stats.Col("live conns"), stats.Fixed("CPU util stddev", 3))
 	const tick = 250 * time.Millisecond
 	var prevDone uint64
 	bal := balance{lb: lb}
@@ -93,16 +87,15 @@ func Fig3(opts Options) string {
 		rate := float64(lb.Completed-prevDone) / tick.Seconds() / 1000
 		prevDone = lb.Completed
 		sd, live := bal.sample()
-		tb.AddRow(fmt.Sprintf("%.2f", t.Seconds()), fmt.Sprintf("%.1f", rate),
-			live, fmt.Sprintf("%.3f", sd))
+		tb.AddRow(t.Seconds(), rate, live, sd)
 	}
-	return tb.Render()
+	return tb
 }
 
-// Fig4and5 reproduces Figs. 4 and 5: per-worker CDFs of #events per
+// fig4and5 reproduces Figs. 4 and 5: per-worker CDFs of #events per
 // epoll_wait, event processing time, and epoll_wait blocking time under
 // epoll-exclusive with a mixed workload.
-func Fig4and5(opts Options) string {
+func fig4and5(opts Options) *stats.Table {
 	// Region2: case-4 heavy → uneven work.
 	rc := opts.regionRun(1, l7lb.ModeExclusive, 30_000*opts.RateScale)
 	rc.Mutate = func(c *l7lb.Config) {
@@ -112,11 +105,11 @@ func Fig4and5(opts Options) string {
 	run := opts.run("fig45", rc)
 	// Pick 4 workers spanning the busy/idle spectrum, like the paper's PIDs
 	// (every worker, busiest first, on a device with fewer).
-	ws := run.LB.Workers
-	byBusy := append([]*l7lb.Worker(nil), ws...)
+	span := int64(opts.Window + opts.Drain/2) // the run's length
+	byBusy := append([]*l7lb.Worker(nil), run.LB.Workers...)
 	for i := 0; i < len(byBusy); i++ {
 		for j := i + 1; j < len(byBusy); j++ {
-			if byBusy[j].BusyNS(int64(opts.Window+opts.Drain/2)) > byBusy[i].BusyNS(int64(opts.Window+opts.Drain/2)) {
+			if byBusy[j].BusyNS(span) > byBusy[i].BusyNS(span) {
 				byBusy[i], byBusy[j] = byBusy[j], byBusy[i]
 			}
 		}
@@ -127,23 +120,21 @@ func Fig4and5(opts Options) string {
 	}
 
 	tb := stats.NewTable("Fig 4/5 — per-worker event loop distributions (exclusive)",
-		"worker", "events/wait P50", "P99", "proc ms P50", "P99", "block ms P50", "P99")
+		stats.Col("worker"), stats.Fixed("events/wait P50", 0), stats.Fixed("P99", 0),
+		stats.MS("proc ms P50"), stats.MS("P99"), stats.MS("block ms P50"), stats.MS("P99"))
 	for _, w := range picks {
-		tb.AddRow(fmt.Sprintf("w%02d (busy %.0f%%)", w.ID, 100*float64(w.BusyNS(int64(opts.Window+opts.Drain/2)))/float64(opts.Window+opts.Drain/2)),
-			fmt.Sprintf("%.0f", w.EventsPerWait.Percentile(50)),
-			fmt.Sprintf("%.0f", w.EventsPerWait.Percentile(99)),
-			stats.FormatMS(w.BatchProcNS.Percentile(50)/1e6),
-			stats.FormatMS(w.BatchProcNS.Percentile(99)/1e6),
-			stats.FormatMS(w.BlockNS.Percentile(50)/1e6),
-			stats.FormatMS(w.BlockNS.Percentile(99)/1e6))
+		tb.AddRow(stats.Textf("w%02d (busy %.0f%%)", w.ID, 100*float64(w.BusyNS(span))/float64(span)),
+			w.EventsPerWait.Percentile(50), w.EventsPerWait.Percentile(99),
+			w.BatchProcNS.Percentile(50)/1e6, w.BatchProcNS.Percentile(99)/1e6,
+			w.BlockNS.Percentile(50)/1e6, w.BlockNS.Percentile(99)/1e6)
 	}
-	return tb.Render()
+	return tb
 }
 
-// Fig7 reproduces Fig. 7: packets spread evenly over NIC queues by RSS,
+// fig7 reproduces Fig. 7: packets spread evenly over NIC queues by RSS,
 // while per-core CPU utilization stays wildly uneven, because per-request
 // CPU cost varies and RSS cannot see it.
-func Fig7(opts Options) string {
+func fig7(opts Options) *stats.Table {
 	rss := kernel.NewRSS(opts.Workers)
 	// The paper's Fig. 7 device runs the pre-Hermes default, epoll
 	// exclusive, whose concentration makes the CPU-side imbalance stark.
@@ -169,25 +160,24 @@ func Fig7(opts Options) string {
 	cpuMean, cpuSD := stats.MeanStddev(run.WorkerUtil)
 
 	tb := stats.NewTable("Fig 7 — NIC queues even, CPU cores uneven",
-		"metric", "mean", "stddev", "CV")
-	tb.AddRow("packets per NIC queue", fmt.Sprintf("%.0f", pktMean),
-		fmt.Sprintf("%.0f", pktSD), fmt.Sprintf("%.3f", pktSD/pktMean))
-	tb.AddRow("CPU util per core", fmt.Sprintf("%.3f", cpuMean),
-		fmt.Sprintf("%.3f", cpuSD), fmt.Sprintf("%.3f", cpuSD/cpuMean))
-	return tb.Render()
+		stats.Col("metric"), stats.Fixed("mean", 3), stats.Fixed("stddev", 3), stats.Fixed("CV", 3))
+	// Packet counts print whole.
+	tb.AddRow("packets per NIC queue", stats.Textf("%.0f", pktMean), stats.Textf("%.0f", pktSD), pktSD/pktMean)
+	tb.AddRow("CPU util per core", cpuMean, cpuSD, cpuSD/cpuMean)
+	return tb
 }
 
-// FigA5 reproduces Fig. A5: the CDF of forwarding rules per port.
-func FigA5(opts Options) string {
+// figA5 reproduces Fig. A5: the CDF of forwarding rules per port.
+func figA5(opts Options) *stats.Table {
 	rng := rand.New(rand.NewSource(opts.Seed))
 	rules := workload.RulesPerPort(rng, 20_000)
 	var s stats.Sample
 	for _, r := range rules {
 		s.Add(float64(r))
 	}
-	tb := stats.NewTable("Fig A5 — CDF of forwarding rules per port", "percentile", "#rules")
+	tb := stats.NewTable("Fig A5 — CDF of forwarding rules per port", stats.Col("percentile"), stats.Fixed("#rules", 0))
 	for _, p := range []float64{50, 75, 90, 99, 99.9, 100} {
-		tb.AddRow(fmt.Sprintf("P%v", p), fmt.Sprintf("%.0f", s.Percentile(p)))
+		tb.AddRow(stats.Textf("P%v", p), s.Percentile(p))
 	}
-	return tb.Render()
+	return tb
 }

@@ -12,32 +12,16 @@ import (
 )
 
 func init() {
-	Register(Experiment{
-		Name:   "fig11",
-		Desc:   "delayed probes per day before/after Hermes rollout",
-		Cells:  fig11Cells,
-		Render: fig11Render,
-	})
-	Register(Seq("fig12",
-		"normalized unit infra cost before/after Hermes", Fig12))
-	Register(Experiment{
-		Name:   "fig13",
-		Desc:   "stddev of CPU util and #conns across workers, 3 modes",
-		Cells:  fig13Cells,
-		Render: fig13Render,
-	})
-	Register(Experiment{
-		Name:   "fig14",
-		Desc:   "coarse-filter pass ratio and scheduler frequency vs load",
-		Cells:  fig14Cells,
-		Render: fig14Render,
-	})
-	Register(Experiment{
-		Name:   "fig15",
-		Desc:   "offset θ/Avg sweep: P99 and throughput",
-		Cells:  fig15Cells,
-		Render: fig15Render,
-	})
+	Register(Experiment{Name: "fig11", Cells: fig11Cells, Tables: fig11Tables,
+		Desc: "delayed probes per day before/after Hermes rollout"})
+	Register(Experiment{Name: "fig12", Cells: oneCell("fig12", fig12), Tables: cellTables,
+		Desc: "normalized unit infra cost before/after Hermes"})
+	Register(Experiment{Name: "fig13", Cells: fig13Cells, Tables: fig13Tables,
+		Desc: "stddev of CPU util and #conns across workers, 3 modes"})
+	Register(Experiment{Name: "fig14", Cells: fig14Cells, Tables: fig14Tables,
+		Desc: "coarse-filter pass ratio and scheduler frequency vs load"})
+	Register(Experiment{Name: "fig15", Cells: fig15Cells, Tables: fig15Tables,
+		Desc: "offset θ/Avg sweep: P99 and throughput"})
 }
 
 // measureDelayedRate runs the lag-effect scenario (long-lived connections,
@@ -74,7 +58,7 @@ func measureDelayedRate(opts Options, mode l7lb.Mode) float64 {
 // fig11Cells reproduces Fig. 11: daily delayed probes before/after the
 // Hermes rollout in two regions with different connection drain speeds. The
 // per-mode delay rates are measured in simulation (one cell per rollout
-// stage); the canary timeline in fig11Render converts them into the daily
+// stage); the canary timeline in fig11Tables converts them into the daily
 // series.
 func fig11Cells(opts Options) []Cell {
 	rollout := []l7lb.Mode{l7lb.ModeExclusive, l7lb.ModeHermes}
@@ -87,9 +71,9 @@ func fig11Cells(opts Options) []Cell {
 	return cells
 }
 
-func fig11Render(opts Options, results []any) string {
+func fig11Tables(_ Options, results []any) []*stats.Table {
 	oldRate, newRate := results[0].(float64), results[1].(float64)
-	out := fmt.Sprintf("measured delayed-probe rate: exclusive=%.5f hermes=%.6f\n", oldRate, newRate)
+	var tables []*stats.Table
 	for _, rg := range []struct {
 		name     string
 		halfLife float64
@@ -107,24 +91,27 @@ func fig11Render(opts Options, results []any) string {
 			DrainHalfLifeDays: rg.halfLife,
 		}
 		series := m.Series()
-		tb := stats.NewTable("Fig 11 — "+rg.name, "day", "delayed probes", "old-version share")
+		tb := stats.NewTable("Fig 11 — "+rg.name,
+			stats.Col("day"), stats.Fixed("delayed probes", 0), stats.Fixed("old-version share", 3))
 		for _, pt := range series {
-			tb.AddRow(pt.Day, fmt.Sprintf("%.0f", pt.Delayed), fmt.Sprintf("%.3f", pt.OldShare))
+			tb.AddRow(pt.Day, pt.Delayed, pt.OldShare)
 		}
 		before := series[0].Delayed
 		after := series[len(series)-1].Delayed
-		out += tb.Render()
-		out += fmt.Sprintf("last-day reduction: %.2f%%; steady state after full drain: %.2f%% (paper: 99.8%% / 99%%)\n\n",
+		tb.Note("last-day reduction: %.2f%%; steady state after full drain: %.2f%% (paper: 99.8%% / 99%%)",
 			100*(1-after/before), 100*(1-newRate/oldRate))
+		tb.Note("")
+		tables = append(tables, tb)
 	}
-	return out
+	tables[0].Lead("measured delayed-probe rate: exclusive=%.5f hermes=%.6f", oldRate, newRate)
+	return tables
 }
 
-// Fig12 reproduces Fig. 12: normalized unit infrastructure cost per month
+// fig12 reproduces Fig. 12: normalized unit infrastructure cost per month
 // before/after the rollout. Worker hangs forced a 30% CPU safety threshold;
 // Hermes raises it to an effective 37% (bounded below 40% by cross-AZ
 // disaster-recovery reserves, §6.2), so the same traffic needs fewer VMs.
-func Fig12(opts Options) string {
+func fig12(Options) *stats.Table {
 	const (
 		months        = 12
 		rolloutMonth  = 4
@@ -136,7 +123,8 @@ func Fig12(opts Options) string {
 		vmCapacity    = 2.0 // Gbps at 100% CPU
 	)
 	tb := stats.NewTable("Fig 12 — normalized unit cost of cloud infra",
-		"month", "traffic (Gbps)", "safety", "VMs", "unit cost (norm)")
+		stats.Col("month"), stats.Fixed("traffic (Gbps)", 0), stats.Fixed("safety", 2), stats.Fixed("VMs", 0),
+		stats.Fixed("unit cost (norm)", 3))
 	var base float64
 	minUnit := math.Inf(1)
 	for m := 0; m < months; m++ {
@@ -158,13 +146,11 @@ func Fig12(opts Options) string {
 		if norm < minUnit {
 			minUnit = norm
 		}
-		tb.AddRow(m, fmt.Sprintf("%.0f", traffic), fmt.Sprintf("%.2f", safety),
-			fmt.Sprintf("%.0f", vms), fmt.Sprintf("%.3f", norm))
+		tb.AddRow(m, traffic, safety, vms, norm)
 	}
-	return tb.Render() + fmt.Sprintf("peak unit-cost reduction: %.1f%% (paper: 18.9%%)\n", 100*(1-minUnit))
+	tb.Note("peak unit-cost reduction: %.1f%% (paper: 18.9%%)", 100*(1-minUnit))
+	return tb
 }
-
-type fig13Row struct{ cpu, conn string }
 
 // fig13Cells reproduces Fig. 13: the standard deviation of per-worker CPU
 // utilization and connection counts across two (compressed) days of
@@ -207,23 +193,20 @@ func fig13Cells(opts Options) []Cell {
 				lb.Eng.RunUntil(int64(t))
 				bal.sample()
 			}
-			return fig13Row{
-				cpu:  fmt.Sprintf("%.1f%%", bal.cpuSD.Mean()*100),
-				conn: fmt.Sprintf("%.1f", bal.connSD.Mean()),
-			}
+			return []any{mode.String(), bal.cpuSD.Mean(), bal.connSD.Mean()}
 		}}
 	}
 	return cells
 }
 
-func fig13Render(opts Options, results []any) string {
+func fig13Tables(_ Options, results []any) []*stats.Table {
 	tb := stats.NewTable("Fig 13 — balance over 2 compressed days",
-		"mode", "CPU util stddev", "#conns stddev")
-	for mi, mode := range Table3Modes {
-		row := results[mi].(fig13Row)
-		tb.AddRow(mode.String(), row.cpu, row.conn)
+		stats.Col("mode"), stats.Pct("CPU util stddev", 1), stats.Fixed("#conns stddev", 1))
+	for _, r := range results {
+		tb.AddRow(r.([]any)...)
 	}
-	return tb.Render() + "paper: CPU SD 26% / 2.7% / 2.7%; conn SD 3200 / 50 / 20 (exclusive/reuseport/hermes)\n"
+	tb.Note("paper: CPU SD 26% / 2.7% / 2.7%; conn SD 3200 / 50 / 20 (exclusive/reuseport/hermes)")
+	return []*stats.Table{tb}
 }
 
 var fig14Levels = []float64{0.25, 0.5, 0.75, 1.0, 1.25, 1.5}
@@ -244,18 +227,17 @@ func fig14Cells(opts Options) []Cell {
 	return cells
 }
 
-func fig14Render(opts Options, results []any) string {
+func fig14Tables(opts Options, results []any) []*stats.Table {
 	tb := stats.NewTable("Fig 14 — coarse filter pass ratio and scheduling frequency vs load",
-		"load", "pass ratio", "scheduler calls/s (k)", "kernel syncs/s (k)")
+		stats.Col("load"), stats.Fixed("pass ratio", 2), stats.Fixed("scheduler calls/s (k)", 1),
+		stats.Fixed("kernel syncs/s (k)", 1))
 	for i, level := range fig14Levels {
 		st := results[i].(*RunResult).LB.Ctl.Stats()
 		elapsed := (opts.Window + opts.Drain/2).Seconds()
-		tb.AddRow(fmt.Sprintf("%.2fx", level),
-			fmt.Sprintf("%.2f", st.AvgPassed/float64(opts.Workers)),
-			fmt.Sprintf("%.1f", float64(st.ScheduleCalls)/elapsed/1000),
-			fmt.Sprintf("%.1f", float64(st.Syncs)/elapsed/1000))
+		tb.AddRow(stats.Textf("%.2fx", level), st.AvgPassed/float64(opts.Workers),
+			float64(st.ScheduleCalls)/elapsed/1000, float64(st.Syncs)/elapsed/1000)
 	}
-	return tb.Render()
+	return []*stats.Table{tb}
 }
 
 var fig15Thetas = []float64{0, 0.1, 0.25, 0.5, 0.75, 1.0, 1.5, 2.5}
@@ -279,13 +261,12 @@ func fig15Cells(opts Options) []Cell {
 	return cells
 }
 
-func fig15Render(opts Options, results []any) string {
+func fig15Tables(_ Options, results []any) []*stats.Table {
 	tb := stats.NewTable("Fig 15 — effect of offset θ/Avg",
-		"θ/Avg", "avg (ms)", "P99 (ms)", "throughput (kRPS)")
+		stats.Fixed("θ/Avg", 2), stats.MS("avg (ms)"), stats.MS("P99 (ms)"), stats.Fixed("throughput (kRPS)", 1))
 	for i, theta := range fig15Thetas {
 		run := results[i].(*RunResult)
-		tb.AddRow(fmt.Sprintf("%.2f", theta), stats.FormatMS(run.AvgMS),
-			stats.FormatMS(run.P99MS), fmt.Sprintf("%.1f", run.ThroughputKRPS))
+		tb.AddRow(theta, run.AvgMS, run.P99MS, run.ThroughputKRPS)
 	}
-	return tb.Render()
+	return []*stats.Table{tb}
 }

@@ -13,10 +13,10 @@ func TestMetricsDoNotPerturbOutput(t *testing.T) {
 		t.Skip("double table3 grid is expensive")
 	}
 	e := Experiments()["table3"]
-	off := RunExperiment(e, parallelTestOptions(8))
+	off := render(RunExperiment(e, parallelTestOptions(8)))
 	o := parallelTestOptions(8)
 	o.Metrics = NewMetricsCollector()
-	on := RunExperiment(e, o)
+	on := render(RunExperiment(e, o))
 	if off != on {
 		t.Errorf("table3 output differs with metrics enabled\n--- off ---\n%s\n--- on ---\n%s", off, on)
 	}

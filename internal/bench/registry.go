@@ -1,15 +1,19 @@
 package bench
 
+import "hermes/internal/stats"
+
 // The harness models every reproduction the same way: an Experiment
 // enumerates independent simulation Cells, the runner fans the cells out
-// over the worker pool, and Render assembles the results — by cell index,
-// so output is byte-identical at any -parallel setting. Experiments
+// over the worker pool, and Tables assembles the results into typed result
+// tables — by cell index, so output is byte-identical at any -parallel
+// setting. stats.Table.Render is where any of it becomes text. Experiments
 // register themselves from their own file's init(); adding one touches no
 // central table.
 
 // Cell is one independent simulation: a private engine, a private seed,
-// nothing mutable shared with any other cell. Run returns the cell's raw
-// result for the experiment's Render to assemble.
+// nothing mutable shared with any other cell. Run returns the cell's typed
+// result (its rows, or a whole table) for the experiment's Tables to
+// assemble.
 type Cell struct {
 	// Name identifies the cell within its experiment (metric dumps key on
 	// it).
@@ -26,13 +30,11 @@ type Experiment struct {
 	// Desc is a one-line description shown in harness output.
 	Desc string
 	// Cells enumerates the independent simulation cells for the options.
-	// A single cell marks an inherently sequential experiment (single sim,
-	// shared RNG stream, or — like table5 — wall-clock microbenchmarks
-	// that concurrency would skew).
+	// A single cell marks an inherently sequential experiment (oneCell).
 	Cells func(o Options) []Cell
-	// Render assembles the rendered text from the per-cell results,
+	// Tables assembles the result tables from the per-cell results,
 	// indexed exactly as Cells returned them.
-	Render func(o Options, results []any) string
+	Tables func(o Options, results []any) []*stats.Table
 }
 
 var registry = map[string]Experiment{}
@@ -57,29 +59,33 @@ func Experiments() map[string]Experiment {
 }
 
 // RunExperiment executes an experiment end to end: enumerate cells, fan
-// them out over o.Parallel goroutines, assemble in cell order, render.
-func RunExperiment(e Experiment, o Options) string {
-	return e.Render(o, runCells(o, e.Cells(o)))
-}
-
-// runCells executes cells over the pool and returns results by cell index.
-func runCells(o Options, cells []Cell) []any {
+// them out over o.Parallel goroutines, and assemble the results in cell order
+// into the experiment's tables.
+func RunExperiment(e Experiment, o Options) []*stats.Table {
+	cells := e.Cells(o)
 	results := make([]any, len(cells))
 	forEachCell(o.Parallel, len(cells), func(i int) {
 		results[i] = cells[i].Run()
 	})
-	return results
+	return e.Tables(o, results)
 }
 
-// Seq wraps an inherently sequential experiment — one that owns a single
-// sim or a shared RNG stream end to end — as a one-cell Experiment.
-func Seq(name, desc string, run func(Options) string) Experiment {
-	return Experiment{
-		Name: name,
-		Desc: desc,
-		Cells: func(o Options) []Cell {
-			return []Cell{{Name: name, Run: func() any { return run(o) }}}
-		},
-		Render: func(_ Options, results []any) string { return results[0].(string) },
+// oneCell is the Cells of an experiment that runs as a single cell named
+// after it: one sim or one RNG stream end to end, or — like table5 —
+// wall-clock microbenchmarks that concurrency would skew. The cell builds
+// its own table; cellTables hands it on.
+func oneCell(name string, run func(Options) *stats.Table) func(Options) []Cell {
+	return func(o Options) []Cell {
+		return []Cell{{Name: name, Run: func() any { return run(o) }}}
 	}
+}
+
+// cellTables is the Tables of an experiment whose cells each return their
+// own table.
+func cellTables(_ Options, results []any) []*stats.Table {
+	tables := make([]*stats.Table, len(results))
+	for i, r := range results {
+		tables[i] = r.(*stats.Table)
+	}
+	return tables
 }

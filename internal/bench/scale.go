@@ -44,12 +44,8 @@ type scaleCell struct {
 }
 
 func init() {
-	Register(Experiment{
-		Name:   "scale",
-		Desc:   "O(1M)-connection lifecycle sweep over large fleets (zero-alloc fast path)",
-		Cells:  scaleCells,
-		Render: scaleRender,
-	})
+	Register(Experiment{Name: "scale", Cells: scaleCells, Tables: scaleTables,
+		Desc: "O(1M)-connection lifecycle sweep over large fleets (zero-alloc fast path)"})
 }
 
 // scaleConns converts a per-second tier into this run's connection count.
@@ -161,44 +157,35 @@ func runScaleCell(o Options, fleet, conns int, mode l7lb.Mode, seed int64) scale
 	return res
 }
 
-func scaleRender(o Options, results []any) string {
+func scaleTables(o Options, results []any) []*stats.Table {
 	tb := stats.NewTable("Scale — full connection lifecycles through the pooled fast path",
-		"fleet", "conns", "mode", "established", "completed", "drops", "imbalance", "kconns/s (sim)")
-	for _, r := range results {
-		c := r.(scaleCell)
-		tb.AddRow(
-			fmt.Sprintf("%dw", c.fleet),
-			formatConns(c.conns),
-			c.mode.String(),
-			fmt.Sprintf("%d", c.established),
-			fmt.Sprintf("%d", c.completed),
-			fmt.Sprintf("%d", c.drops),
-			fmt.Sprintf("%.3f", c.imbalance),
-			fmt.Sprintf("%.1f", float64(c.completed)/o.Window.Seconds()/1000),
-		)
-	}
-	out := tb.Render()
-	out += "imbalance = stddev/mean of per-worker accepted connections; kconns/s is virtual-time throughput\n"
-	// Host-side timing: each line's varying tokens match `wall X.Xs` and
-	// `ratio X.XXx`, so the standard normalization leaves the section
-	// byte-identical at any -parallel setting. ratio is plain reuseport's
-	// wall-clock over this cell's for the same fleet×conns — hermes cells
-	// near 1.00x mean the control loop (bytecode dispatch + Algorithm 1)
-	// costs roughly nothing over stateless hashing at that scale.
+		stats.Col("fleet"), stats.Col("conns"), stats.Col("mode"), stats.Col("established"), stats.Col("completed"),
+		stats.Col("drops"), stats.Fixed("imbalance", 3), stats.Fixed("kconns/s (sim)", 1))
+	// ratio is plain reuseport's wall-clock over this cell's for the same
+	// fleet×conns — hermes cells near 1.00x mean the control loop (bytecode
+	// dispatch + Algorithm 1) costs roughly nothing over stateless hashing at
+	// that scale.
 	base := make(map[[2]int]float64)
 	for _, r := range results {
 		c := r.(scaleCell)
+		tb.AddRow(stats.Textf("%dw", c.fleet), formatConns(c.conns), c.mode.String(), c.established, c.completed,
+			c.drops, c.imbalance, float64(c.completed)/o.Window.Seconds()/1000)
 		if c.mode == l7lb.ModeReuseport {
 			base[[2]int{c.fleet, c.conns}] = c.wallS
 		}
 	}
+	tb.Note("imbalance = stddev/mean of per-worker accepted connections; kconns/s is virtual-time throughput")
+	// Host-side timing: each line's varying tokens match `wall X.Xs` and
+	// `ratio X.XXx`, so the standard normalization leaves the section
+	// byte-identical at any -parallel setting.
 	for _, r := range results {
 		c := r.(scaleCell)
-		out += fmt.Sprintf("  %s: wall %.1fs", scaleCellName(c.fleet, c.conns, c.mode), c.wallS)
+		name := scaleCellName(c.fleet, c.conns, c.mode)
 		if b := base[[2]int{c.fleet, c.conns}]; b > 0 && c.wallS > 0 {
-			out += fmt.Sprintf(" ratio %.2fx", b/c.wallS)
+			tb.Note("  %s: wall %.1fs ratio %.2fx", name, c.wallS, b/c.wallS)
+		} else {
+			tb.Note("  %s: wall %.1fs", name, c.wallS)
 		}
-		out += "\n"
 	}
-	return out
+	return []*stats.Table{tb}
 }

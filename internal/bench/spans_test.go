@@ -14,7 +14,7 @@ func recordDump(t *testing.T, name, cell string, parallel int) (out string, json
 	t.Helper()
 	o := parallelTestOptions(parallel)
 	o.Spans = NewSpanRecorder(cell, tracing.DefaultConfig())
-	out = RunExperiment(Experiments()[name], o)
+	out = render(RunExperiment(Experiments()[name], o))
 	if !o.Spans.Recorded() {
 		t.Fatalf("%s: cell %q never asked for its tracer", name, cell)
 	}
@@ -60,7 +60,7 @@ func TestSpanRecordingDoesNotPerturbOutput(t *testing.T) {
 	const name = "fig11"
 	o := parallelTestOptions(1)
 	cell := Experiments()[name].Cells(o)[0].Name
-	plain := RunExperiment(Experiments()[name], o)
+	plain := render(RunExperiment(Experiments()[name], o))
 	traced, jsonl, _ := recordDump(t, name, cell, 1)
 	if plain != traced {
 		t.Errorf("tracing changed rendered output\n--- off ---\n%s\n--- on ---\n%s", plain, traced)

@@ -10,19 +10,7 @@ import (
 
 // Table3Cell is one (case, mode, level) measurement.
 type Table3Cell struct {
-	Mode   l7lb.Mode
-	AvgMS  float64
-	P99MS  float64
-	ThrK   float64
-	Failed uint64 // requests sent but never completed
-}
-
-// Table3Result holds the full grid: [case][level][mode].
-type Table3Result struct {
-	Cases  []string
-	Levels []string
-	Modes  []l7lb.Mode
-	Cells  [][][]Table3Cell
+	AvgMS, P99MS, ThrK float64
 }
 
 // LevelNames are the paper's replay levels.
@@ -39,15 +27,8 @@ var LevelScales = []float64{1, 2, 3}
 // fan out over the worker pool; assembly by (case, level, mode) index
 // keeps the rendered table byte-identical to a sequential run.
 func init() {
-	Register(Experiment{
-		Name:  "table3",
-		Desc:  "4 traffic cases x {exclusive,reuseport,hermes} x {light,medium,heavy}",
-		Cells: table3Cells,
-		// Assemble the flat results back into the [case][level][mode] grid.
-		Render: func(opts Options, results []any) string {
-			return table3Assemble(opts, results).Render()
-		},
-	})
+	Register(Experiment{Name: "table3", Cells: table3Cells, Tables: table3Tables,
+		Desc: "4 traffic cases x {exclusive,reuseport,hermes} x {light,medium,heavy}"})
 }
 
 // table3Cells enumerates the grid in (case, level, mode) order; the cell seed
@@ -74,46 +55,12 @@ func table3Cells(opts Options) []Cell {
 							c.RegisteredPorts = opts.RegisteredPorts
 						},
 					})
-					return Table3Cell{
-						Mode:   mode,
-						AvgMS:  run.AvgMS,
-						P99MS:  run.P99MS,
-						ThrK:   run.ThroughputKRPS,
-						Failed: run.RequestsSent - run.Completed,
-					}
+					return Table3Cell{AvgMS: run.AvgMS, P99MS: run.P99MS, ThrK: run.ThroughputKRPS}
 				}})
 			}
 		}
 	}
 	return cells
-}
-
-func table3Assemble(opts Options, results []any) *Table3Result {
-	cases := workload.Cases(tenantPorts(opts.Tenants))
-	res := &Table3Result{
-		Levels: LevelNames,
-		Modes:  Table3Modes,
-	}
-	nLevels, nModes := len(LevelScales), len(res.Modes)
-	res.Cells = make([][][]Table3Cell, len(cases))
-	for ci, cs := range cases {
-		res.Cases = append(res.Cases, cs.Name)
-		res.Cells[ci] = make([][]Table3Cell, nLevels)
-		for li := range LevelScales {
-			res.Cells[ci][li] = make([]Table3Cell, nModes)
-		}
-	}
-	for j, r := range results {
-		ci, li, mi := j/(nLevels*nModes), j/nModes%nLevels, j%nModes
-		res.Cells[ci][li][mi] = r.(Table3Cell)
-	}
-	return res
-}
-
-// Table3 runs the full grid and returns the assembled result (tests and
-// benchmarks drive the grid through this; the registry path renders it).
-func Table3(opts Options) *Table3Result {
-	return table3Assemble(opts, runCells(opts, table3Cells(opts)))
 }
 
 // Marked reports whether a cell fails the paper's criterion against the
@@ -132,29 +79,31 @@ func Marked(cell Table3Cell, peers []Table3Cell) bool {
 	return cell.AvgMS > bestAvg*1.5 || cell.ThrK < bestThr*0.8
 }
 
-// Render formats the grid as the paper lays it out.
-func (r *Table3Result) Render() string {
-	out := ""
-	for ci, name := range r.Cases {
-		tb := stats.NewTable("Table 3 — "+name,
-			"mode", "L avg", "L p99", "L thr(k)", "M avg", "M p99", "M thr(k)", "H avg", "H p99", "H thr(k)")
-		for mi, mode := range r.Modes {
+// table3Tables lays the grid out as the paper does, one table per case with
+// a row per mode and a column group per level; a cell that fails Marked
+// against its (case, level) peers carries the mark.
+func table3Tables(opts Options, results []any) []*stats.Table {
+	nLevels, nModes := len(LevelScales), len(Table3Modes)
+	var tables []*stats.Table
+	for ci, cs := range workload.Cases(tenantPorts(opts.Tenants)) {
+		tb := stats.NewTable("Table 3 — "+cs.Name, stats.Col("mode"),
+			stats.MS("L avg"), stats.MS("L p99"), stats.Fixed("L thr(k)", 1),
+			stats.MS("M avg"), stats.MS("M p99"), stats.Fixed("M thr(k)", 1),
+			stats.MS("H avg"), stats.MS("H p99"), stats.Fixed("H thr(k)", 1))
+		peers := make([]Table3Cell, nModes)
+		for mi, mode := range Table3Modes {
 			row := []any{mode.String()}
-			for li := range r.Levels {
-				c := r.Cells[ci][li][mi]
-				mark := ""
-				if Marked(c, r.Cells[ci][li]) {
-					mark = " (x)"
+			for li := range LevelScales {
+				for pi := range peers {
+					peers[pi] = results[(ci*nLevels+li)*nModes+pi].(Table3Cell)
 				}
-				row = append(row,
-					stats.FormatMS(c.AvgMS)+mark,
-					stats.FormatMS(c.P99MS),
-					fmt.Sprintf("%.1f", c.ThrK),
-				)
+				c := peers[mi]
+				row = append(row, stats.Mark{Value: c.AvgMS, X: Marked(c, peers)}, c.P99MS, c.ThrK)
 			}
 			tb.AddRow(row...)
 		}
-		out += tb.Render() + "\n"
+		tb.Note("")
+		tables = append(tables, tb)
 	}
-	return out
+	return tables
 }

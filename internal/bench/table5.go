@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"fmt"
 	"time"
 
 	"hermes/internal/core"
@@ -146,13 +145,13 @@ type table5Level struct {
 func init() {
 	// Wall-clock microbenchmarks: concurrency would skew them, so table5
 	// stays a one-cell sequential experiment.
-	Register(Seq("table5",
-		"CPU overhead of Hermes components (measured microbenchmarks)", Table5))
+	Register(Experiment{Name: "table5", Cells: oneCell("table5", table5), Tables: cellTables,
+		Desc: "CPU overhead of Hermes components (measured microbenchmarks)"})
 }
 
-// Table5 reproduces Table 5: CPU utilization of Hermes's components by load
+// table5 reproduces Table 5: CPU utilization of Hermes's components by load
 // level, computed as rate × ns-per-op over the device's total CPU capacity.
-func Table5(opts Options) string {
+func table5(opts Options) *stats.Table {
 	o := MeasureOverheads(0)
 	capacityNS := float64(opts.Workers) * 1e9
 	levels := []table5Level{
@@ -161,20 +160,18 @@ func Table5(opts Options) string {
 		{"Heavy", 450_000, 22_000, 120_000},
 	}
 	tb := stats.NewTable("Table 5 — overhead (CPU utilization) of Hermes components",
-		"load", "Counter", "Scheduler", "System call", "Dispatcher (VM)", "Dispatcher (native)")
+		stats.Col("load"), stats.Pct("Counter", 3), stats.Pct("Scheduler", 3), stats.Pct("System call", 3),
+		stats.Pct("Dispatcher (VM)", 3), stats.Pct("Dispatcher (native)", 3))
 	for _, lv := range levels {
-		pct := func(rate, ns float64) string {
-			return fmt.Sprintf("%.3f%%", 100*rate*ns/capacityNS)
-		}
 		tb.AddRow(lv.name,
-			pct(lv.eventsPS, o.CounterNS),
-			pct(lv.schedPS, o.SchedulerNS),
-			pct(lv.schedPS, o.SyscallNS),
-			pct(lv.connsPS, o.DispatchVMNS),
-			pct(lv.connsPS, o.DispatchNativeNS))
+			lv.eventsPS*o.CounterNS/capacityNS,
+			lv.schedPS*o.SchedulerNS/capacityNS,
+			lv.schedPS*o.SyscallNS/capacityNS,
+			lv.connsPS*o.DispatchVMNS/capacityNS,
+			lv.connsPS*o.DispatchNativeNS/capacityNS)
 	}
-	return tb.Render() + fmt.Sprintf(
-		"measured ns/op: counter=%.0f scheduler=%.0f syscall=%.0f dispatchVM=%.0f (interpreted %.0f) dispatchNative=%.0f\n"+
-			"paper heavy: counter 0.897%%, scheduler 0.531%%, syscall 0.965%%, dispatcher 0.043%%\n",
+	tb.Note("measured ns/op: counter=%.0f scheduler=%.0f syscall=%.0f dispatchVM=%.0f (interpreted %.0f) dispatchNative=%.0f",
 		o.CounterNS, o.SchedulerNS, o.SyscallNS, o.DispatchVMNS, o.DispatchInterpNS, o.DispatchNativeNS)
+	tb.Note("paper heavy: counter 0.897%, scheduler 0.531%, syscall 0.965%, dispatcher 0.043%")
+	return tb
 }

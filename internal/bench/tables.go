@@ -10,39 +10,23 @@ import (
 )
 
 func init() {
-	Register(Seq("table1",
-		"request size and processing-time distributions per region",
-		func(o Options) string { return RenderTable1(Table1(o)) }))
-	Register(Experiment{
-		Name:  "table2",
-		Desc:  "CPU imbalance within/across devices under epoll-exclusive",
-		Cells: table2Cells,
-		Render: func(_ Options, results []any) string {
-			return RenderTable2(table2Assemble(results))
-		},
-	})
-	Register(Seq("table4",
-		"distribution of the 4 cases across regions", Table4))
+	Register(Experiment{Name: "table1", Cells: oneCell("table1", table1), Tables: cellTables,
+		Desc: "request size and processing-time distributions per region"})
+	Register(Experiment{Name: "table2", Cells: table2Cells, Tables: table2Tables,
+		Desc: "CPU imbalance within/across devices under epoll-exclusive"})
+	Register(Experiment{Name: "table4", Cells: oneCell("table4", table4), Tables: cellTables,
+		Desc: "distribution of the 4 cases across regions"})
 }
 
-// Table1Row is one region's request-size and processing-time percentiles.
-type Table1Row struct {
-	Region  string
-	SizeP50 float64
-	SizeP90 float64
-	SizeP99 float64
-	ProcP50 float64 // ms
-	ProcP90 float64
-	ProcP99 float64
-}
-
-// Table1 reproduces Table 1: request size and processing-time distributions
+// table1 reproduces Table 1: request size and processing-time distributions
 // across the four regional mixes. Sampling is per request from the mixes
 // (these are traffic *inputs*; the paper measures them at the LB).
-func Table1(opts Options) []Table1Row {
+func table1(opts Options) *stats.Table {
 	ports := tenantPorts(opts.Tenants)
 	rng := rand.New(rand.NewSource(opts.Seed))
-	var rows []Table1Row
+	tb := stats.NewTable("Table 1 — request size and processing time distributions",
+		stats.Col("Region"), stats.Fixed("size P50 (B)", 0), stats.Fixed("size P90", 0), stats.Fixed("size P99", 0),
+		stats.MS("proc P50 (ms)"), stats.MS("proc P90"), stats.MS("proc P99"))
 	for _, region := range workload.Regions() {
 		var size, proc stats.Sample
 		for i := 0; i < 120_000; i++ {
@@ -50,42 +34,17 @@ func Table1(opts Options) []Table1Row {
 			size.Add(s)
 			proc.Add(p / 1e6) // ns → ms
 		}
-		rows = append(rows, Table1Row{
-			Region:  region.Name,
-			SizeP50: size.Percentile(50),
-			SizeP90: size.Percentile(90),
-			SizeP99: size.Percentile(99),
-			ProcP50: proc.Percentile(50),
-			ProcP90: proc.Percentile(90),
-			ProcP99: proc.Percentile(99),
-		})
+		tb.AddRow(region.Name,
+			size.Percentile(50), size.Percentile(90), size.Percentile(99),
+			proc.Percentile(50), proc.Percentile(90), proc.Percentile(99))
 	}
-	return rows
+	return tb
 }
 
-// RenderTable1 formats Table 1.
-func RenderTable1(rows []Table1Row) string {
-	tb := stats.NewTable("Table 1 — request size and processing time distributions",
-		"Region", "size P50 (B)", "size P90", "size P99", "proc P50 (ms)", "proc P90", "proc P99")
-	for _, r := range rows {
-		tb.AddRow(r.Region,
-			fmt.Sprintf("%.0f", r.SizeP50), fmt.Sprintf("%.0f", r.SizeP90), fmt.Sprintf("%.0f", r.SizeP99),
-			stats.FormatMS(r.ProcP50), stats.FormatMS(r.ProcP90), stats.FormatMS(r.ProcP99))
-	}
-	return tb.Render()
-}
-
-// Table2Device is one device's CPU balance figures.
-type Table2Device struct {
-	Name                      string
-	MaxUtil, MinUtil, AvgUtil float64
-}
-
-// Table2Result carries the extreme devices plus the region average.
-type Table2Result struct {
-	Worst, Best Table2Device // largest and smallest max-min spread
-	RegionAvg   Table2Device
-	Devices     int
+// table2Device is one device's CPU balance figures.
+type table2Device struct {
+	name                      string
+	maxUtil, minUtil, avgUtil float64
 }
 
 // table2Cells reproduces Table 2: CPU utilization imbalance within a
@@ -108,92 +67,65 @@ func table2Cells(opts Options) []Cell {
 			rc.Seed += int64(d)
 			rc.Mutate = func(c *l7lb.Config) { c.RegisteredPorts = opts.RegisteredPorts }
 			run := opts.run(name, rc)
-			dev := Table2Device{Name: name}
-			dev.MinUtil = 1
+			dev := table2Device{name: name, minUtil: 1}
 			var sum float64
 			for _, u := range run.WorkerUtil {
-				if u > dev.MaxUtil {
-					dev.MaxUtil = u
-				}
-				if u < dev.MinUtil {
-					dev.MinUtil = u
-				}
+				dev.maxUtil = max(dev.maxUtil, u)
+				dev.minUtil = min(dev.minUtil, u)
 				sum += u
 			}
-			dev.AvgUtil = sum / float64(len(run.WorkerUtil))
+			dev.avgUtil = sum / float64(len(run.WorkerUtil))
 			return dev
 		}}
 	}
 	return cells
 }
 
-func table2Assemble(results []any) Table2Result {
-	devs := make([]Table2Device, len(results))
-	for i, r := range results {
-		devs[i] = r.(Table2Device)
-	}
-	devices := len(devs)
-
-	res := Table2Result{Devices: devices}
-	res.Worst, res.Best = devs[0], devs[0]
-	var maxSum, minSum, avgSum float64
-	for _, d := range devs {
-		if d.MaxUtil-d.MinUtil > res.Worst.MaxUtil-res.Worst.MinUtil {
-			res.Worst = d
+// table2Tables keeps the devices with the largest and the smallest max-min
+// spread, and the region's average.
+func table2Tables(_ Options, results []any) []*stats.Table {
+	worst, best := results[0].(table2Device), results[0].(table2Device)
+	avg := table2Device{name: "region-avg"}
+	for _, r := range results {
+		d := r.(table2Device)
+		if d.maxUtil-d.minUtil > worst.maxUtil-worst.minUtil {
+			worst = d
 		}
-		if d.MaxUtil-d.MinUtil < res.Best.MaxUtil-res.Best.MinUtil {
-			res.Best = d
+		if d.maxUtil-d.minUtil < best.maxUtil-best.minUtil {
+			best = d
 		}
-		maxSum += d.MaxUtil
-		minSum += d.MinUtil
-		avgSum += d.AvgUtil
+		avg.maxUtil += d.maxUtil
+		avg.minUtil += d.minUtil
+		avg.avgUtil += d.avgUtil
 	}
-	res.RegionAvg = Table2Device{
-		Name:    "region-avg",
-		MaxUtil: maxSum / float64(devices),
-		MinUtil: minSum / float64(devices),
-		AvgUtil: avgSum / float64(devices),
+	n := float64(len(results))
+	avg.maxUtil, avg.minUtil, avg.avgUtil = avg.maxUtil/n, avg.minUtil/n, avg.avgUtil/n
+
+	tb := stats.NewTable("", stats.Col("device"), stats.Pct("max core util", 1), stats.Pct("min core util", 1),
+		stats.Pct("max-min", 1), stats.Pct("avg util", 1))
+	tb.Title = stats.Textf("Table 2 — CPU imbalance under epoll-exclusive (%d devices)", len(results))
+	for _, d := range []table2Device{worst, best, avg} {
+		tb.AddRow(d.name, d.maxUtil, d.minUtil, d.maxUtil-d.minUtil, d.avgUtil)
 	}
-	return res
+	return []*stats.Table{tb}
 }
 
-// Table2 runs all device cells and returns the assembled result.
-func Table2(opts Options) Table2Result {
-	return table2Assemble(runCells(opts, table2Cells(opts)))
-}
-
-// RenderTable2 formats Table 2.
-func RenderTable2(r Table2Result) string {
-	tb := stats.NewTable(
-		fmt.Sprintf("Table 2 — CPU imbalance under epoll-exclusive (%d devices)", r.Devices),
-		"device", "max core util", "min core util", "max-min", "avg util")
-	for _, d := range []Table2Device{r.Worst, r.Best, r.RegionAvg} {
-		tb.AddRow(d.Name,
-			fmt.Sprintf("%.1f%%", d.MaxUtil*100),
-			fmt.Sprintf("%.1f%%", d.MinUtil*100),
-			fmt.Sprintf("%.1f%%", (d.MaxUtil-d.MinUtil)*100),
-			fmt.Sprintf("%.1f%%", d.AvgUtil*100))
-	}
-	return tb.Render()
-}
-
-// Table4 reproduces Table 4: the distribution of the four cases across
+// table4 reproduces Table 4: the distribution of the four cases across
 // regions, plus the average row. The shares are the regional mix definition
 // (a measured input in the paper).
-func Table4(Options) string {
+func table4(Options) *stats.Table {
 	tb := stats.NewTable("Table 4 — distribution of the 4 cases across regions",
-		"", "Region1", "Region2", "Region3", "Region4", "Avg")
-	regions := workload.Regions()
+		stats.Col(""), stats.Pct("Region1", 2), stats.Pct("Region2", 2), stats.Pct("Region3", 2),
+		stats.Pct("Region4", 2), stats.Pct("Avg", 4))
 	for ci := 0; ci < 4; ci++ {
-		row := []any{fmt.Sprintf("Case%d", ci+1)}
+		row := []any{stats.Textf("Case%d", ci+1)}
 		sum := 0.0
-		for _, r := range regions {
+		for _, r := range workload.Regions() {
 			share := r.CaseShare[ci] * (1 - r.WebSocketShare)
-			row = append(row, fmt.Sprintf("%.2f%%", share*100))
+			row = append(row, share)
 			sum += share
 		}
-		row = append(row, fmt.Sprintf("%.4f%%", sum/4*100))
-		tb.AddRow(row...)
+		tb.AddRow(append(row, sum/4)...)
 	}
-	return tb.Render()
+	return tb
 }

@@ -19,18 +19,8 @@ const walkthroughT = 10 * time.Millisecond
 // onto the LIFO-preferred worker, reuseport may hash b's onto the worker stuck
 // with a, and Hermes spreads by live status.
 func init() {
-	Register(Experiment{
-		Name:  "walkthrough",
-		Desc:  "appendix A3/A4 example: a,b1..b4 across 3 workers per mode",
-		Cells: walkthroughCells,
-		Render: func(_ Options, results []any) string {
-			out := fmt.Sprintf("t = %v; request a costs 4t, b1..b4 cost 2t each (a = 2x b, as in Fig. A3)\n", walkthroughT)
-			for _, r := range results {
-				out += r.(string) + "\n"
-			}
-			return out
-		},
-	})
+	Register(Experiment{Name: "walkthrough", Cells: walkthroughCells, Tables: walkthroughTables,
+		Desc: "appendix A3/A4 example: a,b1..b4 across 3 workers per mode"})
 }
 
 func walkthroughCells(opts Options) []Cell {
@@ -41,8 +31,16 @@ func walkthroughCells(opts Options) []Cell {
 	return cells
 }
 
-// walkthroughCell plays the example under one mode and renders its table.
-func walkthroughCell(opts Options, mode l7lb.Mode) string {
+// walkthroughTables is the cells' tables, under the example's units.
+func walkthroughTables(o Options, results []any) []*stats.Table {
+	tables := cellTables(o, results)
+	tables[0].Lead("t = %v; request a costs 4t, b1..b4 cost 2t each (a = 2x b, as in Fig. A3)", walkthroughT)
+	return tables
+}
+
+// walkthroughCell plays the example under one mode and tabulates it: which
+// worker took each request, and each worker's busy time and connections.
+func walkthroughCell(opts Options, mode l7lb.Mode) *stats.Table {
 	const t = walkthroughT
 	cfg := lbConfig(mode, 3, []uint16{8080})
 	// Make hang detection proportional to the example's timescale: a
@@ -96,23 +94,22 @@ func walkthroughCell(opts Options, mode l7lb.Mode) string {
 	send("b4", 4*t, 2*t, 55)
 	eng.RunUntil(int64(20 * t))
 
-	tb := stats.NewTable(fmt.Sprintf("Walkthrough — %s", mode),
-		"request", "worker", "", "worker", "busy (t units)", "conns handled")
+	tb := stats.NewTable(fmt.Sprintf("Walkthrough — %s", mode), stats.Col("request"), stats.Col("worker"),
+		stats.Col(""), stats.Col("worker"), stats.Fixed("busy (t units)", 1), stats.Col("conns handled"))
 	perWorker := map[int][]string{}
 	for _, a := range got {
 		perWorker[a.worker] = append(perWorker[a.worker], a.name)
 	}
 	for i, a := range got {
-		wcol, bcol, ccol := "", "", ""
+		row := []any{a.name, stats.Textf("W%d", a.worker+1), "", "", "", ""}
 		if i < len(lb.Workers) {
 			w := lb.Workers[i]
-			wcol = fmt.Sprintf("W%d", w.ID+1)
-			bcol = fmt.Sprintf("%.1f", float64(w.BusyNS(eng.Now()))/float64(t))
-			ccol = fmt.Sprintf("%v", perWorker[w.ID])
+			row[3], row[4], row[5] = stats.Textf("W%d", w.ID+1), float64(w.BusyNS(eng.Now()))/float64(t), perWorker[w.ID]
 		}
-		tb.AddRow(a.name, fmt.Sprintf("W%d", a.worker+1), "", wcol, bcol, ccol)
+		tb.AddRow(row...)
 	}
-	return tb.Render()
+	tb.Note("")
+	return tb
 }
 
 // owner returns the worker index holding the connection, or -1 (also when

@@ -76,11 +76,35 @@ func TestParseSpecErrors(t *testing.T) {
 		"probeloss@1s:p=1.5",   // probability out of range
 		"hang@1s:dur=1s:boing", // unknown option
 		"crash@1s:w-2",         // bad worker
+		"slow@1s:x=NaN",        // non-finite multiplier
+		"slow@1s:x=Inf",        //
+		"probeloss@1s:p=NaN",   // non-finite probability
 	} {
 		if _, err := ParseSpec(bad); err == nil {
 			t.Errorf("ParseSpec(%q) accepted", bad)
 		}
 	}
+}
+
+// FuzzParseSpec: the parser behind hermes-lb -faults never panics, and every
+// schedule it accepts round-trips: ParseSpec(s.String()) gives s back. The
+// seed corpus (testdata/fuzz/FuzzParseSpec) holds the docs/FAULTS.md
+// examples, the two schedules the faults experiment prints, and the
+// non-finite specs ParseSpec must refuse.
+func FuzzParseSpec(f *testing.F) {
+	f.Fuzz(func(t *testing.T, spec string) {
+		s, err := ParseSpec(spec)
+		if err != nil {
+			return
+		}
+		again, err := ParseSpec(s.String())
+		if err != nil {
+			t.Fatalf("%q parsed, but its String %q does not: %v", spec, s.String(), err)
+		}
+		if !reflect.DeepEqual(s, again) {
+			t.Fatalf("%q: round trip through %q drifted:\n%+v\n%+v", spec, s.String(), s, again)
+		}
+	})
 }
 
 func TestRandomScheduleDeterministic(t *testing.T) {

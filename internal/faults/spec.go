@@ -12,6 +12,7 @@ package faults
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"strconv"
@@ -150,7 +151,8 @@ func (e Event) String() string {
 //
 // kind ∈ {hang, crash, slow, shrinkq, syncstall, probeloss}; time and D are
 // Go durations relative to injector start ("500ms", "1.5s"); wN pins the
-// victim worker (default: most-loaded at fire time). Examples:
+// victim worker (default: most-loaded at fire time); x= and p= are finite
+// numbers (x > 0, p in [0,1]). Examples:
 //
 //	hang@500ms:w3:dur=300ms
 //	crash@1s:drop:restart=200ms;slow@2s:x=8:dur=1s
@@ -211,7 +213,7 @@ func parseEvent(part string) (Event, error) {
 			ev.RestartNS = int64(d)
 		case strings.HasPrefix(f, "x="):
 			v, err := strconv.ParseFloat(f[2:], 64)
-			if err != nil || v <= 0 {
+			if err != nil || math.IsNaN(v) || math.IsInf(v, 0) || v <= 0 {
 				return Event{}, fmt.Errorf("bad multiplier %q", f)
 			}
 			ev.Factor = v
@@ -223,7 +225,7 @@ func parseEvent(part string) (Event, error) {
 			ev.Cap = n
 		case strings.HasPrefix(f, "p="):
 			v, err := strconv.ParseFloat(f[2:], 64)
-			if err != nil || v < 0 || v > 1 {
+			if err != nil || math.IsNaN(v) || v < 0 || v > 1 {
 				return Event{}, fmt.Errorf("bad probability %q", f)
 			}
 			ev.Prob = v

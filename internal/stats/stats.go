@@ -1,7 +1,8 @@
 // Package stats provides the measurement machinery behind the evaluation:
 // percentile samples (Tables 1, 3; Figs. 4, 5), online mean/stddev
-// (Fig. 13's balance metric), log-bucketed histograms/CDFs, and plain-text
-// table rendering for the benchmark harness.
+// (Fig. 13's balance metric), log-bucketed histograms/CDFs, and the
+// benchmark harness's result tables, which keep their numbers as values until
+// they render as plain text.
 package stats
 
 import (

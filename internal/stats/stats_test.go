@@ -171,7 +171,7 @@ func TestFormatMS(t *testing.T) {
 }
 
 func TestTableRender(t *testing.T) {
-	tb := NewTable("Case 1", "mode", "avg (ms)", "thr")
+	tb := NewTable("Case 1", Col("mode"), Col("avg (ms)"), Col("thr"))
 	tb.AddRow("exclusive", 0.890, 76100)
 	tb.AddRow("hermes", 0.5950, "78k")
 	out := tb.Render()
@@ -191,11 +191,59 @@ func TestTableRender(t *testing.T) {
 }
 
 func TestTableRaggedRows(t *testing.T) {
-	tb := NewTable("", "a", "b")
+	tb := NewTable("", Col("a"), Col("b"))
 	tb.AddRow(1, 2, 3) // extra cell widens the table
 	tb.AddRow(4)
 	out := tb.Render()
 	if !strings.Contains(out, "3") || !strings.Contains(out, "4") {
 		t.Fatalf("ragged rows mishandled:\n%s", out)
+	}
+}
+
+// Each column prints its numbers in its own format; a Text prints itself, a
+// Mark carries " (x)", and Lead/Note lines keep their numbers as arguments.
+func TestTableColumnFormats(t *testing.T) {
+	tb := NewTable("", Col("label"), Fixed("fixed", 2), Pct("pct", 1), MS("ms"), Col("raw"))
+	tb.Title = Textf("T — %d rows", 2)
+	tb.AddRow(Textf("w%02d", 3), 1.0/3, 0.1234, Mark{Value: 21.93, X: true}, []int{1, 2})
+	tb.AddRow("plain", 2.0, 1.0, 0.439, uint64(7))
+	tb.Lead("lead %.1f", 0.25)
+	tb.Note("note 100%")
+	want := "lead 0.2\n" +
+		"== T — 2 rows ==\n" +
+		"label  fixed  pct     ms         raw  \n" +
+		"-----  -----  ------  ---------  -----\n" +
+		"w03    0.33   12.3%   21.93 (x)  [1 2]\n" +
+		"plain  2.00   100.0%  0.439      7    \n" +
+		"note 100%\n"
+	if got := tb.Render(); got != want {
+		t.Fatalf("render:\n%s\nwant:\n%s", got, want)
+	}
+	if got := tb.Floats("ms"); len(got) != 2 || got[0] != 21.93 || got[1] != 0.439 {
+		t.Fatalf("Floats(ms) = %v", got)
+	}
+	if got := tb.Floats("raw"); !math.IsNaN(got[0]) || got[1] != 7 {
+		t.Fatalf("Floats(raw) = %v", got)
+	}
+	if tb.Floats("missing") != nil {
+		t.Fatal("Floats of a missing header")
+	}
+	if err := tb.Check(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestTableCheck(t *testing.T) {
+	for name, tb := range map[string]*Table{
+		"no rows":     NewTable("t", Col("a")),
+		"narrow row":  {Columns: []Column{Col("a"), Col("b")}, Rows: [][]any{{1}}},
+		"NaN":         {Columns: []Column{Col("a")}, Rows: [][]any{{math.NaN()}}},
+		"Inf in Mark": {Columns: []Column{Col("a")}, Rows: [][]any{{Mark{Value: math.Inf(1)}}}},
+		"Inf in Text": {Columns: []Column{Col("a")}, Rows: [][]any{{Textf("%v", math.Inf(-1))}}},
+		"NaN in Note": {Columns: []Column{Col("a")}, Rows: [][]any{{1}}, Notes: []Text{Textf("%v", math.NaN())}},
+	} {
+		if tb.Check() == nil {
+			t.Errorf("%s: Check passed", name)
+		}
 	}
 }
