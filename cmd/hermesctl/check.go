@@ -86,7 +86,8 @@ func readMetricsDump(r io.Reader) (metricsDump, error) {
 
 // checkMetrics validates a hermes-bench -metrics dump: JSON shaped
 // experiment → cell → metric snapshots, every cell carrying at least one
-// named metric, and the mode-conditional catalog of checkModeCatalog.
+// named metric, the mode-conditional catalog of checkModeCatalog, and the
+// LB's ledger (checkLedger).
 func checkMetrics(name string, r io.Reader) (string, error) {
 	dump, err := readMetricsDump(r)
 	if err != nil {
@@ -109,6 +110,9 @@ func checkMetrics(name string, r io.Reader) (string, error) {
 				metrics++
 			}
 			if err := checkModeCatalog(cell, snaps); err != nil {
+				return "", fmt.Errorf("%s/%s: %w", exp, cell, err)
+			}
+			if err := checkLedger(snaps); err != nil {
 				return "", fmt.Errorf("%s/%s: %w", exp, cell, err)
 			}
 		}
@@ -154,6 +158,24 @@ func checkModeCatalog(cell string, snaps []telemetry.MetricSnapshot) error {
 		return fmt.Errorf("hermes cell missing %s", core.MetricSyncBatched)
 	case !hermes && batched:
 		return fmt.Errorf("non-hermes cell carries %s", core.MetricSyncBatched)
+	}
+	return nil
+}
+
+// checkLedger holds a cell's l7lb rows to each other, wherever both rows of a
+// pair are present: every accepted connection (Σ l7lb.worker.conns_accepted,
+// one slot per simulated core) is one l7lb.accept_wait_ns observation, and
+// every request_latency_ns observation is a served request
+// (Σ l7lb.worker.requests_served, which also counts probes).
+func checkLedger(snaps []telemetry.MetricSnapshot) error {
+	snap := telemetry.Snapshot{Metrics: snaps}
+	if acc, wait := snap.Get("l7lb.worker.conns_accepted"), snap.Get("l7lb.accept_wait_ns"); acc != nil && wait != nil &&
+		uint64(acc.Total()) != wait.Count {
+		return fmt.Errorf("Σ l7lb.worker.conns_accepted = %d, but l7lb.accept_wait_ns counts %d", acc.Total(), wait.Count)
+	}
+	if served, lat := snap.Get("l7lb.worker.requests_served"), snap.Get("l7lb.request_latency_ns"); served != nil && lat != nil &&
+		uint64(served.Total()) < lat.Count {
+		return fmt.Errorf("Σ l7lb.worker.requests_served = %d, below l7lb.request_latency_ns's count %d", served.Total(), lat.Count)
 	}
 	return nil
 }

@@ -218,3 +218,47 @@ func TestCheckModeCatalogByNameOrBySelf(t *testing.T) {
 		}
 	}
 }
+
+// The l7lb ledger holds per cell: every accept is one accept-wait
+// observation, and every latency observation a served request (served also
+// counts probes, so it may exceed the latency count). A pair of which one row
+// is absent is not checked.
+func TestCheckLedger(t *testing.T) {
+	cell := func(accepted []uint64, waits int, served []uint64, lats int) []telemetry.MetricSnapshot {
+		reg := telemetry.NewRegistry()
+		acc := reg.CounterVec(telemetry.Metric{Name: "l7lb.worker.conns_accepted"}, len(accepted))
+		for i, n := range accepted {
+			acc.At(i).Add(n)
+		}
+		srv := reg.CounterVec(telemetry.Metric{Name: "l7lb.worker.requests_served"}, len(served))
+		for i, n := range served {
+			srv.At(i).Add(n)
+		}
+		wait := reg.Histogram(telemetry.Metric{Name: "l7lb.accept_wait_ns"}, telemetry.DurationBuckets())
+		for i := 0; i < waits; i++ {
+			wait.Observe(100)
+		}
+		lat := reg.Histogram(telemetry.Metric{Name: "l7lb.request_latency_ns"}, telemetry.DurationBuckets())
+		for i := 0; i < lats; i++ {
+			lat.Observe(300)
+		}
+		return reg.Snapshot().Metrics
+	}
+	for _, tc := range []struct {
+		name    string
+		snaps   []telemetry.MetricSnapshot
+		wantErr string
+	}{
+		{"balanced", cell([]uint64{2, 0, 1}, 3, []uint64{2, 1, 0}, 3), ""},
+		{"probes served", cell([]uint64{1, 1}, 2, []uint64{3, 2}, 4), ""},
+		// Cores that accept and serve without counting in their slots.
+		{"uncounted core", cell([]uint64{0, 0, 0}, 5, []uint64{0, 0, 0}, 5), "Σ l7lb.worker.conns_accepted = 0, but l7lb.accept_wait_ns counts 5"},
+		{"unserved latency", cell([]uint64{2}, 2, []uint64{1}, 2), "Σ l7lb.worker.requests_served = 1, below l7lb.request_latency_ns's count 2"},
+		{"no vectors", cell(nil, 4, nil, 4)[:2], ""}, // the two histograms
+	} {
+		err := checkLedger(tc.snaps)
+		if (err == nil) != (tc.wantErr == "") || (err != nil && !strings.Contains(err.Error(), tc.wantErr)) {
+			t.Errorf("%s: got %v, want %q", tc.name, err, tc.wantErr)
+		}
+	}
+}

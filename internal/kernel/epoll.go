@@ -124,12 +124,11 @@ type Epoll struct {
 	evBuf   []Event
 	emitBuf []*watch
 
-	// Stats for Figs. 4, 5.
-	Waits            uint64 // completed epoll_wait calls
-	Timeouts         uint64 // waits that returned on timeout with no events
-	SpuriousWakeups  uint64 // woken with zero events (thundering herd waste)
-	EventsDelivered  uint64 // total events returned
-	LastBlockStartNS int64  // when the current/last block began
+	// SpuriousWakeups counts wakes that delivered zero events (thundering
+	// herd waste); the worker charges each one. Wakeups, timeouts and events
+	// are the kernel.epoll.* rows (observe.go).
+	SpuriousWakeups  uint64
+	LastBlockStartNS int64 // when the current/last block began
 
 	obs *epollObs // nil until BindWorker on an observed stack
 }
@@ -301,8 +300,6 @@ func (ep *Epoll) Wait(maxEvents int, timeout time.Duration, fn func([]Event)) {
 	ep.LastBlockStartNS = ep.ns.eng.Now()
 
 	if evs := ep.collect(maxEvents); len(evs) > 0 {
-		ep.Waits++
-		ep.EventsDelivered += uint64(len(evs))
 		if o := ep.obs; o != nil {
 			o.waitDone(ep.LastBlockStartNS, ep.LastBlockStartNS, len(evs), false)
 		}
@@ -310,7 +307,6 @@ func (ep *Epoll) Wait(maxEvents int, timeout time.Duration, fn func([]Event)) {
 		return
 	}
 	if timeout == 0 {
-		ep.Waits++
 		if o := ep.obs; o != nil {
 			o.waitDone(ep.LastBlockStartNS, ep.LastBlockStartNS, 0, true)
 		}
@@ -354,8 +350,6 @@ func (ep *Epoll) deliver() {
 		return
 	}
 	evs := ep.collect(d.max)
-	ep.Waits++
-	ep.EventsDelivered += uint64(len(evs))
 	if len(evs) == 0 {
 		ep.SpuriousWakeups++
 	}
@@ -373,8 +367,6 @@ func (ep *Epoll) onTimeout() {
 	ep.waiting = false
 	fn := ep.wFn
 	ep.wFn = nil
-	ep.Waits++
-	ep.Timeouts++
 	if o := ep.obs; o != nil {
 		o.waitDone(ep.LastBlockStartNS, ep.ns.eng.Now(), 0, true)
 		o.timeouts.Inc()

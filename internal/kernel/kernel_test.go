@@ -6,6 +6,7 @@ import (
 
 	"hermes/internal/ebpf"
 	"hermes/internal/sim"
+	"hermes/internal/telemetry"
 	"hermes/internal/tracing"
 )
 
@@ -111,12 +112,29 @@ func TestPortDoubleBindRejected(t *testing.T) {
 	}
 }
 
-func TestEpollWaitImmediate(t *testing.T) {
-	eng := sim.NewEngine(1)
-	ns := NewNetStack(eng, WakeExclusiveLIFO)
-	ls, _ := ns.ListenShared(80, 8)
-	ep := ns.NewEpoll()
+// observedEpoll builds an observed stack with one epoll instance, bound to
+// worker slot 0, watching a shared listener on port 80. epollRow reads that
+// slot of a kernel.epoll.* counter: the registry is where those counts live.
+func observedEpoll(t *testing.T) (eng *sim.Engine, ns *NetStack, ls *Socket, ep *Epoll, epollRow func(name string) int64) {
+	t.Helper()
+	eng = sim.NewEngine(1)
+	ns = NewNetStack(eng, WakeExclusiveLIFO)
+	reg := telemetry.NewRegistry()
+	ns.Observe(reg, nil, 1)
+	ls, err := ns.ListenShared(80, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ep = ns.NewEpoll()
+	ep.BindWorker(0)
 	ep.Add(ls)
+	return eng, ns, ls, ep, func(name string) int64 {
+		return reg.Snapshot().Get("kernel.epoll." + name).Values[0]
+	}
+}
+
+func TestEpollWaitImmediate(t *testing.T) {
+	eng, ns, ls, ep, epollRow := observedEpoll(t)
 	ns.DeliverSYN(tupleFor(1, 80), nil)
 
 	var got []Event
@@ -125,17 +143,13 @@ func TestEpollWaitImmediate(t *testing.T) {
 	if len(got) != 1 || got[0].Kind != EvAccept || got[0].Sock != ls {
 		t.Fatalf("events = %+v", got)
 	}
-	if ep.Waits != 1 || ep.EventsDelivered != 1 {
-		t.Fatalf("stats: %+v", ep)
+	if w, e := epollRow("wakeups"), epollRow("events"); w != 1 || e != 1 {
+		t.Fatalf("wakeups = %d, events = %d, want 1 and 1", w, e)
 	}
 }
 
 func TestEpollWaitTimeout(t *testing.T) {
-	eng := sim.NewEngine(1)
-	ns := NewNetStack(eng, WakeExclusiveLIFO)
-	ls, _ := ns.ListenShared(80, 8)
-	ep := ns.NewEpoll()
-	ep.Add(ls)
+	eng, _, _, ep, epollRow := observedEpoll(t)
 
 	called := false
 	start := eng.Now()
@@ -152,17 +166,13 @@ func TestEpollWaitTimeout(t *testing.T) {
 	if !called {
 		t.Fatal("timeout callback never fired")
 	}
-	if ep.Timeouts != 1 {
-		t.Fatalf("Timeouts = %d", ep.Timeouts)
+	if n := epollRow("timeouts"); n != 1 {
+		t.Fatalf("timeouts = %d", n)
 	}
 }
 
 func TestEpollWakeOnArrival(t *testing.T) {
-	eng := sim.NewEngine(1)
-	ns := NewNetStack(eng, WakeExclusiveLIFO)
-	ls, _ := ns.ListenShared(80, 8)
-	ep := ns.NewEpoll()
-	ep.Add(ls)
+	eng, ns, _, ep, epollRow := observedEpoll(t)
 
 	var wokeAt int64 = -1
 	ep.Wait(16, 5*time.Millisecond, func(evs []Event) {
@@ -176,7 +186,7 @@ func TestEpollWakeOnArrival(t *testing.T) {
 	if wokeAt != int64(time.Millisecond) {
 		t.Fatalf("woke at %d, want 1ms (not the 5ms timeout)", wokeAt)
 	}
-	if ep.Timeouts != 0 {
+	if epollRow("timeouts") != 0 {
 		t.Fatal("timeout fired despite wake")
 	}
 }
@@ -593,15 +603,11 @@ func TestWakeModeStrings(t *testing.T) {
 }
 
 func TestEpollKick(t *testing.T) {
-	eng := sim.NewEngine(1)
-	ns := NewNetStack(eng, WakeExclusiveLIFO)
-	ls, _ := ns.ListenShared(80, 8)
-	ep := ns.NewEpoll()
-	ep.Add(ls)
+	eng, _, _, ep, epollRow := observedEpoll(t)
 
 	// Kick on a non-blocked epoll is a no-op.
 	ep.Kick()
-	if ep.Waits != 0 {
+	if epollRow("wakeups") != 0 {
 		t.Fatal("kick on idle epoll produced a wait completion")
 	}
 
@@ -617,7 +623,7 @@ func TestEpollKick(t *testing.T) {
 	if !woke {
 		t.Fatal("kick did not wake the waiter")
 	}
-	if ep.Timeouts != 0 {
+	if epollRow("timeouts") != 0 {
 		t.Fatal("timeout fired despite kick")
 	}
 }

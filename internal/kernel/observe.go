@@ -123,8 +123,8 @@ type epollObs struct {
 // BindWorker attributes this instance to worker id: its metrics land in slot
 // id and its wakeups on track id. A restarted worker binds its fresh instance
 // to the same id, so it keeps reporting where its predecessor did. An id past
-// the stack's slots (the dispatcher core) keeps the shared residency histogram
-// and its own track but no per-worker counters. No-op on an unobserved stack.
+// the stack's slots keeps the shared residency histogram and its own track
+// but no per-worker counters. No-op on an unobserved stack.
 func (ep *Epoll) BindWorker(id int) {
 	o := ep.ns.obs
 	if o == nil {

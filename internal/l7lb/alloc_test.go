@@ -9,40 +9,44 @@ import (
 )
 
 // The worker loop's continuations are pre-bound and LB.Deliver carries the
-// request as a pooled *Work, so a steady-state hermes cell allocates nothing
-// per loop iteration or per connection. Each run below is one connection
-// lifecycle plus 10 ms of virtual time (two epoll timeouts on each of four
-// workers).
+// request as a pooled *Work, so a steady-state cell of any mode — the
+// dispatcher core and its executors included — allocates nothing per loop
+// iteration or per connection. Each run below is one connection lifecycle
+// plus 10 ms of virtual time (two epoll timeouts on each of four workers).
 func TestHermesCellSteadyStateAllocs(t *testing.T) {
-	eng := sim.NewEngine(1)
-	cfg := DefaultConfig(ModeHermes)
-	cfg.Workers = 4
-	cfg.ConnsPerWorkerHint = 128 // room in lb.Latency for every lifecycle below
-	lb, err := New(eng, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lb.Start()
+	for _, mode := range modesUnderTest() {
+		t.Run(mode.String(), func(t *testing.T) {
+			eng := sim.NewEngine(1)
+			cfg := DefaultConfig(mode)
+			cfg.Workers = 4
+			cfg.ConnsPerWorkerHint = 128 // room in lb.Latency for every lifecycle below
+			lb, err := New(eng, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lb.Start()
 
-	var src uint32
-	lifecycle := func() {
-		src++
-		sendReq(lb, openConn(t, lb, src, 8080), 30*time.Microsecond, true)
-		eng.RunUntil(eng.Now() + int64(10*time.Millisecond))
-	}
-	for i := 0; i < 256; i++ { // grow the pools and scratch buffers
-		lifecycle()
-	}
-	done := lb.Completed
-	const runs = 200
-	if allocs := testing.AllocsPerRun(runs, lifecycle); allocs != 0 {
-		t.Errorf("steady-state hermes cell: %.2f allocs per connection lifecycle, want 0", allocs)
-	}
-	if got := lb.Completed - done; got != runs+1 {
-		t.Fatalf("completed %d of %d lifecycles", got, runs+1)
-	}
-	if len(lb.workFree) != 1 {
-		t.Errorf("payload pool holds %d objects after one-at-a-time lifecycles, want 1", len(lb.workFree))
+			var src uint32
+			lifecycle := func() {
+				src++
+				sendReq(lb, openConn(t, lb, src, 8080), 30*time.Microsecond, true)
+				eng.RunUntil(eng.Now() + int64(10*time.Millisecond))
+			}
+			for i := 0; i < 256; i++ { // grow the pools and scratch buffers
+				lifecycle()
+			}
+			done := lb.Completed
+			const runs = 200
+			if allocs := testing.AllocsPerRun(runs, lifecycle); allocs != 0 {
+				t.Errorf("steady-state %v cell: %.2f allocs per connection lifecycle, want 0", mode, allocs)
+			}
+			if got := lb.Completed - done; got != runs+1 {
+				t.Fatalf("completed %d of %d lifecycles", got, runs+1)
+			}
+			if len(lb.workFree) != 1 {
+				t.Errorf("payload pool holds %d objects after one-at-a-time lifecycles, want 1", len(lb.workFree))
+			}
+		})
 	}
 }
 
@@ -87,7 +91,7 @@ func TestPayloadShapesAndResetWithQueuedPayloads(t *testing.T) {
 			}
 			eng.RunUntil(eng.Now() + int64(100*time.Microsecond))
 			if mode == ModeDispatcher {
-				lb.Dispatcher.w.resetConn(victim.Sock())
+				lb.Dispatcher.resetConn(victim.Sock())
 			} else {
 				for _, w := range lb.Workers {
 					if w.OwnsConn(victim.Sock()) {

@@ -7,6 +7,7 @@ import (
 
 	"hermes/internal/kernel"
 	"hermes/internal/sim"
+	"hermes/internal/telemetry"
 )
 
 // openConn completes a handshake for a fresh client connection to port.
@@ -31,10 +32,27 @@ func sendReq(lb *LB, conn *kernel.Conn, cost time.Duration, closeAfter bool) {
 	})
 }
 
+// modesUnderTest is the whole Mode enum, walked as hermesctl's cellMode
+// walks it, so a mode added to the enum is under test from its first build.
 func modesUnderTest() []Mode {
-	return []Mode{
-		ModeExclusive, ModeExclusiveRR, ModeHerd, ModeAcceptMutex,
-		ModeReuseport, ModeHermes, ModeHermesNative, ModeDispatcher,
+	var modes []Mode
+	for m := ModeExclusive; m <= ModeIOUring; m++ {
+		modes = append(modes, m)
+	}
+	return modes
+}
+
+// trickle opens conns connections 100µs apart on port 8080, each sending one
+// 30µs request 50µs after its handshake and closing after the response.
+func trickle(t *testing.T, lb *LB, conns int) {
+	for i := 0; i < conns; i++ {
+		i := i
+		lb.Eng.At(int64(i)*int64(100*time.Microsecond), func() {
+			c := openConn(t, lb, uint32(i), 8080)
+			lb.Eng.After(50*time.Microsecond, func() {
+				sendReq(lb, c, 30*time.Microsecond, true)
+			})
+		})
 	}
 }
 
@@ -54,15 +72,7 @@ func TestAllModesServeTraffic(t *testing.T) {
 			lb.Start()
 
 			const conns = 100
-			for i := 0; i < conns; i++ {
-				i := i
-				eng.At(int64(i)*int64(100*time.Microsecond), func() {
-					c := openConn(t, lb, uint32(i), 8080)
-					eng.After(50*time.Microsecond, func() {
-						sendReq(lb, c, 30*time.Microsecond, true)
-					})
-				})
-			}
+			trickle(t, lb, conns)
 			eng.RunUntil(int64(time.Second))
 
 			if lb.Completed != conns {
@@ -73,6 +83,70 @@ func TestAllModesServeTraffic(t *testing.T) {
 			}
 			if lb.TotalBusyNS() == 0 {
 				t.Fatal("no busy time accounted")
+			}
+		})
+	}
+}
+
+// Every mode keeps its ledgers on an observed LB: the served and accepted
+// vectors have one slot per simulated core and sum to the workers' own
+// counts, every accept is one accept_wait_ns observation, and every core that
+// runs an epoll loop (all but ModeDispatcher's executors) counts its wakeups.
+func TestObservedLedgersBalance(t *testing.T) {
+	for _, mode := range modesUnderTest() {
+		t.Run(mode.String(), func(t *testing.T) {
+			cfg := DefaultConfig(mode)
+			cfg.Workers = 4
+			reg := telemetry.NewRegistry()
+			cfg.Telemetry = reg
+			lb, err := New(sim.NewEngine(1), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lb.Start()
+			const conns = 100
+			trickle(t, lb, conns)
+			lb.Eng.RunUntil(int64(time.Second))
+
+			cores := lb.Workers
+			if lb.Dispatcher != nil {
+				cores = append(cores[:len(cores):len(cores)], lb.Dispatcher)
+			}
+			var completed, accepted uint64
+			for _, w := range cores {
+				completed += w.Completed
+				accepted += w.Accepted
+			}
+			snap := reg.Snapshot()
+			row := func(name string) *telemetry.MetricSnapshot {
+				ms := snap.Get(name)
+				if ms == nil {
+					t.Fatalf("%s not registered", name)
+				}
+				return ms
+			}
+			for _, name := range []string{"l7lb.worker.requests_served", "l7lb.worker.conns_accepted", "kernel.epoll.wakeups"} {
+				if n := len(row(name).Values); n != len(cores) {
+					t.Errorf("%s has %d slots for %d cores", name, n, len(cores))
+				}
+			}
+			if completed != conns || accepted != conns {
+				t.Fatalf("cores completed %d and accepted %d of %d", completed, accepted, conns)
+			}
+			if served := row("l7lb.worker.requests_served").Total(); uint64(served) != completed {
+				t.Errorf("Σ requests_served = %d, Σ Completed = %d", served, completed)
+			}
+			if got := row("l7lb.worker.conns_accepted").Total(); uint64(got) != accepted {
+				t.Errorf("Σ conns_accepted = %d, Σ Accepted = %d", got, accepted)
+			}
+			if got := row("l7lb.accept_wait_ns").Count; got != accepted {
+				t.Errorf("accept_wait_ns count = %d, Σ Accepted = %d", got, accepted)
+			}
+			wakeups := row("kernel.epoll.wakeups").Values
+			for _, w := range cores {
+				if !w.executor && wakeups[w.ID] == 0 {
+					t.Errorf("core %d waits but its kernel.epoll.wakeups slot is 0", w.ID)
+				}
 			}
 		})
 	}
@@ -342,7 +416,7 @@ func TestDispatcherBottleneck(t *testing.T) {
 		})
 	}
 	eng.RunUntil(int64(100 * time.Millisecond))
-	dispBusy := lb.Dispatcher.w.BusyNS(eng.Now())
+	dispBusy := lb.Dispatcher.BusyNS(eng.Now())
 	var maxExec int64
 	for _, w := range lb.Workers {
 		if b := w.BusyNS(eng.Now()); b > maxExec {

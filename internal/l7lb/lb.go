@@ -23,8 +23,11 @@ type LB struct {
 
 	// Workers are the event-loop workers (executors in ModeDispatcher).
 	Workers []*Worker
-	// Dispatcher is the extra dispatcher pseudo-core (ModeDispatcher only).
-	Dispatcher *dispatcher
+	// Dispatcher is ModeDispatcher's extra core (nil in every other mode):
+	// an ordinary worker, ID Workers, whose epoll takes every event and
+	// whose handle hands each request to the least-loaded executor — the
+	// userspace-dispatcher design §2.2 rejects for LBs.
+	Dispatcher *Worker
 	// Ctl is the Hermes controller (Hermes modes; one group per 64 workers,
 	// §7).
 	Ctl *core.Controller
@@ -140,7 +143,8 @@ func New(eng *sim.Engine, cfg Config) (*LB, error) {
 	// this reserves nothing.
 	lb.Latency.Reserve(cfg.ConnsPerWorkerHint * cfg.Workers)
 	if cfg.Mode == ModeDispatcher {
-		lb.Dispatcher = newDispatcher(lb)
+		lb.Dispatcher = newWorker(lb, cfg.Workers, nil)
+		lb.registerWorkerSockets(lb.Dispatcher)
 	}
 
 	registered := cfg.RegisteredPorts
@@ -150,39 +154,45 @@ func New(eng *sim.Engine, cfg Config) (*LB, error) {
 	switch cfg.Mode {
 	case ModeReuseport, ModeHermes, ModeHermesNative:
 		lb.acceptExtra = time.Duration(len(cfg.Ports)) * cfg.Costs.PerWatch
+	case ModeDispatcher:
+		// Only the dispatcher core accepts; it pays its per-event Dispatch
+		// cost, not the O(#ports) watch walk (a known deviation,
+		// EXPERIMENTS.md).
+		lb.acceptExtra = cfg.Costs.Dispatch
 	default:
 		lb.acceptExtra = time.Duration(registered) * cfg.Costs.PerWatch
 	}
 	return lb, nil
 }
 
-// Start launches all worker loops (and the dispatcher) at the current
-// virtual time.
+// Start launches all worker loops (and the dispatcher core's) at the
+// current virtual time.
 func (lb *LB) Start() {
 	for _, w := range lb.Workers {
 		w.Start()
 	}
 	if lb.Dispatcher != nil {
-		lb.Dispatcher.start()
+		lb.Dispatcher.Start()
 	}
 }
 
-// registerWorkerSockets wires a worker's epoll (or its mode-specific role)
-// to the listening sockets: shared-socket modes register every listener,
-// accept-mutex workers register lazily while holding the mutex, dispatcher
-// executors run job queues instead, and reuseport/Hermes workers own their
-// group slot. Called at build time and again when a crashed worker
-// restarts with a fresh epoll instance.
+// registerWorkerSockets wires a worker's epoll to the listening sockets:
+// shared-socket modes register every listener (in ModeDispatcher only the
+// dispatcher core does; executors run job queues instead), accept-mutex
+// workers register lazily while holding the mutex, and reuseport/Hermes
+// workers own their group slot. Called at build time and again when a
+// crashed worker restarts with a fresh epoll instance.
 func (lb *LB) registerWorkerSockets(w *Worker) {
 	switch lb.Cfg.Mode {
-	case ModeExclusive, ModeExclusiveRR, ModeHerd, ModeIOUring:
+	case ModeExclusive, ModeExclusiveRR, ModeHerd, ModeIOUring, ModeDispatcher:
+		if w.executor {
+			return
+		}
 		for _, s := range lb.shared {
 			w.ep.Add(s)
 		}
 	case ModeAcceptMutex:
 		w.listenSocks = lb.shared
-	case ModeDispatcher:
-		w.executor = true
 	case ModeReuseport, ModeHermes, ModeHermesNative:
 		for _, g := range lb.groups {
 			w.ep.Add(g.Sockets()[w.ID])
@@ -207,8 +217,8 @@ func (lb *LB) SetWorkerAvailable(id int, ok bool) error {
 	return lb.Ctl.SetWorkerAvailable(id, ok)
 }
 
-// TotalBusyNS sums worker busy time as of now (plus the dispatcher's, if
-// present).
+// TotalBusyNS sums worker busy time as of now (plus the dispatcher core's,
+// if present).
 func (lb *LB) TotalBusyNS() int64 {
 	now := lb.Eng.Now()
 	var t int64
@@ -216,9 +226,22 @@ func (lb *LB) TotalBusyNS() int64 {
 		t += w.BusyNS(now)
 	}
 	if lb.Dispatcher != nil {
-		t += lb.Dispatcher.w.BusyNS(now)
+		t += lb.Dispatcher.BusyNS(now)
 	}
 	return t
+}
+
+// leastLoaded is the executor with the least queued work. On a tie — every
+// queue empty, the common case at moderate load — the lowest index wins, so
+// the spread over executors is uneven (EXPERIMENTS.md, baselines).
+func (lb *LB) leastLoaded() *Worker {
+	best := lb.Workers[0]
+	for _, w := range lb.Workers[1:] {
+		if w.queuedCostNS < best.queuedCostNS {
+			best = w
+		}
+	}
+	return best
 }
 
 // Deliver makes one request readable on conn. The payload crosses the

@@ -23,14 +23,18 @@ type workerObs struct {
 // observe attaches the configured observers to the kernel and (Hermes modes)
 // the controller, and registers the LB's own rows. It runs before any
 // listener, epoll instance or dispatch program exists, so all of them are
-// observed from their first event. Worker i takes lb.obs[i]; the dispatcher
-// core sits one past the executors: its own track, no per-worker slots.
+// observed from their first event. Every per-worker vector has one slot per
+// simulated core: worker i takes lb.obs[i], and ModeDispatcher's dispatcher
+// core the last one, past the executors.
 func (lb *LB) observe() {
 	sink, tr := lb.Cfg.Telemetry, lb.Cfg.Tracer
 	if sink == nil && tr == nil {
 		return
 	}
 	n := lb.Cfg.Workers
+	if lb.Cfg.Mode == ModeDispatcher {
+		n++
+	}
 	lb.NS.Observe(sink, tr, n)
 	if lb.Ctl != nil {
 		// The selection maps have no clock; their sync instants are stamped
@@ -50,7 +54,7 @@ func (lb *LB) observe() {
 		"end-to-end request latency"), telemetry.DurationBuckets())
 	openConns := sink.GaugeVec(m("l7lb.worker.open_conns", "conns",
 		"live connection count per worker, as of its last loop entry"), n)
-	lb.obs = make([]workerObs, n+1)
+	lb.obs = make([]workerObs, n)
 	for i := range lb.obs {
 		lb.obs[i] = workerObs{
 			served: served.At(i), accepted: accepted.At(i), openConns: openConns.At(i),

@@ -164,3 +164,53 @@ func TestCostMultiplierScalesService(t *testing.T) {
 		t.Fatal("request still scaled after multiplier reset")
 	}
 }
+
+// A ModeDispatcher executor serves its queue on the worker loop's own
+// continuation timer, so the loop's fault handling covers it: a hang holds
+// its serve until release, a crash cancels the serve in flight and strands
+// its queue, and after Restart it serves again.
+func TestExecutorHangCrashRestart(t *testing.T) {
+	eng := sim.NewEngine(1)
+	cfg := DefaultConfig(ModeDispatcher)
+	cfg.Workers = 1
+	lb, err := New(eng, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lb.Start()
+	conn := openConn(t, lb, 7, 8080)
+	eng.RunUntil(int64(time.Millisecond))
+	ex := lb.Workers[0]
+
+	t0 := eng.Now()
+	const hang = 20 * time.Millisecond
+	ex.Hang(hang)
+	sendReq(lb, conn, 10*time.Microsecond, false)
+	eng.RunUntil(t0 + int64(hang) - 1)
+	if lb.Completed != 0 {
+		t.Fatal("request completed while its executor was hung")
+	}
+	eng.RunUntil(t0 + int64(hang) + int64(time.Millisecond))
+	if lb.Completed != 1 || ex.Completed != 1 {
+		t.Fatalf("after release: lb completed %d, executor %d, want 1 and 1", lb.Completed, ex.Completed)
+	}
+
+	sendReq(lb, conn, 5*time.Millisecond, false)
+	eng.RunUntil(eng.Now() + int64(time.Millisecond))
+	ex.Crash(false)
+	sendReq(lb, conn, 10*time.Microsecond, false)
+	eng.RunUntil(eng.Now() + int64(20*time.Millisecond))
+	if lb.Completed != 1 {
+		t.Fatalf("crashed executor completed requests: %d", lb.Completed)
+	}
+
+	ex.Restart()
+	sendReq(lb, conn, 10*time.Microsecond, true)
+	eng.RunUntil(eng.Now() + int64(time.Millisecond))
+	if lb.Completed != 2 || ex.Completed != 2 {
+		t.Fatalf("after restart: lb completed %d, executor %d, want 2 and 2", lb.Completed, ex.Completed)
+	}
+	if !conn.Sock().Closed() || lb.Dispatcher.OpenConns() != 0 {
+		t.Fatal("Connection: close served by the executor did not close the dispatcher core's connection")
+	}
+}

@@ -26,8 +26,10 @@ type Worker struct {
 	hook    *core.WorkerHook
 	backend *BackendClient // round-robin cursor when Config.Backends is set
 
-	crashed  bool
-	executor bool // ModeDispatcher executors run job queues, not epoll loops
+	crashed bool
+	// executor marks a ModeDispatcher executor: it runs the serves the
+	// dispatcher core queues on it (pushJob), not an epoll loop of its own.
+	executor bool
 
 	// gen is bumped by Crash and Restart so callbacks scheduled against a
 	// previous incarnation of the worker (event completions, hang releases)
@@ -74,14 +76,16 @@ type Worker struct {
 	onWakeGateFn func()
 	afterEventFn func()
 	endLoopFn    func()
+	afterJobFn   func()
 
 	// ConnTableGrows counts conns-slice regrowths after construction; the
 	// scale harness pins it at zero when a capacity hint is configured.
 	ConnTableGrows uint64
 
-	// Executor state (ModeDispatcher).
-	jobs         []execJob
-	jobRunning   bool
+	// Executor state (ModeDispatcher): the serves queued behind the one in
+	// w.serv, head-indexed and reused, and their total unscaled cost.
+	jobs         []servState
+	jobHead      int
 	queuedCostNS int64
 
 	// busyDoneNS is CPU time of finished work; jobStartNS/jobEndNS bracket
@@ -109,17 +113,14 @@ type Worker struct {
 	obs *workerObs
 }
 
-type execJob struct {
-	cost time.Duration
-	done func()
-}
-
 // servState carries an EvReadable serve from handle to its completion in
-// afterEvent — the fields the old per-event completion closure captured.
-// Only one serve is in flight per worker (run-to-completion), so a single
-// embedded struct replaces a closure allocation per request.
+// finishServe. Only one serve is in flight per worker (run-to-completion), so
+// a single embedded struct replaces a closure allocation per request. owner
+// is the worker whose table holds the connection: the serving worker itself,
+// or in ModeDispatcher the dispatcher core that handed it to an executor.
 type servState struct {
 	active     bool
+	owner      *Worker
 	sock       *kernel.Socket
 	connRef    kernel.ConnRef
 	work       Work
@@ -152,25 +153,20 @@ func newWorker(lb *LB, id int, hook *core.WorkerHook) *Worker {
 	w.onWakeGateFn = func() { w.onWake(w.batchEvs) }
 	w.afterEventFn = w.afterEvent
 	w.endLoopFn = w.endLoopCont
+	if lb.Cfg.Mode == ModeDispatcher && id < lb.Cfg.Workers {
+		w.executor = true
+		w.afterJobFn = w.afterJob
+	}
 	if lb.Cfg.DetailedStats {
 		w.EventsPerWait = &stats.Sample{}
 		w.BatchProcNS = &stats.Sample{}
 		w.BlockNS = &stats.Sample{}
 	}
 	if lb.obs != nil {
-		w.obs = &lb.obs[w.slot()]
+		w.obs = &lb.obs[id]
 	}
-	w.ep.BindWorker(w.slot())
+	w.ep.BindWorker(id)
 	return w
-}
-
-// slot is where this worker's observations land: its own id, or — for the
-// dispatcher core, id -1 — one past the executors.
-func (w *Worker) slot() int {
-	if w.ID < 0 {
-		return w.lb.Cfg.Workers
-	}
-	return w.ID
 }
 
 // OpenConns returns the number of live connections owned by this worker.
@@ -263,11 +259,10 @@ func (w *Worker) Restart() {
 	w.hangUntilNS, w.spinStartNS, w.spinEndNS = 0, 0, 0
 	w.jobStartNS, w.jobEndNS = 0, 0
 	w.costMult = 1
-	w.jobs = w.jobs[:0]
-	w.jobRunning = false
-	w.queuedCostNS = 0
+	clear(w.jobs)
+	w.jobs, w.jobHead, w.queuedCostNS = w.jobs[:0], 0, 0
 	w.ep = w.lb.NS.NewEpoll()
-	w.ep.BindWorker(w.slot())
+	w.ep.BindWorker(w.ID)
 	w.lb.registerWorkerSockets(w)
 	w.Start()
 }
@@ -413,7 +408,7 @@ func (w *Worker) BusyNS(nowNS int64) int64 {
 // Start schedules the first event-loop iteration.
 func (w *Worker) Start() {
 	if w.executor {
-		return // executors are driven by the dispatcher
+		return // executors are driven by the dispatcher core
 	}
 	w.loopEnter()
 }
@@ -530,8 +525,9 @@ func (w *Worker) afterEvent() {
 	w.processBatch()
 }
 
-// finishServe completes the in-flight EvReadable serve parked by handle:
-// upstream release, completion accounting, and Connection: close teardown.
+// finishServe completes the in-flight serve parked by handle (or, on an
+// executor, by runNextJob): upstream release, completion accounting, and
+// Connection: close teardown through the owner's table.
 func (w *Worker) finishServe() {
 	s := w.serv
 	w.serv = servState{}
@@ -545,7 +541,7 @@ func (w *Worker) finishServe() {
 	}
 	w.lb.recordCompletion(w, s.connRef, s.work)
 	if s.work.Close && s.connRef.Get() != nil {
-		w.closeConn(s.sock)
+		s.owner.closeConn(s.sock)
 	}
 }
 
@@ -586,7 +582,7 @@ func (w *Worker) handle(ev kernel.Event) time.Duration {
 		}
 		// Accept cost includes the dispatch overhead: O(#registered ports)
 		// for shared-socket modes, O(#owned ports) for reuseport/Hermes
-		// (§6.2 Case 1).
+		// (§6.2 Case 1), the per-event Dispatch cost for the dispatcher core.
 		return costs.Accept + w.lb.acceptExtra
 	case kernel.EvReadable:
 		payload, ok := ev.Sock.PopData()
@@ -595,34 +591,30 @@ func (w *Worker) handle(ev kernel.Event) time.Duration {
 		}
 		work := w.lb.takeWork(payload)
 		sock := ev.Sock
-		// The completion fires after the cost elapses; by then the
+		// The completion fires after the cost elapses (and, in
+		// ModeDispatcher, after the executor's queue); by then the
 		// connection may have been reset (crash, shed) and its socket
 		// recycled into a different connection, so capture a checked ref
 		// now rather than re-reading sock.Conn() later.
-		connRef := sock.Conn().Ref()
-		serveStart := w.lb.Eng.Now()
+		s := servState{active: true, owner: w, sock: sock, connRef: sock.Conn().Ref(), work: work}
+		if w == w.lb.Dispatcher {
+			// The dispatcher core only takes the request in; an executor
+			// serves it.
+			w.lb.leastLoaded().pushJob(s)
+			return costs.Dispatch
+		}
+		s.serveStart = w.lb.Eng.Now()
 		cost := work.Cost
-		var backendID int
-		forwarded := false
 		if w.backend != nil {
 			// Forward to a backend (§7): a pool miss pays the cross-network
 			// handshake before the request can proceed.
 			b := w.backend.Pick()
-			backendID = b.ID
-			forwarded = true
+			s.backendID, s.forwarded = b.ID, true
 			if w.lb.Cfg.Upstream != nil && !w.lb.Cfg.Upstream.Acquire(w.ID, b.ID) {
 				cost += costs.UpstreamHandshake
 			}
 		}
-		w.serv = servState{
-			active:     true,
-			sock:       sock,
-			connRef:    connRef,
-			work:       work,
-			serveStart: serveStart,
-			backendID:  backendID,
-			forwarded:  forwarded,
-		}
+		w.serv = s
 		return cost
 	case kernel.EvHangup:
 		w.closeConn(ev.Sock)
@@ -779,41 +771,50 @@ func (w *Worker) releaseMutex() {
 
 // --- dispatcher-mode executor ---
 
-func (w *Worker) pushJob(cost time.Duration, done func()) {
-	w.jobs = append(w.jobs, execJob{cost: cost, done: done})
-	w.queuedCostNS += int64(cost)
-	if !w.jobRunning {
+// pushJob queues a serve the dispatcher core handed over and starts it if
+// the executor is idle.
+func (w *Worker) pushJob(s servState) {
+	if len(w.jobs) == cap(w.jobs) && w.jobHead > 0 {
+		n := copy(w.jobs, w.jobs[w.jobHead:])
+		clear(w.jobs[n:])
+		w.jobs, w.jobHead = w.jobs[:n], 0
+	}
+	w.jobs = append(w.jobs, s)
+	w.queuedCostNS += int64(s.work.Cost)
+	if !w.serv.active {
 		w.runNextJob()
 	}
 }
 
+// runNextJob moves the queue head into w.serv and charges its cost on the
+// loop's one continuation timer; afterJob completes it.
 func (w *Worker) runNextJob() {
-	if w.crashed || len(w.jobs) == 0 {
-		w.jobRunning = false
+	if w.crashed || w.jobHead == len(w.jobs) {
 		return
 	}
-	w.jobRunning = true
-	j := w.jobs[0]
-	w.jobs = w.jobs[1:]
+	w.serv = w.jobs[w.jobHead]
+	w.jobs[w.jobHead] = servState{}
+	if w.jobHead++; w.jobHead == len(w.jobs) {
+		w.jobs, w.jobHead = w.jobs[:0], 0
+	}
+	w.serv.serveStart = w.lb.Eng.Now()
 	// queuedCostNS tracks the unscaled cost pushJob added, so the slow
 	// multiplier applies only to the charge, not the queue accounting.
-	cost := w.scaleCost(j.cost)
+	cost := w.scaleCost(w.serv.work.Cost)
 	w.beginWork(cost)
-	gen := w.gen
-	w.lb.Eng.After(cost, func() { w.afterJob(j, gen) })
+	w.contGen = w.gen
+	w.contTimer = w.lb.Eng.After(cost, w.afterJobFn)
 }
 
-func (w *Worker) afterJob(j execJob, gen uint64) {
-	if w.crashed || w.gen != gen {
+func (w *Worker) afterJob() {
+	if w.crashed || w.gen != w.contGen {
 		return
 	}
-	if w.gate(func() { w.afterJob(j, gen) }) {
+	if w.gate(w.afterJobFn) {
 		return
 	}
 	w.endWork()
-	w.queuedCostNS -= int64(j.cost)
-	if j.done != nil {
-		j.done()
-	}
+	w.queuedCostNS -= int64(w.serv.work.Cost)
+	w.finishServe()
 	w.runNextJob()
 }
