@@ -12,7 +12,18 @@ import (
 	"hermes/internal/kernel"
 	"hermes/internal/shm"
 	"hermes/internal/sim"
+	"hermes/internal/telemetry"
 )
+
+// observedStack builds an exclusive-LIFO stack observed with slots
+// per-worker slots. steered reads kernel.reuseport.steered: the connections
+// dispatched to each member socket, queued or dropped on overflow.
+func observedStack(eng *sim.Engine, slots int) (ns *kernel.NetStack, steered func() []int64) {
+	reg := telemetry.NewRegistry()
+	ns = kernel.NewNetStack(eng, kernel.WakeExclusiveLIFO)
+	ns.Observe(reg, nil, slots)
+	return ns, func() []int64 { return reg.Snapshot().Get("kernel.reuseport.steered").Values }
+}
 
 func freshMetrics(n int, nowNS int64) []shm.Metrics {
 	ms := make([]shm.Metrics, n)
@@ -406,7 +417,7 @@ func TestControllerEndToEndAvoidsHungWorker(t *testing.T) {
 	for _, attach := range []string{"ebpf", "native"} {
 		t.Run(attach, func(t *testing.T) {
 			eng := sim.NewEngine(1)
-			ns := kernel.NewNetStack(eng, kernel.WakeExclusiveLIFO)
+			ns, steered := observedStack(eng, 3)
 			g, err := ns.ListenReuseport(80, 3, 0)
 			if err != nil {
 				t.Fatal(err)
@@ -444,8 +455,8 @@ func TestControllerEndToEndAvoidsHungWorker(t *testing.T) {
 				t.Fatalf("ProgDispatched=%d fallbacks=%d errs=%d",
 					g.ProgDispatched, g.Fallbacks, g.ProgErrors)
 			}
-			a := g.Sockets()[0].QueueLen() + int(g.Sockets()[0].Drops)
-			b := g.Sockets()[1].QueueLen() + int(g.Sockets()[1].Drops)
+			n := steered()
+			a, b := n[0], n[1]
 			if a+b != 300 || a < 90 || b < 90 {
 				t.Fatalf("healthy split %d/%d", a, b)
 			}
@@ -531,7 +542,7 @@ func TestWorkerHookCounters(t *testing.T) {
 // hashing, and pin destinations with locality hashing.
 func TestControllerTwoLevel(t *testing.T) {
 	eng := sim.NewEngine(1)
-	ns := kernel.NewNetStack(eng, kernel.WakeExclusiveLIFO)
+	ns, steered := observedStack(eng, 128)
 	g, err := ns.ListenReuseport(80, 128, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -558,9 +569,8 @@ func TestControllerTwoLevel(t *testing.T) {
 	if g.ProgDispatched != 4000 {
 		t.Fatalf("prog=%d fallbacks=%d errors=%d", g.ProgDispatched, g.Fallbacks, g.ProgErrors)
 	}
-	lo, hi := 0, 0
-	for i, s := range g.Sockets() {
-		n := s.QueueLen() + int(s.Drops)
+	var lo, hi int64
+	for i, n := range steered() {
 		if i < 64 {
 			lo += n
 		} else {
@@ -574,7 +584,7 @@ func TestControllerTwoLevel(t *testing.T) {
 
 func TestControllerLocalityPinsDestination(t *testing.T) {
 	eng := sim.NewEngine(1)
-	ns := kernel.NewNetStack(eng, kernel.WakeExclusiveLIFO)
+	ns, steered := observedStack(eng, 8)
 	g, _ := ns.ListenReuseport(80, 8, 0)
 	gc, err := New(8, DefaultConfig(), WithGroups(4), WithGroupKey(GroupByLocalityHash))
 	if err != nil {
@@ -596,8 +606,8 @@ func TestControllerLocalityPinsDestination(t *testing.T) {
 	}
 	nonEmpty := 0
 	var hitGroup = -1
-	for i, s := range g.Sockets() {
-		if n := s.QueueLen() + int(s.Drops); n > 0 {
+	for i, n := range steered() {
+		if n > 0 {
 			nonEmpty++
 			if hitGroup == -1 {
 				hitGroup = i / 2

@@ -160,7 +160,13 @@ func runBurstScenario(t *testing.T, sched []burstGroup, mode kernel.WakeMode, wo
 		})
 	}
 	eng.Run()
-	fmt.Fprintf(&trace, "est=%d drops=%d\n", ns.ConnsEstablished, ns.SynDrops)
+	drops := 0
+	for _, c := range conns {
+		if c == nil {
+			drops++
+		}
+	}
+	fmt.Fprintf(&trace, "est=%d drops=%d\n", ns.ConnsEstablished, drops)
 	return trace.String()
 }
 

@@ -39,9 +39,6 @@ func TestDeliverSYNNoListener(t *testing.T) {
 	if _, ok := ns.DeliverSYN(tupleFor(1, 80), nil); ok {
 		t.Fatal("SYN to unbound port accepted")
 	}
-	if ns.SynDrops != 1 {
-		t.Fatalf("SynDrops = %d", ns.SynDrops)
-	}
 }
 
 func TestSharedListenAcceptFlow(t *testing.T) {
@@ -74,22 +71,22 @@ func TestSharedListenAcceptFlow(t *testing.T) {
 	if _, ok := ls.Accept(); ok {
 		t.Fatal("Accept on empty queue succeeded")
 	}
-	if ls.Accepted != 1 {
-		t.Fatalf("Accepted = %d", ls.Accepted)
-	}
 }
 
 func TestAcceptQueueOverflowDrops(t *testing.T) {
-	ns := NewNetStack(sim.NewEngine(1), WakeExclusiveLIFO)
+	ns, row := observedStack(1)
 	ls, _ := ns.ListenShared(80, 2)
+	refused := 0
 	for i := uint32(0); i < 5; i++ {
-		ns.DeliverSYN(tupleFor(i, 80), nil)
+		if _, ok := ns.DeliverSYN(tupleFor(i, 80), nil); !ok {
+			refused++
+		}
 	}
 	if ls.QueueLen() != 2 {
 		t.Fatalf("queue len = %d, want 2", ls.QueueLen())
 	}
-	if ls.Drops != 3 || ns.SynDrops != 3 {
-		t.Fatalf("Drops = %d, SynDrops = %d, want 3,3", ls.Drops, ns.SynDrops)
+	if d := row("kernel.accept_queue.dropped", 0); d != 3 || refused != 3 {
+		t.Fatalf("dropped = %d, refused = %d, want 3,3", d, refused)
 	}
 	if ns.ConnsEstablished != 2 {
 		t.Fatalf("ConnsEstablished = %d", ns.ConnsEstablished)
@@ -112,15 +109,24 @@ func TestPortDoubleBindRejected(t *testing.T) {
 	}
 }
 
+// observedStack builds an exclusive-LIFO stack observed with slots
+// per-worker slots. row reads one slot of a kernel.* counter vector: the
+// registry is where the stack's drop, dispatch and wakeup counts live.
+func observedStack(slots int) (ns *NetStack, row func(name string, slot int) int64) {
+	reg := telemetry.NewRegistry()
+	ns = NewNetStack(sim.NewEngine(1), WakeExclusiveLIFO)
+	ns.Observe(reg, nil, slots)
+	return ns, func(name string, slot int) int64 {
+		return reg.Snapshot().Get(name).Values[slot]
+	}
+}
+
 // observedEpoll builds an observed stack with one epoll instance, bound to
 // worker slot 0, watching a shared listener on port 80. epollRow reads that
-// slot of a kernel.epoll.* counter: the registry is where those counts live.
+// slot of a kernel.epoll.* counter.
 func observedEpoll(t *testing.T) (eng *sim.Engine, ns *NetStack, ls *Socket, ep *Epoll, epollRow func(name string) int64) {
 	t.Helper()
-	eng = sim.NewEngine(1)
-	ns = NewNetStack(eng, WakeExclusiveLIFO)
-	reg := telemetry.NewRegistry()
-	ns.Observe(reg, nil, 1)
+	ns, row := observedStack(1)
 	ls, err := ns.ListenShared(80, 8)
 	if err != nil {
 		t.Fatal(err)
@@ -128,9 +134,7 @@ func observedEpoll(t *testing.T) (eng *sim.Engine, ns *NetStack, ls *Socket, ep 
 	ep = ns.NewEpoll()
 	ep.BindWorker(0)
 	ep.Add(ls)
-	return eng, ns, ls, ep, func(name string) int64 {
-		return reg.Snapshot().Get("kernel.epoll." + name).Values[0]
-	}
+	return ns.eng, ns, ls, ep, func(name string) int64 { return row("kernel.epoll."+name, 0) }
 }
 
 func TestEpollWaitImmediate(t *testing.T) {
@@ -478,7 +482,7 @@ func TestExclusiveSkipsBusyWorker(t *testing.T) {
 }
 
 func TestReuseportHashDispatchBalanced(t *testing.T) {
-	ns := NewNetStack(sim.NewEngine(1), WakeExclusiveLIFO)
+	ns, row := observedStack(8)
 	g, _ := ns.ListenReuseport(80, 8, 0)
 	const conns = 8000
 	for i := uint32(0); i < conns; i++ {
@@ -487,8 +491,8 @@ func TestReuseportHashDispatchBalanced(t *testing.T) {
 	if g.HashDispatched != conns {
 		t.Fatalf("HashDispatched = %d", g.HashDispatched)
 	}
-	for i, s := range g.Sockets() {
-		got := s.QueueLen() + int(s.Drops)
+	for i := range g.Sockets() {
+		got := row("kernel.reuseport.steered", i)
 		if got < conns/8*7/10 || got > conns/8*13/10 {
 			t.Errorf("socket %d got %d conns, poor balance", i, got)
 		}
@@ -496,7 +500,7 @@ func TestReuseportHashDispatchBalanced(t *testing.T) {
 }
 
 func TestReuseportNativeOverrideAndFallback(t *testing.T) {
-	ns := NewNetStack(sim.NewEngine(1), WakeExclusiveLIFO)
+	ns, row := observedStack(4)
 	g, _ := ns.ListenReuseport(80, 4, 0)
 	target := g.Sockets()[2]
 	g.AttachNative(func(hash, _ uint32) (*Socket, bool) {
@@ -514,7 +518,7 @@ func TestReuseportNativeOverrideAndFallback(t *testing.T) {
 	if g.ProgDispatched+g.Fallbacks != 1000 {
 		t.Fatalf("dispatch accounting broken: %d+%d != 1000", g.ProgDispatched, g.Fallbacks)
 	}
-	if int(target.QueueLen())+int(target.Drops) < 400 {
+	if row("kernel.reuseport.steered", 2) < 400 {
 		t.Fatal("override did not steer even half the traffic")
 	}
 }
@@ -535,7 +539,7 @@ func TestReuseportRejectsForeignSocket(t *testing.T) {
 }
 
 func TestReuseportEBPFProgramDispatch(t *testing.T) {
-	ns := NewNetStack(sim.NewEngine(1), WakeExclusiveLIFO)
+	ns, row := observedStack(4)
 	g, _ := ns.ListenReuseport(80, 4, 0)
 	sa, err := g.BuildSockArray()
 	if err != nil {
@@ -559,7 +563,7 @@ func TestReuseportEBPFProgramDispatch(t *testing.T) {
 	if g.ProgDispatched != 100 {
 		t.Fatalf("ProgDispatched = %d (fallbacks=%d errors=%d)", g.ProgDispatched, g.Fallbacks, g.ProgErrors)
 	}
-	if got := g.Sockets()[3].QueueLen() + int(g.Sockets()[3].Drops); got != 100 {
+	if got := row("kernel.reuseport.steered", 3); got != 100 {
 		t.Fatalf("socket 3 got %d conns", got)
 	}
 	g.Detach()
@@ -665,12 +669,8 @@ func TestReuseportGroupUnbindsWithLastMember(t *testing.T) {
 		t.Fatal("group still bound after its last member closed")
 	}
 
-	drops := ns.SynDrops
 	if _, ok := ns.DeliverSYN(tupleFor(2, 80), nil); ok {
 		t.Fatal("SYN to the dead port accepted")
-	}
-	if ns.SynDrops != drops+1 {
-		t.Errorf("SynDrops = %d, want %d", ns.SynDrops, drops+1)
 	}
 	if selectorRuns != 1 || g.Fallbacks != 1 {
 		t.Errorf("dead port: selector ran %d times, Fallbacks = %d, want both still 1", selectorRuns, g.Fallbacks)

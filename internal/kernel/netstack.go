@@ -73,9 +73,6 @@ type NetStack struct {
 	connFree  []*Conn
 	watchFree []*watch
 
-	// SynDrops counts connections refused for lack of a listener or
-	// accept-queue overflow.
-	SynDrops uint64
 	// ConnsEstablished counts successfully queued connections.
 	ConnsEstablished uint64
 
@@ -255,7 +252,6 @@ func (ns *NetStack) deliverSYNResolved(tuple FourTuple, meta any, g *ReuseportGr
 	} else if s != nil {
 		target = s
 	} else {
-		ns.SynDrops++
 		if o := ns.obs; o != nil {
 			o.tr.ConnDropped(ns.eng.Now(), tracing.ViaShared, false)
 		}
@@ -274,8 +270,6 @@ func (ns *NetStack) deliverSYNResolved(tuple FourTuple, meta any, g *ReuseportGr
 		ns.nextSockID++
 		cs.ID = ns.nextSockID
 		cs.Port = tuple.DstPort
-		cs.Drops = 0
-		cs.Accepted = 0
 		for i := cs.pendHead; i < len(cs.pending); i++ {
 			cs.pending[i] = nil
 		}
@@ -298,7 +292,6 @@ func (ns *NetStack) deliverSYNResolved(tuple FourTuple, meta any, g *ReuseportGr
 	c.Meta = meta
 
 	if !target.enqueueConn(c) {
-		ns.SynDrops++
 		if o := ns.obs; o != nil {
 			o.tr.ConnDropped(ns.eng.Now(), via, true)
 		}

@@ -94,11 +94,6 @@ type Socket struct {
 	acceptQ   []*Conn
 	qhead     int
 	acceptCap int
-	// Drops counts connections dropped on accept-queue overflow (SYN flood
-	// / overload behaviour).
-	Drops uint64
-	// Accepted counts connections dequeued by accept().
-	Accepted uint64
 
 	// Connection sockets. pending is head-indexed like acceptQ.
 	conn     *Conn
@@ -192,7 +187,6 @@ func (s *Socket) Accept() (*Conn, bool) {
 		s.acceptQ = s.acceptQ[:0]
 		s.qhead = 0
 	}
-	s.Accepted++
 	c.AcceptedNS = s.ns.eng.Now()
 	return c, true
 }
@@ -236,7 +230,6 @@ func (s *Socket) enqueueConn(c *Conn) bool {
 		return false
 	}
 	if s.QueueLen() >= s.acceptCap {
-		s.Drops++
 		if o := s.ns.obs; o != nil {
 			o.qDropped.At(s.groupIdx).Inc()
 		}

@@ -165,8 +165,8 @@ func TestShedBreaksEdgeTriggeredTrap(t *testing.T) {
 	if !victim.Sock().Closed() {
 		t.Fatal("runaway connection not shed")
 	}
-	if resets != 1 || lb.ConnsReset != 1 {
-		t.Fatalf("resets = %d / %d", resets, lb.ConnsReset)
+	if n := resetConns(lb); resets != 1 || n != 1 {
+		t.Fatalf("resets = %d / %d", resets, n)
 	}
 	// The worker is free again: short requests complete promptly.
 	before := lb.Completed

@@ -32,6 +32,19 @@ func sendReq(lb *LB, conn *kernel.Conn, cost time.Duration, closeAfter bool) {
 	})
 }
 
+// resetConns sums Worker.ResetConns over the LB's cores: the connections
+// reset by pool exhaustion or shedding.
+func resetConns(lb *LB) uint64 {
+	var n uint64
+	for _, w := range lb.Workers {
+		n += w.ResetConns
+	}
+	if d := lb.Dispatcher; d != nil {
+		n += d.ResetConns
+	}
+	return n
+}
+
 // modesUnderTest is the whole Mode enum, walked as hermesctl's cellMode
 // walks it, so a mode added to the enum is under test from its first build.
 func modesUnderTest() []Mode {
@@ -295,8 +308,8 @@ func TestMaxConnsPerWorkerResets(t *testing.T) {
 			t.Fatalf("worker %d holds %d conns over cap", w.ID, w.OpenConns())
 		}
 	}
-	if lb.ConnsReset == 0 || resets != int(lb.ConnsReset) {
-		t.Fatalf("resets=%d lb.ConnsReset=%d", resets, lb.ConnsReset)
+	if n := resetConns(lb); n == 0 || resets != int(n) {
+		t.Fatalf("resets=%d ResetConns=%d", resets, n)
 	}
 }
 
@@ -322,7 +335,7 @@ func TestSheddingPolicy(t *testing.T) {
 			t.Fatalf("worker %d holds %d conns over shed threshold", w.ID, w.OpenConns())
 		}
 	}
-	if lb.ConnsReset == 0 {
+	if resetConns(lb) == 0 {
 		t.Fatal("no sheds recorded")
 	}
 }

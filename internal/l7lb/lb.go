@@ -44,8 +44,6 @@ type LB struct {
 	Latency stats.Sample
 	// Completed counts finished requests (excluding probes).
 	Completed uint64
-	// ConnsReset counts RSTs from pool exhaustion, shedding, and crashes.
-	ConnsReset uint64
 
 	// OnResponse, if set, fires at each request completion — closed-loop
 	// clients use it to send their next request. The conn ref must be

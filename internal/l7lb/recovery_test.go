@@ -1,9 +1,11 @@
 package l7lb
 
 import (
+	"slices"
 	"testing"
 	"time"
 
+	"hermes/internal/kernel"
 	"hermes/internal/sim"
 )
 
@@ -212,5 +214,101 @@ func TestExecutorHangCrashRestart(t *testing.T) {
 	}
 	if !conn.Sock().Closed() || lb.Dispatcher.OpenConns() != 0 {
 		t.Fatal("Connection: close served by the executor did not close the dispatcher core's connection")
+	}
+}
+
+// A hung executor holds its queue as well as its serve in flight: no queued
+// job starts before the release, so the core's CPU ledger never runs ahead of
+// wall time, and the jobs then run back to back. Extending the hang mid-hold
+// holds them further.
+func TestExecutorHangHoldsQueuedJobs(t *testing.T) {
+	const (
+		ms   = int64(time.Millisecond)
+		hang = 20 * time.Millisecond
+		job  = 2 * time.Millisecond
+	)
+	for _, tc := range []struct {
+		name    string
+		extend  bool  // Hang(hang) again 10 ms in
+		release int64 // after the first Hang
+	}{
+		{"hang", false, 20 * ms},
+		{"extended", true, 30 * ms},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng := sim.NewEngine(1)
+			cfg := DefaultConfig(ModeDispatcher)
+			cfg.Workers = 1
+			lb, err := New(eng, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lb.Start()
+			conn := openConn(t, lb, 7, 8080)
+			eng.RunUntil(ms)
+			var done []int64
+			lb.OnResponse = func(kernel.ConnRef, Work) { done = append(done, eng.Now()) }
+			ex := lb.Workers[0]
+
+			t0 := eng.Now()
+			busy0 := ex.BusyNS(t0)
+			ex.Hang(hang)
+			sendReq(lb, conn, job, false)
+			sendReq(lb, conn, job, false)
+			eng.RunUntil(t0 + 10*ms)
+			if b := ex.BusyNS(eng.Now()) - busy0; b > 10*ms {
+				t.Errorf("executor busy %v over the first 10ms of its hang", time.Duration(b))
+			}
+			if tc.extend {
+				ex.Hang(hang)
+			}
+			eng.RunUntil(t0 + tc.release + 3*int64(job))
+			want := []int64{t0 + tc.release + int64(job), t0 + tc.release + 2*int64(job)}
+			if !slices.Equal(done, want) {
+				t.Errorf("jobs completed at %v, want %v (hang from %d)", done, want, t0)
+			}
+			if b := ex.BusyNS(eng.Now()) - busy0; b != tc.release+2*int64(job) {
+				t.Fatalf("executor busy %v after both jobs, want the hang plus both jobs, %v",
+					time.Duration(b), time.Duration(tc.release+2*int64(job)))
+			}
+		})
+	}
+}
+
+// A step a hang catches re-arms the worker's one continuation timer rather
+// than scheduling a closure, so a hang allocates nothing. Each run hangs a
+// warmed Hermes worker past its epoll timeout, whose wakeup the hang holds
+// until the release, and then runs on past it.
+func TestHeldStepAllocs(t *testing.T) {
+	eng := sim.NewEngine(1)
+	cfg := DefaultConfig(ModeHermes)
+	cfg.Workers = 1
+	lb, err := New(eng, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lb.Start()
+	w := lb.Workers[0]
+	timeout := cfg.Hermes.EpollTimeout
+	hang := 2 * timeout
+	var held int
+	hangOnce := func() {
+		release := eng.Now() + int64(hang)
+		w.Hang(hang)
+		eng.RunUntil(release - 1)
+		if w.contTimer.When() == release {
+			held++
+		}
+		eng.RunUntil(release + int64(timeout))
+	}
+	for i := 0; i < 4; i++ {
+		hangOnce()
+	}
+	const runs = 100
+	if allocs := testing.AllocsPerRun(runs, hangOnce); allocs != 0 {
+		t.Errorf("%.2f allocs per hang, want 0", allocs)
+	}
+	if held != 4+runs+1 {
+		t.Fatalf("%d of %d hangs held a step until the release", held, 4+runs+1)
 	}
 }

@@ -14,7 +14,9 @@ import (
 // (Hermes). CPU occupancy is modelled in virtual time: handling an event
 // charges its cost to the worker's core and defers the next step until the
 // cost has elapsed, so an expensive request really does block everything
-// behind it — the mechanism behind worker hangs (§5.2.1).
+// behind it — the mechanism behind worker hangs (§5.2.1). An injected hang is
+// more of the same: CPU work on the core's run bracket that holds the next
+// step back until it releases.
 type Worker struct {
 	// ID is the worker index (== CPU core == reuseport socket index).
 	ID int
@@ -31,16 +33,9 @@ type Worker struct {
 	// dispatcher core queues on it (pushJob), not an epoll loop of its own.
 	executor bool
 
-	// gen is bumped by Crash and Restart so callbacks scheduled against a
-	// previous incarnation of the worker (event completions, hang releases)
-	// become no-ops instead of resurrecting state.
-	gen uint64
 	// hangUntilNS, while in the future, models a busy-spinning hang: the
-	// worker burns CPU without making progress (Appendix C case 1). The
-	// spinStartNS/spinEndNS bracket feeds the spin into BusyNS.
+	// worker burns CPU without making progress (Appendix C case 1).
 	hangUntilNS int64
-	spinStartNS int64
-	spinEndNS   int64
 	// costMult scales every handled event's CPU cost (slow-worker fault).
 	costMult float64
 
@@ -62,20 +57,19 @@ type Worker struct {
 	// Batched dispatch state. The in-flight event burst, its cursor, and
 	// the pending serve completion live on the worker, and the loop's
 	// continuations are the pre-bound fns below — so steady-state dispatch
-	// schedules no closures at all. Exactly one continuation timer is
-	// outstanding at a time (the per-event cost charge or the loop tail);
-	// Crash cancels it so a restarted incarnation can never be driven by a
-	// stale timer, and contGen backstops the gate-deferred paths.
+	// schedules no closures at all. At most one continuation timer is
+	// outstanding: the charge of an event, job or loop tail, or a step held
+	// back by a hang (stalled). Crash cancels it, so a restarted incarnation
+	// can never be driven by its predecessor's timer.
 	batchEvs  []kernel.Event
 	batchIdx  int
-	contGen   uint64
 	contTimer sim.Timer
 	serv      servState
 
-	loopEnterFn  func()
-	onWakeGateFn func()
+	onWakeHeldFn func()
 	afterEventFn func()
 	endLoopFn    func()
+	runNextJobFn func()
 	afterJobFn   func()
 
 	// ConnTableGrows counts conns-slice regrowths after construction; the
@@ -88,12 +82,13 @@ type Worker struct {
 	jobHead      int
 	queuedCostNS int64
 
-	// busyDoneNS is CPU time of finished work; jobStartNS/jobEndNS bracket
-	// the in-flight piece so BusyNS never over-reports a long job that
-	// extends past the observation instant.
+	// busyDoneNS is CPU time of finished work. [runStartNS, runEndNS] is the
+	// core's one run bracket: the CPU time in flight, an event's charge or a
+	// hang's spin or both back to back. BusyNS counts only its elapsed part,
+	// so a long charge or hang never reads ahead of the clock.
 	busyDoneNS int64
-	jobStartNS int64
-	jobEndNS   int64
+	runStartNS int64
+	runEndNS   int64
 	// Completed counts requests finished on this worker.
 	Completed uint64
 	// Accepted counts connections accepted.
@@ -149,12 +144,12 @@ func newWorker(lb *LB, id int, hook *core.WorkerHook) *Worker {
 		conns:    make([]*kernel.Socket, 0, hint),
 	}
 	w.onWakeFn = w.onWake
-	w.loopEnterFn = w.loopEnter
-	w.onWakeGateFn = func() { w.onWake(w.batchEvs) }
+	w.onWakeHeldFn = func() { w.onWake(w.batchEvs) }
 	w.afterEventFn = w.afterEvent
 	w.endLoopFn = w.endLoopCont
 	if lb.Cfg.Mode == ModeDispatcher && id < lb.Cfg.Workers {
 		w.executor = true
+		w.runNextJobFn = w.runNextJob
 		w.afterJobFn = w.afterJob
 	}
 	if lb.Cfg.DetailedStats {
@@ -209,22 +204,10 @@ func (w *Worker) Crash(dropConns bool) {
 		return
 	}
 	w.crashed = true
-	w.gen++
-	now := w.lb.Eng.Now()
-	// Bank the elapsed fraction of in-flight work and spin: the CPU was
-	// really spent even though the completion callback will never run.
-	if w.jobEndNS > w.jobStartNS {
-		end := now
-		if w.jobEndNS < end {
-			end = w.jobEndNS
-		}
-		if end > w.jobStartNS {
-			w.busyDoneNS += end - w.jobStartNS
-		}
-		w.jobStartNS, w.jobEndNS = 0, 0
-	}
-	w.bankSpin(now)
-	w.hangUntilNS = 0
+	// Bank the elapsed part of the run bracket: the CPU was really spent
+	// even though the continuation will never run.
+	w.busyDoneNS = w.BusyNS(w.lb.Eng.Now())
+	w.runStartNS, w.runEndNS, w.hangUntilNS = 0, 0, 0
 	// The dead process takes its loop continuation with it: cancel the one
 	// outstanding timer and drop any parked serve so a restarted incarnation
 	// cannot be driven by — or complete — its predecessor's work.
@@ -254,10 +237,7 @@ func (w *Worker) Restart() {
 		w.resetConn(w.conns[len(w.conns)-1])
 	}
 	w.crashed = false
-	w.gen++
 	w.Restarts++
-	w.hangUntilNS, w.spinStartNS, w.spinEndNS = 0, 0, 0
-	w.jobStartNS, w.jobEndNS = 0, 0
 	w.costMult = 1
 	clear(w.jobs)
 	w.jobs, w.jobHead, w.queuedCostNS = w.jobs[:0], 0, 0
@@ -269,8 +249,11 @@ func (w *Worker) Restart() {
 
 // Hang busy-spins the worker for d: it stops fetching and handling events
 // (its loop-enter timestamp goes stale — the paper's FilterTime signal)
-// while still burning its core, then resumes where it left off. Overlapping
-// hangs extend the spin rather than stacking.
+// while still burning its core, then resumes where it left off. The spin is
+// ordinary CPU work: it extends the in-flight run bracket to the release (the
+// charge in flight finishes first, so the core is never counted twice), or
+// opens [now, release] on an idle core. Overlapping hangs extend the spin
+// rather than stacking.
 func (w *Worker) Hang(d time.Duration) {
 	if w.crashed || d <= 0 {
 		return
@@ -280,40 +263,17 @@ func (w *Worker) Hang(d time.Duration) {
 	if until <= w.hangUntilNS {
 		return
 	}
-	if w.spinEndNS > now {
-		w.spinEndNS = until
-	} else {
-		w.bankSpin(now)
-		start := now
-		if w.jobEndNS > start {
-			// An in-flight event charge finishes first; the spin takes over
-			// from there so BusyNS never double-counts the core.
-			start = w.jobEndNS
-		}
-		w.spinStartNS, w.spinEndNS = start, until
-		if w.spinEndNS < w.spinStartNS {
-			w.spinEndNS = w.spinStartNS
-		}
-	}
 	w.hangUntilNS = until
+	if w.runEndNS > now {
+		w.runEndNS = max(w.runEndNS, until)
+		return
+	}
+	w.endWork() // a finished hang the idle core has not woken from yet
+	w.runStartNS, w.runEndNS = now, until
 }
 
 // Hung reports whether the worker is currently inside an injected hang.
 func (w *Worker) Hung() bool { return w.hangUntilNS > w.lb.Eng.Now() }
-
-// bankSpin folds a finished spin bracket into busyDoneNS.
-func (w *Worker) bankSpin(now int64) {
-	if w.spinEndNS > w.spinStartNS {
-		end := now
-		if w.spinEndNS < end {
-			end = w.spinEndNS
-		}
-		if end > w.spinStartNS {
-			w.busyDoneNS += end - w.spinStartNS
-		}
-	}
-	w.spinStartNS, w.spinEndNS = 0, 0
-}
 
 // SetCostMultiplier scales the CPU cost of every event this worker handles
 // (slow-worker fault; 1 restores normal speed).
@@ -334,25 +294,18 @@ func (w *Worker) scaleCost(d time.Duration) time.Duration {
 	return d
 }
 
-// gate defers fn until the current hang releases. It returns true when the
-// worker is hung (fn will run at hangUntilNS, unless the worker crashes or
-// the hang is extended, in which case fn re-gates).
-func (w *Worker) gate(fn func()) bool {
-	if w.hangUntilNS <= w.lb.Eng.Now() {
-		return false
+// stalled holds back a loop step that a hang caught: while the core is hung
+// it re-arms the one continuation timer for fn at the release and reports
+// true (an extended hang re-arms it again). Otherwise the run bracket has
+// ended — the charge fn waited on, or a hang the core slept through — and
+// stalled banks it and reports false.
+func (w *Worker) stalled(fn func()) bool {
+	if w.hangUntilNS > w.lb.Eng.Now() {
+		w.contTimer = w.lb.Eng.At(w.hangUntilNS, fn)
+		return true
 	}
-	gen := w.gen
-	w.lb.Eng.At(w.hangUntilNS, func() {
-		if w.crashed || w.gen != gen {
-			return
-		}
-		if w.gate(fn) {
-			return // hang was extended; the spin bracket is still live
-		}
-		w.bankSpin(w.lb.Eng.Now())
-		fn()
-	})
-	return true
+	w.endWork()
+	return false
 }
 
 // busy charges completed (instantaneous) CPU work.
@@ -362,47 +315,30 @@ func (w *Worker) busy(d time.Duration) {
 	}
 }
 
-// beginWork marks the start of a deferred piece of work of duration d; the
-// matching endWork (from the completion callback) banks it. Observations in
-// between see only the elapsed fraction.
+// beginWork opens the run bracket on a deferred piece of work of duration
+// d; the continuation's stalled check banks it. Observations in between see
+// only the elapsed fraction.
 func (w *Worker) beginWork(d time.Duration) {
 	if d <= 0 {
 		return
 	}
 	now := w.lb.Eng.Now()
-	w.jobStartNS, w.jobEndNS = now, now+int64(d)
+	w.runStartNS, w.runEndNS = now, now+int64(d)
 }
 
+// endWork banks the whole run bracket.
 func (w *Worker) endWork() {
-	if w.jobEndNS > w.jobStartNS {
-		w.busyDoneNS += w.jobEndNS - w.jobStartNS
-	}
-	w.jobStartNS, w.jobEndNS = 0, 0
+	w.busyDoneNS += w.runEndNS - w.runStartNS
+	w.runStartNS, w.runEndNS = 0, 0
 }
 
 // BusyNS returns accumulated virtual CPU time as of nowNS, including the
-// elapsed parts of any in-flight job and any injected busy-spin.
+// elapsed part of the run bracket.
 func (w *Worker) BusyNS(nowNS int64) int64 {
-	b := w.busyDoneNS
-	if w.jobEndNS > w.jobStartNS {
-		end := nowNS
-		if w.jobEndNS < end {
-			end = w.jobEndNS
-		}
-		if end > w.jobStartNS {
-			b += end - w.jobStartNS
-		}
+	if end := min(nowNS, w.runEndNS); end > w.runStartNS {
+		return w.busyDoneNS + end - w.runStartNS
 	}
-	if w.spinEndNS > w.spinStartNS {
-		end := nowNS
-		if w.spinEndNS < end {
-			end = w.spinEndNS
-		}
-		if end > w.spinStartNS {
-			b += end - w.spinStartNS
-		}
-	}
-	return b
+	return w.busyDoneNS
 }
 
 // Start schedules the first event-loop iteration.
@@ -414,9 +350,6 @@ func (w *Worker) Start() {
 }
 
 func (w *Worker) loopEnter() {
-	if w.crashed || w.gate(w.loopEnterFn) {
-		return
-	}
 	now := w.lb.Eng.Now()
 	h := w.hook
 	if h != nil {
@@ -440,11 +373,12 @@ func (w *Worker) loopEnter() {
 func (w *Worker) onWake(evs []kernel.Event) {
 	// A hung worker has fetched the batch but spins before touching it: the
 	// events (and any queued connections behind them) stall until release.
-	// The batch is parked on the worker so the gate continuation needs no
-	// per-wake closure; the buffer is the epoll's scratch, stable until this
-	// worker's next Wait.
+	// The batch is parked on the worker so the held step needs no per-wake
+	// closure; the buffer is the epoll's scratch, stable until this worker's
+	// next Wait. The crashed check drops a delivery the dead epoll had
+	// already scheduled.
 	w.batchEvs = evs
-	if w.crashed || w.gate(w.onWakeGateFn) {
+	if w.crashed || w.stalled(w.onWakeHeldFn) {
 		return
 	}
 	now := w.lb.Eng.Now()
@@ -477,20 +411,15 @@ func (w *Worker) processBatch() {
 	cost := w.handle(w.batchEvs[w.batchIdx])
 	cost = w.scaleCost(cost)
 	w.beginWork(cost)
-	w.contGen = w.gen
 	w.contTimer = w.lb.Eng.After(cost, w.afterEventFn)
 }
 
 // afterEvent finishes the event at the batch cursor once its CPU charge has
 // elapsed (and any injected hang has released), then continues the batch.
 func (w *Worker) afterEvent() {
-	if w.crashed || w.gen != w.contGen {
+	if w.stalled(w.afterEventFn) {
 		return
 	}
-	if w.gate(w.afterEventFn) {
-		return
-	}
-	w.endWork()
 	if h := w.hook; h != nil {
 		h.EventHandled()
 	}
@@ -505,7 +434,6 @@ func (w *Worker) afterEvent() {
 			// Proactive degradation (Appendix C): RST the runaway
 			// connection instead of staying trapped in its drain.
 			w.ResetConns++
-			w.lb.ConnsReset++
 			w.resetConn(ev.Sock)
 			w.busy(w.lb.Cfg.Costs.Close)
 			w.batchIdx++
@@ -566,7 +494,6 @@ func (w *Worker) handle(ev kernel.Event) time.Duration {
 		if max := w.lb.Cfg.MaxConnsPerWorker; max > 0 && len(w.conns) >= max {
 			// Connection pool exhausted: reset (§5.1.1).
 			w.ResetConns++
-			w.lb.ConnsReset++
 			sock := conn.Sock()
 			ref := conn.Ref()
 			w.lb.NS.CloseSocket(sock)
@@ -638,7 +565,6 @@ func (w *Worker) endLoop() {
 	if p := w.lb.Cfg.Shed; p.Enabled {
 		for len(w.conns) > p.ConnThreshold {
 			w.ResetConns++
-			w.lb.ConnsReset++
 			w.resetConn(w.conns[len(w.conns)-1])
 			tail += w.lb.Cfg.Costs.Close
 		}
@@ -648,18 +574,15 @@ func (w *Worker) endLoop() {
 		tail += w.lb.Cfg.Costs.MutexOp
 	}
 	w.beginWork(tail)
-	w.contGen = w.gen
 	w.contTimer = w.lb.Eng.After(tail, w.endLoopFn)
 }
 
 // endLoopCont is the loop tail's pre-bound continuation: bank the tail cost
 // and re-enter the loop.
 func (w *Worker) endLoopCont() {
-	if w.crashed || w.gen != w.contGen {
-		return
+	if !w.stalled(w.endLoopFn) {
+		w.loopEnter()
 	}
-	w.endWork()
-	w.loopEnter()
 }
 
 func (w *Worker) addConn(s *kernel.Socket) {
@@ -772,7 +695,7 @@ func (w *Worker) releaseMutex() {
 // --- dispatcher-mode executor ---
 
 // pushJob queues a serve the dispatcher core handed over and starts it if
-// the executor is idle.
+// the executor is idle: no serve in flight and no step held by a hang.
 func (w *Worker) pushJob(s servState) {
 	if len(w.jobs) == cap(w.jobs) && w.jobHead > 0 {
 		n := copy(w.jobs, w.jobs[w.jobHead:])
@@ -781,15 +704,16 @@ func (w *Worker) pushJob(s servState) {
 	}
 	w.jobs = append(w.jobs, s)
 	w.queuedCostNS += int64(s.work.Cost)
-	if !w.serv.active {
+	if !w.contTimer.Pending() {
 		w.runNextJob()
 	}
 }
 
 // runNextJob moves the queue head into w.serv and charges its cost on the
-// loop's one continuation timer; afterJob completes it.
+// loop's one continuation timer; afterJob completes it. A hung executor holds
+// its queue until the release.
 func (w *Worker) runNextJob() {
-	if w.crashed || w.jobHead == len(w.jobs) {
+	if w.crashed || w.jobHead == len(w.jobs) || w.stalled(w.runNextJobFn) {
 		return
 	}
 	w.serv = w.jobs[w.jobHead]
@@ -802,18 +726,13 @@ func (w *Worker) runNextJob() {
 	// multiplier applies only to the charge, not the queue accounting.
 	cost := w.scaleCost(w.serv.work.Cost)
 	w.beginWork(cost)
-	w.contGen = w.gen
 	w.contTimer = w.lb.Eng.After(cost, w.afterJobFn)
 }
 
 func (w *Worker) afterJob() {
-	if w.crashed || w.gen != w.contGen {
+	if w.stalled(w.afterJobFn) {
 		return
 	}
-	if w.gate(w.afterJobFn) {
-		return
-	}
-	w.endWork()
 	w.queuedCostNS -= int64(w.serv.work.Cost)
 	w.finishServe()
 	w.runNextJob()

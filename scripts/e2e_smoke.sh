@@ -138,7 +138,7 @@ done
 ctl_has 'status: *degraded' status || { ctl status; fail "status not degraded with a dead backend"; }
 # Each breaker is inside its backend's /backends row; `circuits` renders them.
 ctl_has "$B2" circuits || { ctl circuits; fail "circuits view missing $B2" ; }
-ctl -json backends | grep -q '"circuit"' || fail "/backends rows carry no circuit"
+ctl_has '"circuit"' -json backends || fail "/backends rows carry no circuit"
 echo "e2e: phase 2 ok (backend death covered by retries, evicted by prober)"
 
 # Phase 3: resurrect backend 2 on the same address; the prober must readmit
