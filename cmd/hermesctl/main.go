@@ -277,8 +277,8 @@ func render(cmd, admin string, body []byte, out io.Writer) error {
 		if err := json.Unmarshal(body, &bs); err != nil {
 			return err
 		}
-		fmt.Fprintf(out, "%-4s %-22s %-7s %-9s %-7s %-9s %-7s %s\n",
-			"IDX", "ADDRESS", "WEIGHT", "HEALTHY", "ACTIVE", "REQUESTS", "ERRORS", "CIRCUIT")
+		fmt.Fprintf(out, "%-4s %-22s %-7s %-9s %-7s %-9s %-7s %-7s %s\n",
+			"IDX", "ADDRESS", "WEIGHT", "HEALTHY", "ACTIVE", "REQUESTS", "ERRORS", "DIALS", "CIRCUIT")
 		for _, b := range bs {
 			healthy := "yes"
 			if !b.Healthy {
@@ -288,8 +288,8 @@ func render(cmd, admin string, body []byte, out io.Writer) error {
 			if b.Circuit != nil {
 				circuit = b.Circuit.State
 			}
-			fmt.Fprintf(out, "%-4d %-22s %-7d %-9s %-7d %-9d %-7d %s\n",
-				b.Index, b.Address, b.Weight, healthy, b.Active, b.Requests, b.Errors, circuit)
+			fmt.Fprintf(out, "%-4d %-22s %-7d %-9s %-7d %-9d %-7d %-7d %s\n",
+				b.Index, b.Address, b.Weight, healthy, b.Active, b.Requests, b.Errors, b.Dials, circuit)
 		}
 	case "stats":
 		var snap telemetry.Snapshot

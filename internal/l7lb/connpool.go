@@ -8,7 +8,10 @@ package l7lb
 //
 // With PerWorker pools, spreading requests across all workers (what Hermes
 // does) fragments the idle set: worker A cannot reuse a connection worker B
-// opened, so handshakes multiply. The production fix is the shared pool.
+// opened, so handshakes multiply. The production fix is the shared pool, and
+// it is the shape the real proxy implements: internal/proxy keeps one
+// bounded idle list per backend that every worker takes from and returns to
+// (proxy.backend.dials counts the handshakes it still pays).
 type UpstreamPool struct {
 	// PerWorker isolates idle connections by worker (the original design);
 	// false = one shared pool (the §7 fix).

@@ -36,6 +36,9 @@ type BackendView struct {
 	Active   int64  `json:"active"`
 	Requests uint64 `json:"requests"`
 	Errors   uint64 `json:"errors"`
+	// Dials is upstream connections opened; Requests − Dials were served on
+	// reused ones.
+	Dials uint64 `json:"dials"`
 
 	LastProbeUnixNS  int64 `json:"last_probe_unix_ns,omitempty"`
 	LastProbeOK      bool  `json:"last_probe_ok"`
@@ -84,6 +87,7 @@ func (p *Proxy) backendViews() []BackendView {
 			Active:   b.active.Load(),
 			Requests: b.requests.Load(),
 			Errors:   b.errors.Load(),
+			Dials:    b.dials.Load(),
 
 			LastProbeUnixNS:  b.lastProbeNS.Load(),
 			LastProbeOK:      b.lastProbeOK.Load(),

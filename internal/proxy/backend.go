@@ -1,8 +1,10 @@
 package proxy
 
 import (
+	"net"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"hermes/internal/telemetry"
 )
@@ -30,6 +32,17 @@ type Backend struct {
 	active   *telemetry.Gauge
 	requests *telemetry.Counter
 	errors   *telemetry.Counter
+	// dials counts upstream connections opened to the backend: its slot of
+	// proxy.backend.dials. A request on a pooled connection opens none.
+	dials *telemetry.Counter
+
+	// idle is the backend's one list of upstream connections waiting for a
+	// request, shared by every worker. gen moves whenever the backend's
+	// connections stop being trusted (the prober marks it down, its breaker
+	// opens, the proxy shuts down): a connection stamped with an older one
+	// is closed, never used again.
+	idle chan upstream
+	gen  atomic.Uint64
 
 	// Active-probe streaks (health checker goroutine only).
 	probeOKs   int
@@ -40,6 +53,76 @@ type Backend struct {
 	lastChangeNS  atomic.Int64 // wall time of the last health transition
 	circuit       *Circuit     // nil when circuit breaking is disabled
 	smoothCurrent int          // smooth-weighted-RR state (pool.mu)
+}
+
+// idleMax bounds each backend's idle list, sized like bufPool's free list:
+// what an idle backend retains stays bounded whatever traffic did, and beyond
+// 32 requests in flight to one backend at once the extra connections are
+// closed, not kept, when done.
+const idleMax = 32
+
+// upstream is one connection to a backend, stamped with the backend's
+// generation when it was opened; fd is its socket, for idleOpen.
+type upstream struct {
+	nc  net.Conn
+	fd  int
+	gen uint64
+}
+
+// take returns an idle connection to b when a current one is waiting that the
+// backend has neither closed nor written on (idleOpen, peeking into scratch);
+// any other met on the way is closed. Otherwise it returns false and the
+// stamp a new dial must carry.
+func (b *Backend) take(scratch []byte) (upstream, bool) {
+	for {
+		select {
+		case u := <-b.idle:
+			if u.gen == b.gen.Load() && idleOpen(u.fd, scratch) {
+				return u, true
+			}
+			u.nc.Close()
+		default:
+			return upstream{gen: b.gen.Load()}, false
+		}
+	}
+}
+
+// release ends u's exchange: kept, it waits on b's idle list for the next
+// request; otherwise, or when it is stale or the list is full, it is closed.
+func (b *Backend) release(u upstream, keep bool) {
+	if keep && u.gen == b.gen.Load() {
+		_ = u.nc.SetDeadline(time.Time{})
+		select {
+		case b.idle <- u:
+			if u.gen != b.gen.Load() {
+				// A flush ran between the check and the push and found the
+				// list empty: drain it again, so u is not kept.
+				b.drain()
+			}
+			return
+		default:
+		}
+	}
+	u.nc.Close()
+}
+
+// flush retires every connection to b: the generation moves, so one out on
+// a request is closed when it comes back, and the idle ones are closed now.
+func (b *Backend) flush() {
+	b.gen.Add(1)
+	b.drain()
+}
+
+// drain closes every connection on b's idle list.
+func (b *Backend) drain() {
+	for {
+		select {
+		case u := <-b.idle:
+			u.nc.Close()
+		default:
+			return
+		}
+	}
 }
 
 // Healthy reports the prober's out-of-band verdict. What proxied requests
@@ -90,6 +173,8 @@ func newPool(cfg Config, now func() int64, tel *Instruments) *Pool {
 			active:   tel.BackendActive.At(i),
 			requests: tel.BackendRequests.At(i),
 			errors:   tel.BackendErrors.At(i),
+			dials:    tel.BackendDials.At(i),
+			idle:     make(chan upstream, idleMax),
 		}
 		// Backends start healthy: the first probe round or an opened circuit
 		// takes them out, so a cold start never black-holes traffic.
@@ -100,6 +185,9 @@ func newPool(cfg Config, now func() int64, tel *Instruments) *Pool {
 				CircuitClosed: tel.CircuitCloses, CircuitOpen: tel.CircuitOpens, CircuitHalfOpen: tel.CircuitHalfOpens,
 			}
 			b.circuit.onTransition = func(to CircuitState) {
+				if to == CircuitOpen {
+					b.flush()
+				}
 				tel.ptr.BackendState(i, now(), stateCircuit+int64(to))
 			}
 		}
@@ -246,7 +334,16 @@ func (p *Pool) Observe(b *Backend, epoch uint64, ok bool) {
 	}
 }
 
-// setHealthy flips b's health verdict, counted and traced once per flip.
+// flush retires every backend's connections (Shutdown, once every exchange
+// has ended).
+func (p *Pool) flush() {
+	for _, b := range p.backends {
+		b.flush()
+	}
+}
+
+// setHealthy flips b's health verdict, counted and traced once per flip; a
+// backend marked down has its connections retired.
 func (p *Pool) setHealthy(b *Backend, healthy bool) {
 	state := stateUnhealthy
 	if healthy {
@@ -254,6 +351,9 @@ func (p *Pool) setHealthy(b *Backend, healthy bool) {
 	}
 	if b.healthy.Swap(state) == state {
 		return
+	}
+	if !healthy {
+		b.flush()
 	}
 	p.tel.HealthTransitions.Inc()
 	now := p.now()

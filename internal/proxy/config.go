@@ -114,7 +114,8 @@ type Config struct {
 
 	// DialTimeout bounds one upstream dial.
 	DialTimeout time.Duration
-	// ResponseTimeout bounds one upstream response read.
+	// ResponseTimeout bounds one upstream exchange: writing the request and
+	// reading the reply.
 	ResponseTimeout time.Duration
 	// ClientIdleTimeout bounds waiting for the next request on a keep-alive
 	// client connection.

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"io"
 	"net"
+	"os"
 	"sync/atomic"
 	"time"
 
@@ -264,15 +265,22 @@ func isIdempotent(method []byte) bool {
 func (c *conn) forward(reqLen int) (keep bool) {
 	w, p := c.w, c.w.p
 	keep = c.req.Persistent() && !p.draining.Load()
+	idempotent := isIdempotent(c.req.Method)
 	attempts := 1
-	if isIdempotent(c.req.Method) {
+	if idempotent {
 		attempts += p.cfg.Buffer.Retries
 	}
 
 	// The upstream request: the head rewritten once for every attempt, the
-	// body as it already sits in the connection buffer.
+	// body as it already sits in the connection buffer. An HTTP/1.1 request
+	// leaves the upstream connection open for the next one; an HTTP/1.0
+	// request keeps its own framing rules and asks for it closed.
 	c.head = append(append(c.head[:0], c.req.Line...), "\r\n"...)
 	c.head = append(c.req.AppendEndToEnd(c.head), w.fwdTail...)
+	if string(c.req.Proto) != "HTTP/1.1" {
+		c.head = append(c.head, "Connection: close\r\n"...)
+	}
+	c.head = append(c.head, "\r\n"...)
 	body := c.buf[c.headLen:reqLen]
 
 	rbuf := p.bufs.get()
@@ -296,13 +304,14 @@ func (c *conn) forward(reqLen int) (keep bool) {
 			w.hook.EventsFetched(1) // retry pressure → WST busy → Algorithm 1
 		}
 		b.active.Add(1)
-		up, n, respLen, err := c.roundTrip(b, body, rbuf)
+		up, n, respLen, err := c.roundTrip(b, body, rbuf, idempotent)
 		// With a reply head in hand bytes start reaching the client, so from
 		// here on nothing can be replayed.
 		committed := err == nil
 		if committed {
-			keep, err = c.relay(up, rbuf, n, respLen, keep)
-			up.Close()
+			var reuse bool
+			keep, reuse, err = c.relay(up.nc, rbuf, n, respLen, keep)
+			b.release(up, reuse && !p.draining.Load())
 		}
 		b.active.Add(-1)
 		if attempt > 0 {
@@ -330,60 +339,89 @@ func (c *conn) forward(reqLen int) (keep bool) {
 
 var errUpstreamProto = errors.New("proxy: upstream reply not relayable")
 
-// roundTrip opens the upstream exchange against b — dial, send the request,
-// read until a final reply head is scanned into c.resp — and returns the
-// open connection with rbuf[:n] holding the head (respLen bytes) and
-// whatever of the body came with it. Nothing has reached the client yet, so
-// any error here leaves the request replayable.
-func (c *conn) roundTrip(b *Backend, body, rbuf []byte) (up net.Conn, n, respLen int, err error) {
+// roundTrip opens the upstream exchange against b — on an idle connection of
+// b's when one is waiting, else on a new dial — sends the request and reads
+// until a final reply head is scanned into c.resp. It returns the connection
+// with rbuf[:n] holding the head (respLen bytes) and whatever of the body came
+// with it. Nothing has reached the client yet, so any error here leaves the
+// request replayable, and the connection is closed.
+//
+// take skips an idle connection the backend has closed or written on, but
+// the backend may still close one just as the request goes out. One that then
+// fails before any reply byte, other than by timing out, sends the request
+// once more on a new dial to the same backend when the request is idempotent
+// or not one byte of it was written (net/http's rule: the backend cannot have
+// acted on it). That redial is part of this attempt, not a retry: only the new
+// connection's outcome is reported.
+func (c *conn) roundTrip(b *Backend, body, rbuf []byte, idempotent bool) (up upstream, n, respLen int, err error) {
 	p := c.w.p
-	if up, err = p.dialer.Dial("tcp", b.addr); err != nil {
-		return nil, 0, 0, err
-	}
-	if len(body) == 0 {
-		_, err = up.Write(c.head)
-	} else {
-		c.vec = append(c.vecArr[:0], c.head, body)
-		_, err = c.vec.WriteTo(up)
-	}
-	_ = up.SetReadDeadline(time.Now().Add(p.cfg.ResponseTimeout))
-	for err == nil {
-		switch respLen, err = c.resp.ScanResponse(rbuf[:n]); {
-		case err == httpx.ErrIncomplete:
-			// rbuf outsizes the largest head the scanner accepts, so while
-			// the head is incomplete there is room to read into.
-			var m int
-			if m, err = up.Read(rbuf[n:]); m > 0 {
-				n, err = n+m, nil
-			} else if err == io.EOF {
-				err = io.ErrUnexpectedEOF
+	up, pooled := b.take(rbuf)
+	for {
+		if !pooled {
+			if up.nc, err = p.dialer.Dial("tcp", b.addr); err != nil {
+				return up, 0, 0, err
 			}
-		case err != nil:
-		case c.resp.Status == 101, c.resp.Chunked && string(c.req.Proto) == "HTTP/1.0":
-			err = errUpstreamProto
-		case c.resp.Status/100 == 1:
-			// An interim reply (100 Continue, 103 Early Hints): drop it and
-			// look for the final one behind it.
-			n = copy(rbuf, rbuf[respLen:n])
-		default:
-			return up, n, respLen, nil
+			up.fd = socketFD(up.nc)
+			b.dials.Inc()
 		}
+		// One deadline bounds the whole exchange, the write included: a
+		// backend that stops reading cannot hold the request past it.
+		_ = up.nc.SetDeadline(time.Now().Add(p.cfg.ResponseTimeout))
+		var written int64
+		if len(body) == 0 {
+			var m int
+			m, err = up.nc.Write(c.head)
+			written = int64(m)
+		} else {
+			c.vec = append(c.vecArr[:0], c.head, body)
+			written, err = c.vec.WriteTo(up.nc)
+		}
+		read := false
+		for err == nil {
+			switch respLen, err = c.resp.ScanResponse(rbuf[:n]); {
+			case err == httpx.ErrIncomplete:
+				// rbuf outsizes the largest head the scanner accepts, so while
+				// the head is incomplete there is room to read into.
+				var m int
+				if m, err = up.nc.Read(rbuf[n:]); m > 0 {
+					n, err, read = n+m, nil, true
+				} else if err == io.EOF {
+					err = io.ErrUnexpectedEOF
+				}
+			case err != nil:
+			case c.resp.Status == 101, c.resp.Chunked && string(c.req.Proto) == "HTTP/1.0":
+				err = errUpstreamProto
+			case c.resp.Status/100 == 1:
+				// An interim reply (100 Continue, 103 Early Hints): drop it and
+				// look for the final one behind it.
+				n = copy(rbuf, rbuf[respLen:n])
+			default:
+				return up, n, respLen, nil
+			}
+		}
+		up.nc.Close()
+		if !pooled || read || (written > 0 && !idempotent) || errors.Is(err, os.ErrDeadlineExceeded) {
+			return up, 0, 0, err
+		}
+		up, pooled = upstream{gen: b.gen.Load()}, false
 	}
-	up.Close()
-	return nil, 0, 0, err
 }
 
 // relay sends the reply to the client as it arrives: the head rewritten once
 // (hop-by-hop fields dropped, persistence answered from the client's own
 // request), then the body through rbuf, framed by Content-Length, chunked or
 // close as the upstream framed it. It reports whether the client connection
-// is still good for another request, and the upstream's error if the reply
-// was cut short.
-func (c *conn) relay(up net.Conn, rbuf []byte, n, respLen int, keep bool) (bool, error) {
+// is still good for another request, whether the upstream one is, and the
+// upstream's error if the reply was cut short. The upstream connection is
+// good only when both ends meant to keep it (an HTTP/1.1 request, a
+// persistent reply) and the reply ended where its framing says, with no byte
+// past it.
+func (c *conn) relay(up net.Conn, rbuf []byte, n, respLen int, keep bool) (bool, bool, error) {
 	framing := c.resp.ReplyFraming(string(c.req.Method) == "HEAD")
 	if framing == httpx.FrameClose {
 		keep = false // only our close can end this body for the client
 	}
+	reusable := framing != httpx.FrameClose && c.resp.Persistent() && string(c.req.Proto) == "HTTP/1.1"
 	c.head = append(append(c.head[:0], c.resp.Line...), "\r\n"...)
 	c.head = c.resp.AppendEndToEnd(c.head)
 	if framing == httpx.FrameChunked {
@@ -401,14 +439,14 @@ func (c *conn) relay(up net.Conn, rbuf []byte, n, respLen int, keep bool) (bool,
 		chunks httpx.Chunked
 		remain = c.resp.ContentLength // FrameLength: body bytes still to come
 		part   = rbuf[respLen:n]      // body bytes in hand
-		done   = framing == httpx.FrameNone
+		done   bool
 		upErr  error
 	)
-	if done {
-		part = nil
-	}
 	for first := true; ; first = false {
+		got := len(part)
 		switch framing {
+		case httpx.FrameNone:
+			part, done = part[:0], true
 		case httpx.FrameLength:
 			part = part[:min(len(part), remain)]
 			remain -= len(part)
@@ -429,20 +467,21 @@ func (c *conn) relay(up net.Conn, rbuf []byte, n, respLen int, keep bool) (bool,
 			_, err = c.nc.Write(part)
 		}
 		if err != nil {
-			return false, nil // the client went away; not the backend's fault
+			return false, false, nil // the client went away; not the backend's fault
 		}
 		if done || upErr != nil {
-			return keep && upErr == nil, upErr
+			ok := upErr == nil
+			return keep && ok, reusable && ok && len(part) == got, upErr
 		}
 		m, err := up.Read(rbuf)
 		if part = rbuf[:m]; m == 0 && err != nil {
 			if err == io.EOF && framing == httpx.FrameClose {
-				return false, nil
+				return false, false, nil
 			}
 			if err == io.EOF {
 				err = io.ErrUnexpectedEOF
 			}
-			return false, err
+			return false, false, err
 		}
 	}
 }

@@ -18,10 +18,12 @@ type Instruments struct {
 	UpstreamErrors *telemetry.Counter
 
 	// BackendRequests / BackendErrors / BackendActive are per-backend
-	// request, error, and in-flight counts.
+	// request, error, and in-flight counts; BackendDials counts the upstream
+	// connections opened per backend (requests − dials is the reuse count).
 	BackendRequests *telemetry.CounterVec
 	BackendErrors   *telemetry.CounterVec
 	BackendActive   *telemetry.GaugeVec
+	BackendDials    *telemetry.CounterVec
 	// BackendHealthy is 1 while the backend is healthy.
 	BackendHealthy *telemetry.GaugeVec
 
@@ -78,6 +80,7 @@ func newInstruments(reg *telemetry.Registry, tr *tracing.Tracer, workers, backen
 		BackendRequests: reg.CounterVec(m("proxy.backend.requests", "reqs"), backends),
 		BackendErrors:   reg.CounterVec(m("proxy.backend.errors", "errors"), backends),
 		BackendActive:   reg.GaugeVec(m("proxy.backend.active", "reqs"), backends),
+		BackendDials:    reg.CounterVec(m("proxy.backend.dials", "conns"), backends),
 		BackendHealthy:  reg.GaugeVec(m("proxy.backend.healthy", "bool"), backends),
 
 		HealthProbes:        reg.Counter(m("proxy.health.probes", "probes")),

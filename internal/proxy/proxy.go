@@ -88,7 +88,7 @@ type worker struct {
 	hook    *core.WorkerHook
 	syncMu  sync.Mutex // hook.ScheduleAndSync keeps per-hook scratch
 	tr      *tracing.WorkerTrace
-	fwdTail []byte // what this worker appends to every upstream request head
+	fwdTail []byte // the field this worker adds to every upstream request head
 	// handled counts requests this worker proxied: its slot of
 	// proxy.worker.requests_served.
 	handled *telemetry.Counter
@@ -126,9 +126,11 @@ func New(cfg Config, opts ...Option) (*Proxy, error) {
 	ctl.Observe(reg, nil, nil)
 
 	// No TCP keep-alive probes on either side: the proxy bounds both
-	// lifetimes itself — an idle client is closed after ClientIdleTimeout, an
-	// upstream connection carries one request — so the four setsockopts Go
-	// spends arming probes on every accepted and dialled socket buy nothing.
+	// lifetimes itself — an idle client is closed after ClientIdleTimeout; an
+	// idle upstream connection waits on its backend's bounded idle list, which
+	// the prober, the breaker and Shutdown flush, and one the backend dropped
+	// is found out by the peek before the next request (idleOpen) — so the four
+	// setsockopts Go spends arming probes on every socket buy nothing.
 	ln, err := (&net.ListenConfig{KeepAlive: -1}).Listen(context.Background(), "tcp", cfg.Listen)
 	if err != nil {
 		return nil, err
@@ -173,7 +175,7 @@ func New(cfg Config, opts ...Option) (*Proxy, error) {
 		w := &worker{
 			id: i, p: p, hook: ctl.NewWorkerHook(i),
 			tr:      o.tracer.WorkerTrace(i),
-			fwdTail: []byte("X-Forwarded-By: hermes-lb/w" + strconv.Itoa(i) + "\r\nConnection: close\r\n\r\n"),
+			fwdTail: []byte("X-Forwarded-By: hermes-lb/w" + strconv.Itoa(i) + "\r\n"),
 			handled: p.tel.RequestsServed.At(i),
 		}
 		w.hook.LoopEnter(time.Now().UnixNano())
@@ -356,6 +358,9 @@ func (p *Proxy) shutdown(timeout time.Duration) error {
 		close(expired)
 		timer = expired
 	}
+	// Both returns below come after every exchange has ended, and none kept
+	// its connection once the drain began: close what the idle lists hold.
+	defer p.pool.flush()
 	select {
 	case <-done:
 		return nil

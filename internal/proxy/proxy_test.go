@@ -6,6 +6,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -17,19 +18,22 @@ import (
 
 // stubUpstream is a controllable real-TCP backend for proxy tests.
 type stubUpstream struct {
-	t    *testing.T
-	addr string
-	ln   net.Listener
-	mu   sync.Mutex
+	t     *testing.T
+	addr  string
+	mu    sync.Mutex
+	ln    net.Listener
+	conns map[net.Conn]struct{} // accepted and still open
 
-	hits  atomic.Uint64
-	delay atomic.Int64 // per-request response delay
-	hang  atomic.Bool  // accept + read, never respond
+	accepts atomic.Uint64 // connections accepted
+	closes  atomic.Uint64 // accepted connections since ended
+	hits    atomic.Uint64
+	delay   atomic.Int64 // per-request response delay
+	hang    atomic.Bool  // accept + read, never respond
 }
 
 func newStubUpstream(t *testing.T) *stubUpstream {
 	t.Helper()
-	s := &stubUpstream{t: t}
+	s := &stubUpstream{t: t, conns: map[net.Conn]struct{}{}}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -50,13 +54,24 @@ func (s *stubUpstream) serveOn(ln net.Listener) {
 			if err != nil {
 				return
 			}
-			go s.handle(c)
+			s.mu.Lock()
+			s.conns[c] = struct{}{}
+			s.mu.Unlock()
+			go s.handle(c, s.accepts.Add(1))
 		}
 	}()
 }
 
-func (s *stubUpstream) handle(c net.Conn) {
-	defer c.Close()
+// handle serves the id-th accepted connection; every reply names it in an
+// X-Conn field.
+func (s *stubUpstream) handle(c net.Conn, id uint64) {
+	defer func() {
+		c.Close()
+		s.mu.Lock()
+		delete(s.conns, c)
+		s.mu.Unlock()
+		s.closes.Add(1)
+	}()
 	buf := make([]byte, 256<<10)
 	pending := 0
 	for {
@@ -83,7 +98,8 @@ func (s *stubUpstream) handle(c net.Conn) {
 		if d := s.delay.Load(); d > 0 {
 			time.Sleep(time.Duration(d))
 		}
-		resp := httpx.Response{Status: 200, Body: []byte("ok from " + s.addr)}
+		resp := httpx.Response{Status: 200, Body: []byte("ok from " + s.addr),
+			Headers: []httpx.Header{{Name: "X-Conn", Value: strconv.FormatUint(id, 10)}}}
 		if _, err := c.Write(resp.Append(nil)); err != nil {
 			return
 		}
@@ -93,13 +109,17 @@ func (s *stubUpstream) handle(c net.Conn) {
 	}
 }
 
-// kill closes the listener: new dials are refused until restart.
+// kill stops the stub as a dead process would: the listener and every
+// accepted connection close, and new dials are refused until restart.
 func (s *stubUpstream) kill() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.ln != nil {
 		s.ln.Close()
 		s.ln = nil
+	}
+	for c := range s.conns {
+		c.Close()
 	}
 }
 

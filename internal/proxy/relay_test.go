@@ -183,48 +183,54 @@ func TestRelayReplyFramings(t *testing.T) {
 	}
 }
 
-// What goes upstream: the client's end-to-end fields, one Connection: close
-// of our own, X-Forwarded-By, and none of the client's hop-by-hop fields.
+// What goes upstream: the client's end-to-end fields, X-Forwarded-By, and
+// none of the client's hop-by-hop fields. An HTTP/1.1 request carries no
+// Connection field, so the upstream connection stays open for the next
+// request; an HTTP/1.0 one carries exactly one Connection: close of our own.
 func TestRequestHopByHopStripped(t *testing.T) {
-	up := newScriptedUpstream(t, func(c net.Conn, req *httpx.Request) {
-		_, _ = io.WriteString(c, "HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok")
-	})
-	cfg := testConfig()
-	cfg.Backends = []BackendConfig{{Address: up.addr, Weight: 1}}
-	p := startProxy(t, cfg)
-	k := dialKeepAlive(t, p.Addr())
-	hdrs := "Connection: keep-alive, X-Session-Hop\r\nKeep-Alive: timeout=9\r\nX-Session-Hop: s\r\nX-Bench-Id: 42\r\n" +
-		"Content-Length: 4\r\n"
-	_ = k.c.SetDeadline(time.Now().Add(5 * time.Second))
-	if _, err := fmt.Fprintf(k.c, "POST /p HTTP/1.1\r\nHost: test\r\n%s\r\nbody", hdrs); err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.ReadResponse(k.br, nil)
-	if err != nil || resp.StatusCode != 200 {
-		t.Fatalf("reply: %v %v", resp, err)
-	}
-	reqs := up.requests()
-	if len(reqs) != 1 {
-		t.Fatalf("upstream saw %d requests", len(reqs))
-	}
-	req := reqs[0]
-	var conns []string
-	for _, h := range req.Headers {
-		switch strings.ToLower(h.Name) {
-		case "connection":
-			conns = append(conns, h.Value)
-		case "keep-alive", "x-session-hop":
-			t.Errorf("hop-by-hop field %q forwarded", h.Name)
-		}
-	}
-	if len(conns) != 1 || conns[0] != "close" {
-		t.Errorf("upstream Connection fields = %q, want exactly [close]", conns)
-	}
-	if v, _ := req.Get("X-Forwarded-By"); !strings.HasPrefix(v, "hermes-lb/w") {
-		t.Errorf("X-Forwarded-By = %q", v)
-	}
-	if v, _ := req.Get("X-Bench-Id"); v != "42" || string(req.Body) != "body" || req.Target != "/p" {
-		t.Errorf("end-to-end content changed: %+v body %q", req, req.Body)
+	for proto, wantConn := range map[string][]string{"HTTP/1.1": nil, "HTTP/1.0": {"close"}} {
+		t.Run(proto, func(t *testing.T) {
+			up := newScriptedUpstream(t, func(c net.Conn, req *httpx.Request) {
+				_, _ = io.WriteString(c, "HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok")
+			})
+			cfg := testConfig()
+			cfg.Backends = []BackendConfig{{Address: up.addr, Weight: 1}}
+			p := startProxy(t, cfg)
+			k := dialKeepAlive(t, p.Addr())
+			hdrs := "Connection: keep-alive, X-Session-Hop\r\nKeep-Alive: timeout=9\r\nX-Session-Hop: s\r\nX-Bench-Id: 42\r\n" +
+				"Content-Length: 4\r\n"
+			_ = k.c.SetDeadline(time.Now().Add(5 * time.Second))
+			if _, err := fmt.Fprintf(k.c, "POST /p %s\r\nHost: test\r\n%s\r\nbody", proto, hdrs); err != nil {
+				t.Fatal(err)
+			}
+			resp, err := http.ReadResponse(k.br, nil)
+			if err != nil || resp.StatusCode != 200 {
+				t.Fatalf("reply: %v %v", resp, err)
+			}
+			reqs := up.requests()
+			if len(reqs) != 1 {
+				t.Fatalf("upstream saw %d requests", len(reqs))
+			}
+			req := reqs[0]
+			var conns []string
+			for _, h := range req.Headers {
+				switch strings.ToLower(h.Name) {
+				case "connection":
+					conns = append(conns, h.Value)
+				case "keep-alive", "x-session-hop":
+					t.Errorf("hop-by-hop field %q forwarded", h.Name)
+				}
+			}
+			if fmt.Sprint(conns) != fmt.Sprint(wantConn) {
+				t.Errorf("upstream Connection fields = %q, want exactly %q", conns, wantConn)
+			}
+			if v, _ := req.Get("X-Forwarded-By"); !strings.HasPrefix(v, "hermes-lb/w") {
+				t.Errorf("X-Forwarded-By = %q", v)
+			}
+			if v, _ := req.Get("X-Bench-Id"); v != "42" || string(req.Body) != "body" || req.Target != "/p" || req.Proto != proto {
+				t.Errorf("end-to-end content changed: %+v body %q", req, req.Body)
+			}
+		})
 	}
 }
 
