@@ -74,7 +74,7 @@ func stubAdmin(t *testing.T) string {
 	rows.reg.Counter(telemetry.Metric{Name: "core.schedule.recomputes", Layer: "core", Unit: "passes"}).Add(500)
 	rows.reg.Gauge(telemetry.Metric{Name: "slo.state", Layer: "slo"}).Set(1)
 	mux.HandleFunc("/stats", rows.serveStats)
-	serve("/status", 200, `{"stats":{"ScheduleCalls":500,"Syncs":480,"Batched":20,"AvgAlive":4,"AvgPassed":3.5,"EmptySets":0},
+	serve("/status", 200, `{"stats":{"ScheduleCalls":500,"Syncs":480,"Batched":20,"AvgPassed":3.5,"EmptySets":0},
   "selection":["`+strings.Repeat("0", 60)+`1011"],"available_mask":["`+strings.Repeat("0", 60)+`1111"],
   "workers":[{"worker":0},{"worker":1},{"worker":2},{"worker":3}]}`)
 	srv := httptest.NewServer(mux)

@@ -46,10 +46,16 @@ func main() {
 		if err := gc.AttachEBPF(rg); err != nil {
 			panic(err)
 		}
+		// Stamp every worker before any sync: a group's first sync serves
+		// the rest of its quantum, so a worker stamped after it would stay
+		// out of the published bitmap.
 		now := int64(time.Second)
-		for w := 0; w < workers; w++ {
-			h := gc.NewWorkerHook(w)
-			h.LoopEnter(now)
+		hooks := make([]*core.WorkerHook, workers)
+		for w := range hooks {
+			hooks[w] = gc.NewWorkerHook(w)
+			hooks[w].LoopEnter(now)
+		}
+		for _, h := range hooks {
 			h.ScheduleAndSync(now)
 		}
 

@@ -9,18 +9,12 @@ import (
 	"hermes/internal/sim"
 )
 
-func batchedConfig(q time.Duration) Config {
-	cfg := DefaultConfig()
-	cfg.SyncQuantum = q
-	return cfg
-}
-
 // Within one quantum only the first schedule_and_sync recomputes and syncs;
 // the rest coalesce onto its result. Past the quantum boundary the next call
 // recomputes.
 func TestSyncBatchingCoalescesWithinQuantum(t *testing.T) {
 	const workers = 4
-	c, err := NewController(workers, batchedConfig(100*time.Microsecond))
+	c, err := NewController(workers, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,10 +53,10 @@ func TestSyncBatchingCoalescesWithinQuantum(t *testing.T) {
 // The cached result must reflect reality at the time it was computed — and
 // must NOT mask state changes past the quantum. A worker hanging right after
 // a sync is the dangerous case: the quantum bounds how long its bit stays
-// published, and SyncQuantum < HangThreshold keeps that window safe.
+// published, and syncQuantum < HangThreshold keeps that window safe.
 func TestSyncBatchingQuantumBoundsStaleness(t *testing.T) {
 	const workers = 3
-	cfg := batchedConfig(time.Millisecond)
+	cfg := DefaultConfig()
 	c, err := NewController(workers, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -82,7 +76,7 @@ func TestSyncBatchingQuantumBoundsStaleness(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		hooks[i].LoopEnter(hang)
 	}
-	if res := hooks[0].ScheduleAndSync(int64(cfg.SyncQuantum) - 1); res.Passed != workers {
+	if res := hooks[0].ScheduleAndSync(int64(syncQuantum) - 1); res.Passed != workers {
 		t.Fatalf("mid-quantum cache dropped workers: %d of %d", res.Passed, workers)
 	}
 	// Past the quantum the recompute sees the hang.
@@ -100,7 +94,7 @@ func TestSyncBatchingQuantumBoundsStaleness(t *testing.T) {
 // the live-policy tests flip these at one virtual instant.
 func TestSyncBatchingPolicyFlipInvalidates(t *testing.T) {
 	const workers = 4
-	c, err := NewController(workers, batchedConfig(time.Millisecond))
+	c, err := NewController(workers, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,32 +129,11 @@ func TestSyncBatchingPolicyFlipInvalidates(t *testing.T) {
 	}
 }
 
-// SyncQuantum=0 (the default) disables batching entirely: N calls → N
-// recomputes and N syncs, the paper's literal behaviour.
-func TestSyncBatchingDisabledByDefault(t *testing.T) {
-	if q := DefaultConfig().SyncQuantum; q != 0 {
-		t.Fatalf("DefaultConfig.SyncQuantum = %v, want 0", q)
-	}
-	c, err := NewController(2, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := c.NewWorkerHook(0)
-	h.LoopEnter(0)
-	for i := 0; i < 5; i++ {
-		h.ScheduleAndSync(int64(i))
-	}
-	st := c.Stats()
-	if st.ScheduleCalls != 5 || st.Syncs != 5 || st.Batched != 0 {
-		t.Fatalf("unbatched controller: calls=%d syncs=%d batched=%d", st.ScheduleCalls, st.Syncs, st.Batched)
-	}
-}
-
 // Grouped deployments batch per group: one recompute per group per quantum,
 // and group A's cache never serves group B's workers.
 func TestSyncBatchingGroupedPerGroup(t *testing.T) {
 	const workers, groups = 8, 2
-	gc, err := New(workers, batchedConfig(time.Millisecond), WithGroups(groups))
+	gc, err := New(workers, DefaultConfig(), WithGroups(groups))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +176,7 @@ func TestSyncBatchingGroupedPerGroup(t *testing.T) {
 // connections to fail the conn filter.
 func multiGroupFixture(t *testing.T) (c *Controller, hooks []*WorkerHook, now int64) {
 	t.Helper()
-	c, err := New(128, batchedConfig(time.Millisecond))
+	c, err := New(128, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +200,7 @@ func TestMultiGroupPolicyFlipsMidQuantum(t *testing.T) {
 	const slot70 = 70 - 64
 	g0, g1 := hooks[3], hooks[65]
 	tick := func(h *WorkerHook) ScheduleResult {
-		now++ // 1 ns per call: all within the 1 ms quantum
+		now++ // 1 ns per call: all within one quantum
 		return h.ScheduleAndSync(now)
 	}
 	if res := tick(g0); res.Passed != 64 {
@@ -358,26 +331,63 @@ func TestMultiGroupConcurrentPolicyFlips(t *testing.T) {
 	}
 }
 
+// HangThreshold must exceed the sync quantum: a quantum's cached bitmap must
+// not mask a hang. The quantum sits well inside the staleness the loop
+// already tolerates, EpollTimeout.
 func TestSyncQuantumValidation(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.SyncQuantum = -time.Millisecond
-	if err := cfg.Validate(); err == nil {
-		t.Fatal("negative SyncQuantum accepted")
+	if syncQuantum >= cfg.EpollTimeout {
+		t.Fatalf("sync quantum %v not below EpollTimeout %v", syncQuantum, cfg.EpollTimeout)
 	}
-	cfg.SyncQuantum = cfg.HangThreshold
+	cfg.HangThreshold = syncQuantum
 	if err := cfg.Validate(); err == nil {
-		t.Fatal("SyncQuantum >= HangThreshold accepted")
+		t.Fatal("HangThreshold equal to the sync quantum accepted")
 	}
-	cfg.SyncQuantum = cfg.HangThreshold / 2
+	cfg.HangThreshold = 2 * syncQuantum
 	if err := cfg.Validate(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// One hook may be shared by many goroutines — the real proxy's connections
+// share their worker's — so its scheduler keeps no per-hook scratch. Under
+// -race this pins that; the ledger must account for every call.
+func TestWorkerHookSharedAcrossGoroutines(t *testing.T) {
+	const goroutines, calls = 8, 400
+	c, err := NewController(4, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := c.NewWorkerHook(0)
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < calls; i++ {
+				now := int64(i*goroutines+g) * int64(syncQuantum) / 4 // a fresh quantum every few calls
+				h.LoopEnter(now)
+				h.EventsFetched(2)
+				h.ScheduleAndSync(now)
+				h.EventHandled()
+				h.EventHandled()
+			}
+		}(g)
+	}
+	wg.Wait()
+	if m := h.Metrics(); m.Busy != 0 {
+		t.Fatalf("busy = %d after balanced fetches and handles", m.Busy)
+	}
+	st := c.Stats()
+	if st.ScheduleCalls+st.Batched != goroutines*calls || st.Syncs != st.ScheduleCalls || st.ScheduleCalls == 0 {
+		t.Fatalf("ledger lost calls: %+v, want %d recomputed or batched", st, goroutines*calls)
 	}
 }
 
 // The batched fast path must not allocate (it sits in every worker's event
 // loop).
 func TestSyncBatchedPathZeroAlloc(t *testing.T) {
-	c, err := NewController(4, batchedConfig(time.Second/100))
+	c, err := NewController(4, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -48,19 +48,18 @@ type Config struct {
 
 	// MaxEvents caps the epoll_wait batch size.
 	MaxEvents int
-
-	// SyncQuantum batches Algorithm-1 recomputes: within one quantum the
-	// first schedule_and_sync() call runs the full Snapshot → Schedule →
-	// map-sync pipeline and later calls (from any worker) reuse its published
-	// result. 0 disables batching — every call recomputes, the paper's
-	// literal per-event-loop behaviour. A busy fleet calls schedule_and_sync
-	// once per event loop from every worker, so N workers pay N scans of N
-	// WST rows per loop; one scan per quantum preserves freshness (staleness
-	// is already bounded by EpollTimeout ≪ HangThreshold) at 1/N the cost.
-	// Policy flips (fallback, single-winner, SetConfig) invalidate the cache
-	// immediately.
-	SyncQuantum time.Duration
 }
+
+// syncQuantum batches Algorithm-1 recomputes: within one quantum the first
+// schedule_and_sync() call of a group runs the full Snapshot → Schedule →
+// map-sync pipeline and later calls (from any of its workers) reuse the
+// published result. A busy fleet calls schedule_and_sync once per event loop
+// from every worker, so N workers would pay N scans of N WST rows per loop;
+// one scan per quantum costs 1/N of that. 100µs is far below EpollTimeout
+// (5ms) and HangThreshold (12ms), so the staleness it adds is negligible next
+// to the staleness the loop already tolerates. Force-fallback and
+// single-winner, and every policy flip, bypass the cached result.
+const syncQuantum = 100 * time.Microsecond
 
 // DefaultConfig returns the production-like defaults used throughout the
 // evaluation.
@@ -76,8 +75,9 @@ func DefaultConfig() Config {
 
 // Validate reports the first invalid field.
 func (c Config) Validate() error {
-	if c.HangThreshold <= 0 {
-		return fmt.Errorf("core: HangThreshold must be positive, got %v", c.HangThreshold)
+	if c.HangThreshold <= syncQuantum {
+		return fmt.Errorf("core: HangThreshold must exceed the %v sync quantum (a quantum of staleness must not mask a hang), got %v",
+			syncQuantum, c.HangThreshold)
 	}
 	if c.ThetaFrac < 0 {
 		return fmt.Errorf("core: ThetaFrac must be ≥ 0, got %v", c.ThetaFrac)
@@ -90,13 +90,6 @@ func (c Config) Validate() error {
 	}
 	if c.MaxEvents < 1 {
 		return fmt.Errorf("core: MaxEvents must be ≥ 1, got %d", c.MaxEvents)
-	}
-	if c.SyncQuantum < 0 {
-		return fmt.Errorf("core: SyncQuantum must be ≥ 0, got %v", c.SyncQuantum)
-	}
-	if c.SyncQuantum >= c.HangThreshold {
-		return fmt.Errorf("core: SyncQuantum %v must stay below HangThreshold %v (a full quantum of staleness must not mask a hang)",
-			c.SyncQuantum, c.HangThreshold)
 	}
 	return nil
 }

@@ -2,16 +2,17 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"sync/atomic"
 
 	"hermes/internal/bitops"
 	"hermes/internal/ebpf"
 	"hermes/internal/kernel"
 	"hermes/internal/shm"
+	"hermes/internal/telemetry"
+	"hermes/internal/tracing"
 )
 
-// syncCache coalesces schedule_and_sync calls within one Config.SyncQuantum:
+// syncCache coalesces schedule_and_sync calls within one syncQuantum:
 // the first caller of a quantum runs the full Snapshot → Schedule → map-sync
 // pipeline and publishes its result here; later callers return it directly,
 // skipping the O(workers) WST scan and the map-update syscall. Fields are
@@ -23,23 +24,17 @@ import (
 // the filler stores lastNS last: a reader that observes the new timestamp
 // observes payload stores no older than it.
 type syncCache struct {
-	lastNS atomic.Int64  // virtual time of the last real sync; sentinel = never
-	gen    atomic.Uint64 // policy generation the cache was computed under
+	lastNS atomic.Int64  // virtual time of the last real sync
+	gen    atomic.Uint64 // 1 + the policy generation it was computed under; 0 = never filled
 	bitmap atomic.Uint64
 	meta   atomic.Uint64 // total | passed<<16 | alive<<32
 }
 
-// cacheNever marks an unfilled cache. Virtual clocks start near 0 and may be
-// legitimately negative-ish in tests, so 0 is not usable as "never".
-const cacheNever = math.MinInt64
-
-func (sc *syncCache) init() { sc.lastNS.Store(cacheNever) }
-
 // load returns the cached result if it is still valid at nowNS under policy
-// generation gen and quantum q.
-func (sc *syncCache) load(nowNS int64, gen uint64, q int64) (ScheduleResult, bool) {
+// generation gen.
+func (sc *syncCache) load(nowNS int64, gen uint64) (ScheduleResult, bool) {
 	last := sc.lastNS.Load()
-	if last == cacheNever || sc.gen.Load() != gen || nowNS < last || nowNS-last >= q {
+	if sc.gen.Load() != gen+1 || nowNS < last || nowNS-last >= int64(syncQuantum) {
 		return ScheduleResult{}, false
 	}
 	meta := sc.meta.Load()
@@ -53,7 +48,7 @@ func (sc *syncCache) load(nowNS int64, gen uint64, q int64) (ScheduleResult, boo
 
 // store publishes a freshly computed-and-synced result.
 func (sc *syncCache) store(nowNS int64, gen uint64, res ScheduleResult) {
-	sc.gen.Store(gen)
+	sc.gen.Store(gen + 1)
 	sc.bitmap.Store(uint64(res.Bitmap))
 	sc.meta.Store(uint64(res.Total)&0xffff | uint64(res.Passed)&0xffff<<16 | uint64(res.Alive)&0xffff<<32)
 	sc.lastNS.Store(nowNS)
@@ -80,7 +75,7 @@ type group struct {
 // group (balance); one worker per group degenerates to plain reuseport.
 type Controller struct {
 	// Policy, held once for the fleet. polGen counts policy mutations; a
-	// group's cached result (Config.SyncQuantum) is only served while the
+	// group's cached result (syncQuantum) is only served while the
 	// generation it was computed under is still current.
 	cfg          atomic.Pointer[Config]
 	order        atomic.Int32
@@ -93,16 +88,9 @@ type Controller struct {
 	span    int // worker id = group*span + slot; only the last group may hold fewer
 	groups  []group
 
-	// Scheduling statistics (atomic: in real-goroutine deployments every
-	// worker runs the scheduler concurrently).
-	scheduleCalls atomic.Uint64
-	syncs         atomic.Uint64
-	syncBatched   atomic.Uint64
-	passedSum     atomic.Uint64
-	aliveSum      atomic.Uint64
-	emptySets     atomic.Uint64
-
-	obs *observer // nil until Observe
+	led  ledger                 // the core.schedule.* rows, Stats' only source
+	sink *telemetry.Registry    // Observe's sink, for programs AttachEBPF compiles; nil until then
+	tr   *tracing.ScheduleTrace // nil unless Observe got a tracer
 }
 
 // New creates Hermes state for n workers in ceil(n/64) groups, or exactly
@@ -129,14 +117,13 @@ func New(n int, cfg Config, opts ...Option) (*Controller, error) {
 	case n < 1:
 		return nil, fmt.Errorf("core: worker count %d < 1", n)
 	}
-	c := &Controller{key: o.key, workers: n, span: span}
+	c := &Controller{key: o.key, workers: n, span: span, led: newLedger(telemetry.NewRegistry())}
 	c.cfg.Store(&cfg)
 	c.groups = make([]group, (n+span-1)/span)
 	for gi := range c.groups {
 		g := &c.groups[gi]
 		g.wst = shm.NewWST(min(span, n-gi*span))
 		g.sel = ebpf.NewArrayMap(1)
-		g.cache.init()
 		g.avail.Store(^uint64(0))
 	}
 	return c, nil
@@ -285,11 +272,11 @@ func (c *Controller) AttachEBPF(rg *kernel.ReuseportGroup) error {
 		return err
 	}
 	rg.AttachProgram(prog)
-	if o := c.obs; o != nil {
+	if c.sink != nil {
 		// What AttachProgram just installed (compilation is cached per
 		// program); nothing if the compiler declined.
 		if cp, err := prog.Compiled(); err == nil {
-			cp.Observe(o.sink)
+			cp.Observe(c.sink)
 		}
 	}
 	return nil
@@ -329,40 +316,34 @@ func (c *Controller) socketsOf(rg *kernel.ReuseportGroup) ([]*kernel.Socket, err
 // operates on the worker's own group only.
 func (c *Controller) NewWorkerHook(id int) *WorkerHook {
 	g := &c.groups[id/c.span]
-	return &WorkerHook{
-		c:   c,
-		g:   g,
-		id:  id,
-		w:   g.wst.Writer(id % c.span),
-		buf: make([]shm.Metrics, 0, g.wst.Workers()),
-	}
+	return &WorkerHook{c: c, g: g, id: id, w: g.wst.Writer(id % c.span)}
 }
 
 // scheduleAndSync is the shared implementation behind schedule_and_sync()
-// for every worker of group g.
-func (c *Controller) scheduleAndSync(g *group, nowNS int64, buf []shm.Metrics) (ScheduleResult, []shm.Metrics) {
+// for every worker of group g. It keeps no state outside the controller's
+// atomics — the WST snapshot lives on the caller's stack — so any goroutine
+// may call it.
+func (c *Controller) scheduleAndSync(g *group, nowNS int64) ScheduleResult {
 	cfg := c.cfg.Load()
 	gen := c.polGen.Load()
-	batching := cfg.SyncQuantum > 0 && !c.fallback.Load() && !c.singleWinner.Load()
+	batching := !c.fallback.Load() && !c.singleWinner.Load()
 	if batching {
-		if res, ok := g.cache.load(nowNS, gen, int64(cfg.SyncQuantum)); ok {
-			c.syncBatched.Add(1)
-			if o := c.obs; o != nil {
-				o.syncBatched.Inc()
-			}
-			return res, buf
+		if res, ok := g.cache.load(nowNS, gen); ok {
+			c.led.syncBatched.Inc()
+			return res
 		}
 	}
 
-	buf = g.wst.Snapshot(buf[:0])
+	var rows [shm.GroupSize]shm.Metrics
+	ms := g.wst.Snapshot(rows[:0])
 	var res ScheduleResult
 	switch {
 	case c.fallback.Load():
-		res = ScheduleResult{Total: len(buf)} // empty set → kernel hash fallback
+		res = ScheduleResult{Total: len(ms)} // empty set → kernel hash fallback
 	case c.singleWinner.Load():
-		res = ScheduleSingleWinner(nowNS, buf, *cfg)
+		res = ScheduleSingleWinner(nowNS, ms, *cfg)
 	default:
-		res = Schedule(nowNS, buf, *cfg, FilterOrder(c.order.Load()))
+		res = Schedule(nowNS, ms, *cfg, FilterOrder(c.order.Load()))
 	}
 
 	// Availability veto (SetWorkerAvailable): drop vetoed workers from the
@@ -376,19 +357,11 @@ func (c *Controller) scheduleAndSync(g *group, nowNS int64, buf []shm.Metrics) (
 		}
 	}
 
-	c.scheduleCalls.Add(1)
-	c.aliveSum.Add(uint64(res.Alive))
-	c.passedSum.Add(uint64(res.Passed))
+	c.led.recomputes.Inc()
+	c.led.wstReads.Add(uint64(len(ms)))
+	c.led.passed.Observe(int64(res.Passed))
 	if res.Passed == 0 {
-		c.emptySets.Add(1)
-	}
-	if o := c.obs; o != nil {
-		o.recomputes.Inc()
-		o.wstReads.Add(uint64(len(buf)))
-		o.passed.Observe(int64(res.Passed))
-		if res.Passed == 0 {
-			o.emptySets.Inc()
-		}
+		c.led.emptySets.Inc()
 	}
 
 	// Publish: shared-memory word for userspace observers, eBPF map for the
@@ -396,10 +369,7 @@ func (c *Controller) scheduleAndSync(g *group, nowNS int64, buf []shm.Metrics) (
 	// race benignly (last write wins with a complete bitmap, §5.3.2).
 	g.wst.StoreSelection(uint64(res.Bitmap))
 	if err := g.sel.Update(0, uint64(res.Bitmap)); err == nil {
-		c.syncs.Add(1)
-		if o := c.obs; o != nil {
-			o.syncs.Inc()
-		}
+		c.led.syncs.Inc()
 		// Only a successfully synced default-path result may serve a
 		// quantum: the fallback and single-winner policies are deliberately
 		// exempt from coalescing (they are ablation/override modes whose
@@ -409,7 +379,7 @@ func (c *Controller) scheduleAndSync(g *group, nowNS int64, buf []shm.Metrics) (
 			g.cache.store(nowNS, gen, res)
 		}
 	}
-	return res, buf
+	return res
 }
 
 // Stats is a snapshot of scheduling counters, summed over every group.
@@ -417,37 +387,35 @@ type Stats struct {
 	ScheduleCalls uint64  // schedule_and_sync invocations that recomputed
 	Syncs         uint64  // successful kernel map updates (syscalls)
 	Batched       uint64  // invocations coalesced into a quantum's cached result
-	AvgAlive      float64 // mean workers surviving the time filter
 	AvgPassed     float64 // mean workers passing the whole cascade
 	EmptySets     uint64  // passes that selected nobody (kernel fallback)
 }
 
-// Stats returns accumulated scheduling statistics.
+// Stats reads the scheduling ledger: the core.schedule.* rows.
 func (c *Controller) Stats() Stats {
-	calls := c.scheduleCalls.Load()
+	l := &c.led
 	s := Stats{
-		ScheduleCalls: calls,
-		Syncs:         c.syncs.Load(),
-		Batched:       c.syncBatched.Load(),
-		EmptySets:     c.emptySets.Load(),
+		ScheduleCalls: l.recomputes.Load(),
+		Syncs:         l.syncs.Load(),
+		Batched:       l.syncBatched.Load(),
+		EmptySets:     l.emptySets.Load(),
 	}
-	if calls > 0 {
-		s.AvgAlive = float64(c.aliveSum.Load()) / float64(calls)
-		s.AvgPassed = float64(c.passedSum.Load()) / float64(calls)
+	if n := l.passed.Count(); n > 0 {
+		s.AvgPassed = float64(l.passed.Sum()) / float64(n)
 	}
 	return s
 }
 
 // WorkerHook is one worker's view of Hermes: metric publication plus the
-// embedded scheduler. Methods map 1:1 onto the Fig. 9 instrumentation.
-// A hook is owned by a single worker and is not safe for concurrent use
-// (matching per-process ownership of WST partitions).
+// embedded scheduler. Methods map 1:1 onto the Fig. 9 instrumentation. Every
+// method is one or more atomic operations on shared state, so a hook is safe
+// for concurrent use: the real proxy's connection goroutines share their
+// worker's hook.
 type WorkerHook struct {
-	c   *Controller
-	g   *group
-	id  int // global worker id (the trace track)
-	w   shm.Writer
-	buf []shm.Metrics
+	c  *Controller
+	g  *group
+	id int // global worker id (the trace track)
+	w  shm.Writer
 }
 
 // LoopEnter publishes the event-loop entry timestamp (shm_avail_update,
@@ -473,13 +441,12 @@ func (h *WorkerHook) ConnClosed() { h.w.AddConn(-1) }
 
 // ScheduleAndSync runs Algorithm 1 over this worker's group and synchronizes
 // the group bitmap to the kernel — the schedule_and_sync() call at the end of
-// the event loop (Fig. 9 line 20). With Config.SyncQuantum set, one recompute
-// per group per quantum serves every group member's call.
+// the event loop (Fig. 9 line 20). One recompute per group per syncQuantum
+// serves every group member's call.
 func (h *WorkerHook) ScheduleAndSync(nowNS int64) ScheduleResult {
-	res, buf := h.c.scheduleAndSync(h.g, nowNS, h.buf)
-	h.buf = buf
-	if o := h.c.obs; o != nil {
-		o.tr.Pass(h.id, nowNS, res.Passed, res.Total)
+	res := h.c.scheduleAndSync(h.g, nowNS)
+	if tr := h.c.tr; tr != nil {
+		tr.Pass(h.id, nowNS, res.Passed, res.Total)
 	}
 	return res
 }

@@ -557,12 +557,7 @@ func TestControllerTwoLevel(t *testing.T) {
 	if err := gc.AttachEBPF(g); err != nil {
 		t.Fatal(err)
 	}
-	now := int64(time.Second)
-	for w := 0; w < 128; w++ {
-		h := gc.NewWorkerHook(w)
-		h.LoopEnter(now)
-		h.ScheduleAndSync(now)
-	}
+	warmUp(gc, int64(time.Second))
 	for i := uint32(0); i < 4000; i++ {
 		ns.DeliverSYN(kernel.FourTuple{SrcIP: i * 7, SrcPort: uint16(i), DstIP: i % 50, DstPort: 80}, nil)
 	}
@@ -593,12 +588,7 @@ func TestControllerLocalityPinsDestination(t *testing.T) {
 	if err := gc.AttachNative(g); err != nil {
 		t.Fatal(err)
 	}
-	now := int64(time.Second)
-	for w := 0; w < 8; w++ {
-		h := gc.NewWorkerHook(w)
-		h.LoopEnter(now)
-		h.ScheduleAndSync(now)
-	}
+	warmUp(gc, int64(time.Second))
 	// All connections share DstIP/DstPort → one group (2 workers); varying
 	// 4-tuples spread within it.
 	for i := uint32(0); i < 1000; i++ {
@@ -618,6 +608,20 @@ func TestControllerLocalityPinsDestination(t *testing.T) {
 	}
 	if nonEmpty != 2 {
 		t.Fatalf("locality mode hit %d sockets, want the 2 of one group", nonEmpty)
+	}
+}
+
+// warmUp stamps every worker at now and then syncs every group. Stamping
+// first matters: a group's first sync serves the rest of its quantum, so a
+// worker stamped after it would stay out of the published bitmap.
+func warmUp(c *Controller, now int64) {
+	hooks := make([]*WorkerHook, c.Workers())
+	for w := range hooks {
+		hooks[w] = c.NewWorkerHook(w)
+		hooks[w].LoopEnter(now)
+	}
+	for _, h := range hooks {
+		h.ScheduleAndSync(now)
 	}
 }
 

@@ -234,6 +234,52 @@ func TestInjectorMostLoadedVictim(t *testing.T) {
 	}
 }
 
+// With no connections anywhere every worker ties: the unpinned victim is the
+// lowest id still alive, so a crashed worker is passed over.
+func TestInjectorVictimTiesToLowestLiveID(t *testing.T) {
+	eng, lb := testLB(t, l7lb.ModeHermes, 4)
+	sched, err := ParseSpec("crash@1ms:w0;hang@2ms:dur=5ms")
+	if err != nil {
+		t.Fatal(err)
+	}
+	NewInjector(lb, sched, 1).Start()
+	eng.RunUntil(eng.Now() + int64(3*time.Millisecond))
+	for _, w := range lb.Workers {
+		if want := w.ID == 1; w.Hung() != want {
+			t.Errorf("worker %d hung=%v, want the hang on worker 1 only", w.ID, w.Hung())
+		}
+	}
+}
+
+// Overlapping slow faults on one worker compose: each expiry ends only its
+// own slowdown, so a later one holds to the end of its own window — with
+// different factors or equal ones — and a nested one hands back the outer.
+func TestInjectorOverlappingSlowdowns(t *testing.T) {
+	at := []time.Duration{15 * time.Millisecond, 25 * time.Millisecond, 35 * time.Millisecond, 55 * time.Millisecond}
+	for _, tc := range []struct {
+		spec string
+		want []float64 // cost multiplier at each of `at`
+	}{
+		{"slow@10ms:w0:x=4:dur=20ms;slow@20ms:w0:x=2:dur=20ms", []float64{4, 2, 2, 1}},
+		{"slow@10ms:w0:x=2:dur=20ms;slow@20ms:w0:x=2:dur=20ms", []float64{2, 2, 2, 1}},
+		{"slow@10ms:w0:x=4:dur=40ms;slow@20ms:w0:x=2:dur=10ms", []float64{4, 2, 4, 1}},
+	} {
+		eng, lb := testLB(t, l7lb.ModeHermes, 2)
+		sched, err := ParseSpec(tc.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		start := eng.Now()
+		NewInjector(lb, sched, 1).Start()
+		for i, d := range at {
+			eng.RunUntil(start + int64(d))
+			if got := lb.Workers[0].CostMultiplier(); got != tc.want[i] {
+				t.Errorf("%s: multiplier %v at %v, want %v", tc.spec, got, d, tc.want[i])
+			}
+		}
+	}
+}
+
 // The 96-worker case hangs a worker of the second group: the watchdog scans
 // every group's table.
 func TestWatchdogDetectsAndRestartsHungWorker(t *testing.T) {

@@ -2,6 +2,8 @@ package faults
 
 import (
 	"math/rand"
+	"slices"
+	"sync"
 	"time"
 
 	"hermes/internal/ebpf"
@@ -37,6 +39,7 @@ type Injector struct {
 	startNS     int64
 	dropUntilNS int64
 	dropProb    float64
+	slow        []Slowdowns // per worker, by ID
 
 	obs *injectorObs // nil until Observe
 }
@@ -44,7 +47,8 @@ type Injector struct {
 // NewInjector builds an injector for lb. seed drives probe-loss coin flips
 // (and nothing else); the schedule itself is already deterministic.
 func NewInjector(lb *l7lb.LB, sched Schedule, seed int64) *Injector {
-	return &Injector{lb: lb, sched: sched, rng: rand.New(rand.NewSource(seed))}
+	return &Injector{lb: lb, sched: sched, rng: rand.New(rand.NewSource(seed)),
+		slow: make([]Slowdowns, len(lb.Workers))}
 }
 
 // AttachProber points a prober's loss hook at this injector's probe-loss
@@ -142,10 +146,10 @@ func (inj *Injector) apply(ev Event) {
 			inj.Skipped++
 			return
 		}
-		w.SetCostMultiplier(ev.Factor)
+		end := inj.slow[w.ID].Start(ev.Factor, w.SetCostMultiplier)
 		inj.record(ev.Kind, int32(w.ID), now, int64(ev.Factor*1000))
 		if ev.DurNS > 0 {
-			eng.After(time.Duration(ev.DurNS), func() { w.SetCostMultiplier(1) })
+			eng.After(time.Duration(ev.DurNS), end)
 		}
 	case ShrinkQueue:
 		socks := inj.shrinkTargets(ev)
@@ -215,6 +219,36 @@ func (inj *Injector) shrinkTargets(ev Event) []*kernel.Socket {
 		out = append(out, g.Sockets()[w.ID])
 	}
 	return out
+}
+
+// Slowdowns is the set of slow faults in force on one worker, on either data
+// path. Windows may overlap: the slowdown started last sets the factor, and
+// an expiry ends only its own, handing the factor back to the latest one
+// still in force (1, full speed, once none is). The zero value holds none.
+type Slowdowns struct {
+	mu     sync.Mutex // the real proxy's fault timers run concurrently
+	active []*float64
+}
+
+// Start puts a slowdown by factor in force through set and returns the func
+// that ends it. set runs under s's lock, so the last factor set is the one in
+// force; it must not call back into s.
+func (s *Slowdowns) Start(factor float64, set func(float64)) (end func()) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	self := &factor
+	s.active = append(s.active, self)
+	set(factor)
+	return func() {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		s.active = slices.DeleteFunc(s.active, func(f *float64) bool { return f == self })
+		now := 1.0
+		if n := len(s.active); n > 0 {
+			now = *s.active[n-1]
+		}
+		set(now)
+	}
 }
 
 func (inj *Injector) record(k Kind, track int32, nowNS, param int64) {

@@ -211,21 +211,11 @@ type Config struct {
 // DefaultConfig returns a 32-core single-tenant LB in the given mode, the
 // paper's testbed shape (32-core VMs, §6.1).
 func DefaultConfig(mode Mode) Config {
-	hermes := core.DefaultConfig()
-	// Batch Algorithm-1 recomputes: one WST scan + map sync per quantum
-	// serves the whole fleet. core.DefaultConfig leaves this off (the
-	// paper's literal per-event-loop behaviour, and what the core unit
-	// tests pin down); the assembled LB turns it on because at fleet scale
-	// the N× redundant scans per loop dominate Hermes's control-loop cost.
-	// 100µs is far below EpollTimeout (5ms) and HangThreshold (12ms), so
-	// the staleness batching adds is negligible next to the staleness the
-	// loop already tolerates.
-	hermes.SyncQuantum = 100 * time.Microsecond
 	return Config{
 		Workers: 32,
 		Ports:   []uint16{8080},
 		Mode:    mode,
-		Hermes:  hermes,
+		Hermes:  core.DefaultConfig(),
 		Costs:   DefaultCosts(),
 	}
 }

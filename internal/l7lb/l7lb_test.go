@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"hermes/internal/core"
 	"hermes/internal/kernel"
 	"hermes/internal/sim"
 	"hermes/internal/telemetry"
@@ -504,6 +505,16 @@ func TestConfigValidation(t *testing.T) {
 		}
 		if _, err := New(sim.NewEngine(1), c); err == nil {
 			t.Errorf("case %d: invalid config accepted", i)
+		}
+	}
+}
+
+// Every mode runs core's control loop unchanged: the simulator and the real
+// proxy share one Hermes configuration.
+func TestDefaultConfigRunsCoreDefaults(t *testing.T) {
+	for _, m := range modesUnderTest() {
+		if got := DefaultConfig(m).Hermes; got != core.DefaultConfig() {
+			t.Errorf("%v: Hermes config %+v, want core.DefaultConfig() %+v", m, got, core.DefaultConfig())
 		}
 	}
 }

@@ -108,7 +108,7 @@ func (c *conn) serve() {
 		c.nc.Close()
 		w.tr.Close(c.id, time.Now().UnixNano(), false)
 		w.hook.ConnClosed()
-		w.sync()
+		p.sync()
 	}()
 	for {
 		reqLen, err := c.readRequest()
@@ -134,7 +134,7 @@ func (c *conn) serve() {
 		end := time.Now()
 		p.tel.RequestLatencyNS.Observe(end.Sub(start).Nanoseconds())
 		w.tr.Serve(c.id, arrivalNS, start.UnixNano(), end.UnixNano(), false)
-		w.sync()
+		p.sync()
 		if !keep {
 			return
 		}

@@ -50,12 +50,6 @@ type Proxy struct {
 	workers []*worker
 	checker *checker // nil when active checks are disabled
 
-	// drainHook runs the drain's schedule pass. Worker hooks are
-	// single-owner scratch space, so the shutdown goroutine must not borrow
-	// one from a live worker; this instance shares only the controller's
-	// concurrent-safe state.
-	drainHook *core.WorkerHook
-
 	reg *telemetry.Registry
 	tel Instruments
 	// slo is the burn-rate monitor and the only sampler of the registry: nil
@@ -71,22 +65,21 @@ type Proxy struct {
 	mu       sync.Mutex
 	conns    map[net.Conn]struct{}
 	draining atomic.Bool
-	stop     chan struct{}  // closed when the drain starts: heartbeats end
-	wg       sync.WaitGroup // acceptor, heartbeats and connection goroutines
+	stop     chan struct{}  // closed when the drain starts: the heartbeat ends
+	wg       sync.WaitGroup // acceptor, heartbeat and connection goroutines
 	shutOnce sync.Once
 	shutErr  error
 }
 
 // worker is one proxy worker as the scheduler sees it: the WST row its
 // connections publish into (open connections, requests in flight) and the
-// loop-enter stamp its heartbeat keeps fresh. Its event loop is Go's
+// loop-enter stamp the fleet heartbeat keeps fresh. Its event loop is Go's
 // netpoller: every connection steered here is a goroutine parked in it, so an
 // idle or slow connection never holds up another.
 type worker struct {
 	id      int
 	p       *Proxy
 	hook    *core.WorkerHook
-	syncMu  sync.Mutex // hook.ScheduleAndSync keeps per-hook scratch
 	tr      *tracing.WorkerTrace
 	fwdTail []byte // the field this worker adds to every upstream request head
 	// handled counts requests this worker proxied: its slot of
@@ -94,8 +87,9 @@ type worker struct {
 	handled *telemetry.Counter
 	// delay injects extra latency per request (demo poisoning, slow fault).
 	delay atomic.Int64
-	// hangUntilNS, while in the future, stalls the worker: its heartbeat
-	// stops stamping the WST and its connections stop before their next
+	slow  faults.Slowdowns // the slow faults in force, which set delay
+	// hangUntilNS, while in the future, stalls the worker: the heartbeat
+	// stops stamping its WST row and its connections stop before their next
 	// request — the loop-enter timestamp goes stale exactly as a real
 	// hang's would (injected fault).
 	hangUntilNS atomic.Int64
@@ -112,7 +106,7 @@ func New(cfg Config, opts ...Option) (*Proxy, error) {
 	for _, fn := range opts {
 		fn(&o)
 	}
-	if err := checkFaults(o.sched); err != nil {
+	if err := checkFaults(o.sched, cfg.Workers); err != nil {
 		return nil, err
 	}
 	reg := telemetry.NewRegistry()
@@ -169,7 +163,6 @@ func New(cfg Config, opts ...Option) (*Proxy, error) {
 	}
 
 	p.pool = newPool(cfg, func() int64 { return time.Now().UnixNano() }, &p.tel)
-	p.drainHook = ctl.NewWorkerHook(0)
 
 	for i := 0; i < cfg.Workers; i++ {
 		w := &worker{
@@ -180,10 +173,10 @@ func New(cfg Config, opts ...Option) (*Proxy, error) {
 		}
 		w.hook.LoopEnter(time.Now().UnixNano())
 		p.workers = append(p.workers, w)
-		p.wg.Add(1)
-		go w.heartbeat()
 	}
-	p.drainHook.ScheduleAndSync(time.Now().UnixNano())
+	p.sync()
+	p.wg.Add(1)
+	go p.heartbeat()
 
 	if cfg.HealthCheck.Enabled {
 		p.checker = newChecker(cfg.HealthCheck, p.pool)
@@ -253,41 +246,39 @@ func (p *Proxy) acceptLoop() {
 	}
 }
 
-// heartbeat is the worker's epoll_wait timeout: every EpollTimeout it
-// re-enters the loop — stamps the WST and runs schedule_and_sync — so an idle
-// worker stays selectable and an idle fleet keeps a fresh bitmap. An injected
-// hang suppresses it, and FilterTime then sees the stamp age.
-func (w *worker) heartbeat() {
-	defer w.p.wg.Done()
-	every := w.p.ctl.Config().EpollTimeout
+// heartbeat is the fleet's epoll_wait timeout: every EpollTimeout it stamps
+// every worker's WST row and runs one schedule_and_sync, so an idle worker
+// stays selectable and an idle fleet keeps a fresh bitmap. A hung worker's row
+// stays unstamped, and FilterTime sees the stamp age.
+func (p *Proxy) heartbeat() {
+	defer p.wg.Done()
+	every := p.ctl.Config().EpollTimeout
 	t := time.NewTicker(every)
 	defer t.Stop()
 	for {
 		select {
-		case <-w.p.stop:
+		case <-p.stop:
 			return
 		case <-t.C:
 		}
-		if d := w.p.ctl.Config().EpollTimeout; d != every { // live policy change
+		if d := p.ctl.Config().EpollTimeout; d != every { // live policy change
 			every = d
 			t.Reset(d)
 		}
 		now := time.Now().UnixNano()
-		if w.hangUntilNS.Load() > now {
-			continue
+		for _, w := range p.workers {
+			if w.hangUntilNS.Load() <= now {
+				w.hook.LoopEnter(now)
+			}
 		}
-		w.hook.LoopEnter(now)
-		w.sync()
+		p.sync()
 	}
 }
 
-// sync runs schedule_and_sync for this worker: at the end of every request
-// and connection, and on every heartbeat.
-func (w *worker) sync() {
-	w.syncMu.Lock()
-	w.hook.ScheduleAndSync(time.Now().UnixNano())
-	w.syncMu.Unlock()
-}
+// sync runs schedule_and_sync: at the end of every request and connection,
+// and on every heartbeat. The proxy's workers are one Hermes group, so any
+// worker's hook serves.
+func (p *Proxy) sync() { p.workers[0].hook.ScheduleAndSync(time.Now().UnixNano()) }
 
 // maybeHang blocks until the injected hang deadline passes (no-op when none
 // is set).
@@ -330,7 +321,7 @@ func (p *Proxy) shutdown(timeout time.Duration) error {
 		_ = p.ctl.SetWorkerAvailable(i, false)
 	}
 	close(p.stop)
-	p.drainHook.ScheduleAndSync(time.Now().UnixNano())
+	p.sync()
 	p.ln.Close()
 	if p.checker != nil {
 		p.checker.Stop()
@@ -385,10 +376,14 @@ func (p *Proxy) shutdown(timeout time.Duration) error {
 }
 
 // checkFaults refuses a schedule the real proxy cannot honour: queue, selmap
-// and probe faults have no real-socket analogue here. The schedule is known
-// when the proxy is built, so the caller hears it then, not at fire time.
-func checkFaults(sched faults.Schedule) error {
+// and probe faults have no real-socket analogue here, and a pinned worker
+// must exist. The schedule is known when the proxy is built, so the caller
+// hears it then, not at fire time.
+func checkFaults(sched faults.Schedule, workers int) error {
 	for _, ev := range sched.Events {
+		if ev.Worker >= workers {
+			return fmt.Errorf("proxy: fault %s pins worker %d of %d", ev.Kind, ev.Worker, workers)
+		}
 		switch ev.Kind {
 		case faults.Hang, faults.Crash, faults.Slow:
 		default:
@@ -411,7 +406,11 @@ func (p *Proxy) applyFaults(sched faults.Schedule, tr *tracing.FaultTrace) {
 	injected := faults.InjectedVec(p.reg)
 	for _, ev := range sched.Events {
 		time.AfterFunc(time.Duration(ev.AtNS), func() {
-			w, now, param := p.victim(ev.Worker), time.Now().UnixNano(), ev.DurNS
+			now := time.Now().UnixNano()
+			w, param := p.victim(ev.Worker, now), ev.DurNS
+			if w == nil {
+				return
+			}
 			switch ev.Kind {
 			case faults.Hang:
 				w.hangUntilNS.Store(now + ev.DurNS)
@@ -425,11 +424,12 @@ func (p *Proxy) applyFaults(sched faults.Schedule, tr *tracing.FaultTrace) {
 			case faults.Slow:
 				// Poison per-request latency instead of scaling CPU: the
 				// proxy's cost is dominated by the upstream round trip.
-				const base = 5 * time.Millisecond
-				w.delay.Store(int64(float64(base) * (ev.Factor - 1)))
+				end := w.slow.Start(ev.Factor, func(f float64) {
+					w.delay.Store(int64(float64(5*time.Millisecond) * (f - 1)))
+				})
 				param = int64(ev.Factor * 1000)
 				if ev.DurNS > 0 {
-					time.AfterFunc(time.Duration(ev.DurNS), func() { w.delay.Store(0) })
+					time.AfterFunc(time.Duration(ev.DurNS), end)
 				}
 			}
 			injected.At(int(ev.Kind)).Inc()
@@ -438,16 +438,20 @@ func (p *Proxy) applyFaults(sched faults.Schedule, tr *tracing.FaultTrace) {
 	}
 }
 
-// victim resolves a fault's target: a pinned worker id, else the busiest
-// worker (most requests in flight, then most requests handled) at fire time.
-func (p *Proxy) victim(id int) *worker {
-	if id >= 0 && id < len(p.workers) {
+// victim resolves a fault's target by the simulator's rule: a pinned worker
+// id, else the worker with the most open connections (its WST row's Conn) at
+// fire time, ties toward the lowest id, skipping workers an earlier fault
+// stalled. nil if every worker is stalled.
+func (p *Proxy) victim(id int, nowNS int64) *worker {
+	if id >= 0 {
 		return p.workers[id]
 	}
-	best := p.workers[0]
-	for _, w := range p.workers[1:] {
-		wb, bb := w.hook.Metrics().Busy, best.hook.Metrics().Busy
-		if wb > bb || (wb == bb && w.handled.Load() > best.handled.Load()) {
+	var best *worker
+	for _, w := range p.workers {
+		if w.hangUntilNS.Load() > nowNS {
+			continue
+		}
+		if best == nil || w.hook.Metrics().Conn > best.hook.Metrics().Conn {
 			best = w
 		}
 	}

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"hermes/internal/core"
 	"hermes/internal/faults"
 	"hermes/internal/httpx"
 	"hermes/internal/tracing"
@@ -382,6 +383,80 @@ func TestHungWorkerLeavesBitmap(t *testing.T) {
 	}
 }
 
+// The proxy runs the simulator's control loop: core's defaults, unchanged.
+func TestProxyControllerRunsCoreDefaults(t *testing.T) {
+	p := startProxy(t, testConfig(newStubUpstream(t)))
+	if got := p.Controller().Config(); got != core.DefaultConfig() {
+		t.Fatalf("proxy controller config %+v, want core.DefaultConfig() %+v", got, core.DefaultConfig())
+	}
+}
+
+// An unpinned fault lands where the simulator's would: on the worker with
+// the most open connections (WST Conn), ties toward the lowest id, never on a
+// worker an earlier fault stalled — requests in flight and requests handled
+// do not count.
+func TestFaultVictimRule(t *testing.T) {
+	cfg := testConfig(newStubUpstream(t))
+	cfg.Workers = 4
+	p := startProxy(t, cfg)
+	now := time.Now().UnixNano()
+	if w := p.victim(-1, now); w.id != 0 {
+		t.Fatalf("all tied: victim %d, want 0", w.id)
+	}
+	for id, n := range []int{0, 1, 3, 3} {
+		for i := 0; i < n; i++ {
+			p.workers[id].hook.ConnOpened()
+		}
+	}
+	p.workers[1].hook.EventsFetched(10) // busy but fewer connections
+	p.workers[1].handled.Add(100)
+	if w := p.victim(-1, now); w.id != 2 {
+		t.Fatalf("victim %d, want 2 (most open connections, lowest id of the tie)", w.id)
+	}
+	p.workers[2].hangUntilNS.Store(now + int64(time.Hour))
+	if w := p.victim(-1, now); w.id != 3 {
+		t.Fatalf("victim %d, want 3 (worker 2 is stalled)", w.id)
+	}
+	if w := p.victim(2, now); w.id != 2 {
+		t.Fatalf("pinned victim %d, want 2", w.id)
+	}
+	for id := range p.workers {
+		p.workers[id].hangUntilNS.Store(now + int64(time.Hour))
+	}
+	if w := p.victim(-1, now); w != nil {
+		t.Fatalf("every worker stalled, yet victim %d", w.id)
+	}
+}
+
+// Overlapping slow faults on one worker compose as in the simulator: the
+// first one's expiry leaves the second in force until its own window ends,
+// with different factors or equal ones.
+func TestProxyOverlappingSlowdowns(t *testing.T) {
+	for _, first := range []float64{4, 2} {
+		t.Run(fmt.Sprintf("x=%v,x=2", first), func(t *testing.T) {
+			t.Parallel()
+			const window, offset = 400 * time.Millisecond, 200 * time.Millisecond
+			start := time.Now()
+			p := startProxy(t, testConfig(newStubUpstream(t)), WithFaults(faults.Schedule{Events: []faults.Event{
+				{Kind: faults.Slow, Worker: 0, Factor: first, DurNS: int64(window)},
+				{Kind: faults.Slow, AtNS: int64(offset), Worker: 0, Factor: 2, DurNS: int64(window)},
+			}}))
+			// Halfway between the first window's end and the second's.
+			time.Sleep(time.Until(start.Add(window + offset/2)))
+			if got, want := time.Duration(p.workers[0].delay.Load()), 5*time.Millisecond; got != want {
+				t.Fatalf("delay %v after the first slowdown expired, want the second's %v", got, want)
+			}
+			deadline := start.Add(offset + window + time.Second)
+			for p.workers[0].delay.Load() != 0 {
+				if time.Now().After(deadline) {
+					t.Fatalf("delay %v long after both windows", time.Duration(p.workers[0].delay.Load()))
+				}
+				time.Sleep(10 * time.Millisecond)
+			}
+		})
+	}
+}
+
 // A fault the real proxy cannot inject is refused when the proxy is built,
 // by name, and a proxy without a schedule registers no fault row.
 func TestUnsupportedFaultRefusedAtNew(t *testing.T) {
@@ -397,6 +472,12 @@ func TestUnsupportedFaultRefusedAtNew(t *testing.T) {
 		if !strings.Contains(err.Error(), kind.String()) {
 			t.Errorf("error %q does not name %s", err, kind)
 		}
+	}
+	if p, err := New(cfg, WithFaults(faults.Schedule{Events: []faults.Event{
+		{Kind: faults.Hang, Worker: cfg.Workers, DurNS: int64(time.Second)},
+	}})); err == nil {
+		p.Close()
+		t.Fatalf("New accepted a fault pinned to worker %d of %d", cfg.Workers, cfg.Workers)
 	}
 	if row := startProxy(t, cfg).Registry().Snapshot().Get("faults.injected"); row != nil {
 		t.Errorf("proxy without a fault schedule registered %+v", row)
@@ -464,7 +545,7 @@ func TestSlowClientsDoNotBlockTheWorker(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	p.workers[0].sync() // publish the veto now, not at the next heartbeat
+	p.sync() // publish the veto now, not at the next heartbeat
 
 	idle := dialKeepAlive(t, p.Addr())
 	if resp, _, err := idle.do("GET", "/warm", ""); err != nil || resp.StatusCode != 200 {

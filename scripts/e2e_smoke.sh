@@ -4,9 +4,10 @@
 # restart, and hermesctl assertions that failover and recovery actually show
 # up through the admin API; a one-backend proxy with no prober whose circuit
 # breaker alone evicts and readmits its backend; then the six examples/ mains,
-# each run to exit 0.
-# CI runs this after the unit suites; it needs no tools beyond bash, awk and
-# the go toolchain.
+# each run to exit 0, with examples/cachegroups' Fig. A6 table compared to its
+# checked-in copy.
+# CI runs this after the unit suites; it needs no tools beyond bash, awk, sed,
+# diff and the go toolchain.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -285,4 +286,9 @@ for ex in "$WORK"/examples/*; do
   timeout 30 "$ex" >"$ex.log" 2>&1 || { tail -n 20 "$ex.log" >&2; fail "examples/${ex##*/} did not exit 0 within 30 s"; }
 done
 [ "$(ls "$WORK"/examples/*.log | wc -l)" -eq 6 ] || fail "expected six examples, ran $(ls "$WORK"/examples/*.log | wc -l)"
+# The Fig. A6 table is seed-deterministic: pin it, so a change that moves
+# group steering (a warm-up that no longer fills a group's bitmap) fails here
+# rather than printing different numbers.
+sed -n '/^== Fig A6/,/^$/{/^$/d;p}' "$WORK/examples/cachegroups.log" | diff -u examples/cachegroups/figA6.txt - \
+  || fail "examples/cachegroups: Fig. A6 table differs from examples/cachegroups/figA6.txt"
 echo "e2e: PASS (served=$served, six examples ran)"
