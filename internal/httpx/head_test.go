@@ -187,6 +187,80 @@ func TestChunkedMalformed(t *testing.T) {
 	}
 }
 
+// FuzzChunkedFeed generalises TestChunkedFindsEndAtEverySplit to any input
+// and any cutting of it: each byte of cuts is the length of the next piece
+// fed (0 feeds an empty piece), the last piece takes the rest. Fed whole or
+// in pieces, the tracker must end at the same place with the same verdict,
+// never report more bytes than it was given, consume a whole piece unless
+// the body ended or broke inside it, consume nothing once done, and never
+// panic.
+func FuzzChunkedFeed(f *testing.F) {
+	for _, seed := range []struct{ wire, cuts string }{
+		// The wires of TestChunkedFindsEndAtEverySplit and TestChunkedMalformed.
+		{"5\r\nhello\r\nA;name=val\r\n0123456789\r\n0\r\nX-Trailer: t\r\n\r\nHTTP/1.1 200 next", "\x07"},
+		{"5\r\nhello\r\nA;name=val\r\n0123456789\r\n0\r\nX-Trailer: t\r\n\r\nHTTP/1.1 200 next", "\x07\x2e"},
+		{"0\r\n\r\n", ""},
+		{"\r\n", "\x01"},
+		{"zz\r\n", ""},
+		{"3\r\nabcd\r\n", "\x04\x00\x01"},
+		{"3\r\nabc\rX", "\x06"},
+		{"0\r\n\rX", "\x03\x01"},
+		{"fffffffffffffffffff\r\nabc", "\x08\x08"},
+		// A size, an extension and a trailer each cut mid-way, and the bytes
+		// after the end fed as a piece of their own.
+		{"1a;ext=\"x\"\r\nabcdefghijklmnopqrstuvwxyz\r\n0\r\nA: 1\r\nB: 2\r\n\r\ntail", "\x01\x05\x0b\x1b\x0d"},
+	} {
+		f.Add([]byte(seed.wire), []byte(seed.cuts))
+	}
+	f.Fuzz(func(t *testing.T, data, cuts []byte) {
+		var whole Chunked
+		wn, wdone, werr := whole.Feed(data)
+		if wn < 0 || wn > len(data) {
+			t.Fatalf("whole: n=%d of %d bytes", wn, len(data))
+		}
+		if werr != nil && !errors.Is(werr, ErrMalformed) || werr != nil && wdone {
+			t.Fatalf("whole: done=%v err=%v", wdone, werr)
+		}
+		if werr == nil && !wdone && wn != len(data) {
+			t.Fatalf("whole: consumed %d of %d bytes, neither done nor broken", wn, len(data))
+		}
+		if wdone && data[wn-1] != '\n' {
+			t.Fatalf("whole: done after %q, not at the final CRLF's LF", data[:wn])
+		}
+		var c Chunked
+		total, done := 0, false
+		var err error
+		for i, off := 0, 0; off < len(data) || i < len(cuts); i++ {
+			k := len(data) - off
+			if i < len(cuts) {
+				k = min(k, int(cuts[i]))
+			}
+			piece := data[off : off+k]
+			off += k
+			var n int
+			if n, done, err = c.Feed(piece); n < 0 || n > len(piece) {
+				t.Fatalf("piece %d: n=%d of %d bytes", i, n, len(piece))
+			}
+			total += n
+			if err != nil {
+				break
+			}
+			if done {
+				if n, d, e := c.Feed(data[off:]); n != 0 || !d || e != nil {
+					t.Fatalf("after done: n=%d done=%v err=%v", n, d, e)
+				}
+				break
+			}
+			if n != len(piece) {
+				t.Fatalf("piece %d: consumed %d of %d bytes, neither done nor broken", i, n, len(piece))
+			}
+		}
+		if total != wn || done != wdone || (err == nil) != (werr == nil) {
+			t.Fatalf("cut by %v: consumed %d, done=%v, err=%v; whole: %d, %v, %v", cuts, total, done, err, wn, wdone, werr)
+		}
+	})
+}
+
 // inside reports whether view lies within data's backing array bounds.
 func inside(data, view []byte) bool {
 	if len(view) == 0 {

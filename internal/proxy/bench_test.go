@@ -3,6 +3,7 @@ package proxy
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"io"
 	"net"
 	"strconv"
@@ -110,16 +111,52 @@ func BenchmarkProxyKeepAlive(b *testing.B) {
 	}
 }
 
-// BenchmarkProxyChurn is the per-connection path: accept, steer, start the
-// connection goroutine, one request, close.
-func BenchmarkProxyChurn(b *testing.B) {
-	p := benchProxy(b)
+// BenchmarkProxyChurn is the per-connection path: accept, steer, hand the
+// connection to a parked goroutine, one request, close.
+func BenchmarkProxyChurn(b *testing.B) { churnClient(b, benchProxy(b).Addr()) }
+
+// BenchmarkLoopbackChurn is BenchmarkProxyChurn's floor: the same client loop
+// against a bare server that accepts, reads the request, writes the reply
+// and closes, all on one goroutine, from a listener set up as the proxy's
+// is. Its allocations are what dial, accept and the socket calls cost on
+// this toolchain; CI gates the proxy's allocs/op above them at 0.
+func BenchmarkLoopbackChurn(b *testing.B) {
+	ln, err := (&net.ListenConfig{KeepAlive: -1}).Listen(context.Background(), "tcp", "127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { ln.Close() })
+	reply := append([]byte("HTTP/1.1 200 OK\r\nContent-Length: 128\r\nConnection: close\r\n\r\n"), make([]byte, 128)...)
+	go func() {
+		buf := make([]byte, 1024)
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			for n := 0; !bytes.HasSuffix(buf[:n], []byte("\r\n\r\n")); {
+				m, err := c.Read(buf[n:])
+				if err != nil {
+					break
+				}
+				n += m
+			}
+			_, _ = c.Write(reply)
+			c.Close()
+		}
+	}()
+	churnClient(b, ln.Addr().String())
+}
+
+// churnClient is the client loop of both churn benchmarks: per op, dial, one
+// small request asking to close, read the reply and the close, hang up.
+func churnClient(b *testing.B, addr string) {
 	br := bufio.NewReader(nil)
 	req := []byte("GET /s HTTP/1.1\r\nHost: bench.local\r\nConnection: close\r\n\r\n")
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c, err := net.Dial("tcp", p.Addr())
+		c, err := net.Dial("tcp", addr)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -131,7 +168,7 @@ func BenchmarkProxyChurn(b *testing.B) {
 			b.Fatalf("connection %d: status %d, err %v", i, status, err)
 		}
 		if _, err := br.ReadByte(); err != io.EOF {
-			b.Fatalf("connection %d: proxy left it open after Connection: close (%v)", i, err)
+			b.Fatalf("connection %d: server left it open after Connection: close (%v)", i, err)
 		}
 		c.Close()
 	}

@@ -5,6 +5,7 @@ import (
 	"io"
 	"net"
 	"os"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -16,19 +17,23 @@ import (
 // largest head httpx accepts plus a 64 KiB window of body.
 const bufSize = httpx.MaxHeaderBytes + 64<<10
 
+// freeSlots bounds both of the proxy's free lists: the idle buffers of
+// bufPool and the parked goroutines of idleConns.
+const freeSlots = 32
+
 // bufPool is the proxy's one free list of data-path buffers (the FramePool
 // idiom of internal/packet, made safe for many goroutines): a fixed number
 // of fixed-size slots, so what it retains is bounded whatever traffic did. A
 // buffer grown for a large request was never the pool's and is left to the
 // GC; gets == puts once every connection has closed.
 type bufPool struct {
-	// free holds at most 32 idle buffers (4 MiB): sixteen requests in
-	// flight allocate nothing once warm.
+	// free holds at most freeSlots idle buffers (4 MiB): sixteen requests
+	// in flight allocate nothing once warm.
 	free       chan []byte
 	gets, puts atomic.Uint64
 }
 
-func newBufPool() *bufPool { return &bufPool{free: make(chan []byte, 32)} }
+func newBufPool() *bufPool { return &bufPool{free: make(chan []byte, freeSlots)} }
 
 func (bp *bufPool) get() []byte {
 	bp.gets.Add(1)
@@ -51,10 +56,65 @@ func (bp *bufPool) put(b []byte) {
 	}
 }
 
-// conn is one client connection: a goroutine of its worker that parks in the
-// netpoller between requests and owns the connection's buffer, parse cursor
-// and scratch. While parked with nothing pending it holds no pooled buffer.
+// idleConns is the LIFO list of parked connection goroutines (fasthttp's
+// worker pool): the acceptor hands a new client to the goroutine parked
+// last, whose stack is the warmest, and starts a goroutine only when none is
+// parked. It holds at most freeSlots; a goroutine that finds it full, or
+// closed by Shutdown, exits instead of parking.
+type idleConns struct {
+	mu     sync.Mutex
+	parked []*conn
+	closed bool
+}
+
+// park puts c's goroutine on the list; false means it must exit.
+func (l *idleConns) park(c *conn) bool {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.closed || len(l.parked) == freeSlots {
+		return false
+	}
+	l.parked = append(l.parked, c)
+	return true
+}
+
+// take pops the goroutine parked last: nil when none is parked.
+func (l *idleConns) take() *conn {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	n := len(l.parked)
+	if n == 0 {
+		return nil
+	}
+	c := l.parked[n-1]
+	l.parked[n-1] = nil
+	l.parked = l.parked[:n-1]
+	return c
+}
+
+// close ends every parked goroutine and refuses any that tries to park later.
+func (l *idleConns) close() {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.closed = true
+	for _, c := range l.parked {
+		close(c.wake)
+	}
+	l.parked = nil
+}
+
+// conn is one client connection's state, owned by a connection goroutine
+// (run) that serves one client after another. While it serves one, it parks
+// in the netpoller between requests and owns the connection's buffer, parse
+// cursor and scratch; while parked with nothing pending it holds no pooled
+// buffer.
 type conn struct {
+	// wake is how the acceptor hands this goroutine its next client while it
+	// is parked on idleConns; closed, it tells the goroutine to exit. One
+	// slot of buffer, so the acceptor never waits for a goroutine that has
+	// parked but not yet reached its receive.
+	wake chan struct{}
+
 	w     *worker
 	nc    net.Conn
 	id    uint64 // flight-recorder identity, 0 when tracing is off
@@ -92,11 +152,30 @@ var (
 	errDraining   = errors.New("proxy: draining")
 )
 
+// run is a connection goroutine: it serves the client it was started for,
+// then parks on p.idle and serves whichever client the acceptor hands it
+// next, until the list is full or closed. It is counted in p.wg until it
+// exits.
+func (c *conn) run(p *Proxy) {
+	defer p.wg.Done()
+	for {
+		c.serve()
+		// Nothing of one client reaches the next: only the hand-off channel
+		// survives, and the inline arrays are zeroed with the rest.
+		*c = conn{wake: c.wake}
+		if !p.idle.park(c) {
+			return
+		}
+		if _, ok := <-c.wake; !ok {
+			return
+		}
+	}
+}
+
 // serve runs the connection: read a request, proxy it, repeat while both
 // sides want the connection kept.
 func (c *conn) serve() {
 	w, p := c.w, c.w.p
-	defer p.wg.Done()
 	w.hook.ConnOpened()
 	w.tr.Accept(c.id, c.estNS, time.Now().UnixNano())
 	c.req.Fields, c.resp.Fields, c.head = c.fieldArr[0][:0], c.fieldArr[1][:0], c.headArr[:0]
@@ -458,11 +537,13 @@ func (c *conn) relay(up net.Conn, rbuf []byte, n, respLen int, keep bool) (bool,
 		}
 		var err error
 		switch {
-		case first && len(part) > 0:
+		case first && len(c.head)+len(part) <= cap(c.head):
+			// A small reply goes out in one write, head and body together:
+			// no writev, whose iovec cache a new socket would build first.
+			_, err = c.nc.Write(append(c.head, part...))
+		case first:
 			c.vec = append(c.vecArr[:0], c.head, part)
 			_, err = c.vec.WriteTo(c.nc)
-		case first:
-			_, err = c.nc.Write(c.head)
 		case len(part) > 0:
 			_, err = c.nc.Write(part)
 		}

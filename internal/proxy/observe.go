@@ -56,6 +56,10 @@ type Instruments struct {
 	// shutdown exceeded its drain deadline.
 	DrainForcedCloses *telemetry.Counter
 
+	// AcceptErrors counts failed accepts the acceptor backed off from and
+	// survived (EMFILE and the like).
+	AcceptErrors *telemetry.Counter
+
 	// ktr records each steering decision; ptr health probes and backend
 	// availability transitions, on the kernel track — backends are peers of
 	// the steering decision, not of any one worker.
@@ -98,5 +102,6 @@ func newInstruments(reg *telemetry.Registry, tr *tracing.Tracer, workers, backen
 
 		Unavailable:       reg.Counter(m("proxy.unavailable", "reqs")),
 		DrainForcedCloses: reg.Counter(m("proxy.drain.forced_closes", "conns")),
+		AcceptErrors:      reg.Counter(m("proxy.accept_errors", "errors")),
 	}
 }

@@ -2,6 +2,7 @@ package proxy
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net"
 	"strconv"
@@ -47,6 +48,7 @@ type Proxy struct {
 	ctl     *core.Controller
 	pool    *Pool
 	bufs    *bufPool
+	idle    idleConns // parked connection goroutines
 	workers []*worker
 	checker *checker // nil when active checks are disabled
 
@@ -66,7 +68,7 @@ type Proxy struct {
 	conns    map[net.Conn]struct{}
 	draining atomic.Bool
 	stop     chan struct{}  // closed when the drain starts: the heartbeat ends
-	wg       sync.WaitGroup // acceptor, heartbeat and connection goroutines
+	wg       sync.WaitGroup // acceptor, heartbeat and connection goroutines, parked ones too
 	shutOnce sync.Once
 	shutErr  error
 }
@@ -74,8 +76,11 @@ type Proxy struct {
 // worker is one proxy worker as the scheduler sees it: the WST row its
 // connections publish into (open connections, requests in flight) and the
 // loop-enter stamp the fleet heartbeat keeps fresh. Its event loop is Go's
-// netpoller: every connection steered here is a goroutine parked in it, so an
-// idle or slow connection never holds up another.
+// netpoller: every connection steered here is served by a goroutine parked in
+// it, so an idle or slow connection never holds up another. Connection
+// goroutines belong to the proxy, not to a worker: when a client leaves, its
+// goroutine parks on the proxy's idle list and may serve its next client for
+// another worker.
 type worker struct {
 	id      int
 	p       *Proxy
@@ -184,7 +189,7 @@ func New(cfg Config, opts ...Option) (*Proxy, error) {
 	}
 	p.applyFaults(o.sched, o.tracer.FaultTrace())
 	p.wg.Add(1)
-	go p.acceptLoop()
+	go p.acceptLoop(ln)
 	return p, nil
 }
 
@@ -223,14 +228,31 @@ func (p *Proxy) untrack(c net.Conn) {
 
 // acceptLoop is the kernel-dispatch stand-in: scaled-hash selection over the
 // live bitmap, hash fallback below MinWorkers (Algorithm 2). The steered
-// connection becomes a goroutine of its worker.
-func (p *Proxy) acceptLoop() {
+// connection goes to the goroutine parked last on p.idle, or to a new one
+// when none is parked.
+//
+// Only a closed listener ends the loop. Go's poller retries EINTR, EAGAIN
+// and ECONNABORTED itself; any other error (EMFILE, ENFILE, ENOBUFS) is
+// counted and waited out as net/http's Server.Serve does, 5 ms doubling to
+// 1 s, so running out of descriptors does not stop the proxy accepting.
+func (p *Proxy) acceptLoop(ln net.Listener) {
 	defer p.wg.Done()
+	var backoff time.Duration
 	for {
-		nc, err := p.ln.Accept()
+		nc, err := ln.Accept()
 		if err != nil {
-			return
+			if errors.Is(err, net.ErrClosed) {
+				return
+			}
+			p.tel.AcceptErrors.Inc()
+			backoff = min(max(2*backoff, 5*time.Millisecond), time.Second)
+			select {
+			case <-p.stop:
+			case <-time.After(backoff):
+			}
+			continue
 		}
+		backoff = 0
 		h := p.hashSeq.Add(2654435761)
 		via := tracing.ViaProg
 		wi, ok := p.ctl.Select(h, h)
@@ -239,10 +261,19 @@ func (p *Proxy) acceptLoop() {
 			wi = int(h % uint32(len(p.workers)))
 		}
 		p.track(nc)
-		c := &conn{w: p.workers[wi], nc: nc, id: p.connSeq.Add(1), estNS: time.Now().UnixNano()}
+		c := p.idle.take()
+		parked := c != nil
+		if !parked {
+			c = &conn{wake: make(chan struct{}, 1)}
+		}
+		c.w, c.nc, c.id, c.estNS = p.workers[wi], nc, p.connSeq.Add(1), time.Now().UnixNano()
 		p.tel.ktr.ConnEstablished(c.id, c.estNS, int32(wi), via)
-		p.wg.Add(1)
-		go c.serve()
+		if parked {
+			c.wake <- struct{}{}
+		} else {
+			p.wg.Add(1)
+			go c.run(p)
+		}
 	}
 }
 
@@ -323,6 +354,9 @@ func (p *Proxy) shutdown(timeout time.Duration) error {
 	close(p.stop)
 	p.sync()
 	p.ln.Close()
+	// From here on no goroutine parks: the parked ones exit now, the busy
+	// ones when their client leaves, and the wait below covers both.
+	p.idle.close()
 	if p.checker != nil {
 		p.checker.Stop()
 	}
