@@ -16,7 +16,7 @@ import (
 )
 
 // runDemo spins up two stub origins, the proxy, and a client fleet, with one
-// worker poisoned halfway through to show the bitmap steering around it.
+// worker poisoned to show the bitmap steering around it.
 func runDemo(cfg proxy.Config, requests int, statsEvery time.Duration, tracer *tracing.Tracer, tracePath string, sched faults.Schedule) int {
 	backendAddrs := make([]string, 2)
 	for i := range backendAddrs {
@@ -33,6 +33,14 @@ func runDemo(cfg proxy.Config, requests int, statsEvery time.Duration, tracer *t
 	cfg.Backends = nil
 	for _, a := range backendAddrs {
 		cfg.Backends = append(cfg.Backends, proxy.BackendConfig{Address: a, Weight: 1})
+	}
+	// Without a schedule of its own the demo poisons its last worker with a
+	// slow fault, 25 ms per request from about halfway through its requests.
+	poisoned := -1
+	if len(sched.Events) == 0 {
+		poisoned = cfg.Workers - 1
+		sched.Events = []faults.Event{{Kind: faults.Slow, AtNS: int64(100 * time.Millisecond), Worker: poisoned, Factor: 6}}
+		fmt.Printf("poisoning worker %d: %v\n", poisoned, sched)
 	}
 	p, err := proxy.New(cfg, proxy.WithTracer(tracer), proxy.WithFaults(sched))
 	if err != nil {
@@ -55,7 +63,6 @@ func runDemo(cfg proxy.Config, requests int, statsEvery time.Duration, tracer *t
 	client := &http.Client{Timeout: 3 * time.Second, Transport: &http.Transport{DisableKeepAlives: true}}
 	var wg sync.WaitGroup
 	var ok, bad, issued atomic.Uint64
-	poisonAt := uint64(requests / 2)
 	for c := 0; c < clientPool; c++ {
 		wg.Add(1)
 		go func() {
@@ -64,10 +71,6 @@ func runDemo(cfg proxy.Config, requests int, statsEvery time.Duration, tracer *t
 				i := issued.Add(1)
 				if i > uint64(requests) {
 					return
-				}
-				if i == poisonAt {
-					p.SetWorkerDelay(workers-1, 25*time.Millisecond)
-					fmt.Printf("poisoning worker %d at request %d\n", workers-1, i)
 				}
 				if err := demoRequest(client, p.Addr(), int(i)); err != nil {
 					bad.Add(1)
@@ -84,8 +87,8 @@ func runDemo(cfg proxy.Config, requests int, statsEvery time.Duration, tracer *t
 	fmt.Printf("%-8s %-10s\n", "worker", "handled")
 	for i := 0; i < workers; i++ {
 		note := ""
-		if i == workers-1 {
-			note = "  <- poisoned after halfway"
+		if i == poisoned {
+			note = "  <- poisoned: " + sched.String()
 		}
 		fmt.Printf("w%-7d %-10d%s\n", i, p.WorkerHandled(i), note)
 	}

@@ -22,6 +22,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"hermes/internal/faults"
 	"hermes/internal/proxy"
 )
 
@@ -29,7 +30,7 @@ const (
 	workers    = 4
 	clients    = 16
 	reqPerCli  = 150
-	slowWorker = 3 // poisoned worker: 20ms per request
+	slowWorker = 3 // poisoned worker: a slow fault, x=5 is 20ms per request
 )
 
 func main() {
@@ -43,12 +44,11 @@ func main() {
 		defer origin.Close()
 		cfg.Backends = append(cfg.Backends, proxy.BackendConfig{Address: origin.Listener.Addr().String(), Weight: 1})
 	}
-	p, err := proxy.New(cfg)
+	p, err := proxy.New(cfg, proxy.WithFaults(faults.Schedule{Events: []faults.Event{{Kind: faults.Slow, Worker: slowWorker, Factor: 5}}}))
 	if err != nil {
 		panic(err)
 	}
 	defer p.Close()
-	p.SetWorkerDelay(slowWorker, 20*time.Millisecond)
 	fmt.Println("hermes-lb listening on", p.Addr())
 
 	// Clients: one connection per request, so every request is a new

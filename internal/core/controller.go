@@ -17,12 +17,12 @@ import (
 // pipeline and publishes its result here; later callers return it directly,
 // skipping the O(workers) WST scan and the map-update syscall. Fields are
 // independent atomics read without a lock: a torn read across a concurrent
-// refill can pair one quantum's bitmap with a neighbour's counts, both of
-// which were correctly published within the last quantum — exactly the
-// staleness the quantum already admits (the kernel-facing bitmap itself is
-// always the one the filling worker synced). Ordering matters only in that
-// the filler stores lastNS last: a reader that observes the new timestamp
-// observes payload stores no older than it.
+// refill can pair one fill's bitmap with another's counts, both synced within
+// the last quantum — exactly the staleness the quantum already admits. Two
+// fillers' stores may interleave too; one computed under an older policy
+// generation is repaired by its filler's rerun (scheduleAndSync). Ordering
+// matters only in that the filler stores lastNS last: a reader that observes
+// the new timestamp observes payload stores no older than it.
 type syncCache struct {
 	lastNS atomic.Int64  // virtual time of the last real sync
 	gen    atomic.Uint64 // 1 + the policy generation it was computed under; 0 = never filled
@@ -225,8 +225,12 @@ func (c *Controller) Snapshot(dst []shm.Metrics) []shm.Metrics {
 	return dst
 }
 
-// Selection returns the bitmap group gi last published to shared memory.
-func (c *Controller) Selection(gi int) uint64 { return c.groups[gi].wst.LoadSelection() }
+// Selection returns the bitmap group gi's selection map holds: what the
+// kernel dispatch program reads.
+func (c *Controller) Selection(gi int) uint64 {
+	bm, _ := c.groups[gi].sel.UserLookup(0)
+	return bm
+}
 
 // SelMap exposes group 0's kernel-facing selection map (M_sel) — the only
 // one when the fleet fits one group.
@@ -320,27 +324,44 @@ func (c *Controller) NewWorkerHook(id int) *WorkerHook {
 }
 
 // scheduleAndSync is the shared implementation behind schedule_and_sync()
-// for every worker of group g. It keeps no state outside the controller's
-// atomics — the WST snapshot lives on the caller's stack — so any goroutine
-// may call it.
+// for every worker of group g; any goroutine may call it. A pass whose publish
+// finds that a policy change landed since it loaded the generation computes
+// and publishes again, without the cache, so a pass that read an old policy
+// cannot leave its result standing (the publish rule, DESIGN.md §4).
 func (c *Controller) scheduleAndSync(g *group, nowNS int64) ScheduleResult {
-	cfg := c.cfg.Load()
-	gen := c.polGen.Load()
-	batching := !c.fallback.Load() && !c.singleWinner.Load()
-	if batching {
-		if res, ok := g.cache.load(nowNS, gen); ok {
+	gen, res, ok := c.cached(g, nowNS)
+	for !ok {
+		var batching bool
+		res, batching = c.compute(g, nowNS)
+		gen, ok = c.publish(g, nowNS, gen, res, batching)
+	}
+	return res
+}
+
+// cached loads the generation a pass computes under and serves the quantum's
+// cached result when one is valid under it.
+func (c *Controller) cached(g *group, nowNS int64) (gen uint64, res ScheduleResult, ok bool) {
+	gen = c.polGen.Load()
+	if !c.fallback.Load() && !c.singleWinner.Load() {
+		if res, ok = g.cache.load(nowNS, gen); ok {
 			c.led.syncBatched.Inc()
-			return res
 		}
 	}
+	return gen, res, ok
+}
 
+// compute runs Algorithm 1 and the veto over a stack snapshot of g's WST.
+// batching is false under the fallback and single-winner policies, the
+// ablation/override modes whose tests flip them between calls at one instant.
+func (c *Controller) compute(g *group, nowNS int64) (res ScheduleResult, batching bool) {
+	cfg := c.cfg.Load()
+	fallback, single := c.fallback.Load(), c.singleWinner.Load()
 	var rows [shm.GroupSize]shm.Metrics
 	ms := g.wst.Snapshot(rows[:0])
-	var res ScheduleResult
 	switch {
-	case c.fallback.Load():
+	case fallback:
 		res = ScheduleResult{Total: len(ms)} // empty set → kernel hash fallback
-	case c.singleWinner.Load():
+	case single:
 		res = ScheduleSingleWinner(nowNS, ms, *cfg)
 	default:
 		res = Schedule(nowNS, ms, *cfg, FilterOrder(c.order.Load()))
@@ -363,23 +384,21 @@ func (c *Controller) scheduleAndSync(g *group, nowNS int64) ScheduleResult {
 	if res.Passed == 0 {
 		c.led.emptySets.Inc()
 	}
+	return res, !fallback && !single
+}
 
-	// Publish: shared-memory word for userspace observers, eBPF map for the
-	// kernel dispatcher. Both are single atomic stores; concurrent workers
-	// race benignly (last write wins with a complete bitmap, §5.3.2).
-	g.wst.StoreSelection(uint64(res.Bitmap))
+// publish writes res to g's selection map, the one published copy, then, if
+// the map took it and it may batch, to the cache. It returns the generation
+// now in force and whether res was computed under it.
+func (c *Controller) publish(g *group, nowNS int64, gen uint64, res ScheduleResult, batching bool) (uint64, bool) {
 	if err := g.sel.Update(0, uint64(res.Bitmap)); err == nil {
 		c.led.syncs.Inc()
-		// Only a successfully synced default-path result may serve a
-		// quantum: the fallback and single-winner policies are deliberately
-		// exempt from coalescing (they are ablation/override modes whose
-		// tests flip them between calls at one instant), and a failed map
-		// update must not suppress the next worker's retry.
 		if batching {
 			g.cache.store(nowNS, gen, res)
 		}
 	}
-	return res
+	now := c.polGen.Load()
+	return now, now == gen
 }
 
 // Stats is a snapshot of scheduling counters, summed over every group.

@@ -364,10 +364,7 @@ func (c *conn) forward(reqLen int) (keep bool) {
 
 	rbuf := p.bufs.get()
 	defer p.bufs.put(rbuf)
-	var (
-		tried   uint64
-		lastErr error
-	)
+	var tried uint64
 	for attempt := 0; attempt < attempts; attempt++ {
 		b, epoch := p.pool.Pick(tried)
 		if b == nil {
@@ -399,7 +396,6 @@ func (c *conn) forward(reqLen int) (keep bool) {
 		p.pool.Observe(b, epoch, err == nil)
 		switch {
 		case !committed:
-			lastErr = err
 			continue
 		case err != nil: // cut short mid-reply: the client has part of it
 			p.tel.UpstreamErrors.Inc()
@@ -412,8 +408,10 @@ func (c *conn) forward(reqLen int) (keep bool) {
 	if attempts > 1 {
 		p.tel.RetryExhausted.Inc()
 	}
+	// The body is fixed, as nginx's 502 page is: the upstream error names the
+	// backend's address, which is not the client's to read.
 	p.tel.UpstreamErrors.Inc()
-	return c.answer(502, lastErr.Error(), keep)
+	return c.answer(502, "bad gateway", keep)
 }
 
 var errUpstreamProto = errors.New("proxy: upstream reply not relayable")

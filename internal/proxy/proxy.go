@@ -63,14 +63,15 @@ type Proxy struct {
 
 	startNS int64
 
-	// Connection tracking for graceful drain.
-	mu       sync.Mutex
-	conns    map[net.Conn]struct{}
-	draining atomic.Bool
-	stop     chan struct{}  // closed when the drain starts: the heartbeat ends
-	wg       sync.WaitGroup // acceptor, heartbeat and connection goroutines, parked ones too
-	shutOnce sync.Once
-	shutErr  error
+	// Connection tracking for graceful drain; mu also guards faultTimers.
+	mu          sync.Mutex
+	conns       map[net.Conn]struct{}
+	faultTimers []*time.Timer // every fault timer armed, stopped by shutdown
+	draining    atomic.Bool
+	stop        chan struct{}  // closed when the drain starts: the heartbeat ends
+	wg          sync.WaitGroup // acceptor, heartbeat and connection goroutines, parked ones too
+	shutOnce    sync.Once
+	shutErr     error
 }
 
 // worker is one proxy worker as the scheduler sees it: the WST row its
@@ -90,7 +91,7 @@ type worker struct {
 	// handled counts requests this worker proxied: its slot of
 	// proxy.worker.requests_served.
 	handled *telemetry.Counter
-	// delay injects extra latency per request (demo poisoning, slow fault).
+	// delay injects extra latency per request: the slow faults in force.
 	delay atomic.Int64
 	slow  faults.Slowdowns // the slow faults in force, which set delay
 	// hangUntilNS, while in the future, stalls the worker: the heartbeat
@@ -207,11 +208,6 @@ func (p *Proxy) Workers() int { return len(p.workers) }
 
 // WorkerHandled returns how many requests worker id has proxied.
 func (p *Proxy) WorkerHandled(id int) uint64 { return p.workers[id].handled.Load() }
-
-// SetWorkerDelay injects per-request latency on one worker (demo poisoning).
-func (p *Proxy) SetWorkerDelay(id int, d time.Duration) {
-	p.workers[id].delay.Store(int64(d))
-}
 
 // track registers a live client connection for drain accounting.
 func (p *Proxy) track(c net.Conn) {
@@ -352,6 +348,11 @@ func (p *Proxy) shutdown(timeout time.Duration) error {
 		_ = p.ctl.SetWorkerAvailable(i, false)
 	}
 	close(p.stop)
+	p.mu.Lock()
+	for _, t := range p.faultTimers {
+		t.Stop()
+	}
+	p.mu.Unlock()
 	p.sync()
 	p.ln.Close()
 	// From here on no goroutine parks: the parked ones exit now, the busy
@@ -432,14 +433,14 @@ func checkFaults(sched faults.Schedule, workers int) error {
 // stall until its restart delay (goroutines cannot be SIGKILLed). Each fault
 // that fires is recorded as the simulator's injector records it: counted in
 // faults.injected by kind, and a fault instant on the victim's track carrying
-// the same kind-specific parameter.
+// the same kind-specific parameter. Fault timers end at Shutdown.
 func (p *Proxy) applyFaults(sched faults.Schedule, tr *tracing.FaultTrace) {
 	if len(sched.Events) == 0 {
 		return
 	}
 	injected := faults.InjectedVec(p.reg)
 	for _, ev := range sched.Events {
-		time.AfterFunc(time.Duration(ev.AtNS), func() {
+		p.afterFault(time.Duration(ev.AtNS), func() {
 			now := time.Now().UnixNano()
 			w, param := p.victim(ev.Worker, now), ev.DurNS
 			if w == nil {
@@ -463,12 +464,26 @@ func (p *Proxy) applyFaults(sched faults.Schedule, tr *tracing.FaultTrace) {
 				})
 				param = int64(ev.Factor * 1000)
 				if ev.DurNS > 0 {
-					time.AfterFunc(time.Duration(ev.DurNS), end)
+					p.afterFault(time.Duration(ev.DurNS), end)
 				}
 			}
 			injected.At(int(ev.Kind)).Inc()
 			tr.Event(int32(w.id), now, int64(ev.Kind), param)
 		})
+	}
+}
+
+// afterFault runs fn after d on a timer shutdown stops. Once the drain has
+// begun it arms nothing, and a timer already firing does nothing.
+func (p *Proxy) afterFault(d time.Duration, fn func()) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if !p.draining.Load() {
+		p.faultTimers = append(p.faultTimers, time.AfterFunc(d, func() {
+			if !p.draining.Load() {
+				fn()
+			}
+		}))
 	}
 }
 

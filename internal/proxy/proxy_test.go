@@ -278,6 +278,28 @@ func TestProxyAllBackendsDown(t *testing.T) {
 	}
 }
 
+// A 502's body is fixed, as nginx's page is: the upstream error behind it
+// names the backend's address, which is not the client's to read. The
+// failure still counts in proxy.upstream_errors and in the backend's row.
+func TestProxy502BodyHidesBackend(t *testing.T) {
+	dead := newStubUpstream(t)
+	dead.kill()
+	p := startProxy(t, testConfig(dead))
+	resp, err := get(p.Addr(), "/", nil)
+	if err != nil || resp.Status != 502 {
+		t.Fatalf("request to a dead backend: status=%v err=%v, want 502", resp, err)
+	}
+	if strings.Contains(string(resp.Body), dead.addr) {
+		t.Errorf("502 body %q names the backend %s", resp.Body, dead.addr)
+	}
+	if n := p.tel.UpstreamErrors.Load(); n != 1 {
+		t.Errorf("proxy.upstream_errors = %d, want 1", n)
+	}
+	if row := p.Registry().Snapshot().Get("proxy.backend.errors"); row == nil || row.Values[0] != 1 {
+		t.Errorf("proxy.backend.errors = %+v, want 1 on the dead backend", row)
+	}
+}
+
 // Bounded buffering: a body over the cap is refused with 413, both when the
 // request parses (explicit check) and when it exceeds the buffer entirely
 // (the old fixed-buffer code span-looped forever on this).

@@ -457,6 +457,38 @@ func TestProxyOverlappingSlowdowns(t *testing.T) {
 	}
 }
 
+// Fault timers end at Shutdown: a hang due after the proxy closed never
+// fires, and a slowdown's pending expiry is stopped with it.
+func TestFaultTimersEndAtShutdown(t *testing.T) {
+	p, err := New(testConfig(newStubUpstream(t)), WithFaults(faults.Schedule{Events: []faults.Event{
+		{Kind: faults.Slow, Worker: 0, Factor: 2, DurNS: int64(time.Hour)},
+		{Kind: faults.Hang, AtNS: int64(150 * time.Millisecond), Worker: 1, DurNS: int64(time.Second)},
+	}}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(time.Second); p.workers[0].delay.Load() == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the slow fault at 0s never fired")
+		}
+	}
+	p.Close()
+	time.Sleep(400 * time.Millisecond)
+	if row := p.Registry().Snapshot().Get("faults.injected"); row == nil || row.Values[faults.Hang] != 0 {
+		t.Errorf("faults.injected = %+v after Close, want no hang", row)
+	}
+	if until := p.workers[1].hangUntilNS.Load(); until != 0 {
+		t.Errorf("worker 1 hung until %v after Close", time.Unix(0, until))
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for i, tm := range p.faultTimers {
+		if tm.Stop() {
+			t.Errorf("fault timer %d of %d still armed after Close", i, len(p.faultTimers))
+		}
+	}
+}
+
 // A fault the real proxy cannot inject is refused when the proxy is built,
 // by name, and a proxy without a schedule registers no fault row.
 func TestUnsupportedFaultRefusedAtNew(t *testing.T) {

@@ -7,19 +7,14 @@ import "sync"
 // single RWMutex and exists for the lock-free-vs-locked ablation benchmark;
 // it is not used on any Hermes fast path.
 type LockedWST struct {
-	mu      sync.RWMutex
-	slots   []Metrics
-	sel     uint64
-	workers int
+	mu    sync.RWMutex
+	slots []Metrics
 }
 
 // NewLockedWST creates a mutex-guarded table for n workers.
 func NewLockedWST(n int) *LockedWST {
-	return &LockedWST{slots: make([]Metrics, n), workers: n}
+	return &LockedWST{slots: make([]Metrics, n)}
 }
-
-// Workers returns the number of worker slots.
-func (t *LockedWST) Workers() int { return t.workers }
 
 // SetLoopEnter records the loop-entry timestamp for worker id.
 func (t *LockedWST) SetLoopEnter(id int, ns int64) {
@@ -48,18 +43,4 @@ func (t *LockedWST) Snapshot(dst []Metrics) []Metrics {
 	dst = append(dst, t.slots...)
 	t.mu.RUnlock()
 	return dst
-}
-
-// StoreSelection publishes the selection bitmap under the lock.
-func (t *LockedWST) StoreSelection(bitmap uint64) {
-	t.mu.Lock()
-	t.sel = bitmap
-	t.mu.Unlock()
-}
-
-// LoadSelection reads the selection bitmap under the read lock.
-func (t *LockedWST) LoadSelection() uint64 {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.sel
 }

@@ -13,10 +13,10 @@
 //
 //   - the region is partitioned by worker, so writers never contend;
 //   - readers take no locks and tolerate cross-variable tears — only
-//     per-variable atomicity is guaranteed (each metric is one word);
-//   - the scheduler's output is a single 64-bit selection bitmap word,
-//     updated with one atomic store so concurrent scheduler instances
-//     cannot corrupt it (§5.3.2).
+//     per-variable atomicity is guaranteed (each metric is one word).
+//
+// The scheduler's output, the 64-bit selection bitmap, is not kept here: it
+// is published through the kernel-facing eBPF selection map (§5.4).
 package shm
 
 import (
@@ -52,11 +52,6 @@ func (r *Region) Store(i int, v uint64) { atomic.StoreUint64(&r.words[i], v) }
 // returns the new value.
 func (r *Region) Add(i int, delta int64) uint64 {
 	return atomic.AddUint64(&r.words[i], uint64(delta))
-}
-
-// CompareAndSwap atomically CASes word i.
-func (r *Region) CompareAndSwap(i int, old, new uint64) bool {
-	return atomic.CompareAndSwapUint64(&r.words[i], old, new)
 }
 
 // LoadInt64 reads word i as a signed value.

@@ -23,12 +23,6 @@ func TestRegionBasics(t *testing.T) {
 	if got := r.LoadInt64(3); got != -7 {
 		t.Fatalf("StoreInt64/LoadInt64 round trip = %d, want -7", got)
 	}
-	if !r.CompareAndSwap(2, ^uint64(0), 5) {
-		t.Fatal("CAS with matching old value failed")
-	}
-	if r.CompareAndSwap(2, 0, 6) {
-		t.Fatal("CAS with stale old value succeeded")
-	}
 }
 
 func TestRegionNegativeSizePanics(t *testing.T) {
@@ -82,17 +76,6 @@ func TestWriterTouchesOnlyThreeWords(t *testing.T) {
 		if got := w.region.Load(i) != 0; got != live {
 			t.Errorf("region word %d (slot word %d): non-zero = %v, want %v", i, word, got, live)
 		}
-	}
-}
-
-func TestWSTSelectionWord(t *testing.T) {
-	w := NewWST(8)
-	if w.LoadSelection() != 0 {
-		t.Fatal("initial selection must be empty")
-	}
-	w.StoreSelection(0b10110)
-	if got := w.LoadSelection(); got != 0b10110 {
-		t.Fatalf("selection = %b, want 10110", got)
 	}
 }
 
@@ -199,33 +182,6 @@ func TestWSTConcurrentWritersAndReader(t *testing.T) {
 			t.Errorf("worker %d loopEnter = %d, want %d", id, m.LoopEnterNS, updates-1)
 		}
 	}
-}
-
-// Concurrent schedulers racing on the selection word must always leave a
-// complete bitmap from one of them (benign last-write-wins).
-func TestWSTSelectionRaceIsAtomic(t *testing.T) {
-	w := NewWST(8)
-	valid := map[uint64]bool{0b1111: true, 0b11110000: true}
-	var wg sync.WaitGroup
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			v := uint64(0b1111)
-			if i%2 == 1 {
-				v = 0b11110000
-			}
-			for j := 0; j < 5000; j++ {
-				w.StoreSelection(v)
-				got := w.LoadSelection()
-				if !valid[got] {
-					t.Errorf("torn selection bitmap observed: %b", got)
-					return
-				}
-			}
-		}(i)
-	}
-	wg.Wait()
 }
 
 func TestLockedWSTMatchesLockFree(t *testing.T) {

@@ -27,11 +27,11 @@ type Metrics struct {
 }
 
 // WST is the shared Worker Status Table: one padded slot per worker inside a
-// Region, plus the single selection-bitmap word the schedulers publish to.
+// Region. What the schedulers compute from it is published through the
+// kernel-facing selection map (ebpf.ArrayMap), not here.
 type WST struct {
 	region  *Region
 	workers int
-	selWord int // region index of the selection bitmap word
 }
 
 // GroupSize is the maximum number of workers one selection bitmap can
@@ -46,9 +46,7 @@ func NewWST(n int) *WST {
 	if n < 1 || n > GroupSize {
 		panic(fmt.Sprintf("shm: worker count %d outside 1..%d (one group; core.Controller builds more)", n, GroupSize))
 	}
-	// n slots plus one trailing line holding the selection word.
-	r := NewRegion(n*slotWords + slotWords)
-	return &WST{region: r, workers: n, selWord: n * slotWords}
+	return &WST{region: NewRegion(n * slotWords), workers: n}
 }
 
 // Workers returns the number of worker slots.
@@ -116,17 +114,4 @@ func (t *WST) Snapshot(dst []Metrics) []Metrics {
 		})
 	}
 	return dst
-}
-
-// StoreSelection publishes the coarse-filter result bitmap with a single
-// atomic store. Concurrent schedulers race benignly: last write wins, and
-// every write is a complete, valid bitmap (§5.3.2 "concurrency management of
-// scheduling results").
-func (t *WST) StoreSelection(bitmap uint64) {
-	t.region.Store(t.selWord, bitmap)
-}
-
-// LoadSelection reads the current selection bitmap.
-func (t *WST) LoadSelection() uint64 {
-	return t.region.Load(t.selWord)
 }
