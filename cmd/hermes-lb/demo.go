@@ -81,6 +81,11 @@ func runDemo(cfg proxy.Config, requests int, statsEvery time.Duration, tracer *t
 		}()
 	}
 	wg.Wait()
+	// A client can read its reply before the worker counts the request; the
+	// drain waits for every exchange to end, so after it the counts are final.
+	if err := p.Shutdown(cfg.DrainTimeout); err != nil {
+		fmt.Fprintln(os.Stderr, "hermes-lb:", err)
+	}
 
 	upstreamErrs := p.Registry().Snapshot().Get("proxy.upstream_errors").Value
 	fmt.Printf("\nrequests: %d ok, %d failed; upstream errors: %d\n", ok.Load(), bad.Load(), upstreamErrs)

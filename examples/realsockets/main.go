@@ -75,6 +75,11 @@ func main() {
 	}
 	wg.Wait()
 	elapsed := time.Since(start)
+	// A client can read its reply before the worker counts the request; the
+	// drain waits for every exchange to end, so after it the counts are final.
+	if err := p.Shutdown(2 * time.Second); err != nil {
+		panic(err)
+	}
 
 	var total uint64
 	fmt.Printf("\n%-8s %-10s\n", "worker", "handled")

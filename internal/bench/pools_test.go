@@ -1,0 +1,100 @@
+package bench
+
+import (
+	"runtime"
+	"testing"
+	"time"
+
+	"hermes/internal/l7lb"
+	"hermes/internal/workload"
+)
+
+// table3Ports are the eight tenant ports a benchmark Table 3 cell listens on.
+func table3Ports() []uint16 { return tenantPorts(8) }
+
+// Every pool of a Table 3 cell balances against what holds its objects, in
+// each mode, both while traffic is in flight (the window's end: connections
+// queued for accept with requests on them, trains and timers pending) and
+// after the drain: connection pairs and watches (kernel), payloads (l7lb,
+// LB.CheckPools), request trains (one per live generated connection) and
+// timer events (one per pending event). A pool that forgets one Put reads
+// more objects out than are held.
+func TestTable3CellPoolsBalance(t *testing.T) {
+	const window, drain = 60 * time.Millisecond, 1500 * time.Millisecond
+	specs := []workload.Spec{workload.Case2(table3Ports()), workload.Case3(table3Ports())}
+	for _, mode := range Table3Modes {
+		for si, spec := range specs {
+			t.Run(mode.String()+"/"+spec.Name, func(t *testing.T) {
+				cfg := lbConfig(mode, 16, spec.Ports)
+				cfg.RegisteredPorts = 400
+				lb, err := newDevice(int64(7+si), cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				lb.Start()
+				g, err := workload.NewGenerator(lb, spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				g.Run(window)
+				check := func(when string) (conns, trains int) {
+					t.Helper()
+					if err := lb.CheckPools(); err != nil {
+						t.Errorf("%s: %v", when, err)
+					}
+					if n := g.LiveTrains(); n != g.LiveConns {
+						t.Errorf("%s: %d request trains out of the pool, %d generated connections live", when, n, g.LiveConns)
+					}
+					if n, p := lb.Eng.LiveEvents(), lb.Eng.Pending(); n != p {
+						t.Errorf("%s: %d timer events out of the pool, %d pending", when, n, p)
+					}
+					conns, _ = lb.NS.Live()
+					return conns, g.LiveTrains()
+				}
+				lb.Eng.RunUntil(int64(window))
+				if conns, trains := check("at the window's end"); conns == 0 || trains == 0 {
+					t.Fatalf("at the window's end %d connections and %d trains are out: nothing in flight to check", conns, trains)
+				}
+				lb.Eng.RunUntil(int64(window + drain))
+				if conns, trains := check("after the drain"); conns != 0 || trains != 0 {
+					t.Errorf("after the drain %d connections and %d trains are still out, want a drained cell", conns, trains)
+				}
+			})
+		}
+	}
+}
+
+// A Table 3 cell mallocs its way up to peak concurrency only once per slab
+// chunk: case 2 under reuseport, the cell that grows its pools furthest (it
+// hangs workers, so connections pile up in the accept queues), here over a
+// quarter second of traffic. Everything the cell allocates counts: device,
+// generator, latency sample and pools. The budget is about twice what the
+// slabs read, 1 075 (linux/amd64, go1.24); pools grown one object at a time
+// read 4 841.
+func TestTable3CellMallocBudget(t *testing.T) {
+	const budget = 2200
+	rc := RunConfig{
+		Mode:    l7lb.ModeReuseport,
+		Workers: 16,
+		Seed:    1,
+		Window:  250 * time.Millisecond,
+		Drain:   2 * time.Second,
+		Specs:   []workload.Spec{workload.Case2(table3Ports())},
+		Mutate:  func(c *l7lb.Config) { c.RegisteredPorts = 400 },
+	}
+	cell := func() uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := Run(rc); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs
+	}
+	cell() // whatever the process allocates once
+	if got := cell(); got > budget {
+		t.Errorf("a case 2 reuseport cell mallocs %d times, budget %d: a per-connection pool grows an object at a time again", got, budget)
+	} else {
+		t.Logf("a case 2 reuseport cell mallocs %d times (budget %d)", got, budget)
+	}
+}

@@ -65,11 +65,11 @@ func Schedule(nowNS int64, metrics []shm.Metrics, cfg Config, order FilterOrder)
 	sel := alive
 	switch order {
 	case OrderTimeConnEvent:
-		sel = filterCount(sel, metrics, cfg.ThetaFrac, func(m shm.Metrics) int64 { return m.Conn })
-		sel = filterCount(sel, metrics, cfg.ThetaFrac, func(m shm.Metrics) int64 { return m.Busy })
+		sel = filterCount(sel, metrics, cfg.ThetaFrac, byConn)
+		sel = filterCount(sel, metrics, cfg.ThetaFrac, byBusy)
 	case OrderTimeEventConn:
-		sel = filterCount(sel, metrics, cfg.ThetaFrac, func(m shm.Metrics) int64 { return m.Busy })
-		sel = filterCount(sel, metrics, cfg.ThetaFrac, func(m shm.Metrics) int64 { return m.Conn })
+		sel = filterCount(sel, metrics, cfg.ThetaFrac, byBusy)
+		sel = filterCount(sel, metrics, cfg.ThetaFrac, byConn)
 	case OrderTimeOnly:
 		// hang detection only
 	}
@@ -111,6 +111,22 @@ func ScheduleSingleWinner(nowNS int64, metrics []shm.Metrics, cfg Config) Schedu
 	return res
 }
 
+// countMetric selects the WST column a filterCount stage reads: a field
+// selector, not a closure, so a stage is two plain loops.
+type countMetric uint8
+
+const (
+	byConn countMetric = iota // live connections
+	byBusy                    // pending events
+)
+
+func (c countMetric) of(m *shm.Metrics) int64 {
+	if c == byBusy {
+		return m.Busy
+	}
+	return m.Conn
+}
+
 // filterCount is Algorithm 1's FilterCount: keep workers whose metric is
 // strictly below Avg + θ, with θ expressed as a fraction of the average
 // (Fig. 15's θ/Avg axis) and the average taken over the current candidate
@@ -119,7 +135,7 @@ func ScheduleSingleWinner(nowNS int64, metrics []shm.Metrics, cfg Config) Schedu
 // hashing — exactly the too-few-workers pathology the offset exists to
 // prevent. Unloaded workers (metric ≤ 0; negatives are transient torn
 // reads) always pass.
-func filterCount(w bitops.Bitmap64, metrics []shm.Metrics, thetaFrac float64, get func(shm.Metrics) int64) bitops.Bitmap64 {
+func filterCount(w bitops.Bitmap64, metrics []shm.Metrics, thetaFrac float64, metric countMetric) bitops.Bitmap64 {
 	n := w.Count()
 	if n == 0 {
 		return w
@@ -127,7 +143,7 @@ func filterCount(w bitops.Bitmap64, metrics []shm.Metrics, thetaFrac float64, ge
 	var sum int64
 	for i := 0; i < len(metrics); i++ {
 		if w.Has(i) {
-			if v := get(metrics[i]); v > 0 {
+			if v := metric.of(&metrics[i]); v > 0 {
 				sum += v
 			}
 		}
@@ -140,7 +156,7 @@ func filterCount(w bitops.Bitmap64, metrics []shm.Metrics, thetaFrac float64, ge
 		if !w.Has(i) {
 			continue
 		}
-		v := get(metrics[i])
+		v := metric.of(&metrics[i])
 		if v <= 0 || float64(v) < limit {
 			out = out.Set(i)
 		}

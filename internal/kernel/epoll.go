@@ -53,9 +53,9 @@ type delivery struct {
 // socket wait-queue entry (prev/next — list position is the wait-queue order
 // the wakeup disciplines walk) and the epoll ready-list entry
 // (readyPrev/readyNext), so registration, deregistration, wakeup walks, and
-// ready-list removal are all O(1) pointer splices. Watches are pooled on the
-// NetStack; gen is bumped on release so the fuzz harness can detect a stale
-// handle surviving recycling.
+// ready-list removal are all O(1) pointer splices. Watches come from the
+// NetStack's slab; gen is bumped on release so the fuzz harness can detect a
+// stale handle surviving recycling.
 type watch struct {
 	ep   *Epoll
 	sock *Socket
@@ -148,7 +148,7 @@ func (ep *Epoll) add(s *Socket, et bool) {
 	if ep.findWatch(s) != nil {
 		panic(fmt.Sprintf("kernel: epoll %d already watches socket %d", ep.ID, s.ID))
 	}
-	w := ep.ns.newWatch()
+	w := ep.ns.watches.Get()
 	w.ep = ep
 	w.sock = s
 	w.et = et

@@ -693,3 +693,54 @@ func TestReuseportGroupUnbindsWithLastMember(t *testing.T) {
 		t.Fatal("SYN refused after re-binding")
 	}
 }
+
+// The stack's pools count what they hand out: a connection pair is out from
+// its handshake to its close, and a dropped SYN's pair goes straight back; a
+// watch is out while its registration lasts. A pair reincarnated from the pool
+// reads like a fresh one: new IDs, an empty queue, and its socket.
+func TestPoolsCountPairsAndWatches(t *testing.T) {
+	eng := sim.NewEngine(1)
+	ns := NewNetStack(eng, WakeExclusiveLIFO)
+	ls, err := ns.ListenShared(80, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := func(wantConns, wantWatches int) {
+		t.Helper()
+		if c, w := ns.Live(); c != wantConns || w != wantWatches {
+			t.Fatalf("pools hold %d pairs and %d watches out, want %d and %d", c, w, wantConns, wantWatches)
+		}
+	}
+	ep := ns.NewEpoll()
+	ep.Add(ls)
+	var conns []*Conn
+	for i := uint32(1); i <= 4; i++ {
+		if c, ok := ns.DeliverSYN(tupleFor(i, 80), nil); ok {
+			conns = append(conns, c)
+		}
+	}
+	if len(conns) != 2 || len(ls.Queued()) != 2 || ls.Queued()[0] != conns[0] {
+		t.Fatalf("%d SYNs queued (%d in the queue), want the first two of four on a backlog of 2", len(conns), len(ls.Queued()))
+	}
+	live(2, 1)
+	c, _ := ls.Accept()
+	ep.Add(c.Sock())
+	ns.DeliverData(c, "a")
+	ns.DeliverData(c, "b")
+	ns.DeliverData(c, "c")
+	live(2, 2)
+	old := c.ID
+	ns.CloseSocket(c.Sock())
+	live(1, 1)
+	again, ok := ns.DeliverSYN(tupleFor(9, 80), nil)
+	if !ok {
+		t.Fatal("SYN after an accept refused")
+	}
+	if again != c || again.ID == old || again.Sock().Conn() != again || again.Sock().PendingData() != 0 || again.Sock().Closed() {
+		t.Fatalf("reincarnated pair: same object %v, ID %d (was %d), pending %d, closed %v",
+			again == c, again.ID, old, again.Sock().PendingData(), again.Sock().Closed())
+	}
+	live(2, 1)
+	ep.Close()
+	live(2, 0)
+}

@@ -51,9 +51,10 @@ func (m WakeMode) String() string {
 // machine, and implements connection arrival, data delivery, and wakeups.
 //
 // The per-connection fast path is allocation-free in steady state: Conn
-// objects (paired with their connection Sockets) and epoll watches are
-// pooled and recycled on close, so a long run's allocation count is bounded
-// by peak concurrency, not connection count (see docs/PERF.md).
+// objects (each holding its connection Socket) and epoll watches come from
+// slabs and are recycled on close, so a long run's allocation count is bounded
+// by peak concurrency over the slab chunk, not connection count (see
+// docs/PERF.md).
 type NetStack struct {
 	// Mode is the wakeup discipline for shared listening sockets.
 	Mode WakeMode
@@ -65,13 +66,13 @@ type NetStack struct {
 	nextConnID  uint64
 	nextEpollID int
 
-	// Free lists. A pooled Conn keeps its paired connection Socket (and
-	// that socket's queue backing arrays) across incarnations; a fresh
-	// ConnID is assigned on reuse, never on release, so handles held
-	// across the recycle boundary (ConnRef) can detect it while
-	// same-event post-close reads still see the old connection intact.
-	connFree  []*Conn
-	watchFree []*watch
+	// Pools. A pooled Conn keeps its connection Socket (and that socket's
+	// queue backing arrays) across incarnations; a fresh ConnID is assigned
+	// on reuse, never on release, so handles held across the recycle
+	// boundary (ConnRef) can detect it while same-event post-close reads
+	// still see the old connection intact.
+	conns   sim.Slab[Conn]
+	watches sim.Slab[watch]
 
 	// ConnsEstablished counts successfully queued connections.
 	ConnsEstablished uint64
@@ -130,7 +131,9 @@ func (ns *NetStack) SetBurstWidth(int) {}
 // Engine returns the virtual clock this stack runs on.
 func (ns *NetStack) Engine() *sim.Engine { return ns.eng }
 
-func (ns *NetStack) newSocket(port uint16, listening bool, backlog int) *Socket {
+// newListener allocates a listening socket; connection sockets live in their
+// Conn.
+func (ns *NetStack) newListener(port uint16, backlog int) *Socket {
 	if backlog <= 0 {
 		backlog = DefaultAcceptBacklog
 	}
@@ -138,23 +141,17 @@ func (ns *NetStack) newSocket(port uint16, listening bool, backlog int) *Socket 
 	return &Socket{
 		ID:        ns.nextSockID,
 		Port:      port,
-		Listening: listening,
+		Listening: true,
 		acceptCap: backlog,
 		ns:        ns,
 	}
 }
 
-// newWatch pops a pooled watch or allocates one. All fields except gen are
-// reset by the caller.
-func (ns *NetStack) newWatch() *watch {
-	if n := len(ns.watchFree); n > 0 {
-		w := ns.watchFree[n-1]
-		ns.watchFree[n-1] = nil
-		ns.watchFree = ns.watchFree[:n-1]
-		return w
-	}
-	return &watch{}
-}
+// Live returns how many connection pairs and epoll watches the stack's slabs
+// have handed out and not taken back: the connection sockets still open
+// (queued for accept or accepted) and the live epoll registrations, unless a
+// pool leaks.
+func (ns *NetStack) Live() (conns, watches int) { return ns.conns.Live(), ns.watches.Live() }
 
 // releaseWatch returns an unhooked watch to the pool, bumping its generation
 // so stale-handle checks can detect reuse. The caller must already have
@@ -165,7 +162,7 @@ func (ns *NetStack) releaseWatch(w *watch) {
 	w.et = false
 	w.inReady = false
 	w.gen++
-	ns.watchFree = append(ns.watchFree, w)
+	ns.watches.Put(w)
 }
 
 // ListenShared binds one listening socket to port, to be registered with
@@ -174,7 +171,7 @@ func (ns *NetStack) ListenShared(port uint16, backlog int) (*Socket, error) {
 	if err := ns.checkPortFree(port); err != nil {
 		return nil, err
 	}
-	s := ns.newSocket(port, true, backlog)
+	s := ns.newListener(port, backlog)
 	ns.ports.at(port).shared = s
 	return s, nil
 }
@@ -191,7 +188,7 @@ func (ns *NetStack) ListenReuseport(port uint16, n, backlog int) (*ReuseportGrou
 	g := &ReuseportGroup{Port: port, ns: ns}
 	ns.obs.observeReuseport()
 	for i := 0; i < n; i++ {
-		s := ns.newSocket(port, true, backlog)
+		s := ns.newListener(port, backlog)
 		s.group = g
 		s.groupIdx = i
 		g.socks = append(g.socks, s)
@@ -258,32 +255,26 @@ func (ns *NetStack) deliverSYNResolved(tuple FourTuple, meta any, g *ReuseportGr
 		return nil, false
 	}
 
+	// A pooled pair is reincarnated, or a fresh one set up; either way the
+	// conn ID comes first, then a fresh socket ID.
 	ns.nextConnID++
-	var c *Conn
-	if n := len(ns.connFree); n > 0 {
-		// Reincarnate a pooled pair. ID sequences match the allocating
-		// path: the conn ID above, then a fresh socket ID.
-		c = ns.connFree[n-1]
-		ns.connFree[n-1] = nil
-		ns.connFree = ns.connFree[:n-1]
-		cs := c.sock
-		ns.nextSockID++
-		cs.ID = ns.nextSockID
-		cs.Port = tuple.DstPort
-		for i := cs.pendHead; i < len(cs.pending); i++ {
-			cs.pending[i] = nil
-		}
-		cs.pending = cs.pending[:0]
-		cs.pendHead = 0
-		cs.hup = false
-		cs.closed = false
-		cs.owned = false
-	} else {
-		c = &Conn{}
-		cs := ns.newSocket(tuple.DstPort, false, 0)
-		cs.conn = c
-		c.sock = cs
+	c := ns.conns.Get()
+	cs := &c.sock
+	if cs.ns == nil {
+		cs.ns, cs.conn = ns, c
+		cs.pending = cs.pendInline[:0]
 	}
+	ns.nextSockID++
+	cs.ID = ns.nextSockID
+	cs.Port = tuple.DstPort
+	for i := cs.pendHead; i < len(cs.pending); i++ {
+		cs.pending[i] = nil
+	}
+	cs.pending = cs.pending[:0]
+	cs.pendHead = 0
+	cs.hup = false
+	cs.closed = false
+	cs.owned = false
 	c.ID = ConnID(ns.nextConnID)
 	c.Tuple = tuple
 	c.Hash = hash
@@ -297,7 +288,7 @@ func (ns *NetStack) deliverSYNResolved(tuple FourTuple, meta any, g *ReuseportGr
 		}
 		// Never exposed; recycle immediately (the conn ID stays consumed,
 		// as it was before pooling).
-		ns.connFree = append(ns.connFree, c)
+		ns.conns.Put(c)
 		return nil, false
 	}
 	ns.ConnsEstablished++
@@ -359,7 +350,7 @@ func (ns *NetStack) DeliverDataBurst(conns []*Conn, payloads []any) {
 // arriving for a closed connection is silently dropped (peer will see RST in
 // a real stack).
 func (ns *NetStack) DeliverData(c *Conn, payload any) {
-	s := c.sock
+	s := &c.sock
 	if s.closed {
 		return
 	}
@@ -369,7 +360,7 @@ func (ns *NetStack) DeliverData(c *Conn, payload any) {
 
 // DeliverFIN marks the peer side of the connection closed.
 func (ns *NetStack) DeliverFIN(c *Conn) {
-	s := c.sock
+	s := &c.sock
 	if s.closed || s.hup {
 		return
 	}
@@ -401,7 +392,7 @@ func (ns *NetStack) CloseSocket(s *Socket) {
 			ns.groupsBound--
 		}
 	} else if s.conn != nil {
-		ns.connFree = append(ns.connFree, s.conn)
+		ns.conns.Put(s.conn)
 	}
 }
 

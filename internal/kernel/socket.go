@@ -9,12 +9,12 @@ type ConnID uint64
 
 // Conn is an established TCP connection. It is created when the simulated
 // three-way handshake completes (SYN delivery in this model) and lives until
-// the worker closes its socket. Conn objects (with their paired connection
-// Sockets) are pooled: after close they return to the NetStack's free list
-// and a later handshake may reincarnate them under a fresh ID. Holders that
-// retain a *Conn across virtual-time events must hold a ConnRef instead and
-// re-validate before use; a bare *Conn is only safe within the event that
-// obtained it.
+// the worker closes its socket. A Conn holds its connection Socket by value,
+// so the pair is one object, and pairs are pooled: after close they return to
+// the NetStack's slab and a later handshake may reincarnate them under a
+// fresh ID. Holders that retain a *Conn across virtual-time events must hold
+// a ConnRef instead and re-validate before use; a bare *Conn is only safe
+// within the event that obtained it.
 type Conn struct {
 	ID    ConnID
 	Tuple FourTuple
@@ -28,13 +28,13 @@ type Conn struct {
 	// model parameters) through the kernel untouched.
 	Meta any
 
-	sock *Socket // the connection socket sitting in / popped from an accept queue
+	sock Socket // the connection socket sitting in / popped from an accept queue
 }
 
 // Sock returns the connection socket created at handshake completion. The
 // same socket object is what Accept hands to the worker, mirroring how a
 // real accept() returns an fd for an already-existing kernel socket.
-func (c *Conn) Sock() *Socket { return c.sock }
+func (c *Conn) Sock() *Socket { return &c.sock }
 
 // Ref returns a generation-checked weak handle to the connection.
 func (c *Conn) Ref() ConnRef { return ConnRef{c: c, id: c.ID} }
@@ -75,10 +75,11 @@ func (r ConnRef) ID() ConnID { return r.id }
 // accept queue, or an established connection socket with a pending-data
 // queue. Epoll instances register on sockets via watches.
 //
-// Connection sockets are pooled together with their Conn (one alloc pair per
-// peak-concurrent connection); both queues are head-indexed slices reused
+// Connection sockets are pooled together with their Conn (a slab chunk per 64
+// peak-concurrent connections); both queues are head-indexed slices reused
 // across incarnations, so the steady-state connection lifecycle allocates
-// nothing.
+// nothing. A connection's pending queue starts on two inline slots, so one
+// that never holds more than two unread payloads never allocates a queue.
 type Socket struct {
 	ID        int
 	Port      uint16
@@ -95,12 +96,14 @@ type Socket struct {
 	qhead     int
 	acceptCap int
 
-	// Connection sockets. pending is head-indexed like acceptQ.
-	conn     *Conn
-	pending  []any // arrived-but-unread request payloads
-	pendHead int
-	hup      bool // peer closed
-	closed   bool
+	// Connection sockets. pending is head-indexed like acceptQ and starts
+	// on pendInline.
+	conn       *Conn
+	pending    []any // arrived-but-unread request payloads
+	pendHead   int
+	pendInline [2]any
+	hup        bool // peer closed
+	closed     bool
 
 	// Owner is an opaque (tag, position) pair the accepting application
 	// stores on the socket — per-worker conn-table bookkeeping without a
@@ -125,6 +128,11 @@ func (s *Socket) GroupIndex() int { return s.groupIdx }
 
 // QueueLen returns the current accept-queue depth (listening sockets).
 func (s *Socket) QueueLen() int { return len(s.acceptQ) - s.qhead }
+
+// Queued returns the connections waiting in the accept queue (listening
+// sockets), oldest first. The slice is the socket's own: read it within the
+// event, and neither keep nor modify it.
+func (s *Socket) Queued() []*Conn { return s.acceptQ[s.qhead:] }
 
 // AcceptCap returns the accept-queue capacity (listening sockets).
 func (s *Socket) AcceptCap() int { return s.acceptCap }

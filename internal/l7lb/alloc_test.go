@@ -43,8 +43,11 @@ func TestHermesCellSteadyStateAllocs(t *testing.T) {
 			if got := lb.Completed - done; got != runs+1 {
 				t.Fatalf("completed %d of %d lifecycles", got, runs+1)
 			}
-			if len(lb.workFree) != 1 {
-				t.Errorf("payload pool holds %d objects after one-at-a-time lifecycles, want 1", len(lb.workFree))
+			if n := lb.work.Live(); n != 0 {
+				t.Errorf("%d payloads out of the pool after one-at-a-time lifecycles, want 0", n)
+			}
+			if err := lb.CheckPools(); err != nil {
+				t.Error(err)
 			}
 		})
 	}
@@ -52,10 +55,9 @@ func TestHermesCellSteadyStateAllocs(t *testing.T) {
 
 // Workers take a request in either shape: the pooled *Work that LB.Deliver
 // sends, and the by-value Work the frozen benchmark driver still pushes
-// through NS.DeliverData. A pooled payload goes back to the pool exactly once,
-// when its worker pops it; one still queued when its connection is reset is
-// dropped with the socket's queue, and the pool neither gets it back nor hands
-// it out again; one sent after the reset never leaves the pool.
+// through NS.DeliverData. A pooled payload goes back to the pool exactly once:
+// when its worker pops it, or, still queued, when its connection is reset;
+// one sent after the reset never leaves the pool.
 func TestPayloadShapesAndResetWithQueuedPayloads(t *testing.T) {
 	for _, mode := range []Mode{ModeReuseport, ModeHermes, ModeDispatcher} {
 		t.Run(mode.String(), func(t *testing.T) {
@@ -79,8 +81,8 @@ func TestPayloadShapesAndResetWithQueuedPayloads(t *testing.T) {
 			if len(seen) != 2 || seen[0] != pooled || seen[1] != byValue {
 				t.Fatalf("served %+v, want the pooled then the by-value request unchanged", seen)
 			}
-			if len(lb.workFree) != 1 {
-				t.Fatalf("pool holds %d payloads after one pooled request, want 1", len(lb.workFree))
+			if n := lb.work.Live(); n != 0 {
+				t.Fatalf("%d payloads out of the pool after one pooled request, want 0", n)
 			}
 
 			// Three pooled requests queue behind a long one; the connection
@@ -103,25 +105,18 @@ func TestPayloadShapesAndResetWithQueuedPayloads(t *testing.T) {
 				t.Fatal("victim connection not reset")
 			}
 			eng.RunUntil(eng.Now() + int64(10*time.Millisecond))
-			inPool := map[*Work]bool{}
-			for _, p := range lb.workFree {
-				if inPool[p] {
-					t.Fatalf("payload %p is in the pool twice", p)
-				}
-				inPool[p] = true
-			}
-			if len(lb.workFree) == 0 || len(lb.workFree) > 4 {
-				t.Fatalf("pool holds %d payloads after the reset, want the popped ones only (1..4)", len(lb.workFree))
+			if n := lb.work.Live(); n != 0 {
+				t.Fatalf("%d payloads out of the pool after the reset, want 0: the queued ones come back with it", n)
 			}
 			// A request for the connection that is gone takes nothing out.
-			held := len(lb.workFree)
 			lb.Deliver(victim, Work{ArrivalNS: eng.Now(), Cost: time.Microsecond, Tenant: 8080})
-			if len(lb.workFree) != held {
-				t.Fatalf("Deliver to a reset connection took the pool from %d to %d payloads", held, len(lb.workFree))
+			if n := lb.work.Live(); n != 0 {
+				t.Fatalf("Deliver to a reset connection took %d payloads out of the pool", n)
 			}
 
 			// The pool still works: later requests reuse what came back and
-			// arrive intact.
+			// arrive intact, eight out at once, so a payload put back twice
+			// would be handed to two of them.
 			seen = seen[:0]
 			for i := 0; i < 8; i++ {
 				c := openConn(t, lb, uint32(10+i), 8080)

@@ -38,7 +38,7 @@ type LB struct {
 	acceptExtra time.Duration // per-accept dispatch overhead (mode-dependent)
 	obs         []workerObs   // per worker slot; nil unless Config.Telemetry or Config.Tracer is set
 	probeSinks  []func(work Work, latencyNS int64)
-	workFree    []*Work // Deliver's payload pool
+	work        sim.Slab[Work] // Deliver's payloads
 
 	// Latency samples end-to-end request time (ms).
 	Latency stats.Sample
@@ -246,37 +246,94 @@ func (lb *LB) leastLoaded() *Worker {
 // simulated kernel as a pooled *Work — a pointer boxes into the socket
 // queue's `any` without allocating — which the worker that pops it copies out
 // and hands back (takeWork). A payload still queued when its connection is
-// closed or reset is simply dropped with the queue: the pool never sees it
-// again, and the garbage collector does. Data for a connection already closed
-// is dropped here, as NS.DeliverData drops it, before the pool is touched.
+// closed or reset goes back too (closeSocket), so the pool's Live count is
+// the payloads queued on open connections. Data for a connection already
+// closed is dropped here, as NS.DeliverData drops it, before the pool is
+// touched.
 func (lb *LB) Deliver(conn *kernel.Conn, work Work) {
 	if conn.Sock().Closed() {
 		return
 	}
-	var p *Work
-	if n := len(lb.workFree); n > 0 {
-		p = lb.workFree[n-1]
-		lb.workFree[n-1] = nil
-		lb.workFree = lb.workFree[:n-1]
-	} else {
-		p = new(Work)
-	}
+	p := lb.work.Get()
 	*p = work
 	lb.NS.DeliverData(conn, p)
 }
 
 // takeWork unwraps a payload popped from a connection socket, returning a
-// pooled one to Deliver's free list. A by-value Work is accepted only because
+// pooled one to Deliver's slab. A by-value Work is accepted only because
 // the frozen benchmark/surface.go sends one through NS.DeliverData — that
 // conversion to `any` is sim-churn's one allocation per connection — and the
 // case goes when a benchmark change moves that driver to Deliver.
 func (lb *LB) takeWork(payload any) Work {
 	if p, ok := payload.(*Work); ok {
 		work := *p
-		lb.workFree = append(lb.workFree, p)
+		lb.work.Put(p)
 		return work
 	}
 	return payload.(Work)
+}
+
+// closeSocket closes a connection socket, first handing the pooled payloads
+// still queued on it back to the slab.
+func (lb *LB) closeSocket(s *kernel.Socket) {
+	for {
+		payload, ok := s.PopData()
+		if !ok {
+			break
+		}
+		if p, ok := payload.(*Work); ok {
+			lb.work.Put(p)
+		}
+	}
+	lb.NS.CloseSocket(s)
+}
+
+// CheckPools holds the device's pools to what holds their objects and names
+// the first that does not balance: connection pairs out of the stack's slab
+// against the connection sockets open (queued for accept or in a worker's
+// table), watches against the epoll registrations, and payloads against the
+// requests queued on open connections — every one of them, so traffic must
+// enter through Deliver. It walks every connection: call it at a drain, not
+// per event.
+func (lb *LB) CheckPools() error {
+	var open, regs, queued int
+	worker := func(w *Worker) {
+		regs += w.ep.Watches()
+		open += len(w.conns)
+		for _, s := range w.conns {
+			queued += s.PendingData()
+		}
+	}
+	listener := func(ls *kernel.Socket) {
+		open += ls.QueueLen()
+		for _, c := range ls.Queued() {
+			queued += c.Sock().PendingData()
+		}
+	}
+	for _, w := range lb.Workers {
+		worker(w)
+	}
+	if lb.Dispatcher != nil {
+		worker(lb.Dispatcher)
+	}
+	for _, ls := range lb.shared {
+		listener(ls)
+	}
+	for _, g := range lb.groups {
+		for _, ls := range g.Sockets() {
+			listener(ls)
+		}
+	}
+	conns, watches := lb.NS.Live()
+	switch {
+	case conns != open:
+		return fmt.Errorf("l7lb: %d connection pairs out of the pool, %d connections open", conns, open)
+	case watches != regs:
+		return fmt.Errorf("l7lb: %d watches out of the pool, %d epoll registrations", watches, regs)
+	case lb.work.Live() != queued:
+		return fmt.Errorf("l7lb: %d payloads out of the pool, %d queued on open connections", lb.work.Live(), queued)
+	}
+	return nil
 }
 
 // WorkerConnCounts returns each worker's live connection count.

@@ -496,7 +496,7 @@ func (w *Worker) handle(ev kernel.Event) time.Duration {
 			w.ResetConns++
 			sock := conn.Sock()
 			ref := conn.Ref()
-			w.lb.NS.CloseSocket(sock)
+			w.lb.closeSocket(sock)
 			if o := w.obs; o != nil {
 				o.tr.Close(uint64(ref.ID()), w.lb.Eng.Now(), true)
 			}
@@ -621,7 +621,7 @@ func (w *Worker) closeConn(s *kernel.Socket) {
 	if h := w.hook; h != nil {
 		h.ConnClosed()
 	}
-	w.lb.NS.CloseSocket(s)
+	w.lb.closeSocket(s)
 	if o := w.obs; o != nil {
 		if c := s.Conn(); c != nil {
 			o.tr.Close(uint64(c.ID), w.lb.Eng.Now(), false)
@@ -646,7 +646,7 @@ func (w *Worker) resetConn(s *kernel.Socket) {
 	if h := w.hook; h != nil {
 		h.ConnClosed()
 	}
-	w.lb.NS.CloseSocket(s)
+	w.lb.closeSocket(s)
 	if o := w.obs; o != nil && ref.Get() != nil {
 		o.tr.Close(uint64(ref.ID()), w.lb.Eng.Now(), true)
 	}

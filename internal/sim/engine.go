@@ -22,9 +22,11 @@
 // The hot path is allocation-free in steady state: fired and cancelled
 // timer events return to a per-engine free list, the calendar links them
 // through their own fields, and the ring and the heap keep their backing
-// arrays. Timer handles carry a generation number, so a handle that outlives
-// its event (e.g. an epoll timeout raced by an arrival) can never cancel a
-// recycled event by mistake.
+// arrays. Only when the free list is empty does an event come from the
+// engine's Slab, which grows by a chunk of events at a time. Timer handles
+// carry a generation number, so a handle that outlives its event (e.g. an
+// epoll timeout raced by an arrival) can never cancel a recycled event by
+// mistake.
 package sim
 
 import (
@@ -139,8 +141,9 @@ type Engine struct {
 	// field only so the tests can move it.
 	farHorizon int64
 
-	free *timerEvent // released events, linked through next
-	rng  *rand.Rand
+	free   *timerEvent // released events, linked through next
+	events Slab[timerEvent]
+	rng    *rand.Rand
 
 	// Executed counts fired (non-cancelled) events, for diagnostics.
 	Executed uint64
@@ -177,7 +180,8 @@ func (e *Engine) At(t int64, fn func()) Timer {
 	if ev != nil {
 		e.free = ev.next
 	} else {
-		ev = &timerEvent{eng: e}
+		ev = e.events.Get()
+		ev.eng = e
 	}
 	ev.at, ev.fn = t, fn
 	switch {
@@ -267,6 +271,18 @@ func (e *Engine) RunFor(d time.Duration) { e.RunUntil(e.now + int64(d)) }
 // Pending returns the number of scheduled events. Cancelled timers are
 // removed eagerly, so this is an exact count of live events.
 func (e *Engine) Pending() int { return e.ringLive + e.near.n + len(e.far.a) }
+
+// LiveEvents returns how many timer events the engine has taken from its slab
+// and not released to its free list: the pending ones, unless an event was
+// dropped without being released. A conservation check compares it with Pending; it walks the
+// free list, so call it at a drain, not per event.
+func (e *Engine) LiveEvents() int {
+	n := e.events.Live()
+	for ev := e.free; ev != nil; ev = ev.next {
+		n--
+	}
+	return n
+}
 
 // --- same-instant ring ---
 

@@ -185,6 +185,38 @@ func TestCancelRemovesEagerly(t *testing.T) {
 	}
 }
 
+// Every event taken from the engine's slab is pending or back on the free
+// list, whichever queue (ring, calendar, heap) it was filed in and whether it
+// fired or was cancelled.
+func TestLiveEventsArePending(t *testing.T) {
+	e := NewEngine(1)
+	check := func(when string) {
+		t.Helper()
+		if n, p := e.LiveEvents(), e.Pending(); n != p {
+			t.Fatalf("%s: %d events out of the slab, %d pending", when, n, p)
+		}
+	}
+	var tms []Timer
+	for i := 0; i < 3*slabChunk; i++ {
+		at := []int64{0, int64(i + 1), int64(i+1) * int64(calSpan)}[i%3] // ring, near, far
+		tms = append(tms, e.At(at, func() {}))
+	}
+	check("scheduled")
+	for i := 0; i < len(tms); i += 4 {
+		tms[i].Cancel()
+	}
+	check("a quarter cancelled")
+	for i := 0; i < slabChunk; i++ {
+		e.Step()
+	}
+	check("some fired")
+	e.Run()
+	check("drained")
+	if e.Pending() != 0 {
+		t.Fatalf("%d events pending after Run", e.Pending())
+	}
+}
+
 // TestStaleHandleCannotCancelRecycledEvent guards the free list: a handle to
 // a fired timer must not affect a new event that reuses its pooled storage.
 func TestStaleHandleCannotCancelRecycledEvent(t *testing.T) {

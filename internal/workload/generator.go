@@ -6,6 +6,7 @@ import (
 
 	"hermes/internal/kernel"
 	"hermes/internal/l7lb"
+	"hermes/internal/sim"
 )
 
 // Generator replays a Spec against one LB in open loop: Poisson connection
@@ -29,12 +30,13 @@ type Generator struct {
 	// LiveConns tracks currently open generated connections.
 	LiveConns int
 
-	// Free lists for the arrival-chain and request-train state objects.
-	// Each carries its own pre-bound timer callback, so the open-loop
-	// steady state — one timer per arrival, one per request — schedules no
-	// closures: allocation is bounded by peak concurrency, not event count.
-	chainFree []*connChain
-	trainFree []*reqTrain
+	// Pools of the arrival-chain and request-train state objects. Each
+	// carries its own timer callback, bound once per object, so the
+	// open-loop steady state — one timer per arrival, one per request —
+	// schedules no closures: allocation is bounded by peak concurrency, not
+	// event count.
+	chains sim.Slab[connChain]
+	trains sim.Slab[reqTrain]
 }
 
 // connChain is one Run/RunWindow arrival chain: exactly one timer is
@@ -83,14 +85,9 @@ func (g *Generator) RunWindow(start, end time.Duration) {
 }
 
 func (g *Generator) scheduleNextConn(prev, end int64) {
-	var ch *connChain
-	if n := len(g.chainFree); n > 0 {
-		ch = g.chainFree[n-1]
-		g.chainFree[n-1] = nil
-		g.chainFree = g.chainFree[:n-1]
-	} else {
-		ch = &connChain{g: g}
-		ch.fire = ch.run
+	ch := g.chains.Get()
+	if ch.fire == nil {
+		ch.g, ch.fire = g, ch.run
 	}
 	ch.end = end
 	ch.advance(prev)
@@ -104,7 +101,7 @@ func (ch *connChain) advance(prev int64) {
 	next := prev + gap
 	if next >= ch.end {
 		ch.end = 0
-		g.chainFree = append(g.chainFree, ch)
+		g.chains.Put(ch)
 		return
 	}
 	ch.next = next
@@ -146,14 +143,9 @@ func (g *Generator) openConn() {
 	}
 	delay := int64(g.spec.FirstReqDelayNS.Sample(g.rng))
 
-	var t *reqTrain
-	if n := len(g.trainFree); n > 0 {
-		t = g.trainFree[n-1]
-		g.trainFree[n-1] = nil
-		g.trainFree = g.trainFree[:n-1]
-	} else {
-		t = &reqTrain{g: g}
-		t.fire = t.run
+	t := g.trains.Get()
+	if t.fire == nil {
+		t.g, t.fire = g, t.run
 	}
 	// The train holds a checked ref, not a bare *Conn: the connection may be
 	// reset — and its pooled object recycled into a different connection —
@@ -174,8 +166,13 @@ func (t *reqTrain) retire() {
 	g := t.g
 	g.LiveConns--
 	t.ref = kernel.ConnRef{}
-	g.trainFree = append(g.trainFree, t)
+	g.trains.Put(t)
 }
+
+// LiveTrains returns how many request trains are out: one per live generated
+// connection (LiveConns), each with its one timer pending, unless the pool
+// leaks.
+func (g *Generator) LiveTrains() int { return g.trains.Live() }
 
 func (t *reqTrain) run() {
 	g := t.g

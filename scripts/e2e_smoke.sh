@@ -286,6 +286,10 @@ for ex in "$WORK"/examples/*; do
   timeout 30 "$ex" >"$ex.log" 2>&1 || { tail -n 20 "$ex.log" >&2; fail "examples/${ex##*/} did not exit 0 within 30 s"; }
 done
 [ "$(ls "$WORK"/examples/*.log | wc -l)" -eq 6 ] || fail "expected six examples, ran $(ls "$WORK"/examples/*.log | wc -l)"
+# realsockets reads its per-worker counts after the proxy's drain, so they add
+# up to every request its 16 clients sent, 150 each.
+grep -q '^served 2400 requests ' "$WORK/examples/realsockets.log" \
+  || fail "examples/realsockets: $(grep '^served' "$WORK/examples/realsockets.log"), want served 2400 requests"
 # The Fig. A6 table is seed-deterministic: pin it, so a change that moves
 # group steering (a warm-up that no longer fills a group's bitmap) fails here
 # rather than printing different numbers.
