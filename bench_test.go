@@ -135,7 +135,7 @@ func BenchmarkAblationFilterOrder(b *testing.B) {
 		b.Run(ord.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				res, err := bench.Run(bench.RunConfig{
-					Mode:    l7lb.ModeHermesNative,
+					Mode:    l7lb.ModeHermes,
 					Workers: o.Workers,
 					Seed:    int64(i + 1),
 					Window:  o.Window,

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 
@@ -123,41 +124,32 @@ func checkMetrics(name string, r io.Reader) (string, error) {
 	return fmt.Sprintf("ok: %d experiments, %d cells, %d metric snapshots", len(dump), cells, metrics), nil
 }
 
-// checkModeCatalog enforces the mode-conditional metrics: JIT counters
-// (ebpf.jit.*) exist exactly in cells that attach bytecode — where the
-// compiled program must actually have run — the sync-batching counter
-// (core.schedule.sync_batched) exactly in cells that run the Hermes control
-// loop, and neither anywhere else; a leak in either direction means an
-// observer was attached where it should not be. A cell whose name ends in its
-// dispatch mode (cellMode) is held to what that mode attaches: "…-hermes"
-// runs bytecode through the JIT, "…-hermes-native" runs the native twin
-// (control loop but no bytecode), any other mode no Hermes machinery. A cell
-// named after something else ("theta0.50", "dev3") is held to itself: all
-// four JIT counters or none, and bytecode only under the control loop.
+// checkModeCatalog enforces the mode-conditional metrics: a cell that runs
+// the Hermes control loop carries all four JIT counters (ebpf.jit.*, each
+// nonzero: its dispatch program must actually have run compiled) and the
+// sync-batching counter (core.schedule.sync_batched), and any other cell
+// carries none of them; a leak in either direction means an observer was
+// attached where it should not be. A cell whose name ends in its dispatch
+// mode (cellMode) is a Hermes cell exactly when that mode is ModeHermes. A
+// cell named after something else ("theta0.50", "dev3") is held to itself:
+// any one of the rows makes it a Hermes cell, which must then carry them all.
 func checkModeCatalog(cell string, snaps []telemetry.MetricSnapshot) error {
 	snap := telemetry.Snapshot{Metrics: snaps}
-	batched := snap.Get(core.MetricSyncBatched) != nil
+	rows := []string{ebpf.MetricJITRuns, ebpf.MetricJITPrograms, ebpf.MetricJITInsns, ebpf.MetricJITClosures, core.MetricSyncBatched}
 	mode, named := cellMode(cell)
-	vm, hermes := mode == l7lb.ModeHermes, mode.UsesHermes()
+	hermes := mode == l7lb.ModeHermes
 	if !named {
-		vm = snap.Get(ebpf.MetricJITRuns) != nil
-		hermes = vm || batched
+		hermes = slices.ContainsFunc(rows, func(name string) bool { return snap.Get(name) != nil })
 	}
-	for _, name := range []string{ebpf.MetricJITRuns, ebpf.MetricJITPrograms, ebpf.MetricJITInsns, ebpf.MetricJITClosures} {
+	for _, name := range rows {
 		switch ms := snap.Get(name); {
-		case vm && ms == nil:
+		case hermes && ms == nil:
 			return fmt.Errorf("hermes cell missing %s", name)
-		case vm && ms.Total() <= 0:
+		case hermes && name != core.MetricSyncBatched && ms.Total() <= 0:
 			return fmt.Errorf("%s is zero — dispatch ran interpreted?", name)
-		case !vm && ms != nil:
-			return fmt.Errorf("non-bytecode cell carries %s", name)
+		case !hermes && ms != nil:
+			return fmt.Errorf("non-hermes cell carries %s", name)
 		}
-	}
-	switch {
-	case hermes && !batched:
-		return fmt.Errorf("hermes cell missing %s", core.MetricSyncBatched)
-	case !hermes && batched:
-		return fmt.Errorf("non-hermes cell carries %s", core.MetricSyncBatched)
 	}
 	return nil
 }
@@ -182,7 +174,7 @@ func checkLedger(snaps []telemetry.MetricSnapshot) error {
 
 // cellMode returns the dispatch mode a cell name ends in, as hermes-bench
 // names a cell that is one mode of a comparison ("case1/heavy/hermes",
-// "64w-10k-hermes-native", "exclusive"); false when it ends in none.
+// "64w-10k-hermes", "exclusive"); false when it ends in none.
 func cellMode(cell string) (l7lb.Mode, bool) {
 	for m := l7lb.ModeExclusive; m <= l7lb.ModeIOUring; m++ { // the whole enum
 		if rest, ok := strings.CutSuffix(cell, m.String()); ok && (rest == "" || strings.HasSuffix(rest, "-") || strings.HasSuffix(rest, "/")) {

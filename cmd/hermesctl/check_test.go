@@ -201,12 +201,10 @@ func TestCheckModeCatalogByNameOrBySelf(t *testing.T) {
 		{"theta0.50", hermes, ""},
 		{"dev3", hermes, ""},
 		{"dev0", snaps(), ""},
-		{"64w-10k-hermes-native", snaps(core.MetricSyncBatched), ""},
-		{"load0.25x", snaps(core.MetricSyncBatched), ""}, // a native-twin cell under any name
+		{"load0.25x", snaps(core.MetricSyncBatched), "hermes cell missing " + ebpf.MetricJITRuns},
 		{"exclusive-rr", snaps(), ""},
 		{"exclusive", snaps(core.MetricSyncBatched), "non-hermes cell carries"},
-		{"hang/reuseport", hermes, "non-bytecode cell carries"},
-		{"64w-10k-hermes-native", hermes, "non-bytecode cell carries"},
+		{"hang/reuseport", hermes, "non-hermes cell carries"},
 		{"16w-hermes", snaps(core.MetricSyncBatched), "hermes cell missing " + ebpf.MetricJITRuns},
 		{"theta0.50", snaps(append(jit[:2:2], core.MetricSyncBatched)...), "hermes cell missing " + ebpf.MetricJITInsns},
 		{"theta0.50", snaps(jit...), "hermes cell missing " + core.MetricSyncBatched},

@@ -41,15 +41,14 @@ func baselinesTables(_ Options, results []any) []*stats.Table {
 		stats.Col("mode"), stats.MS("avg (ms)"), stats.MS("P99 (ms)"), stats.Fixed("thr (kRPS)", 1),
 		stats.Fixed("goodput (kRPS)", 1), stats.Col("notes"))
 	notes := map[l7lb.Mode]string{
-		l7lb.ModeHerd:         "pre-4.5 epoll: spurious wakeups burn CPU",
-		l7lb.ModeExclusive:    "production default before Hermes",
-		l7lb.ModeExclusiveRR:  "unmerged kernel patch",
-		l7lb.ModeAcceptMutex:  "nginx userspace lock",
-		l7lb.ModeReuseport:    "stateless hash",
-		l7lb.ModeDispatcher:   "+1 dedicated dispatcher core",
-		l7lb.ModeIOUring:      "FIFO wakeup (§8)",
-		l7lb.ModeHermes:       "dispatch on the eBPF VM",
-		l7lb.ModeHermesNative: "dispatch native (JIT stand-in)",
+		l7lb.ModeHerd:        "pre-4.5 epoll: spurious wakeups burn CPU",
+		l7lb.ModeExclusive:   "production default before Hermes",
+		l7lb.ModeExclusiveRR: "unmerged kernel patch",
+		l7lb.ModeAcceptMutex: "nginx userspace lock",
+		l7lb.ModeReuseport:   "stateless hash",
+		l7lb.ModeDispatcher:  "+1 dedicated dispatcher core",
+		l7lb.ModeIOUring:     "FIFO wakeup (§8)",
+		l7lb.ModeHermes:      "dispatch on the eBPF VM",
 	}
 	for i, mode := range AllModes {
 		run := results[i].(*RunResult)

@@ -147,5 +147,5 @@ var Table3Modes = []l7lb.Mode{l7lb.ModeExclusive, l7lb.ModeReuseport, l7lb.ModeH
 var AllModes = []l7lb.Mode{
 	l7lb.ModeHerd, l7lb.ModeExclusive, l7lb.ModeExclusiveRR, l7lb.ModeAcceptMutex,
 	l7lb.ModeIOUring, l7lb.ModeReuseport, l7lb.ModeDispatcher,
-	l7lb.ModeHermes, l7lb.ModeHermesNative,
+	l7lb.ModeHermes,
 }

@@ -78,8 +78,8 @@ func (cl *Client) reqPayload(n int, closeAfter bool) []byte {
 
 // OpenAndRequest schedules, at absolute virtual time at: a SYN, then after
 // delay one PSH request of reqBytes payload (its last byte flags close when
-// closeAfter), then a FIN when closeAfter is false (keep-alive callers close
-// explicitly later).
+// closeAfter). It sends no FIN: with closeAfter false the flow stays open
+// until a FIN or RST frame for it reaches Ingress.
 func (cl *Client) OpenAndRequest(at, delay time.Duration, reqBytes int, closeAfter bool) {
 	cl.nextSrc++
 	srcIP := 0xc0a8_0000 + cl.nextSrc

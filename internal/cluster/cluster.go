@@ -51,11 +51,6 @@ type Config struct {
 	// slice aliases the ingress frame and is only valid for the duration of
 	// the call.
 	Work WorkFactory
-	// ExpectedFlows pre-sizes the flow table and pre-populates the
-	// flow-state free list, so a cell that opens millions of flows never
-	// rehashes the table or allocates flow states in steady state. 0 keeps
-	// lazy sizing.
-	ExpectedFlows int
 }
 
 // Cluster is the assembled pipeline.
@@ -66,11 +61,11 @@ type Cluster struct {
 
 	// flows tracks live inner connections: flow key → device + conn.
 	flows map[flowKey]*flowState
-	// flowFree recycles flowState objects (the map is their only holder, so
+	// flowPool recycles flowState objects (the map is their only holder, so
 	// a state is free exactly when its key is deleted — no dangling refs to
 	// guard, and conn is a checked ref regardless). At 1M-conn scale the
 	// per-SYN allocation otherwise dominates the L4 path.
-	flowFree    []*flowState
+	flowPool    sim.Slab[flowState]
 	workFactory WorkFactory
 
 	// sortedPorts is the tenant L7 port list computed once at New (Tenants
@@ -124,16 +119,8 @@ func New(eng *sim.Engine, cfg Config) (*Cluster, error) {
 	c := &Cluster{
 		Eng:     eng,
 		Tenants: make(map[uint32]Tenant, len(cfg.Tenants)),
-		flows:   make(map[flowKey]*flowState, cfg.ExpectedFlows),
+		flows:   make(map[flowKey]*flowState),
 		blocked: make(map[uint32]bool),
-	}
-	if n := cfg.ExpectedFlows; n > 0 {
-		// One contiguous slab instead of n small objects.
-		slab := make([]flowState, n)
-		c.flowFree = make([]*flowState, n)
-		for i := range slab {
-			c.flowFree[i] = &slab[i]
-		}
 	}
 	ports := make([]uint16, 0, len(cfg.Tenants))
 	for _, t := range cfg.Tenants {
@@ -199,25 +186,10 @@ func sortPorts(p []uint16) {
 	}
 }
 
-// allocFlow pops a recycled flow state (or allocates when the free list is
-// dry) and initialises it.
-func (c *Cluster) allocFlow(device int, conn kernel.ConnRef, tenant Tenant) *flowState {
-	var fs *flowState
-	if n := len(c.flowFree); n > 0 {
-		fs = c.flowFree[n-1]
-		c.flowFree[n-1] = nil
-		c.flowFree = c.flowFree[:n-1]
-	} else {
-		fs = &flowState{}
-	}
-	fs.device, fs.conn, fs.tenant = device, conn, tenant
-	return fs
-}
-
-// freeFlow recycles a flow state whose key has just been deleted.
-func (c *Cluster) freeFlow(fs *flowState) {
-	fs.conn = kernel.ConnRef{}
-	c.flowFree = append(c.flowFree, fs)
+// retireFlow removes flow k from the table and recycles its state.
+func (c *Cluster) retireFlow(k flowKey, fs *flowState) {
+	delete(c.flows, k)
+	c.flowPool.Put(fs)
 }
 
 // ecmp picks the device for a flow: per-connection-consistent 5-tuple hash,
@@ -284,7 +256,9 @@ func (c *Cluster) Ingress(frame []byte) error {
 			return fmt.Errorf("cluster: device %d refused flow", di)
 		}
 		c.FlowsOpened++
-		c.flows[k] = c.allocFlow(di, conn.Ref(), tenant)
+		fs := c.flowPool.Get()
+		*fs = flowState{device: di, conn: conn.Ref(), tenant: tenant}
+		c.flows[k] = fs
 	case tcp.Flags&(packet.FlagFIN|packet.FlagRST) != 0:
 		fs, ok := c.flows[k]
 		if !ok {
@@ -294,8 +268,7 @@ func (c *Cluster) Ingress(frame []byte) error {
 		if conn := fs.conn.Get(); conn != nil {
 			c.Devices[fs.device].NS.DeliverFIN(conn)
 		}
-		delete(c.flows, k)
-		c.freeFlow(fs)
+		c.retireFlow(k, fs)
 	default:
 		fs, ok := c.flows[k]
 		var conn *kernel.Conn
@@ -303,15 +276,20 @@ func (c *Cluster) Ingress(frame []byte) error {
 			conn = fs.conn.Get()
 		}
 		if conn == nil || conn.Sock().Closed() {
+			// The device side is gone (reset, or its worker crashed), so no
+			// frame of this flow can be delivered again: retire it here,
+			// or a flow whose last frame lands now never leaves the table.
 			c.DataDropped++
+			if ok {
+				c.retireFlow(k, fs)
+			}
 			return nil
 		}
 		last := tcp.Flags&packet.FlagPSH != 0 && len(payload) > 0 && payload[len(payload)-1] == closeMarker
 		work := c.workFactory(fs.tenant, payload, c.Eng.Now(), last)
 		c.Devices[fs.device].Deliver(conn, work)
 		if last {
-			delete(c.flows, k)
-			c.freeFlow(fs)
+			c.retireFlow(k, fs)
 		}
 	}
 	return nil

@@ -84,8 +84,37 @@ func TestPipelineEndToEnd(t *testing.T) {
 	if c.Devices[0].Completed == 0 || c.Devices[1].Completed == 0 {
 		t.Fatalf("ECMP skew: %d/%d", c.Devices[0].Completed, c.Devices[1].Completed)
 	}
-	if c.LiveFlows() != 0 {
-		t.Fatalf("%d flows leaked", c.LiveFlows())
+	if c.LiveFlows() != 0 || c.flowPool.Live() != c.LiveFlows() {
+		t.Fatalf("%d flows leaked, %d flow states out", c.LiveFlows(), c.flowPool.Live())
+	}
+}
+
+// A flow whose device-side connection is already gone when its last request
+// arrives (here: reset by a one-connection-per-worker cap) has no later frame
+// to tear it down, so the dropped frame must retire it.
+func TestDroppedLastFrameRetiresFlow(t *testing.T) {
+	eng := sim.NewEngine(1)
+	c, err := New(eng, Config{
+		Tenants:          testTenants(),
+		DeviceModes:      []l7lb.Mode{l7lb.ModeHermes},
+		WorkersPerDevice: 1,
+		LB:               func(_ int, cfg *l7lb.Config) { cfg.MaxConnsPerWorker = 1 },
+		Work:             DefaultWorkFactory(20*time.Microsecond, 10*time.Nanosecond),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Start()
+	cl := c.NewClient(100)
+	for i := 0; i < 50; i++ {
+		cl.OpenAndRequest(time.Duration(i)*10*time.Microsecond, 100*time.Microsecond, 100, true)
+	}
+	eng.RunUntil(int64(time.Second))
+	if c.DataDropped == 0 {
+		t.Fatal("no request met a gone connection: the case is not exercised")
+	}
+	if c.LiveFlows() != 0 || c.flowPool.Live() != c.LiveFlows() {
+		t.Fatalf("%d flows leaked (%d dropped data frames), %d flow states out", c.LiveFlows(), c.DataDropped, c.flowPool.Live())
 	}
 }
 

@@ -286,9 +286,9 @@ func (c *Controller) AttachEBPF(rg *kernel.ReuseportGroup) error {
 	return nil
 }
 
-// AttachNative installs the native-Go dispatch twin (the JIT-compiled
-// program's stand-in) on the reuseport group. Like the bytecode it compiles
-// in the MinWorkers current at attach time.
+// AttachNative installs the native-Go dispatch twin on the reuseport group:
+// the spec the bytecode is checked against and the yardstick for the JIT.
+// Like the bytecode it compiles in the MinWorkers current at attach time.
 func (c *Controller) AttachNative(rg *kernel.ReuseportGroup) error {
 	socks, err := c.socketsOf(rg)
 	if err != nil {

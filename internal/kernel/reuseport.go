@@ -66,9 +66,9 @@ func (g *ReuseportGroup) AttachProgramInterpreted(p *ebpf.Program) {
 func (g *ReuseportGroup) Program() *ebpf.Program { return g.prog }
 
 // AttachNative installs a Go-native selector with the same contract as an
-// eBPF program (production runs the program JIT-compiled; the native path is
-// its stand-in for hot benchmarks and ablations). fn returns ok=false to
-// request hash fallback.
+// eBPF program (the load balancer runs the program JIT-compiled; a native
+// selector is its spec in tests and its yardstick in benchmarks). fn returns
+// ok=false to request hash fallback.
 func (g *ReuseportGroup) AttachNative(fn func(hash, localityHash uint32) (*Socket, bool)) {
 	g.selectFn = fn
 	g.prog = nil

@@ -7,8 +7,8 @@
 // The package assembles the same LB under every dispatch mode the paper
 // compares — thundering herd, epoll-exclusive (LIFO), the unmerged epoll-rr,
 // an nginx-style accept mutex, plain reuseport, a userspace dispatcher, and
-// Hermes (eBPF-bytecode or native dispatch) — so the evaluation harness can
-// swap only the mode and hold everything else fixed.
+// Hermes (its dispatch program compiled by the eBPF JIT) — so the evaluation
+// harness can swap only the mode and hold everything else fixed.
 package l7lb
 
 import (
@@ -37,12 +37,9 @@ const (
 	ModeAcceptMutex
 	// ModeReuseport: per-worker SO_REUSEPORT sockets, stateless hash.
 	ModeReuseport
-	// ModeHermes: Hermes with the dispatch program executed by the
-	// simulated eBPF VM (the faithful configuration).
+	// ModeHermes: Hermes with its dispatch program attached as eBPF
+	// bytecode at the reuseport hook, where the JIT runs it.
 	ModeHermes
-	// ModeHermesNative: Hermes with the native-Go dispatch twin (stands in
-	// for the JIT-compiled program; used for hot benchmarks/ablations).
-	ModeHermesNative
 	// ModeDispatcher: a dedicated userspace dispatcher worker fans events
 	// out to executor workers (the DBMS-style design §2.2 rejects for LBs).
 	ModeDispatcher
@@ -66,8 +63,6 @@ func (m Mode) String() string {
 		return "reuseport"
 	case ModeHermes:
 		return "hermes"
-	case ModeHermesNative:
-		return "hermes-native"
 	case ModeDispatcher:
 		return "dispatcher"
 	case ModeIOUring:
@@ -76,9 +71,6 @@ func (m Mode) String() string {
 		return fmt.Sprintf("Mode(%d)", uint8(m))
 	}
 }
-
-// UsesHermes reports whether the mode runs the Hermes control loop.
-func (m Mode) UsesHermes() bool { return m == ModeHermes || m == ModeHermesNative }
 
 // CostModel fixes the CPU cost of the LB's fixed-function operations.
 // Request-specific processing cost arrives with each request (Work.Cost);
@@ -235,7 +227,7 @@ func (c Config) Validate() error {
 		}
 		seen[p] = true
 	}
-	if c.Mode.UsesHermes() {
+	if c.Mode == ModeHermes {
 		if err := c.Hermes.Validate(); err != nil {
 			return err
 		}

@@ -525,9 +525,6 @@ func TestModeStrings(t *testing.T) {
 			t.Errorf("mode %d has bad string %q", m, m.String())
 		}
 	}
-	if !ModeHermes.UsesHermes() || !ModeHermesNative.UsesHermes() || ModeReuseport.UsesHermes() {
-		t.Fatal("UsesHermes misclassifies")
-	}
 }
 
 func TestDetailedStatsCollected(t *testing.T) {

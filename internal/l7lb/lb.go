@@ -77,7 +77,7 @@ func New(eng *sim.Engine, cfg Config) (*LB, error) {
 		NS:  kernel.NewNetStack(eng, wake),
 		Cfg: cfg,
 	}
-	if cfg.Mode.UsesHermes() {
+	if cfg.Mode == ModeHermes {
 		ctl, err := core.New(cfg.Workers, cfg.Hermes)
 		if err != nil {
 			return nil, err
@@ -96,7 +96,7 @@ func New(eng *sim.Engine, cfg Config) (*LB, error) {
 			}
 			lb.shared = append(lb.shared, s)
 		}
-	case ModeReuseport, ModeHermes, ModeHermesNative:
+	case ModeReuseport, ModeHermes:
 		for _, p := range cfg.Ports {
 			g, err := lb.NS.ListenReuseport(p, cfg.Workers, 0)
 			if err != nil {
@@ -110,13 +110,7 @@ func New(eng *sim.Engine, cfg Config) (*LB, error) {
 
 	if lb.Ctl != nil {
 		for _, g := range lb.groups {
-			var err error
-			if cfg.Mode == ModeHermes {
-				err = lb.Ctl.AttachEBPF(g)
-			} else {
-				err = lb.Ctl.AttachNative(g)
-			}
-			if err != nil {
+			if err := lb.Ctl.AttachEBPF(g); err != nil {
 				return nil, err
 			}
 		}
@@ -150,7 +144,7 @@ func New(eng *sim.Engine, cfg Config) (*LB, error) {
 		registered = len(cfg.Ports)
 	}
 	switch cfg.Mode {
-	case ModeReuseport, ModeHermes, ModeHermesNative:
+	case ModeReuseport, ModeHermes:
 		lb.acceptExtra = time.Duration(len(cfg.Ports)) * cfg.Costs.PerWatch
 	case ModeDispatcher:
 		// Only the dispatcher core accepts; it pays its per-event Dispatch
@@ -191,7 +185,7 @@ func (lb *LB) registerWorkerSockets(w *Worker) {
 		}
 	case ModeAcceptMutex:
 		w.listenSocks = lb.shared
-	case ModeReuseport, ModeHermes, ModeHermesNative:
+	case ModeReuseport, ModeHermes:
 		for _, g := range lb.groups {
 			w.ep.Add(g.Sockets()[w.ID])
 		}

@@ -89,27 +89,3 @@ func TestGroupedHermesLBOver64Workers(t *testing.T) {
 			g.Fallbacks, g.ProgErrors)
 	}
 }
-
-func TestGroupedHermesNativeOver64(t *testing.T) {
-	eng := sim.NewEngine(4)
-	cfg := DefaultConfig(ModeHermesNative)
-	cfg.Workers = 80
-	lb, err := New(eng, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lb.Start()
-	for i := 0; i < 500; i++ {
-		i := i
-		eng.At(int64(i)*int64(100*time.Microsecond), func() {
-			c := openConn(t, lb, uint32(i), 8080)
-			eng.After(30*time.Microsecond, func() {
-				sendReq(lb, c, 20*time.Microsecond, true)
-			})
-		})
-	}
-	eng.RunUntil(int64(time.Second))
-	if lb.Completed != 500 {
-		t.Fatalf("completed %d of 500", lb.Completed)
-	}
-}

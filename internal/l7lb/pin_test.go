@@ -17,18 +17,23 @@ import (
 // the reuseport row at the commit before workers took a concrete
 // *core.WorkerHook and pooled payloads; a change to the queue, the wake path or
 // the worker loop that moves any of them has changed the simulation, not just
-// its speed.
+// its speed. The native rows re-attach the dispatch program's native twin to
+// every group and must land on the bytecode rows' pins: the compiled program
+// and its spec make the same decisions for a whole cell.
 func TestHermesCellPinned(t *testing.T) {
 	const conns = 20_000
 	for _, pin := range []struct {
 		mode     Mode
 		workers  int
+		native   bool
 		executed uint64
 		accepted uint64 // FNV-1a over the per-worker accept counts, "n," each
 	}{
-		{ModeHermes, 64, 189706, 0x41575e409cd33763},
-		{ModeHermes, 256, 344212, 0x194d505fe5bce454},
-		{ModeReuseport, 64, 189942, 0x640dbe3beb041d06},
+		{ModeHermes, 64, false, 189706, 0x41575e409cd33763},
+		{ModeHermes, 64, true, 189706, 0x41575e409cd33763},
+		{ModeHermes, 256, false, 344212, 0x194d505fe5bce454},
+		{ModeHermes, 256, true, 344212, 0x194d505fe5bce454},
+		{ModeReuseport, 64, false, 189942, 0x640dbe3beb041d06},
 	} {
 		eng := sim.NewEngine(1)
 		cfg := DefaultConfig(pin.mode)
@@ -38,6 +43,13 @@ func TestHermesCellPinned(t *testing.T) {
 		lb, err := New(eng, cfg)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if pin.native {
+			for _, g := range lb.Groups() {
+				if err := lb.Ctl.AttachNative(g); err != nil {
+					t.Fatal(err)
+				}
+			}
 		}
 		lb.Start()
 		i := 0
@@ -61,10 +73,10 @@ func TestHermesCellPinned(t *testing.T) {
 		eng.RunUntil(conns*1000 + int64(2*time.Second))
 
 		if lb.Completed != conns {
-			t.Errorf("%v, %d workers: completed %d of %d connections", pin.mode, pin.workers, lb.Completed, conns)
+			t.Errorf("%v, %d workers, native %v: completed %d of %d connections", pin.mode, pin.workers, pin.native, lb.Completed, conns)
 		}
 		if eng.Executed != pin.executed {
-			t.Errorf("%v, %d workers: Executed = %d, pinned %d", pin.mode, pin.workers, eng.Executed, pin.executed)
+			t.Errorf("%v, %d workers, native %v: Executed = %d, pinned %d", pin.mode, pin.workers, pin.native, eng.Executed, pin.executed)
 		}
 		h := fnv.New64a()
 		accepted := make([]uint64, len(lb.Workers))
@@ -73,7 +85,7 @@ func TestHermesCellPinned(t *testing.T) {
 			fmt.Fprintf(h, "%d,", w.Accepted)
 		}
 		if h.Sum64() != pin.accepted {
-			t.Errorf("%v, %d workers: accept vector hashes to %#x, pinned %#x: %v", pin.mode, pin.workers, h.Sum64(), pin.accepted, accepted)
+			t.Errorf("%v, %d workers, native %v: accept vector hashes to %#x, pinned %#x: %v", pin.mode, pin.workers, pin.native, h.Sum64(), pin.accepted, accepted)
 		}
 	}
 }
