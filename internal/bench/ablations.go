@@ -29,12 +29,12 @@ func ablationVariants() []ablationVariant {
 	return []ablationVariant{
 		{name: "baseline (order=time-conn-event, θ=0.5, loop-end, two-stage)"},
 		{
-			name:   "order=time-event-conn",
-			mutate: func(c *l7lb.Config) { c.FilterOrder = core.OrderTimeEventConn },
+			name:      "order=time-event-conn",
+			postBuild: func(lb *l7lb.LB) { lb.Ctl.SetFilterOrder(core.OrderTimeEventConn) },
 		},
 		{
-			name:   "order=time-only",
-			mutate: func(c *l7lb.Config) { c.FilterOrder = core.OrderTimeOnly },
+			name:      "order=time-only",
+			postBuild: func(lb *l7lb.LB) { lb.Ctl.SetFilterOrder(core.OrderTimeOnly) },
 		},
 		{
 			name:   "scheduler at loop start",

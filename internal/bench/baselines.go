@@ -48,7 +48,7 @@ func baselinesTables(_ Options, results []any) []*stats.Table {
 		l7lb.ModeReuseport:   "stateless hash",
 		l7lb.ModeDispatcher:  "+1 dedicated dispatcher core",
 		l7lb.ModeIOUring:     "FIFO wakeup (§8)",
-		l7lb.ModeHermes:      "dispatch on the eBPF VM",
+		l7lb.ModeHermes:      "eBPF program, JIT-compiled",
 	}
 	for i, mode := range AllModes {
 		run := results[i].(*RunResult)

@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"sync"
@@ -13,15 +14,38 @@ import (
 	"hermes/internal/tracing"
 )
 
-// Injector applies a Schedule to one LB on its virtual clock. All decisions
-// are deterministic: victims are picked from sim state, the only randomness
-// (per-probe loss) comes from the injector's own seeded generator, and every
-// event lands at a scheduled instant — so runs with the same seed and
-// schedule are byte-identical regardless of host parallelism.
+// Worker is what a worker fault acts on, on either data path: the
+// simulator's *l7lb.Worker and the real proxy's worker both implement it, so
+// one Injector picks the victims and applies the faults for both.
+type Worker interface {
+	// Crashed reports whether a crash is in force.
+	Crashed() bool
+	// OpenConns is the victim rule's load: the connections the worker holds.
+	OpenConns() int
+	// Hang stalls the worker for d; overlapping hangs extend, never shorten.
+	Hang(d time.Duration)
+	// Crash stops the worker until Restart; drop resets its connections.
+	Crash(drop bool)
+	// Restart brings a crashed worker back.
+	Restart()
+	// SetCostMultiplier scales what each request costs (1 = full speed).
+	SetCostMultiplier(f float64)
+}
+
+// Injector applies a Schedule through one clock: the simulator's virtual one
+// for an LB (NewInjector), or wall time for workers alone (NewWorkerInjector,
+// the real proxy). In the simulator every decision is deterministic: victims
+// are picked from sim state, the only randomness (per-probe loss) comes from
+// the injector's own seeded generator, and every event lands at a scheduled
+// instant — so runs with the same seed and schedule are byte-identical
+// regardless of host parallelism.
 type Injector struct {
-	lb    *l7lb.LB
-	sched Schedule
-	rng   *rand.Rand
+	lb      *l7lb.LB // nil when the injector drives workers alone
+	workers []Worker // indexed by worker id
+	sched   Schedule
+	rng     *rand.Rand
+	now     func() int64
+	after   func(time.Duration, func())
 
 	// StaleFallback, if set before Start, arms the stale-bitmap recovery
 	// path on every selection map (Hermes modes): entries not re-synced
@@ -36,121 +60,128 @@ type Injector struct {
 	// Restarts counts crash-scheduled worker restarts.
 	Restarts uint64
 
-	startNS     int64
+	// mu serialises every fault callback, since wall-clock timers fire on
+	// goroutines of their own; it is taken when a fault fires or ends, never
+	// on a request path. It guards everything below and the counts above.
+	mu          sync.Mutex
+	stopped     bool
 	dropUntilNS int64
 	dropProb    float64
-	slow        []Slowdowns // per worker, by ID
+	slow        []slowdowns // per worker, by ID
 
 	obs *injectorObs // nil until Observe
 }
 
-// NewInjector builds an injector for lb. seed drives probe-loss coin flips
-// (and nothing else); the schedule itself is already deterministic.
+// NewInjector builds an injector for lb on its virtual clock. seed drives
+// probe-loss coin flips (and nothing else); the schedule itself is already
+// deterministic.
 func NewInjector(lb *l7lb.LB, sched Schedule, seed int64) *Injector {
-	return &Injector{lb: lb, sched: sched, rng: rand.New(rand.NewSource(seed)),
-		slow: make([]Slowdowns, len(lb.Workers))}
+	ws := make([]Worker, len(lb.Workers))
+	for i, w := range lb.Workers {
+		ws[i] = w
+	}
+	return &Injector{lb: lb, workers: ws, sched: sched, rng: rand.New(rand.NewSource(seed)), now: lb.Eng.Now,
+		after: func(d time.Duration, fn func()) { lb.Eng.After(d, fn) }, slow: make([]slowdowns, len(ws))}
+}
+
+// NewWorkerInjector builds an injector that drives ws alone, with no LB
+// behind them, scheduling through now and after. It refuses a schedule
+// holding a kind that needs an LB (shrinkq, syncstall, probeloss) or pinning
+// a worker past ws, so the caller hears it before anything fires.
+func NewWorkerInjector(ws []Worker, sched Schedule, now func() int64, after func(time.Duration, func())) (*Injector, error) {
+	for _, ev := range sched.Events {
+		if k := ev.Kind; k == ShrinkQueue || k == SyncStall || k == ProbeLoss {
+			return nil, fmt.Errorf("faults: %s needs an LB's queues, selection maps or probers; workers alone take hang, crash and slow", ev.Kind)
+		}
+		if ev.Worker >= len(ws) {
+			return nil, fmt.Errorf("faults: %s pins worker %d of %d", ev.Kind, ev.Worker, len(ws))
+		}
+	}
+	return &Injector{workers: ws, sched: sched, now: now, after: after, slow: make([]slowdowns, len(ws))}, nil
 }
 
 // AttachProber points a prober's loss hook at this injector's probe-loss
 // window. Attach every prober whose stream the schedule should affect.
 func (inj *Injector) AttachProber(p *probe.WorkerProber) {
 	p.SetDrop(func() bool {
-		return inj.lb.Eng.Now() < inj.dropUntilNS && inj.rng.Float64() < inj.dropProb
+		return inj.now() < inj.dropUntilNS && inj.rng.Float64() < inj.dropProb
 	})
 }
 
 // Start arms the recovery fallback and schedules every event relative to
-// the current virtual time.
+// the current time.
 func (inj *Injector) Start() {
-	inj.startNS = inj.lb.Eng.Now()
 	if inj.StaleFallback > 0 {
-		eng := inj.lb.Eng
 		for _, m := range inj.selMaps() {
-			m.SetStaleness(eng.Now, int64(inj.StaleFallback))
+			m.SetStaleness(inj.now, int64(inj.StaleFallback))
 		}
 	}
 	for _, ev := range inj.sched.Events {
-		ev := ev
-		inj.lb.Eng.At(inj.startNS+ev.AtNS, func() { inj.apply(ev) })
+		inj.at(time.Duration(ev.AtNS), func() { inj.apply(ev) })
 	}
 }
 
+// Stop ends the schedule: once it returns, no fault fires or ends, and every
+// fault callback already running has finished.
+func (inj *Injector) Stop() {
+	inj.mu.Lock()
+	inj.stopped = true
+	inj.mu.Unlock()
+}
+
+// at runs fn after d on the injector's clock, under its lock, unless Stop
+// came first.
+func (inj *Injector) at(d time.Duration, fn func()) {
+	inj.after(d, func() {
+		inj.mu.Lock()
+		defer inj.mu.Unlock()
+		if !inj.stopped {
+			fn()
+		}
+	})
+}
+
 // selMaps returns every group's selection map behind the LB; empty for
-// non-Hermes modes.
+// non-Hermes modes and for workers alone.
 func (inj *Injector) selMaps() []*ebpf.ArrayMap {
-	if inj.lb.Ctl == nil {
+	if inj.lb == nil || inj.lb.Ctl == nil {
 		return nil
 	}
 	return inj.lb.Ctl.SelMaps()
 }
 
-// victim resolves an event's target worker: a pinned id, or the most-loaded
-// live worker at fire time (ties toward the lowest id). nil if no worker
-// qualifies.
-func (inj *Injector) victim(ev Event) *l7lb.Worker {
-	ws := inj.lb.Workers
+// victim resolves an event's target worker id: a pinned id, or the worker
+// with the most open connections at fire time, ties toward the lowest id,
+// skipping crashed workers. -1 if no worker qualifies.
+func (inj *Injector) victim(ev Event) int {
 	if ev.Worker >= 0 {
-		if ev.Worker >= len(ws) {
-			return nil
+		if ev.Worker >= len(inj.workers) {
+			return -1
 		}
-		return ws[ev.Worker]
+		return ev.Worker
 	}
-	var best *l7lb.Worker
-	for _, w := range ws {
+	best, most := -1, 0
+	for id, w := range inj.workers {
 		if w.Crashed() {
 			continue
 		}
-		if best == nil || w.OpenConns() > best.OpenConns() {
-			best = w
+		if n := w.OpenConns(); best < 0 || n > most {
+			best, most = id, n
 		}
 	}
 	return best
 }
 
 func (inj *Injector) apply(ev Event) {
-	eng := inj.lb.Eng
-	now := eng.Now()
+	now := inj.now()
 	switch ev.Kind {
-	case Hang:
-		w := inj.victim(ev)
-		if w == nil || w.Crashed() {
+	case Hang, Crash, Slow:
+		id := inj.victim(ev)
+		if id < 0 || inj.workers[id].Crashed() {
 			inj.Skipped++
 			return
 		}
-		w.Hang(time.Duration(ev.DurNS))
-		inj.record(ev.Kind, int32(w.ID), now, ev.DurNS)
-	case Crash:
-		w := inj.victim(ev)
-		if w == nil || w.Crashed() {
-			inj.Skipped++
-			return
-		}
-		w.Crash(ev.Drop)
-		inj.record(ev.Kind, int32(w.ID), now, ev.RestartNS)
-		if ev.RestartNS > 0 {
-			eng.After(time.Duration(ev.RestartNS), func() {
-				if !w.Crashed() {
-					return // something else (the watchdog) got there first
-				}
-				w.Restart()
-				inj.Restarts++
-				if o := inj.obs; o != nil {
-					o.restarts.Inc()
-					o.tr.Event(int32(w.ID), eng.Now(), int64(Restart), 0)
-				}
-			})
-		}
-	case Slow:
-		w := inj.victim(ev)
-		if w == nil || w.Crashed() {
-			inj.Skipped++
-			return
-		}
-		end := inj.slow[w.ID].Start(ev.Factor, w.SetCostMultiplier)
-		inj.record(ev.Kind, int32(w.ID), now, int64(ev.Factor*1000))
-		if ev.DurNS > 0 {
-			eng.After(time.Duration(ev.DurNS), end)
-		}
+		inj.hit(ev, id, now)
 	case ShrinkQueue:
 		socks := inj.shrinkTargets(ev)
 		if len(socks) == 0 {
@@ -164,7 +195,7 @@ func (inj *Injector) apply(ev Event) {
 		}
 		inj.record(ev.Kind, tracing.KernelTrack, now, int64(ev.Cap))
 		if ev.DurNS > 0 {
-			eng.After(time.Duration(ev.DurNS), func() {
+			inj.at(time.Duration(ev.DurNS), func() {
 				for i, s := range socks {
 					s.SetAcceptCap(saved[i])
 				}
@@ -177,13 +208,13 @@ func (inj *Injector) apply(ev Event) {
 			return
 		}
 		end := now + ev.DurNS
-		fail := func() bool { return ev.DurNS <= 0 || eng.Now() < end }
+		fail := func() bool { return ev.DurNS <= 0 || inj.now() < end }
 		for _, m := range maps {
 			m.SetFailUpdates(fail)
 		}
 		inj.record(ev.Kind, tracing.KernelTrack, now, ev.DurNS)
 		if ev.DurNS > 0 {
-			eng.After(time.Duration(ev.DurNS), func() {
+			inj.at(time.Duration(ev.DurNS), func() {
 				for _, m := range maps {
 					m.SetFailUpdates(nil)
 				}
@@ -202,6 +233,39 @@ func (inj *Injector) apply(ev Event) {
 	}
 }
 
+// hit applies a worker fault to live worker id and records it with its
+// kind-specific parameter: hang duration, restart delay, slow factor × 1000.
+func (inj *Injector) hit(ev Event, id int, now int64) {
+	w, track := inj.workers[id], int32(id)
+	switch ev.Kind {
+	case Hang:
+		w.Hang(time.Duration(ev.DurNS))
+		inj.record(ev.Kind, track, now, ev.DurNS)
+	case Crash:
+		w.Crash(ev.Drop)
+		inj.record(ev.Kind, track, now, ev.RestartNS)
+		if ev.RestartNS > 0 {
+			inj.at(time.Duration(ev.RestartNS), func() {
+				if !w.Crashed() {
+					return // something else (the watchdog) got there first
+				}
+				w.Restart()
+				inj.Restarts++
+				if o := inj.obs; o != nil {
+					o.restarts.Inc()
+					o.tr.Event(track, inj.now(), int64(Restart), 0)
+				}
+			})
+		}
+	case Slow:
+		end := inj.slow[id].start(ev.Factor, w.SetCostMultiplier)
+		inj.record(ev.Kind, track, now, int64(ev.Factor*1000))
+		if ev.DurNS > 0 {
+			inj.at(time.Duration(ev.DurNS), end)
+		}
+	}
+}
+
 // shrinkTargets picks the sockets an accept-queue shrink applies to: every
 // shared listener in shared-socket modes (one queue, LB-wide blast), the
 // victim worker's slot in each reuseport group otherwise.
@@ -209,39 +273,34 @@ func (inj *Injector) shrinkTargets(ev Event) []*kernel.Socket {
 	if shared := inj.lb.SharedSockets(); len(shared) > 0 {
 		return shared
 	}
-	w := inj.victim(ev)
-	if w == nil {
+	id := inj.victim(ev)
+	if id < 0 {
 		return nil
 	}
 	groups := inj.lb.Groups()
 	out := make([]*kernel.Socket, 0, len(groups))
 	for _, g := range groups {
-		out = append(out, g.Sockets()[w.ID])
+		out = append(out, g.Sockets()[id])
 	}
 	return out
 }
 
-// Slowdowns is the set of slow faults in force on one worker, on either data
-// path. Windows may overlap: the slowdown started last sets the factor, and
-// an expiry ends only its own, handing the factor back to the latest one
-// still in force (1, full speed, once none is). The zero value holds none.
-type Slowdowns struct {
-	mu     sync.Mutex // the real proxy's fault timers run concurrently
+// slowdowns is the set of slow faults in force on one worker. Windows may
+// overlap: the slowdown started last sets the factor, and an expiry ends only
+// its own, handing the factor back to the latest one still in force (1, full
+// speed, once none is). The zero value holds none; the injector's lock
+// guards it.
+type slowdowns struct {
 	active []*float64
 }
 
-// Start puts a slowdown by factor in force through set and returns the func
-// that ends it. set runs under s's lock, so the last factor set is the one in
-// force; it must not call back into s.
-func (s *Slowdowns) Start(factor float64, set func(float64)) (end func()) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+// start puts a slowdown by factor in force through set and returns the func
+// that ends it.
+func (s *slowdowns) start(factor float64, set func(float64)) (end func()) {
 	self := &factor
 	s.active = append(s.active, self)
 	set(factor)
 	return func() {
-		s.mu.Lock()
-		defer s.mu.Unlock()
 		s.active = slices.DeleteFunc(s.active, func(f *float64) bool { return f == self })
 		now := 1.0
 		if n := len(s.active); n > 0 {

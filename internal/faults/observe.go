@@ -19,25 +19,21 @@ type injectorObs struct {
 
 // Observe counts injected faults (one slot per fault kind) and scheduled
 // restarts on sink, and emits each as a fault instant on tr — on the victim's
-// track, or the kernel track for LB-wide faults. Either may be nil.
+// track, or the kernel track for LB-wide faults. Either may be nil. Both data
+// paths count under these names: the real proxy observes its injector when
+// it has a schedule.
 func (inj *Injector) Observe(sink *telemetry.Registry, tr *tracing.Tracer) {
 	if sink == nil && tr == nil {
 		return
 	}
-	o := &injectorObs{tr: tr.FaultTrace(), injected: InjectedVec(sink)}
+	o := &injectorObs{tr: tr.FaultTrace()}
+	o.injected = sink.CounterVec(telemetry.Metric{
+		Name: "faults.injected", Layer: "faults", Unit: "events",
+		Help: "injected fault events by kind (hang, crash, slow, shrinkq, syncstall, probeloss)"}, numSchedulable)
 	o.restarts = sink.Counter(telemetry.Metric{
 		Name: "faults.worker.restarts", Layer: "faults", Unit: "events",
 		Help: "crashed workers brought back by a scheduled restart"})
 	inj.obs = o
-}
-
-// InjectedVec registers faults.injected on sink: injected fault events, one
-// slot per schedulable Kind. The simulator's injector and the real proxy's
-// fault path (proxy.WithFaults) count under this one name.
-func InjectedVec(sink *telemetry.Registry) *telemetry.CounterVec {
-	return sink.CounterVec(telemetry.Metric{
-		Name: "faults.injected", Layer: "faults", Unit: "events",
-		Help: "injected fault events by kind (hang, crash, slow, shrinkq, syncstall, probeloss)"}, numSchedulable)
 }
 
 type watchdogObs struct {

@@ -1,9 +1,10 @@
 // Package faults is the deterministic fault-injection and recovery layer:
-// a sim-clock-driven injector that applies a declarative schedule of worker
-// hangs, crashes (with optional restart), slowdowns, accept-queue shrinks,
-// selection-map sync stalls, and probe loss to a running LB — identically
+// an injector that applies a declarative schedule of worker hangs, crashes
+// (with optional restart), slowdowns, accept-queue shrinks, selection-map
+// sync stalls, and probe loss to a running LB on the sim clock — identically
 // across dispatch modes, so blast radius and recovery time can be compared
-// under the *same* fault sequence (§7, Appendix C) — plus a watchdog that
+// under the *same* fault sequence (§7, Appendix C), and the same injector
+// drives the real proxy's workers on the wall clock — plus a watchdog that
 // detects hung workers from WST loop-enter staleness (the paper's
 // FilterTime signal) and drives the restart lifecycle.
 //

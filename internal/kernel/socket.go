@@ -122,10 +122,6 @@ type Socket struct {
 // Conn returns the connection of a connection socket (nil for listeners).
 func (s *Socket) Conn() *Conn { return s.conn }
 
-// GroupIndex returns this socket's member index within its reuseport group
-// (worker i owns socket i in the LB deployments); 0 for non-group sockets.
-func (s *Socket) GroupIndex() int { return s.groupIdx }
-
 // QueueLen returns the current accept-queue depth (listening sockets).
 func (s *Socket) QueueLen() int { return len(s.acceptQ) - s.qhead }
 

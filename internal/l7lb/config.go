@@ -143,8 +143,6 @@ type Config struct {
 	Mode Mode
 	// Hermes configures the control loop for Hermes modes.
 	Hermes core.Config
-	// FilterOrder selects Algorithm 1's cascade order (ablations).
-	FilterOrder core.FilterOrder
 	// ScheduleAtLoopStart moves schedule_and_sync() from the end of the
 	// event loop to the beginning — the placement §5.3.2 warns against
 	// (the scheduler then observes pre-epoll_wait status, which may be

@@ -83,7 +83,6 @@ func New(eng *sim.Engine, cfg Config) (*LB, error) {
 			return nil, err
 		}
 		lb.Ctl = ctl
-		ctl.SetFilterOrder(cfg.FilterOrder)
 	}
 	lb.observe()
 

@@ -201,7 +201,9 @@ func (c *conn) serve() {
 			return
 		}
 		arrivalNS := time.Now().UnixNano()
-		w.maybeHang()
+		if !w.stall(arrivalNS) {
+			return // the drain ended a stall
+		}
 		w.hook.EventsFetched(1)
 		if d := w.delay.Load(); d > 0 {
 			time.Sleep(time.Duration(d))

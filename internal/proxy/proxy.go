@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"strconv"
 	"sync"
@@ -31,9 +32,10 @@ func WithTracer(tr *tracing.Tracer) Option {
 	return func(o *options) { o.tracer = tr }
 }
 
-// WithFaults arms a wall-clock translation of a sim fault schedule on the
-// real proxy (docs/FAULTS.md grammar, times relative to New). New refuses a
-// schedule holding a kind with no real-socket analogue.
+// WithFaults arms a sim fault schedule on the real proxy's workers, on the
+// wall clock (docs/FAULTS.md grammar, times relative to New), through the
+// simulator's faults.Injector. New refuses a schedule holding a kind that
+// needs an LB, or pinning a worker the proxy does not have.
 func WithFaults(sched faults.Schedule) Option {
 	return func(o *options) { o.sched = sched }
 }
@@ -62,6 +64,7 @@ type Proxy struct {
 	hashSeq atomic.Uint32
 
 	startNS int64
+	inj     *faults.Injector // applies the fault schedule; nil without one
 
 	// Connection tracking for graceful drain; mu also guards faultTimers.
 	mu          sync.Mutex
@@ -93,13 +96,15 @@ type worker struct {
 	handled *telemetry.Counter
 	// delay injects extra latency per request: the slow faults in force.
 	delay atomic.Int64
-	slow  faults.Slowdowns // the slow faults in force, which set delay
-	// hangUntilNS, while in the future, stalls the worker: the heartbeat
+	// stallUntilNS, while in the future, stalls the worker: the heartbeat
 	// stops stamping its WST row and its connections stop before their next
 	// request — the loop-enter timestamp goes stale exactly as a real
-	// hang's would (injected fault).
-	hangUntilNS atomic.Int64
+	// hang's would (injected fault). crashedNS holds it until Restart.
+	stallUntilNS atomic.Int64
 }
+
+// crashedNS is stallUntilNS while a crash is in force: no clock reaches it.
+const crashedNS = math.MaxInt64
 
 // New builds and starts the proxy: listener bound, workers running, health
 // checker probing, fault schedule armed. The caller owns shutdown
@@ -111,9 +116,6 @@ func New(cfg Config, opts ...Option) (*Proxy, error) {
 	var o options
 	for _, fn := range opts {
 		fn(&o)
-	}
-	if err := checkFaults(o.sched, cfg.Workers); err != nil {
-		return nil, err
 	}
 	reg := telemetry.NewRegistry()
 
@@ -148,6 +150,25 @@ func New(cfg Config, opts ...Option) (*Proxy, error) {
 		stop:    make(chan struct{}),
 	}
 	p.tel = newInstruments(reg, o.tracer, cfg.Workers, len(cfg.Backends))
+	targets := make([]faults.Worker, cfg.Workers)
+	for i := range targets {
+		w := &worker{
+			id: i, p: p, hook: ctl.NewWorkerHook(i),
+			tr:      o.tracer.WorkerTrace(i),
+			fwdTail: []byte("X-Forwarded-By: hermes-lb/w" + strconv.Itoa(i) + "\r\n"),
+			handled: p.tel.RequestsServed.At(i),
+		}
+		w.hook.LoopEnter(time.Now().UnixNano())
+		p.workers, targets[i] = append(p.workers, w), w
+	}
+	if len(o.sched.Events) > 0 {
+		wall := func() int64 { return time.Now().UnixNano() }
+		if p.inj, err = faults.NewWorkerInjector(targets, o.sched, wall, p.afterFault); err != nil {
+			ln.Close()
+			return nil, err
+		}
+		p.inj.Observe(reg, o.tracer)
+	}
 
 	// The monitor samples off the hot path: instruments record normally; its
 	// sampler snapshots the registry once per tick until the drain starts.
@@ -170,16 +191,6 @@ func New(cfg Config, opts ...Option) (*Proxy, error) {
 
 	p.pool = newPool(cfg, func() int64 { return time.Now().UnixNano() }, &p.tel)
 
-	for i := 0; i < cfg.Workers; i++ {
-		w := &worker{
-			id: i, p: p, hook: ctl.NewWorkerHook(i),
-			tr:      o.tracer.WorkerTrace(i),
-			fwdTail: []byte("X-Forwarded-By: hermes-lb/w" + strconv.Itoa(i) + "\r\n"),
-			handled: p.tel.RequestsServed.At(i),
-		}
-		w.hook.LoopEnter(time.Now().UnixNano())
-		p.workers = append(p.workers, w)
-	}
 	p.sync()
 	p.wg.Add(1)
 	go p.heartbeat()
@@ -188,7 +199,9 @@ func New(cfg Config, opts ...Option) (*Proxy, error) {
 		p.checker = newChecker(cfg.HealthCheck, p.pool)
 		go p.checker.run()
 	}
-	p.applyFaults(o.sched, o.tracer.FaultTrace())
+	if p.inj != nil {
+		p.inj.Start()
+	}
 	p.wg.Add(1)
 	go p.acceptLoop(ln)
 	return p, nil
@@ -294,7 +307,7 @@ func (p *Proxy) heartbeat() {
 		}
 		now := time.Now().UnixNano()
 		for _, w := range p.workers {
-			if w.hangUntilNS.Load() <= now {
+			if w.stallUntilNS.Load() <= now {
 				w.hook.LoopEnter(now)
 			}
 		}
@@ -307,16 +320,56 @@ func (p *Proxy) heartbeat() {
 // worker's hook serves.
 func (p *Proxy) sync() { p.workers[0].hook.ScheduleAndSync(time.Now().UnixNano()) }
 
-// maybeHang blocks until the injected hang deadline passes (no-op when none
-// is set).
-func (w *worker) maybeHang() {
+// stall holds a request read at nowNS while the worker is hung or crashed.
+// It reports false if the drain started first, and looks at the stall again
+// every EpollTimeout, so a Restart lets the request through within one.
+func (w *worker) stall(nowNS int64) bool {
 	for {
-		d := w.hangUntilNS.Load() - time.Now().UnixNano()
+		d := time.Duration(w.stallUntilNS.Load() - nowNS)
 		if d <= 0 {
-			return
+			return true
 		}
-		time.Sleep(time.Duration(d))
+		t := time.NewTimer(min(d, w.p.ctl.Config().EpollTimeout))
+		select {
+		case <-w.p.stop:
+			t.Stop()
+			return false
+		case <-t.C:
+		}
+		nowNS = time.Now().UnixNano()
 	}
+}
+
+// The six methods below make a worker a faults.Worker. The injector calls
+// them under its own lock, one fault at a time; the request path and the
+// heartbeat read their effect through the two atomics.
+
+// Crashed reports whether a crash is in force.
+func (w *worker) Crashed() bool { return w.stallUntilNS.Load() == crashedNS }
+
+// OpenConns reads the worker's WST row: the connections it holds.
+func (w *worker) OpenConns() int { return int(w.hook.Metrics().Conn) }
+
+// Hang stalls the worker for d from now, extending a stall in force and
+// never shortening one.
+func (w *worker) Hang(d time.Duration) {
+	if until := time.Now().UnixNano() + int64(d); until > w.stallUntilNS.Load() {
+		w.stallUntilNS.Store(until)
+	}
+}
+
+// Crash stalls the worker until Restart. A goroutine cannot be killed, so
+// drop is ignored: its connections stay open, stalled.
+func (w *worker) Crash(bool) { w.stallUntilNS.Store(crashedNS) }
+
+// Restart ends a crash.
+func (w *worker) Restart() { w.stallUntilNS.CompareAndSwap(crashedNS, 0) }
+
+// SetCostMultiplier poisons per-request latency instead of scaling CPU, since
+// the proxy's cost is dominated by the upstream round trip: 5 ms × (f − 1)
+// per request.
+func (w *worker) SetCostMultiplier(f float64) {
+	w.delay.Store(int64(float64(5*time.Millisecond) * (f - 1)))
 }
 
 // bufLimit bounds the per-connection request buffer: the header section cap
@@ -348,6 +401,11 @@ func (p *Proxy) shutdown(timeout time.Duration) error {
 		_ = p.ctl.SetWorkerAvailable(i, false)
 	}
 	close(p.stop)
+	// Stop the injector before taking p.mu: a fault callback holds the
+	// injector's lock while afterFault takes p.mu.
+	if p.inj != nil {
+		p.inj.Stop()
+	}
 	p.mu.Lock()
 	for _, t := range p.faultTimers {
 		t.Stop()
@@ -410,99 +468,13 @@ func (p *Proxy) shutdown(timeout time.Duration) error {
 	return nil
 }
 
-// checkFaults refuses a schedule the real proxy cannot honour: queue, selmap
-// and probe faults have no real-socket analogue here, and a pinned worker
-// must exist. The schedule is known when the proxy is built, so the caller
-// hears it then, not at fire time.
-func checkFaults(sched faults.Schedule, workers int) error {
-	for _, ev := range sched.Events {
-		if ev.Worker >= workers {
-			return fmt.Errorf("proxy: fault %s pins worker %d of %d", ev.Kind, ev.Worker, workers)
-		}
-		switch ev.Kind {
-		case faults.Hang, faults.Crash, faults.Slow:
-		default:
-			return fmt.Errorf("proxy: fault kind %s has no real-socket analogue (hang, crash and slow do)", ev.Kind)
-		}
-	}
-	return nil
-}
-
-// applyFaults arms a wall-clock translation of the sim fault schedule on the
-// real proxy: hangs and slowdowns map directly; a crash is approximated as a
-// stall until its restart delay (goroutines cannot be SIGKILLed). Each fault
-// that fires is recorded as the simulator's injector records it: counted in
-// faults.injected by kind, and a fault instant on the victim's track carrying
-// the same kind-specific parameter. Fault timers end at Shutdown.
-func (p *Proxy) applyFaults(sched faults.Schedule, tr *tracing.FaultTrace) {
-	if len(sched.Events) == 0 {
-		return
-	}
-	injected := faults.InjectedVec(p.reg)
-	for _, ev := range sched.Events {
-		p.afterFault(time.Duration(ev.AtNS), func() {
-			now := time.Now().UnixNano()
-			w, param := p.victim(ev.Worker, now), ev.DurNS
-			if w == nil {
-				return
-			}
-			switch ev.Kind {
-			case faults.Hang:
-				w.hangUntilNS.Store(now + ev.DurNS)
-			case faults.Crash:
-				dur := ev.RestartNS
-				if dur == 0 {
-					dur = int64(time.Hour)
-				}
-				w.hangUntilNS.Store(now + dur)
-				param = ev.RestartNS
-			case faults.Slow:
-				// Poison per-request latency instead of scaling CPU: the
-				// proxy's cost is dominated by the upstream round trip.
-				end := w.slow.Start(ev.Factor, func(f float64) {
-					w.delay.Store(int64(float64(5*time.Millisecond) * (f - 1)))
-				})
-				param = int64(ev.Factor * 1000)
-				if ev.DurNS > 0 {
-					p.afterFault(time.Duration(ev.DurNS), end)
-				}
-			}
-			injected.At(int(ev.Kind)).Inc()
-			tr.Event(int32(w.id), now, int64(ev.Kind), param)
-		})
-	}
-}
-
-// afterFault runs fn after d on a timer shutdown stops. Once the drain has
-// begun it arms nothing, and a timer already firing does nothing.
+// afterFault is the injector's clock: it runs fn after d on a timer shutdown
+// stops, and arms nothing once the drain has begun. A timer already firing
+// does nothing once shutdown has stopped the injector.
 func (p *Proxy) afterFault(d time.Duration, fn func()) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if !p.draining.Load() {
-		p.faultTimers = append(p.faultTimers, time.AfterFunc(d, func() {
-			if !p.draining.Load() {
-				fn()
-			}
-		}))
+		p.faultTimers = append(p.faultTimers, time.AfterFunc(d, fn))
 	}
-}
-
-// victim resolves a fault's target by the simulator's rule: a pinned worker
-// id, else the worker with the most open connections (its WST row's Conn) at
-// fire time, ties toward the lowest id, skipping workers an earlier fault
-// stalled. nil if every worker is stalled.
-func (p *Proxy) victim(id int, nowNS int64) *worker {
-	if id >= 0 {
-		return p.workers[id]
-	}
-	var best *worker
-	for _, w := range p.workers {
-		if w.hangUntilNS.Load() > nowNS {
-			continue
-		}
-		if best == nil || w.hook.Metrics().Conn > best.hook.Metrics().Conn {
-			best = w
-		}
-	}
-	return best
 }

@@ -14,9 +14,7 @@ import (
 	"time"
 
 	"hermes/internal/core"
-	"hermes/internal/faults"
 	"hermes/internal/httpx"
-	"hermes/internal/tracing"
 )
 
 // scriptedUpstream is an origin whose reply is written by the test: every
@@ -337,182 +335,11 @@ func TestIdleWorkersStaySelectable(t *testing.T) {
 	}
 }
 
-// An injected hang stops the victim's heartbeat: it leaves the bitmap within
-// HangThreshold plus a heartbeat (one more for a peer's pass to publish it),
-// and comes back once released.
-func TestHungWorkerLeavesBitmap(t *testing.T) {
-	cfg := testConfig(newStubUpstream(t))
-	cfg.Workers = 4
-	const hangFor = 150 * time.Millisecond
-	tracer := tracing.New(tracing.Config{Concurrent: true, MaxSpans: 1 << 10})
-	p := startProxy(t, cfg, WithTracer(tracer), WithFaults(faults.Schedule{Events: []faults.Event{
-		{Kind: faults.Hang, AtNS: 0, Worker: 1, DurNS: int64(hangFor)},
-	}}))
-	pol := p.Controller().Config()
-	bitmap := func() uint64 { return p.Controller().Selection(0) }
-	waitFor := func(want uint64, within time.Duration) time.Duration {
-		t.Helper()
-		start := time.Now()
-		for bitmap() != want {
-			if time.Since(start) > within {
-				t.Fatalf("bitmap = %04b, want %04b within %v", bitmap(), want, within)
-			}
-			time.Sleep(time.Millisecond)
-		}
-		return time.Since(start)
-	}
-	// 25 ms of slack for a loaded CI host's timers.
-	out := waitFor(0b1101, pol.HangThreshold+2*pol.EpollTimeout+25*time.Millisecond)
-	back := waitFor(0b1111, hangFor+2*pol.EpollTimeout+25*time.Millisecond)
-	t.Logf("hung worker excluded after %v, readmitted %v later", out, back)
-
-	// The artefacts say which worker was hung, and when: one faults.injected
-	// count in the hang slot, one fault instant on the victim's track.
-	row := p.Registry().Snapshot().Get("faults.injected")
-	if row == nil || row.Total() != 1 || row.Values[faults.Hang] != 1 {
-		t.Errorf("faults.injected = %+v, want one hang", row)
-	}
-	var instants []tracing.Span
-	for _, s := range tracer.Spans() {
-		if s.Kind == tracing.KindFault {
-			instants = append(instants, s)
-		}
-	}
-	if len(instants) != 1 || instants[0].Worker != 1 || instants[0].Arg != int64(faults.Hang) || instants[0].Arg2 != int64(hangFor) {
-		t.Errorf("fault instants = %+v, want one hang of %v on worker 1", instants, hangFor)
-	}
-}
-
 // The proxy runs the simulator's control loop: core's defaults, unchanged.
 func TestProxyControllerRunsCoreDefaults(t *testing.T) {
 	p := startProxy(t, testConfig(newStubUpstream(t)))
 	if got := p.Controller().Config(); got != core.DefaultConfig() {
 		t.Fatalf("proxy controller config %+v, want core.DefaultConfig() %+v", got, core.DefaultConfig())
-	}
-}
-
-// An unpinned fault lands where the simulator's would: on the worker with
-// the most open connections (WST Conn), ties toward the lowest id, never on a
-// worker an earlier fault stalled — requests in flight and requests handled
-// do not count.
-func TestFaultVictimRule(t *testing.T) {
-	cfg := testConfig(newStubUpstream(t))
-	cfg.Workers = 4
-	p := startProxy(t, cfg)
-	now := time.Now().UnixNano()
-	if w := p.victim(-1, now); w.id != 0 {
-		t.Fatalf("all tied: victim %d, want 0", w.id)
-	}
-	for id, n := range []int{0, 1, 3, 3} {
-		for i := 0; i < n; i++ {
-			p.workers[id].hook.ConnOpened()
-		}
-	}
-	p.workers[1].hook.EventsFetched(10) // busy but fewer connections
-	p.workers[1].handled.Add(100)
-	if w := p.victim(-1, now); w.id != 2 {
-		t.Fatalf("victim %d, want 2 (most open connections, lowest id of the tie)", w.id)
-	}
-	p.workers[2].hangUntilNS.Store(now + int64(time.Hour))
-	if w := p.victim(-1, now); w.id != 3 {
-		t.Fatalf("victim %d, want 3 (worker 2 is stalled)", w.id)
-	}
-	if w := p.victim(2, now); w.id != 2 {
-		t.Fatalf("pinned victim %d, want 2", w.id)
-	}
-	for id := range p.workers {
-		p.workers[id].hangUntilNS.Store(now + int64(time.Hour))
-	}
-	if w := p.victim(-1, now); w != nil {
-		t.Fatalf("every worker stalled, yet victim %d", w.id)
-	}
-}
-
-// Overlapping slow faults on one worker compose as in the simulator: the
-// first one's expiry leaves the second in force until its own window ends,
-// with different factors or equal ones.
-func TestProxyOverlappingSlowdowns(t *testing.T) {
-	for _, first := range []float64{4, 2} {
-		t.Run(fmt.Sprintf("x=%v,x=2", first), func(t *testing.T) {
-			t.Parallel()
-			const window, offset = 400 * time.Millisecond, 200 * time.Millisecond
-			start := time.Now()
-			p := startProxy(t, testConfig(newStubUpstream(t)), WithFaults(faults.Schedule{Events: []faults.Event{
-				{Kind: faults.Slow, Worker: 0, Factor: first, DurNS: int64(window)},
-				{Kind: faults.Slow, AtNS: int64(offset), Worker: 0, Factor: 2, DurNS: int64(window)},
-			}}))
-			// Halfway between the first window's end and the second's.
-			time.Sleep(time.Until(start.Add(window + offset/2)))
-			if got, want := time.Duration(p.workers[0].delay.Load()), 5*time.Millisecond; got != want {
-				t.Fatalf("delay %v after the first slowdown expired, want the second's %v", got, want)
-			}
-			deadline := start.Add(offset + window + time.Second)
-			for p.workers[0].delay.Load() != 0 {
-				if time.Now().After(deadline) {
-					t.Fatalf("delay %v long after both windows", time.Duration(p.workers[0].delay.Load()))
-				}
-				time.Sleep(10 * time.Millisecond)
-			}
-		})
-	}
-}
-
-// Fault timers end at Shutdown: a hang due after the proxy closed never
-// fires, and a slowdown's pending expiry is stopped with it.
-func TestFaultTimersEndAtShutdown(t *testing.T) {
-	p, err := New(testConfig(newStubUpstream(t)), WithFaults(faults.Schedule{Events: []faults.Event{
-		{Kind: faults.Slow, Worker: 0, Factor: 2, DurNS: int64(time.Hour)},
-		{Kind: faults.Hang, AtNS: int64(150 * time.Millisecond), Worker: 1, DurNS: int64(time.Second)},
-	}}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for deadline := time.Now().Add(time.Second); p.workers[0].delay.Load() == 0; time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatal("the slow fault at 0s never fired")
-		}
-	}
-	p.Close()
-	time.Sleep(400 * time.Millisecond)
-	if row := p.Registry().Snapshot().Get("faults.injected"); row == nil || row.Values[faults.Hang] != 0 {
-		t.Errorf("faults.injected = %+v after Close, want no hang", row)
-	}
-	if until := p.workers[1].hangUntilNS.Load(); until != 0 {
-		t.Errorf("worker 1 hung until %v after Close", time.Unix(0, until))
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for i, tm := range p.faultTimers {
-		if tm.Stop() {
-			t.Errorf("fault timer %d of %d still armed after Close", i, len(p.faultTimers))
-		}
-	}
-}
-
-// A fault the real proxy cannot inject is refused when the proxy is built,
-// by name, and a proxy without a schedule registers no fault row.
-func TestUnsupportedFaultRefusedAtNew(t *testing.T) {
-	cfg := testConfig(newStubUpstream(t))
-	for _, kind := range []faults.Kind{faults.ShrinkQueue, faults.SyncStall, faults.ProbeLoss} {
-		p, err := New(cfg, WithFaults(faults.Schedule{Events: []faults.Event{
-			{Kind: faults.Slow, Factor: 2}, {Kind: kind, AtNS: int64(time.Hour)},
-		}}))
-		if err == nil {
-			p.Close()
-			t.Fatalf("New accepted a %s fault", kind)
-		}
-		if !strings.Contains(err.Error(), kind.String()) {
-			t.Errorf("error %q does not name %s", err, kind)
-		}
-	}
-	if p, err := New(cfg, WithFaults(faults.Schedule{Events: []faults.Event{
-		{Kind: faults.Hang, Worker: cfg.Workers, DurNS: int64(time.Second)},
-	}})); err == nil {
-		p.Close()
-		t.Fatalf("New accepted a fault pinned to worker %d of %d", cfg.Workers, cfg.Workers)
-	}
-	if row := startProxy(t, cfg).Registry().Snapshot().Get("faults.injected"); row != nil {
-		t.Errorf("proxy without a fault schedule registered %+v", row)
 	}
 }
 

@@ -168,44 +168,19 @@ func (s *Sample) CountAbove(x float64) int {
 	return n
 }
 
-// Welford tracks running mean and variance without storing observations —
-// used for long-running per-worker CPU utilization series (Fig. 13).
-// The zero value is ready to use.
-type Welford struct {
-	n    int64
-	mean float64
-	m2   float64
-}
-
-// Add folds in one observation.
-func (w *Welford) Add(v float64) {
-	w.n++
-	d := v - w.mean
-	w.mean += d / float64(w.n)
-	w.m2 += d * (v - w.mean)
-}
-
-// N returns the observation count.
-func (w *Welford) N() int64 { return w.n }
-
-// Mean returns the running mean.
-func (w *Welford) Mean() float64 { return w.mean }
-
-// Stddev returns the running population standard deviation.
-func (w *Welford) Stddev() float64 {
-	if w.n < 2 {
-		return 0
-	}
-	return math.Sqrt(w.m2 / float64(w.n))
-}
-
-// MeanStddev computes mean and population stddev of a slice in one pass.
+// MeanStddev computes mean and population stddev of a slice in one pass
+// (Welford's running update, so no second pass over vals).
 func MeanStddev(vals []float64) (mean, std float64) {
-	var w Welford
-	for _, v := range vals {
-		w.Add(v)
+	var m2 float64
+	for i, v := range vals {
+		d := v - mean
+		mean += d / float64(i+1)
+		m2 += d * (v - mean)
 	}
-	return w.Mean(), w.Stddev()
+	if len(vals) < 2 {
+		return mean, 0
+	}
+	return mean, math.Sqrt(m2 / float64(len(vals)))
 }
 
 // FormatMS renders a millisecond quantity the way the paper's tables do:

@@ -46,9 +46,6 @@ func (s Spec) Scale(f float64) Spec {
 // OfferedRPS estimates the request rate this spec offers.
 func (s Spec) OfferedRPS() float64 { return s.ConnRate * s.ReqPerConn.Mean() }
 
-// OfferedCPU estimates CPU-seconds per second of offered work.
-func (s Spec) OfferedCPU() float64 { return s.OfferedRPS() * s.CostNS.Mean() / 1e9 }
-
 // Validate reports the first invalid field.
 func (s Spec) Validate() error {
 	if s.ConnRate <= 0 {
