@@ -30,22 +30,8 @@ import (
 	"time"
 
 	"hermes/internal/bench"
-	"hermes/internal/telemetry"
 	"hermes/internal/tracing"
 )
-
-// promFileName maps an experiment or cell name onto a safe filename chunk.
-func promFileName(s string) string {
-	out := []byte(s)
-	for i, c := range out {
-		switch {
-		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c >= '0' && c <= '9', c == '-', c == '_', c == '.':
-		default:
-			out[i] = '_'
-		}
-	}
-	return string(out)
-}
 
 // die ends the run with one line on stderr: exit 2 for a flag the run cannot
 // honour, 1 for an artefact it could not write.
@@ -64,9 +50,8 @@ func main() {
 		tenants  = flag.Int("tenants", 8, "tenant ports per LB")
 		parallel = flag.Int("parallel", runtime.GOMAXPROCS(0), "cell-level fan-out (independent sims per experiment); 1 = sequential")
 		metrics  = flag.String("metrics", "", "write per-cell telemetry dumps (JSON) to this path")
-		prom     = flag.String("prom", "", "write per-cell OpenMetrics expositions (<exp>__<cell>.prom) into this directory")
 
-		spans      = flag.String("spans", "", "record one cell's spans (docs/TRACING.md) to this path: .jsonl = the span dump hermesctl reads; else a Chrome trace for Perfetto")
+		spans      = flag.String("spans", "", "record one cell's spans (docs/TRACING.md) and write the span dump hermesctl reads to this path")
 		spanCell   = flag.String("span-cell", "", "cell to record (default: the experiment's first cell; see -exp list)")
 		spanSample = flag.Int("span-sample", 1, "head-sample 1 in N connections (1 = every connection)")
 		spanTail   = flag.Duration("span-tail", 0, "also keep any connection with a request at least this slow (0 = off)")
@@ -161,7 +146,7 @@ func main() {
 	dumps := make(map[string]*bench.MetricsCollector)
 	for _, name := range names {
 		e := experiments[name]
-		if *metrics != "" || *prom != "" {
+		if *metrics != "" {
 			opts.Metrics = bench.NewMetricsCollector()
 			dumps[name] = opts.Metrics
 		}
@@ -185,31 +170,11 @@ func main() {
 		}
 	}
 
-	if *prom != "" {
-		if err := os.MkdirAll(*prom, 0o755); err != nil {
-			die(1, "create prom dir: %v", err)
-		}
-		for _, name := range names {
-			mc := dumps[name]
-			for _, cell := range mc.CellNames() {
-				path := *prom + "/" + promFileName(name) + "__" + promFileName(cell) + ".prom"
-				var buf bytes.Buffer
-				err := telemetry.WriteOpenMetrics(&buf, mc.Snapshot(cell))
-				if err == nil {
-					err = os.WriteFile(path, buf.Bytes(), 0o644)
-				}
-				if err != nil {
-					die(1, "write prom %s: %v", path, err)
-				}
-			}
-		}
-	}
-
 	if *spans != "" {
 		// Written the way -metrics is, whole or not at all; the error for a
 		// designated cell that never ran names the cells that did.
 		var buf bytes.Buffer
-		err := opts.Spans.WriteTo(&buf, strings.HasSuffix(*spans, ".jsonl"))
+		err := opts.Spans.WriteDump(&buf)
 		if err == nil {
 			err = os.WriteFile(*spans, buf.Bytes(), 0o644)
 		}

@@ -12,48 +12,54 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
-	"time"
 
 	"hermes/internal/faults"
 	"hermes/internal/proxy"
-	"hermes/internal/telemetry"
 	"hermes/internal/tracing"
 
 	_ "net/http/pprof" // registered on the default mux, served only via -debug-addr
 )
 
-func main() { os.Exit(run()) }
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-func run() int {
+// run is the one lifecycle, for a proxy and for -demo alike: build the proxy,
+// serve the admin API, wait (for a signal, or for the demo's clients), drain,
+// and write the span dump.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("hermes-lb", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		config       = flag.String("config", "", "YAML config file (docs/PROXY.md); explicit flags override it")
-		applyFlags   = proxy.BindFlags(flag.CommandLine) // -listen -backends -workers -policy -admin -drain-timeout -slo
-		debugAddr    = flag.String("debug-addr", "", "serve net/http/pprof on this address (off unless set; bind to localhost)")
-		statsEvery   = flag.Duration("stats-every", 0, "periodically print windowed telemetry deltas and rates (0 = off)")
-		trace        = flag.String("trace", "", "record spans (docs/TRACING.md), written on shutdown: .jsonl = the span dump hermesctl reads; else a Chrome trace for Perfetto")
-		demo         = flag.Bool("demo", false, "run a self-contained demo (own backends + client load)")
-		demoReqs     = flag.Int("demo-requests", 2000, "requests to issue in demo mode")
-		faultSpec    = flag.String("faults", "", "fault schedule (docs/FAULTS.md grammar, times relative to start), e.g. \"hang@5s:w2:dur=3s;slow@10s:x=4:dur=5s\"")
-		serveBackend = flag.String("serve-backend", "", "run a trivial HTTP backend on this address instead of the proxy (smoke tests)")
+		config       = fs.String("config", "", "YAML config file (docs/PROXY.md); explicit flags override it")
+		applyFlags   = proxy.BindFlags(fs) // -listen -backends -workers -policy -admin -drain-timeout -slo
+		debugAddr    = fs.String("debug-addr", "", "serve net/http/pprof on this address (off unless set; bind to localhost)")
+		trace        = fs.String("trace", "", "record spans (docs/TRACING.md) and write the span dump hermesctl reads to this path on shutdown")
+		demoMode     = fs.Bool("demo", false, "run a self-contained demo (own backends + client load)")
+		faultSpec    = fs.String("faults", "", "fault schedule (docs/FAULTS.md grammar, times relative to start), e.g. \"hang@5s:w2:dur=3s;slow@10s:x=4:dur=5s\"")
+		serveBackend = fs.String("serve-backend", "", "run a trivial HTTP backend on this address instead of the proxy (smoke tests)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	fail := func(code int, err error) int {
+		fmt.Fprintln(stderr, "hermes-lb:", err)
+		return code
+	}
 
 	if *serveBackend != "" {
-		return runStubBackend(*serveBackend)
+		return runStubBackend(*serveBackend, stdout, stderr)
 	}
 
 	var sched faults.Schedule
 	if *faultSpec != "" {
 		var err error
 		if sched, err = faults.ParseSpec(*faultSpec); err != nil {
-			fmt.Fprintln(os.Stderr, "hermes-lb:", err)
-			return 2
+			return fail(2, err)
 		}
 	}
 
@@ -71,105 +77,87 @@ func run() int {
 	if *config != "" {
 		var err error
 		if cfg, err = proxy.LoadFile(*config, cfg); err != nil {
-			fmt.Fprintln(os.Stderr, "hermes-lb:", err)
-			return 2
+			return fail(2, err)
 		}
 	}
 	if err := applyFlags(&cfg); err != nil {
-		fmt.Fprintln(os.Stderr, "hermes-lb:", err)
+		return fail(2, err)
+	}
+
+	var d *demo
+	if *demoMode {
+		var err error
+		if d, err = startDemo(&cfg, &sched, stdout); err != nil {
+			return fail(1, err)
+		}
+		defer d.close()
+	}
+	if len(cfg.Backends) == 0 {
+		fmt.Fprintln(stderr, "hermes-lb: -backends or a config file required (or use -demo)")
 		return 2
+	}
+	if err := cfg.Validate(); err != nil {
+		return fail(2, err)
 	}
 
 	if *debugAddr != "" {
 		// net/http/pprof registers on the default mux; serve it only when
 		// explicitly asked, on its own listener, never on the admin or
 		// client-facing address.
+		fmt.Fprintf(stdout, "hermes-lb: pprof on %s\n", *debugAddr)
 		go func() {
-			fmt.Printf("hermes-lb: pprof on %s\n", *debugAddr)
 			if err := http.ListenAndServe(*debugAddr, nil); err != nil {
-				fmt.Fprintln(os.Stderr, "hermes-lb: debug:", err)
+				fmt.Fprintln(stderr, "hermes-lb: debug:", err)
 			}
 		}()
-	}
-
-	if *demo {
-		return runDemo(cfg, *demoReqs, *statsEvery, tracer, *trace, sched)
-	}
-	if len(cfg.Backends) == 0 {
-		fmt.Fprintln(os.Stderr, "hermes-lb: -backends or a config file required (or use -demo)")
-		return 2
-	}
-	if err := cfg.Validate(); err != nil {
-		fmt.Fprintln(os.Stderr, "hermes-lb:", err)
-		return 2
 	}
 
 	p, err := proxy.New(cfg, proxy.WithTracer(tracer), proxy.WithFaults(sched))
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "hermes-lb:", err)
-		return 1
+		return fail(1, err)
 	}
 	if cfg.AdminListen != "" {
-		go func() {
-			fmt.Printf("hermes-lb: admin API on %s\n", cfg.AdminListen)
-			srv := &http.Server{Addr: cfg.AdminListen, Handler: proxy.AdminHandler(p)}
-			if err := srv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
-				fmt.Fprintln(os.Stderr, "hermes-lb: admin:", err)
-			}
-		}()
+		ln, err := net.Listen("tcp", cfg.AdminListen)
+		if err != nil {
+			p.Close()
+			return fail(1, fmt.Errorf("admin: %w", err))
+		}
+		srv := &http.Server{Handler: proxy.AdminHandler(p)}
+		go func() { _ = srv.Serve(ln) }() // returns ErrServerClosed once run closes srv
+		defer srv.Close()
+		fmt.Fprintf(stdout, "hermes-lb: admin API on %s\n", ln.Addr())
 	}
-	if *statsEvery > 0 {
-		go reportStats(p, *statsEvery)
-	}
-	fmt.Printf("hermes-lb: %d workers proxying %s (%s policy, %d backends)\n",
+	fmt.Fprintf(stdout, "hermes-lb: %d workers proxying %s (%s policy, %d backends)\n",
 		cfg.Workers, p.Addr(), cfg.Policy, len(cfg.Backends))
 
-	// Block until interrupted, then drain gracefully: stop accepting, wait
-	// out in-flight requests up to the drain deadline, flush a final
-	// telemetry snapshot, and write the span dump.
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	<-sig
-	fmt.Printf("\nhermes-lb: draining (deadline %s)\n", cfg.DrainTimeout)
+	if d != nil {
+		d.load(p.Addr())
+	} else {
+		sig := make(chan os.Signal, 1)
+		signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+		<-sig
+		signal.Stop(sig)
+	}
+
+	// Drain gracefully: stop accepting, wait out in-flight requests up to
+	// the drain deadline, then report and write the span dump. A client can
+	// read its reply before the worker counts the request; after the drain
+	// every count is final.
+	fmt.Fprintf(stdout, "\nhermes-lb: draining (deadline %s)\n", cfg.DrainTimeout)
 	code := 0
 	if err := p.Shutdown(cfg.DrainTimeout); err != nil {
-		fmt.Fprintln(os.Stderr, "hermes-lb:", err)
-		code = 1
+		code = fail(1, err)
 	}
-	if *statsEvery > 0 {
-		printStats(p)
+	if d != nil {
+		d.report(stdout, p)
 	}
 	if tracer != nil {
 		if err := writeTrace(*trace, tracer); err != nil {
-			fmt.Fprintln(os.Stderr, "hermes-lb:", err)
-			return 1
+			return fail(1, err)
 		}
-		fmt.Printf("hermes-lb: span dump written to %s\n", *trace)
+		fmt.Fprintf(stdout, "hermes-lb: span dump written to %s\n", *trace)
 	}
 	return code
-}
-
-// reportStats periodically prints windowed telemetry: each interval shows
-// the deltas and rates since the previous print, not cumulative totals — a
-// quiet proxy prints zeros, a busy one prints its current req/s and windowed
-// quantiles. Shutdown paths call printStats once more for the cumulative
-// final snapshot, so the run's totals are never lost.
-func reportStats(p *proxy.Proxy, every time.Duration) {
-	prev := p.Registry().Snapshot()
-	prevNS := time.Now().UnixNano()
-	for range time.Tick(every) {
-		cur := p.Registry().Snapshot()
-		nowNS := time.Now().UnixNano()
-		d := telemetry.NewWindowDelta(prevNS, nowNS, prev, cur)
-		fmt.Printf("--- telemetry %s (last %s) ---\n%s",
-			time.Now().Format(time.RFC3339), d.Elapsed().Round(time.Millisecond), d.Text())
-		prev, prevNS = cur, nowNS
-	}
-}
-
-func printStats(p *proxy.Proxy) {
-	snap := p.Registry().Snapshot()
-	fmt.Printf("--- telemetry %s ---\n%s", time.Now().Format(time.RFC3339), snap.Text())
 }
 
 // writeTrace flushes the flight recorder and writes its span dump.
@@ -179,12 +167,7 @@ func writeTrace(path string, tr *tracing.Tracer) error {
 	if err != nil {
 		return err
 	}
-	meta := tracing.MetaFor("hermes-lb", tr.Stats())
-	if strings.HasSuffix(path, ".jsonl") {
-		err = tracing.WriteJSONL(f, tr.Spans(), meta)
-	} else {
-		err = tracing.WriteChrome(f, tr.Spans(), meta)
-	}
+	err = tracing.WriteJSONL(f, tr.Spans(), tracing.MetaFor("hermes-lb", tr.Stats()))
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
@@ -193,13 +176,13 @@ func writeTrace(path string, tr *tracing.Tracer) error {
 
 // runStubBackend is -serve-backend: the stub origin on addr until
 // interrupted — enough to smoke-test the proxy without a second binary.
-func runStubBackend(addr string) int {
+func runStubBackend(addr string, stdout, stderr io.Writer) int {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "hermes-lb:", err)
+		fmt.Fprintln(stderr, "hermes-lb:", err)
 		return 1
 	}
-	fmt.Printf("hermes-lb: stub backend on %s\n", ln.Addr())
+	fmt.Fprintf(stdout, "hermes-lb: stub backend on %s\n", ln.Addr())
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	go func() {

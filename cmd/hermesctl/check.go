@@ -21,9 +21,9 @@ import (
 // scripts/e2e_smoke.sh run over the artefacts the system emits.
 //
 //	hermesctl check metrics dump.json        # hermes-bench -metrics
-//	hermesctl check prom promdir/*.prom      # hermes-bench -prom, GET /metrics
+//	hermesctl check prom scrape.prom         # a saved GET /metrics
 //	hermesctl metrics | hermesctl check prom # no file (or "-") reads stdin
-//	hermesctl check spans dump.jsonl         # hermes-bench -spans x.jsonl, hermes-lb -trace x.jsonl
+//	hermesctl check spans dump.jsonl         # hermes-bench -spans, hermes-lb -trace
 //
 // Each input prints one summary line on success. Exit 0 when every input
 // passed, 1 on the first violation in any of them, 2 on a usage error.

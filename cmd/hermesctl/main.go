@@ -16,7 +16,7 @@
 // instead of the text rendering; for watch it streams one JSON object per
 // interval.
 //
-//	hermesctl check metrics|prom|spans [file…]           # validate a -metrics / -prom / -spans dump (check.go)
+//	hermesctl check metrics|prom|spans [file…]           # validate a -metrics dump, a /metrics scrape, a span dump (check.go)
 //	hermesctl spans [-top n] [-conn id] [-metrics m] [-chrome out.json] dump.jsonl # where each connection's time went (spans.go)
 package main
 

@@ -14,7 +14,7 @@ import (
 )
 
 // This file is `hermesctl spans`: it analyses a JSONL span dump (hermes-bench
-// -spans x.jsonl, hermes-lb -trace x.jsonl; docs/TRACING.md) and prints where
+// -spans, hermes-lb -trace; docs/TRACING.md) and prints where
 // each connection's time went:
 //
 //   - the aggregate wait breakdown — steer (SYN → accept-queue entry),
@@ -32,8 +32,8 @@ import (
 // fails it by construction.
 //
 // With -chrome it renders the dump as a Chrome trace for Perfetto instead —
-// the file hermes-bench -spans x.json would have written for the same run —
-// so one recording serves the viewer and the analysis.
+// the one writer of that format — so one recording serves the viewer and
+// the analysis.
 //
 //	hermes-bench -exp fig11 -spans dump.jsonl -metrics m.json
 //	hermesctl spans -top 5 -metrics m.json dump.jsonl

@@ -22,7 +22,7 @@ type SpanRecorder struct {
 
 	mu    sync.Mutex
 	tr    *tracing.Tracer
-	asked []string // the other cells that asked, for WriteTo's error
+	asked []string // the other cells that asked, for WriteDump's error
 }
 
 // NewSpanRecorder designates a cell; its tracer uses cfg.
@@ -60,12 +60,11 @@ func (sr *SpanRecorder) Recorded() bool {
 	return sr.tr != nil
 }
 
-// WriteTo flushes still-open connections and writes the span dump: Chrome
-// trace-event JSON (Perfetto-loadable) or compact JSONL. Call after the
-// experiment has fully run. If the designated cell never ran, the error lists
+// WriteDump flushes still-open connections and writes the JSONL span dump
+// (tracing.WriteJSONL). Call after the experiment has fully run. If the designated cell never ran, the error lists
 // the cells that did ask for a tracer — what the designation could have been
 // (an experiment that builds several devices in one cell names each device).
-func (sr *SpanRecorder) WriteTo(w io.Writer, jsonl bool) error {
+func (sr *SpanRecorder) WriteDump(w io.Writer) error {
 	if sr == nil {
 		return fmt.Errorf("bench: no span recorder")
 	}
@@ -74,10 +73,5 @@ func (sr *SpanRecorder) WriteTo(w io.Writer, jsonl bool) error {
 		return fmt.Errorf("bench: span cell %q never ran; cells that did: %s", sr.cell, strings.Join(sr.asked, ", "))
 	}
 	sr.tr.Flush()
-	spans := sr.tr.Spans()
-	meta := tracing.MetaFor(sr.cell, sr.tr.Stats())
-	if jsonl {
-		return tracing.WriteJSONL(w, spans, meta)
-	}
-	return tracing.WriteChrome(w, spans, meta)
+	return tracing.WriteJSONL(w, sr.tr.Spans(), tracing.MetaFor(sr.cell, sr.tr.Stats()))
 }

@@ -9,7 +9,9 @@ import (
 )
 
 // recordDump runs one experiment with the flight recorder armed on cell and
-// returns the rendered experiment output plus the dump and its Chrome rendering.
+// returns the rendered experiment output plus the dump and its Chrome
+// rendering (tracing.WriteChrome over the dump read back, as hermesctl
+// spans -chrome does).
 func recordDump(t *testing.T, name, cell string, parallel int) (out string, jsonl, chrome []byte) {
 	t.Helper()
 	o := parallelTestOptions(parallel)
@@ -19,11 +21,15 @@ func recordDump(t *testing.T, name, cell string, parallel int) (out string, json
 		t.Fatalf("%s: cell %q never asked for its tracer", name, cell)
 	}
 	var jb, cb bytes.Buffer
-	if err := o.Spans.WriteTo(&jb, true); err != nil {
+	if err := o.Spans.WriteDump(&jb); err != nil {
 		t.Fatalf("write jsonl: %v", err)
 	}
-	if err := o.Spans.WriteTo(&cb, false); err != nil {
-		t.Fatalf("write chrome: %v", err)
+	spans, meta, err := tracing.ReadSpans(bytes.NewReader(jb.Bytes()))
+	if err != nil {
+		t.Fatalf("read jsonl: %v", err)
+	}
+	if err := tracing.WriteChrome(&cb, spans, meta); err != nil {
+		t.Fatalf("render chrome: %v", err)
 	}
 	return out, jb.Bytes(), cb.Bytes()
 }
@@ -43,7 +49,7 @@ func TestSpanDumpParallelByteIdentical(t *testing.T) {
 		t.Error("JSONL span dump differs between -parallel 1 and -parallel 8")
 	}
 	if !bytes.Equal(seqChrome, parChrome) {
-		t.Error("Chrome span dump differs between -parallel 1 and -parallel 8")
+		t.Error("Chrome rendering differs between -parallel 1 and -parallel 8")
 	}
 	if len(seqJSONL) == 0 || len(seqChrome) == 0 {
 		t.Fatal("empty span dump")
@@ -87,9 +93,9 @@ func TestSpanRecorderDesignatesOneCell(t *testing.T) {
 		t.Fatal("recorded before the designated cell ran")
 	}
 	sr.Tracer("another")
-	err := sr.WriteTo(&bytes.Buffer{}, true)
+	err := sr.WriteDump(&bytes.Buffer{})
 	if err == nil {
-		t.Fatal("WriteTo must fail when nothing was recorded")
+		t.Fatal("WriteDump must fail when nothing was recorded")
 	}
 	if want := `"the-cell" never ran; cells that did: another, other`; !strings.Contains(err.Error(), want) {
 		t.Fatalf("error %q does not say %q", err, want)
@@ -100,7 +106,7 @@ func TestSpanRecorderDesignatesOneCell(t *testing.T) {
 		t.Fatal("designated cell must reuse one tracer")
 	}
 	var nilSR *SpanRecorder
-	if nilSR.Tracer("the-cell") != nil || nilSR.Recorded() || nilSR.WriteTo(&bytes.Buffer{}, true) == nil {
+	if nilSR.Tracer("the-cell") != nil || nilSR.Recorded() || nilSR.WriteDump(&bytes.Buffer{}) == nil {
 		t.Fatal("nil recorder must disable recording")
 	}
 }

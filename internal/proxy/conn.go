@@ -117,7 +117,7 @@ type conn struct {
 
 	w     *worker
 	nc    net.Conn
-	id    uint64 // flight-recorder identity, 0 when tracing is off
+	id    uint64 // flight-recorder identity: acceptLoop numbers every connection from 1
 	estNS int64  // steering time: the accept-queue span starts here
 
 	buf     []byte // request bytes at the front, buf[:pending]

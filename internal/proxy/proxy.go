@@ -389,7 +389,7 @@ func (p *Proxy) Shutdown(timeout time.Duration) error {
 	return p.shutErr
 }
 
-// Close force-closes everything immediately (tests, demo teardown).
+// Close force-closes everything immediately: Shutdown with no drain.
 func (p *Proxy) Close() { _ = p.Shutdown(0) }
 
 func (p *Proxy) shutdown(timeout time.Duration) error {

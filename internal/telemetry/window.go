@@ -1,9 +1,6 @@
 package telemetry
 
 import (
-	"fmt"
-	"io"
-	"strings"
 	"sync"
 	"time"
 
@@ -86,7 +83,7 @@ func (w *windows) Window(d time.Duration) (WindowDelta, bool) {
 // WindowDelta is the difference between two registry snapshots — the unit
 // every windowed query (rate, windowed quantile, SLI ratio) is answered
 // from. Build one from the SLO monitor's ring or directly from two snapshots
-// (hermes-lb's -stats-every interval reporting).
+// (hermesctl watch and top).
 type WindowDelta struct {
 	StartNS, EndNS int64
 	start, end     Snapshot
@@ -229,54 +226,4 @@ func (d WindowDelta) FractionAtMost(name string, v int64) (float64, bool) {
 		frac = 0
 	}
 	return (float64(below) + frac) / float64(total), true
-}
-
-// Text renders the window as a human-readable delta report, one metric per
-// line, mirroring Snapshot.Text but with per-window deltas and rates:
-// counters as "+N (R/s)", histograms as windowed count/mean/p50/p99, gauges
-// as their end-edge value. This is what hermes-lb -stats-every prints
-// between startup and the final cumulative snapshot.
-func (d WindowDelta) Text() string {
-	var b strings.Builder
-	d.WriteText(&b)
-	return b.String()
-}
-
-// WriteText renders Text into w.
-func (d WindowDelta) WriteText(w io.Writer) {
-	sec := float64(d.EndNS-d.StartNS) / 1e9
-	for i := range d.end.Metrics {
-		ms := &d.end.Metrics[i]
-		fmt.Fprintf(w, "%-34s %-12s", ms.Name, ms.Kind)
-		switch ms.Kind {
-		case "histogram":
-			bounds, counts, _ := d.histDelta(ms.Name)
-			var n uint64
-			for _, c := range counts {
-				n += c
-			}
-			var sum int64
-			if prev := d.start.Get(ms.Name); prev != nil {
-				sum = ms.Sum - prev.Sum
-			} else {
-				sum = ms.Sum
-			}
-			if n == 0 {
-				fmt.Fprintf(w, "+0 %s", ms.Unit)
-			} else {
-				fmt.Fprintf(w, "+%d (%.1f/s) mean=%.0f p50=%.0f p99=%.0f %s",
-					n, float64(n)/sec, float64(sum)/float64(n),
-					stats.BucketQuantile(bounds, counts, 0.50),
-					stats.BucketQuantile(bounds, counts, 0.99), ms.Unit)
-			}
-		case "gauge":
-			fmt.Fprintf(w, "%d %s", ms.Value, ms.Unit)
-		case "gauge_vec":
-			fmt.Fprintf(w, "total=%d per-slot=%v %s", ms.Total(), ms.Values, ms.Unit)
-		default: // counter, counter_vec
-			delta := d.Delta(ms.Name)
-			fmt.Fprintf(w, "+%d (%.1f/s) %s", delta, float64(delta)/sec, ms.Unit)
-		}
-		fmt.Fprintln(w)
-	}
 }

@@ -3,9 +3,10 @@
 # instance with a worker-crash fault injected, live load, a backend kill and
 # restart, and hermesctl assertions that failover and recovery actually show
 # up through the admin API; a one-backend proxy with no prober whose circuit
-# breaker alone evicts and readmits its backend; then the six examples/ mains,
-# each run to exit 0, with examples/cachegroups' Fig. A6 table compared to its
-# checked-in copy.
+# breaker alone evicts and readmits its backend; hermes-lb -demo, whose counts
+# must add up and whose span dump must validate; then the five examples/
+# mains, each run to exit 0, with examples/cachegroups' Fig. A6 table compared
+# to its checked-in copy.
 # CI runs this after the unit suites; it needs no tools beyond bash, awk, sed,
 # diff and the go toolchain.
 set -euo pipefail
@@ -275,7 +276,20 @@ if ! wait "$PROXY_PID"; then
 fi
 echo "e2e: proxy ok (served=$served, graceful drain clean)"
 
-# The six examples/ mains are programs, not just things that compile: each
+# The real-socket demo: hermes-lb -demo runs its own origins and a client
+# fleet of 2000 requests through the one run path. Its per-worker counts are
+# read after the drain, so they add up to every request the clients sent; its
+# span dump is JSONL whatever the file is called.
+timeout 30 "$WORK/hermes-lb" -demo -trace "$WORK/demo.json" >"$WORK/demo.log" 2>&1 ||
+  { cat "$WORK/demo.log" >&2; fail "hermes-lb -demo did not exit 0 within 30 s"; }
+grep -q '^requests: 2000 ok, 0 failed' "$WORK/demo.log" ||
+  fail "hermes-lb -demo: $(grep '^requests:' "$WORK/demo.log"), want requests: 2000 ok, 0 failed"
+handled=$(awk '/^w[0-9]+ / { sum += $2 } END { print sum + 0 }' "$WORK/demo.log")
+[ "$handled" = 2000 ] || { cat "$WORK/demo.log" >&2; fail "hermes-lb -demo: workers handled $handled, want 2000"; }
+"$WORK/hermesctl" check spans "$WORK/demo.json" >/dev/null || fail "hermes-lb -demo -trace demo.json: not a span dump"
+echo "e2e: demo ok (2000 requests, handled sums to 2000, span dump valid)"
+
+# The five examples/ mains are programs, not just things that compile: each
 # must run to exit 0 (built, they take well under a second apiece). This is
 # what evaluates the mechanisms only an example reaches — core.WithGroups /
 # WithGroupKey (Fig. A6) through examples/cachegroups.
@@ -285,14 +299,10 @@ go build -o "$WORK/examples/" ./examples/...
 for ex in "$WORK"/examples/*; do
   timeout 30 "$ex" >"$ex.log" 2>&1 || { tail -n 20 "$ex.log" >&2; fail "examples/${ex##*/} did not exit 0 within 30 s"; }
 done
-[ "$(ls "$WORK"/examples/*.log | wc -l)" -eq 6 ] || fail "expected six examples, ran $(ls "$WORK"/examples/*.log | wc -l)"
-# realsockets reads its per-worker counts after the proxy's drain, so they add
-# up to every request its 16 clients sent, 150 each.
-grep -q '^served 2400 requests ' "$WORK/examples/realsockets.log" \
-  || fail "examples/realsockets: $(grep '^served' "$WORK/examples/realsockets.log"), want served 2400 requests"
+[ "$(ls "$WORK"/examples/*.log | wc -l)" -eq 5 ] || fail "expected five examples, ran $(ls "$WORK"/examples/*.log | wc -l)"
 # The Fig. A6 table is seed-deterministic: pin it, so a change that moves
 # group steering (a warm-up that no longer fills a group's bitmap) fails here
 # rather than printing different numbers.
 sed -n '/^== Fig A6/,/^$/{/^$/d;p}' "$WORK/examples/cachegroups.log" | diff -u examples/cachegroups/figA6.txt - \
   || fail "examples/cachegroups: Fig. A6 table differs from examples/cachegroups/figA6.txt"
-echo "e2e: PASS (served=$served, six examples ran)"
+echo "e2e: PASS (served=$served, demo counted, five examples ran)"
