@@ -171,7 +171,7 @@ func TestSpansChrome(t *testing.T) {
 	}
 	for _, args := range [][]string{{"check", "spans", path}, {"spans", path}, {"spans", "-chrome", path + ".again", path}} {
 		out, errOut, code := runCtl(t, args...)
-		if code != 1 || out != "" || strings.Count(errOut, "\n") != 1 || !strings.Contains(errOut, "analyse the .jsonl dump") {
+		if code != 1 || out != "" || strings.Count(errOut, "\n") != 1 || !strings.Contains(errOut, "analyse the span dump") {
 			t.Errorf("hermesctl %v on a Chrome trace: exit %d, stdout %q, stderr %q; want exit 1 and one line naming the fix", args, code, out, errOut)
 		}
 	}

@@ -15,10 +15,11 @@ func table3Ports() []uint16 { return tenantPorts(8) }
 // Every pool of a Table 3 cell balances against what holds its objects, in
 // each mode, both while traffic is in flight (the window's end: connections
 // queued for accept with requests on them, trains and timers pending) and
-// after the drain: connection pairs and watches (kernel), payloads (l7lb,
-// LB.CheckPools), request trains (one per live generated connection) and
-// timer events (one per pending event). A pool that forgets one Put reads
-// more objects out than are held.
+// after the drain: connection pairs, watches and skbs (kernel), payloads
+// (l7lb, LB.CheckPools, which also walks each accept queue through its
+// links), request trains (one per live generated connection) and timer
+// events (one per pending event). A pool that forgets one Put reads more
+// objects out than are held.
 func TestTable3CellPoolsBalance(t *testing.T) {
 	const window, drain = 60 * time.Millisecond, 1500 * time.Millisecond
 	specs := []workload.Spec{workload.Case2(table3Ports()), workload.Case3(table3Ports())}
@@ -37,7 +38,7 @@ func TestTable3CellPoolsBalance(t *testing.T) {
 					t.Fatal(err)
 				}
 				g.Run(window)
-				check := func(when string) (conns, trains int) {
+				check := func(when string) (conns, skbs, trains int) {
 					t.Helper()
 					if err := lb.CheckPools(); err != nil {
 						t.Errorf("%s: %v", when, err)
@@ -48,16 +49,18 @@ func TestTable3CellPoolsBalance(t *testing.T) {
 					if n, p := lb.Eng.LiveEvents(), lb.Eng.Pending(); n != p {
 						t.Errorf("%s: %d timer events out of the pool, %d pending", when, n, p)
 					}
-					conns, _ = lb.NS.Live()
-					return conns, g.LiveTrains()
+					conns, _, skbs = lb.NS.Live()
+					return conns, skbs, g.LiveTrains()
 				}
 				lb.Eng.RunUntil(int64(window))
-				if conns, trains := check("at the window's end"); conns == 0 || trains == 0 {
-					t.Fatalf("at the window's end %d connections and %d trains are out: nothing in flight to check", conns, trains)
+				// Case 2's long requests leave payloads queued unread; case
+				// 3's short ones are read as they arrive.
+				if conns, skbs, trains := check("at the window's end"); conns == 0 || trains == 0 || (si == 0 && skbs == 0) {
+					t.Fatalf("at the window's end %d connections, %d skbs and %d trains are out: nothing in flight to check", conns, skbs, trains)
 				}
 				lb.Eng.RunUntil(int64(window + drain))
-				if conns, trains := check("after the drain"); conns != 0 || trains != 0 {
-					t.Errorf("after the drain %d connections and %d trains are still out, want a drained cell", conns, trains)
+				if conns, skbs, trains := check("after the drain"); conns != 0 || skbs != 0 || trains != 0 {
+					t.Errorf("after the drain %d connections, %d skbs and %d trains are still out, want a drained cell", conns, skbs, trains)
 				}
 			})
 		}
@@ -68,11 +71,11 @@ func TestTable3CellPoolsBalance(t *testing.T) {
 // chunk: case 2 under reuseport, the cell that grows its pools furthest (it
 // hangs workers, so connections pile up in the accept queues), here over a
 // quarter second of traffic. Everything the cell allocates counts: device,
-// generator, latency sample and pools. The budget is about twice what the
-// slabs read, 1 075 (linux/amd64, go1.24); pools grown one object at a time
-// read 4 841.
+// generator, latency sample and pools. It reads 474 (linux/amd64, go1.24);
+// kernel queues that grow slices by doubling, with a bound method value per
+// request train, read 1 075, and pools grown one object at a time 4 841.
 func TestTable3CellMallocBudget(t *testing.T) {
-	const budget = 2200
+	const budget = 750
 	rc := RunConfig{
 		Mode:    l7lb.ModeReuseport,
 		Workers: 16,
@@ -93,7 +96,7 @@ func TestTable3CellMallocBudget(t *testing.T) {
 	}
 	cell() // whatever the process allocates once
 	if got := cell(); got > budget {
-		t.Errorf("a case 2 reuseport cell mallocs %d times, budget %d: a per-connection pool grows an object at a time again", got, budget)
+		t.Errorf("a case 2 reuseport cell mallocs %d times, budget %d: a per-connection pool grows an object at a time, or a queue grows an array, again", got, budget)
 	} else {
 		t.Logf("a case 2 reuseport cell mallocs %d times (budget %d)", got, budget)
 	}

@@ -117,12 +117,11 @@ type Epoll struct {
 	pendQ     []delivery
 	pendQHead int
 
-	// evBuf / emitBuf back the batch returned by collect and its LT
-	// requeue scratch. One wait per instance is outstanding at a time, so
-	// a batch is reused only after its consumer has re-entered Wait (the
-	// batch is valid until the next Wait or Kick on this instance).
-	evBuf   []Event
-	emitBuf []*watch
+	// evBuf backs the batch returned by collect, made once with room for a
+	// whole batch. One wait per instance is outstanding at a time, so a
+	// batch is reused only after its consumer has re-entered Wait (the batch
+	// is valid until the next Wait or Kick on this instance).
+	evBuf []Event
 
 	// SpuriousWakeups counts wakes that delivered zero events (thundering
 	// herd waste); the worker charges each one. Wakeups, timeouts and events
@@ -248,9 +247,12 @@ func (ep *Epoll) collect(max int) []Event {
 	if max <= 0 {
 		max = 1
 	}
+	if cap(ep.evBuf) < max {
+		ep.evBuf = make([]Event, 0, max)
+	}
 	evs := ep.evBuf[:0]
-	emitted := ep.emitBuf[:0]
-	for w := ep.readyHead; w != nil && len(evs) < max; {
+	w := ep.readyHead
+	for w != nil && len(evs) < max {
 		next := w.readyNext
 		s := w.sock
 		if !s.ready() {
@@ -270,20 +272,22 @@ func (ep *Epoll) collect(max int) []Event {
 			// Edge-triggered: collected once per edge; the socket drops off
 			// the ready list even if data remains.
 			ep.readyRemove(w)
-		} else {
-			emitted = append(emitted, w)
 		}
 		w = next
 	}
 	// Level-triggered: serviced sockets stay on the list but rotate to the
 	// tail (as Linux requeues LT fds) so unserviced ready sockets are not
-	// starved when batches are capped by maxEvents.
-	for _, w := range emitted {
-		ep.readyRemove(w)
-		ep.markReady(w)
+	// starved when batches are capped by maxEvents. Every watch the walk
+	// visited either left the list or was serviced and stayed, so the
+	// serviced ones are the list from its head up to w, in order: one splice
+	// moves them behind the rest.
+	if w != nil && w != ep.readyHead {
+		first, last := ep.readyHead, w.readyPrev
+		last.readyNext, w.readyPrev = nil, nil
+		ep.readyTail.readyNext, first.readyPrev = first, ep.readyTail
+		ep.readyHead, ep.readyTail = w, last
 	}
 	ep.evBuf = evs
-	ep.emitBuf = emitted[:0]
 	return evs
 }
 

@@ -230,6 +230,45 @@ func TestEpollMaxEventsBatching(t *testing.T) {
 	}
 }
 
+// A level-triggered socket that stays ready rotates behind the ready ones
+// its batch did not reach, an edge-triggered one leaves the list once
+// collected, and one no longer ready leaves it when a walk reaches it.
+func TestReadyListRotation(t *testing.T) {
+	eng := sim.NewEngine(1)
+	ns := NewNetStack(eng, WakeExclusiveLIFO)
+	ep := ns.NewEpoll()
+	var ls []*Socket
+	for p := uint16(80); p < 85; p++ {
+		s, _ := ns.ListenShared(p, 8)
+		ns.DeliverSYN(tupleFor(uint32(p), p), nil)
+		if p < 84 {
+			ep.Add(s)
+		} else {
+			ep.AddET(s)
+		}
+		ls = append(ls, s)
+	}
+	batch := func(max int) string {
+		var got []byte
+		ep.Wait(max, time.Millisecond, func(evs []Event) {
+			for _, e := range evs {
+				got = append(got, byte('0'+e.Sock.Port-80))
+			}
+		})
+		eng.Run()
+		return string(got)
+	}
+	for i, want := range []string{"012", "340", "", "230", "23", "023"} {
+		if i == 2 {
+			ls[1].Accept() // 1 is no longer ready
+			continue
+		}
+		if got := batch([]int{3, 3, 0, 3, 2, 8}[i]); got != want {
+			t.Fatalf("batch %d = %q, want %q", i, got, want)
+		}
+	}
+}
+
 func TestLevelTriggeredRetrigger(t *testing.T) {
 	eng := sim.NewEngine(1)
 	ns := NewNetStack(eng, WakeExclusiveLIFO)
@@ -696,8 +735,10 @@ func TestReuseportGroupUnbindsWithLastMember(t *testing.T) {
 
 // The stack's pools count what they hand out: a connection pair is out from
 // its handshake to its close, and a dropped SYN's pair goes straight back; a
-// watch is out while its registration lasts. A pair reincarnated from the pool
-// reads like a fresh one: new IDs, an empty queue, and its socket.
+// watch is out while its registration lasts; an skb while its payload is
+// queued unread, and closing drops the unread ones. A pair reincarnated from
+// the pool reads like a fresh one: new IDs, an empty receive queue, its
+// socket, and no accept-queue link left from its last incarnation.
 func TestPoolsCountPairsAndWatches(t *testing.T) {
 	eng := sim.NewEngine(1)
 	ns := NewNetStack(eng, WakeExclusiveLIFO)
@@ -705,10 +746,10 @@ func TestPoolsCountPairsAndWatches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	live := func(wantConns, wantWatches int) {
+	live := func(wantConns, wantWatches, wantSkbs int) {
 		t.Helper()
-		if c, w := ns.Live(); c != wantConns || w != wantWatches {
-			t.Fatalf("pools hold %d pairs and %d watches out, want %d and %d", c, w, wantConns, wantWatches)
+		if c, w, b := ns.Live(); c != wantConns || w != wantWatches || b != wantSkbs {
+			t.Fatalf("pools hold %d pairs, %d watches and %d skbs out, want %d, %d and %d", c, w, b, wantConns, wantWatches, wantSkbs)
 		}
 	}
 	ep := ns.NewEpoll()
@@ -719,19 +760,22 @@ func TestPoolsCountPairsAndWatches(t *testing.T) {
 			conns = append(conns, c)
 		}
 	}
-	if len(conns) != 2 || len(ls.Queued()) != 2 || ls.Queued()[0] != conns[0] {
-		t.Fatalf("%d SYNs queued (%d in the queue), want the first two of four on a backlog of 2", len(conns), len(ls.Queued()))
+	if len(conns) != 2 || ls.QueueLen() != 2 || ls.QueueHead() != conns[0] || conns[0].NextQueued() != conns[1] || conns[1].NextQueued() != nil {
+		t.Fatalf("%d SYNs queued (%d in the queue), want the first two of four on a backlog of 2, in order", len(conns), ls.QueueLen())
 	}
-	live(2, 1)
+	live(2, 1, 0)
 	c, _ := ls.Accept()
 	ep.Add(c.Sock())
 	ns.DeliverData(c, "a")
 	ns.DeliverData(c, "b")
 	ns.DeliverData(c, "c")
-	live(2, 2)
+	if p, ok := c.Sock().PopData(); !ok || p != "a" {
+		t.Fatalf("PopData = %v, %v, want the first payload", p, ok)
+	}
+	live(2, 2, 2)
 	old := c.ID
 	ns.CloseSocket(c.Sock())
-	live(1, 1)
+	live(1, 1, 0)
 	again, ok := ns.DeliverSYN(tupleFor(9, 80), nil)
 	if !ok {
 		t.Fatal("SYN after an accept refused")
@@ -740,7 +784,10 @@ func TestPoolsCountPairsAndWatches(t *testing.T) {
 		t.Fatalf("reincarnated pair: same object %v, ID %d (was %d), pending %d, closed %v",
 			again == c, again.ID, old, again.Sock().PendingData(), again.Sock().Closed())
 	}
-	live(2, 1)
+	if ls.QueueLen() != 2 || ls.QueueHead() != conns[1] || conns[1].NextQueued() != again || again.NextQueued() != nil {
+		t.Fatalf("accept queue after the reincarnation: %d deep, want the second SYN then the reincarnated pair, nothing after", ls.QueueLen())
+	}
+	live(2, 1, 0)
 	ep.Close()
-	live(2, 0)
+	live(2, 0, 0)
 }

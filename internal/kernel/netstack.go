@@ -51,10 +51,10 @@ func (m WakeMode) String() string {
 // machine, and implements connection arrival, data delivery, and wakeups.
 //
 // The per-connection fast path is allocation-free in steady state: Conn
-// objects (each holding its connection Socket) and epoll watches come from
-// slabs and are recycled on close, so a long run's allocation count is bounded
-// by peak concurrency over the slab chunk, not connection count (see
-// docs/PERF.md).
+// objects (each holding its connection Socket), epoll watches and the skbs
+// of receive queues come from slabs and are recycled, so a long run's
+// allocation count is bounded by peak concurrency over the slab chunk, not
+// connection count (see docs/PERF.md).
 type NetStack struct {
 	// Mode is the wakeup discipline for shared listening sockets.
 	Mode WakeMode
@@ -66,13 +66,13 @@ type NetStack struct {
 	nextConnID  uint64
 	nextEpollID int
 
-	// Pools. A pooled Conn keeps its connection Socket (and that socket's
-	// queue backing arrays) across incarnations; a fresh ConnID is assigned
-	// on reuse, never on release, so handles held across the recycle
-	// boundary (ConnRef) can detect it while same-event post-close reads
-	// still see the old connection intact.
+	// Pools. A pooled Conn keeps its connection Socket across incarnations;
+	// a fresh ConnID is assigned on reuse, never on release, so handles held
+	// across the recycle boundary (ConnRef) can detect it while same-event
+	// post-close reads still see the old connection intact.
 	conns   sim.Slab[Conn]
 	watches sim.Slab[watch]
+	skbs    sim.Slab[skb]
 
 	// ConnsEstablished counts successfully queued connections.
 	ConnsEstablished uint64
@@ -147,11 +147,13 @@ func (ns *NetStack) newListener(port uint16, backlog int) *Socket {
 	}
 }
 
-// Live returns how many connection pairs and epoll watches the stack's slabs
-// have handed out and not taken back: the connection sockets still open
-// (queued for accept or accepted) and the live epoll registrations, unless a
-// pool leaks.
-func (ns *NetStack) Live() (conns, watches int) { return ns.conns.Live(), ns.watches.Live() }
+// Live returns how many connection pairs, epoll watches and skbs the stack's
+// slabs have handed out and not taken back: the connection sockets still open
+// (queued for accept or accepted), the live epoll registrations and the
+// payloads queued unread on open connections, unless a pool leaks.
+func (ns *NetStack) Live() (conns, watches, skbs int) {
+	return ns.conns.Live(), ns.watches.Live(), ns.skbs.Live()
+}
 
 // releaseWatch returns an unhooked watch to the pool, bumping its generation
 // so stale-handle checks can detect reuse. The caller must already have
@@ -262,16 +264,10 @@ func (ns *NetStack) deliverSYNResolved(tuple FourTuple, meta any, g *ReuseportGr
 	cs := &c.sock
 	if cs.ns == nil {
 		cs.ns, cs.conn = ns, c
-		cs.pending = cs.pendInline[:0]
 	}
 	ns.nextSockID++
 	cs.ID = ns.nextSockID
 	cs.Port = tuple.DstPort
-	for i := cs.pendHead; i < len(cs.pending); i++ {
-		cs.pending[i] = nil
-	}
-	cs.pending = cs.pending[:0]
-	cs.pendHead = 0
 	cs.hup = false
 	cs.closed = false
 	cs.owned = false
@@ -281,6 +277,7 @@ func (ns *NetStack) deliverSYNResolved(tuple FourTuple, meta any, g *ReuseportGr
 	c.EstablishedNS = ns.eng.Now()
 	c.AcceptedNS = -1
 	c.Meta = meta
+	c.qnext = nil
 
 	if !target.enqueueConn(c) {
 		if o := ns.obs; o != nil {
@@ -370,10 +367,11 @@ func (ns *NetStack) DeliverFIN(c *Conn) {
 
 // CloseSocket closes a socket from the worker side, deregistering it from
 // every epoll instance watching it (close(2) removes epoll registrations).
-// A closed connection socket returns to the pool with its Conn; its fields
-// stay intact until a later handshake reincarnates the pair under a fresh
-// ConnID, so reads within the closing event chain still see the old
-// connection (cross-event holders must revalidate via ConnRef).
+// A closed connection socket drops its unread payloads, their skbs going back
+// to the slab, and returns to the pool with its Conn; its other fields stay
+// intact until a later handshake reincarnates the pair under a fresh ConnID,
+// so reads within the closing event chain still see the old connection
+// (cross-event holders must revalidate via ConnRef).
 func (ns *NetStack) CloseSocket(s *Socket) {
 	if s.closed {
 		return
@@ -392,6 +390,9 @@ func (ns *NetStack) CloseSocket(s *Socket) {
 			ns.groupsBound--
 		}
 	} else if s.conn != nil {
+		for s.rxHead != nil {
+			s.PopData()
+		}
 		ns.conns.Put(s.conn)
 	}
 }

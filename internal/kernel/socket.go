@@ -29,6 +29,10 @@ type Conn struct {
 	Meta any
 
 	sock Socket // the connection socket sitting in / popped from an accept queue
+	// qnext links the accept queue the connection waits in (Socket.qfirst).
+	// It is left as it was when Accept pops the connection and cleared when
+	// the pair is reincarnated, so the newest queued connection's is nil.
+	qnext *Conn
 }
 
 // Sock returns the connection socket created at handshake completion. The
@@ -67,19 +71,26 @@ func (r ConnRef) Get() *Conn {
 	return r.c
 }
 
+// NextQueued returns the connection queued behind c on its listener's accept
+// queue, or nil if c is the newest. With Socket.QueueHead it walks a queue
+// oldest first without allocating; it means nothing once c is accepted.
+func (c *Conn) NextQueued() *Conn { return c.qnext }
+
 // ID returns the referenced connection's ID — the ID captured at Ref time,
 // valid even after the object has been recycled.
 func (r ConnRef) ID() ConnID { return r.id }
 
 // Socket is a simulated kernel socket: either a listening socket with an
-// accept queue, or an established connection socket with a pending-data
-// queue. Epoll instances register on sockets via watches.
+// accept queue, or an established connection socket with a receive queue.
+// Epoll instances register on sockets via watches.
 //
+// Both queues are intrusive FIFOs, as in Linux: the accept queue links its
+// connections through Conn.qnext (rskq_accept_head/tail), and the receive
+// queue links one skb node per unread payload, taken from the stack's slab
+// when the payload arrives and put back when it is read or the socket closes.
 // Connection sockets are pooled together with their Conn (a slab chunk per 64
-// peak-concurrent connections); both queues are head-indexed slices reused
-// across incarnations, so the steady-state connection lifecycle allocates
-// nothing. A connection's pending queue starts on two inline slots, so one
-// that never holds more than two unread payloads never allocates a queue.
+// peak-concurrent connections), so the steady-state connection lifecycle
+// allocates nothing and no queue grows an array.
 type Socket struct {
 	ID        int
 	Port      uint16
@@ -89,21 +100,19 @@ type Socket struct {
 	group    *ReuseportGroup // reuseport membership, nil for shared/conn sockets
 	groupIdx int             // member index within group (worker id), 0 otherwise
 
-	// Listening sockets: completed connections waiting for accept().
-	// acceptQ[qhead:] are the queued connections; popped slots are nilled
-	// and the backing array is reused (compacted in place when full).
-	acceptQ   []*Conn
-	qhead     int
-	acceptCap int
+	// Listening sockets: completed connections waiting for accept(),
+	// oldest (qfirst) to newest (qlast), qlen of them.
+	qfirst, qlast *Conn
+	qlen          int
+	acceptCap     int
 
-	// Connection sockets. pending is head-indexed like acceptQ and starts
-	// on pendInline.
-	conn       *Conn
-	pending    []any // arrived-but-unread request payloads
-	pendHead   int
-	pendInline [2]any
-	hup        bool // peer closed
-	closed     bool
+	// Connection sockets: arrived-but-unread request payloads, oldest
+	// (rxHead) to newest (rxTail), rxLen of them.
+	conn           *Conn
+	rxHead, rxTail *skb
+	rxLen          int
+	hup            bool // peer closed
+	closed         bool
 
 	// Owner is an opaque (tag, position) pair the accepting application
 	// stores on the socket — per-worker conn-table bookkeeping without a
@@ -119,16 +128,23 @@ type Socket struct {
 	watchTail *watch
 }
 
+// skb is one payload on a connection socket's receive queue, the simulator's
+// sk_buff. Nodes come from the NetStack's slab.
+type skb struct {
+	next *skb
+	data any
+}
+
 // Conn returns the connection of a connection socket (nil for listeners).
 func (s *Socket) Conn() *Conn { return s.conn }
 
 // QueueLen returns the current accept-queue depth (listening sockets).
-func (s *Socket) QueueLen() int { return len(s.acceptQ) - s.qhead }
+func (s *Socket) QueueLen() int { return s.qlen }
 
-// Queued returns the connections waiting in the accept queue (listening
-// sockets), oldest first. The slice is the socket's own: read it within the
-// event, and neither keep nor modify it.
-func (s *Socket) Queued() []*Conn { return s.acceptQ[s.qhead:] }
+// QueueHead returns the oldest connection waiting in the accept queue
+// (listening sockets), or nil if it is empty. Walk the rest with
+// Conn.NextQueued, within the event.
+func (s *Socket) QueueHead() *Conn { return s.qfirst }
 
 // AcceptCap returns the accept-queue capacity (listening sockets).
 func (s *Socket) AcceptCap() int { return s.acceptCap }
@@ -147,7 +163,7 @@ func (s *Socket) SetAcceptCap(n int) {
 }
 
 // PendingData returns the number of unread payloads (connection sockets).
-func (s *Socket) PendingData() int { return len(s.pending) - s.pendHead }
+func (s *Socket) PendingData() int { return s.rxLen }
 
 // Closed reports whether the worker has closed this socket.
 func (s *Socket) Closed() bool { return s.closed }
@@ -181,47 +197,46 @@ func (s *Socket) Accept() (*Conn, bool) {
 	if !s.Listening {
 		panic(fmt.Sprintf("kernel: Accept on non-listening socket %d", s.ID))
 	}
-	if s.qhead == len(s.acceptQ) {
+	c := s.qfirst
+	if c == nil {
 		return nil, false
 	}
-	c := s.acceptQ[s.qhead]
-	s.acceptQ[s.qhead] = nil
-	s.qhead++
-	if s.qhead == len(s.acceptQ) {
-		s.acceptQ = s.acceptQ[:0]
-		s.qhead = 0
+	if s.qfirst = c.qnext; s.qfirst == nil {
+		s.qlast = nil
 	}
+	s.qlen--
 	c.AcceptedNS = s.ns.eng.Now()
 	return c, true
 }
 
-// PopData dequeues one pending payload from a connection socket.
+// PopData dequeues one pending payload from a connection socket, returning
+// its skb to the stack's slab.
 func (s *Socket) PopData() (any, bool) {
-	if s.pendHead == len(s.pending) {
+	n := s.rxHead
+	if n == nil {
 		return nil, false
 	}
-	p := s.pending[s.pendHead]
-	s.pending[s.pendHead] = nil
-	s.pendHead++
-	if s.pendHead == len(s.pending) {
-		s.pending = s.pending[:0]
-		s.pendHead = 0
+	if s.rxHead = n.next; s.rxHead == nil {
+		s.rxTail = nil
 	}
+	s.rxLen--
+	p := n.data
+	n.next, n.data = nil, nil
+	s.ns.skbs.Put(n)
 	return p, true
 }
 
-// pushData appends a payload, compacting the drained head space first when
-// the backing array is full so steady-state delivery never grows it.
+// pushData appends a payload to the receive queue in an skb from the slab.
 func (s *Socket) pushData(p any) {
-	if len(s.pending) == cap(s.pending) && s.pendHead > 0 {
-		n := copy(s.pending, s.pending[s.pendHead:])
-		for i := n; i < len(s.pending); i++ {
-			s.pending[i] = nil
-		}
-		s.pending = s.pending[:n]
-		s.pendHead = 0
+	n := s.ns.skbs.Get()
+	n.data = p
+	if s.rxTail == nil {
+		s.rxHead = n
+	} else {
+		s.rxTail.next = n
 	}
-	s.pending = append(s.pending, p)
+	s.rxTail = n
+	s.rxLen++
 }
 
 // Hup reports whether the peer has closed the connection.
@@ -239,15 +254,13 @@ func (s *Socket) enqueueConn(c *Conn) bool {
 		}
 		return false
 	}
-	if len(s.acceptQ) == cap(s.acceptQ) && s.qhead > 0 {
-		n := copy(s.acceptQ, s.acceptQ[s.qhead:])
-		for i := n; i < len(s.acceptQ); i++ {
-			s.acceptQ[i] = nil
-		}
-		s.acceptQ = s.acceptQ[:n]
-		s.qhead = 0
+	if s.qlast == nil {
+		s.qfirst = c
+	} else {
+		s.qlast.qnext = c
 	}
-	s.acceptQ = append(s.acceptQ, c)
+	s.qlast = c
+	s.qlen++
 	if o := s.ns.obs; o != nil {
 		o.qEnqueued.At(s.groupIdx).Inc()
 		o.qDepthPeak.At(s.groupIdx).SetMax(int64(s.QueueLen()))

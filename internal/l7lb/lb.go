@@ -284,12 +284,14 @@ func (lb *LB) closeSocket(s *kernel.Socket) {
 // CheckPools holds the device's pools to what holds their objects and names
 // the first that does not balance: connection pairs out of the stack's slab
 // against the connection sockets open (queued for accept or in a worker's
-// table), watches against the epoll registrations, and payloads against the
-// requests queued on open connections — every one of them, so traffic must
-// enter through Deliver. It walks every connection: call it at a drain, not
-// per event.
+// table), watches against the epoll registrations, and skbs and payloads
+// against the requests queued on open connections — every one of them, so
+// traffic must enter through Deliver. It walks every connection, each accept
+// queue through its links (which must reach its depth and stop): call it at a
+// drain, not per event.
 func (lb *LB) CheckPools() error {
 	var open, regs, queued int
+	var broken error
 	worker := func(w *Worker) {
 		regs += w.ep.Watches()
 		open += len(w.conns)
@@ -298,10 +300,16 @@ func (lb *LB) CheckPools() error {
 		}
 	}
 	listener := func(ls *kernel.Socket) {
-		open += ls.QueueLen()
-		for _, c := range ls.Queued() {
+		n := 0
+		for c := ls.QueueHead(); c != nil && n <= ls.QueueLen(); c = c.NextQueued() {
+			n++
 			queued += c.Sock().PendingData()
 		}
+		if n != ls.QueueLen() && broken == nil {
+			// n stops one past the depth: a link that loops ends the walk.
+			broken = fmt.Errorf("l7lb: accept queue of socket %d holds %d connections, its links reach %d", ls.ID, ls.QueueLen(), n)
+		}
+		open += n
 	}
 	for _, w := range lb.Workers {
 		worker(w)
@@ -317,12 +325,16 @@ func (lb *LB) CheckPools() error {
 			listener(ls)
 		}
 	}
-	conns, watches := lb.NS.Live()
+	conns, watches, skbs := lb.NS.Live()
 	switch {
+	case broken != nil:
+		return broken
 	case conns != open:
 		return fmt.Errorf("l7lb: %d connection pairs out of the pool, %d connections open", conns, open)
 	case watches != regs:
 		return fmt.Errorf("l7lb: %d watches out of the pool, %d epoll registrations", watches, regs)
+	case skbs != queued:
+		return fmt.Errorf("l7lb: %d skbs out of the pool, %d payloads queued on open connections", skbs, queued)
 	case lb.work.Live() != queued:
 		return fmt.Errorf("l7lb: %d payloads out of the pool, %d queued on open connections", lb.work.Live(), queued)
 	}

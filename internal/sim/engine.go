@@ -57,13 +57,28 @@ const (
 	calSpan     = int64(nBuckets) << bucketShift
 )
 
-// timerEvent is one scheduled event. Events are pooled: after firing or
-// cancellation they go back to the engine's free list and may be reused by a
-// later At/After, with gen bumped so stale Timer handles are invalidated.
+// Handler is what an event fires. An object that schedules itself (a request
+// train, an arrival chain) implements it and is scheduled with
+// Engine.Schedule, so neither a closure nor a bound method value is made per
+// object; At and After adapt a func.
+type Handler interface {
+	Fire()
+}
+
+// funcHandler adapts a func to a Handler. A func value is pointer-shaped, so
+// the conversion stores it in the interface without allocating.
+type funcHandler func()
+
+func (f funcHandler) Fire() { f() }
+
+// timerEvent is one scheduled event: the Handler it fires at its time.
+// Events are pooled: after firing or cancellation they go back to the
+// engine's free list and may be reused by a later Schedule, with gen bumped
+// so stale Timer handles are invalidated.
 type timerEvent struct {
 	at  int64
 	gen uint64
-	fn  func()
+	h   Handler
 	eng *Engine
 	// next and prev link a calendar bucket's list (prev of its first event
 	// is its last); next also links the free list.
@@ -166,13 +181,17 @@ func (e *Engine) Now() int64 { return e.now }
 func (e *Engine) Rand() *rand.Rand { return e.rng }
 
 // At schedules fn at absolute virtual time t (≥ now) and returns its timer.
+func (e *Engine) At(t int64, fn func()) Timer { return e.Schedule(t, funcHandler(fn)) }
+
+// Schedule fires h at absolute virtual time t (≥ now) and returns its timer.
+// It is the one event path: At and After go through it.
 //
 // Whether an event is filed near or far depends only on how far ahead of the
 // clock it is scheduled, and a later scheduling of the same instant is nearer.
 // So of two queued events of one instant, a far one was scheduled before a
 // near one: seq orders the far heap, and the calendar's lists are in
 // scheduling order, which is all the (at, seq) order needs.
-func (e *Engine) At(t int64, fn func()) Timer {
+func (e *Engine) Schedule(t int64, h Handler) Timer {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling into the past: %d < %d", t, e.now))
 	}
@@ -183,7 +202,7 @@ func (e *Engine) At(t int64, fn func()) Timer {
 		ev = e.events.Get()
 		ev.eng = e
 	}
-	ev.at, ev.fn = t, fn
+	ev.at, ev.h = t, h
 	switch {
 	case t == e.now:
 		e.ringPush(ev)
@@ -207,7 +226,7 @@ func (e *Engine) After(d time.Duration, fn func()) Timer {
 // release returns a dequeued event to the free list, invalidating every
 // outstanding handle to it via the generation bump.
 func (e *Engine) release(ev *timerEvent) {
-	ev.fn = nil
+	ev.h = nil
 	ev.gen++
 	ev.next, e.free = e.free, ev
 }
@@ -216,10 +235,10 @@ func (e *Engine) release(ev *timerEvent) {
 func (e *Engine) Step() bool { return e.step(math.MaxInt64) }
 
 // step fires the next event if it is due by deadline. The order is (at, seq):
-// of the calendar's and the heap's earliest the heap's wins a tie (At says
-// why); a queued event of the current instant was scheduled before the clock
-// reached it — otherwise it would be in the ring — so it precedes the whole
-// ring, and the ring precedes every later instant.
+// of the calendar's and the heap's earliest the heap's wins a tie (Schedule
+// says why); a queued event of the current instant was scheduled before the
+// clock reached it — otherwise it would be in the ring — so it precedes the
+// whole ring, and the ring precedes every later instant.
 func (e *Engine) step(deadline int64) bool {
 	ev, at := e.near.min, e.near.minAt
 	far := len(e.far.a) > 0 && e.far.a[0].at <= at
@@ -242,10 +261,10 @@ func (e *Engine) step(deadline int64) bool {
 	default:
 		return false
 	}
-	fn := ev.fn
+	h := ev.h
 	e.release(ev)
 	e.Executed++
-	fn()
+	h.Fire()
 	return true
 }
 

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 	"time"
 )
@@ -214,6 +215,92 @@ func TestLiveEventsArePending(t *testing.T) {
 	check("drained")
 	if e.Pending() != 0 {
 		t.Fatalf("%d events pending after Run", e.Pending())
+	}
+}
+
+// logHandler is an object event: it appends its id to a shared log.
+type logHandler struct {
+	id  int
+	log *[]int
+}
+
+func (h *logHandler) Fire() { *h.log = append(*h.log, h.id) }
+
+// Objects (Schedule) and funcs (At, After) take the one event path, so they
+// interleave in (at, seq) order on every queue: the ring (the current
+// instant), the calendar (a near one) and the far heap, and an instant filed
+// in the heap that later, nearer schedulings add to through the calendar.
+func TestObjectAndFuncEventsShareOneOrder(t *testing.T) {
+	e := NewEngine(1)
+	type key struct {
+		at int64
+		id int
+	}
+	var got []int
+	var want []key // scheduling order: id is the seq
+	add := func(at int64) {
+		id := len(want)
+		want = append(want, key{at, id})
+		switch id % 3 {
+		case 0:
+			e.Schedule(at, &logHandler{id: id, log: &got})
+		case 1:
+			e.At(at, func() { got = append(got, id) })
+		default:
+			e.After(time.Duration(at-e.Now()), func() { got = append(got, id) })
+		}
+	}
+	far := 3 * calSpan
+	for i := 0; i < 4; i++ {
+		add(far)
+		add(700)
+		add(0)
+		add(700 + calSpan/2)
+	}
+	// Just before far, schedule more of far (now near) and of the current
+	// instant, by object and by func.
+	e.At(far-300, func() {
+		for i := 0; i < 3; i++ {
+			add(far)
+			add(e.Now())
+		}
+	})
+	e.Run()
+	sort.SliceStable(want, func(i, j int) bool { return want[i].at < want[j].at })
+	if len(got) != len(want) {
+		t.Fatalf("fired %d events, scheduled %d", len(got), len(want))
+	}
+	for i, k := range want {
+		if got[i] != k.id {
+			t.Fatalf("event %d fired id %d, want %d (at %d): order %v", i, got[i], k.id, k.at, got)
+		}
+	}
+}
+
+// Scheduling allocates nothing once the engine's storage is warm, whether the
+// event is an object or a func adapted by At, on the ring, the calendar or
+// the far heap.
+func TestScheduleAllocatesNothing(t *testing.T) {
+	e := NewEngine(1)
+	var n int
+	h := &logHandler{log: new([]int)}
+	fn := func() { n++ }
+	for _, d := range []int64{0, 1000, 2 * calSpan} {
+		e.Schedule(e.Now()+d, h) // warm the ring, the slab and the heap
+		e.Step()
+		*h.log = make([]int, 0, 4096)
+		if a := testing.AllocsPerRun(1000, func() {
+			e.Schedule(e.Now()+d, h)
+			e.Step()
+		}); a != 0 {
+			t.Errorf("Schedule(now+%d, object): %.1f allocs per event, want 0", d, a)
+		}
+		if a := testing.AllocsPerRun(1000, func() {
+			e.At(e.Now()+d, fn)
+			e.Step()
+		}); a != 0 {
+			t.Errorf("At(now+%d, func): %.1f allocs per event, want 0", d, a)
+		}
 	}
 }
 

@@ -25,7 +25,7 @@ func ReadSpans(r io.Reader) ([]Span, Meta, error) {
 		lineNo++
 		if lineNo == 1 {
 			if bytes.HasPrefix(line, []byte(chromeHead)) {
-				return nil, Meta{}, fmt.Errorf("this is a Chrome trace, a rendering for Perfetto: analyse the .jsonl dump instead (hermes-bench -spans x.jsonl, hermes-lb -trace x.jsonl)")
+				return nil, Meta{}, fmt.Errorf("this is a Chrome trace, a rendering for Perfetto: analyse the span dump instead (hermes-bench -spans FILE, hermes-lb -trace FILE)")
 			}
 			if err := json.Unmarshal(line, &meta); err != nil {
 				return nil, Meta{}, fmt.Errorf("meta line: %w", err)

@@ -227,7 +227,7 @@ func TestReadSpansRefusesChrome(t *testing.T) {
 	if err == nil || got != nil {
 		t.Fatalf("ReadSpans(chrome) = %d spans, err %v; want an error", len(got), err)
 	}
-	for _, want := range []string{"Chrome trace", ".jsonl"} {
+	for _, want := range []string{"Chrome trace", "span dump"} {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("error %q does not mention %q", err, want)
 		}

@@ -30,23 +30,21 @@ type Generator struct {
 	// LiveConns tracks currently open generated connections.
 	LiveConns int
 
-	// Pools of the arrival-chain and request-train state objects. Each
-	// carries its own timer callback, bound once per object, so the
-	// open-loop steady state — one timer per arrival, one per request —
-	// schedules no closures: allocation is bounded by peak concurrency, not
-	// event count.
+	// Pools of the arrival-chain and request-train state objects. Each is a
+	// sim.Handler that schedules itself, so the open-loop steady state — one
+	// timer per arrival, one per request — schedules no closures: allocation
+	// is bounded by peak concurrency, not event count.
 	chains sim.Slab[connChain]
 	trains sim.Slab[reqTrain]
 }
 
 // connChain is one Run/RunWindow arrival chain: exactly one timer is
-// outstanding per chain, so the object (and its pre-bound fire) is recycled
-// when the chain passes its window end.
+// outstanding per chain, so the object is recycled when the chain passes its
+// window end.
 type connChain struct {
 	g    *Generator
 	next int64
 	end  int64
-	fire func()
 }
 
 // reqTrain is one connection's request train: exactly one timer outstanding
@@ -57,7 +55,6 @@ type reqTrain struct {
 	port  uint16
 	total int
 	idx   int
-	fire  func()
 }
 
 // NewGenerator builds a generator for the spec. The generator derives its
@@ -86,10 +83,7 @@ func (g *Generator) RunWindow(start, end time.Duration) {
 
 func (g *Generator) scheduleNextConn(prev, end int64) {
 	ch := g.chains.Get()
-	if ch.fire == nil {
-		ch.g, ch.fire = g, ch.run
-	}
-	ch.end = end
+	ch.g, ch.end = g, end
 	ch.advance(prev)
 }
 
@@ -105,10 +99,11 @@ func (ch *connChain) advance(prev int64) {
 		return
 	}
 	ch.next = next
-	g.lb.Eng.At(next, ch.fire)
+	g.lb.Eng.Schedule(next, ch)
 }
 
-func (ch *connChain) run() {
+// Fire opens the chain's connection and schedules the next arrival.
+func (ch *connChain) Fire() {
 	ch.g.openConn()
 	ch.advance(ch.next)
 }
@@ -144,13 +139,10 @@ func (g *Generator) openConn() {
 	delay := int64(g.spec.FirstReqDelayNS.Sample(g.rng))
 
 	t := g.trains.Get()
-	if t.fire == nil {
-		t.g, t.fire = g, t.run
-	}
 	// The train holds a checked ref, not a bare *Conn: the connection may be
 	// reset — and its pooled object recycled into a different connection —
 	// before the timer fires.
-	t.ref, t.port, t.total, t.idx = conn.Ref(), port, reqs, 1
+	t.g, t.ref, t.port, t.total, t.idx = g, conn.Ref(), port, reqs, 1
 	t.schedule(g.lb.Eng.Now() + delay)
 }
 
@@ -158,7 +150,7 @@ func (t *reqTrain) schedule(at int64) {
 	if now := t.g.lb.Eng.Now(); at < now {
 		at = now
 	}
-	t.g.lb.Eng.At(at, t.fire)
+	t.g.lb.Eng.Schedule(at, t)
 }
 
 // retire recycles a finished train (last request sent, or connection dead).
@@ -174,7 +166,8 @@ func (t *reqTrain) retire() {
 // leaks.
 func (g *Generator) LiveTrains() int { return g.trains.Live() }
 
-func (t *reqTrain) run() {
+// Fire sends the train's next request and schedules the one after it.
+func (t *reqTrain) Fire() {
 	g := t.g
 	conn := t.ref.Get()
 	if conn == nil || conn.Sock().Closed() {
