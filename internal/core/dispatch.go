@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strconv"
 
 	"hermes/internal/bitops"
 	"hermes/internal/ebpf"
@@ -40,7 +41,7 @@ func emitPopCount(a *ebpf.Assembler, dst, tmp ebpf.Reg) {
 func emitFindNth(a *ebpf.Assembler, v, rank, pos, t, tmp ebpf.Reg, labelPrefix string) {
 	a.MovImm(pos, 0)
 	for _, w := range []uint64{32, 16, 8, 4, 2} {
-		lbl := fmt.Sprintf("%s_w%d", labelPrefix, w)
+		lbl := labelPrefix + "_w" + strconv.Itoa(int(w))
 		a.MovReg(t, v).RshReg(t, pos).AndImm(t, (1<<w)-1)
 		emitPopCount(a, t, tmp)
 		a.JleReg(rank, t, lbl) // rank <= popcount(low half): stay
@@ -178,15 +179,15 @@ func BuildDispatchProgram(groups []GroupMaps, minWorkers int, key GroupKey) (*eb
 
 		// Branch chain to the matching group body.
 		for i := range groups {
-			a.JeqImm(ebpf.R9, uint64(i), fmt.Sprintf("grp%d", i))
+			a.JeqImm(ebpf.R9, uint64(i), "grp"+strconv.Itoa(i))
 		}
 		a.Ja("fallback")
 	}
 	for i, s := range ss {
 		if twoLevel {
-			a.Label(fmt.Sprintf("grp%d", i))
+			a.Label("grp" + strconv.Itoa(i))
 		}
-		emitGroupDispatch(a, s.sel, s.sock, minWorkers, "fallback", fmt.Sprintf("g%d", i), twoLevel)
+		emitGroupDispatch(a, s.sel, s.sock, minWorkers, "fallback", "g"+strconv.Itoa(i), twoLevel)
 	}
 	a.Label("fallback")
 	a.MovImm(ebpf.R0, 1)

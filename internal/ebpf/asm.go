@@ -18,9 +18,15 @@ type Assembler struct {
 	err     error
 }
 
+// assemblerInsns is the instruction capacity an assembler starts with: room
+// for a one-group Algorithm 2 program (146 instructions), so building one
+// never regrows the slice, and a four-group one (592) regrows it twice.
+const assemblerInsns = 256
+
 // NewAssembler returns an empty assembler.
 func NewAssembler() *Assembler {
 	return &Assembler{
+		insns:   make([]Insn, 0, assemblerInsns),
 		pending: make(map[string][]int),
 		defined: make(map[string]bool),
 	}

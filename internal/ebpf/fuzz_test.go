@@ -117,7 +117,9 @@ func idiomPrelude(rng *rand.Rand) []Insn {
 			}
 		}
 		if pos != t && t != tmp2 && pos != tmp2 {
-			block = append(block, findNthShape(dst, tmp, pos, t, tmp2)...)
+			var walk [findNthLen]Insn
+			findNthShape(&walk, dst, tmp, pos, t, tmp2)
+			block = append(block, walk[:]...)
 		}
 	default:
 		// Window extract: t = (v >> pos) & mask, with v, pos, t distinct and

@@ -276,7 +276,7 @@ func Compile(p *Program) (*Compiled, error) {
 		return nil, err
 	}
 	n := len(p.insns)
-	targets := jumpTargets(p.insns)
+	entries := jumpEntries(p.insns)
 	slots := resolveMapSlots(p)
 
 	// One step per instruction, a fused window collapsing to one. index[pc]
@@ -287,7 +287,7 @@ func Compile(p *Program) (*Compiled, error) {
 	index := make([]int32, n+1)
 	for pc := 0; pc < n; {
 		index[pc] = int32(len(steps))
-		st, width := lower(p, pc, targets, slots)
+		st, width := lower(p, pc, entries, slots)
 		steps = append(steps, st)
 		pc += width
 	}
@@ -301,17 +301,16 @@ func Compile(p *Program) (*Compiled, error) {
 
 // lower builds the step for the instruction or fusable window at pc and
 // returns how many instructions it covers. A jump's `to` holds the target pc
-// (Compile rewrites it to a step index), −1 on everything else.
-func lower(p *Program, pc int, targets map[int][]int, slots map[int]int) (step, int) {
-	switch fuseWidth(p.insns, pc, targets) {
-	case findNthLen:
-		v, rank, pos, t, tmp, _ := matchFindNth(p.insns, pc)
+// (Compile rewrites it to a step index), −1 on everything else. A window
+// fuses only when it is single-entry (see singleEntry).
+func lower(p *Program, pc int, entries, slots []int32) (step, int) {
+	if v, rank, pos, t, tmp, ok := matchFindNth(p.insns, pc); ok && singleEntry(entries, pc, findNthLen) {
 		return step{op: stepFindNth, r: [5]Reg{v, rank, pos, t, tmp}, to: -1}, findNthLen
-	case popCountLen:
-		dst, tmp, _ := matchPopCount(p.insns, pc)
+	}
+	if dst, tmp, ok := matchPopCount(p.insns, pc); ok && singleEntry(entries, pc, popCountLen) {
 		return step{op: stepPopCount, dst: dst, src: tmp, to: -1}, popCountLen
-	case 3:
-		t, v, pos, mask, _ := matchWindowExtract(p.insns, pc)
+	}
+	if t, v, pos, mask, ok := matchWindowExtract(p.insns, pc); ok && singleEntry(entries, pc, 3) {
 		return step{op: stepWindow, dst: t, src: v, r: [5]Reg{pos}, imm: mask, to: -1}, 3
 	}
 	in := p.insns[pc]
@@ -349,28 +348,41 @@ func lower(p *Program, pc int, targets map[int][]int, slots map[int]int) (step, 
 	return st, 1
 }
 
-// jumpTargets maps each pc some jump lands on to the pcs of the jumps that
-// land there. Fusion windows may contain jump targets only if every jump to
-// them originates inside the window (single-entry region): the rank-select
-// walk's internal branches qualify, an external branch into the middle of a
-// fused window would not.
-func jumpTargets(insns []Insn) map[int][]int {
-	t := make(map[int][]int)
+// jumpEntries returns, for each pc, one more than the lowest pc of a jump
+// landing on it, or 0 where no jump lands.
+func jumpEntries(insns []Insn) []int32 {
+	e := make([]int32, len(insns)+1)
 	for pc, in := range insns {
 		if in.isJump() {
-			dest := pc + 1 + int(in.Off)
-			t[dest] = append(t[dest], pc)
+			if d := &e[pc+1+int(in.Off)]; *d == 0 {
+				*d = int32(pc) + 1 // the first jump found is the lowest
+			}
 		}
 	}
-	return t
+	return e
+}
+
+// singleEntry reports whether the width instructions at pc form a
+// single-entry region: jumps may land inside it only from inside it (the
+// entry pc itself may be a target from anywhere). The rank-select walk's
+// internal branches qualify; an external branch into the middle of a fused
+// window would not. Verified jumps only go forward, so a jump landing inside
+// the window comes from inside it exactly when it comes from pc or later.
+func singleEntry(entries []int32, pc, width int) bool {
+	for i := pc + 1; i < pc+width; i++ {
+		if e := entries[i]; e != 0 && int(e-1) < pc {
+			return false
+		}
+	}
+	return true
 }
 
 // resolveMapSlots runs a forward dataflow pass mirroring the verifier's,
 // tracking which OpLdMap slot each register holds as a concrete value
 // (slot+1; 0 = unknown/scalar). Where all paths into a helper call agree on
-// the map argument's slot, the call can be specialized. The result maps
-// call pc → slot+1.
-func resolveMapSlots(p *Program) map[int]int {
+// the map argument's slot, the call can be specialized. The result holds
+// slot+1 at each such call's pc and 0 everywhere else.
+func resolveMapSlots(p *Program) []int32 {
 	n := len(p.insns)
 	type state struct {
 		slot    [NumRegs]int32 // 0 unknown, else OpLdMap slot+1
@@ -390,7 +402,7 @@ func resolveMapSlots(p *Program) map[int]int {
 	states := make([]state, n+1)
 	states[0].reached = true
 
-	resolved := make(map[int]int)
+	resolved := make([]int32, n)
 	for pc := 0; pc < n; pc++ {
 		st := states[pc]
 		if !st.reached {
@@ -410,7 +422,7 @@ func resolveMapSlots(p *Program) map[int]int {
 		case OpCall:
 			spec := helperSpecs[HelperID(in.Imm)]
 			if spec.mapArg != 0 {
-				resolved[pc] = int(st.slot[Reg(spec.mapArg)])
+				resolved[pc] = st.slot[Reg(spec.mapArg)]
 			}
 			for r := R1; r <= R5; r++ {
 				st.slot[r] = 0
@@ -440,10 +452,11 @@ func resolveMapSlots(p *Program) map[int]int {
 // horizontal sum.
 const popCountLen = 15
 
-// popCountShape is the emitPopCount(dst, tmp) expansion: three SWAR fold
-// rounds plus the multiply-shift horizontal sum.
-func popCountShape(dst, tmp Reg) []Insn {
-	return []Insn{
+// popCountShape fills sh with the emitPopCount(dst, tmp) expansion: three
+// SWAR fold rounds plus the multiply-shift horizontal sum. The matchers fill
+// a shape on their own stack, so compiling allocates none.
+func popCountShape(sh *[popCountLen]Insn, dst, tmp Reg) {
+	*sh = [popCountLen]Insn{
 		{Op: OpMovReg, Dst: tmp, Src: dst},
 		{Op: OpRshImm, Dst: tmp, Imm: 1},
 		{Op: OpAndImm, Dst: tmp, Imm: m1},
@@ -473,10 +486,10 @@ func matchPopCount(insns []Insn, pc int) (dst, tmp Reg, ok bool) {
 	if dst == tmp {
 		return 0, 0, false
 	}
-	for i, want := range popCountShape(dst, tmp) {
-		if w[i] != want {
-			return 0, 0, false
-		}
+	var want [popCountLen]Insn
+	popCountShape(&want, dst, tmp)
+	if [popCountLen]Insn(w) != want {
+		return 0, 0, false
 	}
 	return dst, tmp, true
 }
@@ -518,31 +531,30 @@ var findNthWidths = [...]uint64{32, 16, 8, 4, 2}
 // and the final single-bit probe.
 const findNthLen = 1 + len(findNthWidths)*(3+popCountLen+3) + 5
 
-// findNthShape builds the exact instruction sequence emitFindNth(v, rank,
-// pos, t, tmp) produces, for structural matching. Branch offsets are fixed by
-// construction: each round's JleReg skips its own AddImm/SubReg pair, the
-// final probe's skips one AddImm.
-func findNthShape(v, rank, pos, t, tmp Reg) []Insn {
-	shape := make([]Insn, 0, findNthLen)
-	shape = append(shape, Insn{Op: OpMovImm, Dst: pos, Imm: 0})
+// findNthShape fills sh with the exact instruction sequence emitFindNth(v,
+// rank, pos, t, tmp) produces, for structural matching. Branch offsets are
+// fixed by construction: each round's JleReg skips its own AddImm/SubReg
+// pair, the final probe's skips one AddImm.
+func findNthShape(sh *[findNthLen]Insn, v, rank, pos, t, tmp Reg) {
+	sh[0] = Insn{Op: OpMovImm, Dst: pos, Imm: 0}
+	i := 1
 	for _, w := range findNthWidths {
-		shape = append(shape,
-			Insn{Op: OpMovReg, Dst: t, Src: v},
-			Insn{Op: OpRshReg, Dst: t, Src: pos},
-			Insn{Op: OpAndImm, Dst: t, Imm: 1<<w - 1})
-		shape = append(shape, popCountShape(t, tmp)...)
-		shape = append(shape,
-			Insn{Op: OpJleReg, Dst: rank, Src: t, Off: 2},
-			Insn{Op: OpAddImm, Dst: pos, Imm: w},
-			Insn{Op: OpSubReg, Dst: rank, Src: t})
+		sh[i] = Insn{Op: OpMovReg, Dst: t, Src: v}
+		sh[i+1] = Insn{Op: OpRshReg, Dst: t, Src: pos}
+		sh[i+2] = Insn{Op: OpAndImm, Dst: t, Imm: 1<<w - 1}
+		i += 3
+		popCountShape((*[popCountLen]Insn)(sh[i:]), t, tmp)
+		i += popCountLen
+		sh[i] = Insn{Op: OpJleReg, Dst: rank, Src: t, Off: 2}
+		sh[i+1] = Insn{Op: OpAddImm, Dst: pos, Imm: w}
+		sh[i+2] = Insn{Op: OpSubReg, Dst: rank, Src: t}
+		i += 3
 	}
-	shape = append(shape,
-		Insn{Op: OpMovReg, Dst: t, Src: v},
-		Insn{Op: OpRshReg, Dst: t, Src: pos},
-		Insn{Op: OpAndImm, Dst: t, Imm: 1},
-		Insn{Op: OpJleReg, Dst: rank, Src: t, Off: 1},
-		Insn{Op: OpAddImm, Dst: pos, Imm: 1})
-	return shape
+	sh[i] = Insn{Op: OpMovReg, Dst: t, Src: v}
+	sh[i+1] = Insn{Op: OpRshReg, Dst: t, Src: pos}
+	sh[i+2] = Insn{Op: OpAndImm, Dst: t, Imm: 1}
+	sh[i+3] = Insn{Op: OpJleReg, Dst: rank, Src: t, Off: 1}
+	sh[i+4] = Insn{Op: OpAddImm, Dst: pos, Imm: 1}
 }
 
 // matchFindNth reports whether insns[pc:pc+findNthLen] is exactly an
@@ -567,37 +579,10 @@ func matchFindNth(insns []Insn, pc int) (v, rank, pos, t, tmp Reg, ok bool) {
 			}
 		}
 	}
-	for i, want := range findNthShape(v, rank, pos, t, tmp) {
-		if insns[pc+i] != want {
-			return 0, 0, 0, 0, 0, false
-		}
+	var want [findNthLen]Insn
+	findNthShape(&want, v, rank, pos, t, tmp)
+	if [findNthLen]Insn(insns[pc:pc+findNthLen]) != want {
+		return 0, 0, 0, 0, 0, false
 	}
 	return v, rank, pos, t, tmp, true
-}
-
-// fuseWidth returns the instruction count a fusion starting at pc would
-// consume, or 0 if nothing fuses there. A window only fuses when it is
-// single-entry: jumps may land inside it only from inside it (the entry pc
-// itself may be a target from anywhere).
-func fuseWidth(insns []Insn, pc int, targets map[int][]int) int {
-	windowClear := func(width int) bool {
-		for i := pc + 1; i < pc+width; i++ {
-			for _, src := range targets[i] {
-				if src < pc || src >= pc+width {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if _, _, _, _, _, ok := matchFindNth(insns, pc); ok && windowClear(findNthLen) {
-		return findNthLen
-	}
-	if _, _, ok := matchPopCount(insns, pc); ok && windowClear(popCountLen) {
-		return popCountLen
-	}
-	if _, _, _, _, ok := matchWindowExtract(insns, pc); ok && windowClear(3) {
-		return 3
-	}
-	return 0
 }

@@ -104,24 +104,26 @@ type Epoll struct {
 	wFn     func([]Event)
 	wTimer  sim.Timer
 
-	// Pre-bound trampolines (bound once at creation: binding a method value
-	// per call allocates) and the pending-delivery queue they drain. Each
-	// scheduled trampoline event corresponds to exactly one queue entry,
-	// and same-time engine events fire FIFO, so deliveries fire in
+	// The pending-delivery queue. Each delivery event (an epollDeliver,
+	// scheduled for the current instant) corresponds to exactly one queue
+	// entry, and same-time engine events fire FIFO, so deliveries fire in
 	// schedule order — several can be outstanding at once (a callback
 	// re-entering Wait immediately, or driver code issuing nonblocking
-	// Waits back to back). The queue is head-indexed and reused, so
-	// steady-state scheduling is allocation-free.
-	deliverFn func()
-	timeoutFn func()
-	pendQ     []delivery
-	pendQHead int
+	// Waits back to back). The queue is head-indexed and reused, and starts
+	// on pendInline, so scheduling allocates nothing unless more deliveries
+	// are outstanding at once than it holds.
+	pendQ      []delivery
+	pendQHead  int
+	pendInline [2]delivery
 
-	// evBuf backs the batch returned by collect, made once with room for a
-	// whole batch. One wait per instance is outstanding at a time, so a
-	// batch is reused only after its consumer has re-entered Wait (the batch
-	// is valid until the next Wait or Kick on this instance).
-	evBuf []Event
+	// evBuf backs the batch returned by collect. It starts on evInline and
+	// grows to a whole batch (maxEvents) the first time more watches are
+	// ready than that holds. One wait per instance is outstanding at a
+	// time, so a batch is reused only after its consumer has re-entered
+	// Wait (the batch is valid until the next Wait or Kick on this
+	// instance).
+	evBuf    []Event
+	evInline [4]Event
 
 	// SpuriousWakeups counts wakes that delivered zero events (thundering
 	// herd waste); the worker charges each one. Wakeups, timeouts and events
@@ -131,6 +133,17 @@ type Epoll struct {
 
 	obs *epollObs // nil until BindWorker on an observed stack
 }
+
+// epollDeliver and epollTimeout are an Epoll seen as the sim.Handler of its
+// delivery and timeout events. Converting the *Epoll is free, so an instance
+// schedules its events with no closure or method value of its own.
+type (
+	epollDeliver Epoll
+	epollTimeout Epoll
+)
+
+func (d *epollDeliver) Fire() { (*Epoll)(d).deliver() }
+func (t *epollTimeout) Fire() { (*Epoll)(t).onTimeout() }
 
 // Add registers a socket with this epoll instance (EPOLL_CTL_ADD) in
 // level-triggered mode. The exclusive-vs-herd wakeup discipline is a
@@ -247,9 +260,6 @@ func (ep *Epoll) collect(max int) []Event {
 	if max <= 0 {
 		max = 1
 	}
-	if cap(ep.evBuf) < max {
-		ep.evBuf = make([]Event, 0, max)
-	}
 	evs := ep.evBuf[:0]
 	w := ep.readyHead
 	for w != nil && len(evs) < max {
@@ -260,14 +270,17 @@ func (ep *Epoll) collect(max int) []Event {
 			w = next
 			continue
 		}
+		kind := EvHangup // hup with no pending data
 		switch {
 		case s.Listening:
-			evs = append(evs, Event{Kind: EvAccept, Sock: s})
+			kind = EvAccept
 		case s.PendingData() > 0:
-			evs = append(evs, Event{Kind: EvReadable, Sock: s})
-		default: // hup with no pending data
-			evs = append(evs, Event{Kind: EvHangup, Sock: s})
+			kind = EvReadable
 		}
+		if len(evs) == cap(evs) {
+			evs = append(make([]Event, 0, max), evs...)
+		}
+		evs = append(evs, Event{Kind: kind, Sock: s})
 		if w.et {
 			// Edge-triggered: collected once per edge; the socket drops off
 			// the ready list even if data remains.
@@ -322,11 +335,12 @@ func (ep *Epoll) Wait(maxEvents int, timeout time.Duration, fn func([]Event)) {
 	ep.wMax = maxEvents
 	ep.wFn = fn
 	if timeout > 0 {
-		ep.wTimer = ep.ns.eng.After(timeout, ep.timeoutFn)
+		ep.wTimer = ep.ns.eng.Schedule(ep.ns.eng.Now()+int64(timeout), (*epollTimeout)(ep))
 	}
 }
 
-// schedule enqueues a delivery and arms the trampoline for it.
+// schedule enqueues a delivery and schedules its event for the current
+// instant.
 func (ep *Epoll) schedule(d delivery) {
 	if len(ep.pendQ) == cap(ep.pendQ) && ep.pendQHead > 0 {
 		n := copy(ep.pendQ, ep.pendQ[ep.pendQHead:])
@@ -337,7 +351,7 @@ func (ep *Epoll) schedule(d delivery) {
 		ep.pendQHead = 0
 	}
 	ep.pendQ = append(ep.pendQ, d)
-	ep.ns.eng.At(ep.ns.eng.Now(), ep.deliverFn)
+	ep.ns.eng.Schedule(ep.ns.eng.Now(), (*epollDeliver)(ep))
 }
 
 // deliver fires the oldest scheduled delivery.

@@ -131,14 +131,14 @@ func (ns *NetStack) SetBurstWidth(int) {}
 // Engine returns the virtual clock this stack runs on.
 func (ns *NetStack) Engine() *sim.Engine { return ns.eng }
 
-// newListener allocates a listening socket; connection sockets live in their
-// Conn.
-func (ns *NetStack) newListener(port uint16, backlog int) *Socket {
+// initListener makes s a fresh listening socket on port; connection sockets
+// live in their Conn.
+func (ns *NetStack) initListener(s *Socket, port uint16, backlog int) {
 	if backlog <= 0 {
 		backlog = DefaultAcceptBacklog
 	}
 	ns.nextSockID++
-	return &Socket{
+	*s = Socket{
 		ID:        ns.nextSockID,
 		Port:      port,
 		Listening: true,
@@ -173,13 +173,15 @@ func (ns *NetStack) ListenShared(port uint16, backlog int) (*Socket, error) {
 	if err := ns.checkPortFree(port); err != nil {
 		return nil, err
 	}
-	s := ns.newListener(port, backlog)
+	s := new(Socket)
+	ns.initListener(s, port, backlog)
 	ns.ports.at(port).shared = s
 	return s, nil
 }
 
 // ListenReuseport binds n SO_REUSEPORT sockets to port, one per worker (the
-// reuseport and Hermes deployments).
+// reuseport and Hermes deployments). The sockets are one block: they live
+// and die with their group.
 func (ns *NetStack) ListenReuseport(port uint16, n, backlog int) (*ReuseportGroup, error) {
 	if err := ns.checkPortFree(port); err != nil {
 		return nil, err
@@ -187,13 +189,15 @@ func (ns *NetStack) ListenReuseport(port uint16, n, backlog int) (*ReuseportGrou
 	if n < 1 {
 		return nil, fmt.Errorf("kernel: reuseport group needs ≥1 sockets, got %d", n)
 	}
-	g := &ReuseportGroup{Port: port, ns: ns}
+	g := &ReuseportGroup{Port: port, ns: ns, socks: make([]*Socket, n)}
 	ns.obs.observeReuseport()
-	for i := 0; i < n; i++ {
-		s := ns.newListener(port, backlog)
+	block := make([]Socket, n)
+	for i := range block {
+		s := &block[i]
+		ns.initListener(s, port, backlog)
 		s.group = g
 		s.groupIdx = i
-		g.socks = append(g.socks, s)
+		g.socks[i] = s
 	}
 	ns.ports.at(port).group = g
 	ns.groupsBound++
@@ -221,10 +225,8 @@ func (ns *NetStack) SharedSocket(port uint16) *Socket { return ns.ports.get(port
 func (ns *NetStack) NewEpoll() *Epoll {
 	ns.nextEpollID++
 	ep := &Epoll{ID: ns.nextEpollID, ns: ns}
-	// Bind the delivery trampolines once: method values allocate per
-	// evaluation, and these are scheduled on every wakeup.
-	ep.deliverFn = ep.deliver
-	ep.timeoutFn = ep.onTimeout
+	ep.pendQ = ep.pendInline[:0]
+	ep.evBuf = ep.evInline[:0]
 	return ep
 }
 

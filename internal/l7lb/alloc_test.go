@@ -8,10 +8,10 @@ import (
 	"hermes/internal/sim"
 )
 
-// The worker loop's continuations are pre-bound and LB.Deliver carries the
-// request as a pooled *Work, so a steady-state cell of any mode — the
-// dispatcher core and its executors included — allocates nothing per loop
-// iteration or per connection. Each run below is one connection lifecycle
+// The worker loop's continuations are the worker itself seen as a
+// sim.Handler, and LB.Deliver carries the request as a pooled *Work, so a
+// steady-state cell of any mode — the dispatcher core and its executors
+// included — allocates nothing per loop iteration or per connection. Each run below is one connection lifecycle
 // plus 10 ms of virtual time (two epoll timeouts on each of four workers).
 func TestHermesCellSteadyStateAllocs(t *testing.T) {
 	for _, mode := range modesUnderTest() {

@@ -56,21 +56,16 @@ type Worker struct {
 
 	// Batched dispatch state. The in-flight event burst, its cursor, and
 	// the pending serve completion live on the worker, and the loop's
-	// continuations are the pre-bound fns below — so steady-state dispatch
-	// schedules no closures at all. At most one continuation timer is
-	// outstanding: the charge of an event, job or loop tail, or a step held
-	// back by a hang (stalled). Crash cancels it, so a restarted incarnation
-	// can never be driven by its predecessor's timer.
+	// continuations are the worker itself seen as a sim.Handler (wakeHeld,
+	// eventDone, loopTail, nextJob, jobDone) — so neither building a worker
+	// nor steady-state dispatch makes a closure. At most one continuation
+	// timer is outstanding: the charge of an event, job or loop tail, or a
+	// step held back by a hang (stalled). Crash cancels it, so a restarted
+	// incarnation can never be driven by its predecessor's timer.
 	batchEvs  []kernel.Event
 	batchIdx  int
 	contTimer sim.Timer
 	serv      servState
-
-	onWakeHeldFn func()
-	afterEventFn func()
-	endLoopFn    func()
-	runNextJobFn func()
-	afterJobFn   func()
 
 	// ConnTableGrows counts conns-slice regrowths after construction; the
 	// scale harness pins it at zero when a capacity hint is configured.
@@ -108,6 +103,22 @@ type Worker struct {
 	obs *workerObs
 }
 
+// The loop's continuations: a *Worker converted to one of these types is the
+// sim.Handler of one step, which makes no closure and no method value.
+type (
+	wakeHeld  Worker // onWake on the batch a hang held back
+	eventDone Worker // afterEvent: the event at the batch cursor is charged
+	loopTail  Worker // endLoopCont: the loop tail is charged
+	nextJob   Worker // runNextJob: an executor takes its next serve
+	jobDone   Worker // afterJob: an executor's serve is charged
+)
+
+func (h *wakeHeld) Fire()  { w := (*Worker)(h); w.onWake(w.batchEvs) }
+func (h *eventDone) Fire() { (*Worker)(h).afterEvent() }
+func (h *loopTail) Fire()  { (*Worker)(h).endLoopCont() }
+func (h *nextJob) Fire()   { (*Worker)(h).runNextJob() }
+func (h *jobDone) Fire()   { (*Worker)(h).afterJob() }
+
 // servState carries an EvReadable serve from handle to its completion in
 // finishServe. Only one serve is in flight per worker (run-to-completion), so
 // a single embedded struct replaces a closure allocation per request. owner
@@ -144,14 +155,7 @@ func newWorker(lb *LB, id int, hook *core.WorkerHook) *Worker {
 		conns:    make([]*kernel.Socket, 0, hint),
 	}
 	w.onWakeFn = w.onWake
-	w.onWakeHeldFn = func() { w.onWake(w.batchEvs) }
-	w.afterEventFn = w.afterEvent
-	w.endLoopFn = w.endLoopCont
-	if lb.Cfg.Mode == ModeDispatcher && id < lb.Cfg.Workers {
-		w.executor = true
-		w.runNextJobFn = w.runNextJob
-		w.afterJobFn = w.afterJob
-	}
+	w.executor = lb.Cfg.Mode == ModeDispatcher && id < lb.Cfg.Workers
 	if lb.Cfg.DetailedStats {
 		w.EventsPerWait = &stats.Sample{}
 		w.BatchProcNS = &stats.Sample{}
@@ -295,17 +299,22 @@ func (w *Worker) scaleCost(d time.Duration) time.Duration {
 }
 
 // stalled holds back a loop step that a hang caught: while the core is hung
-// it re-arms the one continuation timer for fn at the release and reports
+// it re-arms the one continuation timer for step at the release and reports
 // true (an extended hang re-arms it again). Otherwise the run bracket has
-// ended — the charge fn waited on, or a hang the core slept through — and
+// ended — the charge step waited on, or a hang the core slept through — and
 // stalled banks it and reports false.
-func (w *Worker) stalled(fn func()) bool {
+func (w *Worker) stalled(step sim.Handler) bool {
 	if w.hangUntilNS > w.lb.Eng.Now() {
-		w.contTimer = w.lb.Eng.At(w.hangUntilNS, fn)
+		w.contTimer = w.lb.Eng.Schedule(w.hangUntilNS, step)
 		return true
 	}
 	w.endWork()
 	return false
+}
+
+// after arms the one continuation timer for step once d of CPU has elapsed.
+func (w *Worker) after(d time.Duration, step sim.Handler) {
+	w.contTimer = w.lb.Eng.Schedule(w.lb.Eng.Now()+max(int64(d), 0), step)
 }
 
 // busy charges completed (instantaneous) CPU work.
@@ -378,7 +387,7 @@ func (w *Worker) onWake(evs []kernel.Event) {
 	// next Wait. The crashed check drops a delivery the dead epoll had
 	// already scheduled.
 	w.batchEvs = evs
-	if w.crashed || w.stalled(w.onWakeHeldFn) {
+	if w.crashed || w.stalled((*wakeHeld)(w)) {
 		return
 	}
 	now := w.lb.Eng.Now()
@@ -411,13 +420,13 @@ func (w *Worker) processBatch() {
 	cost := w.handle(w.batchEvs[w.batchIdx])
 	cost = w.scaleCost(cost)
 	w.beginWork(cost)
-	w.contTimer = w.lb.Eng.After(cost, w.afterEventFn)
+	w.after(cost, (*eventDone)(w))
 }
 
 // afterEvent finishes the event at the batch cursor once its CPU charge has
 // elapsed (and any injected hang has released), then continues the batch.
 func (w *Worker) afterEvent() {
-	if w.stalled(w.afterEventFn) {
+	if w.stalled((*eventDone)(w)) {
 		return
 	}
 	if h := w.hook; h != nil {
@@ -574,13 +583,13 @@ func (w *Worker) endLoop() {
 		tail += w.lb.Cfg.Costs.MutexOp
 	}
 	w.beginWork(tail)
-	w.contTimer = w.lb.Eng.After(tail, w.endLoopFn)
+	w.after(tail, (*loopTail)(w))
 }
 
-// endLoopCont is the loop tail's pre-bound continuation: bank the tail cost
-// and re-enter the loop.
+// endLoopCont is the loop tail's continuation: bank the tail cost and
+// re-enter the loop.
 func (w *Worker) endLoopCont() {
-	if !w.stalled(w.endLoopFn) {
+	if !w.stalled((*loopTail)(w)) {
 		w.loopEnter()
 	}
 }
@@ -713,7 +722,7 @@ func (w *Worker) pushJob(s servState) {
 // loop's one continuation timer; afterJob completes it. A hung executor holds
 // its queue until the release.
 func (w *Worker) runNextJob() {
-	if w.crashed || w.jobHead == len(w.jobs) || w.stalled(w.runNextJobFn) {
+	if w.crashed || w.jobHead == len(w.jobs) || w.stalled((*nextJob)(w)) {
 		return
 	}
 	w.serv = w.jobs[w.jobHead]
@@ -726,11 +735,11 @@ func (w *Worker) runNextJob() {
 	// multiplier applies only to the charge, not the queue accounting.
 	cost := w.scaleCost(w.serv.work.Cost)
 	w.beginWork(cost)
-	w.contTimer = w.lb.Eng.After(cost, w.afterJobFn)
+	w.after(cost, (*jobDone)(w))
 }
 
 func (w *Worker) afterJob() {
-	if w.stalled(w.afterJobFn) {
+	if w.stalled((*jobDone)(w)) {
 		return
 	}
 	w.queuedCostNS -= int64(w.serv.work.Cost)
