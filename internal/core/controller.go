@@ -89,7 +89,7 @@ type Controller struct {
 	groups  []group
 
 	led  ledger                 // the core.schedule.* rows, Stats' only source
-	sink *telemetry.Registry    // Observe's sink, for programs AttachEBPF compiles; nil until then
+	sink *telemetry.Registry    // Observe's sink, for programs DispatchProgram compiles; nil until then
 	tr   *tracing.ScheduleTrace // nil unless Observe got a tracer
 }
 
@@ -181,9 +181,9 @@ func (c *Controller) Config() Config { return *c.cfg.Load() }
 // SetConfig replaces the scheduling policy at runtime — the dynamic policy
 // updates the paper's HTTP control interface performs (Appendix C). The
 // update is an atomic pointer swap: in-flight scheduling passes finish on
-// the old policy, subsequent passes use the new one. Note: MinWorkers is
-// compiled into the attached dispatch program; changing it here affects
-// future Attach calls only.
+// the old policy, subsequent passes use the new one. MinWorkers is compiled
+// into the dispatch program: the simulated kernel keeps the program it
+// attached, and the real proxy's acceptor re-attaches before its next pick.
 func (c *Controller) SetConfig(cfg Config) error {
 	if err := cfg.Validate(); err != nil {
 		return err
@@ -251,39 +251,47 @@ func (c *Controller) Workers() int { return c.workers }
 // Groups returns the group count.
 func (c *Controller) Groups() int { return len(c.groups) }
 
-// AttachEBPF builds the Algorithm 2 bytecode over this controller's
-// selection maps and the reuseport group's sockets, verifies it, and
-// installs it at the SO_ATTACH_REUSEPORT_EBPF hook. Socket i must belong to
-// global worker i.
-func (c *Controller) AttachEBPF(rg *kernel.ReuseportGroup) error {
-	socks, err := c.socketsOf(rg)
-	if err != nil {
-		return err
-	}
+// DispatchProgram builds and verifies the Algorithm 2 bytecode over this
+// controller's selection maps at the live MinWorkers, sock(i) in global worker
+// i's sockarray slot, and observes its compiled form on Observe's sink. The
+// simulated reuseport hook (AttachEBPF) and the real proxy's acceptor run it.
+func (c *Controller) DispatchProgram(sock func(i int) ebpf.SockRef) (*ebpf.Program, error) {
 	maps := make([]GroupMaps, len(c.groups))
 	for gi := range c.groups {
 		span := c.groups[gi].wst.Workers()
 		sa := ebpf.NewSockArray(span)
 		for slot := 0; slot < span; slot++ {
-			if err := sa.Put(uint32(slot), socks[gi*c.span+slot]); err != nil {
-				return err
+			if err := sa.Put(uint32(slot), sock(gi*c.span+slot)); err != nil {
+				return nil, err
 			}
 		}
 		maps[gi] = GroupMaps{Sel: c.groups[gi].sel, Socks: sa}
 	}
 	prog, err := BuildDispatchProgram(maps, c.Config().MinWorkers, c.key)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	rg.AttachProgram(prog)
 	if c.sink != nil {
-		// What AttachProgram just installed (compilation is cached per
-		// program); nothing if the compiler declined.
+		// Compilation is cached per program: this is the form the caller runs.
 		if cp, err := prog.Compiled(); err == nil {
 			cp.Observe(c.sink)
 		}
 	}
-	return nil
+	return prog, nil
+}
+
+// AttachEBPF installs DispatchProgram at the reuseport group's
+// SO_ATTACH_REUSEPORT_EBPF hook. Socket i must belong to global worker i.
+func (c *Controller) AttachEBPF(rg *kernel.ReuseportGroup) error {
+	socks, err := c.socketsOf(rg)
+	if err != nil {
+		return err
+	}
+	prog, err := c.DispatchProgram(func(i int) ebpf.SockRef { return socks[i] })
+	if err == nil {
+		rg.AttachProgram(prog)
+	}
+	return err
 }
 
 // AttachNative installs the native-Go dispatch twin on the reuseport group:

@@ -319,9 +319,9 @@ func TestDispatchProgramMatchesNative(t *testing.T) {
 }
 
 // The same differential over several groups and both level-1 keys: the
-// program AttachEBPF installs and Controller.Select must steer every
-// (bitmaps, hash, locality hash) to the same global worker.
-func TestMultiGroupDispatchProgramMatchesSelect(t *testing.T) {
+// program AttachEBPF installs and its native twin selectWorker must steer
+// every (bitmaps, hash, locality hash) to the same global worker.
+func TestMultiGroupDispatchProgramMatchesSelectWorker(t *testing.T) {
 	const groups, span = 3, 4
 	for _, key := range []GroupKey{GroupByTupleHash, GroupByLocalityHash} {
 		ns := kernel.NewNetStack(sim.NewEngine(1), kernel.WakeExclusiveLIFO)
@@ -354,7 +354,7 @@ func TestMultiGroupDispatchProgramMatchesSelect(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			nw, nok := c.Select(hash, lhash)
+			nw, nok := c.selectWorker(hash, lhash, c.Config().MinWorkers)
 			if nok != (r0 == 0) {
 				t.Fatalf("key %d trial %d: vm r0=%d native ok=%v", key, trial, r0, nok)
 			}

@@ -10,7 +10,7 @@ import (
 
 // This file emits Algorithm 2 — Hermes's in-kernel connection dispatch — as
 // simulated eBPF bytecode, and provides the semantically identical native-Go
-// selector used where production would run the JIT-compiled program.
+// selector: the spec the bytecode is checked against, which steers no traffic.
 //
 // The program must respect eBPF's constraints (no loops, bounded size), so
 // CountNonZeroBits and FindNthNonZeroBit are expanded inline as straight-line
@@ -198,8 +198,8 @@ func BuildDispatchProgram(groups []GroupMaps, minWorkers int, key GroupKey) (*eb
 // NativeSelect is the Go-native twin of one group body of the dispatch
 // program: given the group's current bitmap and the rank hash it returns the
 // selected slot, or ok=false to request reuseport-hash fallback. Behaviour is
-// bit-identical to the bytecode (property-tested), standing in for the
-// JIT-compiled program on hot paths.
+// bit-identical to the bytecode (property-tested); Table 5 and the benchmark
+// rungs time it as the JIT's yardstick.
 func NativeSelect(bitmap uint64, hash uint32, minWorkers int) (worker int, ok bool) {
 	n := bitops.PopCount64(bitmap)
 	if n < minWorkers {
@@ -213,17 +213,9 @@ func NativeSelect(bitmap uint64, hash uint32, minWorkers int) (worker int, ok bo
 	return idx, true
 }
 
-// Select is the native twin of the whole dispatch program over the live
-// selection maps and the live MinWorkers: it returns the global id of the
-// worker a connection with the given 4-tuple and locality hashes is steered
-// to, or ok=false to request reuseport-hash fallback.
-func (c *Controller) Select(hash, localityHash uint32) (worker int, ok bool) {
-	return c.selectWorker(hash, localityHash, c.cfg.Load().MinWorkers)
-}
-
-// selectWorker mirrors BuildDispatchProgram's specialisation on the group
-// count: one group ranks by the raw hash, several pick the group by key and
-// rank by the decorrelated hash.
+// selectWorker is the whole dispatch program's native twin: the global worker a
+// connection's hashes steer to, or ok=false for reuseport-hash fallback. Like
+// BuildDispatchProgram, it specialises on the group count.
 func (c *Controller) selectWorker(hash, localityHash uint32, minWorkers int) (worker int, ok bool) {
 	gi := 0
 	if len(c.groups) > 1 {

@@ -50,8 +50,8 @@ func newLedger(reg *telemetry.Registry) ledger {
 // owns: the ledger moves onto sink, Algorithm 1 decisions are traced as
 // schedule instants on tr, every group's selection map is observed (its sync
 // instants stamped by now, since a map has no clock), and so is each program
-// a later AttachEBPF compiles. sink or tr may be nil; now may be nil when tr
-// is. Call it before the workers start: the handles are read without
+// a later DispatchProgram compiles. sink or tr may be nil; now may be nil when
+// tr is. Call it before the workers start: the handles are read without
 // synchronisation, and counts made before it stay on the old ledger.
 func (c *Controller) Observe(sink *telemetry.Registry, tr *tracing.Tracer, now func() int64) {
 	if sink != nil {

@@ -1,8 +1,6 @@
 package kernel
 
 import (
-	"fmt"
-
 	"hermes/internal/bitops"
 	"hermes/internal/ebpf"
 	"hermes/internal/tracing"
@@ -75,13 +73,6 @@ func (g *ReuseportGroup) AttachNative(fn func(hash, localityHash uint32) (*Socke
 	g.compiled = nil
 }
 
-// Detach removes any attached selector, restoring pure hash dispatch.
-func (g *ReuseportGroup) Detach() {
-	g.prog = nil
-	g.compiled = nil
-	g.selectFn = nil
-}
-
 // allClosed reports whether every member socket has been closed.
 func (g *ReuseportGroup) allClosed() bool {
 	for _, s := range g.socks {
@@ -146,17 +137,4 @@ func (g *ReuseportGroup) pick(hash, localityHash uint32) (*Socket, tracing.Via) 
 		g.HashDispatched++
 		return g.hashPick(hash), tracing.ViaHash
 	}
-}
-
-// BuildSockArray fills an ebpf.SockArray with this group's sockets, slot i →
-// socket i, modelling the M_socket map Hermes populates at initialization
-// (§5.4 "Reuseport socket selection").
-func (g *ReuseportGroup) BuildSockArray() (*ebpf.SockArray, error) {
-	sa := ebpf.NewSockArray(len(g.socks))
-	for i, s := range g.socks {
-		if err := sa.Put(uint32(i), s); err != nil {
-			return nil, fmt.Errorf("kernel: populate sockarray: %w", err)
-		}
-	}
-	return sa, nil
 }

@@ -26,7 +26,9 @@ type FourTuple struct {
 // Hash returns the connection hash the kernel precomputes for reuseport
 // selection (and that reuseport eBPF programs consume). FNV-1a over the
 // tuple bytes plays the role of the kernel's jhash: any well-mixed hash
-// reproduces both reuseport's balance and its heavy-hitter collisions.
+// reproduces both reuseport's balance and its heavy-hitter collisions. The
+// real proxy hashes its accepted connections with it too, an IPv6 address
+// folded into its 32-bit field as the XOR of the address's four words.
 func (t FourTuple) Hash() uint32 {
 	var b [12]byte
 	binary.BigEndian.PutUint32(b[0:], t.SrcIP)

@@ -2,18 +2,23 @@ package proxy
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
 	"net"
+	"net/netip"
 	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"hermes/internal/bitops"
 	"hermes/internal/core"
+	"hermes/internal/ebpf"
 	"hermes/internal/faults"
 	"hermes/internal/httpx"
+	"hermes/internal/kernel"
 	"hermes/internal/telemetry"
 	"hermes/internal/tracing"
 )
@@ -40,8 +45,8 @@ func WithFaults(sched faults.Schedule) Option {
 	return func(o *options) { o.sched = sched }
 }
 
-// Proxy is the running reverse proxy: one acceptor steering from the Hermes
-// selection bitmap, N workers each holding many connections, a
+// Proxy is the running reverse proxy: one acceptor steering with the Hermes
+// dispatch program, N workers each holding many connections, a
 // health-checked backend pool, and an admin API (AdminHandler).
 type Proxy struct {
 	cfg     Config
@@ -61,7 +66,12 @@ type Proxy struct {
 	slo *telemetry.SLO
 
 	connSeq atomic.Uint64
-	hashSeq atomic.Uint32
+
+	// The acceptor's dispatch program (slot i holds worker i), the MinWorkers
+	// compiled into it and the Env it runs in: the acceptor's alone.
+	prog    *ebpf.Compiled
+	progMin int
+	env     ebpf.Env
 
 	startNS int64
 	inj     *faults.Injector // applies the fault schedule; nil without one
@@ -161,6 +171,10 @@ func New(cfg Config, opts ...Option) (*Proxy, error) {
 		w.hook.LoopEnter(time.Now().UnixNano())
 		p.workers, targets[i] = append(p.workers, w), w
 	}
+	if err := p.attach(); err != nil {
+		ln.Close()
+		return nil, err
+	}
 	if len(o.sched.Events) > 0 {
 		wall := func() int64 { return time.Now().UnixNano() }
 		if p.inj, err = faults.NewWorkerInjector(targets, o.sched, wall, p.afterFault); err != nil {
@@ -235,10 +249,9 @@ func (p *Proxy) untrack(c net.Conn) {
 	p.mu.Unlock()
 }
 
-// acceptLoop is the kernel-dispatch stand-in: scaled-hash selection over the
-// live bitmap, hash fallback below MinWorkers (Algorithm 2). The steered
-// connection goes to the goroutine parked last on p.idle, or to a new one
-// when none is parked.
+// acceptLoop is the kernel's reuseport dispatch: steer picks each accepted
+// connection's worker. The steered connection goes to the goroutine parked
+// last on p.idle, or to a new one when none is parked.
 //
 // Only a closed listener ends the loop. Go's poller retries EINTR, EAGAIN
 // and ECONNABORTED itself; any other error (EMFILE, ENFILE, ENOBUFS) is
@@ -262,13 +275,7 @@ func (p *Proxy) acceptLoop(ln net.Listener) {
 			continue
 		}
 		backoff = 0
-		h := p.hashSeq.Add(2654435761)
-		via := tracing.ViaProg
-		wi, ok := p.ctl.Select(h, h)
-		if !ok {
-			via = tracing.ViaFallback
-			wi = int(h % uint32(len(p.workers)))
-		}
+		wi, via := p.steer(nc)
 		p.track(nc)
 		c := p.idle.take()
 		parked := c != nil
@@ -284,6 +291,59 @@ func (p *Proxy) acceptLoop(ln net.Listener) {
 			go c.run(p)
 		}
 	}
+}
+
+// attach builds and compiles the controller's dispatch program over the
+// workers at the live MinWorkers; on error the old program stays.
+func (p *Proxy) attach() error {
+	min := p.ctl.Config().MinWorkers
+	prog, err := p.ctl.DispatchProgram(func(i int) ebpf.SockRef { return p.workers[i] })
+	var cp *ebpf.Compiled
+	if err == nil {
+		cp, err = prog.Compiled()
+	}
+	if err == nil {
+		p.prog, p.progMin = cp, min
+	}
+	return err
+}
+
+// steer is Algorithm 2 as the kernel runs it at the reuseport hook: the
+// compiled program over the connection's 4-tuple hash, and reciprocal_scale
+// over all workers when the program declines or errs. A MinWorkers changed
+// by the policy API is compiled in first, as userspace re-attaches.
+func (p *Proxy) steer(nc net.Conn) (int, tracing.Via) {
+	if p.ctl.Config().MinWorkers != p.progMin {
+		_ = p.attach() // on error the old program keeps serving
+	}
+	t := tupleOf(nc)
+	p.env.Ctx = ebpf.ReuseportCtx{Hash: t.Hash(), LocalityHash: t.LocalityHash()}
+	r0, err := p.prog.Run(&p.env)
+	via := tracing.ViaFallback
+	if err != nil {
+		via = tracing.ViaProgError
+	} else if w, ok := p.env.Ctx.Selected.(*worker); ok && r0 == 0 {
+		return w.id, tracing.ViaProg
+	}
+	return int(bitops.ReciprocalScale(p.env.Ctx.Hash, uint32(len(p.workers)))), via
+}
+
+// tupleOf is the accepted connection's 4-tuple as the kernel hashes it. An
+// IPv4-mapped address is its IPv4 address; an IPv6 address folds to the XOR
+// of its four 32-bit words.
+func tupleOf(nc net.Conn) kernel.FourTuple {
+	ra, _ := nc.RemoteAddr().(*net.TCPAddr) // a nil *TCPAddr is the zero AddrPort
+	la, _ := nc.LocalAddr().(*net.TCPAddr)
+	src, dst := ra.AddrPort(), la.AddrPort()
+	return kernel.FourTuple{SrcIP: ip32(src.Addr()), DstIP: ip32(dst.Addr()), SrcPort: src.Port(), DstPort: dst.Port()}
+}
+
+func ip32(a netip.Addr) (h uint32) {
+	b := a.Unmap().AsSlice()
+	for i := 0; i < len(b); i += 4 {
+		h ^= binary.BigEndian.Uint32(b[i:])
+	}
+	return h
 }
 
 // heartbeat is the fleet's epoll_wait timeout: every EpollTimeout it stamps

@@ -170,6 +170,13 @@ grep -q 'hermes_slo_state' "$WORK/scrape.prom" || fail "exposition missing the S
 # it by kind, so some slot reads at least 1.
 grep -Eq '^hermes_faults_injected_total\{slot="[0-9]+"\} [1-9]' "$WORK/scrape.prom" ||
   { grep hermes_faults "$WORK/scrape.prom" >&2 || true; fail "the injected worker crash is not in /metrics"; }
+# The acceptor steers every connection with the controller's compiled
+# dispatch program, so each connection so far is one ebpf.jit.runs. awk reads
+# to the end (no exit), so hermesctl never writes into a closed pipe.
+runs=$(ctl -json stats | awk '
+  /"name": "ebpf.jit.runs"/ { row = 1 }
+  row && /"value"/ { gsub(/[^0-9]/, ""); print; row = 0 }')
+[ "${runs:-0}" -gt 0 ] || fail "ebpf.jit.runs=${runs:-absent} in /stats: the acceptor ran no dispatch program"
 # ok normally; warn is legitimate for a tick or two — the injected worker
 # crash and the phase-2 backend kill can leave a few slow requests in the
 # warn windows. page (or a missing verdict) is a real failure.
@@ -180,7 +187,7 @@ grep -q 'WORKER' "$WORK/top.out" && grep -q "$B1" "$WORK/top.out" ||
   { cat "$WORK/top.out"; fail "hermesctl top frame incomplete"; }
 ctl -interval 200ms -count 2 watch >"$WORK/watch.out" || fail "hermesctl watch failed"
 [ "$(wc -l <"$WORK/watch.out")" -eq 3 ] || { cat "$WORK/watch.out"; fail "watch should print a header + 2 rows"; }
-echo "e2e: phase 4 ok (scrape conformant, injected fault on record, slo ok, dashboards render)"
+echo "e2e: phase 4 ok (scrape conformant, injected fault on record, $runs dispatch program runs, slo ok, dashboards render)"
 
 # Phase 5: slow clients. A second proxy with ONE worker, so every connection
 # shares it: an idle keep-alive connection and a request head dripped a byte
