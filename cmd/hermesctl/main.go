@@ -3,7 +3,7 @@
 //
 //	hermesctl -admin 127.0.0.1:9900 status     # pool availability + SLO state (exit 1 when unavailable)
 //	hermesctl -admin 127.0.0.1:9900 backends   # per-backend health, counters, circuit state
-//	hermesctl -admin 127.0.0.1:9900 stats      # the proxy.* and core.* registry rows + scheduler state
+//	hermesctl -admin 127.0.0.1:9900 stats      # the proxy.*, core.* and ebpf.* registry rows + scheduler state
 //	hermesctl -admin 127.0.0.1:9900 circuits   # the breakers of /backends, one per row
 //	hermesctl -admin 127.0.0.1:9900 slo        # burn-rate monitor status
 //	hermesctl -admin 127.0.0.1:9900 metrics    # raw OpenMetrics exposition (pipe to `hermesctl check prom`)
@@ -298,7 +298,7 @@ func render(cmd, admin string, body []byte, out io.Writer) error {
 		}
 		rows := snap.Metrics[:0]
 		for _, m := range snap.Metrics {
-			if m.Layer == "proxy" || m.Layer == "core" {
+			if m.Layer == "proxy" || m.Layer == "core" || m.Layer == "ebpf" {
 				rows = append(rows, m)
 			}
 		}

@@ -72,6 +72,7 @@ func stubAdmin(t *testing.T) string {
 	rows.errs.Add(2)
 	rows.retries.Add(12)
 	rows.reg.Counter(telemetry.Metric{Name: "core.schedule.recomputes", Layer: "core", Unit: "passes"}).Add(500)
+	rows.reg.Counter(telemetry.Metric{Name: "ebpf.jit.runs", Layer: "ebpf", Unit: "runs"}).Add(160)
 	rows.reg.Gauge(telemetry.Metric{Name: "slo.state", Layer: "slo"}).Set(1)
 	mux.HandleFunc("/stats", rows.serveStats)
 	serve("/status", 200, `{"stats":{"ScheduleCalls":500,"Syncs":480,"Batched":20,"AvgPassed":3.5,"EmptySets":0},
@@ -135,14 +136,15 @@ func TestStatsText(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("exit = %d", code)
 	}
-	// The proxy.* and core.* rows as Snapshot.Text prints them, then the
-	// scheduler's state from /status.
+	// The proxy.*, core.* and ebpf.* rows as Snapshot.Text prints them, then
+	// the scheduler's state from /status.
 	for _, want := range []string{
 		"proxy.worker.requests_served       counter_vec total=160 per-slot=[40 41 39 40]",
 		"proxy.request_latency_ns           histogram   n=160",
 		"proxy.upstream_errors              counter     2",
 		"proxy.retry.attempts               counter     12",
 		"core.schedule.recomputes           counter     500 passes",
+		"ebpf.jit.runs                      counter     160 runs",
 		"500 passes, 480 syncs (20 batched), avg 3.5 selected, 0 empty",
 		"selection bitmap:    1011 (available mask 1111)",
 	} {

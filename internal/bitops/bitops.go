@@ -10,21 +10,24 @@
 // sides of the kernel/user boundary agree on bit numbering (bit 0 = worker 0).
 package bitops
 
+// PopCount64's masks and multiplier. They are exported because the eBPF
+// popcount idiom (ebpf.Assembler.PopCount) emits them as immediates: one
+// definition, so the bytecode and the userspace routine cannot drift.
 const (
-	m1 = 0x5555555555555555 // 01010101...
-	m2 = 0x3333333333333333 // 00110011...
-	m4 = 0x0f0f0f0f0f0f0f0f // 00001111...
-	h1 = 0x0101010101010101 // byte sums multiplier
+	M1 = 0x5555555555555555 // 01010101...
+	M2 = 0x3333333333333333 // 00110011...
+	M4 = 0x0f0f0f0f0f0f0f0f // 00001111...
+	H1 = 0x0101010101010101 // byte sums multiplier
 )
 
 // PopCount64 returns the number of set bits in v (Hamming weight) using the
 // branch-free parallel-sum formulation. It deliberately avoids math/bits so
 // the identical arithmetic can be emitted as simulated eBPF bytecode.
 func PopCount64(v uint64) int {
-	v -= (v >> 1) & m1
-	v = (v & m2) + ((v >> 2) & m2)
-	v = (v + (v >> 4)) & m4
-	return int((v * h1) >> 56)
+	v -= (v >> 1) & M1
+	v = (v & M2) + ((v >> 2) & M2)
+	v = (v + (v >> 4)) & M4
+	return int((v * H1) >> 56)
 }
 
 // FindNthSetBit returns the zero-based position of the n-th set bit of v,

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -396,21 +398,53 @@ func TestDispatchProgramSize(t *testing.T) {
 	}
 }
 
+// The dispatch program's text is pinned instruction for instruction: the
+// SHA-256 of Disassemble() for one, two and four groups under both level-1
+// keys. Every steered SYN runs this text and the JIT fuses it by exact shape,
+// so a change to an emitter must show here, not only as lost speed.
+func TestDispatchProgramText(t *testing.T) {
+	for _, tc := range []struct {
+		groups int
+		key    GroupKey
+		sha256 string
+	}{
+		{1, GroupByTupleHash, "8c59b204254ac7677c32b3bf652286c1a1d0f914d45e7732218aa1ba01921b61"},
+		{1, GroupByLocalityHash, "8c59b204254ac7677c32b3bf652286c1a1d0f914d45e7732218aa1ba01921b61"},
+		{2, GroupByTupleHash, "b91a62e30d19e7de0bad95cdab208059255139ae8b95e17360e048805fd12985"},
+		{2, GroupByLocalityHash, "613928c1ec4a3173acb7eed8bfe99f77f17b0daf7f8e9b45c3b5a821ef0f3da5"},
+		{4, GroupByTupleHash, "5c89f656ae1f2722fb4c6280230462ae3bce258d7fa8190240a5ee33082c8c01"},
+		{4, GroupByLocalityHash, "91d40d680a8e608a91bdbe827d181f03782cd5d90e2dcda2ce81e46f3ec6460d"},
+	} {
+		gm := make([]GroupMaps, tc.groups)
+		for i := range gm {
+			gm[i] = GroupMaps{Sel: ebpf.NewArrayMap(1), Socks: ebpf.NewSockArray(64)}
+		}
+		p, err := BuildDispatchProgram(gm, 2, tc.key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256([]byte(p.Disassemble()))); got != tc.sha256 {
+			t.Errorf("%d groups, key %d: program text SHA-256 %s, want %s", tc.groups, tc.key, got, tc.sha256)
+		}
+	}
+}
+
 // Building and compiling a dispatch program costs a few allocations per
 // structure, not one per instruction or fused window, and compiling costs the
 // same at any group count. The step counts pin that fusion still collapses
 // every popcount and rank-select window. For one and four groups Compile
-// reads 7 and 7 allocations and BuildDispatchProgram 26 and 88 (linux/amd64,
-// go1.24, with or without -race); with the fusion matchers building their
-// shapes on the heap, jump targets and map slots in maps, the assembler
-// growing from empty and labels made by fmt.Sprintf, they read 44 and 204,
-// and 41 and 124.
+// reads 7 and 7 allocations and BuildDispatchProgram 9 and 13 (linux/amd64,
+// go1.24, with or without -race). With string labels and the assembler's
+// pending-jump and defined-label maps, the build read 26 and 88; before that,
+// with the fusion matchers building their shapes on the heap, jump targets
+// and map slots in maps, the assembler growing from empty and labels made by
+// fmt.Sprintf, the two read 44 and 204, and 41 and 124.
 func TestDispatchProgramAllocs(t *testing.T) {
 	const compileBudget = 8
 	for _, tc := range []struct {
 		groups, steps int
 		buildBudget   float64
-	}{{1, 22, 30}, {4, 96, 100}} {
+	}{{1, 22, 12}, {4, 96, 20}} {
 		gm := make([]GroupMaps, tc.groups)
 		for i := range gm {
 			sa := ebpf.NewSockArray(64)

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"strconv"
 
 	"hermes/internal/bitops"
 	"hermes/internal/ebpf"
@@ -14,47 +13,9 @@ import (
 //
 // The program must respect eBPF's constraints (no loops, bounded size), so
 // CountNonZeroBits and FindNthNonZeroBit are expanded inline as straight-line
-// bit arithmetic with forward branches only (§5.4, Bit Twiddling Hacks).
-
-const (
-	m1 = 0x5555555555555555
-	m2 = 0x3333333333333333
-	m4 = 0x0f0f0f0f0f0f0f0f
-	h1 = 0x0101010101010101
-)
-
-// emitPopCount appends dst = popcount(dst), clobbering tmp. 15 instructions,
-// branch-free. The JIT recognizes this exact expansion and fuses it to a
-// native bits.OnesCount64 (internal/ebpf fusion matchers); changing the shape
-// here only costs speed, not correctness.
-func emitPopCount(a *ebpf.Assembler, dst, tmp ebpf.Reg) {
-	a.MovReg(tmp, dst).RshImm(tmp, 1).AndImm(tmp, m1).SubReg(dst, tmp)
-	a.MovReg(tmp, dst).RshImm(tmp, 2).AndImm(tmp, m2).AndImm(dst, m2).AddReg(dst, tmp)
-	a.MovReg(tmp, dst).RshImm(tmp, 4).AddReg(dst, tmp).AndImm(dst, m4)
-	a.MulImm(dst, h1).RshImm(dst, 56)
-}
-
-// emitFindNth appends pos = FindNthNonZeroBit(v, rank), the rank-select walk
-// from 32-bit halves down to single bits. rank (1-based) is consumed; v is
-// preserved; t and tmp are scratch. All branches are forward. The caller
-// guarantees 1 ≤ rank ≤ popcount(v).
-func emitFindNth(a *ebpf.Assembler, v, rank, pos, t, tmp ebpf.Reg, labelPrefix string) {
-	a.MovImm(pos, 0)
-	for _, w := range []uint64{32, 16, 8, 4, 2} {
-		lbl := labelPrefix + "_w" + strconv.Itoa(int(w))
-		a.MovReg(t, v).RshReg(t, pos).AndImm(t, (1<<w)-1)
-		emitPopCount(a, t, tmp)
-		a.JleReg(rank, t, lbl) // rank <= popcount(low half): stay
-		a.AddImm(pos, w)
-		a.SubReg(rank, t)
-		a.Label(lbl)
-	}
-	lbl := labelPrefix + "_w1"
-	a.MovReg(t, v).RshReg(t, pos).AndImm(t, 1)
-	a.JleReg(rank, t, lbl)
-	a.AddImm(pos, 1)
-	a.Label(lbl)
-}
+// bit arithmetic with forward branches only (§5.4, Bit Twiddling Hacks). The
+// expansions are ebpf.Assembler's PopCount and FindNth, written once beside
+// the JIT matchers that fuse them.
 
 // hashMixConst decorrelates the two levels of multi-group dispatch (odd, so the
 // map hash → hash*K mod 2^32 is a bijection: no collisions introduced).
@@ -75,13 +36,12 @@ const hashMixConst = 0x9E3779B1
 func mix32(h uint32) uint32 { return uint32(uint64(h) * hashMixConst) }
 
 // emitGroupDispatch appends the single-group body of Algorithm 2 against the
-// given map slots: load the selection bitmap, count candidates, bail to
-// fallLabel if fewer than minWorkers, otherwise scale the 4-tuple hash to a
-// rank, select that worker's socket and exit 0. labelPrefix uniquifies
-// labels when several group bodies share one program. mixHash decorrelates
-// the rank hash from the level-1 group pick (see hashMixConst) and must be
-// set iff the body is part of a two-level program.
-func emitGroupDispatch(a *ebpf.Assembler, selSlot, sockSlot uint64, minWorkers int, fallLabel, labelPrefix string, mixHash bool) {
+// given map slots: load the selection bitmap, count candidates, jump to
+// fallback if fewer than minWorkers, otherwise scale the 4-tuple hash to a
+// rank, select that worker's socket and exit 0. mixHash decorrelates the
+// rank hash from the level-1 group pick (see hashMixConst) and must be set
+// iff the body is part of a two-level program.
+func emitGroupDispatch(a *ebpf.Assembler, selSlot, sockSlot uint64, minWorkers int, fallback ebpf.Label, mixHash bool) {
 	// R6 = C = M_sel[0]
 	a.LdMap(ebpf.R1, selSlot)
 	a.MovImm(ebpf.R2, 0)
@@ -90,8 +50,8 @@ func emitGroupDispatch(a *ebpf.Assembler, selSlot, sockSlot uint64, minWorkers i
 
 	// R7 = n = CountNonZeroBits(C)
 	a.MovReg(ebpf.R7, ebpf.R6)
-	emitPopCount(a, ebpf.R7, ebpf.R3)
-	a.JltImm(ebpf.R7, uint64(minWorkers), fallLabel)
+	a.PopCount(ebpf.R7, ebpf.R3)
+	a.JltImm(ebpf.R7, uint64(minWorkers), fallback)
 
 	// R8 = reciprocal_scale(hash, n) + 1   (1-based rank)
 	a.Call(ebpf.HelperGetHash)
@@ -105,13 +65,13 @@ func emitGroupDispatch(a *ebpf.Assembler, selSlot, sockSlot uint64, minWorkers i
 	a.AddImm(ebpf.R8, 1)
 
 	// R9 = FindNthNonZeroBit(C, rank)
-	emitFindNth(a, ebpf.R6, ebpf.R8, ebpf.R9, ebpf.R4, ebpf.R5, labelPrefix+"_sel")
+	a.FindNth(ebpf.R6, ebpf.R8, ebpf.R9, ebpf.R4, ebpf.R5)
 
 	// bpf_sk_select_reuseport(M_socket, ID)
 	a.LdMap(ebpf.R1, sockSlot)
 	a.MovReg(ebpf.R2, ebpf.R9)
 	a.Call(ebpf.HelperSkSelectReuseport)
-	a.JneImm(ebpf.R0, 0, fallLabel)
+	a.JneImm(ebpf.R0, 0, fallback)
 	a.MovImm(ebpf.R0, 0)
 	a.Exit()
 }
@@ -157,10 +117,16 @@ func BuildDispatchProgram(groups []GroupMaps, minWorkers int, key GroupKey) (*eb
 		return nil, fmt.Errorf("core: minWorkers must be ≥ 1, got %d", minWorkers)
 	}
 	a := ebpf.NewAssembler()
-	type slots struct{ sel, sock uint64 }
-	ss := make([]slots, len(groups))
+	fallback := a.NewLabel()
+	// A group's body starts at its entry label: the level-1 branch chain's
+	// target, bound (to no effect) in a one-group program too.
+	type body struct {
+		sel, sock uint64
+		entry     ebpf.Label
+	}
+	bodies := make([]body, len(groups))
 	for i, g := range groups {
-		ss[i] = slots{sel: a.AddMap(g.Sel), sock: a.AddMap(g.Socks)}
+		bodies[i] = body{sel: a.AddMap(g.Sel), sock: a.AddMap(g.Socks), entry: a.NewLabel()}
 	}
 	twoLevel := len(groups) > 1
 
@@ -178,18 +144,16 @@ func BuildDispatchProgram(groups []GroupMaps, minWorkers int, key GroupKey) (*eb
 		a.MovReg(ebpf.R9, ebpf.R0)
 
 		// Branch chain to the matching group body.
-		for i := range groups {
-			a.JeqImm(ebpf.R9, uint64(i), "grp"+strconv.Itoa(i))
+		for i, b := range bodies {
+			a.JeqImm(ebpf.R9, uint64(i), b.entry)
 		}
-		a.Ja("fallback")
+		a.Ja(fallback)
 	}
-	for i, s := range ss {
-		if twoLevel {
-			a.Label("grp" + strconv.Itoa(i))
-		}
-		emitGroupDispatch(a, s.sel, s.sock, minWorkers, "fallback", "g"+strconv.Itoa(i), twoLevel)
+	for _, b := range bodies {
+		a.Bind(b.entry)
+		emitGroupDispatch(a, b.sel, b.sock, minWorkers, fallback, twoLevel)
 	}
-	a.Label("fallback")
+	a.Bind(fallback)
 	a.MovImm(ebpf.R0, 1)
 	a.Exit()
 	return a.Assemble()

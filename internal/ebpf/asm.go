@@ -6,29 +6,43 @@ import (
 	"sync"
 )
 
-// Assembler builds instruction sequences with symbolic forward labels, so
-// program generators (like the Hermes dispatch builder) don't hand-compute
-// jump offsets. Labels must be defined after every jump that references them
-// — the verifier would reject backward jumps anyway.
+// Assembler builds instruction sequences with forward labels, so program
+// generators (like the Hermes dispatch builder) don't hand-compute jump
+// offsets. A Label is an index made by NewLabel and placed by Bind, after
+// every jump that references it — the verifier would reject backward jumps
+// anyway. Until its label is bound, a jump's Off holds the index of the
+// previous jump waiting for the same label (-1 ends the chain), so pending
+// jumps cost no storage of their own. Algorithm 2's bit-twiddling idioms are
+// emitted whole by PopCount and FindNth (jit.go, beside the matchers that
+// fuse them).
 type Assembler struct {
-	insns   []Insn
-	maps    []Map
-	pending map[string][]int // label -> indices of jumps waiting for it
-	defined map[string]bool
-	err     error
+	insns  []Insn
+	maps   []Map
+	labels []label
+	err    error
 }
 
-// assemblerInsns is the instruction capacity an assembler starts with: room
-// for a one-group Algorithm 2 program (146 instructions), so building one
-// never regrows the slice, and a four-group one (592) regrows it twice.
-const assemblerInsns = 256
+// Label is a forward jump target of the assembler that made it.
+type Label int32
+
+// label is a Label's state: pos is the pc it is bound to (-1 until Bind),
+// head the newest jump still waiting for it (-1 when none).
+type label struct{ pos, head int32 }
+
+// Initial capacities: room for a one-group Algorithm 2 program (146
+// instructions) and a four-group program's labels, so building one never
+// regrows either slice; a four-group program (592 instructions) regrows the
+// instructions twice.
+const (
+	assemblerInsns  = 256
+	assemblerLabels = 8
+)
 
 // NewAssembler returns an empty assembler.
 func NewAssembler() *Assembler {
 	return &Assembler{
-		insns:   make([]Insn, 0, assemblerInsns),
-		pending: make(map[string][]int),
-		defined: make(map[string]bool),
+		insns:  make([]Insn, 0, assemblerInsns),
+		labels: make([]label, 0, assemblerLabels),
 	}
 }
 
@@ -98,12 +112,6 @@ func (a *Assembler) OrReg(dst, src Reg) *Assembler {
 func (a *Assembler) XorReg(dst, src Reg) *Assembler {
 	return a.emit(Insn{Op: OpXorReg, Dst: dst, Src: src})
 }
-func (a *Assembler) LshReg(dst, src Reg) *Assembler {
-	return a.emit(Insn{Op: OpLshReg, Dst: dst, Src: src})
-}
-func (a *Assembler) RshReg(dst, src Reg) *Assembler {
-	return a.emit(Insn{Op: OpRshReg, Dst: dst, Src: src})
-}
 
 // Neg emits dst = -dst.
 func (a *Assembler) Neg(dst Reg) *Assembler { return a.emit(Insn{Op: OpNeg, Dst: dst}) }
@@ -121,70 +129,53 @@ func (a *Assembler) Call(h HelperID) *Assembler {
 // Exit emits program termination.
 func (a *Assembler) Exit() *Assembler { return a.emit(Insn{Op: OpExit}) }
 
-func (a *Assembler) jump(op Op, dst, src Reg, imm uint64, label string) *Assembler {
-	if a.defined[label] {
-		a.err = fmt.Errorf("ebpf: backward jump to already-defined label %q", label)
-		return a
-	}
-	a.pending[label] = append(a.pending[label], len(a.insns))
-	return a.emit(Insn{Op: op, Dst: dst, Src: src, Imm: imm})
+// NewLabel returns an unbound label.
+func (a *Assembler) NewLabel() Label {
+	a.labels = append(a.labels, label{pos: -1, head: -1})
+	return Label(len(a.labels) - 1)
 }
 
-// Ja emits an unconditional forward jump to label.
-func (a *Assembler) Ja(label string) *Assembler { return a.jump(OpJa, 0, 0, 0, label) }
+func (a *Assembler) jump(op Op, dst, src Reg, imm uint64, l Label) *Assembler {
+	s := &a.labels[l]
+	if s.pos >= 0 {
+		a.err = fmt.Errorf("ebpf: backward jump to label %d, bound at %d", l, s.pos)
+		return a
+	}
+	a.emit(Insn{Op: op, Dst: dst, Src: src, Imm: imm, Off: s.head})
+	s.head = int32(len(a.insns) - 1)
+	return a
+}
+
+// Ja emits an unconditional forward jump to l.
+func (a *Assembler) Ja(l Label) *Assembler { return a.jump(OpJa, 0, 0, 0, l) }
 
 // Conditional jumps, immediate comparand.
-func (a *Assembler) JeqImm(dst Reg, imm uint64, label string) *Assembler {
-	return a.jump(OpJeqImm, dst, 0, imm, label)
+func (a *Assembler) JeqImm(dst Reg, imm uint64, l Label) *Assembler {
+	return a.jump(OpJeqImm, dst, 0, imm, l)
 }
-func (a *Assembler) JneImm(dst Reg, imm uint64, label string) *Assembler {
-	return a.jump(OpJneImm, dst, 0, imm, label)
+func (a *Assembler) JneImm(dst Reg, imm uint64, l Label) *Assembler {
+	return a.jump(OpJneImm, dst, 0, imm, l)
 }
-func (a *Assembler) JgtImm(dst Reg, imm uint64, label string) *Assembler {
-	return a.jump(OpJgtImm, dst, 0, imm, label)
+func (a *Assembler) JgtImm(dst Reg, imm uint64, l Label) *Assembler {
+	return a.jump(OpJgtImm, dst, 0, imm, l)
 }
-func (a *Assembler) JgeImm(dst Reg, imm uint64, label string) *Assembler {
-	return a.jump(OpJgeImm, dst, 0, imm, label)
-}
-func (a *Assembler) JltImm(dst Reg, imm uint64, label string) *Assembler {
-	return a.jump(OpJltImm, dst, 0, imm, label)
-}
-func (a *Assembler) JleImm(dst Reg, imm uint64, label string) *Assembler {
-	return a.jump(OpJleImm, dst, 0, imm, label)
+func (a *Assembler) JltImm(dst Reg, imm uint64, l Label) *Assembler {
+	return a.jump(OpJltImm, dst, 0, imm, l)
 }
 
-// Conditional jumps, register comparand.
-func (a *Assembler) JeqReg(dst, src Reg, label string) *Assembler {
-	return a.jump(OpJeqReg, dst, src, 0, label)
-}
-func (a *Assembler) JneReg(dst, src Reg, label string) *Assembler {
-	return a.jump(OpJneReg, dst, src, 0, label)
-}
-func (a *Assembler) JgtReg(dst, src Reg, label string) *Assembler {
-	return a.jump(OpJgtReg, dst, src, 0, label)
-}
-func (a *Assembler) JgeReg(dst, src Reg, label string) *Assembler {
-	return a.jump(OpJgeReg, dst, src, 0, label)
-}
-func (a *Assembler) JltReg(dst, src Reg, label string) *Assembler {
-	return a.jump(OpJltReg, dst, src, 0, label)
-}
-func (a *Assembler) JleReg(dst, src Reg, label string) *Assembler {
-	return a.jump(OpJleReg, dst, src, 0, label)
-}
-
-// Label defines label at the current position, resolving pending jumps.
-func (a *Assembler) Label(label string) *Assembler {
-	if a.defined[label] {
-		a.err = fmt.Errorf("ebpf: label %q defined twice", label)
+// Bind places l at the current position and patches the jumps waiting for it.
+func (a *Assembler) Bind(l Label) *Assembler {
+	s := &a.labels[l]
+	if s.pos >= 0 {
+		a.err = fmt.Errorf("ebpf: label %d bound twice", l)
 		return a
 	}
-	a.defined[label] = true
-	here := len(a.insns)
-	for _, idx := range a.pending[label] {
-		a.insns[idx].Off = int32(here - idx - 1)
+	here := int32(len(a.insns))
+	for j := s.head; j >= 0; {
+		in := &a.insns[j]
+		j, in.Off = in.Off, here-j-1
 	}
-	delete(a.pending, label)
+	s.pos, s.head = here, -1
 	return a
 }
 
@@ -193,12 +184,10 @@ func (a *Assembler) Assemble() (*Program, error) {
 	if a.err != nil {
 		return nil, a.err
 	}
-	if len(a.pending) > 0 {
-		var missing []string
-		for l := range a.pending {
-			missing = append(missing, l)
+	for l, s := range a.labels {
+		if s.head >= 0 {
+			return nil, fmt.Errorf("ebpf: jump to unbound label %d", l)
 		}
-		return nil, fmt.Errorf("ebpf: undefined labels: %s", strings.Join(missing, ", "))
 	}
 	p := &Program{insns: append([]Insn(nil), a.insns...), maps: append([]Map(nil), a.maps...)}
 	if err := Verify(p); err != nil {

@@ -89,10 +89,11 @@ func TestConditionalJumps(t *testing.T) {
 	// if R6 > 10 -> R0=1 else R0=2
 	build := func(v uint64) *Program {
 		a := NewAssembler()
+		big := a.NewLabel()
 		a.MovImm(R6, v).
-			JgtImm(R6, 10, "big").
+			JgtImm(R6, 10, big).
 			MovImm(R0, 2).Exit().
-			Label("big").
+			Bind(big).
 			MovImm(R0, 1).Exit()
 		return mustAssembleHelper(a)
 	}
@@ -131,14 +132,22 @@ func TestVerifierRejections(t *testing.T) {
 			return NewAssembler().MovImm(R0, 1).Assemble()
 		}, "fall off"},
 		{"undefined-label", func() (*Program, error) {
-			return NewAssembler().MovImm(R0, 0).JeqImm(R0, 0, "nowhere").Exit().Assemble()
-		}, "undefined label"},
+			a := NewAssembler()
+			return a.MovImm(R0, 0).JeqImm(R0, 0, a.NewLabel()).Exit().Assemble()
+		}, "unbound label"},
 		{"backward-jump", func() (*Program, error) {
 			a := NewAssembler()
-			a.Label("loop").MovImm(R0, 0)
-			a.Ja("loop")
+			loop := a.NewLabel()
+			a.Bind(loop).MovImm(R0, 0)
+			a.Ja(loop)
 			return a.Assemble()
 		}, "backward"},
+		{"label-bound-twice", func() (*Program, error) {
+			a := NewAssembler()
+			l := a.NewLabel()
+			a.MovImm(R0, 0).JeqImm(R0, 0, l).Bind(l).MovImm(R0, 1).Bind(l).Exit()
+			return a.Assemble()
+		}, "bound twice"},
 		{"unknown-helper", func() (*Program, error) {
 			p := &Program{insns: []Insn{
 				{Op: OpCall, Imm: 999},
@@ -171,10 +180,11 @@ func TestVerifierRejections(t *testing.T) {
 		{"partial-init-across-paths", func() (*Program, error) {
 			// R6 initialized on only one branch, then read after the merge.
 			a := NewAssembler()
+			skip := a.NewLabel()
 			a.MovImm(R0, 0).
-				JeqImm(R0, 0, "skip").
+				JeqImm(R0, 0, skip).
 				MovImm(R6, 1).
-				Label("skip").
+				Bind(skip).
 				MovReg(R0, R6).Exit()
 			return a.Assemble()
 		}, "uninitialized"},
@@ -203,16 +213,43 @@ func TestVerifierRejections(t *testing.T) {
 func TestVerifierAcceptsDiamond(t *testing.T) {
 	// R6 initialized on both branches before the merged read: must pass.
 	a := NewAssembler()
+	then, join := a.NewLabel(), a.NewLabel()
 	a.MovImm(R0, 0).
-		JeqImm(R0, 0, "then").
-		MovImm(R6, 1).Ja("join").
-		Label("then").
+		JeqImm(R0, 0, then).
+		MovImm(R6, 1).Ja(join).
+		Bind(then).
 		MovImm(R6, 2).
-		Label("join").
+		Bind(join).
 		MovReg(R0, R6).Exit()
 	p := mustAssemble(t, a)
 	if got := run(t, p, nil); got != 2 {
 		t.Fatalf("diamond result = %d, want 2 (then-branch)", got)
+	}
+}
+
+// Every jump waiting for a label is patched when it is bound, however many
+// wait and whichever kind they are; a label nothing jumps to binds to no
+// effect.
+func TestLabelPatchesEveryWaitingJump(t *testing.T) {
+	a := NewAssembler()
+	out, unused := a.NewLabel(), a.NewLabel()
+	a.MovImm(R0, 7).
+		JeqImm(R0, 1, out). // pc 1
+		JgtImm(R0, 9, out). // pc 2
+		Bind(unused).
+		JltImm(R0, 3, out). // pc 3
+		Ja(out).            // pc 4
+		MovImm(R0, 0).
+		Bind(out).
+		Exit() // pc 6
+	p := mustAssemble(t, a)
+	for pc, want := range map[int]int32{1: 4, 2: 3, 3: 2, 4: 1} {
+		if got := p.insns[pc].Off; got != want {
+			t.Errorf("jump at pc %d: Off %d, want %d\n%s", pc, got, want, p.Disassemble())
+		}
+	}
+	if got := run(t, p, nil); got != 7 {
+		t.Fatalf("R0 = %d, want 7", got)
 	}
 }
 
@@ -337,10 +374,11 @@ func TestSockArrayBounds(t *testing.T) {
 func TestDisassembleStable(t *testing.T) {
 	a := NewAssembler()
 	slot := a.AddMap(NewArrayMap(1))
+	zero := a.NewLabel()
 	a.LdMap(R1, slot).MovImm(R2, 0).Call(HelperMapLookupElem).
-		JeqImm(R0, 0, "zero").
+		JeqImm(R0, 0, zero).
 		MovImm(R0, 1).Exit().
-		Label("zero").MovImm(R0, 0).Exit()
+		Bind(zero).MovImm(R0, 0).Exit()
 	p := mustAssemble(t, a)
 	dis := p.Disassemble()
 	for _, frag := range []string{"map[0]", "call bpf_map_lookup_elem", "goto +", "exit"} {

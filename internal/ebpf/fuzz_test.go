@@ -88,8 +88,8 @@ func TestFuzzVerifiedProgramsTerminate(t *testing.T) {
 }
 
 // idiomPrelude returns an instruction block seeding the fusable idioms the
-// JIT's pattern matcher targets: the 15-insn SWAR popcount and the 3-insn
-// shifted-window extract. Random programs alone essentially never emit these
+// JIT's pattern matcher targets: the 15-insn SWAR popcount and the 111-insn
+// rank-select walk. Random programs alone essentially never emit these
 // shapes, so the differential fuzzer splices them in (prepended, so relative
 // jump offsets in the random tail stay valid).
 func idiomPrelude(rng *rand.Rand) []Insn {
@@ -102,10 +102,12 @@ func idiomPrelude(rng *rand.Rand) []Insn {
 		{Op: OpMovImm, Dst: dst, Imm: rng.Uint64()},
 		{Op: OpMovImm, Dst: tmp, Imm: rng.Uint64()},
 	}
-	switch rng.Intn(3) {
+	switch rng.Intn(2) {
 	case 0:
-		block = append(block, emitPopCountInsns(dst, tmp)...)
-	case 1:
+		var pop [popCountLen]Insn
+		popCountShape(&pop, dst, tmp)
+		block = append(block, pop[:]...)
+	default:
 		// Full rank-select walk over five pairwise-distinct registers; v and
 		// rank (dst, tmp here) are seeded above, pos/t/tmp2 are written by
 		// the walk itself.
@@ -121,21 +123,6 @@ func idiomPrelude(rng *rand.Rand) []Insn {
 			findNthShape(&walk, dst, tmp, pos, t, tmp2)
 			block = append(block, walk[:]...)
 		}
-	default:
-		// Window extract: t = (v >> pos) & mask, with v, pos, t distinct and
-		// pos != t (the matcher's aliasing precondition; violating shapes are
-		// covered by the random generator).
-		v, pos := dst, tmp
-		t := Reg(rng.Intn(10))
-		for t == v || t == pos {
-			t = Reg(rng.Intn(10))
-		}
-		block = append(block,
-			Insn{Op: OpMovImm, Dst: t, Imm: rng.Uint64()},
-			Insn{Op: OpMovReg, Dst: t, Src: v},
-			Insn{Op: OpRshReg, Dst: t, Src: pos},
-			Insn{Op: OpAndImm, Dst: t, Imm: 1<<(1+rng.Intn(32)) - 1},
-		)
 	}
 	return block
 }

@@ -3,6 +3,7 @@ package ebpf
 import (
 	"math/bits"
 
+	"hermes/internal/bitops"
 	"hermes/internal/telemetry"
 )
 
@@ -27,11 +28,13 @@ import (
 //     dispatch, handle validation and map-type checks disappear from the run
 //     path (the verifier already proved them; the dataflow pass only decides
 //     whether the proof pins a single slot).
-//   - Fuse known idioms. The branch-free SWAR popcount sequence emitted by
-//     core's dispatch builder (15 ALU instructions) collapses into one step
-//     built on bits.OnesCount64, the rank-select walk around it (111
-//     instructions) into another, and a shift-and-mask window extraction
-//     (3 instructions) into a third. Fusion preserves register fidelity: the
+//   - Fuse known idioms. Assembler.PopCount's branch-free SWAR sequence (15
+//     ALU instructions) collapses into one step built on bits.OnesCount64,
+//     and Assembler.FindNth's rank-select walk (111 instructions) into
+//     another. Both are written once, as the shapes at the end of this file:
+//     the emitters append them and the matchers compare against them, so an
+//     idiom emitted on distinct registers always fuses unless a jump from
+//     outside lands inside it. Fusion preserves register fidelity: the
 //     fused step also writes the exact final value of every scratch
 //     register, so later reads see what the instruction sequence would have
 //     produced.
@@ -68,7 +71,6 @@ type Env struct {
 const (
 	stepPopCount Op = OpExit + 1 + iota // dst = popcount(dst), src = the SWAR scratch
 	stepFindNth                         // the rank-select walk over r[0..4] = v, rank, pos, t, tmp
-	stepWindow                          // dst = (src >> r[0]) & imm
 	stepGetHash
 	stepGetLocalityHash
 	stepReciprocalScale
@@ -222,8 +224,8 @@ func (c *Compiled) Run(e *Env) (uint64, error) {
 		// there, scratch included, in case a later instruction reads it.
 		case stepPopCount:
 			v := regs[s.dst]
-			d1 := v - ((v >> 1) & m1)
-			d2 := (d1 & m2) + ((d1 >> 2) & m2)
+			d1 := v - ((v >> 1) & bitops.M1)
+			d2 := (d1 & bitops.M2) + ((d1 >> 2) & bitops.M2)
 			regs[s.src] = d2 >> 4 // the second fold's partial sums, shifted by the third round's extract
 			regs[s.dst] = uint64(bits.OnesCount64(v))
 		case stepFindNth:
@@ -231,8 +233,8 @@ func (c *Compiled) Run(e *Env) (uint64, error) {
 			var p, tm uint64
 			for _, w := range findNthWidths {
 				win := (vv >> (p & 63)) & (1<<w - 1)
-				d1 := win - ((win >> 1) & m1)
-				d2 := (d1 & m2) + ((d1 >> 2) & m2)
+				d1 := win - ((win >> 1) & bitops.M1)
+				d2 := (d1 & bitops.M2) + ((d1 >> 2) & bitops.M2)
 				tm = d2 >> 4
 				cnt := uint64(bits.OnesCount64(win))
 				if rk > cnt { // JleReg not taken: descend into the high half
@@ -245,8 +247,6 @@ func (c *Compiled) Run(e *Env) (uint64, error) {
 				p++
 			}
 			regs[s.r[1]], regs[s.r[2]], regs[s.r[3]], regs[s.r[4]] = rk, p, fin, tm
-		case stepWindow:
-			regs[s.dst] = (regs[s.src] >> (regs[s.r[0]] & 63)) & s.imm
 
 		default:
 			return 0, ErrUnknownOpcode
@@ -309,9 +309,6 @@ func lower(p *Program, pc int, entries, slots []int32) (step, int) {
 	}
 	if dst, tmp, ok := matchPopCount(p.insns, pc); ok && singleEntry(entries, pc, popCountLen) {
 		return step{op: stepPopCount, dst: dst, src: tmp, to: -1}, popCountLen
-	}
-	if t, v, pos, mask, ok := matchWindowExtract(p.insns, pc); ok && singleEntry(entries, pc, 3) {
-		return step{op: stepWindow, dst: t, src: v, r: [5]Reg{pos}, imm: mask, to: -1}, 3
 	}
 	in := p.insns[pc]
 	st := step{op: in.Op, dst: in.Dst, src: in.Src, imm: in.Imm, to: -1}
@@ -447,36 +444,49 @@ func resolveMapSlots(p *Program) []int32 {
 
 // --- Idiom fusion -----------------------------------------------------------
 
-// popCountLen is the length of the SWAR popcount sequence core's dispatch
-// builder emits (emitPopCount): three fold rounds plus the multiply-shift
-// horizontal sum.
+// Algorithm 2's CountNonZeroBits and FindNthNonZeroBit, expanded as eBPF must
+// have them (no loops, §5.4): each shape below is written once, appended by
+// its Assembler method and compared against by its matcher.
+
+// popCountLen is the length of the SWAR popcount sequence: three fold rounds
+// plus the multiply-shift horizontal sum.
 const popCountLen = 15
 
-// popCountShape fills sh with the emitPopCount(dst, tmp) expansion: three
-// SWAR fold rounds plus the multiply-shift horizontal sum. The matchers fill
+// PopCount appends dst = popcount(dst), clobbering tmp: popCountLen
+// branch-free instructions, which Compile fuses to one bits.OnesCount64 step
+// when dst ≠ tmp.
+func (a *Assembler) PopCount(dst, tmp Reg) *Assembler {
+	var sh [popCountLen]Insn
+	popCountShape(&sh, dst, tmp)
+	a.insns = append(a.insns, sh[:]...)
+	return a
+}
+
+// popCountShape fills sh with the PopCount(dst, tmp) expansion:
+// bitops.PopCount64's arithmetic, its masks as immediates. The matchers fill
 // a shape on their own stack, so compiling allocates none.
 func popCountShape(sh *[popCountLen]Insn, dst, tmp Reg) {
 	*sh = [popCountLen]Insn{
 		{Op: OpMovReg, Dst: tmp, Src: dst},
 		{Op: OpRshImm, Dst: tmp, Imm: 1},
-		{Op: OpAndImm, Dst: tmp, Imm: m1},
+		{Op: OpAndImm, Dst: tmp, Imm: bitops.M1},
 		{Op: OpSubReg, Dst: dst, Src: tmp},
 		{Op: OpMovReg, Dst: tmp, Src: dst},
 		{Op: OpRshImm, Dst: tmp, Imm: 2},
-		{Op: OpAndImm, Dst: tmp, Imm: m2},
-		{Op: OpAndImm, Dst: dst, Imm: m2},
+		{Op: OpAndImm, Dst: tmp, Imm: bitops.M2},
+		{Op: OpAndImm, Dst: dst, Imm: bitops.M2},
 		{Op: OpAddReg, Dst: dst, Src: tmp},
 		{Op: OpMovReg, Dst: tmp, Src: dst},
 		{Op: OpRshImm, Dst: tmp, Imm: 4},
 		{Op: OpAddReg, Dst: dst, Src: tmp},
-		{Op: OpAndImm, Dst: dst, Imm: m4},
-		{Op: OpMulImm, Dst: dst, Imm: h1},
+		{Op: OpAndImm, Dst: dst, Imm: bitops.M4},
+		{Op: OpMulImm, Dst: dst, Imm: bitops.H1},
 		{Op: OpRshImm, Dst: dst, Imm: 56},
 	}
 }
 
 // matchPopCount reports whether insns[pc:pc+popCountLen] is exactly the
-// emitPopCount(dst, tmp) shape, returning the two registers.
+// PopCount(dst, tmp) shape, returning the two registers.
 func matchPopCount(insns []Insn, pc int) (dst, tmp Reg, ok bool) {
 	if pc+popCountLen > len(insns) {
 		return 0, 0, false
@@ -494,47 +504,31 @@ func matchPopCount(insns []Insn, pc int) (dst, tmp Reg, ok bool) {
 	return dst, tmp, true
 }
 
-// SWAR constants, shared with core's emitPopCount (which emits them as
-// immediates — the matcher compares against the same values).
-const (
-	m1 = 0x5555555555555555
-	m2 = 0x3333333333333333
-	m4 = 0x0f0f0f0f0f0f0f0f
-	h1 = 0x0101010101010101
-)
-
-// matchWindowExtract reports whether insns[pc:pc+3] is the rank-select walk's
-// window extraction — t = (v >> pos) & mask — returning the registers and
-// mask. Requires pos ≠ t: the fused form reads pos after t would have been
-// overwritten.
-func matchWindowExtract(insns []Insn, pc int) (t, v, pos Reg, mask uint64, ok bool) {
-	if pc+3 > len(insns) {
-		return 0, 0, 0, 0, false
-	}
-	i0, i1, i2 := insns[pc], insns[pc+1], insns[pc+2]
-	if i0.Op != OpMovReg || i1.Op != OpRshReg || i2.Op != OpAndImm {
-		return 0, 0, 0, 0, false
-	}
-	t, v, pos = i0.Dst, i0.Src, i1.Src
-	if i1.Dst != t || i2.Dst != t || pos == t {
-		return 0, 0, 0, 0, false
-	}
-	return t, v, pos, i2.Imm, true
-}
-
 // findNthWidths are the rank-select walk's halving windows; the final 1-bit
 // probe is emitted without a popcount.
 var findNthWidths = [...]uint64{32, 16, 8, 4, 2}
 
-// findNthLen is the length of the full rank-select walk core's dispatch
-// builder emits (emitFindNth): pos init, five extract+popcount+branch rounds,
-// and the final single-bit probe.
+// findNthLen is the length of the full rank-select walk: pos init, five
+// extract+popcount+branch rounds, and the final single-bit probe.
 const findNthLen = 1 + len(findNthWidths)*(3+popCountLen+3) + 5
 
-// findNthShape fills sh with the exact instruction sequence emitFindNth(v,
-// rank, pos, t, tmp) produces, for structural matching. Branch offsets are
-// fixed by construction: each round's JleReg skips its own AddImm/SubReg
-// pair, the final probe's skips one AddImm.
+// FindNth appends pos = FindNthNonZeroBit(v, rank), the rank-select walk from
+// 32-bit halves down to single bits: findNthLen instructions, which Compile
+// fuses to one step when the five registers are pairwise distinct. rank
+// (1-based) is consumed; v is preserved; t and tmp are scratch. The walk's
+// branches are forward and stay inside it, so it needs no labels. The caller
+// guarantees 1 ≤ rank ≤ popcount(v).
+func (a *Assembler) FindNth(v, rank, pos, t, tmp Reg) *Assembler {
+	var sh [findNthLen]Insn
+	findNthShape(&sh, v, rank, pos, t, tmp)
+	a.insns = append(a.insns, sh[:]...)
+	return a
+}
+
+// findNthShape fills sh with the FindNth(v, rank, pos, t, tmp) expansion.
+// Branch offsets are fixed by construction: each round's JleReg (rank ≤
+// popcount of the low window: stay) skips its own AddImm/SubReg pair, the
+// final probe's skips one AddImm.
 func findNthShape(sh *[findNthLen]Insn, v, rank, pos, t, tmp Reg) {
 	sh[0] = Insn{Op: OpMovImm, Dst: pos, Imm: 0}
 	i := 1
@@ -557,10 +551,10 @@ func findNthShape(sh *[findNthLen]Insn, v, rank, pos, t, tmp Reg) {
 	sh[i+4] = Insn{Op: OpAddImm, Dst: pos, Imm: 1}
 }
 
-// matchFindNth reports whether insns[pc:pc+findNthLen] is exactly an
-// emitFindNth expansion, returning its five registers. The registers must be
-// pairwise distinct (they are in every emitted program; aliased variants
-// would change semantics and are left to the per-instruction compiler).
+// matchFindNth reports whether insns[pc:pc+findNthLen] is exactly a FindNth
+// expansion, returning its five registers. The registers must be pairwise
+// distinct (they are in every emitted program; aliased variants would change
+// semantics and are left to the per-instruction compiler).
 func matchFindNth(insns []Insn, pc int) (v, rank, pos, t, tmp Reg, ok bool) {
 	if pc+findNthLen > len(insns) {
 		return 0, 0, 0, 0, 0, false

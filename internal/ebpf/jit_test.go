@@ -28,35 +28,15 @@ func runBoth(t *testing.T, p *Program, ctx ReuseportCtx) (uint64, error) {
 	return ir0, ierr
 }
 
-// emitPopCountInsns returns the exact 15-instruction SWAR popcount shape
-// core's dispatch builder emits (and the fusion matcher recognizes).
-func emitPopCountInsns(dst, tmp Reg) []Insn {
-	return []Insn{
-		{Op: OpMovReg, Dst: tmp, Src: dst},
-		{Op: OpRshImm, Dst: tmp, Imm: 1},
-		{Op: OpAndImm, Dst: tmp, Imm: m1},
-		{Op: OpSubReg, Dst: dst, Src: tmp},
-		{Op: OpMovReg, Dst: tmp, Src: dst},
-		{Op: OpRshImm, Dst: tmp, Imm: 2},
-		{Op: OpAndImm, Dst: tmp, Imm: m2},
-		{Op: OpAndImm, Dst: dst, Imm: m2},
-		{Op: OpAddReg, Dst: dst, Src: tmp},
-		{Op: OpMovReg, Dst: tmp, Src: dst},
-		{Op: OpRshImm, Dst: tmp, Imm: 4},
-		{Op: OpAddReg, Dst: dst, Src: tmp},
-		{Op: OpAndImm, Dst: dst, Imm: m4},
-		{Op: OpMulImm, Dst: dst, Imm: h1},
-		{Op: OpRshImm, Dst: dst, Imm: 56},
-	}
-}
-
 // The popcount idiom must fuse (shrinking the step sequence) while staying
 // bit-identical to the interpreter — including the scratch register's final
 // value, which later instructions are allowed to read.
 func TestJITPopCountFusionAndRegisterFidelity(t *testing.T) {
 	for _, returnReg := range []Reg{R6, R3} { // popcount result / scratch
+		var pop [popCountLen]Insn
+		popCountShape(&pop, R6, R3)
 		insns := []Insn{{Op: OpMovImm, Dst: R6, Imm: 0}, {Op: OpMovImm, Dst: R3, Imm: 0}}
-		insns = append(insns, emitPopCountInsns(R6, R3)...)
+		insns = append(insns, pop[:]...)
 		insns = append(insns, Insn{Op: OpMovReg, Dst: R0, Src: returnReg}, Insn{Op: OpExit})
 		for _, v := range []uint64{0, 1, 0xffffffffffffffff, 0x8000000000000001, 0x5555aaaa33337777, 12345} {
 			insns[0].Imm = v
@@ -87,7 +67,9 @@ func TestJITFusionBlockedByJumpTarget(t *testing.T) {
 		{Op: OpMovImm, Dst: R3, Imm: 0},
 		{Op: OpJeqImm, Dst: R6, Imm: 0, Off: 2}, // never taken, but targets pc+3+2
 	}
-	insns = append(insns, emitPopCountInsns(R6, R3)...)
+	var pop [popCountLen]Insn
+	popCountShape(&pop, R6, R3)
+	insns = append(insns, pop[:]...)
 	insns = append(insns, Insn{Op: OpMovReg, Dst: R0, Src: R6}, Insn{Op: OpExit})
 	p := &Program{insns: insns}
 	if err := Verify(p); err != nil {
@@ -107,6 +89,9 @@ func TestJITFusionBlockedByJumpTarget(t *testing.T) {
 // a fused window, a branch onto its first instruction and a branch past two of
 // them must each land where the interpreter lands, taken or not.
 func TestJITJumpsAcrossFusedWindows(t *testing.T) {
+	var pop6, pop7 [popCountLen]Insn
+	popCountShape(&pop6, R6, R3)
+	popCountShape(&pop7, R7, R3)
 	for _, v := range []uint64{0, 1, 0xf0f0_1234_5678_9abc} {
 		insns := []Insn{
 			{Op: OpMovImm, Dst: R6, Imm: v},
@@ -116,9 +101,9 @@ func TestJITJumpsAcrossFusedWindows(t *testing.T) {
 			{Op: OpJeqImm, Dst: R6, Imm: 1, Off: 1},                 // onto the first window's first instruction
 			{Op: OpMovImm, Dst: R6, Imm: 0x0f0f},
 		}
-		insns = append(insns, emitPopCountInsns(R6, R3)...)
+		insns = append(insns, pop6[:]...)
 		insns = append(insns, Insn{Op: OpJgtImm, Dst: R6, Imm: 4, Off: popCountLen}) // over the second window
-		insns = append(insns, emitPopCountInsns(R7, R3)...)
+		insns = append(insns, pop7[:]...)
 		insns = append(insns,
 			Insn{Op: OpMovReg, Dst: R0, Src: R6},
 			Insn{Op: OpLshImm, Dst: R0, Imm: 8},

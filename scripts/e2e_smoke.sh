@@ -177,6 +177,7 @@ runs=$(ctl -json stats | awk '
   /"name": "ebpf.jit.runs"/ { row = 1 }
   row && /"value"/ { gsub(/[^0-9]/, ""); print; row = 0 }')
 [ "${runs:-0}" -gt 0 ] || fail "ebpf.jit.runs=${runs:-absent} in /stats: the acceptor ran no dispatch program"
+ctl_has '^ebpf\.jit\.runs ' stats || { ctl stats; fail "hermesctl stats does not print the ebpf.* rows"; }
 # ok normally; warn is legitimate for a tick or two — the injected worker
 # crash and the phase-2 backend kill can leave a few slow requests in the
 # warn windows. page (or a missing verdict) is a real failure.
