@@ -135,13 +135,13 @@ func BenchmarkAblationFilterOrder(b *testing.B) {
 		b.Run(ord.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				res, err := bench.Run(bench.RunConfig{
-					Mode:      l7lb.ModeHermes,
-					Workers:   o.Workers,
-					Seed:      int64(i + 1),
-					Window:    o.Window,
-					Drain:     o.Drain,
-					Specs:     []workload.Spec{spec},
-					PostBuild: func(lb *l7lb.LB) { lb.Ctl.SetFilterOrder(ord.order) },
+					Mode:    l7lb.ModeHermes,
+					Workers: o.Workers,
+					Seed:    int64(i + 1),
+					Window:  o.Window,
+					Drain:   o.Drain,
+					Specs:   []workload.Spec{spec},
+					Mutate:  func(c *l7lb.Config) { c.Hermes.Order = ord.order },
 				})
 				if err != nil {
 					b.Fatal(err)
@@ -213,12 +213,7 @@ func BenchmarkAblationSingleWinner(b *testing.B) {
 					Specs:   []workload.Spec{spec},
 					Mutate: func(c *l7lb.Config) {
 						if single {
-							c.Hermes.MinWorkers = 1
-						}
-					},
-					PostBuild: func(lb *l7lb.LB) {
-						if single {
-							lb.Ctl.SetSingleWinner(true)
+							c.Hermes.MinWorkers, c.Hermes.Order = 1, core.OrderSingleWinner
 						}
 					},
 				})

@@ -20,30 +20,28 @@ func init() {
 }
 
 type ablationVariant struct {
-	name      string
-	mutate    func(*l7lb.Config)
-	postBuild func(*l7lb.LB)
+	name   string
+	mutate func(*l7lb.Config)
 }
 
 func ablationVariants() []ablationVariant {
 	return []ablationVariant{
 		{name: "baseline (order=time-conn-event, θ=0.5, loop-end, two-stage)"},
 		{
-			name:      "order=time-event-conn",
-			postBuild: func(lb *l7lb.LB) { lb.Ctl.SetFilterOrder(core.OrderTimeEventConn) },
+			name:   "order=time-event-conn",
+			mutate: func(c *l7lb.Config) { c.Hermes.Order = core.OrderTimeEventConn },
 		},
 		{
-			name:      "order=time-only",
-			postBuild: func(lb *l7lb.LB) { lb.Ctl.SetFilterOrder(core.OrderTimeOnly) },
+			name:   "order=time-only",
+			mutate: func(c *l7lb.Config) { c.Hermes.Order = core.OrderTimeOnly },
 		},
 		{
 			name:   "scheduler at loop start",
 			mutate: func(c *l7lb.Config) { c.ScheduleAtLoopStart = true },
 		},
 		{
-			name:      "single-winner sync",
-			mutate:    func(c *l7lb.Config) { c.Hermes.MinWorkers = 1 },
-			postBuild: func(lb *l7lb.LB) { lb.Ctl.SetSingleWinner(true) },
+			name:   "single-winner sync",
+			mutate: func(c *l7lb.Config) { c.Hermes.MinWorkers, c.Hermes.Order = 1, core.OrderSingleWinner },
 		},
 		{
 			name:   "θ/Avg = 0",
@@ -54,8 +52,8 @@ func ablationVariants() []ablationVariant {
 			mutate: func(c *l7lb.Config) { c.Hermes.ThetaFrac = 2.5 },
 		},
 		{
-			name:      "forced reuseport fallback",
-			postBuild: func(lb *l7lb.LB) { lb.Ctl.SetForceFallback(true) },
+			name:   "forced reuseport fallback",
+			mutate: func(c *l7lb.Config) { c.Hermes.ForceFallback = true },
 		},
 	}
 }
@@ -66,7 +64,7 @@ func ablationsCells(opts Options) []Cell {
 	for i, v := range variants {
 		cells[i] = Cell{Name: v.name, Run: func() any {
 			rc := opts.regionRun(1, l7lb.ModeHermes, 60_000*opts.RateScale)
-			rc.Mutate, rc.PostBuild = v.mutate, v.postBuild
+			rc.Mutate = v.mutate
 			return opts.run(v.name, rc)
 		}}
 	}

@@ -42,11 +42,9 @@ type RunConfig struct {
 	// per-connection flight recorder records into it. Nil disables
 	// recording. The caller flushes/exports after the run.
 	Tracer *tracing.Tracer
-	// Mutate optionally adjusts the LB config before construction.
+	// Mutate optionally adjusts the LB config before construction, the
+	// Hermes policy (Config.Hermes) included.
 	Mutate func(*l7lb.Config)
-	// PostBuild optionally adjusts the built LB before traffic starts
-	// (e.g. flipping controller ablation switches).
-	PostBuild func(*l7lb.LB)
 }
 
 // RunResult carries a run's measurements.
@@ -111,9 +109,6 @@ func Run(rc RunConfig) (*RunResult, error) {
 	lb, err := newDevice(rc.Seed, cfg)
 	if err != nil {
 		return nil, err
-	}
-	if rc.PostBuild != nil {
-		rc.PostBuild(lb)
 	}
 	lb.Start()
 

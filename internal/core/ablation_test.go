@@ -17,7 +17,7 @@ func TestScheduleSingleWinnerPicksLeastLoaded(t *testing.T) {
 	ms[2].Busy = 3
 	ms[3].Conn = 9
 	// Worker 1 ties worker 2 on conns but has fewer pending events.
-	res := ScheduleSingleWinner(now, ms, cfg)
+	res := Schedule(now, ms, cfg, OrderSingleWinner)
 	if res.Passed != 1 || !res.Bitmap.Has(1) {
 		t.Fatalf("single winner: %+v", res)
 	}
@@ -34,7 +34,7 @@ func TestScheduleSingleWinnerSkipsHung(t *testing.T) {
 	ms[0].LoopEnterNS = now - int64(cfg.HangThreshold) - 1
 	ms[1].Conn = 7
 	ms[2].Conn = 4
-	res := ScheduleSingleWinner(now, ms, cfg)
+	res := Schedule(now, ms, cfg, OrderSingleWinner)
 	if !res.Bitmap.Has(2) || res.Passed != 1 {
 		t.Fatalf("hung worker not skipped: %+v", res)
 	}
@@ -42,24 +42,25 @@ func TestScheduleSingleWinnerSkipsHung(t *testing.T) {
 	for i := range ms {
 		ms[i].LoopEnterNS = now - int64(cfg.HangThreshold) - 1
 	}
-	if res := ScheduleSingleWinner(now, ms, cfg); res.Passed != 0 {
+	if res := Schedule(now, ms, cfg, OrderSingleWinner); res.Passed != 0 {
 		t.Fatalf("all-hung single winner: %+v", res)
 	}
 	// Degenerate inputs.
-	if res := ScheduleSingleWinner(now, nil, cfg); res.Passed != 0 {
+	if res := Schedule(now, nil, cfg, OrderSingleWinner); res.Passed != 0 {
 		t.Fatal("nil metrics")
 	}
-	if res := ScheduleSingleWinner(now, make([]shm.Metrics, 65), cfg); res.Passed != 0 {
+	if res := Schedule(now, make([]shm.Metrics, 65), cfg, OrderSingleWinner); res.Passed != 0 {
 		t.Fatal("oversized metrics")
 	}
 }
 
 func TestControllerSingleWinnerPublishesOneBit(t *testing.T) {
-	c, err := NewController(4, DefaultConfig())
+	cfg := DefaultConfig()
+	cfg.Order = OrderSingleWinner
+	c, err := NewController(4, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.SetSingleWinner(true)
 	now := int64(time.Second)
 	hooks := make([]*WorkerHook, 4)
 	for i := range hooks {
@@ -81,11 +82,12 @@ func TestControllerSingleWinnerPublishesOneBit(t *testing.T) {
 }
 
 func TestMultiGroupFilterOrderAndHookCounters(t *testing.T) {
-	gc, err := New(96, DefaultConfig())
+	cfg := DefaultConfig()
+	cfg.Order = OrderTimeOnly
+	gc, err := New(96, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gc.SetFilterOrder(OrderTimeOnly)
 
 	h := gc.NewWorkerHook(70) // group 1, slot 6
 	h.LoopEnter(100)

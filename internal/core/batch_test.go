@@ -104,14 +104,14 @@ func TestSyncBatchingPolicyFlipInvalidates(t *testing.T) {
 	if res := h.ScheduleAndSync(0); res.Passed != workers {
 		t.Fatalf("selected %d of %d", res.Passed, workers)
 	}
-	c.SetForceFallback(true)
+	setPolicy(t, c, func(cfg *Config) { cfg.ForceFallback = true })
 	if res := h.ScheduleAndSync(1); res.Passed != 0 {
 		t.Fatalf("fallback not applied mid-quantum: passed=%d", res.Passed)
 	}
 	if bm, _ := c.SelMap().Lookup(0); bm != 0 {
 		t.Fatalf("kernel map not emptied by fallback: %b", bm)
 	}
-	c.SetForceFallback(false)
+	setPolicy(t, c, func(cfg *Config) { cfg.ForceFallback = false })
 	// Same instant: the pre-fallback cache entry (same timestamp, same
 	// quantum) must not resurface — its generation is stale.
 	if res := h.ScheduleAndSync(2); res.Passed != workers {
@@ -120,7 +120,7 @@ func TestSyncBatchingPolicyFlipInvalidates(t *testing.T) {
 
 	// Fallback/single-winner results themselves never populate the cache:
 	// two consecutive fallback calls both recompute.
-	c.SetForceFallback(true)
+	setPolicy(t, c, func(cfg *Config) { cfg.ForceFallback = true })
 	h.ScheduleAndSync(3)
 	h.ScheduleAndSync(4)
 	st := c.Stats()
@@ -213,20 +213,20 @@ func TestMultiGroupPolicyFlipsMidQuantum(t *testing.T) {
 		t.Fatalf("second group-1 call in the quantum was not served from cache: %+v", res)
 	}
 
-	c.SetFilterOrder(OrderTimeOnly)
+	setPolicy(t, c, func(cfg *Config) { cfg.Order = OrderTimeOnly })
 	if res := tick(g1); res.Passed != 64 {
-		t.Fatalf("SetFilterOrder served stale mid-quantum: %+v", res)
+		t.Fatalf("order change served stale mid-quantum: %+v", res)
 	}
-	c.SetFilterOrder(OrderTimeConnEvent)
+	setPolicy(t, c, func(cfg *Config) { cfg.Order = OrderTimeConnEvent })
 	if res := tick(g1); res.Passed != 63 {
-		t.Fatalf("SetFilterOrder back served stale mid-quantum: %+v", res)
+		t.Fatalf("order change back served stale mid-quantum: %+v", res)
 	}
 
-	c.SetForceFallback(true)
+	setPolicy(t, c, func(cfg *Config) { cfg.ForceFallback = true })
 	if res := tick(g1); res.Passed != 0 || res.Total != 64 {
-		t.Fatalf("SetForceFallback ignored mid-quantum: %+v", res)
+		t.Fatalf("forced fallback ignored mid-quantum: %+v", res)
 	}
-	c.SetForceFallback(false)
+	setPolicy(t, c, func(cfg *Config) { cfg.ForceFallback = false })
 
 	cfg := c.Config()
 	cfg.ThetaFrac = 1000 // offset wide enough to re-admit worker 70
@@ -305,8 +305,8 @@ func TestMultiGroupConcurrentPolicyFlips(t *testing.T) {
 	}
 	cfg := c.Config()
 	for i := 0; i < 200; i++ {
-		c.SetFilterOrder(FilterOrder(i % 3))
-		c.SetForceFallback(i%7 == 0)
+		cfg.Order = FilterOrder(i % 4)
+		cfg.ForceFallback = i%7 == 0
 		cfg.ThetaFrac = float64(i%5) / 2
 		if err := c.SetConfig(cfg); err != nil {
 			t.Error(err)
@@ -318,8 +318,7 @@ func TestMultiGroupConcurrentPolicyFlips(t *testing.T) {
 	wg.Wait()
 
 	// Settled policy: the last flips win on the next call of each group.
-	c.SetForceFallback(false)
-	c.SetFilterOrder(OrderTimeOnly)
+	setPolicy(t, c, func(cfg *Config) { cfg.ForceFallback, cfg.Order = false, OrderTimeOnly })
 	if err := c.SetWorkerAvailable(70, false); err != nil {
 		t.Fatal(err)
 	}

@@ -14,6 +14,11 @@
 //     picks the final worker per incoming connection by scaled hashing over
 //     the bitmap, falling back to plain reuseport hashing when too few
 //     workers pass the coarse filter.
+//
+// The policy all three stages follow is one immutable Config value: a
+// Controller swaps it whole (SetConfig, or PUT /policy through
+// PolicyHandler), and every scheduling pass loads it once, so no pass ever
+// sees half of one policy and half of another.
 package core
 
 import (
@@ -21,7 +26,8 @@ import (
 	"time"
 )
 
-// Config carries Hermes's tuning knobs.
+// Config is Hermes's policy: the tuning knobs, the filter cascade and the
+// reuseport-fallback override, swapped as one value (Controller.SetConfig).
 type Config struct {
 	// HangThreshold is how long a worker may go without re-entering its
 	// event loop before the time filter marks it unavailable (Algorithm 1,
@@ -46,9 +52,21 @@ type Config struct {
 	// worker's published status can get (§5.3.2: 5 ms in production).
 	EpollTimeout time.Duration
 
-	// MaxEvents caps the epoll_wait batch size.
-	MaxEvents int
+	// Order is Algorithm 1's cascade order. The zero value is the paper's
+	// (OrderTimeConnEvent); the others exist for the ablations.
+	Order FilterOrder
+
+	// ForceFallback publishes an empty bitmap on every pass, so the kernel
+	// dispatches by plain reuseport hashing (Appendix C: the control
+	// interface "supports fallbacks to reuseport").
+	ForceFallback bool
 }
+
+// batches reports whether a pass under c may serve and fill the quantum's
+// cached result. Force-fallback and single-winner never do: they are the
+// override and ablation modes, which the tests flip between calls at one
+// instant.
+func (c *Config) batches() bool { return !c.ForceFallback && c.Order != OrderSingleWinner }
 
 // syncQuantum batches Algorithm-1 recomputes: within one quantum the first
 // schedule_and_sync() call of a group runs the full Snapshot → Schedule →
@@ -69,7 +87,6 @@ func DefaultConfig() Config {
 		ThetaFrac:     0.5,
 		MinWorkers:    2,
 		EpollTimeout:  5 * time.Millisecond,
-		MaxEvents:     64,
 	}
 }
 
@@ -88,8 +105,8 @@ func (c Config) Validate() error {
 	if c.EpollTimeout <= 0 {
 		return fmt.Errorf("core: EpollTimeout must be positive, got %v", c.EpollTimeout)
 	}
-	if c.MaxEvents < 1 {
-		return fmt.Errorf("core: MaxEvents must be ≥ 1, got %d", c.MaxEvents)
+	if c.Order > OrderSingleWinner {
+		return fmt.Errorf("core: unknown filter order %d", c.Order)
 	}
 	return nil
 }

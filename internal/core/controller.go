@@ -74,14 +74,12 @@ type group struct {
 // traffic stays in one group (locality) while load still spreads within the
 // group (balance); one worker per group degenerates to plain reuseport.
 type Controller struct {
-	// Policy, held once for the fleet. polGen counts policy mutations; a
-	// group's cached result (syncQuantum) is only served while the
-	// generation it was computed under is still current.
-	cfg          atomic.Pointer[Config]
-	order        atomic.Int32
-	fallback     atomic.Bool // force reuseport fallback (publish empty bitmaps)
-	singleWinner atomic.Bool // ablation: publish only the single best worker
-	polGen       atomic.Uint64
+	// Policy, held once for the fleet as one immutable value. polGen counts
+	// policy mutations and vetoes; a group's cached result (syncQuantum) is
+	// only served while the generation it was computed under is still
+	// current.
+	cfg    atomic.Pointer[Config]
+	polGen atomic.Uint64
 
 	key     GroupKey
 	workers int
@@ -166,22 +164,15 @@ func (c *Controller) SetWorkerAvailable(id int, ok bool) error {
 // group's worker i eligible).
 func (c *Controller) AvailableMask(gi int) uint64 { return c.groups[gi].avail.Load() }
 
-// SetFilterOrder overrides the filter cascade (ablations, live policy).
-func (c *Controller) SetFilterOrder(o FilterOrder) {
-	c.order.Store(int32(o))
-	c.polGen.Add(1)
-}
-
-// FilterOrder returns the active cascade order.
-func (c *Controller) FilterOrder() FilterOrder { return FilterOrder(c.order.Load()) }
-
 // Config returns the controller's current configuration.
 func (c *Controller) Config() Config { return *c.cfg.Load() }
 
 // SetConfig replaces the scheduling policy at runtime — the dynamic policy
-// updates the paper's HTTP control interface performs (Appendix C). The
-// update is an atomic pointer swap: in-flight scheduling passes finish on
-// the old policy, subsequent passes use the new one. MinWorkers is compiled
+// updates the paper's HTTP control interface performs (Appendix C), the
+// reuseport fallback and the ablations' cascade orders among them. The
+// update is one atomic pointer swap: in-flight scheduling passes finish on
+// the old policy, subsequent passes use the new one, and a change takes
+// effect on the next schedule_and_sync even mid-quantum. MinWorkers is compiled
 // into the dispatch program: the simulated kernel keeps the program it
 // attached, and the real proxy's acceptor re-attaches before its next pick.
 func (c *Controller) SetConfig(cfg Config) error {
@@ -191,29 +182,6 @@ func (c *Controller) SetConfig(cfg Config) error {
 	c.cfg.Store(&cfg)
 	c.polGen.Add(1)
 	return nil
-}
-
-// SetForceFallback toggles reuseport-hash fallback: while set, schedulers
-// publish an empty bitmap so the kernel dispatches by plain hashing
-// (Appendix C: the control interface "supports fallbacks to reuseport").
-// Toggling takes effect on the next schedule_and_sync even mid-quantum.
-func (c *Controller) SetForceFallback(on bool) {
-	c.fallback.Store(on)
-	c.polGen.Add(1)
-}
-
-// ForceFallback reports whether fallback mode is on.
-func (c *Controller) ForceFallback() bool { return c.fallback.Load() }
-
-// SetSingleWinner enables the single-winner ablation: instead of the
-// two-stage coarse/fine filtering, the scheduler publishes only the one
-// best worker per group. Because userspace updates far less often than
-// connections arrive, the kernel then funnels every new connection to that
-// worker until the next sync — the overload failure §5.3.2's two-stage
-// design prevents.
-func (c *Controller) SetSingleWinner(on bool) {
-	c.singleWinner.Store(on)
-	c.polGen.Add(1)
 }
 
 // Snapshot appends every worker's published metrics to dst, in global worker
@@ -350,7 +318,7 @@ func (c *Controller) scheduleAndSync(g *group, nowNS int64) ScheduleResult {
 // cached result when one is valid under it.
 func (c *Controller) cached(g *group, nowNS int64) (gen uint64, res ScheduleResult, ok bool) {
 	gen = c.polGen.Load()
-	if !c.fallback.Load() && !c.singleWinner.Load() {
+	if c.cfg.Load().batches() {
 		if res, ok = g.cache.load(nowNS, gen); ok {
 			c.led.syncBatched.Inc()
 		}
@@ -358,21 +326,16 @@ func (c *Controller) cached(g *group, nowNS int64) (gen uint64, res ScheduleResu
 	return gen, res, ok
 }
 
-// compute runs Algorithm 1 and the veto over a stack snapshot of g's WST.
-// batching is false under the fallback and single-winner policies, the
-// ablation/override modes whose tests flip them between calls at one instant.
+// compute runs Algorithm 1 and the veto over a stack snapshot of g's WST,
+// under one load of the policy. batching is the policy's batches().
 func (c *Controller) compute(g *group, nowNS int64) (res ScheduleResult, batching bool) {
 	cfg := c.cfg.Load()
-	fallback, single := c.fallback.Load(), c.singleWinner.Load()
 	var rows [shm.GroupSize]shm.Metrics
 	ms := g.wst.Snapshot(rows[:0])
-	switch {
-	case fallback:
+	if cfg.ForceFallback {
 		res = ScheduleResult{Total: len(ms)} // empty set → kernel hash fallback
-	case single:
-		res = ScheduleSingleWinner(nowNS, ms, *cfg)
-	default:
-		res = Schedule(nowNS, ms, *cfg, FilterOrder(c.order.Load()))
+	} else {
+		res = Schedule(nowNS, ms, *cfg, cfg.Order)
 	}
 
 	// Availability veto (SetWorkerAvailable): drop vetoed workers from the
@@ -392,7 +355,7 @@ func (c *Controller) compute(g *group, nowNS int64) (res ScheduleResult, batchin
 	if res.Passed == 0 {
 		c.led.emptySets.Inc()
 	}
-	return res, !fallback && !single
+	return res, cfg.batches()
 }
 
 // publish writes res to g's selection map, the one published copy, then, if

@@ -44,7 +44,7 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.ThetaFrac = -0.1 },
 		func(c *Config) { c.MinWorkers = 0 },
 		func(c *Config) { c.EpollTimeout = 0 },
-		func(c *Config) { c.MaxEvents = 0 },
+		func(c *Config) { c.Order = OrderSingleWinner + 1 },
 	}
 	for i, mut := range bad {
 		c := DefaultConfig()

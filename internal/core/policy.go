@@ -10,39 +10,35 @@ import (
 // Policy is the JSON shape of the control interface the paper's scheduler
 // exposes (Appendix C: "our scheduler exposes an HTTP interface that allows
 // dynamic policy updates, supports fallbacks to reuseport, and facilitates
-// rapid iteration of future scheduling algorithms").
+// rapid iteration of future scheduling algorithms"). It is Config, field for
+// field, in milliseconds and order names.
 type Policy struct {
 	ThetaFrac       float64 `json:"theta_frac"`
 	HangThresholdMS float64 `json:"hang_threshold_ms"`
 	MinWorkers      int     `json:"min_workers"`
 	EpollTimeoutMS  float64 `json:"epoll_timeout_ms"`
-	MaxEvents       int     `json:"max_events"`
 	FilterOrder     string  `json:"filter_order"`
 	ForceFallback   bool    `json:"force_fallback"`
 }
 
-func orderName(o FilterOrder) string {
-	switch o {
-	case OrderTimeEventConn:
-		return "time-event-conn"
-	case OrderTimeOnly:
-		return "time-only"
-	default:
-		return "time-conn-event"
-	}
+// orderNames are the filter_order values, indexed by FilterOrder.
+var orderNames = [...]string{
+	OrderTimeConnEvent: "time-conn-event",
+	OrderTimeEventConn: "time-event-conn",
+	OrderTimeOnly:      "time-only",
+	OrderSingleWinner:  "single-winner",
 }
 
 func parseOrder(s string) (FilterOrder, error) {
-	switch s {
-	case "", "time-conn-event":
+	if s == "" {
 		return OrderTimeConnEvent, nil
-	case "time-event-conn":
-		return OrderTimeEventConn, nil
-	case "time-only":
-		return OrderTimeOnly, nil
-	default:
-		return 0, fmt.Errorf("core: unknown filter order %q", s)
 	}
+	for o, name := range orderNames {
+		if s == name {
+			return FilterOrder(o), nil
+		}
+	}
+	return 0, fmt.Errorf("core: unknown filter order %q", s)
 }
 
 // PolicyOf snapshots the controller's live policy.
@@ -53,37 +49,32 @@ func PolicyOf(c *Controller) Policy {
 		HangThresholdMS: float64(cfg.HangThreshold) / 1e6,
 		MinWorkers:      cfg.MinWorkers,
 		EpollTimeoutMS:  float64(cfg.EpollTimeout) / 1e6,
-		MaxEvents:       cfg.MaxEvents,
-		FilterOrder:     orderName(c.FilterOrder()),
-		ForceFallback:   c.ForceFallback(),
+		FilterOrder:     orderNames[cfg.Order],
+		ForceFallback:   cfg.ForceFallback,
 	}
 }
 
-// ApplyPolicy installs p onto the controller (atomic swap; live schedulers
-// pick it up on their next pass).
+// ApplyPolicy installs p onto the controller as one SetConfig: live
+// schedulers pick it up whole on their next pass.
 func ApplyPolicy(c *Controller, p Policy) error {
 	order, err := parseOrder(p.FilterOrder)
 	if err != nil {
 		return err
 	}
-	cfg := c.Config()
-	cfg.ThetaFrac = p.ThetaFrac
-	cfg.HangThreshold = time.Duration(p.HangThresholdMS * 1e6)
-	cfg.MinWorkers = p.MinWorkers
-	cfg.EpollTimeout = time.Duration(p.EpollTimeoutMS * 1e6)
-	cfg.MaxEvents = p.MaxEvents
-	if err := c.SetConfig(cfg); err != nil {
-		return err
-	}
-	c.SetFilterOrder(order)
-	c.SetForceFallback(p.ForceFallback)
-	return nil
+	return c.SetConfig(Config{
+		HangThreshold: time.Duration(p.HangThresholdMS * 1e6),
+		ThetaFrac:     p.ThetaFrac,
+		MinWorkers:    p.MinWorkers,
+		EpollTimeout:  time.Duration(p.EpollTimeoutMS * 1e6),
+		Order:         order,
+		ForceFallback: p.ForceFallback,
+	})
 }
 
 // PolicyHandler serves the control interface for one controller:
 //
 //	GET  /policy  → current policy JSON
-//	PUT  /policy  ← policy JSON (validated; atomic swap)
+//	PUT  /policy  ← policy JSON (unknown keys refused; validated; atomic swap)
 //	GET  /status  → scheduling statistics, every group's selection word and
 //	                availability veto mask (group order) and live worker
 //	                metrics (global id order)
@@ -96,9 +87,11 @@ func PolicyHandler(c *Controller) http.Handler {
 		switch r.Method {
 		case http.MethodGet:
 			writeJSON(w, http.StatusOK, PolicyOf(c))
-		case http.MethodPut, http.MethodPost:
+		case http.MethodPut:
 			var p Policy
-			if err := json.NewDecoder(r.Body).Decode(&p); err != nil {
+			dec := json.NewDecoder(r.Body)
+			dec.DisallowUnknownFields()
+			if err := dec.Decode(&p); err != nil {
 				writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
 				return
 			}

@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -19,6 +20,16 @@ func newTestController(t *testing.T) *Controller {
 		t.Fatal(err)
 	}
 	return c
+}
+
+// setPolicy swaps in c's live policy with mut applied, as PUT /policy does.
+func setPolicy(t *testing.T, c *Controller, mut func(*Config)) {
+	t.Helper()
+	cfg := c.Config()
+	mut(&cfg)
+	if err := c.SetConfig(cfg); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestPolicyRoundTrip(t *testing.T) {
@@ -41,6 +52,16 @@ func TestPolicyRoundTrip(t *testing.T) {
 	}
 	if c.Config().HangThreshold != 30*time.Millisecond {
 		t.Fatalf("threshold: %v", c.Config().HangThreshold)
+	}
+	// Every cascade order GET can render, PUT accepts.
+	for _, name := range []string{"time-conn-event", "time-event-conn", "time-only", "single-winner"} {
+		p.FilterOrder = name
+		if err := ApplyPolicy(c, p); err != nil {
+			t.Fatalf("filter_order %q: %v", name, err)
+		}
+		if got := PolicyOf(c); got != p {
+			t.Fatalf("filter_order %q read back as %+v", name, got)
+		}
 	}
 }
 
@@ -97,7 +118,7 @@ func TestPolicyHandlerHTTP(t *testing.T) {
 	if got := c.Config().ThetaFrac; got != 1.25 {
 		t.Fatalf("theta after PUT: %v", got)
 	}
-	if !c.ForceFallback() {
+	if !c.Config().ForceFallback {
 		t.Fatal("fallback not applied")
 	}
 
@@ -108,8 +129,9 @@ func TestPolicyHandlerHTTP(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("garbage status %d", resp.StatusCode)
 	}
-	p.MaxEvents = 0
-	body, _ = json.Marshal(p)
+	invalid := p
+	invalid.MinWorkers = 0
+	body, _ = json.Marshal(invalid)
 	req, _ = http.NewRequest(http.MethodPut, srv.URL+"/policy", strings.NewReader(string(body)))
 	resp, _ = http.DefaultClient.Do(req)
 	resp.Body.Close()
@@ -117,12 +139,35 @@ func TestPolicyHandlerHTTP(t *testing.T) {
 		t.Fatalf("invalid status %d", resp.StatusCode)
 	}
 
-	// DELETE → 405.
-	req, _ = http.NewRequest(http.MethodDelete, srv.URL+"/policy", nil)
-	resp, _ = http.DefaultClient.Do(req)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Fatalf("DELETE status %d", resp.StatusCode)
+	// A key the policy does not have — misspelt, or the retired max_events —
+	// is refused by name, and nothing is applied, though the rest is valid.
+	valid, _ := json.Marshal(PolicyOf(c))
+	for _, key := range []string{"max_events", "theta"} {
+		body := strings.Replace(string(valid), `{`, `{"`+key+`":1,`, 1)
+		req, _ = http.NewRequest(http.MethodPut, srv.URL+"/policy", strings.NewReader(body))
+		resp, err = http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var e struct{ Error string }
+		_ = json.NewDecoder(resp.Body).Decode(&e)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(e.Error, key) {
+			t.Fatalf("PUT with %q: status %d, error %q", key, resp.StatusCode, e.Error)
+		}
+	}
+	if got := PolicyOf(c); got != p {
+		t.Fatalf("refused PUTs changed the policy: %+v, want %+v", got, p)
+	}
+
+	// DELETE and POST → 405: the handler serves GET and PUT only.
+	for _, method := range []string{http.MethodDelete, http.MethodPost} {
+		req, _ = http.NewRequest(method, srv.URL+"/policy", strings.NewReader(string(body)))
+		resp, _ = http.DefaultClient.Do(req)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusMethodNotAllowed || resp.Header.Get("Allow") != "GET, PUT" {
+			t.Fatalf("%s status %d, Allow %q", method, resp.StatusCode, resp.Header.Get("Allow"))
+		}
 	}
 
 	// Status endpoint reflects worker metrics.
@@ -217,7 +262,7 @@ func TestForceFallbackLive(t *testing.T) {
 		t.Fatal("stale workers received traffic before fallback")
 	}
 
-	c.SetForceFallback(true)
+	setPolicy(t, c, func(cfg *Config) { cfg.ForceFallback = true })
 	res := hooks[0].ScheduleAndSync(now)
 	if res.Passed != 0 {
 		t.Fatalf("fallback pass selected %d workers", res.Passed)
@@ -229,7 +274,7 @@ func TestForceFallbackLive(t *testing.T) {
 		t.Fatal("fallback did not hash across all workers")
 	}
 
-	c.SetForceFallback(false)
+	setPolicy(t, c, func(cfg *Config) { cfg.ForceFallback = false })
 	hooks[0].ScheduleAndSync(now)
 	before2, before3 := g.Sockets()[2].QueueLen(), g.Sockets()[3].QueueLen()
 	for i := uint32(400); i < 600; i++ {
@@ -238,4 +283,76 @@ func TestForceFallbackLive(t *testing.T) {
 	if g.Sockets()[2].QueueLen() != before2 || g.Sockets()[3].QueueLen() != before3 {
 		t.Fatal("disabling fallback did not restore directed dispatch")
 	}
+}
+
+// A policy is one value. One goroutine alternates ApplyPolicy between two
+// policies that differ in every field while others read PolicyOf and run
+// schedule_and_sync: every read is one of the two policies whole, and every
+// published bitmap is one that one of the two computes. The fleet is shaped so
+// that any mix of the two publishes a third bitmap: worker 2 is hung under
+// a's threshold only, and worker 1 fails a's connection filter only.
+func TestPolicyNeverTorn(t *testing.T) {
+	a := Policy{ThetaFrac: 0.5, HangThresholdMS: 12, MinWorkers: 2, EpollTimeoutMS: 5, FilterOrder: "time-conn-event"}
+	b := Policy{ThetaFrac: 2.5, HangThresholdMS: 30, MinWorkers: 1, EpollTimeoutMS: 7, FilterOrder: "time-only", ForceFallback: true}
+	c := newTestController(t)
+	if err := ApplyPolicy(c, a); err != nil {
+		t.Fatal(err)
+	}
+	now := int64(time.Second)
+	for i := 0; i < 4; i++ {
+		c.NewWorkerHook(i).LoopEnter(now)
+	}
+	c.NewWorkerHook(2).LoopEnter(now - int64(20*time.Millisecond))
+	for i := 0; i < 10; i++ {
+		c.NewWorkerHook(1).ConnOpened()
+	}
+	h := c.NewWorkerHook(0)
+	const bmA, bmB = 0b1001, 0
+	if res := h.ScheduleAndSync(now); res.Bitmap != bmA {
+		t.Fatalf("policy a publishes %04b, want %04b", res.Bitmap, bmA)
+	}
+
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for reads := 0; ; reads++ {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			if p := PolicyOf(c); p != a && p != b {
+				t.Errorf("read %d: torn policy %+v", reads, p)
+				return
+			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for passes := 0; ; passes++ {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			if res := h.ScheduleAndSync(now); res.Bitmap != bmA && res.Bitmap != bmB {
+				t.Errorf("pass %d: published %04b, which neither policy computes", passes, res.Bitmap)
+				return
+			}
+		}
+	}()
+	for i := 0; i < 20000 && !t.Failed(); i++ {
+		p := a
+		if i%2 == 0 {
+			p = b
+		}
+		if err := ApplyPolicy(c, p); err != nil {
+			t.Error(err)
+			break
+		}
+	}
+	close(done)
+	wg.Wait()
 }

@@ -63,7 +63,11 @@ var publishChanges = []struct {
 		cfg.HangThreshold = 5 * time.Millisecond
 		_ = c.SetConfig(cfg)
 	}},
-	{"fallback", func(c *Controller) { c.SetForceFallback(true) }},
+	{"fallback", func(c *Controller) {
+		cfg := c.Config()
+		cfg.ForceFallback = true
+		_ = c.SetConfig(cfg)
+	}},
 }
 
 const exploreNow = int64(time.Second)

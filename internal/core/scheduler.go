@@ -9,7 +9,7 @@ import (
 // The paper weighs stability over latency: hang detection first, then
 // connection count (surge risk), then pending events (responsiveness)
 // (§5.2.2 "Worker filtering order"). The alternative orders exist for the
-// filter-order ablation.
+// filter-order and single-winner ablations.
 type FilterOrder uint8
 
 // Cascade orders.
@@ -20,6 +20,13 @@ const (
 	OrderTimeEventConn
 	// OrderTimeOnly applies only hang detection (single-metric ablation).
 	OrderTimeOnly
+	// OrderSingleWinner keeps only the one least-loaded live worker: the
+	// single-winner ablation. Publishing a single worker per sync is the
+	// design §5.3.2 rejects — userspace updates far less often than
+	// connections arrive, so the kernel funnels every new connection to that
+	// worker until the next sync. Pair it with MinWorkers = 1 so the kernel
+	// actually uses it.
+	OrderSingleWinner
 )
 
 // ScheduleResult reports one scheduling pass, feeding the Fig. 14 pass-ratio
@@ -36,9 +43,11 @@ type ScheduleResult struct {
 }
 
 // Schedule runs Algorithm 1's cascading coarse-grained filter over a WST
-// snapshot. It is a pure function of (now, metrics, config): no locks, no
+// snapshot. It is a pure function of its arguments: no locks, no
 // allocation, O(n) — the properties §5.3.2 requires so that every worker can
-// afford to run it at the end of every event loop.
+// afford to run it at the end of every event loop. The cascade follows order,
+// not cfg.Order: the benchmark's per-layer rung calls Schedule with an
+// explicit order, and the controller passes cfg.Order.
 func Schedule(nowNS int64, metrics []shm.Metrics, cfg Config, order FilterOrder) ScheduleResult {
 	res := ScheduleResult{Total: len(metrics)}
 	if len(metrics) == 0 || len(metrics) > shm.GroupSize {
@@ -72,6 +81,8 @@ func Schedule(nowNS int64, metrics []shm.Metrics, cfg Config, order FilterOrder)
 		sel = filterCount(sel, metrics, cfg.ThetaFrac, byConn)
 	case OrderTimeOnly:
 		// hang detection only
+	case OrderSingleWinner:
+		sel = leastLoaded(sel, metrics)
 	}
 
 	res.Bitmap = sel
@@ -79,36 +90,24 @@ func Schedule(nowNS int64, metrics []shm.Metrics, cfg Config, order FilterOrder)
 	return res
 }
 
-// ScheduleSingleWinner is the single-winner ablation: hang-filter, then
-// pick the one worker with the fewest connections (ties by pending events,
-// then index). Publishing a single worker per sync is the design §5.3.2
-// rejects; pair it with MinWorkers=1 so the kernel actually uses it.
-func ScheduleSingleWinner(nowNS int64, metrics []shm.Metrics, cfg Config) ScheduleResult {
-	res := ScheduleResult{Total: len(metrics)}
-	if len(metrics) == 0 || len(metrics) > shm.GroupSize {
-		return res
-	}
-	thresh := int64(cfg.HangThreshold)
+// leastLoaded is the single-winner stage: of the non-empty set w, keep only
+// the worker with the fewest connections, ties broken by pending events, then
+// by index.
+func leastLoaded(w bitops.Bitmap64, metrics []shm.Metrics) bitops.Bitmap64 {
 	best := -1
-	for i, m := range metrics {
-		if nowNS-m.LoopEnterNS >= thresh {
+	for i := range metrics {
+		if !w.Has(i) {
 			continue
 		}
-		res.Alive++
-		if best == -1 {
+		if best < 0 {
 			best = i
 			continue
 		}
-		b := metrics[best]
-		if m.Conn < b.Conn || (m.Conn == b.Conn && m.Busy < b.Busy) {
+		if m, b := &metrics[i], &metrics[best]; m.Conn < b.Conn || m.Conn == b.Conn && m.Busy < b.Busy {
 			best = i
 		}
 	}
-	if best >= 0 {
-		res.Bitmap = res.Bitmap.Set(best)
-		res.Passed = 1
-	}
-	return res
+	return bitops.Bitmap64(0).Set(best)
 }
 
 // countMetric selects the WST column a filterCount stage reads: a field

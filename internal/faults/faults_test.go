@@ -317,8 +317,8 @@ func testWatchdogRecovers(t *testing.T, workers, victimID int) {
 		t.Fatal("victim not healthy after watchdog recovery")
 	}
 	// Detection must wait out the hang threshold but not much longer.
-	if d := dog.DetectionNS[0]; time.Duration(d) < dog.Threshold {
-		t.Fatalf("detected at staleness %v, below threshold %v", time.Duration(d), dog.Threshold)
+	if d, thresh := dog.DetectionNS[0], lb.Ctl.Config().HangThreshold; time.Duration(d) < thresh {
+		t.Fatalf("detected at staleness %v, below threshold %v", time.Duration(d), thresh)
 	}
 	if got := counterTotal(t, reg, "faults.watchdog.detections"); got != int64(dog.Detections) {
 		t.Errorf("faults.watchdog.detections = %d, watchdog counted %d", got, dog.Detections)
@@ -334,6 +334,31 @@ func testWatchdogRecovers(t *testing.T, workers, victimID int) {
 	eng.RunUntil(eng.Now() + int64(100*time.Millisecond))
 	if dog.Detections != before {
 		t.Fatalf("watchdog flagged healthy workers: %d -> %d", before, dog.Detections)
+	}
+}
+
+// The watchdog flags at the controller's live HangThreshold, not at the one
+// in force when it was built: a 30 ms hang under a threshold raised from 12 ms
+// to 50 ms is no hang, for the watchdog as for FilterTime.
+func TestWatchdogFollowsLiveHangThreshold(t *testing.T) {
+	eng, lb := testLB(t, l7lb.ModeHermes, 4)
+	openConns(eng, lb, 8)
+	eng.RunUntil(int64(10 * time.Millisecond))
+
+	dog := NewWatchdog(lb, time.Millisecond)
+	cfg := lb.Ctl.Config()
+	if cfg.HangThreshold != 12*time.Millisecond {
+		t.Fatalf("default HangThreshold %v, want 12ms", cfg.HangThreshold)
+	}
+	cfg.HangThreshold = 50 * time.Millisecond
+	if err := lb.Ctl.SetConfig(cfg); err != nil {
+		t.Fatal(err)
+	}
+	dog.Start(200 * time.Millisecond)
+	lb.Workers[1].Hang(30 * time.Millisecond)
+	eng.RunUntil(eng.Now() + int64(100*time.Millisecond))
+	if dog.Detections != 0 {
+		t.Fatalf("watchdog flagged a 30ms hang under a 50ms threshold (staleness %v)", dog.DetectionNS)
 	}
 }
 

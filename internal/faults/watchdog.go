@@ -9,7 +9,8 @@ import (
 
 // Watchdog detects hung workers from WST loop-enter staleness — the same
 // FilterTime signal the Hermes scheduler uses to keep hung workers out of
-// the selection bitmap (§5.2.1) — and optionally drives recovery: a flagged
+// the selection bitmap (§5.2.1), at the controller's live HangThreshold, so a
+// policy change moves both at once — and optionally drives recovery: a flagged
 // worker is crashed (resetting its connections, as an external supervisor's
 // SIGKILL would) and restarted after RestartDelay. It requires the WST, so
 // it only runs on Hermes modes; baselines have no hang signal to watch,
@@ -17,9 +18,6 @@ import (
 type Watchdog struct {
 	// Interval between scans.
 	Interval time.Duration
-	// Threshold is the loop-enter staleness that flags a worker (default:
-	// the controller's HangThreshold).
-	Threshold time.Duration
 	// AutoRestart crashes and restarts flagged workers.
 	AutoRestart bool
 	// RestartDelay is the crash-to-restart delay under AutoRestart.
@@ -47,10 +45,9 @@ func NewWatchdog(lb *l7lb.LB, interval time.Duration) *Watchdog {
 		return nil
 	}
 	return &Watchdog{
-		Interval:  interval,
-		Threshold: lb.Ctl.Config().HangThreshold,
-		lb:        lb,
-		flagged:   make([]bool, len(lb.Workers)),
+		Interval: interval,
+		lb:       lb,
+		flagged:  make([]bool, len(lb.Workers)),
 	}
 }
 
@@ -76,7 +73,7 @@ func (d *Watchdog) scheduleScan(prev, end int64) {
 
 func (d *Watchdog) scan(nowNS int64) {
 	d.buf = d.lb.Ctl.Snapshot(d.buf[:0])
-	thresh := int64(d.Threshold)
+	thresh := int64(d.lb.Ctl.Config().HangThreshold)
 	for id, m := range d.buf {
 		if id >= len(d.lb.Workers) {
 			break

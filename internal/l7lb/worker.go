@@ -9,6 +9,9 @@ import (
 	"hermes/internal/stats"
 )
 
+// maxEvents is the epoll_wait batch every worker asks for, in every mode.
+const maxEvents = 64
+
 // Worker is one LB worker process pinned to one CPU core, running the
 // run-to-completion epoll event loop of Fig. A1 (baselines) or Fig. 9
 // (Hermes). CPU occupancy is modelled in virtual time: handling an event
@@ -376,7 +379,7 @@ func (w *Worker) loopEnter() {
 	}
 	w.waitStart = now
 	w.prevSpurious = w.ep.SpuriousWakeups
-	w.ep.Wait(w.lb.Cfg.Hermes.MaxEvents, w.lb.Cfg.Hermes.EpollTimeout, w.onWakeFn)
+	w.ep.Wait(maxEvents, w.lb.Cfg.Hermes.EpollTimeout, w.onWakeFn)
 }
 
 func (w *Worker) onWake(evs []kernel.Event) {

@@ -39,8 +39,8 @@ func TestAcceptorRunsDispatchProgram(t *testing.T) {
 	ctl := p.Controller()
 	// Only the veto and the fallback switch shape the bitmap: no worker looks
 	// hung or loaded, however late the heartbeat runs on a busy host.
-	ctl.SetFilterOrder(core.OrderTimeOnly)
 	pol := ctl.Config()
+	pol.Order = core.OrderTimeOnly
 	pol.HangThreshold = time.Hour
 	jitRuns := func() int64 { return p.Registry().Snapshot().Get(ebpf.MetricJITRuns).Total() }
 
@@ -60,7 +60,7 @@ func TestAcceptorRunsDispatchProgram(t *testing.T) {
 		{"forced fallback", nil, 2, true, tracing.ViaFallback},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			pol.MinWorkers = tc.minWorkers
+			pol.MinWorkers, pol.ForceFallback = tc.minWorkers, tc.fallback
 			if err := ctl.SetConfig(pol); err != nil {
 				t.Fatal(err)
 			}
@@ -69,7 +69,6 @@ func TestAcceptorRunsDispatchProgram(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			ctl.SetForceFallback(tc.fallback)
 			p.sync()
 
 			// One connection at a time, each recorded before the next is

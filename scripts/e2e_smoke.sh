@@ -3,7 +3,8 @@
 # instance with a worker-crash fault injected, live load, a backend kill and
 # restart, and hermesctl assertions that failover and recovery actually show
 # up through the admin API; a one-backend proxy with no prober whose circuit
-# breaker alone evicts and readmits its backend; hermes-lb -demo, whose counts
+# breaker alone evicts and readmits its backend; the live Hermes policy driven
+# through the real PUT /policy; hermes-lb -demo, whose counts
 # must add up and whose span dump must validate; then the five examples/
 # mains, each run to exit 0, with examples/cachegroups' Fig. A6 table compared
 # to its checked-in copy.
@@ -55,6 +56,24 @@ req() {
     printf 'GET %s HTTP/1.1\r\nHost: smoke\r\nConnection: close\r\n\r\n' "$path" >&3 &&
     head -n1 <&3 && exec 3<&- 3>&-)
   echo "$out"
+}
+
+# admin_http METHOD PATH [BODY]: one raw HTTP/1.1 exchange with the admin
+# API over /dev/tcp. Prints the status code on the first line, then the body.
+admin_http() {
+  local method=$1 path=$2 body=${3:-} resp
+  resp=$(exec 3<>"/dev/tcp/${ADMIN%:*}/${ADMIN#*:}" &&
+    printf '%s %s HTTP/1.1\r\nHost: smoke\r\nContent-Type: application/json\r\nContent-Length: %d\r\nConnection: close\r\n\r\n%s' \
+      "$method" "$path" "${#body}" "$body" >&3 &&
+    cat <&3 && exec 3<&- 3>&-)
+  head -n1 <<<"$resp" | awk '{print $2}'
+  echo "${resp#*$'\r\n\r\n'}"
+}
+
+# selection_zero: is every group's selection word in /status all zeros?
+selection_zero() {
+  local out
+  out=$(admin_http GET /status) && grep -Eq '"selection":\[("0{64}",?)+\]' <<<"$out"
 }
 
 # load N: issue N requests, count non-200s.
@@ -264,6 +283,37 @@ for i in $(seq 1 10); do
   case $line in *" 200 "*) ;; *) fail "request $i after readmission -> $line" ;; esac
 done
 echo "e2e: phase 6 ok (statuses$codes while down, 200s again once the backend returned)"
+
+# Phase 7: the live policy over the real admin API (Appendix C's "supports
+# fallbacks to reuseport"). PUT the policy back with force_fallback set: every
+# selection word goes to zero and the proxy still serves by hash fallback.
+# PUT the original back: the selection fills again on the next heartbeat. A
+# body with a key the policy does not have (the retired max_events) is a 400.
+out=$(admin_http GET /policy)
+[ "$(head -n1 <<<"$out")" = 200 ] || fail "GET /policy: $out"
+policy=$(tail -n +2 <<<"$out")
+grep -q '"force_fallback":false' <<<"$policy" || fail "GET /policy: $policy, want force_fallback false"
+fallback=${policy/\"force_fallback\":false/\"force_fallback\":true}
+out=$(admin_http PUT /policy "$fallback")
+[ "$(head -n1 <<<"$out")" = 200 ] || fail "PUT /policy force_fallback=true: $out"
+for i in $(seq 1 50); do
+  selection_zero && break
+  [ "$i" = 50 ] && { admin_http GET /status >&2; fail "selection not all-zero under force_fallback"; }
+  sleep 0.02
+done
+bad=$(load 20 | tail -n1)
+[ "$bad" = 0 ] || fail "$bad/20 requests failed under forced reuseport fallback"
+out=$(admin_http PUT /policy "$policy")
+[ "$(head -n1 <<<"$out")" = 200 ] || fail "PUT /policy (original): $out"
+for i in $(seq 1 50); do
+  selection_zero || break
+  [ "$i" = 50 ] && { admin_http GET /status >&2; fail "selection still all-zero 1 s after the original policy"; }
+  sleep 0.02
+done
+out=$(admin_http PUT /policy "{\"max_events\":64,${policy#\{}")
+[ "$(head -n1 <<<"$out")" = 400 ] && grep -q max_events <<<"$out" ||
+  fail "PUT /policy with max_events: $out, want a 400 naming the key"
+echo "e2e: phase 7 ok (force_fallback emptied the selection, 20/20 served by hash, original policy restored, unknown key refused)"
 
 # Final: stats must reconcile, and shutdown must drain cleanly (exit 0).
 # /stats is the registry's snapshot: served is the proxy.worker.requests_served
