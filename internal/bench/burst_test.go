@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -28,7 +29,9 @@ func TestScaleCellConnTableNeverRegrows(t *testing.T) {
 	}
 }
 
-// Worker conn-table capacity honours the hint (bounded by the pool cap).
+// The hint reserves LB.Latency for one sample per planned connection; a
+// worker's connection table stays at its 256-slot default whatever the hint,
+// capped by the pool.
 func TestConnsPerWorkerHint(t *testing.T) {
 	eng := sim.NewEngine(1)
 	cfg := l7lb.DefaultConfig(l7lb.ModeReuseport)
@@ -38,18 +41,27 @@ func TestConnsPerWorkerHint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < 20_000; i++ {
+		lb.Latency.Add(1)
+	}
+	runtime.ReadMemStats(&after)
+	if n := after.Mallocs - before.Mallocs; n != 0 {
+		t.Fatalf("20000 latency samples into a 2-worker hint of 10000 regrew the sample: %d mallocs, want 0", n)
+	}
 	for _, w := range lb.Workers {
-		if got := w.ConnTableCap(); got < 10_000 {
-			t.Fatalf("conn table cap = %d, want ≥ 10000", got)
+		if got := w.ConnTableCap(); got != 256 {
+			t.Fatalf("conn table cap = %d, want the 256-slot default", got)
 		}
 	}
 
-	cfg.MaxConnsPerWorker = 500
+	cfg.MaxConnsPerWorker = 100
 	lb2, err := l7lb.New(eng, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := lb2.Workers[0].ConnTableCap(); got != 500 {
-		t.Fatalf("pool-capped conn table cap = %d, want 500", got)
+	if got := lb2.Workers[0].ConnTableCap(); got != 100 {
+		t.Fatalf("pool-capped conn table cap = %d, want 100", got)
 	}
 }

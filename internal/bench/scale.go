@@ -97,10 +97,9 @@ func scaleCells(o Options) []Cell {
 func runScaleCell(o Options, fleet, conns int, mode l7lb.Mode, seed int64) scaleCell {
 	start := time.Now()
 	cfg := lbConfig(mode, fleet, []uint16{8080})
-	// Pre-size every worker's connection table from the cell's planned
-	// connection count: an even share per worker is orders of magnitude
-	// above peak concurrently-open conns (each lives ~µs of virtual time),
-	// so steady state never regrows a table — pinned by
+	// Reserve the latency sample for every planned connection. Each lives
+	// ~µs of virtual time, so a worker's default connection table holds
+	// every one open at once and never regrows — pinned by
 	// TestScaleCellConnTableNeverRegrows.
 	cfg.ConnsPerWorkerHint = conns/fleet + 1
 	lb := o.newLB(scaleCellName(fleet, conns, mode), seed, cfg)

@@ -102,8 +102,9 @@ func (c Config) Validate() error {
 	if c.MinWorkers < 1 {
 		return fmt.Errorf("core: MinWorkers must be ≥ 1, got %d", c.MinWorkers)
 	}
-	if c.EpollTimeout <= 0 {
-		return fmt.Errorf("core: EpollTimeout must be positive, got %v", c.EpollTimeout)
+	if c.EpollTimeout <= syncQuantum {
+		return fmt.Errorf("core: EpollTimeout must exceed the %v sync quantum (a shorter heartbeat only spins an idle worker), got %v",
+			syncQuantum, c.EpollTimeout)
 	}
 	if c.Order > OrderSingleWinner {
 		return fmt.Errorf("core: unknown filter order %d", c.Order)

@@ -129,14 +129,21 @@ func TestPolicyHandlerHTTP(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("garbage status %d", resp.StatusCode)
 	}
-	invalid := p
-	invalid.MinWorkers = 0
-	body, _ = json.Marshal(invalid)
-	req, _ = http.NewRequest(http.MethodPut, srv.URL+"/policy", strings.NewReader(string(body)))
-	resp, _ = http.DefaultClient.Do(req)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusUnprocessableEntity {
-		t.Fatalf("invalid status %d", resp.StatusCode)
+	// The 1 ns epoll timeout would tick an idle proxy's heartbeat at one
+	// core; it is refused like any other invalid value.
+	for _, mut := range []func(*Policy){
+		func(p *Policy) { p.MinWorkers = 0 },
+		func(p *Policy) { p.EpollTimeoutMS = 0.000001 },
+	} {
+		invalid := p
+		mut(&invalid)
+		body, _ = json.Marshal(invalid)
+		req, _ = http.NewRequest(http.MethodPut, srv.URL+"/policy", strings.NewReader(string(body)))
+		resp, _ = http.DefaultClient.Do(req)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusUnprocessableEntity {
+			t.Fatalf("invalid policy %+v: status %d", invalid, resp.StatusCode)
+		}
 	}
 
 	// A key the policy does not have — misspelt, or the retired max_events —

@@ -100,8 +100,8 @@ func runBurstScenario(t *testing.T, sched []burstGroup, mode kernel.WakeMode, wo
 						ep.Add(c.Sock())
 					}
 				case kernel.EvReadable:
-					pv, _ := ev.Sock.PopData()
-					v, _ := pv.(int)
+					p, _ := ev.Sock.PopData()
+					v := p.ArrivalNS
 					fmt.Fprintf(&trace, "t=%d w=%d read sock=%d val=%d\n", eng.Now(), id, ev.Sock.ID, v)
 					if v < 0 {
 						ns.CloseSocket(ev.Sock)
@@ -147,7 +147,7 @@ func runBurstScenario(t *testing.T, sched []burstGroup, mode kernel.WakeMode, wo
 					i = j
 				case 1:
 					if c := conns[op.conn]; c != nil {
-						ns.DeliverData(c, op.val)
+						ns.DeliverData(c, kernel.Payload{ArrivalNS: int64(op.val)})
 					}
 					i++
 				case 2:

@@ -151,7 +151,7 @@ func TestFuzzNetstackInvariants(t *testing.T) {
 					}
 				case 7: // deliver data on a random live conn
 					if c := liveConn(); c != nil {
-						ns.DeliverData(c, step)
+						ns.DeliverData(c, Payload{ArrivalNS: int64(step)})
 					}
 				case 8: // FIN a random live conn
 					if c := liveConn(); c != nil {

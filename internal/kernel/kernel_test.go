@@ -305,7 +305,8 @@ func TestConnDataAndHangupEvents(t *testing.T) {
 	cs := conn.Sock()
 	ep.Add(cs)
 
-	ns.DeliverData(conn, "req1")
+	req := Payload{ArrivalNS: 1, Cost: time.Microsecond, Close: true, Tenant: 80}
+	ns.DeliverData(conn, req)
 	ns.DeliverFIN(conn)
 
 	// Readable takes precedence while data is pending.
@@ -315,7 +316,7 @@ func TestConnDataAndHangupEvents(t *testing.T) {
 			kinds = append(kinds, e.Kind)
 			if e.Kind == EvReadable {
 				p, ok := e.Sock.PopData()
-				if !ok || p != "req1" {
+				if !ok || p != req {
 					t.Errorf("PopData = %v, %v", p, ok)
 				}
 			}
@@ -336,6 +337,35 @@ func TestConnDataAndHangupEvents(t *testing.T) {
 	}
 }
 
+// DeliverData copies a Payload into the skb by value. Anything else a caller
+// passes — nil, or the struct{}{} a bare kernel caller sends — arrives as the
+// zero descriptor, as does every entry of a DeliverDataBurst with no
+// payloads, and none of them disturbs a Payload queued beside it.
+func TestDeliverDataNonPayloadIsZeroDescriptor(t *testing.T) {
+	eng := sim.NewEngine(1)
+	ns := NewNetStack(eng, WakeExclusiveLIFO)
+	ls, _ := ns.ListenShared(80, 8)
+	conn, _ := ns.DeliverSYN(tupleFor(1, 80), nil)
+	ls.Accept()
+	req := Payload{ArrivalNS: 7, Cost: time.Microsecond, Close: true, Probe: true, ProbeSrc: 2, Tenant: 80}
+	ns.DeliverData(conn, nil)
+	ns.DeliverData(conn, struct{}{})
+	ns.DeliverData(conn, req)
+	ns.DeliverDataBurst([]*Conn{conn}, nil)
+	ns.DeliverDataBurst([]*Conn{nil, conn}, []any{req, &req})
+	for i, want := range []Payload{{}, {}, req, {}, {}} {
+		if p, ok := conn.Sock().PopData(); !ok || p != want {
+			t.Fatalf("payload %d = %+v, %v; want %+v", i, p, ok, want)
+		}
+	}
+	if p, ok := conn.Sock().PopData(); ok {
+		t.Fatalf("PopData on an empty queue = %+v, true", p)
+	}
+	if _, _, skbs := ns.Live(); skbs != 0 {
+		t.Fatalf("%d skbs out of the slab after every payload was read", skbs)
+	}
+}
+
 func TestDataToClosedSocketDropped(t *testing.T) {
 	eng := sim.NewEngine(1)
 	ns := NewNetStack(eng, WakeExclusiveLIFO)
@@ -343,7 +373,7 @@ func TestDataToClosedSocketDropped(t *testing.T) {
 	conn, _ := ns.DeliverSYN(tupleFor(1, 80), nil)
 	ls.Accept()
 	ns.CloseSocket(conn.Sock())
-	ns.DeliverData(conn, "late")
+	ns.DeliverData(conn, Payload{ArrivalNS: 1})
 	ns.DeliverFIN(conn)
 	if conn.Sock().PendingData() != 0 {
 		t.Fatal("data queued on closed socket")
@@ -763,10 +793,10 @@ func TestPoolsCountPairsAndWatches(t *testing.T) {
 	live(2, 1, 0)
 	c, _ := ls.Accept()
 	ep.Add(c.Sock())
-	ns.DeliverData(c, "a")
-	ns.DeliverData(c, "b")
-	ns.DeliverData(c, "c")
-	if p, ok := c.Sock().PopData(); !ok || p != "a" {
+	for i := int64(1); i <= 3; i++ {
+		ns.DeliverData(c, Payload{ArrivalNS: i})
+	}
+	if p, ok := c.Sock().PopData(); !ok || p.ArrivalNS != 1 {
 		t.Fatalf("PopData = %v, %v, want the first payload", p, ok)
 	}
 	live(2, 2, 2)

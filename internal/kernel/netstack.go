@@ -330,7 +330,7 @@ func (ns *NetStack) DeliverSYNBurst(tuples []FourTuple, metas []any, conns []*Co
 
 // DeliverDataBurst makes a batch of payloads readable on their connections
 // within one engine event — observably identical to calling DeliverData for
-// each non-nil conn in order. payloads may be nil (all-nil payloads); nil
+// each non-nil conn in order. payloads may be nil (all zero descriptors); nil
 // conns (drops from DeliverSYNBurst) are skipped.
 func (ns *NetStack) DeliverDataBurst(conns []*Conn, payloads []any) {
 	for i, c := range conns {
@@ -345,7 +345,10 @@ func (ns *NetStack) DeliverDataBurst(conns []*Conn, payloads []any) {
 	}
 }
 
-// DeliverData makes payload readable on an established connection. Data
+// DeliverData makes payload readable on an established connection. The skb
+// copies a Payload out by value and never keeps the interface, so payload
+// does not escape and a caller's by-value conversion stays on its stack; any
+// other value (nil, struct{}{}) is delivered as the zero descriptor. Data
 // arriving for a closed connection is silently dropped (peer will see RST in
 // a real stack).
 func (ns *NetStack) DeliverData(c *Conn, payload any) {
@@ -353,7 +356,8 @@ func (ns *NetStack) DeliverData(c *Conn, payload any) {
 	if s.closed {
 		return
 	}
-	s.pushData(payload)
+	p, _ := payload.(Payload)
+	s.pushData(p)
 	ns.socketReady(s)
 }
 

@@ -3,6 +3,7 @@ package kernel
 import (
 	"math/rand"
 	"testing"
+	"time"
 
 	"hermes/internal/sim"
 )
@@ -20,7 +21,7 @@ import (
 type modelConn struct {
 	c   *Conn
 	id  ConnID
-	rx  []int // payloads delivered and not read, oldest first
+	rx  []Payload // payloads delivered and not read, oldest first
 	hup bool
 }
 
@@ -34,7 +35,7 @@ type queueProgram struct {
 	backlog  int
 	queue    []*modelConn // the accept queue, oldest first
 	accepted []*modelConn // accepted and not closed
-	payload  int
+	payload  int64        // the last payload's ArrivalNS: each one is marked apart
 	lastID   ConnID
 	src      uint32
 	drops    int
@@ -99,8 +100,9 @@ func (p *queueProgram) accept() {
 func (p *queueProgram) deliver(arg int) {
 	if m := p.open(arg); m != nil {
 		p.payload++
-		p.ns.DeliverData(m.c, p.payload)
-		m.rx = append(m.rx, p.payload)
+		pl := Payload{ArrivalNS: p.payload, Cost: time.Duration(arg)}
+		p.ns.DeliverData(m.c, pl)
+		m.rx = append(m.rx, pl)
 	}
 }
 
@@ -117,7 +119,7 @@ func (p *queueProgram) pop(arg int) {
 		return
 	}
 	if got != m.rx[0] {
-		p.t.Fatalf("PopData on conn %d = %v, want the oldest, %d", m.id, got, m.rx[0])
+		p.t.Fatalf("PopData on conn %d = %+v, want the oldest, %+v", m.id, got, m.rx[0])
 	}
 	m.rx = m.rx[1:]
 }

@@ -1,6 +1,9 @@
 package kernel
 
-import "fmt"
+import (
+	"fmt"
+	"time"
+)
 
 // ConnID identifies a simulated connection. IDs are never reused: a Conn
 // object recycled through the stack's pool gets a fresh ID, so the ID doubles
@@ -129,10 +132,40 @@ type Socket struct {
 }
 
 // skb is one payload on a connection socket's receive queue, the simulator's
-// sk_buff. Nodes come from the NetStack's slab.
+// sk_buff. Nodes come from the NetStack's slab, and the request descriptor
+// rides in the node by value, so nothing the caller handed DeliverData is
+// retained.
 type skb struct {
 	next *skb
-	data any
+	data Payload
+}
+
+// Payload is one application-layer request as it crosses the simulated
+// kernel: the workload generator attaches it as the payload of a readable
+// event, and the worker charges itself Cost of virtual CPU to process it. The
+// classes mirror the paper's processing tasks (§2.1).
+//
+// The simulator does not model bytes on the wire, so a request carries no
+// size: whatever a request's bytes cost the worker is inside Cost. Request
+// sizes are evaluated where the paper reports them, as distributions (Table 1,
+// internal/bench/tables.go, sampling workload.Spec.SizeBytes directly).
+type Payload struct {
+	// ArrivalNS is the virtual time the request reached the LB (data
+	// delivery); end-to-end latency is completion − arrival.
+	ArrivalNS int64
+	// Cost is the CPU time the worker spends on this request (routing,
+	// TLS, compression, copying — request-dependent, invisible to the
+	// kernel: the paper's core observation, §3).
+	Cost time.Duration
+	// Close requests connection teardown after the response.
+	Close bool
+	// Probe marks the health probes of Fig. 11.
+	Probe bool
+	// ProbeSrc tags which prober issued a probe (RegisterProbeSink tag;
+	// 0 = untagged), so concurrent probers keep exact separate accounting.
+	ProbeSrc int32
+	// Tenant is the tenant port this request belongs to.
+	Tenant uint16
 }
 
 // Conn returns the connection of a connection socket (nil for listeners).
@@ -211,23 +244,23 @@ func (s *Socket) Accept() (*Conn, bool) {
 
 // PopData dequeues one pending payload from a connection socket, returning
 // its skb to the stack's slab.
-func (s *Socket) PopData() (any, bool) {
+func (s *Socket) PopData() (Payload, bool) {
 	n := s.rxHead
 	if n == nil {
-		return nil, false
+		return Payload{}, false
 	}
 	if s.rxHead = n.next; s.rxHead == nil {
 		s.rxTail = nil
 	}
 	s.rxLen--
 	p := n.data
-	n.next, n.data = nil, nil
+	n.next = nil
 	s.ns.skbs.Put(n)
 	return p, true
 }
 
 // pushData appends a payload to the receive queue in an skb from the slab.
-func (s *Socket) pushData(p any) {
+func (s *Socket) pushData(p Payload) {
 	n := s.ns.skbs.Get()
 	n.data = p
 	if s.rxTail == nil {

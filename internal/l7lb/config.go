@@ -165,11 +165,11 @@ type Config struct {
 	// MaxConnsPerWorker models the preallocated connection pool (§5.1.1);
 	// accepts beyond it are reset. 0 = unlimited.
 	MaxConnsPerWorker int
-	// ConnsPerWorkerHint pre-sizes each worker's connection table to the
-	// cell's planned per-worker connection count, so steady-state accepts
-	// never regrow the table (Worker.ConnTableGrows stays 0), and LB.Latency
-	// to one sample per planned connection. 0 keeps the small defaults;
-	// MaxConnsPerWorker still caps the table's pre-size.
+	// ConnsPerWorkerHint is the cell's planned connection count per
+	// worker; it reserves LB.Latency at one sample per planned connection,
+	// so a run's completions never regrow it. It does not size a worker's
+	// connection table, which holds only what is open at once (256 slots,
+	// capped by MaxConnsPerWorker). 0 reserves nothing.
 	ConnsPerWorkerHint int
 	// Costs is the fixed-function cost model.
 	Costs CostModel

@@ -19,8 +19,8 @@ func TestEdgeTriggeredKernelContract(t *testing.T) {
 
 	ep := ns.NewEpoll()
 	ep.AddET(conn.Sock())
-	ns.DeliverData(conn, "a")
-	ns.DeliverData(conn, "b")
+	ns.DeliverData(conn, Work{ArrivalNS: 1}) // a
+	ns.DeliverData(conn, Work{ArrivalNS: 2}) // b
 
 	var got int
 	ep.Wait(16, time.Millisecond, func(evs []kernel.Event) {
@@ -43,7 +43,7 @@ func TestEdgeTriggeredKernelContract(t *testing.T) {
 	}
 
 	// A new arrival re-arms the watch.
-	ns.DeliverData(conn, "c")
+	ns.DeliverData(conn, Work{ArrivalNS: 3}) // c
 	var kinds []kernel.EventKind
 	ep.Wait(16, time.Millisecond, func(evs []kernel.Event) {
 		for _, e := range evs {

@@ -38,7 +38,6 @@ type LB struct {
 	acceptExtra time.Duration // per-accept dispatch overhead (mode-dependent)
 	obs         []workerObs   // per worker slot; nil unless Config.Telemetry or Config.Tracer is set
 	probeSinks  []func(work Work, latencyNS int64)
-	work        sim.Slab[Work] // Deliver's payloads
 
 	// Latency samples end-to-end request time (ms).
 	Latency stats.Sample
@@ -235,58 +234,20 @@ func (lb *LB) leastLoaded() *Worker {
 	return best
 }
 
-// Deliver makes one request readable on conn. The payload crosses the
-// simulated kernel as a pooled *Work — a pointer boxes into the socket
-// queue's `any` without allocating — which the worker that pops it copies out
-// and hands back (takeWork). A payload still queued when its connection is
-// closed or reset goes back too (closeSocket), so the pool's Live count is
-// the payloads queued on open connections. Data for a connection already
-// closed is dropped here, as NS.DeliverData drops it, before the pool is
-// touched.
+// Deliver makes one request readable on conn. The request crosses the
+// simulated kernel by value in the connection's skb, so delivering it
+// allocates nothing, and a request still queued when its connection is
+// closed or reset goes with the skb. Data for a connection already closed is
+// dropped, as NS.DeliverData drops it.
 func (lb *LB) Deliver(conn *kernel.Conn, work Work) {
-	if conn.Sock().Closed() {
-		return
-	}
-	p := lb.work.Get()
-	*p = work
-	lb.NS.DeliverData(conn, p)
-}
-
-// takeWork unwraps a payload popped from a connection socket, returning a
-// pooled one to Deliver's slab. A by-value Work is accepted only because
-// the frozen benchmark/surface.go sends one through NS.DeliverData — that
-// conversion to `any` is sim-churn's one allocation per connection — and the
-// case goes when a benchmark change moves that driver to Deliver.
-func (lb *LB) takeWork(payload any) Work {
-	if p, ok := payload.(*Work); ok {
-		work := *p
-		lb.work.Put(p)
-		return work
-	}
-	return payload.(Work)
-}
-
-// closeSocket closes a connection socket, first handing the pooled payloads
-// still queued on it back to the slab.
-func (lb *LB) closeSocket(s *kernel.Socket) {
-	for {
-		payload, ok := s.PopData()
-		if !ok {
-			break
-		}
-		if p, ok := payload.(*Work); ok {
-			lb.work.Put(p)
-		}
-	}
-	lb.NS.CloseSocket(s)
+	lb.NS.DeliverData(conn, work)
 }
 
 // CheckPools holds the device's pools to what holds their objects and names
 // the first that does not balance: connection pairs out of the stack's slab
 // against the connection sockets open (queued for accept or in a worker's
-// table), watches against the epoll registrations, and skbs and payloads
-// against the requests queued on open connections — every one of them, so
-// traffic must enter through Deliver. It walks every connection, each accept
+// table), watches against the epoll registrations, and skbs against the
+// requests queued on open connections. It walks every connection, each accept
 // queue through its links (which must reach its depth and stop): call it at a
 // drain, not per event.
 func (lb *LB) CheckPools() error {
@@ -335,8 +296,6 @@ func (lb *LB) CheckPools() error {
 		return fmt.Errorf("l7lb: %d watches out of the pool, %d epoll registrations", watches, regs)
 	case skbs != queued:
 		return fmt.Errorf("l7lb: %d skbs out of the pool, %d payloads queued on open connections", skbs, queued)
-	case lb.work.Live() != queued:
-		return fmt.Errorf("l7lb: %d payloads out of the pool, %d queued on open connections", lb.work.Live(), queued)
 	}
 	return nil
 }

@@ -71,7 +71,8 @@ type Worker struct {
 	serv      servState
 
 	// ConnTableGrows counts conns-slice regrowths after construction; the
-	// scale harness pins it at zero when a capacity hint is configured.
+	// scale harness pins it at zero (a close-on-reply cell never holds 256
+	// connections open on one worker).
 	ConnTableGrows uint64
 
 	// Executor state (ModeDispatcher): the serves queued behind the one in
@@ -139,15 +140,11 @@ type servState struct {
 }
 
 func newWorker(lb *LB, id int, hook *core.WorkerHook) *Worker {
-	// Pre-size the connection table so the steady-state accept path does
-	// not rehash/regrow: from the cell's planned per-worker connection
-	// count when the driver provides one, bounded by the pool cap.
-	hint := 256
-	if h := lb.Cfg.ConnsPerWorkerHint; h > hint {
-		hint = h
-	}
-	if max := lb.Cfg.MaxConnsPerWorker; max > 0 && max < hint {
-		hint = max
+	// The connection table holds what is open, not what a cell plans to
+	// open: 256 slots, bounded by the pool cap, regrown by append past that.
+	tableCap := 256
+	if max := lb.Cfg.MaxConnsPerWorker; max > 0 && max < tableCap {
+		tableCap = max
 	}
 	w := &Worker{
 		ID:       id,
@@ -155,7 +152,7 @@ func newWorker(lb *LB, id int, hook *core.WorkerHook) *Worker {
 		ep:       lb.NS.NewEpoll(),
 		hook:     hook,
 		costMult: 1,
-		conns:    make([]*kernel.Socket, 0, hint),
+		conns:    make([]*kernel.Socket, 0, tableCap),
 	}
 	w.onWakeFn = w.onWake
 	w.executor = lb.Cfg.Mode == ModeDispatcher && id < lb.Cfg.Workers
@@ -508,7 +505,7 @@ func (w *Worker) handle(ev kernel.Event) time.Duration {
 			w.ResetConns++
 			sock := conn.Sock()
 			ref := conn.Ref()
-			w.lb.closeSocket(sock)
+			w.lb.NS.CloseSocket(sock)
 			if o := w.obs; o != nil {
 				o.tr.Close(uint64(ref.ID()), w.lb.Eng.Now(), true)
 			}
@@ -524,11 +521,10 @@ func (w *Worker) handle(ev kernel.Event) time.Duration {
 		// (§6.2 Case 1), the per-event Dispatch cost for the dispatcher core.
 		return costs.Accept + w.lb.acceptExtra
 	case kernel.EvReadable:
-		payload, ok := ev.Sock.PopData()
+		work, ok := ev.Sock.PopData()
 		if !ok {
 			return costs.SpuriousWake
 		}
-		work := w.lb.takeWork(payload)
 		sock := ev.Sock
 		// The completion fires after the cost elapses (and, in
 		// ModeDispatcher, after the executor's queue); by then the
@@ -633,7 +629,7 @@ func (w *Worker) closeConn(s *kernel.Socket) {
 	if h := w.hook; h != nil {
 		h.ConnClosed()
 	}
-	w.lb.closeSocket(s)
+	w.lb.NS.CloseSocket(s)
 	if o := w.obs; o != nil {
 		if c := s.Conn(); c != nil {
 			o.tr.Close(uint64(c.ID), w.lb.Eng.Now(), false)
@@ -658,7 +654,7 @@ func (w *Worker) resetConn(s *kernel.Socket) {
 	if h := w.hook; h != nil {
 		h.ConnClosed()
 	}
-	w.lb.closeSocket(s)
+	w.lb.NS.CloseSocket(s)
 	if o := w.obs; o != nil && ref.Get() != nil {
 		o.tr.Close(uint64(ref.ID()), w.lb.Eng.Now(), true)
 	}
